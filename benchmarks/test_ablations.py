@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.apps.airfoil import AirfoilSim
-from repro.core import Runtime, build_plan
+from repro.core import INC, Dat, Runtime, arg_dat, build_plan
 from repro.core.plan import plan_signature
 from repro.mesh import (
     make_airfoil_mesh,
@@ -175,10 +175,13 @@ class TestRenumberingAblation:
         good = permute_set_numbering(bad, "edges", new_of_old)
 
         def count_colors(m):
-            sim = AirfoilSim(m, runtime=Runtime("vectorized",
-                                                block_size=128))
-            set_, *args = sim._loop_args()["res_calc"]
-            plan = build_plan(set_, args, block_size=128)
+            # res_calc's racing structure over *this* numbering — built
+            # from the mesh, not through AirfoilSim, whose internal
+            # mesh is localize()'s and so the same for all three.
+            res = Dat(m.cells, 4)
+            e2c = m.map("edge2cell")
+            args = [arg_dat(res, 0, e2c, INC), arg_dat(res, 1, e2c, INC)]
+            plan = build_plan(m.edges, args, block_size=128)
             return plan.n_block_colors, int(plan.block_ncolors.max())
 
         benchmark.group = "ablation-renumbering"

@@ -68,6 +68,7 @@ from ...core import (
     par_loop,
 )
 from ...mesh import UnstructuredMesh, make_airfoil_mesh
+from ...mesh.renumber import localize
 from ...solve import CGResult, MatFreeOperator, MatOperator, cg
 from .constants import AeroConstants, DEFAULT_CONSTANTS
 from .kernels import element_quadrature_tables, make_kernels
@@ -142,7 +143,16 @@ class AeroSim:
         cg_maxiter: int = 200,
         operator: str = "auto",
     ) -> None:
-        self.mesh = mesh if mesh is not None else make_airfoil_mesh(24, 12)
+        #: The run happens on a locality-friendly *internal* numbering
+        #: (``self.mesh``, ``self.state``, ``self.bc_mask``); ``phi`` /
+        #: ``rho`` answer in the caller's.
+        self._numbering = localize(
+            mesh if mesh is not None else make_airfoil_mesh(24, 12)
+        )
+        self.mesh = self._numbering.mesh
+        #: What was renumbered, how, and each map's gather span before
+        #: and after (:class:`repro.mesh.renumber.Localization.report`).
+        self.numbering = self._numbering.report
         self.dtype = np.dtype(dtype)
         self.runtime = runtime
         self.constants = constants
@@ -418,13 +428,19 @@ class AeroSim:
     # ------------------------------------------------------------------
     @property
     def phi(self) -> np.ndarray:
-        """Current velocity potential, ``(n_nodes,)``."""
-        return self.state.p_phi.data[: self.mesh.nodes.size, 0]
+        """Current velocity potential, ``(n_nodes,)``, in the caller's
+        node numbering."""
+        return self._numbering.to_caller(
+            "nodes", self.state.p_phi.data[: self.mesh.nodes.size, 0]
+        )
 
     @property
     def rho(self) -> np.ndarray:
-        """Current cell density, ``(n_cells,)``."""
-        return self.state.p_rho.data[: self.mesh.cells.size, 0]
+        """Current cell density, ``(n_cells,)``, in the caller's cell
+        numbering."""
+        return self._numbering.to_caller(
+            "cells", self.state.p_rho.data[: self.mesh.cells.size, 0]
+        )
 
 
 @dataclass

@@ -39,6 +39,7 @@ from ...core import (
     par_loop,
 )
 from ...mesh import UnstructuredMesh, make_airfoil_mesh
+from ...mesh.renumber import localize
 from ...mpi import DistContext
 from .constants import AirfoilConstants, DEFAULT_CONSTANTS
 from .kernels import make_kernels
@@ -64,6 +65,10 @@ class AirfoilSim:
     ----------
     mesh:
         An airfoil-style mesh (defaults to a small generated O-mesh).
+        The sim runs on :func:`~repro.mesh.renumber.localize`'s internal
+        numbering of it — ``sim.mesh`` and ``sim.state`` are in that
+        numbering, ``sim.q`` in the caller's; ``sim.numbering`` reports
+        what moved.
     dtype:
         ``np.float64`` (paper DP) or ``np.float32`` (paper SP).
     runtime:
@@ -92,7 +97,15 @@ class AirfoilSim:
         chained: Optional[bool] = None,
         tiling=None,
     ) -> None:
-        self.mesh = mesh if mesh is not None else make_airfoil_mesh(48, 24)
+        #: The run happens on a locality-friendly *internal* numbering
+        #: (``self.mesh``); ``q`` translates back to the caller's.
+        self._numbering = localize(
+            mesh if mesh is not None else make_airfoil_mesh(48, 24)
+        )
+        self.mesh = self._numbering.mesh
+        #: What was renumbered, how, and each map's gather span before
+        #: and after (:class:`repro.mesh.renumber.Localization.report`).
+        self.numbering = self._numbering.report
         self.dtype = np.dtype(dtype)
         self.runtime = runtime
         self.constants = constants
@@ -257,8 +270,11 @@ class AirfoilSim:
     # ------------------------------------------------------------------
     @property
     def q(self) -> np.ndarray:
-        """Current conservative state, ``(n_cells, 4)``."""
-        return self.state.p_q.data[: self.mesh.cells.size]
+        """Current conservative state, ``(n_cells, 4)``, in the
+        caller's cell numbering (a view unless cells were renumbered)."""
+        return self._numbering.to_caller(
+            "cells", self.state.p_q.data[: self.mesh.cells.size]
+        )
 
 
 class DistributedAirfoilSim:
@@ -286,7 +302,12 @@ class DistributedAirfoilSim:
 
         self.chained = bool(chained)
         self.serial = AirfoilSim(mesh, dtype=dtype, constants=constants)
-        m = mesh
+        # Sets, maps, loops and partition all live in the serial sim's
+        # internal numbering; only ``cell_parts`` / ``fetch_q`` cross.
+        m = self.serial.mesh
+        cell_parts = self.serial._numbering.to_internal(
+            "cells", np.asarray(cell_parts)
+        )
         node_parts = partition_iteration_set(
             _invert_to_first(m.map("cell2node").values, m.nodes.size),
             cell_parts, rule="first",
@@ -350,7 +371,10 @@ class DistributedAirfoilSim:
         return rms
 
     def fetch_q(self) -> np.ndarray:
-        return self.ctx.fetch(self.serial.state.p_q)
+        """Gathered global state in the caller's cell numbering."""
+        return self.serial._numbering.to_caller(
+            "cells", self.ctx.fetch(self.serial.state.p_q)
+        )
 
 
 def _invert_to_first(c2n: np.ndarray, n_nodes: int) -> np.ndarray:

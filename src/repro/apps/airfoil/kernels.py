@@ -133,12 +133,17 @@ def make_kernels(const: AirfoilConstants = DEFAULT_CONSTANTS) -> dict:
     # update: flow-field update + RMS residual reduction (direct loop).
     # ------------------------------------------------------------------
     def update(qold, q, res, adt, rms):
+        # The cell's squared update is summed locally and added to the
+        # reduction once: with one increment per element every backend
+        # folds the same left-to-right sum (``backends.base.fold_lanes``).
         adti = 1.0 / adt[0]
+        dsq = 0.0
         for n in range(4):
             delta = adti * res[n]
             q[n] = qold[n] - delta
             res[n] = 0.0
-            rms[0] += delta * delta
+            dsq += delta * delta
+        rms[0] += dsq
 
     return {
         "save_soln": Kernel(

@@ -30,6 +30,7 @@ from ...core import (
     par_loop,
 )
 from ...mesh import UnstructuredMesh, make_tri_mesh
+from ...mesh.renumber import localize
 from .bathymetry import DEFAULT_SCENARIO, CoastalScenario, initial_state
 from .kernels import CFL, GRAVITY, make_kernels
 
@@ -51,14 +52,28 @@ class VolnaState:
     dt_used: Global # frozen copy consumed by the RK kernels
 
 
+#: Edges per slice of :func:`edge_geometry`: bounds its float64
+#: temporaries (a dozen ``(rows, 2)`` arrays) to a few MB instead of
+#: ~110 bytes per edge on top of the live mesh and state.
+_GEOMETRY_ROWS = 1 << 16
+
+
 def edge_geometry(mesh: UnstructuredMesh, dtype=np.float64) -> np.ndarray:
     """Per-edge ``(nx, ny, length, bflag)`` with the unit normal oriented
     from cell slot 0 toward cell slot 1 (outward at boundaries)."""
     e2n = mesh.map("edge2node").values
     e2c = mesh.map("edge2cell").values
-    coords = mesh.coords
     centroids = mesh.cell_centroids()
+    out = np.empty((e2n.shape[0], 4), dtype=dtype)
+    for lo in range(0, e2n.shape[0], _GEOMETRY_ROWS):
+        rows = slice(lo, lo + _GEOMETRY_ROWS)
+        _edge_geometry_rows(
+            e2n[rows], e2c[rows], mesh.coords, centroids, out[rows]
+        )
+    return out
 
+
+def _edge_geometry_rows(e2n, e2c, coords, centroids, out) -> None:
     p1 = coords[e2n[:, 0]]
     p2 = coords[e2n[:, 1]]
     d = p2 - p1
@@ -76,15 +91,10 @@ def edge_geometry(mesh: UnstructuredMesh, dtype=np.float64) -> np.ndarray:
         centroids[e2c[:, 1]] - centroids[e2c[:, 0]],
     )
     flip = nx * toward[:, 0] + ny * toward[:, 1] < 0
-    nx = np.where(flip, -nx, nx)
-    ny = np.where(flip, -ny, ny)
-
-    out = np.zeros((e2n.shape[0], 4), dtype=dtype)
-    out[:, 0] = nx
-    out[:, 1] = ny
+    out[:, 0] = np.where(flip, -nx, nx)
+    out[:, 1] = np.where(flip, -ny, ny)
     out[:, 2] = length
-    out[:, 3] = is_boundary.astype(dtype)
-    return out
+    out[:, 3] = is_boundary
 
 
 def cell_areas(mesh: UnstructuredMesh) -> np.ndarray:
@@ -116,13 +126,20 @@ class VolnaSim:
         chained: Optional[bool] = None,
         tiling=None,
     ) -> None:
-        self.mesh = (
+        #: The run happens on a locality-friendly *internal* numbering
+        #: (``self.mesh``, ``self.state``); ``q`` / ``total_mass`` /
+        #: ``max_eta`` answer in the caller's.
+        self._numbering = localize(
             mesh
             if mesh is not None
             else make_tri_mesh(
                 32, 24, scenario.extent_x, scenario.extent_y
             )
         )
+        self.mesh = self._numbering.mesh
+        #: What was renumbered, how, and each map's gather span before
+        #: and after (:class:`repro.mesh.renumber.Localization.report`).
+        self.numbering = self._numbering.report
         self.dtype = np.dtype(dtype)
         self.runtime = runtime
         self.scenario = scenario
@@ -304,12 +321,18 @@ class VolnaSim:
     # ------------------------------------------------------------------
     @property
     def q(self) -> np.ndarray:
-        """Current state ``(n_cells, 4)``."""
-        return self.state.q.data[: self.mesh.cells.size]
+        """Current state ``(n_cells, 4)`` in the caller's cell numbering
+        (a view unless cells were renumbered)."""
+        return self._numbering.to_caller(
+            "cells", self.state.q.data[: self.mesh.cells.size]
+        )
 
     def total_mass(self) -> float:
-        """Water volume — conserved exactly by the FV scheme (test hook)."""
-        vol = self.state.vol.data[: self.mesh.cells.size, 0]
+        """Water volume — conserved exactly by the FV scheme (test hook).
+        Summed in the caller's cell order."""
+        vol = self._numbering.to_caller(
+            "cells", self.state.vol.data[: self.mesh.cells.size, 0]
+        )
         h = self.q[:, 0]
         return float((vol * h).sum())
 

@@ -262,6 +262,29 @@ def _fold_reductions(args: Sequence[Arg], reductions: Dict[int, np.ndarray]) -> 
         args[i].dat.combine(args[i].access, partial)
 
 
+def fold_lanes(access: Access, acc: np.ndarray, partial: np.ndarray) -> None:
+    """Fold a batch's per-lane reduction partials ``(chunk, dim)`` into
+    the loop accumulator ``acc``; ``partial`` is scratch afterwards.
+
+    INC folds strictly left to right *continuing from* ``acc`` —
+    ``((acc + p0) + p1) + ...`` — so the sum is a function of the
+    element sequence alone, not of where batch, phase-slice or tile
+    boundaries fall (the element-major invariant of
+    :func:`scatter_batch`, extended to Globals), and over an ascending
+    phase it is the very sum the sequential interpreter forms whenever
+    the kernel increments each component once per element.
+    """
+    if access is Access.INC:
+        if partial.shape[0]:
+            partial[0] += acc
+            np.add.accumulate(partial, axis=0, out=partial)
+            acc[...] = partial[-1]
+    elif access is Access.MIN:
+        np.minimum(acc, partial.min(axis=0), out=acc)
+    else:
+        np.maximum(acc, partial.max(axis=0), out=acc)
+
+
 # ----------------------------------------------------------------------
 # Scalar per-element argument views.
 # ----------------------------------------------------------------------
@@ -286,7 +309,7 @@ def scalar_views(args: Sequence[Arg], e: int, reductions: Dict[int, np.ndarray])
         elif arg.is_direct:
             views.append(arg.dat._data[e])
         elif arg.is_vector:
-            idx = arg.map.values[e]
+            idx = arg.map.values[e].astype(np.intp)
             if arg.access is Access.INC:
                 # Private zeroed accumulator (as OP2's generated code
                 # passes arg*_l locals), applied serially afterwards.
@@ -399,9 +422,9 @@ def gather_batch(
         if phase is not None:
             idx = phase.index_for(arg)
         elif arg.is_vector:
-            idx = arg.map.values[elems]          # (chunk, arity)
+            idx = arg.map.values[elems].astype(np.intp)  # (chunk, arity)
         else:
-            idx = arg.map.values[elems, arg.index]  # (chunk,)
+            idx = arg.map.values[elems, arg.index].astype(np.intp)  # (chunk,)
         if arg.access is Access.INC:
             shape = (
                 (nl, arg.map.arity, arg.dat.dim) if arg.is_vector else (nl, arg.dat.dim)
@@ -493,11 +516,4 @@ def scatter_batch(
             arg.dat.scatter(idx, local)
 
     for i in batch.reduction_slots:
-        arg = args[i]
-        partial = batch.arrays[i]
-        if arg.access is Access.INC:
-            reductions[i] += partial.sum(axis=0)
-        elif arg.access is Access.MIN:
-            np.minimum(reductions[i], partial.min(axis=0), out=reductions[i])
-        elif arg.access is Access.MAX:
-            np.maximum(reductions[i], partial.max(axis=0), out=reductions[i])
+        fold_lanes(args[i].access, reductions[i], batch.arrays[i])

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.access import Access
-from .base import Backend, gather_batch, run_scalar_element
+from .base import Backend, fold_lanes, gather_batch, run_scalar_element
 
 
 class SIMTBackend(Backend):
@@ -151,11 +151,4 @@ class SIMTBackend(Backend):
             args[i].dat.data[idx] = batch.arrays[i]
 
         for i in batch.reduction_slots:
-            arg = args[i]
-            partial = batch.arrays[i]
-            if arg.access is Access.INC:
-                reductions[i] += partial.sum(axis=0)
-            elif arg.access is Access.MIN:
-                np.minimum(reductions[i], partial.min(axis=0), out=reductions[i])
-            elif arg.access is Access.MAX:
-                np.maximum(reductions[i], partial.max(axis=0), out=reductions[i])
+            fold_lanes(args[i].access, reductions[i], batch.arrays[i])

@@ -47,6 +47,7 @@ from .base import (
     LoopStats,
     _fold_reductions,
     _init_reductions,
+    fold_lanes,
     gather_batch,
     interleave_inc_group,
     run_scalar_element,
@@ -230,15 +231,7 @@ class _PhaseExec:
             else:
                 dat.scatter(idx, local)
         for slot, pos, mode in self.folds:
-            partial = arrays[pos]
-            if mode is Access.INC:
-                reductions[slot] += partial.sum(axis=0)
-            elif mode is Access.MIN:
-                np.minimum(reductions[slot], partial.min(axis=0),
-                           out=reductions[slot])
-            else:
-                np.maximum(reductions[slot], partial.max(axis=0),
-                           out=reductions[slot])
+            fold_lanes(mode, reductions[slot], arrays[pos])
 
 
 class VectorizedBackend(Backend):

@@ -352,8 +352,6 @@ def tiling_ablation(
     warm tiled ≥ 1.1x over warm fused for at least one backend /
     mesh-size point at paper-scale meshes).
     """
-    from ..mesh import tile_local_renumber
-
     if meshes is None:
         meshes = {
             ("airfoil", "480x240"): make_airfoil_mesh(480, 240),
@@ -371,16 +369,10 @@ def tiling_ablation(
     )
     t.meta.update({"steps": steps, "knob": "sparse tiling",
                    "tile_sizes": [str(s) for s in tile_sizes]})
-    # One renumbered mesh per entry, shared by every config and tile
-    # size, keeps fused-vs-tiled apples-to-apples; the renumbering
-    # granularity follows the largest concrete size in the sweep.
-    renumber_size = max(
-        (s for s in tile_sizes if isinstance(s, int)), default=16384
-    )
+    # One mesh object per entry, shared by every config and tile size
+    # (so its memoised ``localize`` numbering is too), keeps
+    # fused-vs-tiled apples-to-apples.
     for (app, mesh_name), mesh in meshes.items():
-        # Tile-locally renumbered input: the mesh-side half of the
-        # optimization (contiguous per-tile edge slices).
-        mesh = tile_local_renumber(mesh, renumber_size)
         for label, (backend, scheme, options) in configs.items():
             fused = time_app(app, backend, scheme, options, mesh=mesh,
                              steps=steps, chained=True)
@@ -403,7 +395,8 @@ def tiling_ablation(
         "(repro/tiling): per tile, every loop of a dependency segment "
         "executes its slice while the tile's Dats are cache-resident; "
         "results are bitwise identical to fused and eager execution. "
-        "Meshes are tile-locally renumbered (mesh/renumber.py)."
+        "Both sides run on the drivers' internal numbering "
+        "(mesh/renumber.py: localize)."
     )
     return t
 

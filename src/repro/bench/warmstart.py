@@ -55,11 +55,13 @@ def run_workload(apps: List[str], steps: int = 2) -> Dict:
     """One cold-or-warm measurement in the current process.
 
     ``aero`` runs Picard steps (assembly + CG) on the vectorized
-    backend, chained + tiled — exercising the plan, chain, tiled and
-    kernelc stores.  ``airfoil`` replays its chain on the native
-    backend when a C compiler is available (vectorized otherwise) —
-    exercising the native ``.so`` store.  The store under
-    ``$REPRO_CACHE_DIR`` decides whether this process is cold or warm.
+    backend, chained + tiled — exercising the chain, tiled and kernelc
+    stores.  ``airfoil`` replays its chain on the vectorized backend,
+    whose coloured ``res_calc`` scatter is what exercises the plan
+    store, and — when a C compiler is available — on the native
+    backend, exercising the native ``.so`` store (and no colouring:
+    native executes ascending).  The store under ``$REPRO_CACHE_DIR``
+    decides whether this process is cold or warm.
     """
     from .. import store
     from ..kernelc import compiler_available, native_cache_stats
@@ -72,10 +74,12 @@ def run_workload(apps: List[str], steps: int = 2) -> Dict:
                  mesh=make_airfoil_mesh(24, 12), steps=steps,
                  chained=True, tiling="auto")
     if "airfoil" in apps:
-        backend = "native" if compiler_available() else "vectorized"
-        time_app("airfoil", backend, "two_level", {},
-                 mesh=make_airfoil_mesh(24, 12), steps=steps,
-                 chained=True)
+        backends = (["vectorized", "native"] if compiler_available()
+                    else ["vectorized"])
+        for backend in backends:
+            time_app("airfoil", backend, "two_level", {},
+                     mesh=make_airfoil_mesh(24, 12), steps=steps,
+                     chained=True)
     wall = time.perf_counter() - t0
     return {
         "apps": list(apps),
@@ -158,24 +162,28 @@ def corrupt_store(root: Path, fraction: float, seed: int) -> List[str]:
 # ablation
 # ----------------------------------------------------------------------
 def cold_warm_ablation(steps: int = 2):
-    """Cold vs warm *process* wall time for the aero Picard workload.
+    """Cold vs warm *process* wall time for the gate's own workload.
 
-    Two subprocesses run the identical workload against one fresh
-    shared store: the first pays plan construction, tiling inspection
-    and kernel emission; the second replays everything from disk
+    Two subprocesses run :func:`run_workload`'s aero + airfoil legs
+    against one fresh shared store (aero alone reads no colouring, so
+    it would leave the plan store out): the first pays plan
+    construction, tiling inspection, kernel emission and the C
+    compiler; the second replays everything from disk
     (``ablation_cold_warm`` is the acceptance artifact: the warm
     process must not be slower, and the warm-start counters must show
     a genuine replay — the ``check`` subcommand's acceptance, inlined).
     """
     from .harness import ReportTable
 
+    apps = ["aero", "airfoil"]
+    app_label = "+".join(apps)
     t = ReportTable("Ablation: cold vs warm process start (artifact store)")
-    t.meta.update({"app": "aero", "steps": steps,
+    t.meta.update({"app": app_label, "steps": steps,
                    "knob": "persistent artifact store"})
     with tempfile.TemporaryDirectory(prefix="repro-warmstart-") as tmp:
         dumps = []
         for _ in ("cold", "warm"):
-            out = _spawn_run(Path(tmp) / "store", ["aero"], steps)
+            out = _spawn_run(Path(tmp) / "store", apps, steps)
             dumps.append(out)
         cold, warm = dumps
         failures = check_warm(cold, warm)
@@ -183,7 +191,7 @@ def cold_warm_ablation(steps: int = 2):
         for label, d in (("cold", cold), ("warm", warm)):
             stats = d["stats"]
             t.add(
-                app="aero",
+                app=app_label,
                 process=label,
                 **{
                     "workload s": round(d["workload_s"], 3),
@@ -200,12 +208,14 @@ def cold_warm_ablation(steps: int = 2):
                 },
             )
     t.note(
-        "Both processes run the identical aero Picard workload "
-        "(vectorized, chained + tiled) against one shared "
-        "REPRO_CACHE_DIR.  The warm row replays persisted plans, "
-        "fused chains, tiled schedules and generated kernels with "
-        "zero expensive constructions; `warm speedup` is whole-"
-        "workload wall time, so it bundles every avoided inspector."
+        "Both processes run the identical workload — aero Picard steps "
+        "(vectorized, chained + tiled), then the airfoil chain "
+        "(vectorized, and native where a C compiler exists) — against "
+        "one shared REPRO_CACHE_DIR.  The warm row replays persisted "
+        "plans, fused chains, tiled schedules, generated kernels and "
+        "compiled objects with zero expensive constructions; `warm "
+        "speedup` is whole-workload wall time, so it bundles every "
+        "avoided inspector and the avoided C compile."
     )
     if failures:
         t.note("WARM ACCEPTANCE FAILED: " + "; ".join(failures))

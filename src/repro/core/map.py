@@ -17,6 +17,12 @@ from .set import Set
 
 _map_counter = itertools.count()
 
+#: Index type of every map table — 4 bytes, as in OP2 (and as
+#: ``UnstructuredMesh.memory_footprint`` has always accounted them for
+#: Table IV).  The native emitter reads tables through ``const int *``;
+#: NumPy paths convert to ``intp`` once, where an index array is cached.
+MAP_DTYPE = np.int32
+
 
 class Map:
     """A fixed-arity mapping from one set to another.
@@ -29,7 +35,8 @@ class Map:
         Number of target indices per source element.
     values:
         Integer array of shape ``(from_set.total_size, arity)`` (a flat
-        array of the right length is also accepted and reshaped).
+        array of the right length is also accepted and reshaped); stored
+        as :data:`MAP_DTYPE` after a range check.
     name:
         Identifier used in plan cache keys and reports.
     """
@@ -51,26 +58,35 @@ class Map:
         self.arity = int(arity)
         self.name = name if name is not None else f"map_{next(_map_counter)}"
         self._uid = next(_map_counter)
+        self._gather_span: Optional[float] = None
 
-        values = np.asarray(values, dtype=np.int64)
+        values = np.asarray(values)
         expected = from_set.total_size * arity
         if values.size != expected:
             raise ValueError(
                 f"Map {self.name!r} expects {expected} entries "
                 f"({from_set.total_size} x {arity}), got {values.size}"
             )
-        self.values = np.ascontiguousarray(values.reshape(from_set.total_size, arity))
-        if self.values.size:
-            lo = int(self.values.min())
-            hi = int(self.values.max())
-            if lo < 0 or hi >= to_set.total_size + getattr(to_set, "nonexec_size", 0):
-                # Allow indices into the non-exec halo region of the target
-                # set (imported read-only elements in the MPI substrate).
-                if lo < 0 or hi >= _target_extent(to_set):
-                    raise ValueError(
-                        f"Map {self.name!r} indices [{lo}, {hi}] out of range "
-                        f"for target set of extent {_target_extent(to_set)}"
-                    )
+        # Range-check in the caller's dtype, *before* narrowing: the
+        # extent (owned + exec halo + the MPI substrate's read-only
+        # non-exec halo) must itself fit the 4-byte index type.
+        extent = _target_extent(to_set)
+        if extent > np.iinfo(MAP_DTYPE).max:
+            raise ValueError(
+                f"Map {self.name!r}: target extent {extent} does not fit "
+                f"{np.dtype(MAP_DTYPE).name} indices"
+            )
+        if values.size:
+            lo = int(values.min())
+            hi = int(values.max())
+            if lo < 0 or hi >= extent:
+                raise ValueError(
+                    f"Map {self.name!r} indices [{lo}, {hi}] out of range "
+                    f"for target set of extent {extent}"
+                )
+        self.values = np.ascontiguousarray(
+            values.reshape(from_set.total_size, arity), dtype=MAP_DTYPE
+        )
 
     # ------------------------------------------------------------------
     def column(self, index: int) -> np.ndarray:
@@ -83,6 +99,14 @@ class Map:
         """Target indices of a single source element."""
         return self.values[element]
 
+    def gather_span(self) -> float:
+        """:func:`gather_span` of this map's table (memoised — a map's
+        values never change after construction)."""
+        span = self._gather_span
+        if span is None:
+            span = self._gather_span = gather_span(self.values)
+        return span
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Map({self.name!r}, {self.from_set.name} -> {self.to_set.name}, "
@@ -94,6 +118,32 @@ class Map:
 
     def __eq__(self, other: object) -> bool:
         return self is other
+
+
+def gather_span(values: np.ndarray) -> float:
+    """Mean distance, in target rows, between consecutive rows' lowest
+    targets — how far apart two successive elements of a loop gather.
+
+    The locality measure of ``mesh.renumber.localize`` and of
+    ``Runtime.stats()["profile"]``: below ~1 successive elements reuse
+    the cache lines the previous one touched; in the hundreds every
+    element lands on new lines (and, at mesh scale, new pages).
+    """
+    values = np.asarray(values)
+    if values.shape[0] < 2:
+        return 0.0
+    lowest = row_min(values).astype(np.int64)
+    return float(np.abs(np.diff(lowest)).mean())
+
+
+def row_min(values: np.ndarray) -> np.ndarray:
+    """``values.min(axis=1)`` for a tall, narrow map table, folded
+    column by column (NumPy's reduction over a 2-4 wide axis is ~10x
+    slower on mesh-sized tables)."""
+    lowest = values[:, 0]
+    for k in range(1, values.shape[1]):
+        lowest = np.minimum(lowest, values[:, k])
+    return lowest
 
 
 def _target_extent(to_set: Set) -> int:

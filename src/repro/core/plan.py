@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from ..coloring import (
     element_colors_by_block,
     full_permute,
     make_blocks,
+    racing_slots,
 )
 from .access import Arg, IDX_ALL
 from .set import Set
@@ -125,6 +126,10 @@ class Phase:
                 idx = arg.map.values[self.elems]
             else:
                 idx = arg.map.values[self.elems, arg.index]
+            # Map tables are 4-byte; NumPy would widen an int32 index
+            # array to intp on *every* fancy-index call, so widen once
+            # here, where the array is cached for the plan's lifetime.
+            idx = idx.astype(np.intp)
             self._indices[key] = idx
             self._counters["misses"] = self._counters.get("misses", 0) + 1
         else:
@@ -148,13 +153,51 @@ class Phase:
 
 
 @dataclass
+class Coloring:
+    """The expensive half of a plan: colours and colour-sorted orders.
+
+    Everything here is the output of a graph colouring over the whole
+    iteration set — what the plan store persists, and what a backend
+    that executes in plain ascending order (sequential, native) never
+    reads.  :class:`Plan` materialises one on first access to any of
+    its colour facets.
+    """
+
+    block_colors: np.ndarray
+    n_block_colors: int
+    elem_colors: Optional[np.ndarray] = None
+    block_ncolors: Optional[np.ndarray] = None
+    permutation: Optional[Permutation] = None
+    block_permutation: Optional[BlockPermutation] = None
+    stats: Dict[str, float] = field(default_factory=dict)
+    #: Block ids grouped by colour (derived, never persisted).
+    blocks_by_color: List[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.blocks_by_color = [
+            np.nonzero(self.block_colors == c)[0].astype(np.int64)
+            for c in range(max(self.n_block_colors, 0))
+        ]
+
+
+def _colour_facet(name: str) -> property:
+    def get(self):
+        return getattr(self.coloring(), name)
+
+    get.__doc__ = f"``Coloring.{name}`` (materialises the colouring)."
+    return property(get)
+
+
 class Plan:
     """A race-free execution schedule for one loop shape.
 
-    Attributes
-    ----------
-    layout:
-        Contiguous block (mini-partition) layout.
+    The cheap facets — ``set``, ``scheme``, ``layout`` (the contiguous
+    mini-partition layout) and ``is_direct`` (no racing argument at
+    all) — are plain attributes.  The **colour facets** materialise on
+    first access, through the ``colorer`` the plan was created with
+    (:class:`PlanCache` passes one that consults the plan store, then
+    builds and persists):
+
     block_colors / n_block_colors:
         First-level coloring: same-colored blocks never share an indirect
         write target and may run concurrently.
@@ -168,33 +211,59 @@ class Plan:
         Global color-sorted order (``full_permute`` scheme only).
     block_permutation:
         Per-block color-sorted order (``block_permute`` scheme only).
-    is_direct:
-        True when the loop has no racing arguments at all; backends skip
-        coloring machinery entirely.
+
+    ``phases()`` and everything derived from it (``execution_order``,
+    ``phase_slices``) read the colour facets of an indirect plan; a
+    direct plan's single contiguous phase needs none.  So a backend that
+    never asks — native and sequential execute ``[start, n)`` ascending
+    — builds, persists and decodes no colouring at all.
     """
 
-    set: Set
-    scheme: str
-    layout: BlockLayout
-    is_direct: bool
-    block_colors: np.ndarray
-    n_block_colors: int
-    blocks_by_color: List[np.ndarray]
-    elem_colors: Optional[np.ndarray] = None
-    block_ncolors: Optional[np.ndarray] = None
-    permutation: Optional[Permutation] = None
-    block_permutation: Optional[BlockPermutation] = None
-    build_stats: Dict[str, float] = field(default_factory=dict)
-    #: Memoized whole-color phase lists, keyed by ``(n, start)``.
-    _phase_cache: Dict[Tuple[int, int], List[Phase]] = field(
-        default_factory=dict, repr=False
-    )
-    #: Memoized canonical element orders / phase offsets.
-    _order_cache: Dict[Tuple, np.ndarray] = field(
-        default_factory=dict, repr=False
-    )
-    #: Gather-index cache accounting shared by all this plan's phases.
-    gather_stats: Dict[str, int] = field(default_factory=dict, repr=False)
+    def __init__(
+        self,
+        set: Set,
+        scheme: str,
+        layout: BlockLayout,
+        is_direct: bool,
+        coloring: Optional[Coloring] = None,
+        colorer=None,
+    ) -> None:
+        if coloring is None and colorer is None:
+            raise ValueError("a Plan needs a coloring or a colorer")
+        self.set = set
+        self.scheme = scheme
+        self.layout = layout
+        self.is_direct = is_direct
+        self._coloring = coloring
+        self._colorer = colorer
+        #: Memoized whole-color phase lists, keyed by ``(n, start)``.
+        self._phase_cache: Dict[Tuple[int, int], List[Phase]] = {}
+        #: Memoized canonical element orders / phase offsets.
+        self._order_cache: Dict[Tuple, np.ndarray] = {}
+        #: Gather-index cache accounting shared by all this plan's phases.
+        self.gather_stats: Dict[str, int] = {}
+
+    def coloring(self) -> Coloring:
+        """The colour facets, materialised on first call."""
+        coloring = self._coloring
+        if coloring is None:
+            coloring = self._coloring = self._colorer()
+            self._colorer = None
+        return coloring
+
+    @property
+    def colored(self) -> bool:
+        """Whether the colour facets have been materialised."""
+        return self._coloring is not None
+
+    block_colors = _colour_facet("block_colors")
+    n_block_colors = _colour_facet("n_block_colors")
+    blocks_by_color = _colour_facet("blocks_by_color")
+    elem_colors = _colour_facet("elem_colors")
+    block_ncolors = _colour_facet("block_ncolors")
+    permutation = _colour_facet("permutation")
+    block_permutation = _colour_facet("block_permutation")
+    build_stats = _colour_facet("stats")
 
     @property
     def nblocks(self) -> int:
@@ -372,6 +441,67 @@ def plan_signature(
     return (set_._uid, set_.size, racing, int(block_size), scheme)
 
 
+def plan_shape(
+    set_: Set, args: Sequence[Arg], block_size: int, scheme: str
+) -> Tuple[BlockLayout, bool]:
+    """The cheap facets of a plan: ``(layout, is_direct)``."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"Unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return make_blocks(set_.total_size, block_size), not racing_slots(args)
+
+
+def build_coloring(
+    layout: BlockLayout,
+    args: Sequence[Arg],
+    scheme: str,
+    coloring_method: str = "auto",
+) -> Coloring:
+    """Colour one loop's iteration set (the expensive plan half)."""
+    n = layout.n_elements
+    targets, extent = conflict_targets(args, n)
+    if targets is None:
+        # Direct loops need no second level / permutation under any scheme.
+        return Coloring(
+            block_colors=np.zeros(layout.nblocks, dtype=np.int32),
+            n_block_colors=1 if layout.nblocks else 0,
+            elem_colors=np.zeros(n, dtype=np.int32),
+            block_ncolors=np.ones(layout.nblocks, dtype=np.int32),
+            stats={"n_block_colors": float(1 if layout.nblocks else 0)},
+        )
+
+    block_colors, n_block_colors = color_blocks(layout, targets, extent)
+    coloring = Coloring(
+        block_colors=block_colors,
+        n_block_colors=n_block_colors,
+        stats={"n_block_colors": float(n_block_colors)},
+    )
+    stats = coloring.stats
+    if scheme == "two_level":
+        coloring.elem_colors, coloring.block_ncolors = element_colors_by_block(
+            layout, targets, extent, method=coloring_method
+        )
+        stats["max_elem_colors"] = float(
+            coloring.block_ncolors.max(initial=1)
+        )
+    elif scheme == "full_permute":
+        coloring.permutation = full_permute(
+            targets, n, extent, method=coloring_method
+        )
+        stats["n_elem_colors"] = float(coloring.permutation.ncolors)
+    elif scheme == "block_permute":
+        coloring.block_permutation = block_permute(
+            layout, targets, extent, method=coloring_method
+        )
+        stats["max_elem_colors"] = float(
+            max(
+                (coloring.block_permutation.block_ncolors(b)
+                 for b in range(layout.nblocks)),
+                default=1,
+            )
+        )
+    return coloring
+
+
 def build_plan(
     set_: Set,
     args: Sequence[Arg],
@@ -379,66 +509,31 @@ def build_plan(
     scheme: str = "two_level",
     coloring_method: str = "auto",
 ) -> Plan:
-    """Construct an execution plan for a loop over ``set_``.
+    """Construct a fully coloured execution plan for a loop over ``set_``.
 
     The plan covers ``set_.total_size`` elements (owned + exec halo) so the
-    same plan drives both serial and simulated-MPI execution.
+    same plan drives both serial and simulated-MPI execution.  This is
+    the eager builder; :class:`PlanCache` hands out plans that call it
+    only when a colour facet is first read.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"Unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    n = set_.total_size
-    layout = make_blocks(n, block_size)
-    targets, extent = conflict_targets(args, n)
-    is_direct = targets is None
-
-    stats: Dict[str, float] = {}
-    if is_direct:
-        block_colors = np.zeros(layout.nblocks, dtype=np.int32)
-        n_block_colors = 1 if layout.nblocks else 0
-    else:
-        block_colors, n_block_colors = color_blocks(layout, targets, extent)
-    blocks_by_color = [
-        np.nonzero(block_colors == c)[0].astype(np.int64)
-        for c in range(max(n_block_colors, 0))
-    ]
-    stats["n_block_colors"] = float(n_block_colors)
-
-    plan = Plan(
-        set=set_,
-        scheme=scheme,
-        layout=layout,
-        is_direct=is_direct,
-        block_colors=block_colors,
-        n_block_colors=n_block_colors,
-        blocks_by_color=blocks_by_color,
-        build_stats=stats,
+    layout, is_direct = plan_shape(set_, args, block_size, scheme)
+    return Plan(
+        set_, scheme, layout, is_direct,
+        coloring=build_coloring(layout, args, scheme, coloring_method),
     )
 
-    if is_direct:
-        # Direct loops need no second level / permutation under any scheme.
-        plan.elem_colors = np.zeros(n, dtype=np.int32)
-        plan.block_ncolors = np.ones(layout.nblocks, dtype=np.int32)
-        return plan
 
-    if scheme == "two_level":
-        plan.elem_colors, plan.block_ncolors = element_colors_by_block(
-            layout, targets, extent, method=coloring_method
-        )
-        stats["max_elem_colors"] = float(plan.block_ncolors.max(initial=1))
-    elif scheme == "full_permute":
-        plan.permutation = full_permute(targets, n, extent, method=coloring_method)
-        stats["n_elem_colors"] = float(plan.permutation.ncolors)
-    elif scheme == "block_permute":
-        plan.block_permutation = block_permute(
-            layout, targets, extent, method=coloring_method
-        )
-        stats["max_elem_colors"] = float(
-            max(
-                (plan.block_permutation.block_ncolors(b) for b in range(layout.nblocks)),
-                default=1,
-            )
-        )
-    return plan
+class _RacingSlot(NamedTuple):
+    """What colouring and its store key read of a racing :class:`Arg`
+    (``racing_slots``, ``conflict_targets``, ``store.plan_key``)."""
+
+    map: object
+    index: int
+    races: bool = True
+
+    @property
+    def is_vector(self) -> bool:
+        return self.index == IDX_ALL
 
 
 #: Default LRU bound for :class:`PlanCache` (plans are mesh-sized, so a
@@ -467,6 +562,16 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
 
+    @property
+    def colourings_materialized(self) -> int:
+        """Cached indirect plans whose colour facets some backend
+        actually read (store hit or build) — zero for a run that only
+        ever executes ascending."""
+        return sum(
+            1 for plan in self._plans.values()
+            if plan.colored and not plan.is_direct
+        )
+
     def get(
         self,
         set_: Set,
@@ -492,33 +597,38 @@ class PlanCache:
                 self.evictions += 1
         return plan
 
-    @staticmethod
     def _load_or_build(
+        self,
         set_: Set,
         args: Sequence[Arg],
         block_size: int,
         scheme: str,
         coloring_method: str,
     ) -> Plan:
-        """Disk layer below the memory miss: decode a persisted plan,
-        or build (the expensive graph coloring) and persist it.  Any
-        failure to decode counts as corrupt and falls back to a build —
-        a broken store never surfaces to the execution path."""
-        from .. import store
+        """A plan whose colouring is deferred to first use.
 
-        skey = store.plan_key(set_, args, block_size, scheme, coloring_method)
-        pstore = store.store_for("plan")
-        payload = pstore.get(skey)
-        if payload is not None:
-            try:
-                return store.decode_plan(payload, set_)
-            except Exception:
-                store.bump("plan", "corrupt")
-                store.unlink_quiet(pstore.path_for(skey))
-        store.count_build("plan")
-        plan = build_plan(set_, args, block_size, scheme, coloring_method)
-        pstore.put(skey, store.encode_plan(plan))
-        return plan
+        The cheap facets are computed here; the colouring — and the
+        disk layer below it — is touched only when a backend reads a
+        colour facet.  Direct loops colour trivially and never consult
+        the store.
+        """
+        layout, is_direct = plan_shape(set_, args, block_size, scheme)
+        # Colouring (and its store key) is a function of the racing
+        # (map, slot) columns only.  The closure outlives this call —
+        # for good on a backend that never colours — so it keeps those,
+        # not the Args (whose Dats are mesh-sized) nor this cache.
+        racing = tuple(
+            _RacingSlot(arg.map, arg.index) for arg in args if arg.races
+        )
+
+        def colorer() -> Coloring:
+            if is_direct:
+                return build_coloring(layout, (), scheme, coloring_method)
+            return _load_or_build_coloring(
+                set_, racing, block_size, scheme, coloring_method
+            )
+
+        return Plan(set_, scheme, layout, is_direct, colorer=colorer)
 
     def clear(self) -> None:
         self._plans.clear()
@@ -528,3 +638,33 @@ class PlanCache:
 
     def __len__(self) -> int:
         return len(self._plans)
+
+
+def _load_or_build_coloring(
+    set_: Set,
+    args: Sequence[Arg],
+    block_size: int,
+    scheme: str,
+    coloring_method: str,
+) -> Coloring:
+    """Disk layer below a colouring miss: decode a persisted plan, or
+    build (the expensive graph coloring) and persist it.  Any failure
+    to decode counts as corrupt and falls back to a build — a broken
+    store never surfaces to the execution path."""
+    from .. import store
+
+    skey = store.plan_key(set_, args, block_size, scheme, coloring_method)
+    pstore = store.store_for("plan")
+    payload = pstore.get(skey)
+    if payload is not None:
+        try:
+            return store.decode_plan(payload, set_).coloring()
+        except Exception:
+            store.bump("plan", "corrupt")
+            store.unlink_quiet(pstore.path_for(skey))
+    store.count_build("plan")
+    # Through ``build_plan``, not ``build_coloring``: it is the one
+    # builder external tracers hook (bench_e2e times it as plan.build).
+    plan = build_plan(set_, args, block_size, scheme, coloring_method)
+    pstore.put(skey, store.encode_plan(plan))
+    return plan.coloring()

@@ -400,6 +400,10 @@ class Runtime:
                 "evictions": self.plans.evictions,
                 "entries": len(self.plans),
                 "max_entries": self.plans.max_entries,
+                # Indirect plans whose colour facets were actually read
+                # (0 for a purely ascending-order run: native/sequential).
+                "colourings_materialized":
+                    self.plans.colourings_materialized,
             }, "plan"),
             "chain_cache": with_store({
                 "hits": self.chain_cache_hits,

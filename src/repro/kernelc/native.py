@@ -60,6 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.access import Access
+from ..core.map import MAP_DTYPE
 from ..simd import intrinsics as _intrinsics
 from .cache import kernel_ir
 from .ir import (
@@ -210,6 +211,11 @@ def _arg_spec(arg, loop_j: int, argpos: int, ptab: _PointerTable) -> _ArgSpec:
     if arg.is_direct:
         return _ArgSpec("direct", slot, None, arg.access, dat.dim, 0, -1,
                         dat.layout, extent, ctype, dat.name)
+    if arg.map.values.dtype != MAP_DTYPE:
+        raise NativeUnsupported(
+            f"map {arg.map.name}: table dtype {arg.map.values.dtype} is not "
+            f"the {np.dtype(MAP_DTYPE).name} the emitted C reads"
+        )
     map_slot = ptab.slot(
         arg.map.values, loop_j, argpos, "map",
         f"map {arg.map.name}: arity {arg.map.arity}",
@@ -925,15 +931,16 @@ class _LoopEmitter:
                     spec.access.writes
                 slot_meta[spec.slot] = ("d", spec.ctype, spec.name)
                 if spec.map_slot is not None:
-                    slot_meta[spec.map_slot] = ("m", "long long", spec.name)
+                    slot_meta[spec.map_slot] = ("m", "int", spec.name)
             elif spec.kind == "gread":
                 slot_meta[spec.slot] = ("g", spec.ctype, spec.name)
         for slot in sorted(slot_meta):
             pfx, ctype, name = slot_meta[slot]
             if pfx == "m":
+                # Map tables are 4-byte (core.map.MAP_DTYPE); the row
+                # index widens to i64 where it is read.
                 out.append(
-                    f"    const long long *m{slot} = "
-                    f"(const long long *)P[{slot}];"
+                    f"    const int *m{slot} = (const int *)P[{slot}];"
                 )
             elif pfx == "g":
                 out.append(

@@ -8,7 +8,6 @@ from .renumber import (
     permute_set_numbering,
     rcm_renumber_cells,
     scramble,
-    tile_local_renumber,
 )
 from .structures import UnstructuredMesh
 from .tri_mesh import make_tri_mesh
@@ -25,6 +24,5 @@ __all__ = [
     "rcm_renumber_cells",
     "save_mesh",
     "scramble",
-    "tile_local_renumber",
     "volna_paper_dims",
 ]

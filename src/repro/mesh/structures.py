@@ -43,6 +43,11 @@ class UnstructuredMesh:
     maps: Dict[str, Map]
     coords: np.ndarray
     meta: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: Memo of :func:`repro.mesh.renumber.localize` for this mesh object
+    #: (meshes are treated as immutable once built).
+    _localization: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def map(self, name: str) -> Map:

@@ -42,11 +42,12 @@ from typing import Dict, List, Optional
 #: whenever its document layout (or the semantics of the code that
 #: consumes it) changes: old entries are then treated as stale —
 #: tolerated, counted as ``corrupt``, unlinked and rebuilt — instead of
-#: being misread.
+#: being misread.  plan/chain/tiled are at 2: version-1 documents were
+#: written over 8-byte map tables (``core.map.MAP_DTYPE`` is 4-byte).
 SCHEMA_VERSIONS: Dict[str, int] = {
-    "plan": 1,
-    "chain": 1,
-    "tiled": 1,
+    "plan": 2,
+    "chain": 2,
+    "tiled": 2,
     "kernelc": 1,
     "native": 1,
     "tune": 1,

@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..coloring import BlockLayout, BlockPermutation, Permutation
-from ..core.plan import Plan
+from ..core.plan import Coloring, Plan
 from ..tiling.schedule import (
     BarrierLoop,
     LoopSlices,
@@ -47,10 +47,13 @@ def _arr(a) -> np.ndarray:
 def encode_plan(plan: Plan) -> dict:
     """Strip a plan to its expensive content (colorings, permutations).
 
+    Reads the plan's colour facets — materialising them if nothing has
+    yet — so only call this on a plan that was coloured anyway.
     ``blocks_by_color`` is derived from ``block_colors`` on decode, and
     the phase/order/gather caches rebuild lazily — they are cheap
     relative to the graph coloring this skips.
     """
+    coloring = plan.coloring()
     return {
         "scheme": plan.scheme,
         "is_direct": bool(plan.is_direct),
@@ -59,41 +62,36 @@ def encode_plan(plan: Plan) -> dict:
             int(plan.layout.block_size),
             plan.layout.offsets,
         ),
-        "block_colors": plan.block_colors,
-        "n_block_colors": int(plan.n_block_colors),
-        "elem_colors": plan.elem_colors,
-        "block_ncolors": plan.block_ncolors,
+        "block_colors": coloring.block_colors,
+        "n_block_colors": int(coloring.n_block_colors),
+        "elem_colors": coloring.elem_colors,
+        "block_ncolors": coloring.block_ncolors,
         "permutation": (
             None
-            if plan.permutation is None
-            else (plan.permutation.order, plan.permutation.color_offsets)
+            if coloring.permutation is None
+            else (coloring.permutation.order,
+                  coloring.permutation.color_offsets)
         ),
         "block_permutation": (
             None
-            if plan.block_permutation is None
+            if coloring.block_permutation is None
             else (
-                plan.block_permutation.order,
-                list(plan.block_permutation.color_offsets),
+                coloring.block_permutation.order,
+                list(coloring.block_permutation.color_offsets),
             )
         ),
-        "build_stats": dict(plan.build_stats),
+        "build_stats": dict(coloring.stats),
     }
 
 
 def decode_plan(payload: dict, set_) -> Plan:
-    """Rebuild a live plan over the session's ``set_``."""
+    """Rebuild a live (coloured) plan over the session's ``set_``."""
     n_elements, block_size, offsets = payload["layout"]
     layout = BlockLayout(
         n_elements=int(n_elements),
         block_size=int(block_size),
         offsets=_arr(offsets),
     )
-    block_colors = _arr(payload["block_colors"])
-    n_block_colors = int(payload["n_block_colors"])
-    blocks_by_color = [
-        np.nonzero(block_colors == c)[0].astype(np.int64)
-        for c in range(max(n_block_colors, 0))
-    ]
     permutation = None
     if payload["permutation"] is not None:
         order, color_offsets = payload["permutation"]
@@ -108,14 +106,9 @@ def decode_plan(payload: dict, set_) -> Plan:
             order=_arr(order),
             color_offsets=[_arr(o) for o in color_offsets],
         )
-    return Plan(
-        set=set_,
-        scheme=str(payload["scheme"]),
-        layout=layout,
-        is_direct=bool(payload["is_direct"]),
-        block_colors=block_colors,
-        n_block_colors=n_block_colors,
-        blocks_by_color=blocks_by_color,
+    coloring = Coloring(
+        block_colors=_arr(payload["block_colors"]),
+        n_block_colors=int(payload["n_block_colors"]),
         elem_colors=(
             None if payload["elem_colors"] is None
             else _arr(payload["elem_colors"])
@@ -126,7 +119,11 @@ def decode_plan(payload: dict, set_) -> Plan:
         ),
         permutation=permutation,
         block_permutation=block_permutation,
-        build_stats=dict(payload["build_stats"]),
+        stats=dict(payload["build_stats"]),
+    )
+    return Plan(
+        set_, str(payload["scheme"]), layout, bool(payload["is_direct"]),
+        coloring=coloring,
     )
 
 

@@ -57,8 +57,9 @@ Barriers
 Loops the inspector cannot slice bitwise-safely execute whole, as full
 synchronization points that also reset the projection:
 
-* loops reducing into a ``Global`` — batched backends fold per-phase
-  partial sums, and re-slicing a phase changes the summation tree;
+* loops reducing into a ``Global`` — a conservative choice, not a
+  bitwise requirement: the batched fold (``backends.base.fold_lanes``)
+  is a function of the element sequence alone;
 * loops where an indirectly-written Dat is also *read* in the same loop
   — eager phase execution observes earlier phases' writes in a phase-
   major order that slicing cannot reproduce;

@@ -13,6 +13,8 @@ module adds what the tuner and the calibration fit need on top:
   that lets the tuner tell a compute-bound loop (matrix-free quadrature
   re-evaluation) from a bandwidth-bound one (SpMV) when bytes alone
   cannot;
+* a **locality profile** per loop — ``gather_span``, the largest
+  :meth:`~repro.core.map.Map.gather_span` among the loop's maps;
 * **per-chain wall time** recorded at every flush.
 
 Registration is defensive end to end: a loop shape the transfer model
@@ -33,7 +35,8 @@ class RuntimeProfile:
     """Per-runtime accumulator for loop/chain instrumentation."""
 
     def __init__(self) -> None:
-        #: kernel name -> {"kind", "bytes_per_element", "n"}
+        #: kernel name -> {"kind", "bytes_per_element",
+        #: "flops_per_element", "gather_span", "n"}
         self.loops: Dict[str, Dict[str, object]] = {}
         #: joined kernel names -> {"flushes", "seconds", "loops", "tiled"}
         self.chains: Dict[str, Dict[str, object]] = {}
@@ -73,10 +76,20 @@ class RuntimeProfile:
             flops_per_element = float(estimate_flops(kernel))
         except Exception:
             pass  # profiling must never break execution
+        # Worst measured locality among the loop's maps: how many
+        # target rows apart consecutive elements gather (0 for a direct
+        # loop).  The byte estimate above assumes an infinite cache;
+        # this says how far from true that is for this numbering.
+        gather_span = max(
+            (a.map.gather_span() for a in args
+             if not a.is_global and a.map is not None),
+            default=0.0,
+        )
         self.loops[name] = {
             "kind": kind,
             "bytes_per_element": float(bytes_per_element),
             "flops_per_element": flops_per_element,
+            "gather_span": float(gather_span),
             "n": n,
         }
 
@@ -126,6 +139,7 @@ class RuntimeProfile:
                 "kind": info["kind"],
                 "bytes_per_element": bpe,
                 "flops_per_element": fpe,
+                "gather_span": float(info.get("gather_span", 0.0)),
                 "bound": (
                     "compute"
                     if fpe > bpe * MACHINE_BALANCE_FLOPS_PER_BYTE

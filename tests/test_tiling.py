@@ -524,49 +524,3 @@ class TestTiledCachesAndExecutors:
                     "n_sliced_loops", "n_tiles", "max_tile_colors"):
             assert key in stats
         assert stats["n_tiles"] == 4
-
-
-# ----------------------------------------------------------------------
-# Tile-local mesh renumbering
-# ----------------------------------------------------------------------
-class TestTileLocalRenumber:
-    def test_edges_sorted_by_cell_tile(self):
-        from repro.mesh import make_airfoil_mesh, tile_local_renumber
-
-        mesh = tile_local_renumber(make_airfoil_mesh(24, 12), 64)
-        for map_name in ("edge2cell", "bedge2cell"):
-            tiles = mesh.map(map_name).values.max(axis=1) // 64
-            assert np.all(np.diff(tiles) >= 0)
-
-    def test_renumbered_simulation_consistent(self):
-        from repro.apps.airfoil import AirfoilSim
-        from repro.mesh import make_airfoil_mesh, tile_local_renumber
-
-        base = AirfoilSim(
-            make_airfoil_mesh(12, 6),
-            runtime=Runtime("vectorized", block_size=32), chained=False,
-        )
-        renum = AirfoilSim(
-            tile_local_renumber(make_airfoil_mesh(12, 6), 48),
-            runtime=Runtime("vectorized", block_size=32), chained=False,
-        )
-        base.run(3)
-        renum.run(3)
-        # Cell numbering is untouched, so cell state is comparable
-        # directly; edge renumbering only reorders FP accumulation.
-        np.testing.assert_allclose(renum.q, base.q, rtol=1e-10,
-                                   atol=1e-12)
-        # And tiled == eager still holds on the renumbered mesh.
-        tiled = AirfoilSim(
-            tile_local_renumber(make_airfoil_mesh(12, 6), 48),
-            runtime=Runtime("vectorized", block_size=32),
-            chained=True, tiling=48,
-        )
-        tiled.run(3)
-        assert np.array_equal(tiled.state.p_q.data, renum.state.p_q.data)
-
-    def test_bad_tile_size_raises(self):
-        from repro.mesh import make_airfoil_mesh, tile_local_renumber
-
-        with pytest.raises(ValueError, match="tile_size"):
-            tile_local_renumber(make_airfoil_mesh(10, 5), 0)
