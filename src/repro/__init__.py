@@ -51,6 +51,7 @@ from .core import (
     LoopChain,
     Map,
     Plan,
+    Repeat,
     Runtime,
     Set,
     arg_dat,
@@ -84,6 +85,7 @@ __all__ = [
     "Plan",
     "READ",
     "RW",
+    "Repeat",
     "Runtime",
     "Set",
     "WRITE",

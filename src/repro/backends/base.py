@@ -45,7 +45,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.access import Access, Arg
+from ..core.access import Access, Arg, is_scalar_loop
+from ..core.chain import RepeatResult
 from ..core.kernel import Kernel
 from ..core.plan import Plan, is_contiguous_range
 from ..core.set import Set
@@ -60,10 +61,11 @@ class LoopStats:
     elapsed: float = 0.0
     elements: int = 0
 
-    def record(self, dt: float, n: int) -> None:
-        self.calls += 1
+    def record(self, dt: float, n: int, calls: int = 1) -> None:
+        """``calls`` executions of ``n`` elements each, ``dt`` in total."""
+        self.calls += calls
         self.elapsed += dt
-        self.elements += n
+        self.elements += n * calls
 
 
 class Backend:
@@ -104,7 +106,13 @@ class Backend:
             arg.dat._sync()
         t0 = time.perf_counter()
         reductions = _init_reductions(args)
-        self._run(kernel, set_, args, plan, n, reductions, start)
+        if is_scalar_loop(args):
+            # One element, Globals stored in place: nothing to batch or
+            # colour, so every backend takes the interpreter's path.
+            for e in range(start, n):
+                run_scalar_element(kernel.scalar, args, e, reductions)
+        else:
+            self._run(kernel, set_, args, plan, n, reductions, start)
         _fold_reductions(args, reductions)
         dt = time.perf_counter() - t0
         self.stats.setdefault(kernel.name, LoopStats()).record(dt, n - start)
@@ -113,7 +121,7 @@ class Backend:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def run_chain(self, compiled) -> None:
+    def run_chain(self, compiled, repeat=None):
         """Execute a :class:`~repro.core.chain.CompiledChain`.
 
         Generic fallback: run every recorded loop in order through
@@ -121,7 +129,17 @@ class Backend:
         execution.  Backends with a batched fast path (vectorized,
         autovec) override this to execute fused groups
         phase-interleaved with shared coloring and gather indices.
+
+        With ``repeat`` (a :class:`~repro.core.chain.Repeat`) the chain
+        is one trip of a loop with a back edge: this method replays it
+        trip by trip (:func:`replay_trips`) and returns the
+        :class:`~repro.core.chain.RepeatResult`.
         """
+        if repeat is not None:
+            return replay_trips(
+                lambda: self.run_chain(compiled), repeat,
+                f"{self.name} backend",
+            )
         for group in compiled.groups:
             for bl in group.loops:
                 self.execute(
@@ -144,8 +162,9 @@ class Backend:
         """
         return None
 
-    def run_tiled(self, compiled) -> None:
-        """Execute a tiled :class:`~repro.core.chain.CompiledChain`.
+    def run_tiled(self, compiled, repeat=None):
+        """Execute a tiled :class:`~repro.core.chain.CompiledChain`
+        (under ``repeat``: once per trip, see :meth:`run_chain`).
 
         Generic executor: walk the schedule's parts in program order —
         barrier loops through :meth:`execute`, tiled segments
@@ -161,6 +180,10 @@ class Backend:
         batched backends override this with prepared per-tile replay
         programs.
         """
+        if repeat is not None:
+            return replay_trips(
+                lambda: self.run_tiled(compiled), repeat, "tiled"
+            )
         profile = (
             self.tiled_profile(compiled) if compiled.tiled is not None
             else None
@@ -206,6 +229,26 @@ class Backend:
 
     def reset_stats(self) -> None:
         self.stats.clear()
+
+
+def replay_trips(run_trip, repeat, fallback: str) -> RepeatResult:
+    """The back edge in Python: one compiled trip per iteration.
+
+    Runs ``run_trip()`` until ``repeat.until`` is non-zero after a trip
+    or ``repeat.max_trips`` trips ran (at least one: the test follows
+    the body).  Each trip replays the already-compiled chain, and the
+    flag and record are read from their raw storage — nothing is
+    re-recorded or looked up per trip.  ``fallback`` says why the back
+    edge is not inside one native call.
+    """
+    flag, record = repeat.until._data, repeat.record._data
+    recorded = []
+    while len(recorded) < repeat.max_trips:
+        run_trip()
+        recorded.append(record[0])
+        if flag[0] != 0:
+            break
+    return RepeatResult(np.array(recorded, dtype=record.dtype), fallback)
 
 
 # ----------------------------------------------------------------------

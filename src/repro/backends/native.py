@@ -40,8 +40,9 @@ from ..kernelc.native import (
     compiler_available,
     count_native_fallback,
 )
+from ..core.chain import RepeatResult
 from ..tiling.schedule import BarrierLoop
-from .base import Backend, LoopStats, run_scalar_element
+from .base import Backend, LoopStats, replay_trips, run_scalar_element
 from .vectorized import VectorizedBackend
 
 #: exec_cache marker for "this chain is not nativizable" (don't retry).
@@ -113,13 +114,18 @@ class NativeBackend(VectorizedBackend):
     # ------------------------------------------------------------------
     # Chained dispatch
     # ------------------------------------------------------------------
-    def _chain_program(self, compiled):
-        cache_key = (self, "native")
+    def _chain_program(self, compiled, repeat=None):
+        """The chain's compiled program; with ``repeat`` the one whose
+        TU also carries that back edge (a separate program: every chain
+        flushed without a repeat keeps its TU byte for byte)."""
+        cache_key = (self, "native") if repeat is None else (
+            self, "native", repeat.until._uid, repeat.record._uid)
         if cache_key in compiled.exec_cache:
             return compiled.exec_cache[cache_key]
         try:
             program = build_chain_program(
-                compiled.loops, name=f"chain:{len(compiled.loops)}loops"
+                compiled.loops, name=f"chain:{len(compiled.loops)}loops",
+                repeat=repeat,
             )
         except NativeUnsupported:
             program = _UNSUPPORTED
@@ -127,29 +133,51 @@ class NativeBackend(VectorizedBackend):
         compiled.exec_cache[cache_key] = program
         return program
 
-    def _record_split(self, loops, dt: float) -> None:
+    def _record_split(self, loops, dt: float, calls: int = 1) -> None:
+        """``dt`` seconds over ``calls`` executions of every loop."""
         share = dt / max(1, len(loops))
         for bl in loops:
             self.stats.setdefault(bl.kernel.name, LoopStats()).record(
-                share, bl.n - bl.start
+                share, bl.n - bl.start, calls
             )
 
-    def run_chain(self, compiled) -> None:
+    def run_chain(self, compiled, repeat=None):
+        """One cffi call per chain — and, with ``repeat``, per *repeat*:
+        the back edge, its flag test and the per-trip record are in the
+        TU (``kc_run_repeat``).  Without a compiler, or with a loop the
+        emitter cannot lower, the trips replay one by one down the same
+        ladder a plain chain takes, with the reason returned."""
         if not compiler_available():
+            if repeat is not None:
+                return replay_trips(
+                    lambda: self.run_chain(compiled), repeat, "no compiler"
+                )
             super().run_chain(compiled)
-            return
-        program = self._chain_program(compiled)
+            return None
+        program = self._chain_program(compiled, repeat)
         if program is _UNSUPPORTED:
+            if repeat is not None:
+                return replay_trips(
+                    lambda: self.run_chain(compiled), repeat,
+                    "un-nativizable loop",
+                )
             # Generic per-loop path: each loop re-enters self._run,
             # which is native-or-scalar, always ascending.
             Backend.run_chain(self, compiled)
-            return
+            return None
         for bl in compiled.loops:
             for arg in bl.args:
                 arg.dat._sync()
         t0 = time.perf_counter()
-        program.run_fused()
-        self._record_split(compiled.loops, time.perf_counter() - t0)
+        if repeat is None:
+            program.run_fused()
+            self._record_split(compiled.loops, time.perf_counter() - t0)
+            return None
+        recorded = program.run_fused(repeat=repeat)
+        self._record_split(
+            compiled.loops, time.perf_counter() - t0, calls=len(recorded)
+        )
+        return RepeatResult(recorded, None)
 
     # ------------------------------------------------------------------
     # Tiled dispatch
@@ -181,7 +209,9 @@ class NativeBackend(VectorizedBackend):
                     return False
         return True
 
-    def run_tiled(self, compiled) -> None:
+    def run_tiled(self, compiled, repeat=None):
+        if repeat is not None:
+            return Backend.run_tiled(self, compiled, repeat)
         if not compiler_available():
             super().run_tiled(compiled)
             return

@@ -40,7 +40,7 @@ import time
 
 import numpy as np
 
-from ..core.access import Access
+from ..core.access import Access, is_scalar_loop
 from ..tiling.schedule import BarrierLoop
 from .base import (
     Backend,
@@ -337,8 +337,9 @@ class VectorizedBackend(Backend):
     # ------------------------------------------------------------------
     # Chained execution: precompiled fused fast path (see core/chain.py).
     # ------------------------------------------------------------------
-    def run_chain(self, compiled) -> None:
-        """Execute a compiled chain through a prepared replay program.
+    def run_chain(self, compiled, repeat=None):
+        """Execute a compiled chain through a prepared replay program
+        (under ``repeat``: once per trip, ``Backend.run_chain``).
 
         On first sight of a :class:`~repro.core.chain.CompiledChain`
         this backend *prepares* it: every batchable loop's per-phase
@@ -360,6 +361,8 @@ class VectorizedBackend(Backend):
         take (scalar-only kernels, chunked mode, WRITE/RW races under
         ``two_level``) fall back to the eager :meth:`execute` per loop.
         """
+        if repeat is not None:
+            return Backend.run_chain(self, compiled, repeat)
         program = compiled.exec_cache.get(self)
         if program is None:
             program = [self._prepare_group(g) for g in compiled.groups]
@@ -373,6 +376,8 @@ class VectorizedBackend(Backend):
             return False
         plan = group.plan
         for bl in group.loops:
+            if is_scalar_loop(bl.args):  # Backend.execute's scalar path
+                return False
             if bl.kernel.vector_for(bl.args) is None:
                 return False
             if (
@@ -429,8 +434,9 @@ class VectorizedBackend(Backend):
     # ------------------------------------------------------------------
     # Sparse-tiled execution: precompiled per-tile replay programs.
     # ------------------------------------------------------------------
-    def run_tiled(self, compiled) -> None:
-        """Execute a tiled chain through prepared per-tile programs.
+    def run_tiled(self, compiled, repeat=None):
+        """Execute a tiled chain through prepared per-tile programs
+        (under ``repeat``: once per trip, ``Backend.run_tiled``).
 
         The analogue of :meth:`run_chain`'s prepared replay, transposed
         tile-major: on first sight every segment is compiled into, per
@@ -448,6 +454,8 @@ class VectorizedBackend(Backend):
         scalar-only kernels, WRITE/RW races under ``two_level``) —
         correctness is never traded for tiling.
         """
+        if repeat is not None:
+            return Backend.run_tiled(self, compiled, repeat)
         if compiled.tiled is None or not self._tiled_batchable(compiled):
             self.run_chain(compiled)
             return

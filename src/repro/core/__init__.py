@@ -34,6 +34,7 @@ from .chain import (
     CompiledChain,
     LoopChain,
     LoopSpec,
+    Repeat,
     analyze_dependencies,
     chain,
     compile_chain,
@@ -81,6 +82,7 @@ __all__ = [
     "PlanCache",
     "READ",
     "RW",
+    "Repeat",
     "Runtime",
     "Set",
     "WRITE",

@@ -51,6 +51,9 @@ class Access(enum.Enum):
         return self in (Access.INC, Access.MIN, Access.MAX)
 
 
+#: Access modes that store without reducing.
+_PLAIN_WRITES = (Access.WRITE, Access.RW)
+
 #: Module-level aliases so applications can write ``READ`` instead of
 #: ``Access.READ`` — mirroring OP2's C macros.
 READ = Access.READ
@@ -103,10 +106,9 @@ class Arg:
         if isinstance(self.dat, Global):
             if self.map is not None:
                 raise ValueError("Global arguments cannot use a mapping")
-            if self.access in (Access.WRITE, Access.RW):
-                raise ValueError(
-                    "Global arguments must be READ or a reduction (INC/MIN/MAX)"
-                )
+            # WRITE/RW are legal only in a single-element ("scalar")
+            # loop; that needs the iteration set, so
+            # :func:`repro.core.loop.validate_loop` checks it.
             return
         if not isinstance(self.dat, Dat):
             raise TypeError(f"Arg dat must be a Dat or Global, got {type(self.dat)!r}")
@@ -167,6 +169,22 @@ class Arg:
             return f"dat({self.dat.name}, direct, {self.access.name})"
         idx = "ALL" if self.is_vector else str(self.index)
         return f"dat({self.dat.name}, {self.map.name}[{idx}], {self.access.name})"
+
+
+def is_scalar_loop(args) -> bool:
+    """Whether a loop stores into a Global (``WRITE``/``RW``).
+
+    Such a loop iterates a single-element set (``validate_loop``
+    enforces it) and is the chain's scalar algebra: ``alpha = rs / pAp``,
+    "rotate ``rs <- rs_new``, zero the accumulators, raise the stop
+    flag".  Every backend runs it through the scalar kernel on the
+    Globals' own storage (the native emitter lowers it like any other
+    loop, with a writable ``g<slot>``); fusion and tiling treat it as a
+    barrier.
+    """
+    return any(
+        arg.access in _PLAIN_WRITES and arg.is_global for arg in args
+    )
 
 
 def arg_dat(dat, index: int, map_, access: Access) -> Arg:

@@ -37,6 +37,37 @@ A chain flushes when
 An exception inside the ``with`` block *discards* the recorded loops
 (they never executed, so no partial state exists).
 
+The back edge
+-------------
+A solver is a loop chain with a convergence-tested back edge, and a
+chain can carry one: ``runtime.chain(repeat=Repeat(max_trips,
+until=flag, record=resid))`` records its body **once** and the flush
+executes it until ``flag`` (a Global some recorded loop stores into) is
+non-zero after a trip, or ``max_trips`` trips ran — Dr.Jit's recorded
+loop: a data-dependent trip count traced once.  ``record``'s value is
+kept after every trip (``LoopChain.recorded``, with ``trips``).  The
+scalar algebra between the mesh-sized loops — ``alpha = rs / pAp``,
+"rotate, zero the accumulators, raise the flag" — is traced too, as
+*scalar loops*: a ``par_loop`` over a single-element set may store into
+Globals (``WRITE``/``RW``), runs through the scalar kernel on every
+backend, and is a barrier to fusion and tiling.
+
+``repeat`` rides the one dispatch path: ``flush`` → ``Runtime.
+compiled_chain_for`` → ``Backend.run_chain(compiled, repeat=...)`` (or
+``run_tiled``).  The base backend replays the compiled chain once per
+trip; the native backend emits the back edge in C and runs the whole
+repeat in one call.  Either way nothing is re-recorded or looked up per
+trip.
+
+*Capturability.*  Only ``par_loop`` calls are traced, so a body that also
+runs host code over Dats or Globals (reads ``x.data``, calls NumPy on
+it, dispatches on another runtime) cannot be replayed from its trace.
+While the body records, every host access to any Dat/Global is noticed;
+such a chain is marked ``captured = False``, the block executes as one
+host-driven trip, and :meth:`LoopChain.run` — the complete form —
+calls the body once per trip instead.  Host code that touches no
+Dat/Global is not seen, as with any tracer.
+
 Dependency analysis
 -------------------
 Edges between recorded loops follow the classical hazards over the data
@@ -78,9 +109,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .access import Access, Arg
+import numpy as np
+
+from . import dat as _dat
+from .access import Access, Arg, is_scalar_loop
+from .glob import Global
 from .kernel import Kernel
 from .plan import Plan
 from .set import Set
@@ -109,16 +144,18 @@ class LoopSpec:
     def key(self) -> Tuple:
         """Hashable structural identity (kernel, set, args, range).
 
-        Dats/maps hash by identity, so a steady-state time step that
+        Dats and Globals enter by uid, so a steady-state time step that
         re-records the same loops produces the same key — the chain
-        cache's hit condition.  Scratch Dats allocated per step change
-        the key and correctly force a re-compile.
+        cache's hit condition — while the key itself keeps no Dat
+        alive (the runtime drops an entry when a Dat it was keyed on is
+        collected).  Scratch Dats allocated per step change the key and
+        correctly force a re-compile.
         """
         return (
             self.kernel,
             self.set,
             tuple(
-                (arg.dat, arg.map, arg.index, arg.access)
+                (arg.dat._uid, arg.map, arg.index, arg.access)
                 for arg in self.args
             ),
             self.n,
@@ -128,6 +165,56 @@ class LoopSpec:
             # by object.
             id(self.plan) if self.plan is not None else None,
         )
+
+
+@dataclass(frozen=True)
+class Repeat:
+    """The back edge of a loop chain (``runtime.chain(repeat=...)``).
+
+    The chain's body is one *trip*; it is executed until ``until`` — a
+    Global some loop of the body stores into — is non-zero after a
+    trip, or ``max_trips`` trips ran.  The test follows the body, so at
+    least one trip runs.  ``record`` (component 0 of a Global the body
+    also stores into) is kept after every trip.
+    """
+
+    max_trips: int
+    until: Global
+    record: Global
+
+    def __post_init__(self) -> None:
+        if int(self.max_trips) < 1:
+            raise ValueError(
+                f"Repeat needs max_trips >= 1, got {self.max_trips}"
+            )
+        for role in ("until", "record"):
+            if not isinstance(getattr(self, role), Global):
+                raise TypeError(f"Repeat {role}= must be a Global")
+
+    def check_body(self, specs: Sequence[LoopSpec]) -> None:
+        """Reject a body that never stores into the flag or the record
+        (it could only ever run ``max_trips`` identical trips)."""
+        stored = {
+            arg.dat._uid for spec in specs for arg in spec.args
+            if arg.access.writes and arg.is_global
+        }
+        for role in ("until", "record"):
+            glob = getattr(self, role)
+            if glob._uid not in stored:
+                raise ValueError(
+                    f"Repeat {role}= Global {glob.name!r} is not written "
+                    f"by any loop of the recorded body"
+                )
+
+
+class RepeatResult(NamedTuple):
+    """What ``Backend.run_chain(compiled, repeat=...)`` returns."""
+
+    #: ``repeat.record`` after every executed trip (length = trips).
+    recorded: np.ndarray
+    #: ``None`` when the back edge ran inside one native call; else why
+    #: the backend replayed the chain once per trip.
+    fallback: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -256,15 +343,17 @@ def fusion_groups(
 
     Order is never changed: groups are consecutive index runs, and a
     loop joins the open group only if it is fusable against *every*
-    member (legality is pairwise but must hold group-wide).
+    member (legality is pairwise but must hold group-wide).  A scalar
+    loop (one that stores into a Global) is a barrier: always alone.
     """
     groups: List[List[int]] = []
     for i, spec in enumerate(specs):
-        if groups:
+        if groups and not is_scalar_loop(spec.args):
             g = groups[-1]
             head = specs[g[0]]
             if (
-                spec.set is head.set
+                not is_scalar_loop(head.args)
+                and spec.set is head.set
                 and spec.n == head.n
                 and spec.start == head.start
                 and plans[i] is plans[g[0]]
@@ -413,6 +502,27 @@ def load_or_build_tiled(store_key, loops, tile_size: int, profile: str):
     return sched
 
 
+def bind_args(specs: Sequence[LoopSpec]) -> List[Tuple[Arg, ...]]:
+    """The compiled form's arguments: each spec's accesses, over
+    *aliases* of the traced Dats and Globals (:meth:`Dat._alias`, one
+    per object).  A compiled chain therefore owns the storage it
+    replays over without owning the caller's handles — so a cached
+    chain cannot keep them alive, and their collection is the signal
+    that the entry is dead (``Runtime.compiled_chain_for``)."""
+    aliases: Dict[int, object] = {}
+
+    def alias(obj):
+        twin = aliases.get(obj._uid)
+        if twin is None:
+            twin = aliases[obj._uid] = obj._alias()
+        return twin
+
+    return [
+        tuple(Arg(alias(a.dat), a.index, a.map, a.access) for a in spec.args)
+        for spec in specs
+    ]
+
+
 def compile_chain(
     specs: Sequence[LoopSpec], runtime, tiling=None, store_key=None
 ) -> CompiledChain:
@@ -447,11 +557,12 @@ def compile_chain(
         else runtime.plan_for(spec.kernel, spec.set, spec.args)
         for spec in specs
     ]
+    args = bind_args(specs)
     bound = [
         BoundLoop(
             kernel=spec.kernel,
             set=spec.set,
-            args=spec.args,
+            args=args[i],
             plan=plans[i],
             n=spec.n,
             start=spec.start,
@@ -502,7 +613,7 @@ class LoopChain:
     executing.  See the module docstring for flush semantics.
     """
 
-    def __init__(self, runtime, tiling=None) -> None:
+    def __init__(self, runtime, tiling=None, repeat=None) -> None:
         from ..tiling import check_tiling
 
         self.runtime = runtime
@@ -510,6 +621,15 @@ class LoopChain:
         #: ``"auto"`` or a seed tile size (tile-major execution through
         #: the inspector/executor of :mod:`repro.tiling`).
         self.tiling = check_tiling(tiling)
+        if repeat is not None and not isinstance(repeat, Repeat):
+            raise TypeError(f"repeat= must be a Repeat, got {repeat!r}")
+        #: The back edge (see the module docstring), or ``None``.
+        self.repeat: Optional[Repeat] = repeat
+        #: Repeat chains: trips executed so far, ``repeat.record`` after
+        #: each, and whether the body could be replayed from its trace.
+        self.trips = 0
+        self.recorded: List = []
+        self.captured = repeat is not None
         self._specs: List[LoopSpec] = []
         self._touched: List[object] = []
         self._flushing = False
@@ -575,14 +695,24 @@ class LoopChain:
             return
         specs, self._specs = self._specs, []
         self._disarm()
+        if self.runtime._active_chain is self:
+            # Flushed from inside the block: host code needs a value
+            # now, so the rest of the body depends on host code.
+            self.captured = False
+        repeat = self.repeat if self.captured else None
+        if repeat is not None:
+            repeat.check_body(specs)
         compiled = self.runtime.compiled_chain_for(specs, tiling=self.tiling)
+        backend = self.runtime.backend
+        run = backend.run_tiled if compiled.tiled is not None \
+            else backend.run_chain
         self._flushing = True
         t0 = time.perf_counter()
         try:
-            if compiled.tiled is not None:
-                self.runtime.backend.run_tiled(compiled)
+            if repeat is None:
+                run(compiled)
             else:
-                self.runtime.backend.run_chain(compiled)
+                result = run(compiled, repeat=repeat)
         finally:
             self._flushing = False
         # Per-chain wall time for stats()["profile"] (repro/tune): one
@@ -596,6 +726,38 @@ class LoopChain:
             )
         self.flushed_loops += len(specs)
         self.flushes += 1
+        if repeat is not None:
+            self._count_trips(result.recorded, result.fallback)
+
+    def _count_trips(self, recorded, fallback: Optional[str]) -> None:
+        profile = getattr(self.runtime, "profile", None)
+        if profile is not None:
+            profile.record_repeat(
+                len(recorded), fallback, new_solve=self.trips == 0
+            )
+        self.trips += len(recorded)
+        self.recorded.extend(recorded)
+
+    def run(self, body) -> "LoopChain":
+        """Execute ``body()`` under this chain, to completion.
+
+        Without ``repeat`` that is ``with self: body()``.  With it the
+        body is traced once and replayed until the flag or
+        ``max_trips`` — unless it turns out not capturable (module
+        docstring), in which case it is *called* once per trip, each
+        call a plain chain: the same trips, host code included.
+        """
+        self.trips, self.recorded = 0, []
+        self.captured = self.repeat is not None
+        with self:
+            body()
+        repeat = self.repeat
+        if repeat is not None and not self.captured:
+            flag = repeat.until._data
+            while self.trips < repeat.max_trips and flag[0] == 0:
+                with self:
+                    body()
+        return self
 
     def discard(self) -> None:
         """Drop recorded loops without executing (exception path)."""
@@ -609,6 +771,9 @@ class LoopChain:
         self._touched = []
 
     # -- context manager ----------------------------------------------
+    def _host_access(self) -> None:
+        self.captured = False
+
     def __enter__(self) -> "LoopChain":
         if self.runtime._active_chain is not None:
             raise RuntimeError(
@@ -616,20 +781,30 @@ class LoopChain:
                 "chains do not nest"
             )
         self.runtime._active_chain = self
+        if self.captured:
+            _dat._on_host_access = self._host_access
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.runtime._active_chain = None
+        if self.repeat is not None:
+            _dat._on_host_access = None
         if exc_type is not None:
             self.discard()
-        else:
-            self.flush()
+            return
+        self.flush()
+        if self.repeat is not None and not self.captured:
+            # The block was one host-driven trip.
+            self._count_trips(
+                [self.repeat.record._data[0]], "body not capturable"
+            )
 
 
-def chain(runtime=None, tiling=None) -> LoopChain:
+def chain(runtime=None, tiling=None, repeat=None) -> LoopChain:
     """Module-level convenience: a chain over the default runtime."""
     from .runtime import default_runtime
 
     return LoopChain(
-        runtime if runtime is not None else default_runtime(), tiling=tiling
+        runtime if runtime is not None else default_runtime(),
+        tiling=tiling, repeat=repeat,
     )

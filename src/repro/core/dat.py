@@ -69,6 +69,12 @@ LAYOUTS = ("aos", "soa")
 
 _default_layout = "aos"
 
+#: Called on every host access to *any* Dat or Global while a repeat
+#: chain records its body (``LoopChain.__enter__`` arms it, ``__exit__``
+#: clears it): host code between recorded loops is invisible to the
+#: trace, so a body that runs some cannot be replayed from it.
+_on_host_access = None
+
 
 def _check_layout(layout: str) -> str:
     if layout not in LAYOUTS:
@@ -178,9 +184,26 @@ class Dat:
     # ------------------------------------------------------------------
     def _sync(self) -> None:
         """Flush the pending loop chain (if any) before host access."""
+        if _on_host_access is not None:
+            _on_host_access()
         barrier = self._barrier
         if barrier is not None:
             barrier.flush()
+
+    def _alias(self) -> "Dat":
+        """A second handle on this Dat: same state, different object.
+
+        The two share one ``__dict__`` — storage, uid, barrier slot —
+        so they behave as one Dat (and compare equal); only their
+        lifetimes differ.  A compiled chain binds aliases, which lets
+        the runtime's chain cache keep a Dat's *memory* alive exactly
+        as long as the entry, and drop the entry the moment the
+        caller's own handle is collected
+        (``Runtime.compiled_chain_for``).
+        """
+        twin = object.__new__(Dat)
+        twin.__dict__ = self.__dict__
+        return twin
 
     @property
     def data(self) -> np.ndarray:
@@ -191,9 +214,7 @@ class Dat:
         read/write-version barrier of the deferred-execution API); the
         returned view is then always up to date.
         """
-        barrier = self._barrier
-        if barrier is not None:
-            barrier.flush()
+        self._sync()
         return self._data
 
     @property
@@ -313,4 +334,5 @@ class Dat:
         return hash(("Dat", self._uid))
 
     def __eq__(self, other: object) -> bool:
-        return self is other
+        # By uid, not identity: a Dat equals its aliases.
+        return isinstance(other, Dat) and other._uid == self._uid

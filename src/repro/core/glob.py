@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import dat as _dat
 from .access import Access
 
 _gbl_counter = itertools.count()
@@ -33,7 +34,9 @@ class Global:
             raise ValueError(f"Global dim must be >= 1, got {dim}")
         self.dim = int(dim)
         self.name = name if name is not None else f"gbl_{next(_gbl_counter)}"
-        self._uid = next(_gbl_counter)
+        # One uid space with Dats: a loop argument's uid says which
+        # object it touches without asking what kind it is.
+        self._uid = next(_dat._dat_counter)
         self._data = np.zeros(dim, dtype=dtype)
         self._data[...] = value
         #: Pending :class:`~repro.core.chain.LoopChain` touching this
@@ -43,9 +46,17 @@ class Global:
         self._barrier = None
 
     def _sync(self) -> None:
+        if _dat._on_host_access is not None:
+            _dat._on_host_access()
         barrier = self._barrier
         if barrier is not None:
             barrier.flush()
+
+    def _alias(self) -> "Global":
+        """A second handle sharing this Global's state (``Dat._alias``)."""
+        twin = object.__new__(Global)
+        twin.__dict__ = self.__dict__
+        return twin
 
     @property
     def data(self) -> np.ndarray:
@@ -111,7 +122,7 @@ class Global:
         return hash(("Global", self._uid))
 
     def __eq__(self, other: object) -> bool:
-        return self is other
+        return isinstance(other, Global) and other._uid == self._uid
 
 
 def _type_max(dtype: np.dtype):

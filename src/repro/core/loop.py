@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .access import Arg
+from .access import Access, Arg
 from .kernel import Kernel
 from .plan import Plan
 from .runtime import Runtime, default_runtime
@@ -27,6 +27,16 @@ def validate_loop(kernel: Kernel, set_: Set, args: Sequence[Arg]) -> None:
         if not isinstance(arg, Arg):
             raise TypeError(f"argument {i} is not an Arg (use arg_dat/arg_gbl)")
         if arg.is_global:
+            if (
+                arg.access in (Access.WRITE, Access.RW)
+                and set_.total_size != 1
+            ):
+                raise ValueError(
+                    f"argument {i} ({arg.dat.name!r}) stores into a Global "
+                    f"with {arg.access.name}; that is legal only in a "
+                    f"loop over a single-element set, and {set_.name!r} "
+                    f"has {set_.total_size} (use a reduction: INC/MIN/MAX)"
+                )
             continue
         if arg.is_direct:
             if arg.dat.set is not set_:

@@ -32,8 +32,9 @@ long-running processes cannot grow them without bound;
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set as SetOf, Tuple
 
 from ..backends.autovec import AutoVecBackend
 from ..backends.base import Backend
@@ -185,6 +186,9 @@ class Runtime:
         self.loop_cache_misses = 0
         self.loop_cache_evictions = 0
         self._chains: OrderedDict[Tuple, CompiledChain] = OrderedDict()
+        #: uid of every Dat/Global some cached chain was keyed on ->
+        #: the keys of those chains (:meth:`_watch_chain`).
+        self._chain_keys_of: Dict[int, SetOf[Tuple]] = {}
         self.chain_cache_hits = 0
         self.chain_cache_misses = 0
         self.chain_cache_evictions = 0
@@ -225,7 +229,7 @@ class Runtime:
     # ------------------------------------------------------------------
     # Deferred execution (see core/chain.py).
     # ------------------------------------------------------------------
-    def chain(self, tiling=None) -> LoopChain:
+    def chain(self, tiling=None, repeat=None) -> LoopChain:
         """A fresh deferred-execution trace bound to this runtime.
 
         Use as a context manager: ``with runtime.chain() as ch:`` —
@@ -237,8 +241,14 @@ class Runtime:
         an int fixes the seed tile size, ``None`` (default) keeps the
         fused loop-major execution.  Results are bitwise identical in
         every mode.
+
+        ``repeat`` (a :class:`~repro.core.chain.Repeat`) gives the
+        chain a back edge: the body is recorded once and executed until
+        a flag Global is raised or ``max_trips`` — prefer
+        ``runtime.chain(repeat=...).run(body)``, which also serves
+        bodies that cannot be captured (:mod:`repro.core.chain`).
         """
-        return LoopChain(self, tiling=tiling)
+        return LoopChain(self, tiling=tiling, repeat=repeat)
 
     def compiled_chain_for(
         self, specs: Sequence[LoopSpec], tiling=None
@@ -262,11 +272,43 @@ class Runtime:
         self.chain_cache_misses += 1
         compiled = self._load_or_compile_chain(specs, tiling)
         self._chains[key] = compiled
+        self._watch_chain(key, specs)
         if self.chain_cache_entries is not None:
             while len(self._chains) > self.chain_cache_entries:
-                self._chains.popitem(last=False)
+                self._drop_chain(next(iter(self._chains)))
                 self.chain_cache_evictions += 1
         return compiled
+
+    def _watch_chain(self, key: Tuple, specs: Sequence[LoopSpec]) -> None:
+        """Tie a chain-cache entry to the life of what it was keyed on.
+
+        A key names its Dats and Globals by uid and the compiled chain
+        binds aliases of them (:func:`repro.core.chain.bind_args`), so
+        the cache keeps their memory but not the caller's handles
+        alive.  Once any of those handles is collected the key can
+        never be recorded again: one finalizer per watched object drops
+        every entry keyed on it — a runtime shared by many short-lived
+        sims holds the chains of the live ones only.
+        """
+        for obj in {arg.dat for spec in specs for arg in spec.args}:
+            keys = self._chain_keys_of.get(obj._uid)
+            if keys is None:
+                keys = self._chain_keys_of[obj._uid] = set()
+                weakref.finalize(
+                    obj, _drop_chains_of, weakref.ref(self), obj._uid
+                ).atexit = False
+            keys.add(key)
+
+    def _drop_chain(self, key: Tuple) -> None:
+        compiled = self._chains.pop(key, None)
+        if compiled is not None:
+            for uid in {a.dat._uid for bl in compiled.loops for a in bl.args}:
+                self._chain_keys_of.get(uid, set()).discard(key)
+
+    def _clear_chains(self) -> None:
+        self._chains.clear()
+        for keys in self._chain_keys_of.values():
+            keys.clear()
 
     def _load_or_compile_chain(
         self, specs: Sequence[LoopSpec], tiling
@@ -324,7 +366,7 @@ class Runtime:
         self.loop_cache_hits = 0
         self.loop_cache_misses = 0
         self.loop_cache_evictions = 0
-        self._chains.clear()
+        self._clear_chains()
         self.chain_cache_hits = 0
         self.chain_cache_misses = 0
         self.chain_cache_evictions = 0
@@ -450,17 +492,17 @@ class Runtime:
         if block_size is not None and block_size != self.block_size:
             self.block_size = int(block_size)
             self._loop_plans.clear()
-            self._chains.clear()
+            self._clear_chains()
         if scheme is not None:
             if scheme != self.scheme:
                 self._loop_plans.clear()
-                self._chains.clear()
+                self._clear_chains()
             self.scheme = scheme
         if coloring_method is not None:
             self.coloring_method = coloring_method
             self.plans.clear()
             self._loop_plans.clear()
-            self._chains.clear()
+            self._clear_chains()
         if layout is not None:
             self.layout = _check_layout(layout)
         return self
@@ -530,6 +572,15 @@ class Runtime:
             f"{'total'.ljust(name_w)}  {'':6s}  {total:9.4f}"
         )
         return "\n".join(lines)
+
+
+def _drop_chains_of(runtime_ref, uid: int) -> None:
+    """Finalizer of a watched Dat/Global (``Runtime._watch_chain``)."""
+    runtime = runtime_ref()
+    if runtime is not None:
+        for key in list(runtime._chain_keys_of.get(uid, ())):
+            runtime._drop_chain(key)
+        runtime._chain_keys_of.pop(uid, None)
 
 
 #: Default module-level runtime used when par_loop is called without one.

@@ -171,7 +171,7 @@ class _PointerTable:
 class _ArgSpec:
     """Everything the emitter bakes into the source for one argument."""
 
-    kind: str  # direct | indirect | vector | gread | gred
+    kind: str  # direct | indirect | vector | gread | gwrite | gred
     slot: int
     map_slot: Optional[int]
     access: Access
@@ -193,7 +193,10 @@ def _arg_spec(arg, loop_j: int, argpos: int, ptab: _PointerTable) -> _ArgSpec:
                 f"global {g.name}: only floating globals are nativizable"
             )
         slot = ptab.slot(g._data, loop_j, argpos, "gbl", f"global {g.name}")
-        kind = "gred" if arg.access.is_reduction else "gread"
+        # A scalar loop's stored Globals ("gwrite") are addressed like
+        # read ones, through a writable pointer.
+        kind = ("gred" if arg.access.is_reduction
+                else "gwrite" if arg.access.writes else "gread")
         return _ArgSpec(kind, slot, None, arg.access, g.dim, 0, -1,
                         "aos", g.dim, gtype, g.name)
     dat = arg.dat
@@ -299,8 +302,10 @@ class _LoopEmitter:
 
     # -- small helpers --------------------------------------------------
     def _buf(self, spec: _ArgSpec) -> str:
-        if spec.kind in ("gread", "gred"):
-            return f"g{spec.slot}" if spec.kind == "gread" else self._red(spec)
+        if spec.kind == "gred":
+            return self._red(spec)
+        if spec.kind in ("gread", "gwrite"):
+            return f"g{spec.slot}"
         return f"d{spec.slot}"
 
     def _red(self, spec: _ArgSpec) -> str:
@@ -429,7 +434,7 @@ class _LoopEmitter:
             return self._addr(spec, f"i{argpos}", comp)
         if spec.kind == "vector":
             return f"v{argpos}[{slot_i * spec.dim + comp}]"
-        if spec.kind == "gread":
+        if spec.kind in ("gread", "gwrite"):
             return f"g{spec.slot}[{comp}]"
         return f"{self._red(spec)}[{comp}]"  # gred
 
@@ -932,7 +937,9 @@ class _LoopEmitter:
                 slot_meta[spec.slot] = ("d", spec.ctype, spec.name)
                 if spec.map_slot is not None:
                     slot_meta[spec.map_slot] = ("m", "int", spec.name)
-            elif spec.kind == "gread":
+            elif spec.kind in ("gread", "gwrite"):
+                writes[spec.slot] = writes.get(spec.slot, False) or \
+                    spec.kind == "gwrite"
                 slot_meta[spec.slot] = ("g", spec.ctype, spec.name)
         for slot in sorted(slot_meta):
             pfx, ctype, name = slot_meta[slot]
@@ -942,14 +949,10 @@ class _LoopEmitter:
                 out.append(
                     f"    const int *m{slot} = (const int *)P[{slot}];"
                 )
-            elif pfx == "g":
-                out.append(
-                    f"    const {ctype} *g{slot} = (const {ctype} *)P[{slot}];"
-                )
             else:
                 const = "" if writes.get(slot) else "const "
                 out.append(
-                    f"    {const}{ctype} *d{slot} = "
+                    f"    {const}{ctype} *{pfx}{slot} = "
                     f"({const}{ctype} *)P[{slot}];"
                 )
         out.append("    for (i64 e = lo; e < hi; ++e) {")
@@ -1107,13 +1110,18 @@ static float kc_powf(float x, float y)
 # ----------------------------------------------------------------------
 # Chain-level emission
 # ----------------------------------------------------------------------
-def emit_chain_source(loops: Sequence, name: str = "chain") -> str:
+def emit_chain_source(loops: Sequence, name: str = "chain",
+                      repeat=None) -> str:
     """One C translation unit for a whole loop chain.
 
     ``loops`` is any sequence of bound-loop-likes exposing ``kernel``,
     ``args``, ``n`` and ``start`` (``CompiledChain.loops``, or ad-hoc
     records for a single eager loop).  Raises :class:`NativeUnsupported`
     when any loop falls outside the translatable subset.
+
+    With ``repeat`` (a :class:`~repro.core.chain.Repeat` whose Globals
+    the loops store into) the TU additionally carries the chain's back
+    edge, ``kc_run_repeat``; every other line is the same text.
     """
     ptab = _PointerTable()
     emitters = [_LoopEmitter(j, bl, ptab) for j, bl in enumerate(loops)]
@@ -1175,8 +1183,46 @@ def emit_chain_source(loops: Sequence, name: str = "chain") -> str:
     parts.append("{")
     parts.extend(fused)
     parts.append("}")
+    if repeat is not None:
+        parts.extend(_emit_repeat(repeat, ptab))
     parts.append("")
     return "\n".join(parts)
+
+
+def _emit_repeat(repeat, ptab: _PointerTable) -> List[str]:
+    """``kc_run_repeat``: the chain with its back edge, in one call."""
+    def slot_and_ctype(role: str) -> Tuple[int, str]:
+        data = getattr(repeat, role)._data
+        slot = ptab._slots.get(id(data))
+        if slot is None:
+            raise NativeUnsupported(
+                f"repeat {role}= Global is not an argument of the chain"
+            )
+        return slot, _CTYPES[np.dtype(data.dtype)]
+
+    fslot, ftype = slot_and_ctype("until")
+    rslot, rtype = slot_and_ctype("record")
+    # volatile: the flag and the record are stored by kc_run_fused
+    # through other pointers into the same table.
+    return [
+        "/* The back edge: replay the chain until P[%d][0] is non-zero" % fslot,
+        " * after a trip, at most max_trips times (at least once);",
+        " * hist[t] = P[%d][0] after trip t.  Returns the trips run. */" % rslot,
+        "i64 kc_run_repeat(void **P, i64 max_trips, void *hist)",
+        "{",
+        f"    const volatile {ftype} *flag = "
+        f"(const volatile {ftype} *)P[{fslot}];",
+        f"    const volatile {rtype} *record = "
+        f"(const volatile {rtype} *)P[{rslot}];",
+        f"    {rtype} *h = ({rtype} *)hist;",
+        "    i64 t = 0;",
+        "    do {",
+        "        kc_run_fused(P);",
+        "        h[t++] = record[0];",
+        "    } while (flag[0] == 0 && t < max_trips);",
+        "    return t;",
+        "}",
+    ]
 
 
 def source_key(source: str) -> str:
@@ -1196,6 +1242,7 @@ void kc_loop_init(long long j);
 void kc_loop_fold(long long j, void **P);
 void kc_loop_partial(long long j, void **P);
 void kc_run_fused(void **P);
+long long kc_run_repeat(void **P, long long max_trips, void *hist);
 """
 
 #: cc flags: IEEE-strict (no contraction, no reassociation) — the
@@ -1462,9 +1509,19 @@ class NativeChainProgram:
             self._ptab[slot] = self.ffi.cast("void *", arr.ctypes.data)
 
     # -- replay entry points -------------------------------------------
-    def run_fused(self) -> None:
+    def run_fused(self, repeat=None):
+        """The whole chain in one call; with ``repeat`` the whole
+        *repeat* (a TU built with it): returns the record per trip."""
         self._refresh()
-        self.lib.kc_run_fused(self._ptab)
+        if repeat is None:
+            self.lib.kc_run_fused(self._ptab)
+            return None
+        hist = np.empty(repeat.max_trips, dtype=repeat.record._data.dtype)
+        trips = self.lib.kc_run_repeat(
+            self._ptab, repeat.max_trips,
+            self.ffi.cast("void *", hist.ctypes.data),
+        )
+        return hist[:trips].copy()
 
     def run_loop(self, j: int, lo: int, hi: int) -> None:
         self.lib.kc_loop_run(j, self._ptab, lo, hi)
@@ -1508,15 +1565,17 @@ class _EagerLoop:
     start: int
 
 
-def build_chain_program(loops: Sequence, name: str = "chain") -> NativeChainProgram:
-    """Emit + compile + bind one chain.  Raises :class:`NativeUnsupported`
-    on untranslatable kernels or compile failure."""
+def build_chain_program(loops: Sequence, name: str = "chain",
+                        repeat=None) -> NativeChainProgram:
+    """Emit + compile + bind one chain (``repeat``: with its back
+    edge).  Raises :class:`NativeUnsupported` on untranslatable kernels
+    or compile failure."""
     ptab = _PointerTable()
     # Re-run spec construction to obtain the recipe (emit_chain_source
     # builds its own identical table — slot order is deterministic).
     for j, bl in enumerate(loops):
         _LoopEmitter(j, bl, ptab)
-    source = emit_chain_source(loops, name=name)
+    source = emit_chain_source(loops, name=name, repeat=repeat)
     return NativeChainProgram(source, loops, ptab.recipe)
 
 

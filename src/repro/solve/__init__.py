@@ -1,13 +1,15 @@
 """Sparse linear solvers built *on top of* the par_loop abstraction.
 
 The aero workload closes with a conjugate-gradient solve; instead of a
-host-side solver this package expresses SpMV and the CG vector updates
-as ordinary parallel loops, so the solver inherits every runtime
-capability for free: backend choice, data layouts, deferred-execution
-tracing (``runtime.chain``) and sparse tiling.  Scalar reductions (dot
-products) are the deliberate exception — they read flushed ``Dat`` data
-on the host in a fixed order, which keeps every CG scalar (and with it
-the iterate sequence) bitwise identical across backends.
+host-side solver this package expresses *all* of it — SpMV, the vector
+updates, the dot products (``Global`` reductions folded in ascending
+element order) and the scalar algebra between them (single-element
+loops that store into Globals) — as ordinary parallel loops, so the
+solver inherits every runtime capability for free: backend choice, data
+layouts, deferred-execution tracing and sparse tiling, and a whole
+solve is one loop chain with a convergence-tested back edge
+(``runtime.chain(repeat=...)``) with every CG scalar bitwise identical
+across backends.
 """
 
 from .cg import CGResult, MatOperator, cg

@@ -8,34 +8,58 @@ through its padded fixed-arity row view, making SpMV one gather-heavy
 ``par_loop`` over rows; a custom operator can instead apply the action
 element-wise without ever materializing the matrix.
 
+A solve is a loop chain with a back edge
+----------------------------------------
+One CG iteration is one *trip*: ``operator.apply``, the ``p.Ap`` loop,
+``cg_update``, ``cg_direction`` and one scalar loop (``cg_rotate``) —
+five par_loops and no host code.  Under ``chained=True`` the trip is
+traced **once** (``runtime.chain(repeat=Repeat(maxiter, until=flag,
+record=resid))``) and replayed until the flag is raised: by the native
+backend inside one C call, by every other backend trip by trip from the
+compiled chain, and — when the operator does host work, so the trip
+cannot be captured — by calling the trip once per iteration.
+``chained=False`` runs the very same trip eagerly in a Python loop.
+
 Determinism contract
 --------------------
 Every mesh-sized operation is a par_loop over race-free (direct or
 gather-only) loops, so per-element arithmetic is bitwise identical on
-every backend, layout, and execution mode.  The only reductions — the
-dot products — run on the host over the flushed arrays in one fixed
-NumPy call, so ``alpha``/``beta`` (and therefore the entire iterate
-sequence) are bitwise reproducible too.  Reading the dot operands is
-also the deferred-execution flush point: under ``chained=True`` each CG
-iteration traces its loops into the runtime's chain cache and replays
-the memoized schedule, flushing exactly where the scalars are needed.
+every backend, layout, and execution mode.  The reductions — the dot
+products — are *in-chain left folds*: ``INC`` Globals incremented once
+per element, which every backend folds in ascending element order
+(``backends.base.fold_lanes``), i.e. the sum the sequential interpreter
+forms — not one host ``np.dot`` (whose blocked BLAS sum differs from it
+by rounding).  ``alpha``/``beta`` are IEEE quotients of those sums,
+formed in-kernel.  ``x``, ``history`` and ``iterations`` are therefore
+bitwise equal across backends, layouts, dispatch modes, units and
+processes; against a BLAS-summed CG they agree to rounding only.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from ..core.access import IDX_ALL, IDX_ID, Access, arg_dat, arg_gbl
+from ..core.access import (
+    IDX_ALL,
+    IDX_ID,
+    INC,
+    READ,
+    RW,
+    WRITE,
+    arg_dat,
+    arg_gbl,
+)
+from ..core.chain import Repeat
 from ..core.dat import Dat, dat_layout
 from ..core.glob import Global
 from ..core.loop import par_loop
 from ..core.mat import Mat
 from ..core.runtime import Runtime, default_runtime
+from ..core.set import Set
 from .kernels import make_cg_kernels, make_spmv_kernel
 
 
@@ -58,9 +82,9 @@ class MatOperator:
         """``y = A x`` — one gather-gather-dot ``par_loop`` over rows."""
         par_loop(
             self.kernel, self.set,
-            arg_dat(self.mat.values, IDX_ALL, self.row_slots, Access.READ),
-            arg_dat(x, IDX_ALL, self.row_cols, Access.READ),
-            arg_dat(y, IDX_ID, None, Access.WRITE),
+            arg_dat(self.mat.values, IDX_ALL, self.row_slots, READ),
+            arg_dat(x, IDX_ALL, self.row_cols, READ),
+            arg_dat(y, IDX_ID, None, WRITE),
             runtime=runtime,
         )
 
@@ -76,28 +100,35 @@ class CGResult:
     history: List[float] = field(default_factory=list)
 
 
-def _dot(a: Dat, b: Dat, n: int) -> float:
-    """Host-side dot product over the owned range (fixed order).
-
-    Reading ``.data`` flushes any pending loop chain first, so this is
-    both the deterministic reduction and the natural flush point.
-    """
-    return float(np.dot(a.data[:n, 0], b.data[:n, 0]))
+#: The iteration set of the solver's scalar loops.
+_ONE = Set(1, "cg_scalar")
 
 
-#: Memoized per-(set, dtype, layout) solver scratch (r/p/ap Dats and the
-#: alpha/beta Globals).  The runtime's chain cache keys on *Dat
-#: identity*, so allocating fresh scratch per ``cg()`` call would force
-#: every solve to re-trace and re-compile its CG chains (and grow the
-#: chain cache without bound across Picard steps) — the same reason the
-#: kernels above are singletons.  Bounded LRU; cg() is not reentrant
-#: over the same (set, dtype, layout), which nothing in this
-#: single-threaded library does.
-_WORKSPACES: "OrderedDict[tuple, tuple]" = OrderedDict()
+class _Workspace(NamedTuple):
+    """Solver scratch: the r/p/Ap Dats and the scalars of the trip."""
+
+    r: Dat
+    p: Dat
+    ap: Dat
+    rs: Global       # r.r of the current iterate
+    rs_new: Global   # r.r accumulator (zero between trips)
+    pap: Global      # p.Ap accumulator (zero between trips)
+    resid: Global    # ||r||_2
+    tol: Global
+    flag: Global     # 0 running, 1 converged, 2 p.Ap <= 0
+
+
+#: Memoized per-(set, dtype, layout) solver scratch.  The runtime's
+#: chain cache keys on *Dat identity*, so allocating fresh scratch per
+#: ``cg()`` call would force every solve to re-trace and re-compile its
+#: chains — the same reason the kernels are singletons.  Bounded LRU;
+#: cg() is not reentrant over the same (set, dtype, layout), which
+#: nothing in this single-threaded library does.
+_WORKSPACES: "OrderedDict[tuple, _Workspace]" = OrderedDict()
 _MAX_WORKSPACES = 8
 
 
-def _workspace(set_, dtype, layout):
+def _workspace(set_, dtype, layout) -> _Workspace:
     from ..core.dat import get_default_layout
 
     effective = layout if layout is not None else get_default_layout()
@@ -105,12 +136,12 @@ def _workspace(set_, dtype, layout):
     ws = _WORKSPACES.get(key)
     if ws is None:
         with dat_layout(layout):
-            ws = (
+            ws = _Workspace(
                 Dat(set_, 1, dtype=dtype, name="cg_r"),
                 Dat(set_, 1, dtype=dtype, name="cg_p"),
                 Dat(set_, 1, dtype=dtype, name="cg_ap"),
-                Global(1, 0.0, dtype, name="cg_alpha"),
-                Global(1, 0.0, dtype, name="cg_beta"),
+                *(Global(1, 0.0, dtype, name=f"cg_{name}")
+                  for name in _Workspace._fields[3:]),
             )
         _WORKSPACES[key] = ws
         while len(_WORKSPACES) > _MAX_WORKSPACES:
@@ -145,81 +176,91 @@ def cg(
     tol:
         Absolute convergence threshold on ``||r||_2``.
     chained:
-        Trace each CG iteration as a deferred loop chain (memoized in
-        the runtime's chain cache); ``tiling`` additionally lowers the
-        chain through the sparse-tiling inspector.  Results are bitwise
-        identical in every mode.
+        Trace the solve as loop chains — the start-up, and one trip
+        replayed through a back edge (module docstring); ``tiling``
+        additionally lowers them through the sparse-tiling inspector.
+        Results are bitwise identical in every mode.
     """
     rt = runtime if runtime is not None else default_runtime()
     if tiling is not None and not chained:
         raise ValueError("tiling requires chained=True (there is no chain "
                          "to tile under eager dispatch)")
     set_ = b.set
-    n = set_.size
-    kernels = make_cg_kernels()
-    r, p, ap, alpha, beta = _workspace(
-        set_, b.dtype, getattr(rt, "layout", None)
-    )
+    k = make_cg_kernels()
+    ws = _workspace(set_, b.dtype, getattr(rt, "layout", None))
+    r, p, ap = ws.r, ws.p, ws.ap
+    # One trip program serves every tolerance: tol is data.  The
+    # accumulators start from zero whatever a failed solve left behind.
+    ws.tol.value = tol
+    ws.rs_new.value = 0.0
 
-    def traced(body):
-        if chained:
-            with rt.chain(tiling=tiling):
-                return body()
-        return body()
+    def direct(dat, access):
+        return arg_dat(dat, IDX_ID, None, access)
 
-    def init():
-        operator.apply(x, ap, runtime=rt)
+    def scalars(kernel):
         par_loop(
-            kernels["cg_init"], set_,
-            arg_dat(b, IDX_ID, None, Access.READ),
-            arg_dat(ap, IDX_ID, None, Access.READ),
-            arg_dat(r, IDX_ID, None, Access.WRITE),
-            arg_dat(p, IDX_ID, None, Access.WRITE),
+            kernel, _ONE,
+            arg_gbl(ws.tol, READ), arg_gbl(ws.rs_new, RW),
+            arg_gbl(ws.rs, RW), arg_gbl(ws.pap, RW),
+            arg_gbl(ws.resid, WRITE), arg_gbl(ws.flag, WRITE),
             runtime=rt,
         )
-        return _dot(r, r, n)
 
-    rs = traced(init)
-    history = [math.sqrt(rs)]
-    if history[-1] <= tol:
-        return CGResult(0, history[-1], True, history)
+    def start():
+        operator.apply(x, ap, runtime=rt)
+        par_loop(
+            k["cg_init"], set_,
+            direct(b, READ), direct(ap, READ),
+            direct(r, WRITE), direct(p, WRITE), arg_gbl(ws.rs_new, INC),
+            runtime=rt,
+        )
+        scalars(k["cg_begin"])
 
-    converged = False
-    it = 0
-    for it in range(1, maxiter + 1):
-        def iteration():
-            operator.apply(p, ap, runtime=rt)
-            pap = _dot(p, ap, n)  # flush point
-            if pap <= 0.0:
-                raise ValueError(
-                    "cg: operator is not positive definite on this "
-                    f"subspace (p.Ap = {pap})"
-                )
-            alpha.value = rs / pap
-            par_loop(
-                kernels["cg_update"], set_,
-                arg_gbl(alpha, Access.READ),
-                arg_dat(p, IDX_ID, None, Access.READ),
-                arg_dat(ap, IDX_ID, None, Access.READ),
-                arg_dat(x, IDX_ID, None, Access.RW),
-                arg_dat(r, IDX_ID, None, Access.RW),
-                runtime=rt,
-            )
-            rs_new = _dot(r, r, n)  # flush point
-            if math.sqrt(rs_new) > tol:
-                beta.value = rs_new / rs
-                par_loop(
-                    kernels["cg_direction"], set_,
-                    arg_gbl(beta, Access.READ),
-                    arg_dat(r, IDX_ID, None, Access.READ),
-                    arg_dat(p, IDX_ID, None, Access.RW),
-                    runtime=rt,
-                )
-            return rs_new
+    def trip():
+        operator.apply(p, ap, runtime=rt)
+        par_loop(
+            k["cg_pap"], set_,
+            direct(p, READ), direct(ap, READ), arg_gbl(ws.pap, INC),
+            runtime=rt,
+        )
+        par_loop(
+            k["cg_update"], set_,
+            arg_gbl(ws.rs, READ), arg_gbl(ws.pap, READ),
+            direct(p, READ), direct(ap, READ),
+            direct(x, RW), direct(r, RW), arg_gbl(ws.rs_new, INC),
+            runtime=rt,
+        )
+        par_loop(
+            k["cg_direction"], set_,
+            arg_gbl(ws.rs_new, READ), arg_gbl(ws.rs, READ),
+            direct(r, READ), direct(p, RW),
+            runtime=rt,
+        )
+        scalars(k["cg_rotate"])
 
-        rs = traced(iteration)
-        history.append(math.sqrt(rs))
-        if history[-1] <= tol:
-            converged = True
-            break
-    return CGResult(it, history[-1], converged, history)
+    if chained:
+        with rt.chain(tiling=tiling):
+            start()
+    else:
+        start()
+    history = [float(ws.resid.value)]
+    iterations = 0
+    if not ws.flag.value and maxiter >= 1:
+        if chained:
+            solve = rt.chain(
+                tiling=tiling,
+                repeat=Repeat(maxiter, until=ws.flag, record=ws.resid),
+            ).run(trip)
+            iterations = solve.trips
+            history.extend(float(v) for v in solve.recorded)
+        else:
+            while iterations < maxiter and not ws.flag.value:
+                trip()
+                iterations += 1
+                history.append(float(ws.resid.value))
+    if ws.flag.value == 2.0:
+        raise ValueError(
+            "cg: operator is not positive definite on this "
+            f"subspace (p.Ap = {float(ws.pap.value)})"
+        )
+    return CGResult(iterations, history[-1], bool(ws.flag.value), history)

@@ -222,13 +222,20 @@ def decode_chain(payload: dict, specs, plans):
     identical.  The caller attaches the tiled schedule (from the tiled
     store, or by re-inspection on a miss).
     """
-    from ..core.chain import BoundLoop, ChainAnalysis, CompiledChain, FusedGroup
+    from ..core.chain import (
+        BoundLoop,
+        ChainAnalysis,
+        CompiledChain,
+        FusedGroup,
+        bind_args,
+    )
 
     if int(payload["n_loops"]) != len(specs):
         raise ValueError("chain document does not match the live trace")
+    args = bind_args(specs)
     bound = [
         BoundLoop(
-            kernel=spec.kernel, set=spec.set, args=spec.args,
+            kernel=spec.kernel, set=spec.set, args=args[i],
             plan=plans[i], n=spec.n, start=spec.start,
         )
         for i, spec in enumerate(specs)

@@ -60,6 +60,8 @@ synchronization points that also reset the projection:
 * loops reducing into a ``Global`` — a conservative choice, not a
   bitwise requirement: the batched fold (``backends.base.fold_lanes``)
   is a function of the element sequence alone;
+* scalar loops (a single-element loop storing into a ``Global``):
+  every later loop may read what they store;
 * loops where an indirectly-written Dat is also *read* in the same loop
   — eager phase execution observes earlier phases' writes in a phase-
   major order that slicing cannot reproduce;
@@ -138,6 +140,8 @@ def barrier_reason(bl) -> Optional[str]:
         if arg.is_global:
             if arg.access.is_reduction:
                 return "global-reduction"
+            if arg.access.writes:
+                return "scalar-loop"
             continue
         by_dat.setdefault(arg.dat._uid, []).append(arg)
     for args in by_dat.values():

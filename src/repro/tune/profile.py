@@ -15,12 +15,17 @@ module adds what the tuner and the calibration fit need on top:
   cannot;
 * a **locality profile** per loop — ``gather_span``, the largest
   :meth:`~repro.core.map.Map.gather_span` among the loop's maps;
-* **per-chain wall time** recorded at every flush.
+* **per-chain wall time** recorded at every flush;
+* **repeat counters** — for chains with a back edge
+  (:class:`repro.core.chain.Repeat`): solves, trips, how many solves
+  ran as one native call, and per-trip fallbacks *by reason*, so "why
+  was this solve not one call" is answerable from ``Runtime.stats()``.
 
 Registration is defensive end to end: a loop shape the transfer model
 cannot analyze (e.g. matrix staging arguments) degrades to an
 ``unknown`` class with zero byte estimate — profiling must never break
-or slow execution.  :meth:`RuntimeProfile.snapshot` joins the estimates
+or slow execution — and every such degradation is counted with its
+reason under ``unanalyzed``.  :meth:`RuntimeProfile.snapshot` joins the estimates
 with the backend's measured timings into the ``Runtime.stats()
 ["profile"]`` surface (also dumpable via ``python -m repro.tune
 report``).
@@ -40,6 +45,12 @@ class RuntimeProfile:
         self.loops: Dict[str, Dict[str, object]] = {}
         #: joined kernel names -> {"flushes", "seconds", "loops", "tiled"}
         self.chains: Dict[str, Dict[str, object]] = {}
+        #: "<estimate>: <exception type>" -> loops registered without it.
+        self.unanalyzed: Dict[str, int] = {}
+        #: Back-edge accounting (:meth:`record_repeat`).
+        self.repeat: Dict[str, object] = {
+            "solves": 0, "trips": 0, "native_calls": 0, "fallbacks": {},
+        }
 
     # ------------------------------------------------------------------
     def register_loop(self, kernel, set_, args: Sequence) -> None:
@@ -67,15 +78,15 @@ class RuntimeProfile:
                     sizes.setdefault(a.dat.set.name, a.dat.set.size)
                     itemsize = int(a.dat.data.dtype.itemsize)
             bytes_per_element = lt.useful_bytes(n, sizes, itemsize) / n
-        except Exception:
-            pass  # unanalyzable shape: keep the coarse record
+        except Exception as exc:  # unanalyzable shape: coarse record
+            self._count_unanalyzed("transfer", exc)
         flops_per_element = 0.0
         try:
             from ..kernelc import estimate_flops
 
             flops_per_element = float(estimate_flops(kernel))
-        except Exception:
-            pass  # profiling must never break execution
+        except Exception as exc:  # profiling must never break execution
+            self._count_unanalyzed("flops", exc)
         # Worst measured locality among the loop's maps: how many
         # target rows apart consecutive elements gather (0 for a direct
         # loop).  The byte estimate above assumes an infinite cache;
@@ -92,6 +103,30 @@ class RuntimeProfile:
             "gather_span": float(gather_span),
             "n": n,
         }
+
+    def _count_unanalyzed(self, estimate: str, exc: Exception) -> None:
+        reason = f"{estimate}: {type(exc).__name__}"
+        self.unanalyzed[reason] = self.unanalyzed.get(reason, 0) + 1
+
+    def record_repeat(
+        self, trips: int, fallback: Optional[str], new_solve: bool = True
+    ) -> None:
+        """Account ``trips`` trips of a repeat chain.
+
+        ``fallback`` is ``None`` when they ran inside one native call,
+        else the reason they were replayed one by one; a solve driven
+        from the host (body not capturable) reports its trips one call
+        at a time, ``new_solve`` marking the first.
+        """
+        rep = self.repeat
+        rep["trips"] += trips
+        if new_solve:
+            rep["solves"] += 1
+            if fallback is None:
+                rep["native_calls"] += 1
+            else:
+                rep["fallbacks"][fallback] = \
+                    rep["fallbacks"].get(fallback, 0) + 1
 
     def record_chain(
         self, kernel_names: Tuple[str, ...], seconds: float, tiled: bool
@@ -171,4 +206,7 @@ class RuntimeProfile:
         return {
             "loops": loops,
             "chains": {k: dict(v) for k, v in self.chains.items()},
+            "unanalyzed": dict(self.unanalyzed),
+            "repeat": {**self.repeat,
+                       "fallbacks": dict(self.repeat["fallbacks"])},
         }

@@ -222,8 +222,17 @@ class TestArg:
             arg_dat(self.d_frm, 0, self.m, READ)  # dat on edges, map to nodes
 
     def test_global_write_rejected(self):
-        with pytest.raises(ValueError):
-            arg_gbl(Global(1), WRITE)
+        """Storing into a Global is legal in a single-element (scalar)
+        loop only; the loop, not the descriptor, knows its set."""
+        from repro.core import Runtime, kernel, par_loop
+
+        @kernel("store_one")
+        def store_one(g):
+            g[0] = 1.0
+
+        arg = arg_gbl(Global(1), WRITE)
+        with pytest.raises(ValueError, match="single-element"):
+            par_loop(store_one, self.frm, arg, runtime=Runtime("sequential"))
 
     def test_global_with_map_rejected(self):
         with pytest.raises(ValueError):

@@ -233,17 +233,38 @@ class TestNativeGolden:
         sim.run(1)
         return list(rt._chains.values())
 
+    @staticmethod
+    def _repeat_of(compiled):
+        """The back edge the solver flushes its trip chain with (the
+        scalar loop ``cg_rotate`` closes a trip; its last two Globals
+        are the residual norm and the stop flag), else ``None``."""
+        from repro.core.chain import Repeat
+
+        last = compiled.loops[-1]
+        if last.kernel.name != "cg_rotate":
+            return None
+        resid, flag = (arg.dat for arg in last.args[-2:])
+        return Repeat(1, until=flag, record=resid)
+
     @pytest.mark.parametrize("app", ["airfoil", "volna", "aero", "aeromf"])
     def test_app_chains(self, app):
+        """Each chain's TU as the native backend builds it — the CG
+        trip chain therefore with its ``kc_run_repeat``."""
         from repro.kernelc import emit_chain_source
 
         chains = self._traced_chains(app)
         assert chains, f"{app} traced no chains"
+        repeats = 0
         for i, compiled in enumerate(chains):
             name = f"{app}{i:02d}"
-            source = emit_chain_source(compiled.loops, name=name)
+            repeat = self._repeat_of(compiled)
+            source = emit_chain_source(compiled.loops, name=name,
+                                       repeat=repeat)
+            assert ("kc_run_repeat" in source) == (repeat is not None)
+            repeats += repeat is not None
             first = compiled.loops[0].kernel.name
             _assert_golden(f"native_{app}_{i:02d}_{first}.c.txt", source)
+        assert repeats == (1 if app.startswith("aero") else 0)
 
     def test_cache_key_tracks_source(self):
         """The on-disk .so key is the source hash: same text, same key;

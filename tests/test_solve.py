@@ -142,18 +142,30 @@ class TestCGDeterminism:
         assert res.history == ref_res.history
 
     def test_chained_solve_hits_chain_cache(self):
+        """A chained solve is two traces — start-up, and one trip
+        replayed through the back edge: the chain cache is consulted
+        per *solve*, never per iteration."""
         nodes, mat, bvals = ring_system()
         rt = Runtime("vectorized")
         b = Dat(nodes, 1, bvals, name="b")
         x = Dat(nodes, 1, name="x")
-        res = cg(MatOperator(mat), b, x, runtime=rt, tol=1e-12,
-                 maxiter=500, chained=True)
-        stats = rt.stats()["chain_cache"]
-        # Steady-state CG iterations replay a handful of memoized
-        # traces (the flush points split one iteration into sub-traces).
+        op = MatOperator(mat)
+        res = cg(op, b, x, runtime=rt, tol=1e-12, maxiter=500,
+                 chained=True)
         assert res.iterations > 3
-        assert stats["hits"] >= res.iterations
-        assert stats["misses"] <= 5
+        stats = rt.stats()
+        assert stats["chain_cache"]["misses"] <= 3
+        assert stats["chain_cache"]["hits"] == 0  # 0 look-ups per trip
+        repeat = stats["profile"]["repeat"]
+        assert repeat["solves"] == 1
+        assert repeat["trips"] == res.iterations
+        # A second solve re-records the same two traces: two hits.
+        x.data[...] = 0.0
+        again = cg(op, b, x, runtime=rt, tol=1e-12, maxiter=500,
+                   chained=True)
+        assert again.history == res.history
+        stats = rt.stats()["chain_cache"]
+        assert (stats["hits"], stats["misses"]) == (2, 2)
 
 
 class TestMatrixFreeOperator:
