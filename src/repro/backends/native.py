@@ -13,7 +13,11 @@ Every native path executes elements in **ascending order** and maps
 each floating-point step onto the exact machine operation NumPy's
 scalar path performs (see the emitter's module docstring), so native
 eager, chained and tiled results are all bitwise identical to the
-sequential backend — the repo-wide acceptance bar.
+sequential backend — the repo-wide acceptance bar.  A chained (or
+repeat) call of a large chain runs on all cores by owner-computes, which
+keeps that order per target (``kernelc/native.py``: ``LoopVerdict``);
+eager and tiled dispatch stay on one thread.  ``thread_verdicts`` says
+how each chain program runs its loops (``Runtime.stats()["native"]``).
 
 Fallback policy (two tiers)
 ---------------------------
@@ -59,6 +63,9 @@ class NativeBackend(VectorizedBackend):
         #: Eager single-loop programs, keyed by kernel + argument shape
         #: signature (value ``None`` marks a known-unsupported kernel).
         self._eager_programs = {}
+        #: How each chain program built so far runs its loops, keyed by
+        #: the chain's kernel names: ``[(kernel, elements, verdict)]``.
+        self.thread_verdicts = {}
 
     # ------------------------------------------------------------------
     # Eager dispatch
@@ -130,6 +137,9 @@ class NativeBackend(VectorizedBackend):
         except NativeUnsupported:
             program = _UNSUPPORTED
             count_native_fallback()
+        else:
+            label = " > ".join(bl.kernel.name for bl in compiled.loops)
+            self.thread_verdicts[label] = program.verdicts
         compiled.exec_cache[cache_key] = program
         return program
 

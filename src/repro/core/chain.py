@@ -493,7 +493,7 @@ def load_or_build_tiled(store_key, loops, tile_size: int, profile: str):
     if payload is not None:
         try:
             return store.decode_tiled(payload)
-        except Exception:
+        except store.DECODE_ERRORS:
             store.bump("tiled", "corrupt")
             store.unlink_quiet(tstore.path_for(tkey))
     store.count_build("tiled")

@@ -70,7 +70,7 @@ class Map:
         # Range-check in the caller's dtype, *before* narrowing: the
         # extent (owned + exec halo + the MPI substrate's read-only
         # non-exec halo) must itself fit the 4-byte index type.
-        extent = _target_extent(to_set)
+        extent = target_extent(to_set)
         if extent > np.iinfo(MAP_DTYPE).max:
             raise ValueError(
                 f"Map {self.name!r}: target extent {extent} does not fit "
@@ -146,7 +146,7 @@ def row_min(values: np.ndarray) -> np.ndarray:
     return lowest
 
 
-def _target_extent(to_set: Set) -> int:
+def target_extent(to_set: Set) -> int:
     """Total addressable extent of a map's target set.
 
     Includes owned elements, the redundantly-executed halo and, when the

@@ -44,6 +44,7 @@ and its cache levels end to end.
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -63,6 +64,7 @@ from ..coloring import (
     racing_slots,
 )
 from .access import Arg, IDX_ALL
+from .map import target_extent
 from .set import Set
 
 #: Default mini-partition size — OP2's default; Fig 8b sweeps this knob.
@@ -180,6 +182,78 @@ class Coloring:
         ]
 
 
+@dataclass(frozen=True)
+class OwnerRanges:
+    """An owner-computes cut of one loop's iteration range.
+
+    The loop's written target sets are each cut into ``k`` contiguous
+    ranges — chunk ``c`` owns targets ``[c*n_t//k, (c+1)*n_t//k)`` of
+    every target set of extent ``n_t`` — and ``bounds[c] = (lo, hi)`` is
+    one element range holding every element that touches a target chunk
+    ``c`` owns.  Running each chunk's range in ascending order and
+    applying only owned writes replays every target's updates in the
+    sequential order, so chunks may run concurrently with no colouring
+    and no atomics.  Elements on a cut belong to two ranges and run
+    twice; ``dup`` is the executed-to-logical element ratio.
+    """
+
+    k: int
+    bounds: np.ndarray  # (k, 2) int64, C-contiguous
+    elements: int
+    build_ms: float
+
+    @property
+    def dup(self) -> float:
+        ran = int((self.bounds[:, 1] - self.bounds[:, 0]).sum())
+        return ran / self.elements if self.elements else 1.0
+
+
+def owner_ranges(racing, n: int, start: int, k: int) -> OwnerRanges:
+    """Owner element ranges of a loop over ``[start, n)`` (see
+    :class:`OwnerRanges`); ``racing`` are its written ``(map, index)``
+    columns (``index == IDX_ALL`` for every column of the map).
+
+    Computed in target space, O(elements x columns): per map, the
+    column-wise min and max target of each element, a running maximum
+    of the max and a reversed running minimum of the min — both
+    ascending — and two ``searchsorted`` calls against the chunk
+    bounds.  Every element left of ``lo`` has all targets below the
+    chunk, every element from ``hi`` on has all targets above it.
+    """
+    t0 = time.perf_counter()
+    lo = np.full(k, n, dtype=np.int64)
+    hi = np.full(k, start, dtype=np.int64)
+    cols: Dict[int, Tuple[object, List[int]]] = {}
+    for map_, index in racing:
+        idx = range(map_.arity) if index == IDX_ALL else (index,)
+        entry = cols.setdefault(map_._uid, (map_, []))
+        entry[1].extend(i for i in idx if i not in entry[1])
+    for map_, idx in cols.values():
+        if n <= start:
+            break
+        rows = map_.values[start:n]
+        tmin = tmax = rows[:, idx[0]]
+        for i in idx[1:]:
+            tmin = np.minimum(tmin, rows[:, i])
+            tmax = np.maximum(tmax, rows[:, i])
+        first_above = np.maximum.accumulate(tmax)
+        last_below = np.minimum.accumulate(tmin[::-1])[::-1]
+        extent = target_extent(map_.to_set)
+        cuts = np.arange(k + 1, dtype=np.int64) * extent // k
+        m_lo = np.searchsorted(first_above, cuts[:-1]) + start
+        m_hi = np.searchsorted(last_below, cuts[1:]) + start
+        # A chunk owning no target of this map (n_t < k) runs nothing.
+        touched = (m_lo < m_hi) & (cuts[:-1] < cuts[1:])
+        lo = np.where(touched, np.minimum(lo, m_lo), lo)
+        hi = np.where(touched, np.maximum(hi, m_hi), hi)
+    hi = np.maximum(hi, lo)  # untouched chunks: empty ranges
+    bounds = np.ascontiguousarray(np.stack([lo, hi], axis=1))
+    return OwnerRanges(
+        k=int(k), bounds=bounds, elements=max(int(n) - int(start), 0),
+        build_ms=(time.perf_counter() - t0) * 1e3,
+    )
+
+
 def _colour_facet(name: str) -> property:
     def get(self):
         return getattr(self.coloring(), name)
@@ -217,6 +291,11 @@ class Plan:
     direct plan's single contiguous phase needs none.  So a backend that
     never asks — native and sequential execute ``[start, n)`` ascending
     — builds, persists and decodes no colouring at all.
+
+    The **owner facet** :meth:`owner_ranges` is lazy too, and cheaper
+    (~20 ms a map on a million elements, so it is never persisted): the
+    owner-computes cut the native backend threads indirect-increment
+    loops with.
     """
 
     def __init__(
@@ -227,6 +306,7 @@ class Plan:
         is_direct: bool,
         coloring: Optional[Coloring] = None,
         colorer=None,
+        racing: Sequence = (),
     ) -> None:
         if coloring is None and colorer is None:
             raise ValueError("a Plan needs a coloring or a colorer")
@@ -242,6 +322,9 @@ class Plan:
         self._order_cache: Dict[Tuple, np.ndarray] = {}
         #: Gather-index cache accounting shared by all this plan's phases.
         self.gather_stats: Dict[str, int] = {}
+        #: The written ``(map, index)`` columns the owner facet cuts.
+        self._racing = tuple((a.map, a.index) for a in racing)
+        self._owner_cache: Dict[Tuple[int, int, int], OwnerRanges] = {}
 
     def coloring(self) -> Coloring:
         """The colour facets, materialised on first call."""
@@ -264,6 +347,24 @@ class Plan:
     permutation = _colour_facet("permutation")
     block_permutation = _colour_facet("block_permutation")
     build_stats = _colour_facet("stats")
+
+    def owner_ranges(self, k: int, n: Optional[int] = None,
+                     start: int = 0) -> OwnerRanges:
+        """The owner-computes cut of ``[start, n)`` into ``k`` chunks
+        (:func:`owner_ranges`), built on first call per ``(k, n,
+        start)``."""
+        n = self.set.total_size if n is None else int(n)
+        key = (int(k), n, int(start))
+        facet = self._owner_cache.get(key)
+        if facet is None:
+            facet = owner_ranges(self._racing, n, int(start), int(k))
+            self._owner_cache[key] = facet
+        return facet
+
+    @property
+    def owner_facets(self) -> List[OwnerRanges]:
+        """The owner facets built so far."""
+        return list(self._owner_cache.values())
 
     @property
     def nblocks(self) -> int:
@@ -520,6 +621,7 @@ def build_plan(
     return Plan(
         set_, scheme, layout, is_direct,
         coloring=build_coloring(layout, args, scheme, coloring_method),
+        racing=[a for a in args if a.races],
     )
 
 
@@ -571,6 +673,11 @@ class PlanCache:
             1 for plan in self._plans.values()
             if plan.colored and not plan.is_direct
         )
+
+    @property
+    def owner_facets(self) -> List[OwnerRanges]:
+        """Owner facets built on the cached plans (native threading)."""
+        return [f for plan in self._plans.values() for f in plan.owner_facets]
 
     def get(
         self,
@@ -628,7 +735,8 @@ class PlanCache:
                 set_, racing, block_size, scheme, coloring_method
             )
 
-        return Plan(set_, scheme, layout, is_direct, colorer=colorer)
+        return Plan(set_, scheme, layout, is_direct, colorer=colorer,
+                    racing=racing)
 
     def clear(self) -> None:
         self._plans.clear()

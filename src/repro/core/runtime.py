@@ -337,7 +337,7 @@ class Runtime:
                     self.plan_for(s.kernel, s.set, s.args) for s in specs
                 ]
                 compiled = store.decode_chain(payload, specs, plans)
-            except Exception:
+            except store.DECODE_ERRORS:
                 store.bump("chain", "corrupt")
                 store.unlink_quiet(cstore.path_for(skey))
             else:
@@ -405,7 +405,7 @@ class Runtime:
         """
         from .. import store as artifact_store
         from ..kernelc import cache_stats
-        from ..kernelc.native import native_cache_stats
+        from ..kernelc.native import native_cache_stats, native_thread_stats
         from ..tune.store import tune_cache_stats
 
         def with_store(d: Dict[str, object], kind: str) -> Dict[str, object]:
@@ -468,12 +468,27 @@ class Runtime:
             # Native chain-compilation cache (repro.kernelc.native):
             # process-wide in memory, content-hash keyed on disk.
             "native_cache": with_store(native, "native"),
+            # Owner-computes threads of the native chains: team size,
+            # per-chain/per-loop verdicts, owner facet build time.
+            "native": self._native_thread_stats(native_thread_stats()),
             # Persistent tuning DB (repro.tune.store): cross-process,
             # keyed by (machine, chain signature).
             "tune_cache": with_store(tune_cache_stats(), "tune"),
             "kernels": dict(self.backend.stats),
             "profile": self.profile.snapshot(self.backend.stats),
         }
+
+    def _native_thread_stats(self, native: Dict[str, object]):
+        facets = self.plans.owner_facets
+        native["owner_facets"] = len(facets)
+        native["owner_facet_ms"] = sum(f.build_ms for f in facets)
+        native["chains"] = {
+            label: [{"kernel": k, "elements": n, "verdict": v}
+                    for k, n, v in verdicts]
+            for label, verdicts in getattr(
+                self.backend, "thread_verdicts", {}).items()
+        }
+        return native
 
     # ------------------------------------------------------------------
     def configure(

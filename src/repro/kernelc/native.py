@@ -27,6 +27,14 @@ results are therefore *bitwise identical* to sequential eager
 execution — the acceptance bar the differential fuzz suite
 (``tests/test_kernelc_fuzz.py``) locks down.
 
+Large chains run on an OpenMP team by *owner-computes* (see
+:class:`LoopVerdict`): direct loops over element chunks, indirect-write
+loops over a fixed number of owner chunks, each of which runs every
+element touching its targets in ascending order and applies only the
+stores it owns.  Every target still sees its updates in the sequential
+order, so the bits do not depend on the team size
+(``tests/test_threads.py``).
+
 Cache hierarchy
 ---------------
 Source text is content-hashed (:func:`source_key`); compiled shared
@@ -60,7 +68,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.access import Access
-from ..core.map import MAP_DTYPE
+from ..core.map import MAP_DTYPE, target_extent
+from ..core.plan import OwnerRanges, owner_ranges
 from ..simd import intrinsics as _intrinsics
 from .cache import kernel_ir
 from .ir import (
@@ -153,6 +162,10 @@ class _PointerTable:
         self.recipe: List[Tuple[int, int, str]] = []  # (loop, argpos, kind)
         self.comments: List[str] = []
         self._slots: Dict[int, int] = {}
+        #: Buffers the program owns rather than a loop argument: owner
+        #: ranges (the array) and reduction columns ((dtype, length)).
+        self.buffers: Dict[int, object] = {}
+        self._columns: Dict[Tuple[str, int], int] = {}
 
     def slot(self, array: np.ndarray, loop_j: int, argpos: int, kind: str,
              comment: str) -> int:
@@ -165,6 +178,30 @@ class _PointerTable:
         self.recipe.append((loop_j, argpos, kind))
         self.comments.append(comment)
         return idx
+
+    def owner(self, bounds: np.ndarray, loop_j: int) -> int:
+        """The slot of an owner facet's ``(k, 2)`` bounds (loops sharing
+        a plan share it)."""
+        slot = self.slot(bounds, loop_j, -1, "own",
+                         f"owner ranges: {len(bounds)} x (lo, hi)")
+        self.buffers[slot] = bounds
+        return slot
+
+    def column(self, ctype: str, i: int, length: int) -> int:
+        """Scratch column ``i`` of element type ``ctype``: one value per
+        element of a threaded reduction.  Loops take turns with it (a
+        column is folded before the next loop starts), so it is sized
+        to the longest user."""
+        slot = self._columns.get((ctype, i))
+        if slot is None:
+            slot = self._columns[(ctype, i)] = len(self.recipe)
+            self.recipe.append((-1, -1, "col"))
+            self.comments.append(f"reduction column {i} ({ctype})")
+            self.buffers[slot] = (np.dtype(np.float32 if ctype == "float"
+                                           else np.float64), 0)
+        dtype, size = self.buffers[slot]
+        self.buffers[slot] = (dtype, max(size, length))
+        return slot
 
 
 @dataclass
@@ -244,6 +281,71 @@ class _Scope:
 
 
 # ----------------------------------------------------------------------
+# Owner-computes threading
+# ----------------------------------------------------------------------
+#: Owner chunks of a threaded indirect-write loop (and element chunks of
+#: a threaded direct one).  Fixed, not the team size: the TU and the
+#: bits it produces do not depend on how many threads run it.
+OWNER_CHUNKS = 16
+#: Loops over fewer elements run on one thread, and a TU none of whose
+#: loops reaches this is emitted with no OpenMP at all.  Measured on a
+#: 2-vCPU KVM guest (gcc 12.2): a dim-4 copy breaks even with its
+#: serial TU at ~24k elements, a one-flop indirect increment at ~32k;
+#: at 16k both lose 5-15 %.
+THREAD_MIN_ELEMENTS = 32768
+#: Owner ranges re-running more than this share of a loop's elements
+#: (a non-local numbering) leave the loop serial.
+OWNER_MAX_DUP = 1.25
+
+_RED_CALLS = frozenset(
+    {np.minimum, np.maximum, builtins.min, builtins.max,
+     _intrinsics.vmin, _intrinsics.vmax}
+)
+
+
+@dataclass(frozen=True)
+class LoopVerdict:
+    """How a loop of a threaded TU runs.
+
+    ``direct``: no indirect writes — contiguous element chunks.
+    ``owner``: writes only through maps — :data:`OWNER_CHUNKS` owner
+    chunks (``facet``), each applying only the stores it owns.
+    ``serial``: on one thread of the team, for ``reason``.
+    """
+
+    kind: str
+    reason: str = ""
+    facet: Optional[OwnerRanges] = None
+
+    @property
+    def label(self) -> str:
+        """The verdict without the facet's numbers (goes in the TU)."""
+        return f"serial: {self.reason}" if self.kind == "serial" else self.kind
+
+    def __str__(self) -> str:
+        dup = f"dup={self.facet.dup:.3f}" if self.facet is not None else ""
+        if self.kind == "owner":
+            return f"owner(k={self.facet.k}, {dup})"
+        return f"{self.label} ({dup})" if dup else self.label
+
+
+def _stmt_nodes(st):
+    """Every AST node of one IR statement, nested statements included."""
+    if isinstance(st, SAssign):
+        roots = [*st.targets, st.value]
+    elif isinstance(st, SAug):
+        roots = [st.target, st.value]
+    elif isinstance(st, SIf):
+        roots = [st.test]
+    else:
+        roots = []
+    for root in roots:
+        yield from ast.walk(root)
+    for inner in [*getattr(st, "body", ()), *getattr(st, "orelse", ())]:
+        yield from _stmt_nodes(inner)
+
+
+# ----------------------------------------------------------------------
 # Per-loop emitter
 # ----------------------------------------------------------------------
 class _LoopEmitter:
@@ -252,6 +354,15 @@ class _LoopEmitter:
     def __init__(self, j: int, bl, ptab: _PointerTable) -> None:
         self.j = j
         self.bl = bl
+        self.verdict = LoopVerdict("serial", "unthreaded TU")
+        #: Threaded-TU state set by :meth:`classify`: owner-guard group
+        #: per written argument, reduction statements lowered to columns.
+        self._guard_of: Dict[int, int] = {}
+        self._extents: List[int] = []
+        self._columns: Dict[int, Tuple[int, int, ast.expr]] = {}
+        self.col_slots: Dict[int, int] = {}
+        self.own_slot: Optional[int] = None
+        self._value_reads: set = set()
         try:
             self.ir = kernel_ir(bl.kernel)
         except UnvectorizableKernel as exc:
@@ -281,9 +392,148 @@ class _LoopEmitter:
             )
         self.ft = ftypes.pop() if ftypes else "double"
         self.sfx = "f" if self.ft == "float" else ""
-        self._taken: set = set()
-        self._hc = 0
-        self._tc = 0
+
+    # -- threading classification ----------------------------------------
+    def classify(self, ptab: _PointerTable) -> None:
+        """Decide how a threaded TU runs this loop; an ``owner`` loop
+        takes a facet slot, a threaded reduction a column slot each."""
+        v = self.verdict = self._verdict()
+        if v.kind == "owner":
+            self.own_slot = ptab.owner(v.facet.bounds, self.j)
+        elif v.kind == "direct":
+            n = self.bl.n - self.bl.start
+            for i, (argpos, _) in enumerate(self.red_args):
+                self.col_slots[argpos] = ptab.column(
+                    self.ft, i, n * self.specs[argpos].dim
+                )
+
+    def _verdict(self) -> LoopVerdict:
+        def serial(reason: str, facet=None) -> LoopVerdict:
+            return LoopVerdict("serial", reason, facet)
+
+        bl = self.bl
+        specs = self.specs
+        n = bl.n - bl.start
+        if any(s.kind == "gwrite" for s in specs):
+            return serial("scalar loop")
+        if n < THREAD_MIN_ELEMENTS:
+            return serial(f"{n} elements < {THREAD_MIN_ELEMENTS}")
+        if self.red_args:
+            columns = self._reduction_columns()
+            if columns is None:
+                return serial("reduction not once per element")
+        mapped = [s for s in specs if s.kind in ("indirect", "vector")]
+        ind_w = {s.slot for s in mapped if s.access.writes}
+        dir_w = {s.slot for s in specs if s.kind == "direct"
+                 and s.access.writes}
+        if not ind_w:
+            if any(s.slot in dir_w for s in mapped):
+                return serial("reads a Dat it writes, through a map")
+            self._columns = columns if self.red_args else {}
+            return LoopVerdict("direct")
+        if dir_w:
+            return serial("direct and indirect writes")
+        if self.red_args:
+            return serial("reduction in an owner loop")
+        if any(
+            s.slot in ind_w and (
+                s.kind == "direct"
+                or s.access in (Access.READ, Access.RW)
+                or (s.kind == "vector" and s.access is not Access.INC)
+            )
+            for s in specs
+        ):
+            return serial("reads a Dat it writes indirectly")
+        self.emit()  # records the body's value reads of its arguments
+        if any(specs[k].kind == "indirect" and specs[k].access.writes
+               for k in self._value_reads):
+            return serial("reads a Dat it writes indirectly")
+        facet = self._owner_facet()
+        if facet.dup > OWNER_MAX_DUP:
+            return serial("non-local", facet)
+        for k, s in enumerate(specs):
+            if s.kind in ("indirect", "vector") and s.access.writes:
+                extent = target_extent(bl.args[k].map.to_set)
+                if extent not in self._extents:
+                    self._extents.append(extent)
+                self._guard_of[k] = self._extents.index(extent)
+        return LoopVerdict("owner", facet=facet)
+
+    def _owner_facet(self) -> OwnerRanges:
+        """The plan's owner facet, or one computed for this loop when
+        its plan was built for other written columns."""
+        bl = self.bl
+        racing = [(a.map, a.index) for a in bl.args if a.races]
+        plan = getattr(bl, "plan", None)
+        if plan is not None and {(m._uid, i) for m, i in plan._racing} \
+                == {(m._uid, i) for m, i in racing}:
+            return plan.owner_ranges(OWNER_CHUNKS, bl.n, bl.start)
+        return owner_ranges(racing, bl.n, bl.start, OWNER_CHUNKS)
+
+    def _reduction_columns(self):
+        """``id(stmt) -> (argpos, comp, value)`` for the statements that
+        update the loop's reductions, when each reduction component is
+        updated by one top-level statement — ``g[c] += x`` / ``-=``, or
+        ``g[c] = f(g[c], x)`` with ``f`` a min/max — and the reduction
+        arguments appear nowhere else; ``None`` otherwise.  Only then is
+        "store ``x`` per element, fold the column in element order" the
+        same sequence of operations as the serial loop."""
+        params = {self.ir.params[a]: a for a, _ in self.red_args}
+        scope = _Scope(ns=self.ir.namespace)
+
+        def component(node) -> Optional[Tuple[int, int]]:
+            if isinstance(node, ast.Subscript) and isinstance(
+                    node.value, ast.Name) and node.value.id in params:
+                try:
+                    return params[node.value.id], self._const_int(
+                        node.slice, scope)
+                except NativeUnsupported:
+                    return None
+            return None
+
+        found: Dict[int, Tuple[int, int, ast.expr]] = {}
+        expected = 0
+        for st in self.ir.body:
+            match = None
+            if isinstance(st, SAug) and isinstance(st.op, (ast.Add, ast.Sub)):
+                target = component(st.target)
+                if target is not None:
+                    match, refs = (*target, st.value), 1
+            elif isinstance(st, SAssign) and len(st.targets) == 1 \
+                    and isinstance(st.value, ast.Call) \
+                    and len(st.value.args) == 2 and not st.value.keywords \
+                    and self._callee(st.value.func, scope) in _RED_CALLS:
+                target = component(st.targets[0])
+                a, b = st.value.args
+                if target is not None and (component(a), component(b)) in (
+                        (target, None), (None, target)):
+                    match = (*target, b if component(a) else a)
+                    refs = 2
+            if match is not None:
+                if any(m[:2] == match[:2] for m in found.values()):
+                    return None
+                found[id(st)] = match
+                expected += refs
+        uses = sum(
+            1 for st in self.ir.body for node in _stmt_nodes(st)
+            if isinstance(node, ast.Name) and node.id in params
+        )
+        return found if uses == expected else None
+
+    # -- owner guards and reduction columns -----------------------------
+    def _owned(self, argpos: int, row: str) -> str:
+        """C condition under which an owner chunk stores through
+        ``row`` of a written mapped argument ("" when not guarded)."""
+        g = self._guard_of.get(argpos)
+        if g is None or self.verdict.kind != "owner":
+            return ""
+        return f"{row} >= kc_lo{g} && {row} < kc_hi{g}"
+
+    def _col_ref(self, argpos: int, comp: int) -> str:
+        dim = self.specs[argpos].dim
+        row = f"(e - {self.bl.start})" if self.bl.start else "e"
+        idx = row if dim == 1 else f"{row} * {dim} + {comp}"
+        return f"kc_col{self.col_slots[argpos]}[{idx}]"
 
     def _lit(self, v) -> str:
         return _c_float(v) if self.ft == "float" else _c_double(v)
@@ -467,6 +717,7 @@ class _LoopEmitter:
         if isinstance(node, ast.Subscript):
             r = self._resolve_access(node, scope)
             if r[0] == "lval":
+                self._value_reads.add(r[1])
                 return self._lvalue(r[1], r[2], r[3])
             if r[0] == "elem":
                 return self._lit_np(r[1])
@@ -741,12 +992,20 @@ class _LoopEmitter:
             r = self._resolve_access(tgt, scope)
             if r[0] != "lval":
                 raise NativeUnsupported("partial-array store target")
-            return self._lvalue(r[1], r[2], r[3])
+            owned = self._owned(r[1], f"i{r[1]}")
+            guard = f"if ({owned}) " if owned else ""
+            return guard + self._lvalue(r[1], r[2], r[3])
         raise NativeUnsupported(
             f"assignment target {type(tgt).__name__} unsupported"
         )
 
     def _stmt(self, st, scope: _Scope, out: List[str], ind: str) -> None:
+        column = self._columns.get(id(st))
+        if column is not None:
+            argpos, comp, value = column
+            out.append(f"{ind}{self._col_ref(argpos, comp)} = "
+                       f"{self._cx(value, scope)};")
+            return
         if isinstance(st, SAssign):
             self._assign(st, scope, out, ind)
         elif isinstance(st, SAug):
@@ -911,6 +1170,11 @@ class _LoopEmitter:
     # -- whole-loop emission ---------------------------------------------
     def emit(self) -> List[str]:
         bl = self.bl
+        owner = self.verdict.kind == "owner"
+        self._taken: set = set()
+        self._hc = 0
+        self._tc = 0
+        self._value_reads = set()
         self._kscope = _Scope(
             ns=self.ir.namespace,
             params={p: i for i, p in enumerate(self.ir.params)},
@@ -924,7 +1188,10 @@ class _LoopEmitter:
         for argpos, slot in self.red_args:
             spec = self.specs[argpos]
             out.append(f"static {self.ft} {self._red(spec)}[{spec.dim}];")
-        out.append(f"static void kc_loop{self.j}(void **P, i64 lo, i64 hi)")
+        chunk = ", i64 kc_c, i64 kc_k" if owner else ""
+        out.append(
+            f"static void kc_loop{self.j}(void **P, i64 lo, i64 hi{chunk})"
+        )
         out.append("{")
 
         # One typed pointer local per distinct pointer-table slot.
@@ -955,6 +1222,18 @@ class _LoopEmitter:
                     f"    {const}{ctype} *{pfx}{slot} = "
                     f"({const}{ctype} *)P[{slot}];"
                 )
+        for argpos, slot in self.col_slots.items():
+            out.append(
+                f"    {self.ft} *kc_col{slot} = ({self.ft} *)P[{slot}];"
+            )
+        if owner:
+            out.append("    /* chunk kc_c of kc_k stores only into the "
+                       "targets it owns */")
+        for g, extent in enumerate(self._extents if owner else ()):
+            out.append(
+                f"    const i64 kc_lo{g} = kc_c * {extent} / kc_k, "
+                f"kc_hi{g} = (kc_c + 1) * {extent} / kc_k;"
+            )
         out.append("    for (i64 e = lo; e < hi; ++e) {")
         body: List[str] = []
         ind = "        "
@@ -1009,6 +1288,9 @@ class _LoopEmitter:
                 f"{ind}    const i64 r = m{spec.map_slot}"
                 f"[e * {spec.arity} + l];"
             )
+            owned = self._owned(k, "r")
+            if owned:
+                body.append(f"{ind}    if (!({owned})) continue;")
             for c in range(spec.dim):
                 body.append(
                     f"{ind}    {self._addr(spec, 'r', c)} {op} "
@@ -1056,8 +1338,90 @@ class _LoopEmitter:
             out.append("{")
             out.extend(part_lines)
             out.append("}")
+        if self._columns:
+            out.extend(self._emit_column_fold())
         out.append("")
         return out
+
+    def _emit_column_fold(self) -> List[str]:
+        """``kc_loopJ_cfold``: the reduction statements replayed over
+        the per-element columns in element order — the serial loop's
+        accumulator operations, one for one."""
+        out = [
+            f"static void kc_loop{self.j}_cfold(void **P, i64 lo, i64 hi)",
+            "{",
+        ]
+        for slot in self.col_slots.values():
+            out.append(
+                f"    const {self.ft} *kc_col{slot} = "
+                f"(const {self.ft} *)P[{slot}];"
+            )
+        out.append("    for (i64 e = lo; e < hi; ++e) {")
+        scope = _Scope(ns=self.ir.namespace, params=self._kscope.params)
+        column = ast.Name("kc_x", ast.Load())
+        for st in self.ir.body:
+            found = self._columns.get(id(st))
+            if found is None:
+                continue
+            argpos, comp, value = found
+            scope.rename["kc_x"] = self._col_ref(argpos, comp)
+            if isinstance(st, SAug):
+                st = SAug(st.target, st.op, column)
+            else:
+                call = st.value
+                args = [column if a is value else a for a in call.args]
+                st = SAssign(st.targets, ast.Call(call.func, args, []))
+            self._stmt(st, scope, out, "        ")
+        out.append("    }")
+        out.append("}")
+        return out
+
+    # -- threaded-TU driver lines ----------------------------------------
+    def run_case(self) -> str:
+        """``kc_loop_run``'s case: the loop on one thread, any range."""
+        j = self.j
+        if self.verdict.kind == "owner":
+            return f"    case {j}: kc_loop{j}(P, lo, hi, 0, 1); break;"
+        if self._columns:
+            return (f"    case {j}: kc_loop{j}(P, lo, hi); "
+                    f"kc_loop{j}_cfold(P, lo, hi); break;")
+        return f"    case {j}: kc_loop{j}(P, lo, hi); break;"
+
+    def team_lines(self) -> List[str]:
+        """This loop inside the team: a worksharing loop over chunks,
+        or one thread; either ends in the team barrier."""
+        j, bl, v = self.j, self.bl, self.verdict
+        k = OWNER_CHUNKS
+        out = [f"    /* loop {j}: {bl.kernel.name}, {v.label} */"]
+        serial_reds = []
+        if v.kind == "serial":
+            call = f"kc_loop{j}(P, {bl.start}, {bl.n});"
+            if not self.red_args:
+                return out + ["#pragma omp single", f"    {call}"]
+            serial_reds = [call]
+        else:
+            out.append("#pragma omp for schedule(dynamic, 1)")
+            out.append(f"    for (i64 kc_c = 0; kc_c < {k}; ++kc_c)")
+            if v.kind == "owner":
+                own = f"((const i64 *)P[{self.own_slot}])"
+                out.append(f"        kc_loop{j}(P, {own}[2 * kc_c], "
+                           f"{own}[2 * kc_c + 1], kc_c, {k});")
+                return out
+            n = bl.n - bl.start
+            base = f"{bl.start} + " if bl.start else ""
+            out.append(f"        kc_loop{j}(P, {base}kc_c * {n} / {k}, "
+                       f"{base}(kc_c + 1) * {n} / {k});")
+            if not self.red_args:
+                return out
+            serial_reds = [f"kc_loop{j}_cfold(P, {bl.start}, {bl.n});"]
+        return out + [
+            "#pragma omp single",
+            "    {",
+            f"        kc_loop{j}_init();",
+            *(f"        {line}" for line in serial_reds),
+            f"        kc_loop{j}_fold(P);",
+            "    }",
+        ]
 
 
 #: Call targets that are *not* inlinable helpers (resolved specially).
@@ -1110,8 +1474,46 @@ static float kc_powf(float x, float y)
 # ----------------------------------------------------------------------
 # Chain-level emission
 # ----------------------------------------------------------------------
+_OMP_PREAMBLE = """\
+/* Owner-computes threads: one OpenMP team per call; without -fopenmp
+ * the same source runs every chunk on one thread, with the same bits. */
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+static int kc_team = 1;
+int kc_threads(void)
+{
+    return kc_team;
+}
+"""
+
+#: Inside a parallel region: record the team size (``kc_threads``).
+_TEAM_SIZE = [
+    "#ifdef _OPENMP",
+    "#pragma omp master",
+    "        kc_team = omp_get_num_threads();",
+    "#endif",
+]
+
+
+def _plan_chain(loops: Sequence, threads: bool):
+    """Pointer table and classified per-loop emitters of one chain.
+
+    With ``threads`` every loop is classified (:class:`LoopVerdict`);
+    the TU is threaded when any loop is not ``serial``.  Without, or
+    when no loop qualifies, no slot is added and the TU is the plain
+    serial one, byte for byte."""
+    ptab = _PointerTable()
+    emitters = [_LoopEmitter(j, bl, ptab) for j, bl in enumerate(loops)]
+    if threads:
+        for em in emitters:
+            em.classify(ptab)
+    threaded = any(em.verdict.kind != "serial" for em in emitters)
+    return ptab, emitters, threaded
+
+
 def emit_chain_source(loops: Sequence, name: str = "chain",
-                      repeat=None) -> str:
+                      repeat=None, threads: bool = True) -> str:
     """One C translation unit for a whole loop chain.
 
     ``loops`` is any sequence of bound-loop-likes exposing ``kernel``,
@@ -1122,14 +1524,22 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
     With ``repeat`` (a :class:`~repro.core.chain.Repeat` whose Globals
     the loops store into) the TU additionally carries the chain's back
     edge, ``kc_run_repeat``; every other line is the same text.
+
+    With ``threads`` (the default), a chain with a loop of at least
+    :data:`THREAD_MIN_ELEMENTS` elements that can run owner-computes
+    gets a threaded ``kc_run_fused`` / ``kc_run_repeat``: one OpenMP
+    team per call, each loop a worksharing loop over fixed chunks or on
+    one thread (see :class:`LoopVerdict`).  ``kc_loop_run`` (eager and
+    tiled dispatch) stays single-threaded either way.
     """
-    ptab = _PointerTable()
-    emitters = [_LoopEmitter(j, bl, ptab) for j, bl in enumerate(loops)]
+    ptab, emitters, threaded = _plan_chain(loops, threads)
     parts: List[str] = [
         f"/* Generated by repro.kernelc.native — {name}: "
         f"{len(emitters)} loop(s). */",
         _PREAMBLE,
     ]
+    if threaded:
+        parts.append(_OMP_PREAMBLE)
     if ptab.recipe:
         parts.append("/* pointer table:")
         for i, comment in enumerate(ptab.comments):
@@ -1144,7 +1554,7 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
     runs, inits, folds, partials, fused = [], [], [], [], []
     for em in emitters:
         j = em.j
-        runs.append(f"    case {j}: kc_loop{j}(P, lo, hi); break;")
+        runs.append(em.run_case())
         if em.red_args:
             inits.append(f"    case {j}: kc_loop{j}_init(); break;")
             folds.append(f"    case {j}: kc_loop{j}_fold(P); break;")
@@ -1177,19 +1587,39 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
             if "P" in sig:
                 parts.append("    (void)P;")
         parts.append("}")
-    parts.append("/* Whole-chain replay: loops in program order, each")
-    parts.append(" * reduction folded before the next loop can read it. */")
-    parts.append("void kc_run_fused(void **P)")
-    parts.append("{")
-    parts.extend(fused)
-    parts.append("}")
+    if threaded:
+        parts.append("/* Whole-chain replay by one team: loops in program "
+                     "order, each")
+        parts.append(" * ending in the team barrier; reductions folded in "
+                     "element order. */")
+        parts.append("static void kc_team_run(void **P)")
+        parts.append("{")
+        for em in emitters:
+            parts.extend(em.team_lines())
+        parts.append("}")
+        parts.append("void kc_run_fused(void **P)")
+        parts.append("{")
+        parts.append("#pragma omp parallel")
+        parts.append("    {")
+        parts.extend(_TEAM_SIZE)
+        parts.append("        kc_team_run(P);")
+        parts.append("    }")
+        parts.append("}")
+    else:
+        parts.append("/* Whole-chain replay: loops in program order, each")
+        parts.append(" * reduction folded before the next loop can read "
+                     "it. */")
+        parts.append("void kc_run_fused(void **P)")
+        parts.append("{")
+        parts.extend(fused)
+        parts.append("}")
     if repeat is not None:
-        parts.extend(_emit_repeat(repeat, ptab))
+        parts.extend(_emit_repeat(repeat, ptab, threaded))
     parts.append("")
     return "\n".join(parts)
 
 
-def _emit_repeat(repeat, ptab: _PointerTable) -> List[str]:
+def _emit_repeat(repeat, ptab: _PointerTable, threaded: bool) -> List[str]:
     """``kc_run_repeat``: the chain with its back edge, in one call."""
     def slot_and_ctype(role: str) -> Tuple[int, str]:
         data = getattr(repeat, role)._data
@@ -1204,7 +1634,7 @@ def _emit_repeat(repeat, ptab: _PointerTable) -> List[str]:
     rslot, rtype = slot_and_ctype("record")
     # volatile: the flag and the record are stored by kc_run_fused
     # through other pointers into the same table.
-    return [
+    head = [
         "/* The back edge: replay the chain until P[%d][0] is non-zero" % fslot,
         " * after a trip, at most max_trips times (at least once);",
         " * hist[t] = P[%d][0] after trip t.  Returns the trips run. */" % rslot,
@@ -1215,12 +1645,39 @@ def _emit_repeat(repeat, ptab: _PointerTable) -> List[str]:
         f"    const volatile {rtype} *record = "
         f"(const volatile {rtype} *)P[{rslot}];",
         f"    {rtype} *h = ({rtype} *)hist;",
-        "    i64 t = 0;",
-        "    do {",
-        "        kc_run_fused(P);",
-        "        h[t++] = record[0];",
-        "    } while (flag[0] == 0 && t < max_trips);",
-        "    return t;",
+    ]
+    if not threaded:
+        return head + [
+            "    i64 t = 0;",
+            "    do {",
+            "        kc_run_fused(P);",
+            "        h[t++] = record[0];",
+            "    } while (flag[0] == 0 && t < max_trips);",
+            "    return t;",
+            "}",
+        ]
+    # One team for every trip.  Each thread reads the flag after the
+    # trip's last barrier and before the barrier closing the record
+    # store, so no thread can start the next trip (and store the flag)
+    # while another has yet to test it.
+    return head + [
+        "    i64 trips = 0;",
+        "#pragma omp parallel",
+        "    {",
+        *_TEAM_SIZE,
+        "        i64 t = 0;",
+        "        int done;",
+        "        do {",
+        "            kc_team_run(P);",
+        "            done = flag[0] != 0;",
+        "#pragma omp single",
+        "            h[t] = record[0];",
+        "            ++t;",
+        "        } while (!done && t < max_trips);",
+        "#pragma omp master",
+        "        trips = t;",
+        "    }",
+        "    return trips;",
         "}",
     ]
 
@@ -1243,6 +1700,7 @@ void kc_loop_fold(long long j, void **P);
 void kc_loop_partial(long long j, void **P);
 void kc_run_fused(void **P);
 long long kc_run_repeat(void **P, long long max_trips, void *hist);
+int kc_threads(void);
 """
 
 #: cc flags: IEEE-strict (no contraction, no reassociation) — the
@@ -1252,6 +1710,10 @@ long long kc_run_repeat(void **P, long long max_trips, void *hist);
 #: the numpy-scalar semantics the oracle interpreter exhibits.
 CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off",
           "-fno-builtin-pow", "-fno-builtin-powf"]
+#: Added for a threaded TU.  A compiler that rejects it builds the same
+#: source without (pragmas ignored: one thread, the same bits), and the
+#: build is counted under ``serial_builds``.
+OPENMP_FLAGS = ["-fopenmp"]
 
 _stats = {
     "compiles": 0,
@@ -1262,6 +1724,11 @@ _stats = {
 }
 _mem_libs: Dict[str, tuple] = {}
 _cc_probe: Dict[tuple, Optional[str]] = {}
+#: Compilers seen to reject OPENMP_FLAGS in this process.
+_no_openmp: set = set()
+#: Team size last observed by a threaded call; threaded TUs built
+#: without OpenMP, by reason.
+_threads: Dict[str, object] = {"threads": None, "serial_builds": {}}
 
 
 def native_cache_stats() -> Dict[str, int]:
@@ -1269,6 +1736,19 @@ def native_cache_stats() -> Dict[str, int]:
     out = dict(_stats)
     out["entries"] = len(_mem_libs)
     return out
+
+
+def native_thread_stats() -> Dict[str, object]:
+    """``threads``: the OpenMP team size a threaded chain last ran with
+    (``None`` before any did); ``serial_builds``: threaded TUs compiled
+    without OpenMP, by reason."""
+    return {"threads": _threads["threads"],
+            "serial_builds": dict(_threads["serial_builds"])}
+
+
+def _count_serial_build(reason: str) -> None:
+    builds = _threads["serial_builds"]
+    builds[reason] = builds.get(reason, 0) + 1
 
 
 def count_native_fallback() -> None:
@@ -1284,8 +1764,11 @@ def reset_native_cache() -> None:
 
     _mem_libs.clear()
     _cc_probe.clear()
+    _no_openmp.clear()
     for k in _stats:
         _stats[k] = 0
+    _threads["threads"] = None
+    _threads["serial_builds"] = {}
     c = store.counters("native")
     for k in c:
         c[k] = 0
@@ -1309,17 +1792,35 @@ def native_cache_dir() -> Path:
     return store.cache_root() / "native" / machine_fingerprint()
 
 
-def library_key(source: str) -> str:
-    """Disk key of one compiled TU: source content **plus CFLAGS**.
+def library_key(source: str, flags: Optional[Sequence[str]] = None) -> str:
+    """Disk key of one compiled TU: source content **plus the flags it
+    is compiled with** (default :data:`CFLAGS`).
 
     Unlike :func:`source_key` (the pure source digest, the in-memory
     key), the disk key folds in the compile flags: they are
-    behavior-affecting (``-fno-builtin-pow`` changes rounding), so a
+    behavior-affecting (``-fno-builtin-pow`` changes rounding, a
+    threaded TU built without ``-fopenmp`` runs on one thread), so a
     flags change must invalidate every cached binary.
     """
+    flags = CFLAGS if flags is None else flags
     return hashlib.sha256(
-        "\x1f".join([source, *CFLAGS]).encode()
+        "\x1f".join([source, *flags]).encode()
     ).hexdigest()
+
+
+def _is_threaded(source: str) -> bool:
+    return "#pragma omp" in source
+
+
+def _compile_flags(source: str, cc: Optional[str]) -> List[str]:
+    """The flags a TU is built with: a threaded one gets
+    :data:`OPENMP_FLAGS` unless ``cc`` is known to reject them."""
+    if not _is_threaded(source):
+        return CFLAGS
+    if cc in _no_openmp:
+        _count_serial_build("no -fopenmp")
+        return CFLAGS
+    return CFLAGS + OPENMP_FLAGS
 
 
 def _so_checksum_ok(so_path: Path) -> bool:
@@ -1379,77 +1880,100 @@ def load_native_library(source: str):
     ffi.cdef(_CDEF)
     disk_ok = not store.store_disabled("native")
     cache_dir = native_cache_dir()
-    lkey = library_key(source)
-    so_path = cache_dir / f"{lkey}.so"
-    lib = None
-    if disk_ok:
-        if so_path.exists():
-            # Verify the checksum sidecar before dlopen: a truncated
-            # .so can map cleanly and then SIGBUS at call time, so
-            # dlopen's own error path cannot be the integrity check.
-            if not _so_checksum_ok(so_path):
-                store.bump("native", "corrupt")
-                store.unlink_quiet(so_path)
-                store.unlink_quiet(so_path.with_suffix(".sum"))
-            else:
-                try:
-                    lib = ffi.dlopen(str(so_path))
-                    _stats["disk_hits"] += 1
-                    store.bump("native", "disk_hits")
-                except OSError:  # stale/foreign artifact: recompile below
-                    lib = None
-                    store.bump("native", "corrupt")
-                    store.unlink_quiet(so_path)
-                    store.unlink_quiet(so_path.with_suffix(".sum"))
-        else:
-            store.bump("native", "disk_misses")
+    cc = _find_cc()
+    flags = _compile_flags(source, cc)
+    lib = _disk_load(ffi, cache_dir / f"{library_key(source, flags)}.so",
+                     disk_ok)
     if lib is None:
-        cc = _find_cc()
         if cc is None:
             raise NativeUnsupported("no C compiler on PATH")
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        if disk_ok:
-            # The .c rides along for debugging; the .so is the artifact.
-            store.atomic_write_bytes(cache_dir / f"{lkey}.c", source.encode())
-        fd, tmp_so = tempfile.mkstemp(
-            suffix=".part", prefix=f".{lkey[:12]}-", dir=str(cache_dir)
-        )
-        os.close(fd)
-        try:
-            proc = subprocess.run(
-                [cc, *CFLAGS, "-x", "c", "-", "-o", tmp_so, "-lm"],
-                input=source, capture_output=True, text=True,
+        lib, err = _compile_and_load(ffi, cc, source, flags, cache_dir,
+                                     disk_ok)
+        if lib is None and flags is not CFLAGS:
+            # The compiler rejects -fopenmp: the same source, serially.
+            _no_openmp.add(cc)
+            flags = _compile_flags(source, cc)
+            lib = _disk_load(
+                ffi, cache_dir / f"{library_key(source, flags)}.so", disk_ok
             )
-            if proc.returncode != 0:
-                _stats["failures"] += 1
-                raise NativeUnsupported(
-                    f"cc failed ({proc.returncode}): {proc.stderr[-800:]}"
-                )
-            _stats["compiles"] += 1
-            store.count_build("native")
-            if disk_ok:
-                digest = hashlib.sha256(
-                    Path(tmp_so).read_bytes()
-                ).hexdigest()
-                os.replace(tmp_so, so_path)
-                store.atomic_write_bytes(
-                    so_path.with_suffix(".sum"), digest.encode()
-                )
-                store.bump("native", "writes")
-                store.lru_sweep(
-                    cache_dir, store.max_entries_for("native"), "native",
-                    ["*.so"],
-                )
-                lib = ffi.dlopen(str(so_path))
-            else:
-                # Persistence disabled: load the private temp binary and
-                # unlink it (the dlopen mapping keeps it alive).
-                lib = ffi.dlopen(tmp_so)
-        finally:
-            if os.path.exists(tmp_so):
-                os.unlink(tmp_so)
+            if lib is None:
+                lib, err = _compile_and_load(ffi, cc, source, flags,
+                                             cache_dir, disk_ok)
+        if lib is None:
+            _stats["failures"] += 1
+            raise NativeUnsupported(err)
     _mem_libs[sha] = (ffi, lib)
     return ffi, lib, sha
+
+
+def _disk_load(ffi, so_path: Path, disk_ok: bool):
+    """The cached binary at ``so_path``, or ``None`` (a miss, or a
+    corrupt artifact, which is removed)."""
+    from .. import store
+
+    if not disk_ok:
+        return None
+    if not so_path.exists():
+        store.bump("native", "disk_misses")
+        return None
+    # Verify the checksum sidecar before dlopen: a truncated .so can map
+    # cleanly and then SIGBUS at call time, so dlopen's own error path
+    # cannot be the integrity check.
+    if _so_checksum_ok(so_path):
+        try:
+            lib = ffi.dlopen(str(so_path))
+        except OSError:  # stale/foreign artifact: recompile
+            pass
+        else:
+            _stats["disk_hits"] += 1
+            store.bump("native", "disk_hits")
+            return lib
+    store.bump("native", "corrupt")
+    store.unlink_quiet(so_path)
+    store.unlink_quiet(so_path.with_suffix(".sum"))
+    return None
+
+
+def _compile_and_load(ffi, cc: str, source: str, flags: Sequence[str],
+                      cache_dir: Path, disk_ok: bool):
+    """Compile ``source`` with ``flags`` and load it: ``(lib, None)``,
+    or ``(None, error)`` when the compiler fails."""
+    from .. import store
+
+    lkey = library_key(source, flags)
+    so_path = cache_dir / f"{lkey}.so"
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    if disk_ok:
+        # The .c rides along for debugging; the .so is the artifact.
+        store.atomic_write_bytes(cache_dir / f"{lkey}.c", source.encode())
+    fd, tmp_so = tempfile.mkstemp(
+        suffix=".part", prefix=f".{lkey[:12]}-", dir=str(cache_dir)
+    )
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, *flags, "-x", "c", "-", "-o", tmp_so, "-lm"],
+            input=source, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            return None, f"cc failed ({proc.returncode}): {proc.stderr[-800:]}"
+        _stats["compiles"] += 1
+        store.count_build("native")
+        if not disk_ok:
+            # Persistence disabled: load the private temp binary and
+            # unlink it (the dlopen mapping keeps it alive).
+            return ffi.dlopen(tmp_so), None
+        digest = hashlib.sha256(Path(tmp_so).read_bytes()).hexdigest()
+        os.replace(tmp_so, so_path)
+        store.atomic_write_bytes(so_path.with_suffix(".sum"), digest.encode())
+        store.bump("native", "writes")
+        store.lru_sweep(
+            cache_dir, store.max_entries_for("native"), "native", ["*.so"],
+        )
+        return ffi.dlopen(str(so_path)), None
+    finally:
+        if os.path.exists(tmp_so):
+            os.unlink(tmp_so)
 
 
 # ----------------------------------------------------------------------
@@ -1465,33 +1989,44 @@ class NativeChainProgram:
     """
 
     def __init__(self, source: str, loops: Sequence,
-                 recipe: List[Tuple[int, int, str]]) -> None:
+                 recipe: List[Tuple[int, int, str]],
+                 buffers: Optional[Dict[int, object]] = None,
+                 verdicts: Sequence[Tuple[str, int, str]] = ()) -> None:
         self.source = source
         self.loops = tuple(loops)
         self.recipe = list(recipe)
+        #: ``(kernel, elements, verdict)`` per loop (:class:`LoopVerdict`).
+        self.verdicts = list(verdicts)
+        self.threaded = _is_threaded(source)
+        #: Slots of buffers the program owns: owner ranges, and the
+        #: reduction columns, allocated here.
+        self._buffers = {
+            slot: np.empty(b[1], dtype=b[0]) if isinstance(b, tuple) else b
+            for slot, b in (buffers or {}).items()
+        }
         self.ffi, self.lib, self.key = load_native_library(source)
         self._ptab = self.ffi.new("void *[]", max(1, len(recipe)))
         #: (argpos, slot) reduction pairs per loop.
         self.red_args = []
-        ptab_seen: Dict[int, int] = {}
         for j, bl in enumerate(self.loops):
             reds = []
             for i, arg in enumerate(bl.args):
                 if arg.is_global and arg.access.is_reduction:
-                    slot = self._slot_of(arg.dat._data, ptab_seen, j, i)
-                    reds.append((i, slot))
+                    reds.append((i, self._slot_of(arg.dat._data)))
             self.red_args.append(reds)
 
-    def _slot_of(self, array, seen, j, i) -> int:
+    def _slot_of(self, array) -> int:
         # Recompute the first-encounter slot assignment (matches the
         # emitter's _PointerTable exactly).
-        for slot, (lj, li, kind) in enumerate(self.recipe):
-            arr = self._recipe_array(slot, self.loops)
-            if arr is array:
+        for slot in range(len(self.recipe)):
+            if self._recipe_array(slot, self.loops) is array:
                 return slot
         raise NativeUnsupported("reduction buffer missing from pointer table")
 
     def _recipe_array(self, slot: int, loops) -> np.ndarray:
+        buffer = self._buffers.get(slot)
+        if buffer is not None:
+            return buffer
         j, i, kind = self.recipe[slot]
         arg = loops[j].args[i]
         if kind == "dat":
@@ -1515,13 +2050,17 @@ class NativeChainProgram:
         self._refresh()
         if repeat is None:
             self.lib.kc_run_fused(self._ptab)
-            return None
-        hist = np.empty(repeat.max_trips, dtype=repeat.record._data.dtype)
-        trips = self.lib.kc_run_repeat(
-            self._ptab, repeat.max_trips,
-            self.ffi.cast("void *", hist.ctypes.data),
-        )
-        return hist[:trips].copy()
+            hist = None
+        else:
+            hist = np.empty(repeat.max_trips, dtype=repeat.record._data.dtype)
+            trips = self.lib.kc_run_repeat(
+                self._ptab, repeat.max_trips,
+                self.ffi.cast("void *", hist.ctypes.data),
+            )
+            hist = hist[:trips].copy()
+        if self.threaded:
+            _threads["threads"] = int(self.lib.kc_threads())
+        return hist
 
     def run_loop(self, j: int, lo: int, hi: int) -> None:
         self.lib.kc_loop_run(j, self._ptab, lo, hi)
@@ -1566,20 +2105,26 @@ class _EagerLoop:
 
 
 def build_chain_program(loops: Sequence, name: str = "chain",
-                        repeat=None) -> NativeChainProgram:
+                        repeat=None, threads: bool = True
+                        ) -> NativeChainProgram:
     """Emit + compile + bind one chain (``repeat``: with its back
-    edge).  Raises :class:`NativeUnsupported` on untranslatable kernels
-    or compile failure."""
-    ptab = _PointerTable()
-    # Re-run spec construction to obtain the recipe (emit_chain_source
-    # builds its own identical table — slot order is deterministic).
-    for j, bl in enumerate(loops):
-        _LoopEmitter(j, bl, ptab)
-    source = emit_chain_source(loops, name=name, repeat=repeat)
-    return NativeChainProgram(source, loops, ptab.recipe)
+    edge; ``threads``: see :func:`emit_chain_source`).  Raises
+    :class:`NativeUnsupported` on untranslatable kernels or compile
+    failure."""
+    # Re-run the planning to obtain the recipe, buffers and verdicts
+    # (emit_chain_source builds its own identical table — slot order is
+    # deterministic, and owner facets are cached on the loops' plans).
+    ptab, emitters, _ = _plan_chain(loops, threads)
+    source = emit_chain_source(loops, name=name, repeat=repeat,
+                               threads=threads)
+    verdicts = [(em.bl.kernel.name, em.bl.n - em.bl.start, str(em.verdict))
+                for em in emitters]
+    return NativeChainProgram(source, loops, ptab.recipe, ptab.buffers,
+                              verdicts)
 
 
 def build_eager_program(kernel, args, n: int, start: int) -> NativeChainProgram:
     """A one-loop program for eager ``par_loop`` dispatch."""
     bl = _EagerLoop(kernel, tuple(args), int(n), int(start))
-    return build_chain_program([bl], name=f"eager:{kernel.name}")
+    return build_chain_program([bl], name=f"eager:{kernel.name}",
+                               threads=False)

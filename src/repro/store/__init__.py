@@ -38,6 +38,7 @@ from .base import (
     unlink_quiet,
 )
 from .codecs import (
+    DECODE_ERRORS,
     decode_chain,
     decode_kernelc,
     decode_plan,
@@ -64,7 +65,8 @@ __all__ = [
     "count_build", "counters", "lru_sweep", "max_entries_for",
     "reset_store_stats", "store_disabled", "store_for", "store_stats",
     "unlink_quiet",
-    "decode_chain", "decode_kernelc", "decode_plan", "decode_tiled",
+    "DECODE_ERRORS", "decode_chain", "decode_kernelc", "decode_plan",
+    "decode_tiled",
     "encode_chain", "encode_kernelc", "encode_plan", "encode_tiled",
     "chain_key", "digest", "kernel_key", "kernelc_key", "map_key",
     "plan_key", "set_token", "tiled_key",

@@ -13,9 +13,10 @@ freshly-constructed artifact would.
 The decoders trust the store's schema/key validation: a payload that
 reaches them has the right schema version and was stored under the key
 the caller just computed.  Malformed payloads (a truncated write that
-still unpickles, a hand-edited file) raise inside the decoder; callers
-treat any decode exception as a corrupt entry — counted, unlinked,
-recomputed — never as a user-facing failure.
+still unpickles, a hand-edited file) raise one of
+:data:`DECODE_ERRORS` inside the decoder; callers treat those as a
+corrupt entry — counted, unlinked, recomputed — never as a user-facing
+failure.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from ..tiling.schedule import (
     TiledSchedule,
     TiledSegment,
 )
+
+
+#: What a decoder raises on a malformed payload: a missing field
+#: (``KeyError``), a short list (``IndexError``), a field of the wrong
+#: type or shape (``TypeError`` / ``AttributeError``), or a value that
+#: does not fit the live trace (``ValueError``).
+DECODE_ERRORS = (KeyError, IndexError, TypeError, AttributeError, ValueError)
 
 
 def _arr(a) -> np.ndarray:

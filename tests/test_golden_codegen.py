@@ -266,6 +266,28 @@ class TestNativeGolden:
             _assert_golden(f"native_{app}_{i:02d}_{first}.c.txt", source)
         assert repeats == (1 if app.startswith("aero") else 0)
 
+    def test_threaded_airfoil_chain(self):
+        """An airfoil step above ``THREAD_MIN_ELEMENTS``: the one-team
+        ``kc_run_fused``, the owner guards of ``res_calc``, the owner
+        facet and reduction-column slots.  (Every golden above is below
+        the threshold and has no OpenMP in it.)"""
+        from repro.apps.airfoil import AirfoilSim
+        from repro.core import Runtime
+        from repro.kernelc import emit_chain_source
+        from repro.kernelc.native import THREAD_MIN_ELEMENTS
+        from repro.mesh import make_airfoil_mesh
+
+        rt = Runtime("vectorized")
+        sim = AirfoilSim(make_airfoil_mesh(260, 130), runtime=rt,
+                         chained=True)
+        sim.run(1)
+        (compiled,) = rt._chains.values()
+        assert compiled.loops[0].n >= THREAD_MIN_ELEMENTS
+        source = emit_chain_source(compiled.loops, name="airfoil_threaded")
+        assert "#pragma omp parallel" in source
+        assert "/* loop 2: res_calc, owner */" in source
+        _assert_golden("native_airfoil_threaded_00_save_soln.c.txt", source)
+
     def test_cache_key_tracks_source(self):
         """The on-disk .so key is the source hash: same text, same key;
         any textual drift (even one literal) is a new compilation."""

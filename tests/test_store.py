@@ -226,6 +226,73 @@ class TestChainCodec:
             store.decode_chain(doc, specs, plans)
 
 
+#: Well-formed pickles with the wrong content: what a hand edit or a
+#: writer from another version leaves behind.
+_CHAIN_MUTATIONS = {
+    "missing field": lambda d: d.pop("analysis"),
+    "no groups": lambda d: d.update(groups=[]),
+    "group not a list": lambda d: d.update(groups=[None, None]),
+    "bad count": lambda d: d.update(n_loops="two"),
+    "analysis not a dict": lambda d: d.update(analysis=[1, 2]),
+}
+_TILED_MUTATIONS = {
+    "missing field": lambda d: d.pop("tile_size"),
+    "part not a dict": lambda d: d.update(parts=[3]),
+    "unknown part": lambda d: d.update(parts=[{"kind": "nonsense"}]),
+    "slices not pairs": lambda d: d["parts"][0].update(slices=[1]),
+}
+
+
+class TestMalformedPayloads:
+    """Decoders raise only :data:`store.DECODE_ERRORS` on a malformed
+    payload — the types the chain/tiled load path counts as corrupt and
+    rebuilds from; anything else is a bug and propagates."""
+
+    @pytest.mark.parametrize("mutate", _CHAIN_MUTATIONS.values(),
+                             ids=list(_CHAIN_MUTATIONS))
+    def test_chain(self, mutate):
+        rt = Runtime("vectorized", block_size=16)
+        specs = trace_specs("mal", 8)
+        doc = store.encode_chain(compile_chain(specs, rt))
+        mutate(doc)
+        plans = [rt.plan_for(s.kernel, s.set, s.args) for s in specs]
+        with pytest.raises(store.DECODE_ERRORS):
+            store.decode_chain(doc, specs, plans)
+
+    @pytest.mark.parametrize("mutate", _TILED_MUTATIONS.values(),
+                             ids=list(_TILED_MUTATIONS))
+    def test_tiled(self, mutate):
+        rt = Runtime("vectorized", block_size=16)
+        compiled = compile_chain(trace_specs("malt", 16), rt, tiling=4)
+        doc = store.encode_tiled(compiled.tiled_for("phases"))
+        mutate(doc)
+        with pytest.raises(store.DECODE_ERRORS):
+            store.decode_tiled(doc)
+
+    def test_runtime_counts_and_rebuilds(self, fresh_store):
+        def run():
+            rt = Runtime("sequential")
+            nodes, edges, e2n = ring(12, tag="malrt")
+            w = Dat(edges, 1, 1.0, name="w")
+            r = Dat(nodes, 1, name="r")
+            with rt.chain():
+                par_loop(store_gather, edges,
+                         arg_dat(w, IDX_ID, None, READ),
+                         arg_dat(r, 0, e2n, INC), arg_dat(r, 1, e2n, INC),
+                         runtime=rt)
+            return r.data.copy()
+
+        ref = run()
+        cstore = store.store_for("chain")
+        (path,) = cstore.directory().glob("*.pkl")
+        key = path.stem
+        doc = cstore.get(key)
+        doc["groups"] = []
+        assert cstore.put(key, doc)
+        assert np.array_equal(run(), ref)
+        assert store.counters("chain")["corrupt"] == 1
+
+
 class TestKernelcCodec:
     def test_roundtrip_source_and_negative(self):
         assert store.decode_kernelc(store.encode_kernelc("def f(): pass")) \
