@@ -3,7 +3,7 @@
 These are *measured* (wall-clock) experiments on this machine's
 backends, quantifying the trade-offs the paper discusses qualitatively:
 plan construction vs reuse, block-size locality vs balance, AoS vs SoA
-gathers, base-numbering locality, and halo growth with rank count.
+gathers, and base-numbering locality.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from repro.mesh import (
     rcm_renumber_cells,
     scramble,
 )
-from repro.partition import rcb_partition
 
 from conftest import save_and_print
 
@@ -243,39 +242,3 @@ class TestLoopChainAblation:
         # The headline claim (ISSUE 2 acceptance): a warm chained step
         # is >= 1.2x eager on the vectorized backend.
         assert max(r["chained speedup"] for r in vec_rows) >= 1.2
-
-
-class TestHaloScalingAblation:
-    """Halo volume growth with rank count — the surface-to-volume law
-    behind the paper's Phi small-problem sensitivity."""
-
-    def test_halo_volume_vs_ranks(self, benchmark, results_dir):
-        from repro.apps.airfoil import DistributedAirfoilSim
-        from repro.bench.harness import ReportTable
-
-        t = ReportTable("Ablation: halo size and traffic vs rank count")
-        volumes = {}
-        for nranks in (2, 4, 8):
-            m = make_airfoil_mesh(32, 16)
-            parts = rcb_partition(m.cell_centroids(), nranks)
-            dist = DistributedAirfoilSim(m, parts, nranks, block_size=128)
-            dist.run(2)
-            halo_elems = sum(
-                plan.total_halo_elements()
-                for plan in dist.ctx.halo_plans.values()
-            )
-            volumes[nranks] = halo_elems
-            t.add(
-                ranks=nranks,
-                **{"halo elements": halo_elems,
-                   "messages/2 iters": dist.ctx.comm.stats.messages,
-                   "KiB/2 iters":
-                       round(dist.ctx.comm.stats.bytes / 1024, 1)},
-            )
-        t.note("Halo volume grows with the part surface area; per-rank "
-               "work shrinks linearly — the ratio drives the MPI-wait "
-               "fraction of the performance model.")
-        save_and_print(t, "ablation_halo_scaling", results_dir)
-        benchmark.group = "ablation-halo"
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        assert volumes[8] > volumes[2]

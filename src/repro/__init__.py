@@ -3,8 +3,9 @@ Many-core Architectures" (Reguly, László, Mudalige, Giles).
 
 An OP2-like domain-specific library for unstructured-mesh computations
 with scalar, explicitly-vectorized (SIMD), SIMT (OpenCL/CUDA-analogue) and
-simulated-MPI execution backends, two full applications (the Airfoil CFD
-benchmark and the Volna shallow-water tsunami solver), and a calibrated
+native-C execution backends, three applications (the Airfoil CFD
+benchmark, the Volna shallow-water tsunami solver and an aero FEM
+solve), and a calibrated
 performance model regenerating every table and figure of the paper's
 evaluation.
 

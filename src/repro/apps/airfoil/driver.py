@@ -40,7 +40,6 @@ from ...core import (
 )
 from ...mesh import UnstructuredMesh, make_airfoil_mesh
 from ...mesh.renumber import localize
-from ...mpi import DistContext
 from .constants import AirfoilConstants, DEFAULT_CONSTANTS
 from .kernels import make_kernels
 
@@ -275,115 +274,3 @@ class AirfoilSim:
         return self._numbering.to_caller(
             "cells", self.state.p_q.data[: self.mesh.cells.size]
         )
-
-
-class DistributedAirfoilSim:
-    """Airfoil over the simulated-MPI substrate (owner-compute + halos).
-
-    ``chained=True`` (default) records each time step through
-    :meth:`~repro.mpi.decomposition.DistContext.chain`, coalescing the
-    per-loop halo exchanges into one batched update per dependency
-    frontier; ``chained=False`` keeps per-loop eager exchanges.  The
-    numerical results are identical — only the message count drops.
-    """
-
-    def __init__(
-        self,
-        mesh: UnstructuredMesh,
-        cell_parts: np.ndarray,
-        nranks: int,
-        dtype=np.float64,
-        backend: str = "vectorized",
-        block_size: int = 256,
-        constants: AirfoilConstants = DEFAULT_CONSTANTS,
-        chained: bool = True,
-    ) -> None:
-        from ...partition import partition_iteration_set
-
-        self.chained = bool(chained)
-        self.serial = AirfoilSim(mesh, dtype=dtype, constants=constants)
-        # Sets, maps, loops and partition all live in the serial sim's
-        # internal numbering; only ``cell_parts`` / ``fetch_q`` cross.
-        m = self.serial.mesh
-        cell_parts = self.serial._numbering.to_internal(
-            "cells", np.asarray(cell_parts)
-        )
-        node_parts = partition_iteration_set(
-            _invert_to_first(m.map("cell2node").values, m.nodes.size),
-            cell_parts, rule="first",
-        )
-        edge_parts = partition_iteration_set(
-            m.map("edge2cell").values, cell_parts
-        )
-        bedge_parts = partition_iteration_set(
-            m.map("bedge2cell").values, cell_parts
-        )
-        ctx = DistContext(nranks, backend=backend, block_size=block_size)
-        ctx.add_set(m.cells, cell_parts)
-        ctx.add_set(m.nodes, node_parts)
-        ctx.add_set(m.edges, edge_parts)
-        ctx.add_set(m.bedges, bedge_parts)
-        for name in ("edge2node", "edge2cell", "bedge2node",
-                     "bedge2cell", "cell2node"):
-            ctx.add_map(m.map(name))
-        s = self.serial.state
-        for d in (s.p_x, s.p_q, s.p_qold, s.p_adt, s.p_res, s.p_bound):
-            ctx.add_dat(d)
-        ctx.finalize()
-        self.ctx = ctx
-        self.iterations_run = 0
-        self.rms_history: List[float] = []
-
-    def step(self) -> float:
-        if self.chained:
-            with self.ctx.chain():
-                return self._step_body()
-        return self._step_body()
-
-    def _step_body(self) -> float:
-        loops = self.serial._loop_args()
-        kernels = self.serial.kernels
-        def run(name):
-            self.ctx.par_loop(
-                kernels[name], loops[name][0], *loops[name][1:]
-            )
-        run("save_soln")
-        self.serial.state.rms.value = 0.0
-        for _ in range(2):
-            run("adt_calc")
-            run("res_calc")
-            run("bres_calc")
-            run("update")
-        self.iterations_run += 1
-        # In chained mode this read is the flush point: the rms Global's
-        # barrier executes the recorded loops (frontier-batched halos)
-        # before the value is observed.
-        rms = math.sqrt(
-            float(self.serial.state.rms.value) / self.serial.mesh.cells.size
-        )
-        self.rms_history.append(rms)
-        return rms
-
-    def run(self, niter: int) -> float:
-        rms = float("nan")
-        for _ in range(niter):
-            rms = self.step()
-        return rms
-
-    def fetch_q(self) -> np.ndarray:
-        """Gathered global state in the caller's cell numbering."""
-        return self.serial._numbering.to_caller(
-            "cells", self.ctx.fetch(self.serial.state.p_q)
-        )
-
-
-def _invert_to_first(c2n: np.ndarray, n_nodes: int) -> np.ndarray:
-    """For each node, a 1-slot map to the first cell that touches it
-    (used to derive node ownership from the cell partition)."""
-    first = np.full(n_nodes, -1, dtype=np.int64)
-    # Iterate rows in reverse so the lowest cell id wins.
-    for c in range(c2n.shape[0] - 1, -1, -1):
-        first[c2n[c]] = c
-    if (first < 0).any():
-        raise ValueError("mesh has orphan nodes untouched by any cell")
-    return first.reshape(-1, 1)

@@ -43,7 +43,7 @@ class AutoVecBackend(VectorizedBackend):
     def __init__(self, batch: str | None = None) -> None:
         super().__init__(vec=None, batch=batch)
 
-    def _run(self, kernel, set_, args, plan, n, reductions, start=0) -> None:
+    def _run(self, kernel, set_, args, plan, n, reductions) -> None:
         if not plan.is_direct and plan.scheme == "two_level":
             raise ValueError(
                 "AutoVecBackend requires a full_permute or block_permute "
@@ -51,7 +51,7 @@ class AutoVecBackend(VectorizedBackend):
                 "enables auto-vectorization); got a two_level plan for "
                 f"kernel {kernel.name!r}"
             )
-        super()._run(kernel, set_, args, plan, n, reductions, start)
+        super()._run(kernel, set_, args, plan, n, reductions)
 
     def _group_batchable(self, group) -> bool:
         # Chained fast path: never fuse an indirect two_level group —

@@ -84,20 +84,9 @@ class Backend:
         set_: Set,
         args: Sequence[Arg],
         plan: Plan,
-        n_elements: Optional[int] = None,
-        start_element: int = 0,
     ) -> None:
-        """Run ``kernel`` over ``[start_element, n_elements)`` of ``set_``.
-
-        ``n_elements`` defaults to ``set_.total_size`` (owned plus exec
-        halo) so distributed execution covers redundant halo elements;
-        a non-zero ``start_element`` executes only the tail (the MPI
-        substrate's core/boundary split).
-        """
-        n = set_.total_size if n_elements is None else int(n_elements)
-        start = int(start_element)
-        if not (0 <= start <= n):
-            raise ValueError(f"start_element {start} outside [0, {n}]")
+        """Run ``kernel`` over every element of ``set_``."""
+        n = set_.size
         # Flush any pending loop chain touching an argument (another
         # runtime may be mid-trace over shared data).  Synced once per
         # loop here so the per-element helpers below can read the raw
@@ -109,15 +98,15 @@ class Backend:
         if is_scalar_loop(args):
             # One element, Globals stored in place: nothing to batch or
             # colour, so every backend takes the interpreter's path.
-            for e in range(start, n):
+            for e in range(n):
                 run_scalar_element(kernel.scalar, args, e, reductions)
         else:
-            self._run(kernel, set_, args, plan, n, reductions, start)
+            self._run(kernel, set_, args, plan, n, reductions)
         _fold_reductions(args, reductions)
         dt = time.perf_counter() - t0
-        self.stats.setdefault(kernel.name, LoopStats()).record(dt, n - start)
+        self.stats.setdefault(kernel.name, LoopStats()).record(dt, n)
 
-    def _run(self, kernel, set_, args, plan, n, reductions, start=0) -> None:
+    def _run(self, kernel, set_, args, plan, n, reductions) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -140,19 +129,15 @@ class Backend:
                 lambda: self.run_chain(compiled), repeat,
                 f"{self.name} backend",
             )
-        for group in compiled.groups:
-            for bl in group.loops:
-                self.execute(
-                    bl.kernel, bl.set, bl.args, bl.plan,
-                    n_elements=bl.n, start_element=bl.start,
-                )
+        for bl in compiled.loops:
+            self.execute(bl.kernel, bl.set, bl.args, bl.plan)
 
     # ------------------------------------------------------------------
     def tiled_profile(self, compiled) -> Optional[str]:
         """Which eager element order this backend's per-loop execution
         follows — the order the sparse-tiling inspector may slice.
 
-        ``"ascending"`` (plain ``start..n`` sweeps), ``"phases"`` (the
+        ``"ascending"`` (plain ``0..n`` sweeps), ``"phases"`` (the
         plan's color-phase order) or ``None`` when this backend's
         execution is not sliceable bitwise-safely (batch-boundary-
         sensitive machinery like SIMT per-block gathers or finite
@@ -198,10 +183,7 @@ class Backend:
         for part in schedule.parts:
             if isinstance(part, BarrierLoop):
                 bl = loops[part.loop_index]
-                self.execute(
-                    bl.kernel, bl.set, bl.args, bl.plan,
-                    n_elements=bl.n, start_element=bl.start,
-                )
+                self.execute(bl.kernel, bl.set, bl.args, bl.plan)
                 continue
             seg_loops = [loops[k] for k in part.loop_indices]
             for bl in seg_loops:
@@ -225,7 +207,7 @@ class Backend:
                 _fold_reductions(bl.args, reductions[j])
                 self.stats.setdefault(
                     bl.kernel.name, LoopStats()
-                ).record(elapsed[j], bl.n - bl.start)
+                ).record(elapsed[j], bl.n)
 
     def reset_stats(self) -> None:
         self.stats.clear()

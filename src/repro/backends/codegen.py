@@ -43,21 +43,21 @@ class CodegenBackend(Backend):
             self.generated += 1
         return fn
 
-    def _run(self, kernel, set_, args, plan, n, reductions, start=0) -> None:
+    def _run(self, kernel, set_, args, plan, n, reductions) -> None:
         stub = self.stub_for(kernel, args)
         if stub is None:
             # Unsupported shape: generic interpreter fallback.
-            for e in range(start, n):
+            for e in range(n):
                 run_scalar_element(kernel.scalar, args, e, reductions)
             return
         data = [arg.dat.data for arg in args]
         maps = [
             arg.map.values if arg.map is not None else None for arg in args
         ]
-        stub(start, n, kernel.scalar, data, maps, reductions)
+        stub(0, n, kernel.scalar, data, maps, reductions)
 
     def tiled_profile(self, compiled) -> str:
-        # The generated stubs sweep [start, n) in ascending element
+        # The generated stubs sweep [0, n) in ascending element
         # order with per-element operations identical to the generic
         # interpreter's, so the generic tiled executor replays the
         # same sequence.

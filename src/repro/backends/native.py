@@ -70,15 +70,15 @@ class NativeBackend(VectorizedBackend):
     # ------------------------------------------------------------------
     # Eager dispatch
     # ------------------------------------------------------------------
-    def _run(self, kernel, set_, args, plan, n, reductions, start=0) -> None:
+    def _run(self, kernel, set_, args, plan, n, reductions) -> None:
         if not compiler_available():
-            super()._run(kernel, set_, args, plan, n, reductions, start)
+            super()._run(kernel, set_, args, plan, n, reductions)
             return
-        key = self._eager_key(kernel, args, n, start)
+        key = self._eager_key(kernel, args, n)
         program = self._eager_programs.get(key, _UNSUPPORTED)
         if key not in self._eager_programs:
             try:
-                program = build_eager_program(kernel, args, n, start)
+                program = build_eager_program(kernel, args, n)
             except NativeUnsupported:
                 program = _UNSUPPORTED
                 count_native_fallback()
@@ -89,11 +89,11 @@ class NativeBackend(VectorizedBackend):
         # Unsupported kernel: scalar ascending sweep (the sequential
         # backend's loop), keeping the whole backend ascending-ordered.
         scalar = kernel.scalar
-        for e in range(start, n):
+        for e in range(n):
             run_scalar_element(scalar, args, e, reductions)
 
     @staticmethod
-    def _eager_key(kernel, args, n, start):
+    def _eager_key(kernel, args, n):
         """Everything the emitted source depends on, minus array
         identity — plus the slot-dedupe *pattern*, because the compiled
         pointer table tells aliased arguments apart by slot."""
@@ -102,7 +102,7 @@ class NativeBackend(VectorizedBackend):
         def slot(array):
             return slots.setdefault(id(array), len(slots))
 
-        parts = [kernel._uid, int(n), int(start)]
+        parts = [kernel._uid, int(n)]
         for arg in args:
             if arg.is_global:
                 parts.append(
@@ -148,7 +148,7 @@ class NativeBackend(VectorizedBackend):
         share = dt / max(1, len(loops))
         for bl in loops:
             self.stats.setdefault(bl.kernel.name, LoopStats()).record(
-                share, bl.n - bl.start, calls
+                share, bl.n, calls
             )
 
     def run_chain(self, compiled, repeat=None):
@@ -202,20 +202,16 @@ class NativeBackend(VectorizedBackend):
     @staticmethod
     def _slices_are_ascending(schedule, loops) -> bool:
         """Belt-and-braces check that every sliced order is the plain
-        ``arange(start, n)`` the emitted C assumes (contiguous ranges
-        let tiles replay as ``[start + cuts[t], start + cuts[t+1])``)."""
+        ``arange(n)`` the emitted C assumes (contiguous ranges let tiles
+        replay as ``[cuts[t], cuts[t+1])``)."""
         for part in schedule.parts:
             if isinstance(part, BarrierLoop):
                 continue
             for k, sl in zip(part.loop_indices, part.slices):
-                bl = loops[k]
-                span = bl.n - bl.start
-                if sl.order.size != span:
+                n = loops[k].n
+                if sl.order.size != n:
                     return False
-                if span and (
-                    int(sl.order[0]) != bl.start
-                    or int(sl.order[-1]) != bl.n - 1
-                ):
+                if n and (int(sl.order[0]) != 0 or int(sl.order[-1]) != n - 1):
                     return False
         return True
 
@@ -249,7 +245,7 @@ class NativeBackend(VectorizedBackend):
                 j = part.loop_index
                 bl = loops[j]
                 program.loop_init(j)
-                program.run_loop(j, bl.start, bl.n)
+                program.run_loop(j, 0, bl.n)
                 program.loop_fold(j)
                 continue
             # Reduction loops are always barriers (inspector invariant),
@@ -258,8 +254,7 @@ class NativeBackend(VectorizedBackend):
                 program.loop_init(j)
             for t in range(part.n_tiles):
                 for j, sl in zip(part.loop_indices, part.slices):
-                    lo = loops[j].start + int(sl.cuts[t])
-                    hi = loops[j].start + int(sl.cuts[t + 1])
+                    lo, hi = int(sl.cuts[t]), int(sl.cuts[t + 1])
                     if hi > lo:
                         program.run_loop(j, lo, hi)
             for j in part.loop_indices:

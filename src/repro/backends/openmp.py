@@ -17,13 +17,12 @@ from .base import Backend, run_scalar_element
 class OpenMPBackend(Backend):
     name = "openmp"
 
-    def _run(self, kernel, set_, args, plan, n, reductions, start=0) -> None:
+    def _run(self, kernel, set_, args, plan, n, reductions) -> None:
         scalar = kernel.scalar
         layout = plan.layout
         for color_blocks in plan.blocks_by_color:
             for b in color_blocks:
                 lo, hi = layout.block_range(int(b))
-                lo, hi = max(lo, start), min(hi, n)
                 for e in range(lo, hi):
                     run_scalar_element(scalar, args, e, reductions)
 

@@ -14,13 +14,13 @@ from .base import Backend, run_scalar_element
 class SequentialBackend(Backend):
     name = "sequential"
 
-    def _run(self, kernel, set_, args, plan, n, reductions, start=0) -> None:
+    def _run(self, kernel, set_, args, plan, n, reductions) -> None:
         scalar = kernel.scalar
-        for e in range(start, n):
+        for e in range(n):
             run_scalar_element(scalar, args, e, reductions)
 
     def tiled_profile(self, compiled) -> str:
         # Plain ascending element sweeps: any monotone contiguous
-        # re-slicing of [start, n) replays the identical operation
+        # re-slicing of [0, n) replays the identical operation
         # sequence, so the generic tiled executor is bitwise-safe.
         return "ascending"

@@ -55,14 +55,13 @@ class SIMTBackend(Backend):
         return kernel.vector_for(args)
 
     # ------------------------------------------------------------------
-    def _run(self, kernel, set_, args, plan, n, reductions, start=0) -> None:
+    def _run(self, kernel, set_, args, plan, n, reductions) -> None:
         vfn = self._vectorizes(kernel, args)
         layout = plan.layout
         elem_colors = plan.elem_colors
         for color_blocks in plan.blocks_by_color:
             for b in color_blocks:
                 lo, hi = layout.block_range(int(b))
-                lo, hi = max(lo, start), min(hi, n)
                 if lo >= hi:
                     continue
                 if vfn is not None:

@@ -272,22 +272,21 @@ class VectorizedBackend(Backend):
         self.batch = batch
 
     # ------------------------------------------------------------------
-    def _run(self, kernel, set_, args, plan, n, reductions, start=0) -> None:
+    def _run(self, kernel, set_, args, plan, n, reductions) -> None:
         vfn = kernel.vector_for(args)
         if vfn is None:
             # No vector form derivable: the intrinsics backend degenerates
             # to the scalar sweep (the paper's non-vectorizable case).
-            for e in range(start, n):
+            for e in range(n):
                 run_scalar_element(kernel.scalar, args, e, reductions)
             return
 
         if plan.is_direct:
             if self.batch == "color":
-                self._run_phases(kernel, vfn, args, plan, n, reductions,
-                                 start)
+                self._run_phases(kernel, vfn, args, plan, n, reductions)
             else:
                 self._run_range(
-                    kernel, vfn, args, np.arange(start, n), reductions,
+                    kernel, vfn, args, np.arange(n), reductions,
                     serialize=False,
                 )
             return
@@ -300,27 +299,24 @@ class VectorizedBackend(Backend):
             # original ordering; only commutative increments can be
             # serialized safely, so everything else takes the scalar path
             # (OP2 likewise restricts vectorization to INC-style races).
-            for e in range(start, n):
+            for e in range(n):
                 run_scalar_element(kernel.scalar, args, e, reductions)
             return
         if self.batch == "color":
-            self._run_phases(kernel, vfn, args, plan, n, reductions, start)
+            self._run_phases(kernel, vfn, args, plan, n, reductions)
         elif scheme == "two_level":
-            self._run_two_level(kernel, vfn, args, plan, n, reductions, start)
+            self._run_two_level(kernel, vfn, args, plan, reductions)
         elif scheme == "full_permute":
-            self._run_full_permute(kernel, vfn, args, plan, n, reductions,
-                                   start)
+            self._run_full_permute(kernel, vfn, args, plan, reductions)
         elif scheme == "block_permute":
-            self._run_block_permute(kernel, vfn, args, plan, n, reductions,
-                                    start)
+            self._run_block_permute(kernel, vfn, args, plan, reductions)
         else:  # pragma: no cover - schemes validated at plan build
             raise ValueError(f"Unknown plan scheme {scheme!r}")
 
     # ------------------------------------------------------------------
     # Whole-color mega-batch path.
     # ------------------------------------------------------------------
-    def _run_phases(self, kernel, vfn, args, plan, n, reductions,
-                    start=0) -> None:
+    def _run_phases(self, kernel, vfn, args, plan, n, reductions) -> None:
         """One fused gather/compute/scatter per conflict-free color.
 
         ``plan.phases`` memoizes both the phase element arrays and (via
@@ -328,7 +324,7 @@ class VectorizedBackend(Backend):
         this path's steady state is exactly one NumPy gather per argument
         per color and zero index reconstruction.
         """
-        for phase in plan.phases(n, start):
+        for phase in plan.phases(n):
             batch = gather_batch(args, phase.elems, phase=phase)
             vfn(*batch.arrays)
             scatter_batch(args, batch, reductions,
@@ -399,20 +395,17 @@ class VectorizedBackend(Backend):
             # un-chained par_loop would).
             def run_eager() -> None:
                 for bl in group.loops:
-                    self.execute(
-                        bl.kernel, bl.set, bl.args, bl.plan,
-                        n_elements=bl.n, start_element=bl.start,
-                    )
+                    self.execute(bl.kernel, bl.set, bl.args, bl.plan)
 
             return run_eager
 
         loops = group.loops
-        phases = group.plan.phases(group.n, group.start)
+        n = loops[0].n
+        phases = group.plan.phases(n)
         # phase_execs[k][p]: loop k's prepared execution of phase p.
         phase_execs = [
             [_PhaseExec(bl, phase) for phase in phases] for bl in loops
         ]
-        n = group.n - group.start
         stats = self.stats
 
         def run_group() -> None:
@@ -498,10 +491,7 @@ class VectorizedBackend(Backend):
                 bl = loops[part.loop_index]
 
                 def run_barrier(bl=bl) -> None:
-                    self.execute(
-                        bl.kernel, bl.set, bl.args, bl.plan,
-                        n_elements=bl.n, start_element=bl.start,
-                    )
+                    self.execute(bl.kernel, bl.set, bl.args, bl.plan)
 
                 program.append(run_barrier)
                 continue
@@ -516,7 +506,7 @@ class VectorizedBackend(Backend):
                     lo, hi = int(cuts[t]), int(cuts[t + 1])
                     if lo == hi:
                         continue
-                    for sub in bl.plan.phase_slices(bl.n, bl.start, lo, hi):
+                    for sub in bl.plan.phase_slices(bl.n, 0, lo, hi):
                         execs.append((j, _PhaseExec(bl, sub)))
                 tiles.append(execs)
             stats = self.stats
@@ -532,7 +522,7 @@ class VectorizedBackend(Backend):
                 for j, bl in enumerate(seg_loops):
                     _fold_reductions(bl.args, reductions[j])
                     stats.setdefault(bl.kernel.name, LoopStats()).record(
-                        elapsed[j], bl.n - bl.start
+                        elapsed[j], bl.n
                     )
 
             program.append(run_segment)
@@ -573,15 +563,13 @@ class VectorizedBackend(Backend):
             scatter_batch(args, batch, reductions, serialize_inc=serialize)
 
     # ------------------------------------------------------------------
-    def _run_two_level(self, kernel, vfn, args, plan, n, reductions,
-                       start=0) -> None:
+    def _run_two_level(self, kernel, vfn, args, plan, reductions) -> None:
         # Pure-SIMD over the original ordering: within a chunk, lanes may
         # share an indirect target, so increments scatter serialized.
         layout = plan.layout
         for color_blocks in plan.blocks_by_color:
             for b in color_blocks:
                 lo, hi = layout.block_range(int(b))
-                lo, hi = max(lo, start), min(hi, n)
                 if lo >= hi:
                     continue
                 self._run_range(
@@ -589,24 +577,20 @@ class VectorizedBackend(Backend):
                     serialize=True,
                 )
 
-    def _run_full_permute(self, kernel, vfn, args, plan, n, reductions,
-                          start=0) -> None:
+    def _run_full_permute(self, kernel, vfn, args, plan, reductions) -> None:
         perm = plan.permutation
         for c in range(perm.ncolors):
             elems = perm.color_slice(c)
-            elems = elems[(elems >= start) & (elems < n)]
             if elems.size:
                 self._run_range(kernel, vfn, args, elems, reductions,
                                 serialize=False)
 
-    def _run_block_permute(self, kernel, vfn, args, plan, n, reductions,
-                           start=0) -> None:
+    def _run_block_permute(self, kernel, vfn, args, plan, reductions) -> None:
         bp = plan.block_permutation
         for color_blocks in plan.blocks_by_color:
             for b in color_blocks:
                 for c in range(bp.block_ncolors(int(b))):
                     elems = bp.block_color_slice(int(b), c)
-                    elems = elems[(elems >= start) & (elems < n)]
                     if elems.size:
                         self._run_range(
                             kernel, vfn, args, elems, reductions,

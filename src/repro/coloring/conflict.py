@@ -66,9 +66,7 @@ def conflict_targets(args: Sequence[Arg], n_elements: int):
     for map_, _ in slots:
         if map_.to_set not in offsets:
             offsets[map_.to_set] = extent
-            extent += map_.to_set.total_size + int(
-                getattr(map_.to_set, "nonexec_size", 0)
-            )
+            extent += map_.to_set.size
 
     cols = []
     for map_, idx in slots:

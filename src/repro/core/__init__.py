@@ -30,12 +30,10 @@ from .access import (
     arg_gbl,
 )
 from .chain import (
-    ChainAnalysis,
     CompiledChain,
     LoopChain,
     LoopSpec,
     Repeat,
-    analyze_dependencies,
     chain,
     compile_chain,
     fusion_groups,
@@ -61,7 +59,6 @@ from .set import Set
 __all__ = [
     "Access",
     "Arg",
-    "ChainAnalysis",
     "CompiledChain",
     "DEFAULT_BLOCK_SIZE",
     "Dat",
@@ -87,7 +84,6 @@ __all__ = [
     "Set",
     "WRITE",
     "CodegenBackend",
-    "analyze_dependencies",
     "arg_dat",
     "arg_gbl",
     "arg_mat",

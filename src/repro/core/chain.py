@@ -14,10 +14,10 @@ synchronizes every loop independently.  A :class:`LoopChain` treats a
     # exit (or any read of a traced Dat/Global) flushes the chain
 
 Recording is cheap: each ``par_loop`` becomes a :class:`LoopSpec` node.
-At flush time the chain is *compiled* — dependency analysis
-(:func:`analyze_dependencies`), fusion of adjacent compatible loops
-(:func:`fusion_groups`), plan resolution through the runtime's two cache
-levels — and the compiled schedule is handed to the backend's
+At flush time the chain is *compiled* — validation, plan resolution
+through the runtime's two cache levels, fusion of adjacent compatible
+loops (:func:`fusion_groups`) — and the compiled schedule is handed to
+the backend's
 :meth:`~repro.backends.base.Backend.run_chain` entry point.  Compiled
 chains are memoized on the runtime by structural signature (the *third*
 cache level, above the loop cache), so a steady-state time step replays
@@ -68,27 +68,14 @@ host-driven trip, and :meth:`LoopChain.run` — the complete form —
 calls the body once per trip instead.  Host code that touches no
 Dat/Global is not seen, as with any tracer.
 
-Dependency analysis
--------------------
-Edges between recorded loops follow the classical hazards over the data
-objects they touch: RAW (read after write), WAR (write after read) and
-WAW (write after write) all order loops, with one relaxation —
-**commuting reductions**: two ``INC`` (or two ``MIN``, or two ``MAX``)
-accesses to the same data commute, so back-to-back increment loops (e.g.
-Airfoil's ``res_calc`` → ``bres_calc`` both incrementing ``p_res``)
-carry no edge and share a dependency frontier.  Frontiers drive the MPI
-substrate's batched halo exchanges
-(:meth:`repro.mpi.decomposition.DistContext.chain`): one coalesced
-exchange per frontier instead of one per loop.
-
 Fusion legality
 ---------------
-Adjacent loops fuse into one :class:`FusedGroup` (executed
-phase-interleaved by the batched backends, sharing coloring and cached
-gather-index arrays) only when the fusion is *provably bitwise
-identical* to eager execution:
+A chain never reorders its loops.  Adjacent loops fuse into one
+:class:`FusedGroup` (executed phase-interleaved by the batched
+backends, sharing coloring and cached gather-index arrays) only when
+the fusion is *provably bitwise identical* to eager execution:
 
-1. same iteration set and the same ``[start, n)`` range;
+1. same iteration set;
 2. identical plan (same structural plan signature — trivially true when
    both loops are race-free/direct);
 3. every Dat accessed by two fused loops where at least one access
@@ -114,15 +101,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dat as _dat
-from .access import Access, Arg, is_scalar_loop
+from .access import Arg, is_scalar_loop
 from .glob import Global
 from .kernel import Kernel
 from .plan import Plan
 from .set import Set
-
-#: Reduction modes that commute with themselves (no dependency edge
-#: between two loops applying the same mode to the same data).
-_COMMUTING = (Access.INC, Access.MIN, Access.MAX)
 
 
 def _token(arg: Arg) -> Tuple[str, int]:
@@ -137,12 +120,10 @@ class LoopSpec:
     kernel: Kernel
     set: Set
     args: Tuple[Arg, ...]
-    n: int
-    start: int
     plan: Optional[Plan] = None
 
     def key(self) -> Tuple:
-        """Hashable structural identity (kernel, set, args, range).
+        """Hashable structural identity (kernel, set, args).
 
         Dats and Globals enter by uid, so a steady-state time step that
         re-records the same loops produces the same key — the chain
@@ -158,8 +139,6 @@ class LoopSpec:
                 (arg.dat._uid, arg.map, arg.index, arg.access)
                 for arg in self.args
             ),
-            self.n,
-            self.start,
             # Plans hold numpy arrays (no value hash); identity is the
             # right notion anyway — a pre-built override plan is reused
             # by object.
@@ -217,91 +196,6 @@ class RepeatResult(NamedTuple):
     fallback: Optional[str]
 
 
-@dataclass(frozen=True)
-class ChainAnalysis:
-    """Dependency structure of one recorded loop sequence.
-
-    ``edges`` holds ``(i, j)`` pairs meaning loop ``i`` must execute
-    before loop ``j``; ``levels[i]`` is the longest-path depth of loop
-    ``i`` in that DAG; ``frontiers`` groups *consecutive* loops of equal
-    level — mutually independent batches whose halo exchanges the MPI
-    substrate coalesces into one message per rank pair.
-    """
-
-    edges: frozenset
-    levels: Tuple[int, ...]
-    frontiers: Tuple[Tuple[int, ...], ...]
-
-
-def analyze_dependencies(specs: Sequence[LoopSpec]) -> ChainAnalysis:
-    """RAW/WAR/WAW hazard analysis over a recorded loop sequence.
-
-    Commuting reductions (INC-INC, MIN-MIN, MAX-MAX on the same data)
-    produce no edge; every other write-involved sharing does.  Analysis
-    is conservative about indirection: a write through *any* map
-    conflicts with any other access of the same Dat, because two
-    iteration-set elements may reach the same target row.
-    """
-    edges = set()
-    # Per data token: the last plain writer, reductions applied since
-    # then, and plain readers since then.
-    last_write: Dict[Tuple[str, int], int] = {}
-    reducers: Dict[Tuple[str, int], List[Tuple[int, Access]]] = {}
-    readers: Dict[Tuple[str, int], List[int]] = {}
-
-    def edge(i: int, j: int) -> None:
-        if i != j:
-            edges.add((i, j))
-
-    for i, spec in enumerate(specs):
-        for arg in spec.args:
-            tok = _token(arg)
-            acc = arg.access
-            if acc in _COMMUTING:
-                if tok in last_write:
-                    edge(last_write[tok], i)
-                for j, mode in reducers.get(tok, ()):  # mixed modes order
-                    if mode is not acc:
-                        edge(j, i)
-                for j in readers.get(tok, ()):  # WAR
-                    edge(j, i)
-                reducers.setdefault(tok, []).append((i, acc))
-            elif acc.writes:  # WRITE / RW
-                if tok in last_write:  # WAW
-                    edge(last_write[tok], i)
-                for j, _ in reducers.get(tok, ()):
-                    edge(j, i)
-                for j in readers.get(tok, ()):  # WAR
-                    edge(j, i)
-                last_write[tok] = i
-                reducers[tok] = []
-                readers[tok] = []
-            else:  # READ
-                if tok in last_write:  # RAW
-                    edge(last_write[tok], i)
-                for j, _ in reducers.get(tok, ()):  # read-after-reduce
-                    edge(j, i)
-                readers.setdefault(tok, []).append(i)
-
-    levels = []
-    for i in range(len(specs)):
-        preds = [levels[j] for (j, k) in edges if k == i]
-        levels.append(max(preds) + 1 if preds else 0)
-
-    frontiers: List[List[int]] = []
-    for i, lvl in enumerate(levels):
-        if frontiers and levels[frontiers[-1][-1]] == lvl:
-            frontiers[-1].append(i)
-        else:
-            frontiers.append([i])
-
-    return ChainAnalysis(
-        edges=frozenset(edges),
-        levels=tuple(levels),
-        frontiers=tuple(tuple(f) for f in frontiers),
-    )
-
-
 # ----------------------------------------------------------------------
 # Fusion
 # ----------------------------------------------------------------------
@@ -354,8 +248,6 @@ def fusion_groups(
             if (
                 not is_scalar_loop(head.args)
                 and spec.set is head.set
-                and spec.n == head.n
-                and spec.start == head.start
                 and plans[i] is plans[g[0]]
                 and all(pair_fusable(specs[j], spec) for j in g)
             ):
@@ -370,19 +262,27 @@ def fusion_groups(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BoundLoop:
-    """A recorded loop with its plan resolved — ready to execute."""
+    """A recorded loop with its plan resolved — ready to execute.
+
+    A loop runs every element of its set: its range ``[start, n)`` is
+    ``[0, set.size)``, the range the plan facets are asked for.
+    """
 
     kernel: Kernel
     set: Set
     args: Tuple[Arg, ...]
     plan: Plan
-    n: int
-    start: int
+
+    start = 0
+
+    @property
+    def n(self) -> int:
+        return self.set.size
 
 
 @dataclass(frozen=True)
 class FusedGroup:
-    """A maximal run of fusable loops sharing one plan and range.
+    """A maximal run of fusable loops sharing one plan (and set).
 
     Batched backends execute a multi-loop group phase-interleaved (one
     pass over the plan's conflict-free phases, running every loop's
@@ -392,8 +292,6 @@ class FusedGroup:
 
     loops: Tuple[BoundLoop, ...]
     plan: Plan
-    n: int
-    start: int
 
     @property
     def fused(self) -> bool:
@@ -417,7 +315,6 @@ class CompiledChain:
     """
 
     groups: Tuple[FusedGroup, ...]
-    analysis: ChainAnalysis
     #: The ``tiling=`` request this chain was compiled under
     #: (``None`` | ``"auto"`` | int) — part of the cache key.
     tiling: object = None
@@ -526,7 +423,7 @@ def bind_args(specs: Sequence[LoopSpec]) -> List[Tuple[Arg, ...]]:
 def compile_chain(
     specs: Sequence[LoopSpec], runtime, tiling=None, store_key=None
 ) -> CompiledChain:
-    """Validate, resolve plans, fuse, analyze — and optionally tile.
+    """Validate, resolve plans, fuse — and optionally tile.
 
     Validation happens here — once per distinct trace signature —
     rather than per recorded call: a malformed loop raises at the first
@@ -544,13 +441,6 @@ def compile_chain(
 
     for spec in specs:
         validate_loop(spec.kernel, spec.set, spec.args)
-        # Same range check Backend.execute performs — the prepared
-        # replay programs bypass execute, and a chained loop must fail
-        # exactly where its eager twin would.
-        if not (0 <= spec.start <= spec.n):
-            raise ValueError(
-                f"start_element {spec.start} outside [0, {spec.n}]"
-            )
     plans = [
         spec.plan
         if spec.plan is not None
@@ -559,27 +449,17 @@ def compile_chain(
     ]
     args = bind_args(specs)
     bound = [
-        BoundLoop(
-            kernel=spec.kernel,
-            set=spec.set,
-            args=args[i],
-            plan=plans[i],
-            n=spec.n,
-            start=spec.start,
-        )
+        BoundLoop(kernel=spec.kernel, set=spec.set, args=args[i],
+                  plan=plans[i])
         for i, spec in enumerate(specs)
     ]
-    groups = []
-    for idx_group in fusion_groups(specs, plans):
-        head = specs[idx_group[0]]
-        groups.append(
-            FusedGroup(
-                loops=tuple(bound[i] for i in idx_group),
-                plan=plans[idx_group[0]],
-                n=head.n,
-                start=head.start,
-            )
+    groups = [
+        FusedGroup(
+            loops=tuple(bound[i] for i in idx_group),
+            plan=plans[idx_group[0]],
         )
+        for idx_group in fusion_groups(specs, plans)
+    ]
 
     tiled = None
     tile_size = 0
@@ -594,7 +474,6 @@ def compile_chain(
 
     return CompiledChain(
         groups=tuple(groups),
-        analysis=analyze_dependencies(specs),
         tiling=tiling,
         tile_size=tile_size,
         tiled=tiled,
@@ -643,8 +522,6 @@ class LoopChain:
         kernel: Kernel,
         set_: Set,
         args: Sequence[Arg],
-        n_elements: Optional[int] = None,
-        start_element: int = 0,
         plan: Optional[Plan] = None,
     ) -> None:
         """Append one loop to the trace and arm read barriers.
@@ -653,16 +530,8 @@ class LoopChain:
         distinct trace signature) — recording stays cheap in steady
         state; a malformed loop still raises at its trace's first flush.
         """
-        n = set_.total_size if n_elements is None else int(n_elements)
         self._specs.append(
-            LoopSpec(
-                kernel=kernel,
-                set=set_,
-                args=tuple(args),
-                n=n,
-                start=int(start_element),
-                plan=plan,
-            )
+            LoopSpec(kernel=kernel, set=set_, args=tuple(args), plan=plan)
         )
         # Barrier every touched Dat/Global — reads too, so a host write
         # to a Dat a pending loop *reads* also flushes first (the

@@ -1,6 +1,6 @@
 """Data defined on mesh sets (OP2 ``op_dat``) with configurable layout.
 
-A :class:`Dat` is logically an ``(set.total_size, dim)`` array plus
+A :class:`Dat` is logically an ``(set.size, dim)`` array plus
 metadata.  *Physically* the values live in one of two layouts (paper
 Section 5; "A study of vectorization for matrix-free finite element
 methods" studies the same trade-off):
@@ -122,7 +122,7 @@ class Dat:
     dim:
         Arity (number of components per element), e.g. 4 flow variables.
     data:
-        Optional initial values, broadcastable to ``(set.total_size, dim)``.
+        Optional initial values, broadcastable to ``(set.size, dim)``.
         Zeros when omitted.
     dtype:
         Floating (or integer) dtype; the whole library is dtype-parametric
@@ -154,7 +154,7 @@ class Dat:
         self.layout = _check_layout(layout if layout is not None else _default_layout)
         self.name = name if name is not None else f"dat_{next(_dat_counter)}"
         self._uid = next(_dat_counter)
-        extent = set_.total_size + int(getattr(set_, "nonexec_size", 0))
+        extent = set_.size
         if data is None:
             aos = np.zeros((extent, dim), dtype=dtype)
         else:

@@ -29,13 +29,13 @@ def validate_loop(kernel: Kernel, set_: Set, args: Sequence[Arg]) -> None:
         if arg.is_global:
             if (
                 arg.access in (Access.WRITE, Access.RW)
-                and set_.total_size != 1
+                and set_.size != 1
             ):
                 raise ValueError(
                     f"argument {i} ({arg.dat.name!r}) stores into a Global "
                     f"with {arg.access.name}; that is legal only in a "
                     f"loop over a single-element set, and {set_.name!r} "
-                    f"has {set_.total_size} (use a reduction: INC/MIN/MAX)"
+                    f"has {set_.size} (use a reduction: INC/MIN/MAX)"
                 )
             continue
         if arg.is_direct:
@@ -57,8 +57,6 @@ def par_loop(
     set_: Set,
     *args: Arg,
     runtime: Optional[Runtime] = None,
-    n_elements: Optional[int] = None,
-    start_element: int = 0,
     plan: Optional[Plan] = None,
 ) -> None:
     """Execute ``kernel`` for every element of ``set_``.
@@ -74,11 +72,6 @@ def par_loop(
         kernel-signature order (built with ``arg_dat`` / ``arg_gbl``).
     runtime:
         Execution context; the module default when omitted.
-    n_elements:
-        Restrict execution to a prefix of the set (used by the MPI
-        substrate to skip halo elements on direct loops).
-    start_element:
-        Skip a prefix (the MPI substrate's core/boundary overlap split).
     plan:
         Pre-built plan override (used by ablation benchmarks).
 
@@ -95,17 +88,11 @@ def par_loop(
     rt = runtime if runtime is not None else default_runtime()
     ch = rt._active_chain
     if ch is not None:
-        ch.record(
-            kernel, set_, args,
-            n_elements=n_elements, start_element=start_element, plan=plan,
-        )
+        ch.record(kernel, set_, args, plan=plan)
         return
     validate_loop(kernel, set_, args)
     if plan is None:
         # Two-level lookup: call-site loop cache, then structural plan
         # cache (see core/runtime.py) — a warm hit re-derives nothing.
         plan = rt.plan_for(kernel, set_, args)
-    rt.backend.execute(
-        kernel, set_, args, plan,
-        n_elements=n_elements, start_element=start_element,
-    )
+    rt.backend.execute(kernel, set_, args, plan)

@@ -34,7 +34,7 @@ class Map:
     arity:
         Number of target indices per source element.
     values:
-        Integer array of shape ``(from_set.total_size, arity)`` (a flat
+        Integer array of shape ``(from_set.size, arity)`` (a flat
         array of the right length is also accepted and reshaped); stored
         as :data:`MAP_DTYPE` after a range check.
     name:
@@ -61,16 +61,15 @@ class Map:
         self._gather_span: Optional[float] = None
 
         values = np.asarray(values)
-        expected = from_set.total_size * arity
+        expected = from_set.size * arity
         if values.size != expected:
             raise ValueError(
                 f"Map {self.name!r} expects {expected} entries "
-                f"({from_set.total_size} x {arity}), got {values.size}"
+                f"({from_set.size} x {arity}), got {values.size}"
             )
         # Range-check in the caller's dtype, *before* narrowing: the
-        # extent (owned + exec halo + the MPI substrate's read-only
-        # non-exec halo) must itself fit the 4-byte index type.
-        extent = target_extent(to_set)
+        # target set's size must itself fit the 4-byte index type.
+        extent = to_set.size
         if extent > np.iinfo(MAP_DTYPE).max:
             raise ValueError(
                 f"Map {self.name!r}: target extent {extent} does not fit "
@@ -85,12 +84,12 @@ class Map:
                     f"for target set of extent {extent}"
                 )
         self.values = np.ascontiguousarray(
-            values.reshape(from_set.total_size, arity), dtype=MAP_DTYPE
+            values.reshape(from_set.size, arity), dtype=MAP_DTYPE
         )
 
     # ------------------------------------------------------------------
     def column(self, index: int) -> np.ndarray:
-        """Indices for one map slot, shape ``(from_set.total_size,)``."""
+        """Indices for one map slot, shape ``(from_set.size,)``."""
         if not (0 <= index < self.arity):
             raise IndexError(f"Map slot {index} out of range for arity {self.arity}")
         return self.values[:, index]
@@ -146,16 +145,6 @@ def row_min(values: np.ndarray) -> np.ndarray:
     return lowest
 
 
-def target_extent(to_set: Set) -> int:
-    """Total addressable extent of a map's target set.
-
-    Includes owned elements, the redundantly-executed halo and, when the
-    set carries one, the read-only non-exec halo appended by the MPI
-    decomposition.
-    """
-    return to_set.total_size + int(getattr(to_set, "nonexec_size", 0))
-
-
 def identity_map(s: Set, name: Optional[str] = None) -> Map:
     """A 1-ary map from a set onto itself (useful in tests)."""
-    return Map(s, s, 1, np.arange(s.total_size, dtype=np.int64), name=name)
+    return Map(s, s, 1, np.arange(s.size, dtype=np.int64), name=name)

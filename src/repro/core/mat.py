@@ -303,7 +303,7 @@ class Mat:
         matrix-free coefficient kernels.
         """
         self._ensure_sparsity()
-        staged = self.staging.data[: self.elem_set.total_size]
+        staged = self.staging.data
         flat = np.ascontiguousarray(staged).reshape(-1)[: self._n_staged]
         padded = np.concatenate(
             [flat, np.zeros(1, dtype=flat.dtype)]

@@ -64,7 +64,6 @@ from ..coloring import (
     racing_slots,
 )
 from .access import Arg, IDX_ALL
-from .map import target_extent
 from .set import Set
 
 #: Default mini-partition size — OP2's default; Fig 8b sweeps this knob.
@@ -238,7 +237,7 @@ def owner_ranges(racing, n: int, start: int, k: int) -> OwnerRanges:
             tmax = np.maximum(tmax, rows[:, i])
         first_above = np.maximum.accumulate(tmax)
         last_below = np.minimum.accumulate(tmin[::-1])[::-1]
-        extent = target_extent(map_.to_set)
+        extent = map_.to_set.size
         cuts = np.arange(k + 1, dtype=np.int64) * extent // k
         m_lo = np.searchsorted(first_above, cuts[:-1]) + start
         m_hi = np.searchsorted(last_below, cuts[1:]) + start
@@ -353,7 +352,7 @@ class Plan:
         """The owner-computes cut of ``[start, n)`` into ``k`` chunks
         (:func:`owner_ranges`), built on first call per ``(k, n,
         start)``."""
-        n = self.set.total_size if n is None else int(n)
+        n = self.set.size if n is None else int(n)
         key = (int(k), n, int(start))
         facet = self._owner_cache.get(key)
         if facet is None:
@@ -400,8 +399,7 @@ class Plan:
             its color-``c`` elements, so the union is conflict-free
             (``serialize=False``).
 
-        Results are memoized on the plan keyed by ``(n, start)``; the MPI
-        substrate's core/boundary splits each get their own entry.
+        Results are memoized on the plan keyed by ``(n, start)``.
         """
         key = (int(n), int(start))
         cached = self._phase_cache.get(key)
@@ -548,7 +546,7 @@ def plan_shape(
     """The cheap facets of a plan: ``(layout, is_direct)``."""
     if scheme not in SCHEMES:
         raise ValueError(f"Unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    return make_blocks(set_.total_size, block_size), not racing_slots(args)
+    return make_blocks(set_.size, block_size), not racing_slots(args)
 
 
 def build_coloring(
@@ -612,10 +610,9 @@ def build_plan(
 ) -> Plan:
     """Construct a fully coloured execution plan for a loop over ``set_``.
 
-    The plan covers ``set_.total_size`` elements (owned + exec halo) so the
-    same plan drives both serial and simulated-MPI execution.  This is
-    the eager builder; :class:`PlanCache` hands out plans that call it
-    only when a colour facet is first read.
+    The plan covers every element of ``set_``.  This is the eager
+    builder; :class:`PlanCache` hands out plans that call it only when a
+    colour facet is first read.
     """
     layout, is_direct = plan_shape(set_, args, block_size, scheme)
     return Plan(

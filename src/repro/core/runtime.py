@@ -257,10 +257,10 @@ class Runtime:
 
         The cache key is the tiling request plus the tuple of per-loop
         structural signatures (kernel, set, per-arg dat/map/slot/access
-        identities, range), so a steady-state time step that re-records
-        the same loop sequence replays its memoized schedule — no
-        dependency analysis, fusion, tiling inspection or plan lookup
-        at all — while tiled and untiled compilations of the same trace
+        identities), so a steady-state time step that re-records the
+        same loop sequence replays its memoized schedule — no fusion,
+        tiling inspection or plan lookup at all — while tiled and
+        untiled compilations of the same trace
         coexist as distinct cache entry kinds.
         """
         key = (tiling, tuple(spec.key() for spec in specs))
@@ -315,12 +315,11 @@ class Runtime:
     ) -> CompiledChain:
         """Memory-miss path: persistent chain store, then compilation.
 
-        A warm process decodes the persisted fusion/analysis decisions
-        and rebinds them over the live trace (plans resolve through
+        A warm process decodes the persisted fusion decisions and
+        rebinds them over the live trace (plans resolve through
         :meth:`plan_for`, whose structural cache has its own disk
         layer), attaching the tiled schedule from the tiled store —
-        zero validation, dependency analysis, fusion or tiling
-        inspection.  Decode failures count as corrupt and fall back to
+        zero validation, fusion or tiling inspection.  Decode failures count as corrupt and fall back to
         a full compile; traces with explicit plan overrides are
         unkeyable (``chain_key`` returns ``None``) and always compile.
         """

@@ -3,11 +3,7 @@
 A :class:`Set` is nothing more than a named size (e.g. ``nodes``, ``edges``,
 ``cells``): data (:class:`~repro.core.dat.Dat`) and connectivity
 (:class:`~repro.core.map.Map`) attach to sets, and parallel loops iterate
-over them.  In the distributed substrate a set is additionally partitioned
-into *core*, *owned-boundary* and *halo* regions (see
-:mod:`repro.mpi.decomposition`), which this class models with optional
-region markers so the same object works in both serial and simulated-MPI
-execution.
+over every element of them.
 """
 
 from __future__ import annotations
@@ -24,57 +20,24 @@ class Set:
     Parameters
     ----------
     size:
-        Number of elements owned by this (serial) set.
+        Number of elements.
     name:
         Identifier used in plan caching, debugging and reports.
-    core_size:
-        Number of elements that touch no halo data (defaults to ``size``).
-        In a distributed setting, elements ``[core_size, size)`` must wait
-        for halo exchanges to finish before they execute — mirroring the
-        ``op_mpi_wait_all`` call in the paper's generated MPI code (Fig 2b).
-    exec_size:
-        Number of additional imported halo elements that must be executed
-        redundantly for indirect increments (OP2's "exec halo").
     """
 
-    def __init__(
-        self,
-        size: int,
-        name: Optional[str] = None,
-        *,
-        core_size: Optional[int] = None,
-        exec_size: int = 0,
-    ) -> None:
+    def __init__(self, size: int, name: Optional[str] = None) -> None:
         if size < 0:
             raise ValueError(f"Set size must be non-negative, got {size}")
         self.size = int(size)
         self.name = name if name is not None else f"set_{next(_set_counter)}"
-        self.core_size = int(core_size) if core_size is not None else self.size
-        if not (0 <= self.core_size <= self.size):
-            raise ValueError(
-                f"core_size {self.core_size} must be within [0, {self.size}]"
-            )
-        if exec_size < 0:
-            raise ValueError("exec_size must be non-negative")
-        self.exec_size = int(exec_size)
         self._uid = next(_set_counter)
 
     # ------------------------------------------------------------------
-    @property
-    def total_size(self) -> int:
-        """Owned plus redundantly-executed halo elements."""
-        return self.size + self.exec_size
-
     def __len__(self) -> int:
         return self.size
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        extra = ""
-        if self.core_size != self.size:
-            extra += f", core={self.core_size}"
-        if self.exec_size:
-            extra += f", exec_halo={self.exec_size}"
-        return f"Set({self.name!r}, size={self.size}{extra})"
+        return f"Set({self.name!r}, size={self.size})"
 
     def __hash__(self) -> int:
         return hash(("Set", self._uid))

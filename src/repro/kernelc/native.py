@@ -68,7 +68,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.access import Access
-from ..core.map import MAP_DTYPE, target_extent
+from ..core.map import MAP_DTYPE
 from ..core.plan import OwnerRanges, owner_ranges
 from ..simd import intrinsics as _intrinsics
 from .cache import kernel_ir
@@ -401,10 +401,9 @@ class _LoopEmitter:
         if v.kind == "owner":
             self.own_slot = ptab.owner(v.facet.bounds, self.j)
         elif v.kind == "direct":
-            n = self.bl.n - self.bl.start
             for i, (argpos, _) in enumerate(self.red_args):
                 self.col_slots[argpos] = ptab.column(
-                    self.ft, i, n * self.specs[argpos].dim
+                    self.ft, i, self.bl.n * self.specs[argpos].dim
                 )
 
     def _verdict(self) -> LoopVerdict:
@@ -413,7 +412,7 @@ class _LoopEmitter:
 
         bl = self.bl
         specs = self.specs
-        n = bl.n - bl.start
+        n = bl.n
         if any(s.kind == "gwrite" for s in specs):
             return serial("scalar loop")
         if n < THREAD_MIN_ELEMENTS:
@@ -453,7 +452,7 @@ class _LoopEmitter:
             return serial("non-local", facet)
         for k, s in enumerate(specs):
             if s.kind in ("indirect", "vector") and s.access.writes:
-                extent = target_extent(bl.args[k].map.to_set)
+                extent = bl.args[k].map.to_set.size
                 if extent not in self._extents:
                     self._extents.append(extent)
                 self._guard_of[k] = self._extents.index(extent)
@@ -467,8 +466,8 @@ class _LoopEmitter:
         plan = getattr(bl, "plan", None)
         if plan is not None and {(m._uid, i) for m, i in plan._racing} \
                 == {(m._uid, i) for m, i in racing}:
-            return plan.owner_ranges(OWNER_CHUNKS, bl.n, bl.start)
-        return owner_ranges(racing, bl.n, bl.start, OWNER_CHUNKS)
+            return plan.owner_ranges(OWNER_CHUNKS, bl.n)
+        return owner_ranges(racing, bl.n, 0, OWNER_CHUNKS)
 
     def _reduction_columns(self):
         """``id(stmt) -> (argpos, comp, value)`` for the statements that
@@ -531,8 +530,7 @@ class _LoopEmitter:
 
     def _col_ref(self, argpos: int, comp: int) -> str:
         dim = self.specs[argpos].dim
-        row = f"(e - {self.bl.start})" if self.bl.start else "e"
-        idx = row if dim == 1 else f"{row} * {dim} + {comp}"
+        idx = "e" if dim == 1 else f"e * {dim} + {comp}"
         return f"kc_col{self.col_slots[argpos]}[{idx}]"
 
     def _lit(self, v) -> str:
@@ -1183,7 +1181,7 @@ class _LoopEmitter:
         out: List[str] = []
         out.append(
             f"/* ---- loop {self.j}: {bl.kernel.name} over "
-            f"[{bl.start}, {bl.n}) ---- */"
+            f"[0, {bl.n}) ---- */"
         )
         for argpos, slot in self.red_args:
             spec = self.specs[argpos]
@@ -1395,7 +1393,7 @@ class _LoopEmitter:
         out = [f"    /* loop {j}: {bl.kernel.name}, {v.label} */"]
         serial_reds = []
         if v.kind == "serial":
-            call = f"kc_loop{j}(P, {bl.start}, {bl.n});"
+            call = f"kc_loop{j}(P, 0, {bl.n});"
             if not self.red_args:
                 return out + ["#pragma omp single", f"    {call}"]
             serial_reds = [call]
@@ -1407,13 +1405,11 @@ class _LoopEmitter:
                 out.append(f"        kc_loop{j}(P, {own}[2 * kc_c], "
                            f"{own}[2 * kc_c + 1], kc_c, {k});")
                 return out
-            n = bl.n - bl.start
-            base = f"{bl.start} + " if bl.start else ""
-            out.append(f"        kc_loop{j}(P, {base}kc_c * {n} / {k}, "
-                       f"{base}(kc_c + 1) * {n} / {k});")
+            out.append(f"        kc_loop{j}(P, kc_c * {bl.n} / {k}, "
+                       f"(kc_c + 1) * {bl.n} / {k});")
             if not self.red_args:
                 return out
-            serial_reds = [f"kc_loop{j}_cfold(P, {bl.start}, {bl.n});"]
+            serial_reds = [f"kc_loop{j}_cfold(P, 0, {bl.n});"]
         return out + [
             "#pragma omp single",
             "    {",
@@ -1517,8 +1513,9 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
     """One C translation unit for a whole loop chain.
 
     ``loops`` is any sequence of bound-loop-likes exposing ``kernel``,
-    ``args``, ``n`` and ``start`` (``CompiledChain.loops``, or ad-hoc
-    records for a single eager loop).  Raises :class:`NativeUnsupported`
+    ``args`` and ``n``, each loop running elements ``[0, n)``
+    (``CompiledChain.loops``, or ad-hoc records for a single eager
+    loop).  Raises :class:`NativeUnsupported`
     when any loop falls outside the translatable subset.
 
     With ``repeat`` (a :class:`~repro.core.chain.Repeat` whose Globals
@@ -1560,7 +1557,7 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
             folds.append(f"    case {j}: kc_loop{j}_fold(P); break;")
             partials.append(f"    case {j}: kc_loop{j}_partial(P); break;")
             fused.append(f"    kc_loop{j}_init();")
-        fused.append(f"    kc_loop{j}(P, {em.bl.start}, {em.bl.n});")
+        fused.append(f"    kc_loop{j}(P, 0, {em.bl.n});")
         if em.red_args:
             fused.append(f"    kc_loop{j}_fold(P);")
     parts.append("void kc_loop_run(i64 j, void **P, i64 lo, i64 hi)")
@@ -2079,7 +2076,7 @@ class NativeChainProgram:
         given live ``args``, leaving raw reduction partials in the
         caller's ``reductions`` accumulators (``Backend.execute`` then
         folds them — one combine, exactly like every other backend)."""
-        bl = _EagerLoop(None, tuple(args), 0, 0)
+        bl = _EagerLoop(None, tuple(args), 0)
         overrides = {
             slot: reductions[argpos]
             for argpos, slot in self.red_args[0]
@@ -2088,8 +2085,7 @@ class NativeChainProgram:
         self._refresh(loops=(bl,), overrides=overrides)
         if self.red_args[0]:
             self.lib.kc_loop_init(0)
-        self.lib.kc_loop_run(0, self._ptab, self.loops[0].start,
-                             self.loops[0].n)
+        self.lib.kc_loop_run(0, self._ptab, 0, self.loops[0].n)
         if self.red_args[0]:
             self.lib.kc_loop_partial(0, self._ptab)
 
@@ -2101,7 +2097,6 @@ class _EagerLoop:
     kernel: object
     args: tuple
     n: int
-    start: int
 
 
 def build_chain_program(loops: Sequence, name: str = "chain",
@@ -2117,14 +2112,14 @@ def build_chain_program(loops: Sequence, name: str = "chain",
     ptab, emitters, _ = _plan_chain(loops, threads)
     source = emit_chain_source(loops, name=name, repeat=repeat,
                                threads=threads)
-    verdicts = [(em.bl.kernel.name, em.bl.n - em.bl.start, str(em.verdict))
+    verdicts = [(em.bl.kernel.name, em.bl.n, str(em.verdict))
                 for em in emitters]
     return NativeChainProgram(source, loops, ptab.recipe, ptab.buffers,
                               verdicts)
 
 
-def build_eager_program(kernel, args, n: int, start: int) -> NativeChainProgram:
+def build_eager_program(kernel, args, n: int) -> NativeChainProgram:
     """A one-loop program for eager ``par_loop`` dispatch."""
-    bl = _EagerLoop(kernel, tuple(args), int(n), int(start))
+    bl = _EagerLoop(kernel, tuple(args), int(n))
     return build_chain_program([bl], name=f"eager:{kernel.name}",
                                threads=False)

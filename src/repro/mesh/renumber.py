@@ -28,7 +28,6 @@ from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..core.map import MAP_DTYPE, Map, gather_span, row_min
-from ..partition.graph import adjacency_from_map
 from .structures import UnstructuredMesh
 
 _SET_NAMES = ("nodes", "cells", "edges", "bedges")
@@ -142,10 +141,18 @@ def _rcm_new_of_old(adj: sparse.csr_matrix) -> np.ndarray:
 
 
 def rcm_renumber_cells(mesh: UnstructuredMesh) -> UnstructuredMesh:
-    """Reverse-Cuthill-McKee renumbering of cells via shared nodes."""
-    adj = adjacency_from_map(
-        mesh.map("cell2node").values, mesh.cells.size, mesh.nodes.size
+    """Reverse-Cuthill-McKee renumbering of cells via shared nodes: two
+    cells are adjacent when they share a node."""
+    c2n = mesh.map("cell2node").values
+    n_cells, arity = c2n.shape
+    incidence = sparse.csr_matrix(
+        (np.ones(c2n.size, dtype=np.int8),
+         (np.repeat(np.arange(n_cells), arity), c2n.reshape(-1))),
+        shape=(n_cells, mesh.nodes.size),
     )
+    adj = (incidence @ incidence.T).tocsr()
+    adj.setdiag(0)
+    adj.eliminate_zeros()
     return permute_set_numbering(mesh, "cells", _rcm_new_of_old(adj))
 
 

@@ -70,10 +70,10 @@ class UnstructuredMesh:
         for name, m in self.maps.items():
             hi = int(m.values.max(initial=-1))
             lo = int(m.values.min(initial=0))
-            if lo < 0 or hi >= m.to_set.total_size:
+            if lo < 0 or hi >= m.to_set.size:
                 raise ValueError(
                     f"map {name!r} indices [{lo}, {hi}] exceed target set "
-                    f"{m.to_set.name!r} of size {m.to_set.total_size}"
+                    f"{m.to_set.name!r} of size {m.to_set.size}"
                 )
         if self.coords.shape != (self.nodes.size, 2):
             raise ValueError(

@@ -197,8 +197,8 @@ def encode_chain(compiled) -> dict:
     """Persist a compiled chain's *decisions*, not its bound objects.
 
     The expensive outputs of :func:`repro.core.chain.compile_chain` are
-    the validation pass, the dependency analysis, the fusion partition
-    and the resolved tile size; the bound loops themselves are rebuilt
+    the validation pass, the fusion partition and the resolved tile
+    size; the bound loops themselves are rebuilt
     from the live trace on decode (plans come from the plan store).
     The canonical tiled schedule is persisted separately under the
     ``tiled`` kind so the ascending-profile schedule and future
@@ -211,11 +211,6 @@ def encode_chain(compiled) -> dict:
         pos += len(g.loops)
     return {
         "groups": offsets,
-        "analysis": {
-            "edges": sorted(compiled.analysis.edges),
-            "levels": list(compiled.analysis.levels),
-            "frontiers": [list(f) for f in compiled.analysis.frontiers],
-        },
         "tiling": compiled.tiling,
         "tile_size": int(compiled.tile_size),
         "n_loops": compiled.n_loops,
@@ -225,26 +220,19 @@ def encode_chain(compiled) -> dict:
 def decode_chain(payload: dict, specs, plans):
     """Rebuild a compiled chain over live ``specs`` and resolved ``plans``.
 
-    Skips validation, dependency analysis and fusion — the persisted
-    decisions are functions of the structural trace the key guarantees
-    identical.  The caller attaches the tiled schedule (from the tiled
-    store, or by re-inspection on a miss).
+    Skips validation and fusion — the persisted decisions are functions
+    of the structural trace the key guarantees identical.  The caller
+    attaches the tiled schedule (from the tiled store, or by
+    re-inspection on a miss).
     """
-    from ..core.chain import (
-        BoundLoop,
-        ChainAnalysis,
-        CompiledChain,
-        FusedGroup,
-        bind_args,
-    )
+    from ..core.chain import BoundLoop, CompiledChain, FusedGroup, bind_args
 
     if int(payload["n_loops"]) != len(specs):
         raise ValueError("chain document does not match the live trace")
     args = bind_args(specs)
     bound = [
         BoundLoop(
-            kernel=spec.kernel, set=spec.set, args=args[i],
-            plan=plans[i], n=spec.n, start=spec.start,
+            kernel=spec.kernel, set=spec.set, args=args[i], plan=plans[i],
         )
         for i, spec in enumerate(specs)
     ]
@@ -253,24 +241,14 @@ def decode_chain(payload: dict, specs, plans):
     for idx_group in payload["groups"]:
         idx_group = [int(i) for i in idx_group]
         seen += idx_group
-        head = specs[idx_group[0]]
         groups.append(FusedGroup(
             loops=tuple(bound[i] for i in idx_group),
             plan=plans[idx_group[0]],
-            n=head.n,
-            start=head.start,
         ))
     if seen != list(range(len(specs))):
         raise ValueError("chain fusion groups do not partition the trace")
-    an = payload["analysis"]
-    analysis = ChainAnalysis(
-        edges=frozenset((int(i), int(j)) for i, j in an["edges"]),
-        levels=tuple(int(v) for v in an["levels"]),
-        frontiers=tuple(tuple(int(i) for i in f) for f in an["frontiers"]),
-    )
     return CompiledChain(
         groups=tuple(groups),
-        analysis=analysis,
         tiling=payload["tiling"],
         tile_size=int(payload["tile_size"]),
         tiled=None,

@@ -12,11 +12,11 @@ content digest of the structure an artifact depends on:
   (generated kernels are a function of the source text; kernels whose
   source :func:`inspect.getsource` cannot retrieve — lambdas, REPL
   definitions — are unkeyable and simply skip persistence);
-* sets key by their size triple, dats/globals by dim/dtype/layout;
+* sets key by their size, dats/globals by dim/dtype/layout;
 * object *aliasing* (two loops touching the same Dat, two args sharing
   one Map) is captured by first-occurrence ordinals, because fusion
-  legality and dependency analysis depend on which arguments alias,
-  not on which objects realize them.
+  legality depends on which arguments alias, not on which objects
+  realize them.
 
 Data values are deliberately **not** keyed: every persisted artifact is
 a pure function of structure (the paper's plan/inspection reuse
@@ -57,8 +57,8 @@ def map_key(m) -> str:
         cached = digest(
             "map",
             int(m.arity),
-            int(m.from_set.total_size),
-            int(m.to_set.total_size),
+            int(m.from_set.size),
+            int(m.to_set.size),
             m.values.tobytes(),
         )
         m._struct_key = cached
@@ -85,8 +85,8 @@ def kernel_key(k) -> Optional[str]:
     return key
 
 
-def set_token(s) -> Tuple[int, int, int]:
-    return (int(s.size), int(s.core_size), int(s.exec_size))
+def set_token(s) -> int:
+    return int(s.size)
 
 
 # ----------------------------------------------------------------------
@@ -123,10 +123,9 @@ def chain_key(
     Tokens cover, per recorded loop: the kernel (name, plus source
     digest when retrievable — decode rebinds the *live* kernel, so the
     name alone is already sound), the iteration set, every argument's
-    kind/dim/dtype/layout/access/slot, map connectivity, the
-    ``[start, n)`` range — and the aliasing pattern via first-occurrence
-    ordinals, which is what fusion legality and dependency edges are
-    functions of.  Runtime knobs that flow into plan resolution
+    kind/dim/dtype/layout/access/slot, map connectivity — and the
+    aliasing pattern via first-occurrence ordinals, which is what fusion
+    legality is a function of.  Runtime knobs that flow into plan resolution
     (block size, scheme, coloring method) and the tiling request
     complete the key.
 
@@ -146,7 +145,6 @@ def chain_key(
         tokens += [
             "loop", spec.kernel.name, kernel_key(spec.kernel),
             ordinal("s", spec.set._uid), set_token(spec.set),
-            int(spec.n), int(spec.start),
         ]
         for arg in spec.args:
             if arg.is_global:

@@ -43,9 +43,8 @@ enforces, per shared row, *program order across loops*:
 * WAR — a writer lands in a tile ≥ every earlier reader's tile, so no
   read can observe a future write early;
 * WAW / INC-INC — later writes and increments land in tiles ≥ earlier
-  ones, preserving the exact accumulation order bitwise (this is why
-  commuting increments, relaxed in the chain's *dependency* analysis,
-  are still ordered here: tiling must not reassociate them).
+  ones, preserving the exact accumulation order bitwise (increments
+  commute mathematically, but tiling must not reassociate them).
 
 Tracking reads as touches is slightly conservative (read-read imposes
 no real ordering) but it doubles as the *affinity* heuristic that gives
@@ -125,7 +124,7 @@ def auto_tile_size(loops: Sequence) -> int:
     total_bytes = sum(
         d._data.shape[0] * d.dim * d.dtype.itemsize for d in seen.values()
     )
-    seed_n = max(loops[0].n - loops[0].start, 1)
+    seed_n = max(loops[0].n, 1)
     per_elem = max(total_bytes / seed_n, 1.0)
     return max(256, int(AUTO_TILE_BYTES / per_elem))
 
@@ -162,9 +161,9 @@ def barrier_reason(bl) -> Optional[str]:
 def loop_order(bl, profile: str) -> np.ndarray:
     """The eager element execution order the profile's backends use."""
     if profile == "ascending":
-        return np.arange(bl.start, bl.n, dtype=np.int64)
+        return np.arange(bl.n, dtype=np.int64)
     if profile == "phases":
-        return bl.plan.execution_order(bl.n, bl.start)
+        return bl.plan.execution_order(bl.n)
     raise ValueError(f"Unknown tiling profile {profile!r}; expected {PROFILES}")
 
 

@@ -170,18 +170,3 @@ class TestLoopStats:
         assert s.calls == 2
         assert s.elapsed == 0.75
         assert s.elements == 150
-
-    def test_stats_partial_range(self):
-        # start_element execution records only the executed tail.
-        from repro.core import Runtime, kernel, par_loop
-
-        @kernel("partial")
-        def partial(x):
-            x[0] = 1.0
-
-        s = Set(10, "s")
-        d = Dat(s, 1)
-        rt = Runtime("sequential")
-        par_loop(partial, s, arg_dat(d, IDX_ID, None, WRITE),
-                 runtime=rt, start_element=7)
-        assert rt.backend.stats["partial"].elements == 3

@@ -1,15 +1,17 @@
-"""Deferred-execution loop chains: equivalence, analysis, fusion, caches.
+"""Deferred-execution loop chains: equivalence, fusion, barriers, caches.
 
 The central contract: chained execution is **bitwise identical** to
 eager execution — swept over the full backend × scheme matrix and both
-data layouts for the Airfoil 5-loop time step, plus Volna.  Around it,
-unit tests pin the dependency analysis (RAW/WAR/WAW, commuting
-reductions), fusion legality (including the rejections), the read/write
-barriers on Dat and Global, the third-level chain cache, and the LRU
-bounds on all cache levels.
+data layouts for the Airfoil 5-loop time step, plus Volna.  Around it:
+every cross-loop hazard (RAW/WAR/WAW, commuting and mixed reductions)
+executed eager, chained and tiled on every backend, fusion legality
+(including the rejections), the read/write barriers on Dat and Global,
+the third-level chain cache, and the LRU bounds on all cache levels.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from repro.core import (
     PlanCache,
     Runtime,
     Set,
-    analyze_dependencies,
     arg_dat,
     arg_gbl,
     kernel,
@@ -78,8 +79,7 @@ def ring_problem(n=40, seed=3):
 def dummy_spec(set_, *args, name="dummy"):
     """A LoopSpec for pure-analysis tests (kernel never executes)."""
     k = kernel(name)(lambda *a: None)
-    return LoopSpec(kernel=k, set=set_, args=tuple(args),
-                    n=set_.total_size, start=0)
+    return LoopSpec(kernel=k, set=set_, args=tuple(args))
 
 
 # ----------------------------------------------------------------------
@@ -153,79 +153,273 @@ class TestChainEagerEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Dependency analysis
+# Hazard order: every RAW / WAR / WAW pattern, on every backend
 # ----------------------------------------------------------------------
+@kernel("chain_shift", flops=1)
+def chain_shift(x, y):
+    y[0] = x[0] + 1.0
+
+
+@chain_shift.vectorized
+def chain_shift_vec(x, y):
+    y[:, 0] = x[:, 0] + 1.0
+
+
+@kernel("chain_inc", flops=1)
+def chain_inc(s, r):
+    r[0] += s[0]
+
+
+@chain_inc.vectorized
+def chain_inc_vec(s, r):
+    r[:, 0] += s[:, 0]
+
+
+@kernel("chain_gsum", flops=1)
+def chain_gsum(w, g):
+    g[0] += w[0]
+
+
+@chain_gsum.vectorized
+def chain_gsum_vec(w, g):
+    g[:, 0] += w[:, 0]
+
+
+@kernel("chain_gmin")
+def chain_gmin(w, g):
+    g[0] = min(g[0], w[0])
+
+
+@chain_gmin.vectorized
+def chain_gmin_vec(w, g):
+    g[:, 0] = np.minimum(g[:, 0], w[:, 0])
+
+
+@kernel("chain_gmax")
+def chain_gmax(w, g):
+    g[0] = max(g[0], w[0])
+
+
+@chain_gmax.vectorized
+def chain_gmax_vec(w, g):
+    g[:, 0] = np.maximum(g[:, 0], w[:, 0])
+
+
+HAZARD_FIELDS = ("w", "s", "t", "r", "u", "g")
+
+
+def hazard_problem(n=40):
+    """The ring problem with non-zero ``s``/``r`` (so a misordered
+    read observes a different value), two zeroed outputs ``t`` (edges)
+    and ``u`` (nodes), and a Global ``g`` = 0.5."""
+    nodes, edges, e2n, w, _, _ = ring_problem(n)
+    rng = np.random.default_rng(5)
+    return SimpleNamespace(
+        nodes=nodes, edges=edges, e2n=e2n, w=w,
+        s=Dat(edges, 1, rng.random(n), name="s"),
+        t=Dat(edges, 1, name="t"),
+        r=Dat(nodes, 1, rng.random(n), name="r"),
+        u=Dat(nodes, 1, name="u"),
+        g=Global(1, 0.5, name="g"),
+    )
+
+
+def hazard_runs(body, name, scheme, options):
+    """Run ``body(problem, runtime)`` eagerly, chained and tiled on one
+    backend-matrix row; the three must agree bitwise.  Returns the eager
+    outputs and the initial values, for the test's reference model."""
+    out = {}
+    for mode in ("eager", "chained", "tiled"):
+        p = hazard_problem()
+        rt = runtime_for(name, scheme, options, block_size=8)
+        if mode == "eager":
+            body(p, rt)
+        else:
+            with rt.chain(tiling=8 if mode == "tiled" else None):
+                body(p, rt)
+        out[mode] = {f: np.array(getattr(p, f).data) for f in HAZARD_FIELDS}
+    for mode in ("chained", "tiled"):
+        for f in HAZARD_FIELDS:
+            assert np.array_equal(out["eager"][f], out[mode][f]), (
+                f"{f} diverged {mode} on {name}/{scheme}"
+            )
+    p0 = hazard_problem()
+    init = {f: np.array(getattr(p0, f).data) for f in HAZARD_FIELDS}
+    return SimpleNamespace(**out["eager"]), SimpleNamespace(**init)
+
+
+def shifted(x):
+    """``x`` scattered through column 1 of the ring map (edge i ->
+    node i+1)."""
+    return np.roll(x, 1, axis=0)
+
+
+@pytest.mark.parametrize("name,scheme,options", BACKEND_MATRIX)
 class TestDependencyAnalysis:
-    def setup_method(self):
-        self.nodes, self.edges, self.e2n, self.w, self.s, self.r = (
-            ring_problem()
+    """Each cross-loop hazard keeps eager order when chained and tiled:
+    the fusion rule's verdict on the pair, then execution (eager ==
+    chained == tiled bitwise, eager == a NumPy model of program order)."""
+
+    def test_raw_edge(self, name, scheme, options):
+        def body(p, rt):
+            par_loop(chain_scale, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_dat(p.s, IDX_ID, None, WRITE), runtime=rt)
+            par_loop(chain_shift, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_dat(p.t, IDX_ID, None, WRITE), runtime=rt)
+
+        p = hazard_problem()
+        assert pair_fusable(  # elementwise RAW survives interleaving
+            dummy_spec(p.edges, arg_dat(p.s, IDX_ID, None, WRITE)),
+            dummy_spec(p.edges, arg_dat(p.s, IDX_ID, None, READ)),
+        )
+        got, init = hazard_runs(body, name, scheme, options)
+        np.testing.assert_allclose(got.s, 2.0 * init.w)
+        np.testing.assert_allclose(got.t, 2.0 * init.w + 1.0)
+
+    def test_war_edge(self, name, scheme, options):
+        def body(p, rt):
+            par_loop(chain_shift, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_dat(p.t, IDX_ID, None, WRITE), runtime=rt)
+            par_loop(chain_scale, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_dat(p.s, IDX_ID, None, WRITE), runtime=rt)
+
+        got, init = hazard_runs(body, name, scheme, options)
+        np.testing.assert_allclose(got.t, init.s + 1.0)
+        np.testing.assert_allclose(got.s, 2.0 * init.w)
+
+    def test_waw_edge(self, name, scheme, options):
+        def body(p, rt):
+            par_loop(chain_scale, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_dat(p.s, IDX_ID, None, WRITE), runtime=rt)
+            par_loop(chain_shift, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_dat(p.s, IDX_ID, None, WRITE), runtime=rt)
+
+        got, init = hazard_runs(body, name, scheme, options)
+        np.testing.assert_allclose(got.s, init.w + 1.0)
+
+    def test_inc_inc_commutes(self, name, scheme, options):
+        def body(p, rt):
+            for src in (p.s, p.w):  # same plan: only legality splits them
+                par_loop(chain_spmv, p.edges,
+                         arg_dat(src, IDX_ID, None, READ),
+                         arg_dat(p.r, 0, p.e2n, INC),
+                         arg_dat(p.r, 1, p.e2n, INC), runtime=rt)
+
+        p = hazard_problem()
+        # Increments commute in exact arithmetic only: interleaving two
+        # indirect INC loops would reorder the floating-point sums.
+        assert not pair_fusable(
+            dummy_spec(p.edges, arg_dat(p.r, 0, p.e2n, INC)),
+            dummy_spec(p.edges, arg_dat(p.r, 1, p.e2n, INC)),
+        )
+        got, init = hazard_runs(body, name, scheme, options)
+        np.testing.assert_allclose(
+            got.r,
+            init.r + init.s + shifted(init.s) + init.w + shifted(init.w),
         )
 
-    def test_raw_edge(self):
-        a = dummy_spec(self.edges, arg_dat(self.s, IDX_ID, None, WRITE))
-        b = dummy_spec(self.edges, arg_dat(self.s, IDX_ID, None, READ))
-        an = analyze_dependencies([a, b])
-        assert (0, 1) in an.edges
-        assert an.levels == (0, 1)
+    def test_min_min_commutes_but_mixed_modes_order(self, name, scheme,
+                                                    options):
+        def body(p, rt):
+            par_loop(chain_gmin, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_gbl(p.g, MIN), runtime=rt)
+            par_loop(chain_gmin, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_gbl(p.g, MIN), runtime=rt)
+            par_loop(chain_gsum, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_gbl(p.g, INC), runtime=rt)
 
-    def test_war_edge(self):
-        a = dummy_spec(self.edges, arg_dat(self.s, IDX_ID, None, READ))
-        b = dummy_spec(self.edges, arg_dat(self.s, IDX_ID, None, WRITE))
-        an = analyze_dependencies([a, b])
-        assert (0, 1) in an.edges
+        p = hazard_problem()
+        a = dummy_spec(p.edges, arg_gbl(p.g, MIN))
+        assert pair_fusable(a, dummy_spec(p.edges, arg_gbl(p.g, MIN)))
+        assert not pair_fusable(a, dummy_spec(p.edges, arg_gbl(p.g, INC)))
+        got, init = hazard_runs(body, name, scheme, options)
+        low = min(0.5, init.w.min(), init.s.min())
+        np.testing.assert_allclose(got.g, [low + init.w.sum()])
 
-    def test_waw_edge(self):
-        a = dummy_spec(self.edges, arg_dat(self.s, IDX_ID, None, WRITE))
-        b = dummy_spec(self.edges, arg_dat(self.s, IDX_ID, None, WRITE))
-        an = analyze_dependencies([a, b])
-        assert (0, 1) in an.edges
+    def test_read_after_inc_orders(self, name, scheme, options):
+        def body(p, rt):
+            par_loop(chain_inc, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_dat(p.r, 1, p.e2n, INC), runtime=rt)
+            par_loop(chain_shift, p.nodes,
+                     arg_dat(p.r, IDX_ID, None, READ),
+                     arg_dat(p.u, IDX_ID, None, WRITE), runtime=rt)
 
-    def test_inc_inc_commutes(self):
-        a = dummy_spec(self.edges, arg_dat(self.r, 0, self.e2n, INC))
-        b = dummy_spec(self.edges, arg_dat(self.r, 1, self.e2n, INC))
-        an = analyze_dependencies([a, b])
-        assert an.edges == frozenset()
-        assert an.levels == (0, 0)
-        assert an.frontiers == ((0, 1),)
+        p = hazard_problem()
+        assert not pair_fusable(
+            dummy_spec(p.edges, arg_dat(p.r, 1, p.e2n, INC)),
+            dummy_spec(p.nodes, arg_dat(p.r, IDX_ID, None, READ)),
+        )
+        got, init = hazard_runs(body, name, scheme, options)
+        np.testing.assert_allclose(got.r, init.r + shifted(init.s))
+        np.testing.assert_allclose(got.u, init.r + shifted(init.s) + 1.0)
 
-    def test_min_min_commutes_but_mixed_modes_order(self):
-        g = Global(1, name="g")
-        a = dummy_spec(self.edges, arg_gbl(g, MIN))
-        b = dummy_spec(self.edges, arg_gbl(g, MIN))
-        assert analyze_dependencies([a, b]).edges == frozenset()
-        c = dummy_spec(self.edges, arg_gbl(g, INC))
-        assert (0, 1) in analyze_dependencies([a, c]).edges
+    def test_inc_after_read_orders(self, name, scheme, options):
+        def body(p, rt):
+            par_loop(chain_shift, p.nodes,
+                     arg_dat(p.r, IDX_ID, None, READ),
+                     arg_dat(p.u, IDX_ID, None, WRITE), runtime=rt)
+            par_loop(chain_inc, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_dat(p.r, 1, p.e2n, INC), runtime=rt)
 
-    def test_read_after_inc_orders(self):
-        a = dummy_spec(self.edges, arg_dat(self.r, 0, self.e2n, INC))
-        b = dummy_spec(self.nodes, arg_dat(self.r, IDX_ID, None, READ))
-        an = analyze_dependencies([a, b])
-        assert (0, 1) in an.edges
+        p = hazard_problem()
+        assert not pair_fusable(
+            dummy_spec(p.nodes, arg_dat(p.r, IDX_ID, None, READ)),
+            dummy_spec(p.edges, arg_dat(p.r, 1, p.e2n, INC)),
+        )
+        got, init = hazard_runs(body, name, scheme, options)
+        np.testing.assert_allclose(got.u, init.r + 1.0)
+        np.testing.assert_allclose(got.r, init.r + shifted(init.s))
 
-    def test_inc_after_read_orders(self):
-        a = dummy_spec(self.nodes, arg_dat(self.r, IDX_ID, None, READ))
-        b = dummy_spec(self.edges, arg_dat(self.r, 0, self.e2n, INC))
-        an = analyze_dependencies([a, b])
-        assert (0, 1) in an.edges
+    def test_independent_loops_share_frontier(self, name, scheme, options):
+        def body(p, rt):
+            par_loop(chain_scale, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_dat(p.s, IDX_ID, None, WRITE), runtime=rt)
+            par_loop(chain_shift, p.nodes,
+                     arg_dat(p.r, IDX_ID, None, READ),
+                     arg_dat(p.u, IDX_ID, None, WRITE), runtime=rt)
 
-    def test_independent_loops_share_frontier(self):
-        a = dummy_spec(self.edges, arg_dat(self.s, IDX_ID, None, WRITE))
-        b = dummy_spec(self.nodes, arg_dat(self.r, IDX_ID, None, WRITE))
-        an = analyze_dependencies([a, b])
-        assert an.edges == frozenset()
-        assert an.frontiers == ((0, 1),)
+        p = hazard_problem()
+        assert pair_fusable(
+            dummy_spec(p.edges, arg_dat(p.s, IDX_ID, None, WRITE)),
+            dummy_spec(p.nodes, arg_dat(p.r, IDX_ID, None, READ),
+                       arg_dat(p.u, IDX_ID, None, WRITE)),
+        )
+        got, init = hazard_runs(body, name, scheme, options)
+        np.testing.assert_allclose(got.s, 2.0 * init.w)
+        np.testing.assert_allclose(got.u, init.r + 1.0)
+        assert np.array_equal(got.r, init.r)
 
-    def test_chain_of_three_levels(self):
-        a = dummy_spec(self.edges,
-                       arg_dat(self.w, IDX_ID, None, READ),
-                       arg_dat(self.s, IDX_ID, None, WRITE))
-        b = dummy_spec(self.edges,
-                       arg_dat(self.s, IDX_ID, None, READ),
-                       arg_dat(self.r, 0, self.e2n, INC))
-        c = dummy_spec(self.nodes, arg_dat(self.r, IDX_ID, None, READ))
-        an = analyze_dependencies([a, b, c])
-        assert an.levels == (0, 1, 2)
-        assert an.frontiers == ((0,), (1,), (2,))
+    def test_chain_of_three_levels(self, name, scheme, options):
+        def body(p, rt):
+            par_loop(chain_scale, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_dat(p.s, IDX_ID, None, WRITE), runtime=rt)
+            par_loop(chain_spmv, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_dat(p.r, 0, p.e2n, INC),
+                     arg_dat(p.r, 1, p.e2n, INC), runtime=rt)
+            par_loop(chain_shift, p.nodes,
+                     arg_dat(p.r, IDX_ID, None, READ),
+                     arg_dat(p.u, IDX_ID, None, WRITE), runtime=rt)
+
+        got, init = hazard_runs(body, name, scheme, options)
+        s = 2.0 * init.w
+        r = init.r + s + shifted(s)
+        np.testing.assert_allclose(got.s, s)
+        np.testing.assert_allclose(got.r, r)
+        np.testing.assert_allclose(got.u, r + 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -408,14 +602,6 @@ class TestBarriersAndFlush:
                          arg_dat(bad, IDX_ID, None, READ),
                          arg_dat(self.s, IDX_ID, None, WRITE), runtime=rt)
 
-    def test_bad_range_raises_like_eager(self):
-        rt = Runtime("vectorized", block_size=16)
-        with pytest.raises(ValueError, match="start_element 6 outside"):
-            with rt.chain():
-                par_loop(chain_scale, self.edges,
-                         arg_dat(self.w, IDX_ID, None, READ),
-                         arg_dat(self.s, IDX_ID, None, WRITE),
-                         runtime=rt, n_elements=4, start_element=6)
 
 
 # ----------------------------------------------------------------------
@@ -532,49 +718,94 @@ class TestCommutingWARAnalysis:
             ring_problem()
         )
 
-    def test_read_then_min_orders(self):
-        g = Global(1, name="g")
-        a = dummy_spec(self.edges, arg_gbl(g, READ))
-        b = dummy_spec(self.edges, arg_gbl(g, MIN))
-        an = analyze_dependencies([a, b])
-        assert (0, 1) in an.edges          # WAR: reduce after read
-        assert an.levels == (0, 1)
+    @pytest.mark.parametrize("name,scheme,options", BACKEND_MATRIX)
+    def test_read_then_min_orders(self, name, scheme, options):
+        def body(p, rt):
+            par_loop(gscale, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_gbl(p.g, READ),
+                     arg_dat(p.s, IDX_ID, None, WRITE), runtime=rt)
+            par_loop(chain_gmin, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_gbl(p.g, MIN), runtime=rt)
 
-    def test_inc_read_inc_sandwich(self):
+        g = Global(1, name="g")
+        assert not pair_fusable(  # WAR: reduce after read
+            dummy_spec(self.edges, arg_gbl(g, READ)),
+            dummy_spec(self.edges, arg_gbl(g, MIN)),
+        )
+        got, init = hazard_runs(body, name, scheme, options)
+        np.testing.assert_allclose(got.s, 0.5 * init.w)
+        np.testing.assert_allclose(got.g, [min(0.5, init.w.min())])
+
+    @pytest.mark.parametrize("name,scheme,options", BACKEND_MATRIX)
+    def test_inc_read_inc_sandwich(self, name, scheme, options):
         """INC; READ; INC — the read must order against both reducers
         (read-after-reduce RAW, then reduce-after-read WAR), even
         though the two INCs commute with each other."""
-        a = dummy_spec(self.edges, arg_dat(self.r, 0, self.e2n, INC))
-        b = dummy_spec(self.nodes, arg_dat(self.r, IDX_ID, None, READ))
-        c = dummy_spec(self.edges, arg_dat(self.r, 1, self.e2n, INC))
-        an = analyze_dependencies([a, b, c])
-        assert (0, 1) in an.edges
-        assert (1, 2) in an.edges
-        assert an.levels == (0, 1, 2)
-        assert an.frontiers == ((0,), (1,), (2,))
+        def body(p, rt):
+            par_loop(chain_inc, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_dat(p.r, 0, p.e2n, INC), runtime=rt)
+            par_loop(chain_shift, p.nodes,
+                     arg_dat(p.r, IDX_ID, None, READ),
+                     arg_dat(p.u, IDX_ID, None, WRITE), runtime=rt)
+            par_loop(chain_inc, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_dat(p.r, 1, p.e2n, INC), runtime=rt)
 
-    def test_mixed_reduction_modes_order_both_ways(self):
+        got, init = hazard_runs(body, name, scheme, options)
+        np.testing.assert_allclose(got.u, init.r + init.s + 1.0)
+        np.testing.assert_allclose(got.r, init.r + init.s + shifted(init.s))
+
+    @pytest.mark.parametrize("name,scheme,options", BACKEND_MATRIX)
+    def test_mixed_reduction_modes_order_both_ways(self, name, scheme,
+                                                   options):
+        def body(p, rt):
+            par_loop(chain_gsum, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_gbl(p.g, INC), runtime=rt)
+            par_loop(chain_gmin, p.edges,
+                     arg_dat(p.w, IDX_ID, None, READ),
+                     arg_gbl(p.g, MIN), runtime=rt)
+            par_loop(chain_gmax, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_gbl(p.g, MAX), runtime=rt)
+
         g = Global(1, name="g")
         inc = dummy_spec(self.edges, arg_gbl(g, INC))
         mn = dummy_spec(self.edges, arg_gbl(g, MIN))
         mx = dummy_spec(self.edges, arg_gbl(g, MAX))
-        an = analyze_dependencies([inc, mn, mx])
-        assert (0, 1) in an.edges and (1, 2) in an.edges
-        assert an.levels == (0, 1, 2)
+        assert not pair_fusable(inc, mn) and not pair_fusable(mn, mx)
+        got, init = hazard_runs(body, name, scheme, options)
+        low = min(0.5 + init.w.sum(), init.w.min())
+        np.testing.assert_allclose(got.g, [max(low, init.s.max())])
 
-    def test_write_after_commuting_reducers(self):
+    @pytest.mark.parametrize("name,scheme,options", BACKEND_MATRIX)
+    def test_write_after_commuting_reducers(self, name, scheme, options):
         """A plain WRITE after two commuting INCs must order against
-        both (WAW through the reduction), and a subsequent INC starts a
-        fresh commuting group."""
-        a = dummy_spec(self.edges, arg_dat(self.r, 0, self.e2n, INC))
-        b = dummy_spec(self.edges, arg_dat(self.r, 1, self.e2n, INC))
-        c = dummy_spec(self.nodes, arg_dat(self.r, IDX_ID, None, WRITE))
-        d = dummy_spec(self.edges, arg_dat(self.r, 0, self.e2n, INC))
-        an = analyze_dependencies([a, b, c, d])
-        assert (0, 2) in an.edges and (1, 2) in an.edges
-        assert (2, 3) in an.edges          # RAW-ish: inc after write
-        assert (0, 1) not in an.edges      # the INCs still commute
-        assert an.levels == (0, 0, 1, 2)
+        both (WAW through the reduction), and a subsequent INC starts
+        from the written value."""
+        def body(p, rt):
+            par_loop(chain_inc, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_dat(p.r, 0, p.e2n, INC), runtime=rt)
+            par_loop(chain_inc, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_dat(p.r, 1, p.e2n, INC), runtime=rt)
+            par_loop(chain_shift, p.nodes,
+                     arg_dat(p.u, IDX_ID, None, READ),
+                     arg_dat(p.r, IDX_ID, None, WRITE), runtime=rt)
+            par_loop(chain_inc, p.edges,
+                     arg_dat(p.s, IDX_ID, None, READ),
+                     arg_dat(p.r, 0, p.e2n, INC), runtime=rt)
+
+        assert not pair_fusable(
+            dummy_spec(self.edges, arg_dat(self.r, 1, self.e2n, INC)),
+            dummy_spec(self.nodes, arg_dat(self.r, IDX_ID, None, WRITE)),
+        )
+        got, init = hazard_runs(body, name, scheme, options)
+        np.testing.assert_allclose(got.r, 1.0 + init.s)
 
     def test_war_execution_matches_eager(self):
         """Execution-level WAR regression: a loop reading a Dat followed
@@ -693,61 +924,3 @@ class TestCaches:
         assert rt.stats()["chain_cache"]["entries"] == 1
         rt.clear_caches()
         assert rt.stats()["chain_cache"]["entries"] == 0
-
-
-# ----------------------------------------------------------------------
-# Distributed chains: frontier-batched halo exchanges
-# ----------------------------------------------------------------------
-class TestDistributedChain:
-    def test_chained_dist_airfoil_matches_serial_with_fewer_messages(self):
-        from repro.apps.airfoil import AirfoilSim, DistributedAirfoilSim
-        from repro.mesh import make_airfoil_mesh
-        from repro.partition import rcb_partition
-
-        serial = AirfoilSim(
-            make_airfoil_mesh(12, 6),
-            runtime=Runtime("vectorized", block_size=32), chained=False,
-        )
-        serial.run(3)
-
-        results = {}
-        for chained in (False, True):
-            mesh = make_airfoil_mesh(12, 6)
-            parts = rcb_partition(mesh.cell_centroids(), 3)
-            dist = DistributedAirfoilSim(
-                mesh, parts, 3, block_size=32, chained=chained
-            )
-            dist.run(3)
-            results[chained] = (
-                dist.fetch_q(),
-                dist.ctx.comm.stats.messages,
-                dist.rms_history,
-            )
-        np.testing.assert_allclose(
-            results[True][0], serial.q, rtol=1e-10, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            results[True][0], results[False][0], rtol=0, atol=0
-        )
-        assert results[True][2] == results[False][2]
-        # Frontier batching must strictly reduce the message count.
-        assert 0 < results[True][1] < results[False][1]
-
-    def test_dist_chain_barrier_flushes_on_fetch(self):
-        from repro.apps.airfoil import DistributedAirfoilSim
-        from repro.mesh import make_airfoil_mesh
-        from repro.partition import rcb_partition
-
-        mesh = make_airfoil_mesh(10, 5)
-        parts = rcb_partition(mesh.cell_centroids(), 2)
-        dist = DistributedAirfoilSim(mesh, parts, 2, block_size=32,
-                                     chained=True)
-        s = dist.serial.state
-        loops = dist.serial._loop_args()
-        with dist.ctx.chain() as ch:
-            set_, *args = loops["save_soln"]
-            dist.ctx.par_loop(dist.serial.kernels["save_soln"], set_, *args)
-            assert len(ch) == 1
-            q_old = dist.ctx.fetch(s.p_qold)  # local-dat barrier -> flush
-            assert len(ch) == 0
-        np.testing.assert_allclose(q_old, dist.ctx.fetch(s.p_q))

@@ -206,18 +206,6 @@ class TestCodegenExecution:
                      arg_dat(out, IDX_ID, None, WRITE), runtime=rt)
         assert rt.backend.generated == 1
 
-    def test_start_element_respected(self, problem):
-        nodes, edges, m, w, x = problem
-        out = Dat(edges, 1)
-
-        @kernel("cg_one")
-        def cg_one(o):
-            o[0] = 1.0
-
-        par_loop(cg_one, edges, arg_dat(out, IDX_ID, None, WRITE),
-                 runtime=Runtime("codegen"), start_element=10)
-        assert out.data[:10].sum() == 0 and out.data[10:].sum() == 2
-
     def test_full_airfoil_matches(self):
         from repro.apps.airfoil import AirfoilSim
         from repro.mesh import make_airfoil_mesh

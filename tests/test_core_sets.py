@@ -26,23 +26,11 @@ class TestSet:
     def test_basic(self):
         s = Set(10, "s")
         assert len(s) == 10
-        assert s.core_size == 10
-        assert s.total_size == 10
+        assert s.size == 10
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             Set(-1)
-
-    def test_core_and_exec_regions(self):
-        s = Set(10, core_size=6, exec_size=3)
-        assert s.total_size == 13
-        assert s.core_size == 6
-
-    def test_core_size_bounds(self):
-        with pytest.raises(ValueError):
-            Set(5, core_size=7)
-        with pytest.raises(ValueError):
-            Set(5, exec_size=-1)
 
     def test_identity_semantics(self):
         a, b = Set(3), Set(3)
@@ -87,12 +75,6 @@ class TestMap:
         m = identity_map(s)
         np.testing.assert_array_equal(m.values[:, 0], np.arange(5))
 
-    def test_nonexec_target_extent_allowed(self):
-        to = Set(3, exec_size=1)
-        to.nonexec_size = 2  # simulated-MPI read-only halo
-        m = Map(Set(2), to, 1, np.array([4, 5]))
-        assert m.values.max() == 5
-
 
 class TestDat:
     def test_zero_init(self):
@@ -113,10 +95,9 @@ class TestDat:
         assert d.dtype == np.float32
         assert d.itemsize == 4
 
-    def test_nbytes_owned_only(self):
-        s = Set(4, exec_size=2)
-        d = Dat(s, 2, dtype=np.float64)
-        assert d.data.shape == (6, 2)
+    def test_nbytes(self):
+        d = Dat(Set(4), 2, dtype=np.float64)
+        assert d.data.shape == (4, 2)
         assert d.nbytes == 4 * 2 * 8
 
     def test_soa_roundtrip(self):

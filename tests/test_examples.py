@@ -42,7 +42,6 @@ class TestExamplesSmoke:
         assert "vectorized speedup over scalar" in proc.stdout
 
     @pytest.mark.parametrize("name", [
-        "distributed_mpi.py",
         "performance_study.py",
         "tsunami_volna.py",
         "vector_registers.py",

@@ -17,8 +17,6 @@ from repro.core import (
     par_loop,
 )
 from repro.core.access import IDX_ID
-from repro.mpi import DistContext
-from repro.partition import partition_iteration_set, rcb_partition
 
 
 class TestEmptyAndTinySets:
@@ -64,35 +62,6 @@ class TestEmptyAndTinySets:
         par_loop(one, s, arg_dat(w, IDX_ID, None, READ),
                  arg_dat(d, 0, m, INC), runtime=rt)
         assert d.data[0, 0] == 3.0
-
-    def test_empty_distributed_rank(self):
-        # More ranks than work: some ranks own nothing, must still work.
-        nodes = Set(3, "nodes")
-        elems = Set(2, "elems")
-        m = Map(elems, nodes, 2, np.array([[0, 1], [1, 2]]), "m")
-        d = Dat(nodes, 1)
-        w = Dat(elems, 1, [1.0])
-
-        @kernel("acc")
-        def acc(ww, a0, a1):
-            a0[0] += ww[0]
-            a1[0] += ww[0]
-
-        @acc.vectorized
-        def acc_vec(ww, a0, a1):
-            a0[:, 0] += ww[:, 0]
-            a1[:, 0] += ww[:, 0]
-
-        ctx = DistContext(4)
-        ctx.add_set(nodes, np.array([0, 1, 2], dtype=np.int32))
-        ctx.add_set(elems, np.array([0, 1], dtype=np.int32))
-        ctx.add_map(m)
-        ctx.add_dat(d)
-        ctx.add_dat(w)
-        ctx.finalize()
-        ctx.par_loop(acc, elems, arg_dat(w, IDX_ID, None, READ),
-                     arg_dat(d, 0, m, INC), arg_dat(d, 1, m, INC))
-        np.testing.assert_allclose(ctx.fetch(d).ravel(), [1, 2, 1])
 
 
 class TestErrorPropagation:
@@ -178,71 +147,6 @@ class TestLongRunConsistency:
         b.run(10)
         np.testing.assert_allclose(a.q, b.q, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(a.dt_history, b.dt_history, rtol=1e-10)
-
-
-class TestDistributedVolna:
-    """Volna over the MPI substrate: cells partitioned, edges derived,
-    with a MIN-reduced global time step across ranks."""
-
-    @pytest.mark.parametrize("nranks", [2, 3])
-    def test_distributed_volna_matches_serial(self, nranks):
-        from repro.apps.volna import VolnaSim
-        from repro.mesh import make_tri_mesh
-
-        def build(mesh):
-            return VolnaSim(mesh, dtype=np.float64,
-                            runtime=Runtime("vectorized", block_size=64))
-
-        mesh_a = make_tri_mesh(10, 8, 100_000.0, 75_000.0)
-        serial = build(mesh_a)
-        serial.run(3)
-
-        mesh_b = make_tri_mesh(10, 8, 100_000.0, 75_000.0)
-        dist_sim = build(mesh_b)
-        s = dist_sim.state
-        cell_parts = rcb_partition(mesh_b.cell_centroids(), nranks)
-        edge_parts = partition_iteration_set(
-            mesh_b.map("edge2cell").values, cell_parts
-        )
-        ctx = DistContext(nranks, backend="vectorized", block_size=64)
-        ctx.add_set(mesh_b.cells, cell_parts)
-        ctx.add_set(mesh_b.edges, edge_parts)
-        ctx.add_map(mesh_b.map("edge2cell"))
-        ctx.add_map(mesh_b.map("cell2edge"))
-        for d in (s.q, s.q_old, s.q_mid, s.q_out, s.rhs, s.flux, s.speed,
-                  s.geom, s.vol):
-            ctx.add_dat(d)
-        ctx.finalize()
-
-        loops = dist_sim._loop_args(s.q)
-        loops_mid = dist_sim._loop_args(s.q_mid)
-
-        def run_dist_step():
-            s.dt.value = np.finfo(np.float64).max
-            for name, largs in (("compute_flux", loops),
-                                ("numerical_flux", loops),
-                                ("space_disc", loops)):
-                set_, *args = largs[name]
-                ctx.par_loop(dist_sim.kernels[name], set_, *args)
-            s.dt_used.value = s.dt.value
-            set_, *args = loops["RK_1"]
-            ctx.par_loop(dist_sim.kernels["RK_1"], set_, *args)
-            for name in ("compute_flux", "numerical_flux", "space_disc",
-                         "RK_2"):
-                set_, *args = loops_mid[name]
-                ctx.par_loop(dist_sim.kernels[name], set_, *args)
-
-        dts = []
-        for _ in range(3):
-            run_dist_step()
-            dts.append(float(s.dt_used.value))
-
-        np.testing.assert_allclose(
-            ctx.fetch(s.q), serial.q, rtol=1e-9, atol=1e-11
-        )
-        np.testing.assert_allclose(dts, serial.dt_history, rtol=1e-12)
-        assert ctx.comm.stats.messages > 0
-        assert ctx.comm.stats.reductions == 6  # one MIN per flux pass
 
 
 class TestPlanCacheAcrossApps:

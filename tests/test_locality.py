@@ -12,8 +12,7 @@ Three layers of checks:
    increases a span.
 2. **The drivers run on it and answer in the caller's numbering**: a
    scrambled mesh gives the unscrambled result, permuted; native ==
-   sequential bitwise on it — all three apps, and the distributed
-   Airfoil.
+   sequential bitwise on it — all three apps.
 3. **Colour facets are lazy**: a native run materialises no colouring
    and writes no plan artifact, a vectorized run does both, and a warm
    process builds nothing either way.
@@ -34,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro import store
 from repro.apps.aero import AeroSim
-from repro.apps.airfoil import AirfoilSim, DistributedAirfoilSim
+from repro.apps.airfoil import AirfoilSim
 from repro.apps.volna import DEFAULT_SCENARIO, VolnaSim
 from repro.core import Map, Runtime, Set
 from repro.core.map import MAP_DTYPE
@@ -51,7 +50,6 @@ from repro.mesh.renumber import (
     localize,
     permute_numbering,
 )
-from repro.partition import rcb_partition
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 SET_NAMES = ("nodes", "cells", "edges", "bedges")
@@ -368,21 +366,6 @@ class TestDriversInCallerNumbering:
         probe = make_sim(sim.mesh, Runtime("vectorized"))
         assert probe.mesh is sim.mesh
         assert probe.numbering["sets"] == {}
-
-
-def test_distributed_airfoil_on_scrambled_mesh():
-    mesh, _ = scrambled(make_airfoil_mesh(12, 6), ("cells", "edges"), 9)
-    serial = AirfoilSim(mesh, runtime=Runtime("vectorized", block_size=32))
-    assert "cells" in serial.numbering["sets"]
-    serial.run(3)
-    # Partition given in the *caller's* cell numbering.
-    parts = rcb_partition(mesh.cell_centroids(), 3)
-    dist = DistributedAirfoilSim(mesh, parts, 3, block_size=32)
-    dist.run(3)
-    np.testing.assert_allclose(dist.fetch_q(), serial.q,
-                               rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(dist.rms_history, serial.rms_history,
-                               rtol=1e-10)
 
 
 # ----------------------------------------------------------------------

@@ -84,18 +84,6 @@ class TestBuildPlan:
         with pytest.raises(ValueError):
             build_plan(elems, args, scheme="rainbow")
 
-    def test_plan_covers_exec_halo(self):
-        nodes = Set(6, "nodes")
-        elems = Set(4, "elems", exec_size=2)
-        conn = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
-        m = Map(elems, nodes, 2, conn, "m")
-        d = Dat(nodes, 1)
-        plan = build_plan(
-            elems, [arg_dat(d, 0, m, INC), arg_dat(d, 1, m, INC)],
-            block_size=3,
-        )
-        assert plan.layout.n_elements == 6  # owned + exec halo
-
 
 class TestPlanSignatureAndCache:
     def test_signature_ignores_reads(self):

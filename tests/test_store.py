@@ -91,14 +91,12 @@ def trace_specs(rng_seed, n):
             kernel=store_scale, set=edges,
             args=(arg_dat(w, IDX_ID, None, READ),
                   arg_dat(s, IDX_ID, None, WRITE)),
-            n=edges.total_size, start=0,
         ),
         LoopSpec(
             kernel=store_gather, set=edges,
             args=(arg_dat(s, IDX_ID, None, READ),
                   arg_dat(r, 0, e2n, INC),
                   arg_dat(r, 1, e2n, INC)),
-            n=edges.total_size, start=0,
         ),
     ]
 
@@ -137,9 +135,9 @@ class TestPlanCodec:
             )
         # The decoded plan executes: phases cover every element once.
         covered = np.concatenate(
-            [ph.elems for ph in back.phases(edges.total_size)]
+            [ph.elems for ph in back.phases(edges.size)]
         )
-        assert sorted(covered.tolist()) == list(range(edges.total_size))
+        assert sorted(covered.tolist()) == list(range(edges.size))
 
     def test_roundtrip_direct(self):
         nodes, edges, _ = ring(12, tag="pdirect")
@@ -203,9 +201,9 @@ class TestChainCodec:
         assert back.n_loops == compiled.n_loops
         assert len(back.groups) == len(compiled.groups)
         for g, h in zip(back.groups, compiled.groups):
-            assert len(g.loops) == len(h.loops)
-            assert g.n == h.n and g.start == h.start
-        assert back.analysis == compiled.analysis
+            assert [bl.kernel for bl in g.loops] == \
+                [bl.kernel for bl in h.loops]
+            assert g.plan is h.plan
         assert back.tiling == compiled.tiling
         assert back.tile_size == compiled.tile_size
 
@@ -229,11 +227,11 @@ class TestChainCodec:
 #: Well-formed pickles with the wrong content: what a hand edit or a
 #: writer from another version leaves behind.
 _CHAIN_MUTATIONS = {
-    "missing field": lambda d: d.pop("analysis"),
+    "missing field": lambda d: d.pop("tile_size"),
     "no groups": lambda d: d.update(groups=[]),
     "group not a list": lambda d: d.update(groups=[None, None]),
     "bad count": lambda d: d.update(n_loops="two"),
-    "analysis not a dict": lambda d: d.update(analysis=[1, 2]),
+    "groups not a list": lambda d: d.update(groups=3),
 }
 _TILED_MUTATIONS = {
     "missing field": lambda d: d.pop("tile_size"),

@@ -76,7 +76,7 @@ def _replay_log(racing, n, start, bounds=None):
     for c, (lo, hi) in enumerate(bounds):
         for e in range(lo, hi):
             for m, i in cols:
-                extent = m.to_set.total_size
+                extent = m.to_set.size
                 t = int(m.values[e, i])
                 if c * extent // k <= t < (c + 1) * extent // k:
                     log[(m.to_set.name, t)].append((e, m.name, i))
