@@ -482,8 +482,8 @@ class Runtime:
         native["owner_facets"] = len(facets)
         native["owner_facet_ms"] = sum(f.build_ms for f in facets)
         native["chains"] = {
-            label: [{"kernel": k, "elements": n, "verdict": v}
-                    for k, n, v in verdicts]
+            label: [{"kernel": k, "elements": n, "verdict": v, "lanes": lanes}
+                    for k, n, v, lanes in verdicts]
             for label, verdicts in getattr(
                 self.backend, "thread_verdicts", {}).items()
         }

@@ -35,6 +35,16 @@ stores it owns.  Every target still sees its updates in the sequential
 order, so the bits do not depend on the team size
 (``tests/test_threads.py``).
 
+Within a thread, the same large loops are lowered *across elements*,
+the paper's scheme (see :class:`LaneVerdict`): a loop that writes
+nothing through a map is one ``omp simd`` loop; an increment loop runs
+in packets of :data:`PACKET` elements — gathers and kernel body across
+the lanes under ``omp simd`` into one packet column per store, then an
+ordered scatter applying those stores element by element in program
+order.  Each lane performs its element's scalar IEEE operations and
+every target still receives its updates in the sequential order, so
+the lowering keeps the bits (``tests/test_lanes.py``).
+
 Cache hierarchy
 ---------------
 Source text is content-hashed (:func:`source_key`); compiled shared
@@ -71,6 +81,7 @@ from ..core.access import Access
 from ..core.map import MAP_DTYPE
 from ..core.plan import OwnerRanges, owner_ranges
 from ..simd import intrinsics as _intrinsics
+from ..simd import host_isa, isa_flags
 from .cache import kernel_ir
 from .ir import (
     SAssign,
@@ -287,11 +298,13 @@ class _Scope:
 #: a threaded direct one).  Fixed, not the team size: the TU and the
 #: bits it produces do not depend on how many threads run it.
 OWNER_CHUNKS = 16
-#: Loops over fewer elements run on one thread, and a TU none of whose
-#: loops reaches this is emitted with no OpenMP at all.  Measured on a
-#: 2-vCPU KVM guest (gcc 12.2): a dim-4 copy breaks even with its
-#: serial TU at ~24k elements, a one-flop indirect increment at ~32k;
-#: at 16k both lose 5-15 %.
+#: Loops over fewer elements run on one thread, one element at a time,
+#: and a TU none of whose loops reaches this is emitted with no OpenMP
+#: at all.  Measured on a 2-vCPU KVM guest (gcc 12.2): a dim-4 copy
+#: breaks even with its serial TU at ~24k elements, a one-flop indirect
+#: increment at ~32k; at 16k both lose 5-15 %.  Lowering across lanes
+#: costs compile time instead (the AVX-512 build of a lowered TU takes
+#: ~2x as long), which a small loop does not earn back.
 THREAD_MIN_ELEMENTS = 32768
 #: Owner ranges re-running more than this share of a loop's elements
 #: (a non-local numbering) leave the loop serial.
@@ -329,6 +342,42 @@ class LoopVerdict:
         return f"{self.label} ({dup})" if dup else self.label
 
 
+# ----------------------------------------------------------------------
+# Lowering across elements
+# ----------------------------------------------------------------------
+#: Elements per packet of an increment loop.  Fixed, like the owner
+#: chunks, so the TU does not depend on the host's vector width; a
+#: multiple of every x86 lane count, and small enough that a packet's
+#: store columns stay in L1 (res_calc: 8 columns of 16 doubles).
+PACKET = 16
+
+
+@dataclass(frozen=True)
+class LaneVerdict:
+    """How a loop's elements map onto vector lanes.
+
+    ``simd``: writes nothing through a map — the element loop is one
+    ``omp simd`` loop.
+    ``packet``: writes through maps — :data:`PACKET` elements at a time,
+    gathers and body across the lanes under ``omp simd`` with every
+    store through a map captured in a packet column, then an ordered
+    scatter applying the columns element by element in program order.
+    ``scalar``: one element at a time, for ``reason``.
+    """
+
+    kind: str
+    reason: str = ""
+
+    def __str__(self) -> str:
+        if self.kind == "packet":
+            return f"packet({PACKET})"
+        return f"scalar: {self.reason}" if self.kind == "scalar" else self.kind
+
+
+class _Unpacketable(Exception):
+    """A store the ordered scatter cannot defer (raised while emitting)."""
+
+
 def _stmt_nodes(st):
     """Every AST node of one IR statement, nested statements included."""
     if isinstance(st, SAssign):
@@ -363,6 +412,11 @@ class _LoopEmitter:
         self.col_slots: Dict[int, int] = {}
         self.own_slot: Optional[int] = None
         self._value_reads: set = set()
+        self.lanes = LaneVerdict("scalar", "unclassified")
+        #: Packet emission: the body's stores through maps in program
+        #: order, ``(argpos, comp, op)``, and the enclosing-branch depth.
+        self._sites: List[Tuple[int, int, str]] = []
+        self._branch = 0
         try:
             self.ir = kernel_ir(bl.kernel)
         except UnvectorizableKernel as exc:
@@ -434,18 +488,7 @@ class _LoopEmitter:
             return serial("direct and indirect writes")
         if self.red_args:
             return serial("reduction in an owner loop")
-        if any(
-            s.slot in ind_w and (
-                s.kind == "direct"
-                or s.access in (Access.READ, Access.RW)
-                or (s.kind == "vector" and s.access is not Access.INC)
-            )
-            for s in specs
-        ):
-            return serial("reads a Dat it writes indirectly")
-        self.emit()  # records the body's value reads of its arguments
-        if any(specs[k].kind == "indirect" and specs[k].access.writes
-               for k in self._value_reads):
+        if self._reads_scattered(ind_w):
             return serial("reads a Dat it writes indirectly")
         facet = self._owner_facet()
         if facet.dup > OWNER_MAX_DUP:
@@ -457,6 +500,63 @@ class _LoopEmitter:
                     self._extents.append(extent)
                 self._guard_of[k] = self._extents.index(extent)
         return LoopVerdict("owner", facet=facet)
+
+    def _reads_scattered(self, ind_w: set) -> bool:
+        """Does the body read a Dat it writes through a map (other than
+        through a vector ``INC``'s own zeroed accumulator)?  Emits the
+        body once to see its value reads."""
+        specs = self.specs
+        if any(
+            s.slot in ind_w and (
+                s.kind == "direct"
+                or s.access in (Access.READ, Access.RW)
+                or (s.kind == "vector" and s.access is not Access.INC)
+            )
+            for s in specs
+        ):
+            return True
+        self.emit()  # records the body's value reads of its arguments
+        return any(specs[k].kind == "indirect" and specs[k].access.writes
+                   for k in self._value_reads)
+
+    # -- lowering across elements -----------------------------------------
+    def classify_lanes(self) -> None:
+        """Decide how the loop maps onto vector lanes.  Runs after the
+        thread verdict: a reduction lowered to a column is lane-safe."""
+        self.lanes = self._lane_verdict()
+
+    def _lane_verdict(self) -> LaneVerdict:
+        def scalar(reason: str) -> LaneVerdict:
+            return LaneVerdict("scalar", reason)
+
+        specs = self.specs
+        if any(s.kind == "gwrite" for s in specs):
+            return scalar("scalar loop")
+        if self.bl.n < THREAD_MIN_ELEMENTS:
+            return scalar(f"{self.bl.n} elements < {THREAD_MIN_ELEMENTS}")
+        if self.red_args and not self._columns:
+            return scalar("reduction across elements")
+        mapped = [s for s in specs if s.kind in ("indirect", "vector")]
+        if not mapped:
+            # A stream of rows: bound by memory traffic, and a third of
+            # a lowered airfoil step's build time when vectorized.
+            return scalar("no gather")
+        ind_w = {s.slot for s in mapped if s.access.writes}
+        dir_w = {s.slot for s in specs if s.kind == "direct"
+                 and s.access.writes}
+        if any(s.slot in dir_w for s in mapped):
+            return scalar("reads a Dat it writes, through a map")
+        if not ind_w:
+            return LaneVerdict("simd")
+        if any(s.ctype != self.ft for s in mapped if s.access.writes):
+            return scalar("non-floating store through a map")
+        self.lanes = LaneVerdict("packet")
+        try:
+            if self._reads_scattered(ind_w):
+                return scalar("reads a Dat it writes indirectly")
+        except _Unpacketable as exc:
+            return scalar(str(exc))
+        return self.lanes
 
     def _owner_facet(self) -> OwnerRanges:
         """The plan's owner facet, or one computed for this loop when
@@ -930,7 +1030,8 @@ class _LoopEmitter:
             out.append(f"{ind}const {self.ft} {tn} = {self._cx(rv, hscope)};")
             tmps.append(tn)
         for tgt, tn in zip(targets, tmps):
-            out.append(f"{ind}{tgt} = {tn};")
+            out.append(f"{ind}{tgt} = {tn};" if isinstance(tgt, str)
+                       else f"{ind}{self._store(tgt, scope, '=', tn)}")
 
     def _helper_assign(self, st: ast.Assign, pf: str, hscope: _Scope,
                        kscope: _Scope, out: List[str], ind: str) -> None:
@@ -986,16 +1087,31 @@ class _LoopEmitter:
             if cn is None:
                 raise NativeUnsupported(f"undeclared target {tgt.id!r}")
             return cn
-        if isinstance(tgt, ast.Subscript):
-            r = self._resolve_access(tgt, scope)
-            if r[0] != "lval":
-                raise NativeUnsupported("partial-array store target")
-            owned = self._owned(r[1], f"i{r[1]}")
-            guard = f"if ({owned}) " if owned else ""
-            return guard + self._lvalue(r[1], r[2], r[3])
         raise NativeUnsupported(
             f"assignment target {type(tgt).__name__} unsupported"
         )
+
+    def _store(self, tgt, scope: _Scope, op: str, rhs) -> str:
+        """One store, ``target op rhs;``.  ``rhs`` is the value's C, or
+        a callable giving it once the target has resolved.  An owner
+        loop guards a store through a map; a packet loop captures it in
+        a packet column instead, for the ordered scatter."""
+        if not isinstance(tgt, ast.Subscript):
+            target = self._target_code(tgt, scope)
+            return f"{target} {op} {rhs() if callable(rhs) else rhs};"
+        r = self._resolve_access(tgt, scope)
+        if r[0] != "lval":
+            raise NativeUnsupported("partial-array store target")
+        k = r[1]
+        value = rhs() if callable(rhs) else rhs
+        if self.lanes.kind == "packet" and self.specs[k].kind == "indirect":
+            if self._branch:
+                raise _Unpacketable("store through a map under a branch")
+            self._sites.append((k, r[3], op))
+            return f"kc_s{len(self._sites) - 1}[kc_l] = {value};"
+        owned = self._owned(k, f"i{k}")
+        guard = f"if ({owned}) " if owned else ""
+        return f"{guard}{self._lvalue(k, r[2], r[3])} {op} {value};"
 
     def _stmt(self, st, scope: _Scope, out: List[str], ind: str) -> None:
         column = self._columns.get(id(st))
@@ -1012,7 +1128,7 @@ class _LoopEmitter:
             if op is None:
                 raise NativeUnsupported("unsupported augmented assignment")
             rhs = self._cx(st.value, scope)
-            out.append(f"{ind}{self._target_code(st.target, scope)} {op} {rhs};")
+            out.append(f"{ind}{self._store(st.target, scope, op, rhs)}")
         elif isinstance(st, SFor):
             if st.var in scope.loops:
                 raise NativeUnsupported(f"loop variable {st.var!r} reused")
@@ -1029,6 +1145,7 @@ class _LoopEmitter:
         elif isinstance(st, SIf):
             before = dict(scope.aliases)
             out.append(f"{ind}if {self._cond(st.test, scope)} {{")
+            self._branch += 1
             for inner in st.body:
                 self._stmt(inner, scope, out, ind + "    ")
             if scope.aliases != before:
@@ -1039,6 +1156,7 @@ class _LoopEmitter:
                     self._stmt(inner, scope, out, ind + "    ")
                 if scope.aliases != before:
                     raise NativeUnsupported("alias binding inside a branch")
+            self._branch -= 1
             out.append(f"{ind}}}")
         else:
             raise NativeUnsupported(
@@ -1052,7 +1170,7 @@ class _LoopEmitter:
             self._tc += 1
             out.append(f"{ind}const {self.ft} {tn} = {self._cx(st.value, scope)};")
             for tgt in st.targets:
-                out.append(f"{ind}{self._target_code(tgt, scope)} = {tn};")
+                out.append(f"{ind}{self._store(tgt, scope, '=', tn)}")
             return
         tgt = st.targets[0]
         # Array aliasing: ``x1 = x[k]`` binds a row, emits nothing.
@@ -1067,9 +1185,12 @@ class _LoopEmitter:
         # Helper call: inline at statement level.
         if isinstance(st.value, ast.Call) and self._is_helper_in(
                 st.value, scope):
-            targets = ([self._target_code(t, scope) for t in tgt.elts]
-                       if isinstance(tgt, ast.Tuple)
-                       else [self._target_code(tgt, scope)])
+            # Locals resolve now (binding order); stores at the end.
+            targets = [
+                t if isinstance(t, ast.Subscript)
+                else self._target_code(t, scope)
+                for t in (tgt.elts if isinstance(tgt, ast.Tuple) else [tgt])
+            ]
             self._inline_helper(st.value, targets, scope, out, ind)
             return
         if isinstance(tgt, ast.Tuple):
@@ -1097,11 +1218,10 @@ class _LoopEmitter:
                     else:
                         scope.aliases[t.id] = ("ns", val[1])
                 else:
-                    out.append(f"{ind}{self._target_code(t, scope)} = {val};")
+                    out.append(f"{ind}{self._store(t, scope, '=', val)}")
             return
-        out.append(
-            f"{ind}{self._target_code(tgt, scope)} = {self._cx(st.value, scope)};"
-        )
+        out.append(ind + self._store(
+            tgt, scope, "=", lambda: self._cx(st.value, scope)))
 
     # -- locals pre-pass -------------------------------------------------
     def _collect_locals(self) -> List[str]:
@@ -1169,19 +1289,23 @@ class _LoopEmitter:
     def emit(self) -> List[str]:
         bl = self.bl
         owner = self.verdict.kind == "owner"
+        lanes = self.lanes.kind
         self._taken: set = set()
         self._hc = 0
         self._tc = 0
         self._value_reads = set()
+        self._sites = []
+        self._branch = 0
         self._kscope = _Scope(
             ns=self.ir.namespace,
             params={p: i for i, p in enumerate(self.ir.params)},
         )
         scope = self._kscope
         out: List[str] = []
+        lowered = "" if lanes == "scalar" else f", {self.lanes}"
         out.append(
             f"/* ---- loop {self.j}: {bl.kernel.name} over "
-            f"[0, {bl.n}) ---- */"
+            f"[0, {bl.n}){lowered} ---- */"
         )
         for argpos, slot in self.red_args:
             spec = self.specs[argpos]
@@ -1232,9 +1356,8 @@ class _LoopEmitter:
                 f"    const i64 kc_lo{g} = kc_c * {extent} / kc_k, "
                 f"kc_hi{g} = (kc_c + 1) * {extent} / kc_k;"
             )
-        out.append("    for (i64 e = lo; e < hi; ++e) {")
         body: List[str] = []
-        ind = "        "
+        ind = "            " if lanes == "packet" else "        "
 
         # Indirect row indices.
         for k, spec in enumerate(self.specs):
@@ -1243,7 +1366,8 @@ class _LoopEmitter:
                     f"{ind}const i64 i{k} = "
                     f"m{spec.map_slot}[e * {spec.arity} + {spec.map_index}];"
                 )
-        # Vector-argument gathers (copies, exactly like scalar_views).
+        # Vector-argument gathers (copies, exactly like scalar_views);
+        # unrolled across lanes, so each slot is a scalar of the lane.
         for k, spec in enumerate(self.specs):
             if spec.kind != "vector":
                 continue
@@ -1252,6 +1376,16 @@ class _LoopEmitter:
                 body.append(f"{ind}{self.ft} v{k}[{size}] = {{0.0{self.sfx}}};")
                 continue
             body.append(f"{ind}{self.ft} v{k}[{size}];")
+            if lanes != "scalar":
+                for l in range(spec.arity):
+                    body.append(f"{ind}const i64 kc_r{k}_{l} = "
+                                f"m{spec.map_slot}[e * {spec.arity} + {l}];")
+                    for c in range(spec.dim):
+                        body.append(
+                            f"{ind}v{k}[{l * spec.dim + c}] = "
+                            f"{self._addr(spec, f'kc_r{k}_{l}', c)};"
+                        )
+                continue
             body.append(f"{ind}for (int l = 0; l < {spec.arity}; ++l) {{")
             body.append(
                 f"{ind}    const i64 r = m{spec.map_slot}"
@@ -1280,6 +1414,10 @@ class _LoopEmitter:
         for k, spec in enumerate(self.specs):
             if spec.kind != "vector" or not spec.access.writes:
                 continue
+            if lanes == "packet":  # an INC: its accumulator, to columns
+                body.extend(f"{ind}kc_v{k}[{i}][kc_l] = v{k}[{i}];"
+                            for i in range(spec.arity * spec.dim))
+                continue
             op = "+=" if spec.access is Access.INC else "="
             body.append(f"{ind}for (int l = 0; l < {spec.arity}; ++l) {{")
             body.append(
@@ -1295,8 +1433,14 @@ class _LoopEmitter:
                     f"v{k}[l * {spec.dim} + {c}];"
                 )
             body.append(f"{ind}}}")
-        out.extend(body)
-        out.append("    }")
+        if lanes == "packet":
+            out.extend(self._packet_loop(body))
+        else:
+            if lanes == "simd":
+                out.append("#pragma omp simd")
+            out.append("    for (i64 e = lo; e < hi; ++e) {")
+            out.extend(body)
+            out.append("    }")
         out.append("}")
 
         # Reduction plumbing.
@@ -1339,6 +1483,62 @@ class _LoopEmitter:
         if self._columns:
             out.extend(self._emit_column_fold())
         out.append("")
+        return out
+
+    def _packet_loop(self, body: List[str]) -> List[str]:
+        """The element loop of a packet loop around ``body`` (the lane
+        code, whose stores through maps went to packet columns)."""
+        cols = [f"kc_s{n}[{PACKET}]" for n in range(len(self._sites))]
+        cols += [f"kc_v{k}[{s.arity * s.dim}][{PACKET}]"
+                 for k, s in enumerate(self.specs)
+                 if s.kind == "vector" and s.access.writes]
+        return [
+            f"    for (i64 kc_e = lo; kc_e < hi; kc_e += {PACKET}) {{",
+            f"        const int kc_n = hi - kc_e < {PACKET} ? "
+            f"(int)(hi - kc_e) : {PACKET};",
+            *([f"        {self.ft} {', '.join(cols)};"] if cols else []),
+            "#pragma omp simd",
+            "        for (int kc_l = 0; kc_l < kc_n; ++kc_l) {",
+            "            const i64 e = kc_e + kc_l;",
+            *body,
+            "        }",
+            "        /* ordered scatter: elements ascending, each element's",
+            "         * stores in program order */",
+            "        for (int kc_l = 0; kc_l < kc_n; ++kc_l) {",
+            "            const i64 e = kc_e + kc_l;",
+            *self._scatter_lines("            "),
+            "        }",
+            "    }",
+        ]
+
+    def _scatter_lines(self, ind: str) -> List[str]:
+        """The packet's stores for element ``e`` of lane ``kc_l``: the
+        body's stores through maps, then the vector writebacks."""
+        out: List[str] = []
+        rows: set = set()
+        for n, (k, comp, op) in enumerate(self._sites):
+            spec = self.specs[k]
+            if k not in rows:
+                rows.add(k)
+                out.append(f"{ind}const i64 i{k} = m{spec.map_slot}"
+                           f"[e * {spec.arity} + {spec.map_index}];")
+            owned = self._owned(k, f"i{k}")
+            guard = f"if ({owned}) " if owned else ""
+            out.append(f"{ind}{guard}{self._addr(spec, f'i{k}', comp)} "
+                       f"{op} kc_s{n}[kc_l];")
+        for k, spec in enumerate(self.specs):
+            if spec.kind != "vector" or not spec.access.writes:
+                continue
+            out.append(f"{ind}for (int l = 0; l < {spec.arity}; ++l) {{")
+            out.append(f"{ind}    const i64 r = m{spec.map_slot}"
+                       f"[e * {spec.arity} + l];")
+            owned = self._owned(k, "r")
+            if owned:
+                out.append(f"{ind}    if (!({owned})) continue;")
+            for c in range(spec.dim):
+                out.append(f"{ind}    {self._addr(spec, 'r', c)} += "
+                           f"kc_v{k}[l * {spec.dim} + {c}][kc_l];")
+            out.append(f"{ind}}}")
         return out
 
     def _emit_column_fold(self) -> List[str]:
@@ -1504,6 +1704,8 @@ def _plan_chain(loops: Sequence, threads: bool):
     if threads:
         for em in emitters:
             em.classify(ptab)
+    for em in emitters:
+        em.classify_lanes()
     threaded = any(em.verdict.kind != "serial" for em in emitters)
     return ptab, emitters, threaded
 
@@ -1528,6 +1730,10 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
     team per call, each loop a worksharing loop over fixed chunks or on
     one thread (see :class:`LoopVerdict`).  ``kc_loop_run`` (eager and
     tiled dispatch) stays single-threaded either way.
+
+    A loop of at least :data:`THREAD_MIN_ELEMENTS` elements, threaded
+    or not, is also lowered across elements where it can be
+    (:class:`LaneVerdict`); its header comment names how.
     """
     ptab, emitters, threaded = _plan_chain(loops, threads)
     parts: List[str] = [
@@ -1707,6 +1913,18 @@ int kc_threads(void);
 #: the numpy-scalar semantics the oracle interpreter exhibits.
 CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off",
           "-fno-builtin-pow", "-fno-builtin-powf"]
+#: Added for a TU with a loop lowered across elements:
+#: ``-fopenmp-simd`` honours ``omp simd`` (and no other OpenMP);
+#: ``-fno-math-errno`` lets ``sqrt`` be one instruction instead of a
+#: call that may set ``errno``, so it can vectorize; 256-bit vectors,
+#: no straight-line SLP and no vectorized epilogue cut the AVX-512
+#: build's extra time from ~0.25 to ~0.08 s on airfoil_large's TU, and
+#: keep scrambled Volna's gain.  None changes a result.  Plus the
+#: host's vector ISA (:func:`repro.simd.isa_flags`).  A compiler that
+#: rejects them builds the same source without, scalar, counted under
+#: ``scalar_builds``.
+LANE_FLAGS = ["-fopenmp-simd", "-fno-math-errno", "-mprefer-vector-width=256",
+              "-fno-tree-slp-vectorize", "--param", "vect-epilogues-nomask=0"]
 #: Added for a threaded TU.  A compiler that rejects it builds the same
 #: source without (pragmas ignored: one thread, the same bits), and the
 #: build is counted under ``serial_builds``.
@@ -1721,11 +1939,12 @@ _stats = {
 }
 _mem_libs: Dict[str, tuple] = {}
 _cc_probe: Dict[tuple, Optional[str]] = {}
-#: Compilers seen to reject OPENMP_FLAGS in this process.
-_no_openmp: set = set()
+#: ``(compiler, flag group)`` pairs seen rejected in this process.
+_rejected: set = set()
 #: Team size last observed by a threaded call; threaded TUs built
-#: without OpenMP, by reason.
-_threads: Dict[str, object] = {"threads": None, "serial_builds": {}}
+#: without OpenMP, and TUs built without the lane flags, by reason.
+_threads: Dict[str, object] = {"threads": None, "serial_builds": {},
+                               "scalar_builds": {}}
 
 
 def native_cache_stats() -> Dict[str, int]:
@@ -1738,13 +1957,16 @@ def native_cache_stats() -> Dict[str, int]:
 def native_thread_stats() -> Dict[str, object]:
     """``threads``: the OpenMP team size a threaded chain last ran with
     (``None`` before any did); ``serial_builds``: threaded TUs compiled
-    without OpenMP, by reason."""
+    without OpenMP, by reason; ``scalar_builds``: TUs compiled without
+    the lane flags, by reason; ``isa``: the vector ISA TUs target."""
     return {"threads": _threads["threads"],
-            "serial_builds": dict(_threads["serial_builds"])}
+            "serial_builds": dict(_threads["serial_builds"]),
+            "scalar_builds": dict(_threads["scalar_builds"]),
+            "isa": host_isa()}
 
 
-def _count_serial_build(reason: str) -> None:
-    builds = _threads["serial_builds"]
+def _count_build(counter: str, reason: str) -> None:
+    builds = _threads[counter]
     builds[reason] = builds.get(reason, 0) + 1
 
 
@@ -1761,11 +1983,12 @@ def reset_native_cache() -> None:
 
     _mem_libs.clear()
     _cc_probe.clear()
-    _no_openmp.clear()
+    _rejected.clear()
     for k in _stats:
         _stats[k] = 0
     _threads["threads"] = None
     _threads["serial_builds"] = {}
+    _threads["scalar_builds"] = {}
     c = store.counters("native")
     for k in c:
         c[k] = 0
@@ -1806,18 +2029,56 @@ def library_key(source: str, flags: Optional[Sequence[str]] = None) -> str:
 
 
 def _is_threaded(source: str) -> bool:
-    return "#pragma omp" in source
+    return "#pragma omp parallel" in source
+
+
+def _flag_groups(source: str) -> List[Tuple[str, List[str], str, str]]:
+    """The optional flag groups of a TU: ``(name, flags, counter,
+    reason)`` — the lane flags for a TU with a lowered loop, and
+    :data:`OPENMP_FLAGS` for a threaded one.  Without either the same
+    source builds and gives the same bits."""
+    groups = []
+    if "#pragma omp simd" in source:
+        lanes = LANE_FLAGS + isa_flags()
+        groups.append(("lanes", lanes, "scalar_builds",
+                       "no " + " ".join(lanes)))
+    if _is_threaded(source):
+        groups.append(("openmp", OPENMP_FLAGS, "serial_builds",
+                       "no -fopenmp"))
+    return groups
 
 
 def _compile_flags(source: str, cc: Optional[str]) -> List[str]:
-    """The flags a TU is built with: a threaded one gets
-    :data:`OPENMP_FLAGS` unless ``cc`` is known to reject them."""
-    if not _is_threaded(source):
-        return CFLAGS
-    if cc in _no_openmp:
-        _count_serial_build("no -fopenmp")
-        return CFLAGS
-    return CFLAGS + OPENMP_FLAGS
+    """The flags a TU is built with: :data:`CFLAGS` plus each optional
+    group ``cc`` is not known to reject (a dropped one is counted)."""
+    flags = list(CFLAGS)
+    for name, group, counter, reason in _flag_groups(source):
+        if (cc, name) in _rejected:
+            _count_build(counter, reason)
+        else:
+            flags += group
+    return flags
+
+
+def _note_rejected(source: str, cc: str) -> bool:
+    """After a failed build: probe ``cc`` with each optional group not
+    yet known rejected, by building an empty shared object with it.
+    True when one is newly found rejected (a retry without it may
+    succeed); False means the source itself does not compile."""
+    found = False
+    for name, group, _, _ in _flag_groups(source):
+        if (cc, name) in _rejected:
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = subprocess.run(
+                [cc, *CFLAGS, *group, "-x", "c", "-", "-o",
+                 os.path.join(tmp, "probe.so")],
+                input="int kc_probe;\n", capture_output=True, text=True,
+            )
+        if proc.returncode != 0:
+            _rejected.add((cc, name))
+            found = True
+    return found
 
 
 def _so_checksum_ok(so_path: Path) -> bool:
@@ -1886,9 +2147,9 @@ def load_native_library(source: str):
             raise NativeUnsupported("no C compiler on PATH")
         lib, err = _compile_and_load(ffi, cc, source, flags, cache_dir,
                                      disk_ok)
-        if lib is None and flags is not CFLAGS:
-            # The compiler rejects -fopenmp: the same source, serially.
-            _no_openmp.add(cc)
+        if lib is None and _note_rejected(source, cc):
+            # The compiler rejects an optional flag group: the same
+            # source without it (serially, or scalar).
             flags = _compile_flags(source, cc)
             lib = _disk_load(
                 ffi, cache_dir / f"{library_key(source, flags)}.so", disk_ok
@@ -1988,11 +2249,12 @@ class NativeChainProgram:
     def __init__(self, source: str, loops: Sequence,
                  recipe: List[Tuple[int, int, str]],
                  buffers: Optional[Dict[int, object]] = None,
-                 verdicts: Sequence[Tuple[str, int, str]] = ()) -> None:
+                 verdicts: Sequence[Tuple[str, int, str, str]] = ()) -> None:
         self.source = source
         self.loops = tuple(loops)
         self.recipe = list(recipe)
-        #: ``(kernel, elements, verdict)`` per loop (:class:`LoopVerdict`).
+        #: ``(kernel, elements, thread verdict, lane verdict)`` per loop
+        #: (:class:`LoopVerdict`, :class:`LaneVerdict`).
         self.verdicts = list(verdicts)
         self.threaded = _is_threaded(source)
         #: Slots of buffers the program owns: owner ranges, and the
@@ -2112,7 +2374,7 @@ def build_chain_program(loops: Sequence, name: str = "chain",
     ptab, emitters, _ = _plan_chain(loops, threads)
     source = emit_chain_source(loops, name=name, repeat=repeat,
                                threads=threads)
-    verdicts = [(em.bl.kernel.name, em.bl.n, str(em.verdict))
+    verdicts = [(em.bl.kernel.name, em.bl.n, str(em.verdict), str(em.lanes))
                 for em in emitters]
     return NativeChainProgram(source, loops, ptab.recipe, ptab.buffers,
                               verdicts)

@@ -208,6 +208,17 @@ class TestVectorWidth:
             vector_width("sse", np.float64)
 
 
+class TestHostIsa:
+    def test_flags_name_the_isa(self):
+        from repro.simd import host_isa, isa_flags
+
+        isa = host_isa()
+        assert isa in ("avx512", "avx2", "baseline")
+        assert isa_flags() == {"avx512": ["-march=x86-64-v4"],
+                               "avx2": ["-march=x86-64-v3"],
+                               "baseline": []}[isa]
+
+
 # ----------------------------------------------------------------------
 # Property: VecReg pipelines agree with plain NumPy.
 # ----------------------------------------------------------------------
