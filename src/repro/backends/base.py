@@ -29,12 +29,15 @@ arrays: indirect reads become mapped gathers (fresh copies), direct
 reads contiguous views, indirect INC arguments zeroed accumulators.
 :func:`scatter_batch` writes results back under the
 serialize-vs-colored rule: INC with ``serialize_inc=True`` applies lanes
-in element order (``np.add.at`` — correct when lanes collide, the
-two_level case); ``serialize_inc=False`` is the permute schemes' free
-fused scatter, valid only for conflict-free targets; WRITE/RW scatters
-always require distinct targets.  All of it routes through the
-layout-aware :class:`~repro.core.dat.Dat` primitives, so AoS and SoA
-Dats take the same code path (``docs/architecture.md`` sections 2 and 4).
+in element order (one 1-D ``np.add.at`` per component — correct when
+lanes collide, the two_level case); ``serialize_inc=False`` is the
+permute schemes' free fused scatter, valid only for conflict-free
+targets; WRITE/RW scatters always require distinct targets.  All of it
+routes through the layout-aware :class:`~repro.core.dat.Dat`
+primitives, so AoS and SoA Dats take the same code path
+(``docs/architecture.md`` sections 2 and 4).  The prepared replay
+(``backends/vectorized.py: _PhaseExec``) adds column-major lane arrays
+on top of the same primitives.
 """
 
 from __future__ import annotations
@@ -253,21 +256,36 @@ def serialized_inc_group_key(arg: Arg) -> Optional[int]:
     return None
 
 
+def inc_group_slots(joint: np.ndarray, n_parts: int) -> list:
+    """Per-argument slot views of a merge group's interleaved array.
+
+    THE single definition of the interleave: row ``e * n_parts + g`` of
+    ``joint`` belongs to element ``e`` of the group's ``g``-th argument
+    — ``e0.arg_a, e0.arg_b, e1.arg_a, ...``, the order the scalar
+    kernel body applies the increments.  :func:`interleave_inc_group`
+    fills these views; the prepared-replay ``_PhaseExec`` hands them to
+    the kernel as its increment buffers, so the kernel writes its lanes
+    straight into scatter order and the two paths can never disagree
+    on operation order.
+    """
+    return [joint[g::n_parts] for g in range(n_parts)]
+
+
 def interleave_inc_group(parts) -> np.ndarray:
-    """Stack a merge group's per-argument arrays element-major.
+    """Interleave a merge group's per-argument arrays element-major.
 
     ``parts`` holds one array per grouped argument — either ``(n,)``
-    index arrays or ``(n, dim)`` value arrays — and the result
-    interleaves them ``e0.arg_a, e0.arg_b, e1.arg_a, ...``: the order
-    the scalar kernel body applies the increments.  THE single
-    definition of the interleave, used by every merge site (eager
-    :func:`scatter_batch` and the prepared-replay ``_PhaseExec``) so
-    the two paths can never disagree on operation order.
+    index arrays or ``(n, dim)`` value arrays — and the result is the
+    ``(n * len(parts), ...)`` array whose :func:`inc_group_slots` views
+    are ``parts``.
     """
-    stacked = np.stack(parts, axis=1)
-    if stacked.ndim == 2:
-        return stacked.reshape(-1)
-    return stacked.reshape(-1, stacked.shape[-1])
+    first = parts[0]
+    joint = np.empty(
+        (first.shape[0] * len(parts),) + first.shape[1:], dtype=first.dtype
+    )
+    for slot, part in zip(inc_group_slots(joint, len(parts)), parts):
+        slot[...] = part
+    return joint
 
 
 # ----------------------------------------------------------------------
@@ -393,9 +411,9 @@ def gather_batch(
     slice-like contiguous range), and indirect increments start as zeroed
     accumulators that the caller scatters afterwards.
 
-    Gathers go through :meth:`~repro.core.dat.Dat.gather`, which indexes
-    the physical storage along its contiguous axis, so the same code
-    serves AoS and SoA Dats.  When ``phase`` (a
+    Gathers go through :meth:`~repro.core.dat.Dat.gather` (one
+    ``np.take`` along the physical storage's element axis), so the same
+    code serves AoS and SoA Dats.  When ``phase`` (a
     :class:`~repro.core.plan.Phase` covering exactly ``elems``) is given,
     indirection index arrays come from the phase's per-(map, slot) cache
     instead of being fancy-indexed out of the maps anew — the whole-color
@@ -474,8 +492,10 @@ def scatter_batch(
 ) -> None:
     """Scatter batched results back to their Dats and fold reductions.
 
-    ``serialize_inc=True`` uses ``np.add.at`` — the colored/serialized
-    increment of the paper, correct even when lanes share a target.
+    ``serialize_inc=True`` applies lanes in index order (one 1-D
+    ``np.add.at`` per component, :meth:`~repro.core.dat.Dat.scatter_add`)
+    — the colored/serialized increment of the paper, correct even when
+    lanes share a target.
     ``serialize_inc=False`` models the permute schemes' free scatter
     (one fused ``+=``), valid only when all lane targets are unique.
     Scatters route through :meth:`~repro.core.dat.Dat.scatter` /
@@ -488,7 +508,8 @@ def scatter_batch(
     single-slot INC arguments target the same Dat (Airfoil's
     ``res_calc`` incrementing ``p_res`` through both edge slots), their
     lanes are interleaved per element — ``e0.arg_a, e0.arg_b, e1.arg_a,
-    ...`` — in one joint ``np.add.at``, exactly the order the scalar
+    ...`` (:func:`interleave_inc_group`) — in one joint serialized
+    ``scatter_add``, exactly the order the scalar
     kernel body applies them.  (Vector INC arguments already flatten
     element-major on their own.)  This makes the order of every
     order-sensitive floating-point operation a pure function of the

@@ -130,24 +130,20 @@ class SIMTBackend(Backend):
                 if not sel.any():
                     continue
                 for i, idx in inc_writebacks:
-                    arg = args[i]
-                    local = batch.arrays[i]
-                    if arg.is_vector:
-                        # One element's own slots may coincide (degenerate
-                        # mesh entities), so accumulate serially per lane.
-                        np.add.at(
-                            arg.dat.data,
-                            idx[sel].reshape(-1),
-                            local[sel].reshape(-1, arg.dat.dim),
-                        )
-                    else:
-                        # Within one color the targets are unique, so the
-                        # unserialized add is safe — and the lockstep lanes
-                        # of one color commit together, as on hardware.
-                        arg.dat.data[idx[sel]] += local[sel]
+                    dat = args[i].dat
+                    # Within one color the targets are unique, so the
+                    # free add is safe — and the lockstep lanes of one
+                    # color commit together, as on hardware.  A vector
+                    # argument's own slots may coincide (degenerate mesh
+                    # entities), so its lanes accumulate serially.
+                    dat.scatter_add(
+                        idx[sel].reshape(-1),
+                        batch.arrays[i][sel].reshape(-1, dat.dim),
+                        serialize=args[i].is_vector,
+                    )
 
         for i, idx in other_writebacks:
-            args[i].dat.data[idx] = batch.arrays[i]
+            args[i].dat.scatter(idx, batch.arrays[i])
 
         for i in batch.reduction_slots:
             fold_lanes(args[i].access, reductions[i], batch.arrays[i])

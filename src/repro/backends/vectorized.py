@@ -7,9 +7,10 @@ Execution follows the generated intrinsics code exactly:
 2. indirection indices are loaded, indirect reads *gathered* into packed
    per-lane arrays and direct reads loaded contiguously (aligned loads);
 3. the kernel's **vector form** runs once per chunk over all lanes;
-4. indirect increments are *scattered serially* (``np.add.at``), the
-   paper's sequential scatter out of the vector register that beat masked
-   scatters;
+4. indirect increments are *scattered serially* — lane by lane in index
+   order, one 1-D ``np.add.at`` per component
+   (:meth:`~repro.core.dat.Dat.scatter_add`) — the paper's sequential
+   scatter out of the vector register that beat masked scatters;
 5. a scalar *post-sweep* handles the remainder elements that do not fill
    a whole vector (the paper generates scalar pre/main/post loops because
    iteration ranges are rarely divisible by the vector length).
@@ -26,7 +27,10 @@ compiling.  When ``vec=None`` (unbounded lanes) the backend instead asks
 the plan for its :meth:`~repro.core.plan.Plan.phases`: each conflict-free
 color becomes **one** fused gather → vector-kernel → scatter over the
 entire color's element array, with the gather/scatter index arrays cached
-on the plan so repeated invocations (time steps) rebuild nothing.  Batch
+on the plan so repeated invocations (time steps) rebuild nothing.  A
+chained replay (:class:`_PhaseExec`) also packs every single-slot operand
+and increment into column-major lanes — component ``k`` of all lanes one
+contiguous row, the paper's AoS -> SoA packing.  Batch
 results are bitwise identical to chunked execution — phases preserve the
 chunked element order, serialized INC scatters apply lanes in that same
 order, and free scatters touch each target exactly once either way.  The
@@ -49,6 +53,7 @@ from .base import (
     _init_reductions,
     fold_lanes,
     gather_batch,
+    inc_group_slots,
     interleave_inc_group,
     run_scalar_element,
     scatter_batch,
@@ -58,6 +63,33 @@ from .base import (
 #: Batch strategies: one fused call per conflict-free color vs the
 #: faithful per-chunk loop.
 BATCH_MODES = ("color", "chunk")
+
+
+def _lane_buffer(n: int, dat) -> np.ndarray:
+    """A zeroed ``(n, dim)`` lane array for ``dat``, stored column-major.
+
+    Component ``k`` of all ``n`` lanes is one contiguous row — the SoA
+    vector register the paper packs indirect AoS data into — so the
+    generated kernel's whole-lane column operations (``q[:, k]``) run
+    at unit stride whatever the Dat's layout.
+    """
+    return np.zeros((dat.dim, n), dtype=dat.dtype).T
+
+
+def _gather_lanes(dat, idx: np.ndarray) -> np.ndarray:
+    """:meth:`~repro.core.dat.Dat.gather` of a 1-D ``idx`` into a
+    column-major ``(n, dim)`` array (see :func:`_lane_buffer`).
+
+    An SoA gather already is one; an AoS gather of whole rows is
+    transposed into lanes, the paper's AoS -> SoA packing.  The values
+    are the gather's, only their memory order differs.
+    """
+    rows = dat.gather(idx)
+    if rows.flags.f_contiguous:
+        return rows
+    lanes = np.empty((dat.dim, idx.size), dtype=rows.dtype).T
+    lanes[...] = rows
+    return lanes
 
 
 class _PhaseExec:
@@ -72,15 +104,22 @@ class _PhaseExec:
     * READ globals are prebound to their (stable) value arrays;
     * gather-index arrays come from the phase's per-(map, slot) cache,
       bound once;
-    * indirect-INC accumulators and global-reduction partials are
+    * increment accumulators and global-reduction partials are
       preallocated and refilled in place each run instead of
-      reallocated.
+      reallocated; a merged INC group (several single-slot INC
+      arguments on one Dat) shares one interleaved accumulator whose
+      slot views the kernel writes, so no per-run interleave copy is
+      made.
 
-    A steady-state replay therefore consists of exactly the numpy calls
-    eager execution performs — the gathers, the vector kernel, the
-    scatters, the reduction folds — in the same order on the same
-    operands, which keeps results bitwise identical while shedding the
-    per-argument Python dispatch.
+    Single-slot gathered operands and increment accumulators are
+    column-major lane arrays (:func:`_gather_lanes` /
+    :func:`_lane_buffer`): the paper's AoS -> SoA packing, so the
+    generated kernel reads and writes each component of all lanes at
+    unit stride.  Memory order changes no value, and a
+    steady-state replay performs the very gathers, elementwise kernel
+    operations, scatters and reduction folds of eager execution, in
+    the same order on the same operands — results stay bitwise
+    identical while the per-argument Python dispatch is shed.
     """
 
     __slots__ = ("kernel_vec", "proto", "fills", "gathers", "writebacks",
@@ -90,16 +129,18 @@ class _PhaseExec:
         args = bl.args
         elems = phase.elems
         nl = elems.size
-        contiguous = phase.contiguous
         serialize = phase.serialize
         # Generated (or explicitly attached) batched form for this
         # loop's argument shapes, from the kernelc compile cache.
         self.kernel_vec = bl.kernel.vector_for(bl.args)
         self.proto = []       # per-arg prebound array, or None (gathered)
-        self.fills = []       # (buffer, fill value) refilled each run
-        self.gathers = []     # (pos, is_mapped_gather, dat, index array)
-        self.writebacks = []  # (kind, dat, index array, pos, serialize)
+        self.gathers = []     # (pos, dat, index array, as lanes?)
+        # (dat, index array, pos, accumulator, serialize): a prebound
+        # accumulator is scatter_add-ed, None scatters arrays[pos].
+        self.writebacks = []
         self.folds = []       # (reduction slot, pos, access mode)
+        fills = {}            # pos -> (buffer, fill value)
+        merge = {}            # dat uid -> writeback indices to merge
         for i, arg in enumerate(args):
             dat = arg.dat
             if arg.is_global:
@@ -110,126 +151,90 @@ class _PhaseExec:
                         else dat.identity_for(arg.access)
                     )
                     self.proto.append(acc)
-                    self.fills.append((acc, fill))
+                    fills[i] = (acc, fill)
                     self.folds.append((i, i, arg.access))
                 else:
                     self.proto.append(dat.data)  # stable value array
-            elif arg.is_direct:
-                if contiguous:
-                    lo = int(elems[0])
-                    # Zero-copy in-place view, exactly what gather_batch
-                    # passes; writes land directly, no writeback.
-                    self.proto.append(dat._data[lo:lo + nl])
-                elif arg.access is Access.INC:
-                    # Non-contiguous direct INC: zeroed accumulator +
-                    # delta scatter_add, mirroring gather_batch (a
-                    # gathered copy would double-count old values).
-                    buf = np.zeros((nl, dat.dim), dtype=dat.dtype)
-                    self.proto.append(buf)
-                    self.fills.append((buf, 0))
-                    self._add_writeback(arg, dat, elems, i, serialize)
-                else:
-                    self.proto.append(None)
-                    self.gathers.append((i, False, dat, elems))
-                    if arg.access.writes:
-                        self._add_writeback(arg, dat, elems, i, serialize)
+                continue
+            if arg.is_direct and phase.contiguous:
+                lo = int(elems[0])
+                # Zero-copy in-place view, exactly what gather_batch
+                # passes; writes land directly, no writeback.
+                self.proto.append(dat._data[lo:lo + nl])
+                continue
+            idx = elems if arg.is_direct else phase.index_for(arg)
+            if arg.access is not Access.INC:
+                self.proto.append(None)
+                self.gathers.append((i, dat, idx, not arg.is_vector))
+                if arg.access.writes:
+                    self.writebacks.append((dat, idx, i, None, None))
+            elif arg.is_vector:
+                # Vector-INC lanes flatten (chunk, arity) targets; one
+                # element's own slots may coincide, so always serialize
+                # (same rule as scatter_batch).
+                buf = np.zeros((nl, arg.map.arity, dat.dim), dtype=dat.dtype)
+                self.proto.append(buf)
+                fills[i] = (buf, 0)
+                self.writebacks.append(
+                    (dat, idx.reshape(-1), i, buf.reshape(-1, dat.dim), True)
+                )
             else:
-                idx = phase.index_for(arg)
-                if arg.access is Access.INC:
-                    shape = (
-                        (nl, arg.map.arity, dat.dim)
-                        if arg.is_vector else (nl, dat.dim)
+                # Zeroed accumulator + delta scatter_add.  For a
+                # non-contiguous direct INC (Mat staging) this mirrors
+                # gather_batch: a gathered copy would double-count.
+                buf = _lane_buffer(nl, dat)
+                self.proto.append(buf)
+                fills[i] = (buf, 0)
+                if serialize and serialized_inc_group_key(arg) is not None:
+                    merge.setdefault(dat._uid, []).append(
+                        len(self.writebacks)
                     )
-                    buf = np.zeros(shape, dtype=dat.dtype)
-                    self.proto.append(buf)
-                    self.fills.append((buf, 0))
-                    self._add_writeback(arg, dat, idx, i, serialize)
-                else:
-                    self.proto.append(None)
-                    self.gathers.append((i, True, dat, idx))
-                    if arg.access.writes:
-                        self._add_writeback(arg, dat, idx, i, serialize)
-        self._merge_serialized_incs()
+                self.writebacks.append((dat, idx, i, buf, serialize))
+        for members in merge.values():
+            if len(members) > 1:
+                self._merge_serialized_incs(members, fills)
+        self.writebacks = [wb for wb in self.writebacks if wb is not None]
+        self.fills = list(fills.values())
 
-    def _merge_serialized_incs(self) -> None:
-        """Fuse same-Dat serialized single-slot INC writebacks into one
+    def _merge_serialized_incs(self, members, fills) -> None:
+        """Fuse one Dat's serialized single-slot INC writebacks into one
         element-major joint application.
 
         Same merge rule and interleave as the eager
         :func:`~repro.backends.base.scatter_batch`
         (:func:`~repro.backends.base.serialized_inc_group_key` /
-        :func:`~repro.backends.base.interleave_inc_group`): several INC
+        :func:`~repro.backends.base.inc_group_slots`): several INC
         arguments targeting one Dat (res_calc's two ``p_res`` slots)
         interleave per element — the scalar kernel body's order — so
         the operation sequence depends only on the element sequence and
-        sub-phase slicing (sparse tiling) cannot perturb it.
+        sub-phase slicing (sparse tiling) cannot perturb it.  The
+        arguments' accumulators become slot views of one joint buffer,
+        applied in the first member's writeback position.
         """
-        groups: dict = {}
-        for wb in self.writebacks:
-            kind, dat, _idx, _pos, ser = wb
-            if kind == "inc" and ser:
-                groups.setdefault(dat._uid, []).append(wb)
-        groups = {k: v for k, v in groups.items() if len(v) > 1}
-        if not groups:
-            return
-        merged, emitted = [], set()
-        for wb in self.writebacks:
-            kind, dat, idx, pos, ser = wb
-            group = groups.get(dat._uid) if kind == "inc" and ser else None
-            if group is None:
-                merged.append(wb)
-                continue
-            if dat._uid in emitted:
-                continue
-            emitted.add(dat._uid)
-            gidx = interleave_inc_group([w[2] for w in group])
-            merged.append(
-                ("incj", dat, gidx, tuple(w[3] for w in group), True)
-            )
-        self.writebacks = merged
-
-    def _add_writeback(self, arg, dat, idx, pos, serialize) -> None:
-        if arg.access is Access.INC:
-            if arg.is_vector:
-                # Vector-INC lanes flatten (chunk, arity) targets; one
-                # element's own slots may coincide, so always serialize
-                # (same rule as scatter_batch).
-                self.writebacks.append(("incv", dat, idx.reshape(-1), pos,
-                                        True))
-            else:
-                # "inc" entries are merge candidates; "incd" (direct)
-                # never merges — the shared rule of
-                # base.serialized_inc_group_key.
-                kind = (
-                    "inc"
-                    if serialized_inc_group_key(arg) is not None
-                    else "incd"
-                )
-                self.writebacks.append((kind, dat, idx, pos, serialize))
-        else:
-            self.writebacks.append(("scatter", dat, idx, pos, None))
+        group = [self.writebacks[m] for m in members]
+        dat, idx = group[0][0], group[0][1]
+        joint = _lane_buffer(idx.size * len(group), dat)
+        gidx = interleave_inc_group([wb[1] for wb in group])
+        for wb, slot in zip(group, inc_group_slots(joint, len(group))):
+            self.proto[wb[2]] = slot
+            del fills[wb[2]]
+        fills[group[0][2]] = (joint, 0)
+        self.writebacks[members[0]] = (dat, gidx, None, joint, True)
+        for m in members[1:]:
+            self.writebacks[m] = None
 
     def run(self, reductions) -> None:
         arrays = self.proto.copy()
         for buf, fill in self.fills:
             buf[...] = fill
-        for pos, mapped, dat, idx in self.gathers:
-            arrays[pos] = dat.gather(idx) if mapped else dat._data[idx]
+        for pos, dat, idx, lanes in self.gathers:
+            arrays[pos] = _gather_lanes(dat, idx) if lanes else dat.gather(idx)
         self.kernel_vec(*arrays)
-        for kind, dat, idx, pos, ser in self.writebacks:
-            if kind == "incj":
-                # Same interleave as the prestacked index half.
-                local = interleave_inc_group([arrays[p] for p in pos])
-                dat.scatter_add(idx, local, serialize=True)
-                continue
-            local = arrays[pos]
-            if kind in ("inc", "incd"):
-                dat.scatter_add(idx, local, serialize=ser)
-            elif kind == "incv":
-                dat.scatter_add(idx, local.reshape(-1, dat.dim),
-                                serialize=True)
+        for dat, idx, pos, acc, ser in self.writebacks:
+            if acc is None:
+                dat.scatter(idx, arrays[pos])
             else:
-                dat.scatter(idx, local)
+                dat.scatter_add(idx, acc, serialize=ser)
         for slot, pos, mode in self.folds:
             fold_lanes(mode, reductions[slot], arrays[pos])
 

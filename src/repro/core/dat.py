@@ -26,15 +26,19 @@ storage along its contiguous axis.
 
 The gather/scatter contract
 ---------------------------
-``gather(idx)`` returns a fresh ``(len(idx), dim)`` array of the rows
-named by ``idx`` (never a view).  ``scatter(idx, values)`` writes rows
-back and requires **unique** targets in ``idx`` — it is the free scatter
-of the permute schemes.  ``scatter_add(idx, values, serialize=True)``
-accumulates; with ``serialize=True`` it applies lanes in index order
-(``np.add.at``), which is correct even when lanes share a target — the
-paper's sequential scatter out of the vector register.  With
-``serialize=False`` targets must be unique (conflict-free color), and the
-add is one fused operation.
+``gather(idx)`` returns a fresh ``idx.shape + (dim,)`` array of the rows
+named by ``idx`` (never a view): one ``np.take`` along the storage's
+element axis — whole rows for AoS, one row per component for SoA.
+``scatter(idx, values)`` writes rows back and requires **unique**
+targets in ``idx`` — it is the free scatter of the permute schemes.
+``scatter_add(idx, values, serialize=True)`` accumulates; with
+``serialize=True`` it applies lanes in index order, which is correct
+even when lanes share a target — the paper's sequential scatter out of
+the vector register.  It runs one 1-D ``np.add.at`` per component:
+the ``(row, k)`` targets of different components never interact, and
+each still receives its lanes in index order, so the result is bitwise
+that of a lane-by-lane loop.  With ``serialize=False`` targets must be
+unique (conflict-free color), and the add is one fused operation.
 
 A process-wide default layout can be set with :func:`set_default_layout`
 or scoped with the :func:`dat_layout` context manager; a
@@ -250,14 +254,16 @@ class Dat:
         storage along its contiguous axis: an AoS gather copies whole
         rows, an SoA gather streams one component row per ``k < dim`` —
         the access pattern the paper's packing code and GPU transposition
-        respectively optimize for.
+        respectively optimize for.  Both are one ``np.take``, which
+        copies exactly what the row fancy-index ``data[idx]`` would,
+        without the general indexing machinery.
         """
         self._sync()
         if self.layout == "soa":
             # (dim, *idx.shape) -> (*idx.shape, dim); .T would *reverse*
             # the axes and silently swap chunk/arity for 2-D indices.
-            return np.moveaxis(self._storage[:, idx], 0, -1)
-        return self._storage[idx]
+            return np.moveaxis(np.take(self._storage, idx, axis=1), 0, -1)
+        return np.take(self._storage, idx, axis=0)
 
     def scatter(self, idx: np.ndarray, values: np.ndarray) -> None:
         """Write rows back (WRITE/RW scatter).
@@ -276,14 +282,20 @@ class Dat:
     ) -> None:
         """Accumulate rows (INC scatter); ``values`` is ``idx.shape + (dim,)``.
 
-        ``serialize=True`` applies lanes strictly in index order via
-        ``np.add.at`` — correct when lanes collide (two_level scheme).
-        ``serialize=False`` is the permute schemes' free scatter: one
-        fused ``+=`` that requires unique targets.
+        ``serialize=True`` applies lanes strictly in index order —
+        correct when lanes collide (two_level scheme).  It runs one 1-D
+        ``np.add.at`` per component: every ``(row, k)`` target still
+        receives its lanes in index order, so the result is bitwise
+        that of one 2-D ``np.add.at`` over whole rows, without the
+        row-wise indexing machinery.  ``serialize=False`` is the permute
+        schemes' free scatter: one fused ``+=`` that requires unique
+        targets.
         """
         self._sync()
         if serialize:
-            np.add.at(self._data, idx, values)
+            data = self._data
+            for k in range(self.dim):
+                np.add.at(data[:, k], idx, values[..., k])
         elif self.layout == "soa":
             self._storage[:, idx] += np.moveaxis(values, -1, 0)
         else:

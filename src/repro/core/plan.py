@@ -28,9 +28,10 @@ The serialize-vs-colored scatter rule
 -------------------------------------
 A phase carries ``serialize``: ``True`` means lanes inside the phase may
 share an indirect target and INC scatters must apply lanes in element
-order (``np.add.at`` — correct and deterministic, but serial per
-element).  ``False`` means the coloring guarantees all lane targets are
-distinct and the scatter can be one fused array operation.  Under
+order (one 1-D ``np.add.at`` per component, ``Dat.scatter_add`` —
+correct and deterministic, but serial per element).  ``False`` means
+the coloring guarantees all lane targets are distinct and the scatter
+can be one fused array operation.  Under
 ``two_level`` only whole *block colors* are race-free across blocks —
 elements inside a block may still collide, so phases serialize; under
 ``full_permute``/``block_permute`` every phase is a same-color group and

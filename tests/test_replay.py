@@ -1,0 +1,217 @@
+"""The vectorized backend's prepared chained replay (``_PhaseExec``).
+
+A warm chained run replays each loop phase as prebound NumPy calls:
+``np.take`` gathers packed into column-major lanes, the generated
+kernel on ``.T`` lane views, increments written straight into
+(interleaved) accumulators and a per-component ordered scatter.  None
+of that may move a bit: on ``Runtime("vectorized")`` the replay must
+equal eager execution exactly, for the app twins under both layouts
+(here: float32 Volna; the rest sit in the backend-matrix sweeps of
+``test_chain.py`` / ``test_aero.py`` / ``test_matfree.py``) and for the
+argument kinds the apps do not all exercise — vector (``IDX_ALL``)
+increments, a merged same-Dat INC group, a global reduction, an
+indirect RW operand and the non-contiguous direct INC of matrix
+staging.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.backends.vectorized as vectorized
+from repro.core import (
+    IDX_ALL,
+    IDX_ID,
+    INC,
+    READ,
+    RW,
+    WRITE,
+    Dat,
+    Global,
+    Map,
+    Mat,
+    Runtime,
+    Set,
+    arg_dat,
+    arg_gbl,
+    arg_mat,
+    kernel,
+    par_loop,
+)
+from repro.core.access import Access
+from repro.mesh import make_airfoil_mesh, make_tri_mesh
+from repro.testing import LAYOUT_MATRIX
+
+STEPS = 3
+
+
+def _airfoil(layout, chained):
+    from repro.apps.airfoil import AirfoilSim
+
+    return AirfoilSim(make_airfoil_mesh(16, 8),
+                      runtime=Runtime("vectorized", layout=layout),
+                      chained=chained)
+
+
+class TestAppTwins:
+    """Airfoil, float64 Volna and aero (assembled and matrix-free) replay
+    == eager on the vectorized backend under both layouts is pinned by
+    the backend-matrix sweeps of ``test_chain.py``, ``test_aero.py`` and
+    ``test_matfree.py``; single-precision Volna is not."""
+
+    @pytest.mark.parametrize("layout", LAYOUT_MATRIX)
+    def test_volna_float32(self, layout):
+        from repro.apps.volna import VolnaSim
+
+        sims = [
+            VolnaSim(make_tri_mesh(12, 10), dtype=np.float32,
+                     runtime=Runtime("vectorized", layout=layout),
+                     chained=chained)
+            for chained in (False, True)
+        ]
+        for sim in sims:
+            sim.run(STEPS)
+        eager, chained = sims
+        assert np.array_equal(eager.state.q.data, chained.state.q.data)
+        assert np.array_equal(eager.state.rhs.data, chained.state.rhs.data)
+        assert eager.dt_history == chained.dt_history
+
+
+def _spy_noncontiguous_direct_inc(monkeypatch):
+    """Record every replay phase that carries a direct INC argument over
+    a non-contiguous phase (returns the list it appends to)."""
+    seen = []
+    init = vectorized._PhaseExec.__init__
+
+    def spy(self, bl, phase):
+        init(self, bl, phase)
+        if not phase.contiguous and any(
+            a.is_direct and not a.is_global and a.access is Access.INC
+            for a in bl.args
+        ):
+            seen.append(bl.kernel.name)
+
+    monkeypatch.setattr(vectorized._PhaseExec, "__init__", spy)
+    return seen
+
+
+# ----------------------------------------------------------------------
+# Every argument kind of _PhaseExec in one chain.
+# ----------------------------------------------------------------------
+@kernel("rp_vec_inc")
+def rp_vec_inc(x, v):
+    if x[0] > 0.0:
+        v[0][0] += x[0]
+    v[1][0] += 2.0 * x[1]
+    v[0][1] -= x[0] * x[1]
+    v[1][1] += x[1] - x[0]
+
+
+@kernel("rp_pair_inc")
+def rp_pair_inc(x, c0, c1, d0, d1, g):
+    f = 0.5 * x[0] - x[1] * c0[2]
+    d0[0] += f
+    d1[0] -= f * c1[1]
+    d0[1] += np.maximum(f, c1[0])
+    d1[1] += c0[0] * x[1]
+    g[0] += x[0]
+
+
+@kernel("rp_rw")
+def rp_rw(x, y0):
+    y0[0] = y0[0] * 0.5 + x[0]
+
+
+@kernel("rp_mat")
+def rp_mat(x, d0, k):
+    k[0] += x[0]
+    k[1] += x[0] * x[1]
+    k[3] -= x[1]
+    d0[0] += 0.25 * x[1]
+
+
+@kernel("rp_cell")
+def rp_cell(c, d, w):
+    w[0] = c[0] * d[1] - d[0]
+    w[1] = c[1] + c[2]
+
+
+def _strip(seed, layout):
+    rng = np.random.default_rng(seed)
+    edges, cells = Set(96, "edges"), Set(30, "cells")
+    # Slot 1 sends runs of 8 edges to one cell, and neighbouring blocks
+    # of 16 edges (only those) to a shared one: two_level then colours
+    # blocks 0, 2, 4 | 1, 3, 5, whose phases are non-contiguous.
+    first = rng.integers(0, 30, 96)
+    second = (np.arange(96) + 8) // 16
+    e2c = Map(edges, cells, 2, np.stack([first, second], axis=1), name="e2c")
+    return dict(
+        edges=edges, cells=cells, e2c=e2c,
+        x=Dat(edges, 2, rng.standard_normal((96, 2)), name="x", layout=layout),
+        c=Dat(cells, 3, rng.standard_normal((30, 3)), name="c", layout=layout),
+        d=Dat(cells, 2, rng.standard_normal((30, 2)), name="d", layout=layout),
+        v=Dat(cells, 2, rng.standard_normal((30, 2)), name="v", layout=layout),
+        y=Dat(cells, 1, rng.standard_normal((30, 1)), name="y", layout=layout),
+        w=Dat(cells, 2, name="w", layout=layout),
+        g=Global(1, name="g"),
+        mat=Mat(e2c, e2c, name="K"),
+    )
+
+
+def _loops(m, rt):
+    e2c = m["e2c"]
+    par_loop(rp_vec_inc, m["edges"], arg_dat(m["x"], IDX_ID, None, READ),
+             arg_dat(m["v"], IDX_ALL, e2c, INC), runtime=rt)
+    # Matrix staging is a direct INC; the indirect INC next to it makes
+    # the plan colour, so its phases are non-contiguous.
+    par_loop(rp_mat, m["edges"], arg_dat(m["x"], IDX_ID, None, READ),
+             arg_dat(m["d"], 1, e2c, INC), arg_mat(m["mat"], INC),
+             runtime=rt)
+    par_loop(rp_pair_inc, m["edges"], arg_dat(m["x"], IDX_ID, None, READ),
+             arg_dat(m["c"], 0, e2c, READ), arg_dat(m["c"], 1, e2c, READ),
+             arg_dat(m["d"], 0, e2c, INC), arg_dat(m["d"], 1, e2c, INC),
+             arg_gbl(m["g"], INC), runtime=rt)
+    par_loop(rp_rw, m["edges"], arg_dat(m["x"], IDX_ID, None, READ),
+             arg_dat(m["y"], 1, e2c, RW), runtime=rt)
+    par_loop(rp_cell, m["cells"], arg_dat(m["c"], IDX_ID, None, READ),
+             arg_dat(m["d"], IDX_ID, None, READ),
+             arg_dat(m["w"], IDX_ID, None, WRITE), runtime=rt)
+
+
+class TestArgumentKinds:
+    @pytest.mark.parametrize("scheme", ["two_level", "full_permute"])
+    @pytest.mark.parametrize("layout", LAYOUT_MATRIX)
+    def test_chained_equals_eager(self, layout, scheme, monkeypatch):
+        staged = _spy_noncontiguous_direct_inc(monkeypatch)
+        eager, chained = _strip(5, layout), _strip(5, layout)
+        rt_e = Runtime("vectorized", scheme=scheme, block_size=16)
+        rt_c = Runtime("vectorized", scheme=scheme, block_size=16)
+        for _ in range(STEPS):
+            _loops(eager, rt_e)
+            with rt_c.chain():
+                _loops(chained, rt_c)
+        for name in ("v", "d", "y", "w"):
+            assert np.array_equal(eager[name].data, chained[name].data), name
+        assert np.array_equal(eager["g"].value, chained["g"].value)
+        assert np.array_equal(eager["mat"].assemble().data,
+                              chained["mat"].assemble().data)
+        assert staged == ["rp_mat"] * len(staged) and staged
+
+
+class TestHotPath:
+    def test_warm_airfoil_replay_never_stacks(self, monkeypatch):
+        """The merged ``p_res`` INC group writes into slot views of one
+        interleaved accumulator: a warm replay makes no ``np.stack``."""
+        eager, chained = _airfoil("aos", False), _airfoil("aos", True)
+        eager.run(STEPS)
+        chained.run(STEPS - 1)
+
+        def no_stack(*args, **kwargs):
+            raise AssertionError("np.stack in the warm replay")
+
+        monkeypatch.setattr(np, "stack", no_stack)
+        chained.run(1)
+        monkeypatch.undo()
+        assert np.array_equal(eager.state.p_q.data, chained.state.p_q.data)
+        assert eager.rms_history == chained.rms_history
