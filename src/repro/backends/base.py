@@ -172,10 +172,7 @@ class Backend:
             return replay_trips(
                 lambda: self.run_tiled(compiled), repeat, "tiled"
             )
-        profile = (
-            self.tiled_profile(compiled) if compiled.tiled is not None
-            else None
-        )
+        profile = self.tiled_profile(compiled)
         schedule = (
             compiled.tiled_for(profile) if profile is not None else None
         )

@@ -12,23 +12,25 @@ Determinism contract
 Every native path executes elements in **ascending order** and maps
 each floating-point step onto the exact machine operation NumPy's
 scalar path performs (see the emitter's module docstring), so native
-eager, chained and tiled results are all bitwise identical to the
-sequential backend — the repo-wide acceptance bar.  A chained (or
-repeat) call of a large chain runs on all cores by owner-computes, which
-keeps that order per target (``kernelc/native.py``: ``LoopVerdict``);
-eager and tiled dispatch stay on one thread.  ``thread_verdicts`` says
-how each chain program runs its loops (``Runtime.stats()["native"]``).
+eager and chained results are bitwise identical to the sequential
+backend — the repo-wide acceptance bar.  A chained (or repeat) call of
+a large chain runs on all cores by owner-computes, which keeps that
+order per target (``kernelc/native.py``: ``LoopVerdict``); eager
+dispatch stays on one thread.  A tiled request (``tiling=``) runs the
+chain untiled (:meth:`NativeBackend.run_tiled`).  ``thread_verdicts``
+says how each chain program runs its loops
+(``Runtime.stats()["native"]``).
 
 Fallback policy (two tiers)
 ---------------------------
 1. *No C toolchain* (``REPRO_NATIVE_DISABLE_CC=1``, or no ``cc``/cffi):
-   the backend degrades to its :class:`VectorizedBackend` base
-   everywhere — still fast, still internally bitwise-consistent across
-   eager/chained/tiled.
+   the backend degrades to its :class:`VectorizedBackend` base for
+   eager and chained work — still fast, still internally
+   bitwise-consistent across eager/chained.
 2. *Toolchain present but a kernel or chain falls outside the C
    emitter's subset*: that work runs through the generic scalar paths
-   (``Backend.run_chain`` / ``run_tiled`` / an ascending
-   ``run_scalar_element`` sweep) — **never** the color-phased
+   (``Backend.run_chain`` / an ascending ``run_scalar_element``
+   sweep) — **never** the color-phased
    vectorized path — so mixed nativizability cannot break the
    ascending-order bitwise contract within a run.
 """
@@ -45,7 +47,6 @@ from ..kernelc.native import (
     count_native_fallback,
 )
 from ..core.chain import RepeatResult
-from ..tiling.schedule import BarrierLoop
 from .base import Backend, LoopStats, replay_trips, run_scalar_element
 from .vectorized import VectorizedBackend
 
@@ -192,71 +193,12 @@ class NativeBackend(VectorizedBackend):
     # ------------------------------------------------------------------
     # Tiled dispatch
     # ------------------------------------------------------------------
-    def tiled_profile(self, compiled):
-        if not compiler_available():
-            return super().tiled_profile(compiled)
-        # Native loops execute elements in plain ascending order, so
-        # cuts must slice that order (same profile as sequential).
-        return "ascending"
-
-    @staticmethod
-    def _slices_are_ascending(schedule, loops) -> bool:
-        """Belt-and-braces check that every sliced order is the plain
-        ``arange(n)`` the emitted C assumes (contiguous ranges let tiles
-        replay as ``[cuts[t], cuts[t+1])``)."""
-        for part in schedule.parts:
-            if isinstance(part, BarrierLoop):
-                continue
-            for k, sl in zip(part.loop_indices, part.slices):
-                n = loops[k].n
-                if sl.order.size != n:
-                    return False
-                if n and (int(sl.order[0]) != 0 or int(sl.order[-1]) != n - 1):
-                    return False
-        return True
-
     def run_tiled(self, compiled, repeat=None):
-        if repeat is not None:
-            return Backend.run_tiled(self, compiled, repeat)
-        if not compiler_available():
-            super().run_tiled(compiled)
-            return
-        if compiled.tiled is None:
-            self.run_chain(compiled)
-            return
-        schedule = compiled.tiled_for(self.tiled_profile(compiled))
-        if schedule is None:
-            self.run_chain(compiled)
-            return
-        program = self._chain_program(compiled)
-        if program is _UNSUPPORTED or not self._slices_are_ascending(
-            schedule, compiled.loops
-        ):
-            Backend.run_tiled(self, compiled)
-            return
-        loops = compiled.loops
-        for bl in loops:
-            for arg in bl.args:
-                arg.dat._sync()
-        t0 = time.perf_counter()
-        program._refresh()
-        for part in schedule.parts:
-            if isinstance(part, BarrierLoop):
-                j = part.loop_index
-                bl = loops[j]
-                program.loop_init(j)
-                program.run_loop(j, 0, bl.n)
-                program.loop_fold(j)
-                continue
-            # Reduction loops are always barriers (inspector invariant),
-            # so segment init/fold calls are no-ops kept for symmetry.
-            for j in part.loop_indices:
-                program.loop_init(j)
-            for t in range(part.n_tiles):
-                for j, sl in zip(part.loop_indices, part.slices):
-                    lo, hi = int(sl.cuts[t]), int(sl.cuts[t + 1])
-                    if hi > lo:
-                        program.run_loop(j, lo, hi)
-            for j in part.loop_indices:
-                program.loop_fold(j)
-        self._record_split(loops, time.perf_counter() - t0)
+        """Native never tiles: a tiled request runs the untiled chain.
+
+        A fused chain runs on every core in one call; a tile walk would
+        call the single-threaded per-loop entry once per tile and slice,
+        which measured slower than the chain it replaces.  So no tiled
+        schedule is built, and a tiled ``repeat`` is one
+        ``kc_run_repeat`` call like any other."""
+        return self.run_chain(compiled, repeat)

@@ -535,8 +535,6 @@ def native_ablation(
         mesh = make_airfoil_mesh(48, 24)
     configs = {
         ("airfoil", "native chained"): ("airfoil", "native", True, None),
-        ("airfoil", "native tiled (auto)"): ("airfoil", "native", True,
-                                             "auto"),
         ("airfoil", "vectorized chained"): ("airfoil", "vectorized", True,
                                             None),
         ("airfoil", "scalar (sequential)"): ("airfoil", "sequential",

@@ -39,7 +39,8 @@ from .chain import (
     fusion_groups,
     pair_fusable,
 )
-from .codegen import CodegenBackend, compile_loop, generate_loop_source
+from ..backends.codegen import CodegenBackend
+from ..kernelc.scalar import compile_loop, generate_loop_source
 from .dat import (
     LAYOUTS,
     Dat,

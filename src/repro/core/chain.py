@@ -306,12 +306,12 @@ class CompiledChain:
 
     * the **fused program** (``groups``) — loop-major execution with
       adjacent compatible loops phase-interleaved; always present;
-    * optionally a **tiled schedule** (``tiled``) — the sparse-tiling
-      inspector's tile-major decomposition (:mod:`repro.tiling`),
-      present when the chain was traced with ``tiling=``.  Backends
-      execute it through :meth:`~repro.backends.base.Backend.run_tiled`
-      (falling back to the fused program when they cannot slice
-      bitwise-safely).
+    * for a chain traced with ``tiling=``, a **tiled schedule** — the
+      sparse-tiling inspector's tile-major decomposition
+      (:mod:`repro.tiling`), built by :meth:`tiled_for` the first time a
+      backend's :meth:`~repro.backends.base.Backend.run_tiled` asks for
+      it.  A backend that does not tile (native) never asks, and one
+      that cannot slice bitwise-safely falls back to the fused program.
     """
 
     groups: Tuple[FusedGroup, ...]
@@ -320,20 +320,17 @@ class CompiledChain:
     tiling: object = None
     #: Resolved seed tile size (0 when untiled).
     tile_size: int = 0
-    #: Canonical (``"phases"`` profile) tiled schedule, or ``None``.
-    tiled: object = None
     #: Persistent-store key of this chain (:func:`repro.store.chain_key`),
     #: or ``None`` for unkeyable traces (explicit plan overrides).  Set
-    #: by the runtime; lazily-built tiled profiles use it to consult the
-    #: tiled store before re-running the inspector.
+    #: by the runtime; tiled schedules use it to consult the tiled
+    #: store before running the inspector.
     store_key: Optional[str] = field(default=None, compare=False, repr=False)
     #: Per-backend prepared executor programs (populated lazily by
     #: backends that specialize replay, e.g. the vectorized backend's
     #: prebound gather/kernel/scatter closures).  Keyed by backend
     #: instance; invalidated with the chain cache itself.
     exec_cache: Dict = field(default_factory=dict, compare=False, repr=False)
-    #: Lazily-built tiled schedules for non-canonical element orders
-    #: (the scalar backends' ``"ascending"`` profile).
+    #: Tiled schedules built so far, by element-order profile.
     _tiled_profiles: Dict = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -347,20 +344,30 @@ class CompiledChain:
         """The flat plan-resolved loop list, recorded order."""
         return tuple(bl for g in self.groups for bl in g.loops)
 
+    @property
+    def tiled(self):
+        """The canonical (``"phases"`` profile) tiled schedule, built on
+        first access; ``None`` when the chain was not compiled with
+        tiling."""
+        return self.tiled_for("phases")
+
+    @property
+    def tiled_built(self) -> bool:
+        """Whether any tiled schedule of this chain has been built —
+        i.e. a backend ran it tiled (or tried to)."""
+        return bool(self._tiled_profiles)
+
     def tiled_for(self, profile: str):
         """The tiled schedule sliced against one eager element order.
 
-        ``"phases"`` returns the canonical schedule built at compile
-        time; other profiles are produced by re-running the inspector
-        against that profile's element order (memoized — the cuts
-        differ per order because bitwise identity requires slicing each
-        backend's *own* eager sequence contiguously).  ``None`` when
+        Built the first time it is asked for, through the tiled store
+        (:func:`load_or_build_tiled`), and memoized per profile — the
+        cuts differ per order because bitwise identity requires slicing
+        each backend's *own* eager sequence contiguously.  ``None`` when
         the chain was not compiled with tiling.
         """
-        if self.tiled is None:
+        if self.tiling is None:
             return None
-        if profile == "phases":
-            return self.tiled
         sched = self._tiled_profiles.get(profile)
         if sched is None:
             sched = load_or_build_tiled(
@@ -423,7 +430,7 @@ def bind_args(specs: Sequence[LoopSpec]) -> List[Tuple[Arg, ...]]:
 def compile_chain(
     specs: Sequence[LoopSpec], runtime, tiling=None, store_key=None
 ) -> CompiledChain:
-    """Validate, resolve plans, fuse — and optionally tile.
+    """Validate, resolve plans, fuse — and resolve the tiling request.
 
     Validation happens here — once per distinct trace signature —
     rather than per recorded call: a malformed loop raises at the first
@@ -431,10 +438,11 @@ def compile_chain(
     construction re-records a previously validated sequence) pays no
     validation at all.
 
-    With ``tiling`` (``"auto"`` or a seed tile size) the sparse-tiling
-    inspector additionally lowers the trace into a
-    :class:`~repro.tiling.schedule.TiledSchedule` attached to the
-    result; the runtime's chain cache keys on the tiling request, so
+    With ``tiling`` (``"auto"`` or a seed tile size) the result records
+    the request and its seed tile size; the
+    :class:`~repro.tiling.schedule.TiledSchedule` itself is built by
+    :meth:`CompiledChain.tiled_for` when a backend first runs the chain
+    tiled.  The runtime's chain cache keys on the tiling request, so
     tiled and untiled compilations of the same trace coexist.
     """
     from .loop import validate_loop
@@ -461,7 +469,6 @@ def compile_chain(
         for idx_group in fusion_groups(specs, plans)
     ]
 
-    tiled = None
     tile_size = 0
     if tiling is not None:
         from ..tiling import auto_tile_size, check_tiling
@@ -470,13 +477,11 @@ def compile_chain(
         tile_size = (
             auto_tile_size(bound) if tiling == "auto" else int(tiling)
         )
-        tiled = load_or_build_tiled(store_key, bound, tile_size, "phases")
 
     return CompiledChain(
         groups=tuple(groups),
         tiling=tiling,
         tile_size=tile_size,
-        tiled=tiled,
         store_key=store_key,
     )
 
@@ -573,7 +578,7 @@ class LoopChain:
             repeat.check_body(specs)
         compiled = self.runtime.compiled_chain_for(specs, tiling=self.tiling)
         backend = self.runtime.backend
-        run = backend.run_tiled if compiled.tiled is not None \
+        run = backend.run_tiled if compiled.tiling is not None \
             else backend.run_chain
         self._flushing = True
         t0 = time.perf_counter()
@@ -591,7 +596,7 @@ class LoopChain:
             profile.record_chain(
                 tuple(s.kernel.name for s in specs),
                 time.perf_counter() - t0,
-                tiled=compiled.tiled is not None,
+                tiled=compiled.tiled_built,
             )
         self.flushed_loops += len(specs)
         self.flushes += 1

@@ -318,10 +318,11 @@ class Runtime:
         A warm process decodes the persisted fusion decisions and
         rebinds them over the live trace (plans resolve through
         :meth:`plan_for`, whose structural cache has its own disk
-        layer), attaching the tiled schedule from the tiled store —
-        zero validation, fusion or tiling inspection.  Decode failures count as corrupt and fall back to
-        a full compile; traces with explicit plan overrides are
-        unkeyable (``chain_key`` returns ``None``) and always compile.
+        layer) — zero validation or fusion; a tiled schedule comes from
+        the tiled store when a backend first asks for it.  Decode
+        failures count as corrupt and fall back to a full compile;
+        traces with explicit plan overrides are unkeyable
+        (``chain_key`` returns ``None``) and always compile.
         """
         from .. import store
 
@@ -341,17 +342,6 @@ class Runtime:
                 store.unlink_quiet(cstore.path_for(skey))
             else:
                 object.__setattr__(compiled, "store_key", skey)
-                if compiled.tiling is not None:
-                    from .chain import load_or_build_tiled
-
-                    object.__setattr__(
-                        compiled,
-                        "tiled",
-                        load_or_build_tiled(
-                            skey, compiled.loops, compiled.tile_size,
-                            "phases",
-                        ),
-                    )
                 return compiled
         store.count_build("chain")
         compiled = compile_chain(specs, self, tiling=tiling, store_key=skey)
@@ -369,16 +359,6 @@ class Runtime:
         self.chain_cache_hits = 0
         self.chain_cache_misses = 0
         self.chain_cache_evictions = 0
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Counters for the caching ablation tables."""
-        return {
-            "loop_hits": self.loop_cache_hits,
-            "loop_misses": self.loop_cache_misses,
-            "plan_hits": self.plans.hits,
-            "plan_misses": self.plans.misses,
-            "plans": len(self.plans),
-        }
 
     def stats(self) -> Dict[str, object]:
         """All runtime counters: the seven cache kinds, backend

@@ -10,9 +10,9 @@ SIMD kernels).  This package is that generator:
     and lowers it into a small validated IR (straight-line statements,
     per-argument loads/stores, branches, bounded ``range`` loops).
 ``scalar``
-    The specialized per-shape *loop stub* emitter (promoted from
-    ``core/codegen.py``), covering direct, indirect, vector — including
-    vector INC — and global-reduction arguments.
+    The specialized per-shape *loop stub* emitter, covering direct,
+    indirect, vector — including vector INC — and global-reduction
+    arguments.
 ``vector``
     The batched-kernel emitter: one NumPy function over ``(lanes, dim)``
     gathered blocks per argument-shape signature, branches lowered to

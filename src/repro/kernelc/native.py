@@ -49,9 +49,9 @@ Cache hierarchy
 ---------------
 Source text is content-hashed (:func:`source_key`); compiled shared
 objects live in memory per process and on disk under
-``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro_native``) keyed by
-that hash, so warm processes skip the compiler entirely.  This is the
-sixth cache kind surfaced by :meth:`repro.core.runtime.Runtime.stats`:
+:func:`native_cache_dir` keyed by that hash and the compile flags, so
+warm processes skip the compiler entirely.  This is the sixth cache
+kind surfaced by :meth:`repro.core.runtime.Runtime.stats`:
 loop → plan → chain → tiled → kernelc → native.
 
 Anything outside the translatable subset raises
@@ -1711,7 +1711,7 @@ def _plan_chain(loops: Sequence, threads: bool):
 
 
 def emit_chain_source(loops: Sequence, name: str = "chain",
-                      repeat=None, threads: bool = True) -> str:
+                      repeat=None, threads: bool = True, plan=None) -> str:
     """One C translation unit for a whole loop chain.
 
     ``loops`` is any sequence of bound-loop-likes exposing ``kernel``,
@@ -1728,14 +1728,25 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
     :data:`THREAD_MIN_ELEMENTS` elements that can run owner-computes
     gets a threaded ``kc_run_fused`` / ``kc_run_repeat``: one OpenMP
     team per call, each loop a worksharing loop over fixed chunks or on
-    one thread (see :class:`LoopVerdict`).  ``kc_loop_run`` (eager and
-    tiled dispatch) stays single-threaded either way.
+    one thread (see :class:`LoopVerdict`).  ``kc_loop_run`` (eager
+    dispatch) stays single-threaded either way.  There is no tile
+    executor: the native backend runs a tiled request untiled, as one
+    ``kc_run_fused`` / ``kc_run_repeat`` call.  Walking tiles through
+    ``kc_loop_run`` instead read 0.65–1.03x of that call on
+    ``airfoil_large``, 0.56–0.70x on ``volna_scrambled`` and
+    0.67–0.71x on ``aero_solve`` (``bench_e2e --trace 1``, 2 vCPU).
+
+    ``plan`` is :func:`_plan_chain`'s result for these ``loops`` and
+    ``threads``, when the caller already has it (it also needs the
+    pointer table and verdicts); otherwise the chain is planned here.
 
     A loop of at least :data:`THREAD_MIN_ELEMENTS` elements, threaded
     or not, is also lowered across elements where it can be
     (:class:`LaneVerdict`); its header comment names how.
     """
-    ptab, emitters, threaded = _plan_chain(loops, threads)
+    ptab, emitters, threaded = (
+        _plan_chain(loops, threads) if plan is None else plan
+    )
     parts: List[str] = [
         f"/* Generated by repro.kernelc.native — {name}: "
         f"{len(emitters)} loop(s). */",
@@ -1754,13 +1765,12 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
         bodies.extend(em.emit())
     parts.extend(bodies)
 
-    runs, inits, folds, partials, fused = [], [], [], [], []
+    runs, inits, partials, fused = [], [], [], []
     for em in emitters:
         j = em.j
         runs.append(em.run_case())
         if em.red_args:
             inits.append(f"    case {j}: kc_loop{j}_init(); break;")
-            folds.append(f"    case {j}: kc_loop{j}_fold(P); break;")
             partials.append(f"    case {j}: kc_loop{j}_partial(P); break;")
             fused.append(f"    kc_loop{j}_init();")
         fused.append(f"    kc_loop{j}(P, 0, {em.bl.n});")
@@ -1775,7 +1785,6 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
     parts.append("}")
     for fname, cases, sig in (
         ("kc_loop_init", inits, "i64 j"),
-        ("kc_loop_fold", folds, "i64 j, void **P"),
         ("kc_loop_partial", partials, "i64 j, void **P"),
     ):
         parts.append(f"void {fname}({sig})")
@@ -1899,7 +1908,6 @@ def source_key(source: str) -> str:
 _CDEF = """
 void kc_loop_run(long long j, void **P, long long lo, long long hi);
 void kc_loop_init(long long j);
-void kc_loop_fold(long long j, void **P);
 void kc_loop_partial(long long j, void **P);
 void kc_run_fused(void **P);
 long long kc_run_repeat(void **P, long long max_trips, void *hist);
@@ -1997,15 +2005,11 @@ def reset_native_cache() -> None:
 def native_cache_dir() -> Path:
     """Directory holding compiled ``.so``/``.c`` pairs.
 
-    ``$REPRO_NATIVE_CACHE`` keeps the historical flat layout (tests and
-    deployments that pin a private binary cache); otherwise binaries
-    live in the unified artifact store (``$REPRO_CACHE_DIR/native/``)
-    under a machine-fingerprint subdirectory — compiled code is not
-    portable across machines the way pickled plan documents are.
+    Binaries live in the unified artifact store
+    (``$REPRO_CACHE_DIR/native/``) under a machine-fingerprint
+    subdirectory — compiled code is not portable across machines the
+    way pickled plan documents are.
     """
-    override = os.environ.get("REPRO_NATIVE_CACHE")
-    if override:
-        return Path(override)
     from .. import store
     from ..tune.signature import machine_fingerprint
 
@@ -2324,15 +2328,6 @@ class NativeChainProgram:
     def run_loop(self, j: int, lo: int, hi: int) -> None:
         self.lib.kc_loop_run(j, self._ptab, lo, hi)
 
-    def loop_init(self, j: int) -> None:
-        self.lib.kc_loop_init(j)
-
-    def loop_fold(self, j: int) -> None:
-        self.lib.kc_loop_fold(j, self._ptab)
-
-    def loop_partial(self, j: int) -> None:
-        self.lib.kc_loop_partial(j, self._ptab)
-
     def run_eager(self, args, reductions: Dict[int, np.ndarray]) -> None:
         """Single-loop eager entry: run loop 0 of this program over the
         given live ``args``, leaving raw reduction partials in the
@@ -2368,12 +2363,10 @@ def build_chain_program(loops: Sequence, name: str = "chain",
     edge; ``threads``: see :func:`emit_chain_source`).  Raises
     :class:`NativeUnsupported` on untranslatable kernels or compile
     failure."""
-    # Re-run the planning to obtain the recipe, buffers and verdicts
-    # (emit_chain_source builds its own identical table — slot order is
-    # deterministic, and owner facets are cached on the loops' plans).
-    ptab, emitters, _ = _plan_chain(loops, threads)
+    plan = _plan_chain(loops, threads)
     source = emit_chain_source(loops, name=name, repeat=repeat,
-                               threads=threads)
+                               threads=threads, plan=plan)
+    ptab, emitters, _ = plan
     verdicts = [(em.bl.kernel.name, em.bl.n, str(em.verdict), str(em.lanes))
                 for em in emitters]
     return NativeChainProgram(source, loops, ptab.recipe, ptab.buffers,
@@ -2381,7 +2374,14 @@ def build_chain_program(loops: Sequence, name: str = "chain",
 
 
 def build_eager_program(kernel, args, n: int) -> NativeChainProgram:
-    """A one-loop program for eager ``par_loop`` dispatch."""
+    """A one-loop program for eager ``par_loop`` dispatch.
+
+    :meth:`~NativeChainProgram.run_eager` binds the caller's arguments
+    on every call, so once bound the program keeps only its slot recipe
+    and ``n`` — not the first call's Dats, which the backend's program
+    cache would otherwise keep alive."""
     bl = _EagerLoop(kernel, tuple(args), int(n))
-    return build_chain_program([bl], name=f"eager:{kernel.name}",
-                               threads=False)
+    program = build_chain_program([bl], name=f"eager:{kernel.name}",
+                                  threads=False)
+    program.loops = (_EagerLoop(kernel, (), bl.n),)
+    return program

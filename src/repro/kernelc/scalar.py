@@ -8,8 +8,7 @@ disappear.  Section 5 credits exactly this specialization (replacing the
 generic function-pointer dispatcher) with enabling the compiler
 optimizations their baseline numbers rely on.
 
-This module is that mechanism's scalar half, promoted out of
-``core/codegen.py`` into the kernel-compilation package:
+This module is that mechanism's scalar half:
 :func:`generate_loop_source` emits the text of a specialized loop
 function for one loop *shape* (iteration set + argument descriptors),
 :func:`compile_loop` ``exec``-s it, and

@@ -200,9 +200,8 @@ def encode_chain(compiled) -> dict:
     the validation pass, the fusion partition and the resolved tile
     size; the bound loops themselves are rebuilt
     from the live trace on decode (plans come from the plan store).
-    The canonical tiled schedule is persisted separately under the
-    ``tiled`` kind so the ascending-profile schedule and future
-    profiles share one storage path.
+    Tiled schedules, one per element-order profile, are persisted
+    separately under the ``tiled`` kind when a backend builds them.
     """
     offsets = []
     pos = 0
@@ -221,9 +220,9 @@ def decode_chain(payload: dict, specs, plans):
     """Rebuild a compiled chain over live ``specs`` and resolved ``plans``.
 
     Skips validation and fusion — the persisted decisions are functions
-    of the structural trace the key guarantees identical.  The caller
-    attaches the tiled schedule (from the tiled store, or by
-    re-inspection on a miss).
+    of the structural trace the key guarantees identical.  A tiled
+    schedule is built (or loaded from the tiled store) only when a
+    backend first asks for it (:meth:`CompiledChain.tiled_for`).
     """
     from ..core.chain import BoundLoop, CompiledChain, FusedGroup, bind_args
 
@@ -251,7 +250,6 @@ def decode_chain(payload: dict, specs, plans):
         groups=tuple(groups),
         tiling=payload["tiling"],
         tile_size=int(payload["tile_size"]),
-        tiled=None,
     )
 
 

@@ -91,7 +91,7 @@ def default_candidates(
 
     Kept deliberately small (probes are wall-clock): the vectorized
     backend across layout x {chained, tiled, eager}, plus the native
-    chain JIT when a C compiler is available.  ``operators`` crosses
+    chain JIT (untiled) when a C compiler is available.  ``operators`` crosses
     the grid with an app-provided operator axis (e.g. aero's
     ``("assembled", "matfree")``), respecting an operator pin.
     """
@@ -120,15 +120,12 @@ def default_candidates(
             cands = [c for c in cands if c.tiling == pins.tiling]
             if not cands and pins.tiling is not None:
                 # A pinned concrete tile size is not in the default
-                # grid: synthesize matching candidates.
+                # grid: synthesize the matching candidate (vectorized
+                # only: native runs a tiled request untiled).
                 cands = [
                     TuneCandidate("vectorized",
                                   pins.layout or "aos", True, pins.tiling)
                 ]
-                if compiler_ok and pins.layout is None:
-                    cands.append(
-                        TuneCandidate("native", "aos", True, pins.tiling)
-                    )
     if operators:
         ops = list(operators)
         if pins is not None and pins.operator is not None:

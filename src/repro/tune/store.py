@@ -1,9 +1,8 @@
 """On-disk tuning DB: the 7th runtime cache kind.
 
 Built on the unified artifact store's file machinery
-(:mod:`repro.store.base`): decisions live under
-``$REPRO_TUNE_CACHE`` when set (historical layout) and inside the
-unified root (``$REPRO_CACHE_DIR/tune/``) otherwise, written atomically
+(:mod:`repro.store.base`): decisions live inside the unified root
+(``$REPRO_CACHE_DIR/tune/``), written atomically
 (:func:`~repro.store.base.atomic_write_bytes`), tolerant of corrupt or
 stale entries (they count, get unlinked, and the caller re-probes),
 with a versioned schema so a format change invalidates old entries
@@ -47,9 +46,6 @@ _stats = {
 
 
 def tune_cache_dir() -> Path:
-    override = os.environ.get("REPRO_TUNE_CACHE")
-    if override:
-        return Path(override)
     return store_base.cache_root() / "tune"
 
 

@@ -41,8 +41,9 @@ from repro.tune import (
 
 @pytest.fixture(autouse=True)
 def isolated_tune_cache(tmp_path, monkeypatch):
-    """Every test negotiates against its own empty on-disk DB."""
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune"))
+    """Every test negotiates against its own empty artifact store, so
+    its own empty on-disk tuning DB."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     monkeypatch.delenv("REPRO_TUNE_DISABLE", raising=False)
     reset_tune_cache()
 
@@ -123,7 +124,7 @@ class TestPinsAndReuse:
         stats = tune_cache_stats()
         assert stats["probes"] == 0
         assert stats["writes"] == 0
-        assert not (tmp_path / "tune").exists()  # zero disk traffic
+        assert not (tmp_path / "store" / "tune").exists()  # no disk traffic
 
     def test_second_runtime_replays_from_db_without_probes(self):
         rt1 = Runtime("auto")

@@ -21,7 +21,7 @@ from repro.core import (
     par_loop,
 )
 from repro.core.access import IDX_ALL, IDX_ID
-from repro.core.codegen import loop_shape_key, supports
+from repro.kernelc.scalar import loop_shape_key, supports
 
 
 @pytest.fixture

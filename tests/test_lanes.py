@@ -388,7 +388,6 @@ def test_compiler_rejecting_lane_flags_builds_scalar(tmp_path):
         env["PYTHONPATH"] = SRC_DIR
         env["REPRO_CACHE_DIR"] = str(tmp_path / store)
         env.pop("REPRO_NATIVE_DISABLE_CC", None)
-        env.pop("REPRO_NATIVE_CACHE", None)
         env.update(env_extra)
         proc = subprocess.run([sys.executable, str(script)], env=env,
                               capture_output=True, text=True, timeout=600)

@@ -353,10 +353,10 @@ class TestCacheCoherence:
 
         sim = AirfoilSim(make_airfoil_mesh(16, 8), runtime=rt)
         sim.step()
-        assert rt.cache_stats()["plans"] > 0
+        assert rt.stats()["plan_cache"]["entries"] > 0
         rt.clear_caches()
-        stats = rt.cache_stats()
-        assert stats == {
-            "loop_hits": 0, "loop_misses": 0,
-            "plan_hits": 0, "plan_misses": 0, "plans": 0,
-        }
+        stats = rt.stats()
+        for kind in ("loop_cache", "plan_cache", "chain_cache"):
+            cache = stats[kind]
+            assert (cache["hits"], cache["misses"], cache["entries"]) \
+                == (0, 0, 0), kind

@@ -8,17 +8,26 @@ The chain-level native JIT must never be load-bearing for correctness:
   fallback, still bitwise identical, counted in ``fallbacks``;
 * a warm on-disk cache -> a *second process* replays the compiled .so
   without ever invoking the compiler (``disk_hits`` > 0, 0 compiles).
+
+It also pins what the backend does *not* do: tile (a tiled request runs
+the untiled chain, and no tiled schedule is ever built), keep an eager
+caller's Dats alive, or plan a chain twice per build.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.apps.aero import AeroSim
+from repro.apps.airfoil import AirfoilSim
+from repro.apps.volna import VolnaSim
 from repro.core import (
     INC,
     READ,
@@ -32,6 +41,7 @@ from repro.core import (
 )
 from repro.core.access import IDX_ID
 from repro.kernelc import compiler_available, reset_native_cache
+from repro.mesh import make_airfoil_mesh, make_tri_mesh
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -142,7 +152,7 @@ class TestDiskCacheAcrossProcesses:
         script.write_text(_CACHE_SCRIPT)
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR
-        env["REPRO_NATIVE_CACHE"] = str(tmp_path / "cache")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
         env.pop("REPRO_NATIVE_DISABLE_CC", None)
 
         def invoke():
@@ -157,9 +167,137 @@ class TestDiskCacheAcrossProcesses:
         assert cold["stats"]["compiles"] == 1
         assert cold["stats"]["disk_hits"] == 0
         # Cold process left the artifacts behind...
-        assert list((tmp_path / "cache").glob("*.so"))
+        assert list((tmp_path / "cache" / "native").rglob("*.so"))
         # ...so an entirely fresh process loads the .so, zero compiles.
         warm = invoke()
         assert warm["stats"]["compiles"] == 0
         assert warm["stats"]["disk_hits"] == 1
         assert warm["checksum"] == cold["checksum"]
+
+
+# ----------------------------------------------------------------------
+# Native never tiles
+# ----------------------------------------------------------------------
+needs_cc = pytest.mark.skipif(not compiler_available(),
+                              reason="no C compiler in this environment")
+
+APPS = {
+    "airfoil": lambda rt, **kw: AirfoilSim(make_airfoil_mesh(16, 8),
+                                           runtime=rt, **kw),
+    "volna": lambda rt, **kw: VolnaSim(make_tri_mesh(10, 8), runtime=rt,
+                                       **kw),
+    "aero": lambda rt, **kw: AeroSim(make_airfoil_mesh(12, 6), runtime=rt,
+                                     **kw),
+}
+
+
+def _states(app, rt, steps=3, **kw):
+    """The app's state after each of ``steps`` steps (aero: Picard
+    steps, each a CG solve)."""
+    sim = APPS[app](rt, **kw)
+    out = []
+    for _ in range(steps):
+        sim.step()
+        if app == "aero":
+            out.append((sim.phi.copy(), sim.rho.copy()))
+        else:
+            out.append((sim.q.copy(),))
+    return out
+
+
+@pytest.fixture
+def no_inspector(monkeypatch):
+    """Any tiled-schedule build fails the test; the tiled store's
+    counters must not move either (no disk hit stands in for one)."""
+    import repro.tiling
+    import repro.tiling.inspector
+    from repro import store
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the native backend built a tiled schedule")
+
+    monkeypatch.setattr(repro.tiling, "build_tiled_schedule", refuse)
+    monkeypatch.setattr(repro.tiling.inspector, "build_tiled_schedule",
+                        refuse)
+    before = dict(store.counters("tiled"))
+    yield
+    assert store.counters("tiled") == before
+
+
+class TestTiledRequestsRunUntiled:
+    @pytest.mark.parametrize("app", sorted(APPS))
+    @pytest.mark.parametrize("tiling", ["auto", 64])
+    def test_bitwise_chained_and_sequential_no_schedule(
+            self, app, tiling, no_inspector):
+        ref = _states(app, Runtime("sequential"), chained=False)
+        chained = _states(app, Runtime("native"), chained=True)
+        rt = Runtime("native")
+        tiled = _states(app, rt, chained=True, tiling=tiling)
+        for t, (want, plain, got) in enumerate(zip(ref, chained, tiled)):
+            for a, b, c in zip(want, plain, got):
+                assert np.array_equal(a, c), (app, tiling, t + 1)
+                assert np.array_equal(b, c), (app, tiling, t + 1)
+        profile = rt.stats()["profile"]
+        assert profile["chains"]
+        assert not any(c["tiled"] for c in profile["chains"].values())
+        if app == "aero":
+            rep = profile["repeat"]
+            assert rep["solves"] >= 3
+            if compiler_available():
+                assert rep["fallbacks"] == {}
+                assert rep["native_calls"] == rep["solves"]
+            else:
+                assert rep["fallbacks"] == {"no compiler": rep["solves"]}
+
+    def test_vectorized_still_tiles(self):
+        """The lazy schedule is built when a tiling backend asks."""
+        rt = Runtime("vectorized")
+        sim = APPS["airfoil"](rt, chained=True, tiling="auto")
+        sim.step()
+        (compiled,) = rt._chains.values()
+        assert compiled.tiled_built
+        profile = rt.stats()["profile"]
+        assert all(c["tiled"] for c in profile["chains"].values())
+
+
+@needs_cc
+class TestEagerProgramsHoldNoDats:
+    def test_first_sims_dats_are_collected(self):
+        rt = Runtime("native")
+        sim = APPS["airfoil"](rt, chained=False)
+        sim.run(1)
+        assert rt.backend._eager_programs
+        dead = weakref.ref(sim.state.p_q)
+        del sim
+        gc.collect()
+        assert dead() is None
+        # A second sim replays the cached programs over its own Dats.
+        got = _states("airfoil", rt, steps=2, chained=False)
+        want = _states("airfoil", Runtime("vectorized"), steps=2,
+                       chained=False)
+        for (a,), (b,) in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@needs_cc
+class TestChainPlannedOnce:
+    def test_build_classifies_each_loop_once(self, monkeypatch):
+        from repro.kernelc import native
+
+        rt = Runtime("vectorized")
+        sim = APPS["airfoil"](rt, chained=True)
+        sim.step()
+        (compiled,) = rt._chains.values()
+        loops = compiled.loops
+        calls = []
+        classify = native._LoopEmitter.classify
+
+        def counted(self, ptab):
+            calls.append(self.j)
+            return classify(self, ptab)
+
+        monkeypatch.setattr(native._LoopEmitter, "classify", counted)
+        program = native.build_chain_program(loops)
+        assert calls == list(range(len(loops)))
+        # The planned build emits the same bytes as a fresh emission.
+        assert program.source == native.emit_chain_source(loops)

@@ -311,11 +311,12 @@ class TestNativeCacheCounters:
 
     def test_compile_then_memory_hit(self, tmp_path, monkeypatch):
         from repro.kernelc import compiler_available, reset_native_cache
+        from repro.kernelc.native import native_cache_dir
         import pytest
 
         if not compiler_available():
             pytest.skip("no C compiler in this environment")
-        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         reset_native_cache()
         rt, b = self._chained_step("a")
         s = rt.stats()["native_cache"]
@@ -324,8 +325,8 @@ class TestNativeCacheCounters:
         assert s["fallbacks"] == 0
         assert s["entries"] == 1
         # The translation unit and its .so both land in the disk cache.
-        assert len(list(tmp_path.glob("*.so"))) == 1
-        assert len(list(tmp_path.glob("*.c"))) == 1
+        assert len(list(native_cache_dir().glob("*.so"))) == 1
+        assert len(list(native_cache_dir().glob("*.c"))) == 1
         # A fresh runtime re-traces the same chain: same source hash,
         # so the in-process library cache answers without the compiler.
         rt2, _ = self._chained_step("a")

@@ -497,7 +497,6 @@ def _run_script(script, tmp_path, **env_extra):
     env["PYTHONPATH"] = SRC_DIR
     env["REPRO_CACHE_DIR"] = str(tmp_path / "store")
     env.pop("REPRO_NATIVE_DISABLE_CC", None)
-    env.pop("REPRO_NATIVE_CACHE", None)
     env.update(env_extra)
     proc = subprocess.run([sys.executable, str(path)], env=env,
                           capture_output=True, text=True, timeout=600)

@@ -184,8 +184,7 @@ class TestDecisionsPersistAcrossProcesses:
         script.write_text(_AUTO_SCRIPT)
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR
-        env["REPRO_TUNE_CACHE"] = str(tmp_path / "tune")
-        env["REPRO_NATIVE_CACHE"] = str(tmp_path / "native")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "store")
         env.pop("REPRO_TUNE_DISABLE", None)
 
         def invoke():
@@ -202,7 +201,7 @@ class TestDecisionsPersistAcrossProcesses:
         assert cold["stats"]["writes"] == 1
         assert cold["stats"]["corrupt"] == 0
         # The decision file landed on disk...
-        fdirs = list((tmp_path / "tune").iterdir())
+        fdirs = list((tmp_path / "store" / "tune").iterdir())
         assert len(fdirs) == 1 and list(fdirs[0].glob("*.json"))
         # ...so an entirely fresh process replays it: zero probes.
         warm = invoke()
