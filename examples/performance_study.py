@@ -2,9 +2,9 @@
 """Performance study: the paper's evaluation in one script.
 
 Uses the calibrated performance model to reproduce the cross-platform
-story (Figures 5-9), prints the headline speedups next to the paper's
-claims, and finishes with real wall-clock measurements of this library's
-backends on a scaled mesh.
+story (Figures 5-9) and prints the headline speedups next to the paper's
+claims.  Wall-clock measurements of this library's backends come from
+the end-to-end benchmark, ``python3 bench_e2e/run.py``.
 
 Run:  python examples/performance_study.py
 """
@@ -13,13 +13,6 @@ import _bootstrap  # noqa: F401  (sys.path setup for source checkouts)
 
 import numpy as np
 
-from repro.bench.measured import (
-    batch_ablation,
-    cache_ablation,
-    layout_ablation,
-    measured_speedups,
-)
-from repro.mesh import make_airfoil_mesh
 from repro.perfmodel import (
     AUTOVEC_OPENMP,
     CUDA,
@@ -89,22 +82,8 @@ def main() -> None:
         print(f"  {name:10s} {s.bound:9s} -> {v.bound:9s}  "
               f"({s.time_s:5.1f}s -> {v.time_s:5.1f}s)")
 
-    print("\n" + "=" * 68)
-    print("Measured on THIS machine (scaled mesh, real backends)")
-    print("=" * 68)
-    table = measured_speedups("airfoil", steps=2)
-    print(table.render())
-
-    print("=" * 68)
-    print("Execution-engine knobs, measured (layout / batching / caching)")
-    print("=" * 68)
-    # The three levers this library exposes on top of the paper's
-    # pipeline: whole-color batched execution (vs per-chunk loops), the
-    # Dat storage layout, and warm plan/gather-index caches.
-    mesh = make_airfoil_mesh(64, 32)
-    print(batch_ablation(mesh=mesh, steps=3).render())
-    print(layout_ablation(mesh=mesh, steps=3).render())
-    print(cache_ablation(mesh=mesh, steps=3).render())
+    print("\nMeasured wall-clock times on this machine: "
+          "python3 bench_e2e/run.py")
 
 
 if __name__ == "__main__":

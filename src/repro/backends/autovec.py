@@ -12,14 +12,10 @@ execute as single batched NumPy calls (unbounded "vector length"), with
 free (unserialized) scatters since color groups are independent.  Kernels
 without a vector form run scalar — the compiler bail-out case.
 
-By default it rides the whole-color mega-batch fast path (``batch=
-"color"``): every color phase is one fused gather → kernel → scatter
-using the plan's cached index arrays (see
-:meth:`repro.core.plan.Plan.phases`), so a steady-state time step does no
-per-chunk Python iteration and no index reconstruction.  ``batch=
-"chunk"`` falls back to looping color slices through the chunked
-machinery — the configuration the batched-vs-chunked ablation compares
-against.
+It rides the whole-color mega-batch fast path: every color phase is one
+fused gather → kernel → scatter using the plan's cached index arrays
+(see :meth:`repro.core.plan.Plan.phases`), so a steady-state time step
+does no per-chunk Python iteration and no index reconstruction.
 """
 
 from __future__ import annotations
@@ -40,8 +36,8 @@ class AutoVecBackend(VectorizedBackend):
 
     name = "autovec"
 
-    def __init__(self, batch: str | None = None) -> None:
-        super().__init__(vec=None, batch=batch)
+    def __init__(self) -> None:
+        super().__init__(vec=None)
 
     def _run(self, kernel, set_, args, plan, n, reductions) -> None:
         if not plan.is_direct and plan.scheme == "two_level":

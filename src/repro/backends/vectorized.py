@@ -33,9 +33,7 @@ and increment into column-major lanes — component ``k`` of all lanes one
 contiguous row, the paper's AoS -> SoA packing.  Batch
 results are bitwise identical to chunked execution — phases preserve the
 chunked element order, serialized INC scatters apply lanes in that same
-order, and free scatters touch each target exactly once either way.  The
-``bench`` ablation tables quantify the speedup (batched-vs-chunked and
-warm-vs-cold cache).
+order, and free scatters touch each target exactly once either way.
 """
 
 from __future__ import annotations
@@ -59,10 +57,6 @@ from .base import (
     scatter_batch,
     serialized_inc_group_key,
 )
-
-#: Batch strategies: one fused call per conflict-free color vs the
-#: faithful per-chunk loop.
-BATCH_MODES = ("color", "chunk")
 
 
 def _lane_buffer(n: int, dat) -> np.ndarray:
@@ -245,36 +239,20 @@ class VectorizedBackend(Backend):
     Parameters
     ----------
     vec:
-        Lanes per chunk.  ``None`` means "whole independent range at
-        once" — the fastest NumPy realization, used by the benchmark
-        harness; a concrete width (4, 8, 16) models the hardware register
-        faithfully, including the scalar remainder sweep.
-    batch:
-        ``"color"`` executes each conflict-free color as one fused call
-        using the plan's cached gather indices (requires ``vec=None``);
-        ``"chunk"`` keeps the per-chunk loop.  Default: ``"color"`` when
-        ``vec is None``, else ``"chunk"``.
+        Lanes per chunk.  ``None`` (the default) executes each
+        conflict-free color as one fused call using the plan's cached
+        gather indices — the fastest NumPy realization; a concrete width
+        (4, 8, 16) models the hardware register faithfully, chunk by
+        chunk, including the scalar remainder sweep.
     """
 
     name = "vectorized"
 
-    def __init__(self, vec: int | None = None, batch: str | None = None) -> None:
+    def __init__(self, vec: int | None = None) -> None:
         super().__init__()
         if vec is not None and vec < 1:
             raise ValueError(f"vector width must be >= 1, got {vec}")
-        if batch is None:
-            batch = "color" if vec is None else "chunk"
-        if batch not in BATCH_MODES:
-            raise ValueError(
-                f"Unknown batch mode {batch!r}; expected one of {BATCH_MODES}"
-            )
-        if batch == "color" and vec is not None:
-            raise ValueError(
-                "batch='color' executes whole colors at once and is "
-                "incompatible with a finite vector width; use vec=None"
-            )
         self.vec = vec
-        self.batch = batch
 
     # ------------------------------------------------------------------
     def _run(self, kernel, set_, args, plan, n, reductions) -> None:
@@ -287,7 +265,7 @@ class VectorizedBackend(Backend):
             return
 
         if plan.is_direct:
-            if self.batch == "color":
+            if self.vec is None:
                 self._run_phases(kernel, vfn, args, plan, n, reductions)
             else:
                 self._run_range(
@@ -307,7 +285,7 @@ class VectorizedBackend(Backend):
             for e in range(n):
                 run_scalar_element(kernel.scalar, args, e, reductions)
             return
-        if self.batch == "color":
+        if self.vec is None:
             self._run_phases(kernel, vfn, args, plan, n, reductions)
         elif scheme == "two_level":
             self._run_two_level(kernel, vfn, args, plan, reductions)
@@ -373,7 +351,7 @@ class VectorizedBackend(Backend):
 
     def _group_batchable(self, group) -> bool:
         """Whether every loop of a group can take the phase fast path."""
-        if self.batch != "color":
+        if self.vec is not None:
             return False
         plan = group.plan
         for bl in group.loops:
@@ -466,7 +444,7 @@ class VectorizedBackend(Backend):
 
     def _tiled_batchable(self, compiled) -> bool:
         """Whether every sliced loop can take the batched fast path."""
-        if self.batch != "color":
+        if self.vec is not None:
             return False
         for part in compiled.tiled.parts:
             if isinstance(part, BarrierLoop):  # barrier loops run eagerly
@@ -538,7 +516,7 @@ class VectorizedBackend(Backend):
     # ------------------------------------------------------------------
     def _chunks(self, elems: np.ndarray):
         """Split an element list into vector-width chunks plus remainder."""
-        if self.vec is None or elems.size <= self.vec:
+        if elems.size <= self.vec:
             if elems.size:
                 yield elems, False
             return

@@ -2,17 +2,13 @@
 
 from .figures import ALL_FIGURES, phi_tuning_time
 from .harness import RESULTS_DIR, FigureSeries, ReportTable
-from .measured import MEASURED_CONFIGS, measured_speedups, time_app
 from .tables import ALL_TABLES
 
 __all__ = [
     "ALL_FIGURES",
     "ALL_TABLES",
     "FigureSeries",
-    "MEASURED_CONFIGS",
     "RESULTS_DIR",
     "ReportTable",
-    "measured_speedups",
     "phi_tuning_time",
-    "time_app",
 ]

@@ -33,11 +33,8 @@ def _fmt(value) -> str:
 class ReportTable:
     """An aligned-text table with provenance metadata.
 
-    ``meta`` records the knob settings a table was produced under
-    (layout, batch mode, steps, ...) so persisted JSON artifacts are
-    self-describing — the ablation tables rely on this to make
-    AoS-vs-SoA / batched-vs-chunked / cached-vs-cold runs comparable
-    across machines and commits.
+    ``meta`` records the settings a table was produced under, so
+    persisted JSON artifacts are self-describing.
     """
 
     title: str
@@ -50,21 +47,6 @@ class ReportTable:
 
     def note(self, text: str) -> None:
         self.notes.append(text)
-
-    def add_speedup_column(
-        self, time_col: str, out_col: str = "speedup", baseline_row: int = 0
-    ) -> None:
-        """Append ``out_col`` = baseline time / row time to every row.
-
-        Call this while ``time_col`` still holds unrounded times (round
-        for display afterwards) so the ratios keep full precision.
-        """
-        if not self.rows:
-            return
-        base = float(self.rows[baseline_row][time_col])
-        for r in self.rows:
-            t = float(r[time_col])
-            r[out_col] = round(base / t, 2) if t else float("inf")
 
     # ------------------------------------------------------------------
     def render(self) -> str:

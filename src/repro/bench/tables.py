@@ -337,9 +337,3 @@ ALL_TABLES = {
     "table4": table4, "table5": table5, "table6": table6,
     "table7": table7, "table8": table8, "table9": table9,
 }
-
-# Measured ablation tables (whole-color batching, AoS/SoA layout, plan
-# cache warm-vs-cold) are wall-clock experiments rather than
-# deterministic model reconstructions; they live in .measured
-# (ALL_ABLATIONS) and `python -m repro.bench --ablations` renders them
-# alongside these tables.

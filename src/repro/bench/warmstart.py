@@ -20,11 +20,6 @@ native compiles.  This module makes that promise executable:
     garbles a deterministic random subset of the store's files, for the
     corrupt-cache smoke (tier-1 must still pass against the damaged
     store, with ``corrupt`` counted — never raised).
-
-``cold_warm_ablation()`` wraps the same run in two subprocesses
-sharing a fresh store and reports the measured process-level warm-start
-speedup (``ablation_cold_warm``, guarded by the bench-regression
-baseline like every other fast path).
 """
 
 from __future__ import annotations
@@ -33,12 +28,10 @@ import argparse
 import json
 import os
 import random
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Kinds the warm acceptance pins: a replaying process must hit disk
 #: and construct nothing for each of these.
@@ -64,22 +57,28 @@ def run_workload(apps: List[str], steps: int = 2) -> Dict:
     decides whether this process is cold or warm.
     """
     from .. import store
+    from ..apps.aero import AeroSim
+    from ..apps.airfoil import AirfoilSim
+    from ..core import Runtime
     from ..kernelc import compiler_available, native_cache_stats
     from ..mesh import make_airfoil_mesh
-    from .measured import time_app
+
+    def drive(sim) -> None:
+        sim.step()
+        sim.run(steps)
 
     t0 = time.perf_counter()
     if "aero" in apps:
-        time_app("aero", "vectorized", "two_level", {},
-                 mesh=make_airfoil_mesh(24, 12), steps=steps,
-                 chained=True, tiling="auto")
+        # One step = one Picard iteration (assembly + CG solve).
+        drive(AeroSim(make_airfoil_mesh(24, 12),
+                      runtime=Runtime("vectorized"), chained=True,
+                      tiling="auto", cg_tol=1e-8, cg_maxiter=100))
     if "airfoil" in apps:
         backends = (["vectorized", "native"] if compiler_available()
                     else ["vectorized"])
         for backend in backends:
-            time_app("airfoil", backend, "two_level", {},
-                     mesh=make_airfoil_mesh(24, 12), steps=steps,
-                     chained=True)
+            drive(AirfoilSim(make_airfoil_mesh(24, 12),
+                             runtime=Runtime(backend), chained=True))
     wall = time.perf_counter() - t0
     return {
         "apps": list(apps),
@@ -156,88 +155,6 @@ def corrupt_store(root: Path, fraction: float, seed: int) -> List[str]:
             path.write_bytes(b"\x00corrupt artifact smoke\xff")
         touched.append(str(path.relative_to(root)))
     return touched
-
-
-# ----------------------------------------------------------------------
-# ablation
-# ----------------------------------------------------------------------
-def cold_warm_ablation(steps: int = 2):
-    """Cold vs warm *process* wall time for the gate's own workload.
-
-    Two subprocesses run :func:`run_workload`'s aero + airfoil legs
-    against one fresh shared store (aero alone reads no colouring, so
-    it would leave the plan store out): the first pays plan
-    construction, tiling inspection, kernel emission and the C
-    compiler; the second replays everything from disk
-    (``ablation_cold_warm`` is the acceptance artifact: the warm
-    process must not be slower, and the warm-start counters must show
-    a genuine replay — the ``check`` subcommand's acceptance, inlined).
-    """
-    from .harness import ReportTable
-
-    apps = ["aero", "airfoil"]
-    app_label = "+".join(apps)
-    t = ReportTable("Ablation: cold vs warm process start (artifact store)")
-    t.meta.update({"app": app_label, "steps": steps,
-                   "knob": "persistent artifact store"})
-    with tempfile.TemporaryDirectory(prefix="repro-warmstart-") as tmp:
-        dumps = []
-        for _ in ("cold", "warm"):
-            out = _spawn_run(Path(tmp) / "store", apps, steps)
-            dumps.append(out)
-        cold, warm = dumps
-        failures = check_warm(cold, warm)
-        t.meta["warm_acceptance_failures"] = failures
-        for label, d in (("cold", cold), ("warm", warm)):
-            stats = d["stats"]
-            t.add(
-                app=app_label,
-                process=label,
-                **{
-                    "workload s": round(d["workload_s"], 3),
-                    "warm speedup": round(
-                        cold["workload_s"] / d["workload_s"], 2
-                    ),
-                    "plan builds": stats["plan"]["builds"],
-                    "chain builds": stats["chain"]["builds"],
-                    "tiled builds": stats["tiled"]["builds"],
-                    "kernelc builds": stats["kernelc"]["builds"],
-                    "disk hits": sum(
-                        stats[k]["disk_hits"] for k in CHECKED_KINDS
-                    ),
-                },
-            )
-    t.note(
-        "Both processes run the identical workload — aero Picard steps "
-        "(vectorized, chained + tiled), then the airfoil chain "
-        "(vectorized, and native where a C compiler exists) — against "
-        "one shared REPRO_CACHE_DIR.  The warm row replays persisted "
-        "plans, fused chains, tiled schedules, generated kernels and "
-        "compiled objects with zero expensive constructions; `warm "
-        "speedup` is whole-workload wall time, so it bundles every "
-        "avoided inspector and the avoided C compile."
-    )
-    if failures:
-        t.note("WARM ACCEPTANCE FAILED: " + "; ".join(failures))
-    return t
-
-
-def _spawn_run(cache_dir: Path, apps: List[str], steps: int) -> Dict:
-    src = Path(__file__).resolve().parents[2]
-    env = dict(os.environ, REPRO_CACHE_DIR=str(cache_dir))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.bench.warmstart", "run",
-         "--apps", ",".join(apps), "--steps", str(steps)],
-        env=env, capture_output=True, text=True,
-    )
-    if out.returncode != 0:
-        raise RuntimeError(
-            f"warmstart run subprocess failed:\n{out.stderr[-2000:]}"
-        )
-    return json.loads(out.stdout)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness and generators."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +10,9 @@ from repro.bench import (
     ALL_TABLES,
     FigureSeries,
     ReportTable,
-    measured_speedups,
     phi_tuning_time,
-    time_app,
 )
+from repro.bench.__main__ import main as bench_main
 
 
 class TestReportTable:
@@ -99,40 +99,29 @@ class TestGenerators:
         assert phi_tuning_time(base, 60, 4, 256) > best
 
 
-class TestMeasured:
-    def test_time_app_runs(self):
-        from repro.mesh import make_airfoil_mesh
 
-        dt = time_app(
-            "airfoil", "vectorized", "two_level", {},
-            mesh=make_airfoil_mesh(8, 4), steps=1,
-        )
-        assert dt > 0
+COMMITTED = Path(__file__).resolve().parent.parent / "bench_results"
 
-    def test_time_app_volna(self):
-        from repro.mesh import make_tri_mesh
 
-        dt = time_app(
-            "volna", "vectorized", "two_level", {},
-            mesh=make_tri_mesh(6, 4, 100_000.0, 75_000.0), steps=1,
-        )
-        assert dt > 0
+class TestCommittedArtifacts:
+    @pytest.mark.parametrize("name", sorted({**ALL_TABLES, **ALL_FIGURES}))
+    def test_cli_reproduces_committed_copy(self, name, tmp_path, capsys):
+        assert bench_main([name, "--outdir", str(tmp_path)]) == 0
+        for ext in (".txt", ".json"):
+            fresh = (tmp_path / f"{name}{ext}").read_bytes()
+            assert fresh == (COMMITTED / f"{name}{ext}").read_bytes()
 
-    def test_unknown_app_rejected(self):
-        with pytest.raises(ValueError):
-            time_app("weather", "vectorized", "two_level", {})
 
-    def test_measured_speedups_table(self):
-        from repro.mesh import make_airfoil_mesh
+class TestDumpKernel:
+    @pytest.mark.parametrize(
+        "name", ["res_calc", "compute_flux", "res_calc_aero"]
+    )
+    def test_dump_known_kernel(self, name, capsys):
+        assert bench_main(["--dump-kernel", name]) == 0
+        out = capsys.readouterr().out
+        assert f"# ---- {name}: specialized scalar stub" in out
+        assert f"# ---- {name}: generated vector kernel" in out
 
-        configs = {
-            "scalar (sequential)": ("sequential", "two_level", {}),
-            "vectorized": ("vectorized", "two_level", {}),
-        }
-        t = measured_speedups(
-            "airfoil", mesh=make_airfoil_mesh(8, 4), steps=1,
-            configs=configs,
-        )
-        assert len(t.rows) == 2
-        # Vectorized decisively faster even on a tiny mesh.
-        assert t.rows[1]["speedup"] > 1.0
+    def test_unknown_kernel_rejected(self, capsys):
+        assert bench_main(["--dump-kernel", "no_such_kernel"]) == 1
+        assert "unknown kernel 'no_such_kernel'" in capsys.readouterr().out

@@ -27,7 +27,6 @@ from repro.core import (
     dat_layout,
     get_default_layout,
     kernel,
-    make_backend,
     par_loop,
     set_default_layout,
 )
@@ -242,16 +241,12 @@ class TestWholeColorBatching:
     )
     def test_bitwise_identical_to_chunked(self, scheme):
         batched = run_ring("vectorized", scheme, {}, "aos")
-        chunked = run_ring("vectorized", scheme, {"batch": "chunk"}, "aos")
+        # One chunk wider than the ring: the chunked path with no
+        # remainder sweep.
+        chunked = run_ring("vectorized", scheme, {"vec": 1 << 30}, "aos")
         # Phases preserve the chunked element order, so the fast path is
         # not merely close — it is bitwise identical.
         np.testing.assert_array_equal(batched, chunked)
-
-    def test_batch_mode_validation(self):
-        with pytest.raises(ValueError, match="batch"):
-            make_backend("vectorized", batch="mega")
-        with pytest.raises(ValueError, match="vec=None"):
-            make_backend("vectorized", vec=8, batch="color")
 
     def test_phase_index_cache_reused_across_steps(self):
         rt = Runtime("vectorized", block_size=64)
