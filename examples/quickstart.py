@@ -124,7 +124,7 @@ if __name__ == "__main__":
         ("vectorized", "two_level"),
         ("vectorized", "full_permute"),
         ("simt", "two_level"),
-        ("autovec", "block_permute"),
+        ("vectorized", "block_permute"),
     ]:
         eager = run_eager(backend, scheme)
         chained = run_chained(backend, scheme)

@@ -4,7 +4,6 @@ See :mod:`repro.backends.base` for the mapping between backends and the
 paper's parallelization strategies.
 """
 
-from .autovec import AutoVecBackend
 from .base import Backend, LoopStats, gather_batch, scatter_batch
 from .native import NativeBackend
 from .openmp import OpenMPBackend
@@ -13,7 +12,6 @@ from .simt import SIMTBackend
 from .vectorized import VectorizedBackend
 
 __all__ = [
-    "AutoVecBackend",
     "Backend",
     "LoopStats",
     "NativeBackend",

@@ -11,11 +11,12 @@ parallelization strategies:
                           plan — OP2's non-vectorized OpenMP backend
 ``vectorized``            explicit SIMD: gather → batched vector kernel →
                           serialized/colored scatter, with scalar pre/post
-                          sweeps (Fig 3b)
+                          sweeps (Fig 3b); under a ``full_permute`` /
+                          ``block_permute`` plan it is the compiler
+                          auto-vectorization analogue (Section 6.5):
+                          whole-color batches, free scatters
 ``simt``                  OpenCL/CUDA analogue: work-groups = plan blocks in
                           lockstep, block-level colored increments (Fig 3a)
-``autovec``               compiler auto-vectorization analogue: whole-color
-                          execution under full/block permute orderings
 ========================  =====================================================
 
 All backends must produce results identical (to floating-point reordering
@@ -119,7 +120,7 @@ class Backend:
         Generic fallback: run every recorded loop in order through
         :meth:`execute` — trivially bitwise identical to eager
         execution.  Backends with a batched fast path (vectorized,
-        autovec) override this to execute fused groups
+        native) override this to execute fused groups
         phase-interleaved with shared coloring and gather indices.
 
         With ``repeat`` (a :class:`~repro.core.chain.Repeat`) the chain

@@ -36,7 +36,6 @@ import weakref
 from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Set as SetOf, Tuple
 
-from ..backends.autovec import AutoVecBackend
 from ..backends.base import Backend
 from ..backends.codegen import CodegenBackend
 from ..backends.openmp import OpenMPBackend
@@ -91,7 +90,7 @@ def make_backend(name: str, **options) -> Backend:
     """Instantiate a backend by registry name.
 
     Names: ``sequential``, ``openmp``, ``vectorized``, ``simt``,
-    ``autovec``, ``codegen``, ``native``.  Options are forwarded
+    ``codegen``, ``native``.  Options are forwarded
     (``vec=`` for vectorized, ``device=`` for simt).
     """
     from ..backends.native import NativeBackend
@@ -101,7 +100,6 @@ def make_backend(name: str, **options) -> Backend:
         "openmp": OpenMPBackend,
         "vectorized": VectorizedBackend,
         "simt": SIMTBackend,
-        "autovec": AutoVecBackend,
         "codegen": CodegenBackend,
         "native": NativeBackend,
     }
@@ -540,32 +538,6 @@ class Runtime:
 
     def reset_stats(self) -> None:
         self.backend.reset_stats()
-
-    def timing_report(self) -> str:
-        """Per-kernel timing summary (OP2's ``op_timing_output``).
-
-        One line per kernel: calls, total seconds, share of the loop
-        time, and element throughput — the numbers the paper's per-kernel
-        breakdown tables are built from.
-        """
-        stats = self.backend.stats
-        total = sum(s.elapsed for s in stats.values()) or 1.0
-        name_w = max([len(n) for n in stats] + [6])
-        lines = [
-            f"{'kernel'.ljust(name_w)}  {'calls':>6s}  {'time s':>9s}  "
-            f"{'share':>6s}  {'Melem/s':>8s}",
-        ]
-        for name in sorted(stats, key=lambda n: -stats[n].elapsed):
-            s = stats[name]
-            rate = s.elements / s.elapsed / 1e6 if s.elapsed else 0.0
-            lines.append(
-                f"{name.ljust(name_w)}  {s.calls:6d}  {s.elapsed:9.4f}  "
-                f"{s.elapsed / total:6.1%}  {rate:8.2f}"
-            )
-        lines.append(
-            f"{'total'.ljust(name_w)}  {'':6s}  {total:9.4f}"
-        )
-        return "\n".join(lines)
 
 
 def _drop_chains_of(runtime_ref, uid: int) -> None:

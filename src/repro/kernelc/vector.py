@@ -17,8 +17,7 @@ Lowering rules
 * ``min``/``max`` builtins become the :func:`repro.simd.vmin` /
   :func:`~repro.simd.vmax` intrinsics; conditional expressions become
   :func:`~repro.simd.select` — the generated code speaks the same
-  branchless vocabulary the hand-written kernels did, so it also runs
-  on :class:`repro.simd.VecReg` register-width blocks.
+  branchless vocabulary the hand-written kernels did.
 * Branches are lowered to mask arithmetic: each ``if`` computes a lane
   mask, branch-local assignments get fresh names that are
   ``select``-merged at the join, and stores inside a branch become

@@ -1,63 +1,41 @@
-"""SIMD substrate: vector-register emulation, branchless intrinsics and
-the host's vector ISA.
+"""SIMD substrate: branchless intrinsics and the host's vector ISA.
 
-``VecReg``/``IntVec``/``Mask`` model the paper's C++ wrapper classes over
-AVX/IMCI registers (Fig 4); the intrinsics helpers (``select``, ``vsqrt``,
-...) are the vocabulary vector kernels use instead of branches.
-:func:`host_isa` / :func:`isa_flags` are the lane front-end of the
-generated C (``kernelc/native.py``): the widest vector ISA this host
-runs, and the compiler flags that target it.
-
-Vector widths, following the paper: AVX holds 4 doubles / 8 floats
-(256-bit), IMCI holds 8 doubles / 16 floats (512-bit).
+The intrinsics (``select``, ``vsqrt``, ...) are the vocabulary vector
+kernels use instead of branches; ``repro.kernelc`` lowers them to NumPy
+calls and C expressions.  :func:`host_isa` / :func:`isa_flags` are the
+lane front-end of the generated C (``kernelc/native.py``): the widest
+vector ISA this host runs, and the compiler flags that target it.
 """
 
 import functools
 import platform
 from typing import List
 
-import numpy as np
-
 from .intrinsics import select, vabs, vfma, vmax, vmin, vrecip, vsqrt
-from .vecreg import IntVec, Mask, VecReg
 
-#: Hardware vector widths in *lanes* per dtype (paper Section 2).
-VECTOR_WIDTH = {
-    ("avx", np.dtype(np.float64)): 4,
-    ("avx", np.dtype(np.float32)): 8,
-    ("imci", np.dtype(np.float64)): 8,
-    ("imci", np.dtype(np.float32)): 16,
-}
-
-
-def vector_width(isa: str, dtype) -> int:
-    """Lanes per register for an ISA/dtype pair."""
-    key = (isa, np.dtype(dtype))
-    if key not in VECTOR_WIDTH:
-        raise KeyError(f"No vector width known for ISA {isa!r} dtype {dtype!r}")
-    return VECTOR_WIDTH[key]
-
-
-#: CPU flags (``/proc/cpuinfo``) of the x86-64 micro-architecture levels
-#: the generated C targets, widest first, with the compiler flag for each.
+#: CPU features (as named by NumPy's runtime dispatch table) of the
+#: x86-64 micro-architecture levels the generated C targets, widest
+#: first, with the compiler flag for each.
 _X86_LEVELS = (
     ("avx512", "-march=x86-64-v4",
-     {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"}),
+     {"AVX512F", "AVX512BW", "AVX512CD", "AVX512DQ", "AVX512VL"}),
     ("avx2", "-march=x86-64-v3",
-     {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe",
-      "xsave"}),
+     {"AVX", "AVX2", "BMI", "BMI2", "F16C", "FMA3", "LZCNT", "MOVBE"}),
 )
 
 
 def _cpu_flags() -> set:
+    """The CPU features NumPy detected at import (CPUID plus OS support
+    for the wider register state).  A feature an older NumPy does not
+    know is absent, so it can only narrow the chosen ISA."""
     try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("flags"):
-                    return set(line.split(":", 1)[1].split())
-    except OSError:
-        pass
-    return set()
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy 1.x
+        try:
+            from numpy.core._multiarray_umath import __cpu_features__
+        except ImportError:
+            return set()
+    return {name for name, on in __cpu_features__.items() if on}
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,10 +61,6 @@ def isa_flags() -> List[str]:
 
 
 __all__ = [
-    "IntVec",
-    "Mask",
-    "VECTOR_WIDTH",
-    "VecReg",
     "host_isa",
     "isa_flags",
     "select",
@@ -96,5 +70,4 @@ __all__ = [
     "vmin",
     "vrecip",
     "vsqrt",
-    "vector_width",
 ]

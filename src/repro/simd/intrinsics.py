@@ -4,25 +4,13 @@ The paper (Section 4.2) notes that conditionals cannot be expressed inside
 vectorized user kernels, so code must be rewritten with ``select()``
 instructions; these helpers provide exactly that vocabulary.  Every
 function is polymorphic over plain NumPy arrays (the backends' batched
-representation), scalars (so the *same* kernel body can serve as the
-scalar form in tests), and :class:`~repro.simd.vecreg.VecReg` lanes.
+representation) and scalars (so the *same* kernel body can serve as the
+scalar form in tests).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .vecreg import Mask, VecReg
-
-
-def _unwrap(x):
-    return x.lanes if isinstance(x, (VecReg, Mask)) else x
-
-
-def _rewrap(template, value):
-    if isinstance(template, VecReg) or isinstance(template, Mask):
-        return VecReg(np.asarray(value))
-    return value
 
 
 def select(cond, if_true, if_false):
@@ -31,53 +19,35 @@ def select(cond, if_true, if_false):
     The vector replacement for ``if`` statements; corresponds to
     ``_mm256_blendv_pd`` / IMCI masked moves.
     """
-    c = _unwrap(cond)
-    a = _unwrap(if_true)
-    b = _unwrap(if_false)
-    out = np.where(c, a, b)
-    if isinstance(if_true, VecReg) or isinstance(if_false, VecReg):
-        return VecReg(out)
-    if np.isscalar(c) or np.ndim(c) == 0:
+    if np.ndim(cond) == 0:
         # Scalar path: keep native Python scalars so the same kernel body
         # runs unchanged per-element.
-        return a if c else b
-    return out
+        return if_true if cond else if_false
+    return np.where(cond, if_true, if_false)
 
 
 def vsqrt(x):
     """Vector square root (``_mm256_sqrt_pd``)."""
-    v = np.sqrt(_unwrap(x))
-    return VecReg(v) if isinstance(x, VecReg) else v
+    return np.sqrt(x)
 
 
 def vmin(a, b):
-    v = np.minimum(_unwrap(a), _unwrap(b))
-    if isinstance(a, VecReg) or isinstance(b, VecReg):
-        return VecReg(v)
-    return v
+    return np.minimum(a, b)
 
 
 def vmax(a, b):
-    v = np.maximum(_unwrap(a), _unwrap(b))
-    if isinstance(a, VecReg) or isinstance(b, VecReg):
-        return VecReg(v)
-    return v
+    return np.maximum(a, b)
 
 
 def vabs(x):
-    v = np.abs(_unwrap(x))
-    return VecReg(v) if isinstance(x, VecReg) else v
+    return np.abs(x)
 
 
 def vfma(a, b, c):
     """Fused multiply-add ``a*b + c``."""
-    v = _unwrap(a) * _unwrap(b) + _unwrap(c)
-    if any(isinstance(t, VecReg) for t in (a, b, c)):
-        return VecReg(v)
-    return v
+    return a * b + c
 
 
 def vrecip(x):
     """Reciprocal ``1/x`` (``_mm256_div_pd`` with unit numerator)."""
-    v = 1.0 / _unwrap(x)
-    return VecReg(v) if isinstance(x, VecReg) else v
+    return 1.0 / x

@@ -21,8 +21,6 @@ BACKEND_MATRIX = [
     ("vectorized", "block_permute", {}),
     ("simt", "two_level", {"device": "cpu"}),
     ("simt", "two_level", {"device": "phi"}),
-    ("autovec", "full_permute", {}),
-    ("autovec", "block_permute", {}),
     ("native", "two_level", {}),
 ]
 

@@ -8,8 +8,11 @@ on-disk decision store keyed by machine fingerprint and chain signature
 (:mod:`~repro.tune.store` / :mod:`~repro.tune.signature`), and the
 ``backend="auto"`` wiring into the app drivers (:mod:`~repro.tune.apps`).
 
-Tuning moves time, never results: every negotiated configuration is one
-of the repo's bitwise-equivalent execution modes.
+Layout, chaining and tiling never change bits on a given backend.  The
+backend choice (``vectorized`` or ``native``) can: on airfoil and Volna
+the colour-ordered increments of ``vectorized`` differ from the
+sequential interpreter's at rounding level.  Aero's results are bitwise
+identical on every backend.
 """
 
 from .apps import apply_decision, autotune_sim, sim_signature

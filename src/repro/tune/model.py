@@ -54,18 +54,15 @@ _BACKEND_STYLE = {
     "simt": "vec",
     "vectorized": "vec",
     "native": "vec",
-    "autovec": "auto",
 }
 
 #: Python-side interpretation cost per iteration element (seconds); the
 #: dominant term for the scalar backends, negligible for batched ones.
-_PER_ELEMENT_S = {"scalar": 1.0e-6, "vec": 3e-9, "auto": 4e-9,
-                  "native": 1e-9}
+_PER_ELEMENT_S = {"scalar": 1.0e-6, "vec": 3e-9, "native": 1e-9}
 
 #: Per-loop dispatch overhead (plan lookup, view binding, one Python
 #: call per color) — what chaining amortizes.
-_PER_LOOP_S = {"scalar": 3e-5, "vec": 1.2e-4, "auto": 1.5e-4,
-               "native": 3e-5}
+_PER_LOOP_S = {"scalar": 3e-5, "vec": 1.2e-4, "native": 3e-5}
 
 #: Assumed streaming bandwidth for the seed ranking (GB/s).  Only the
 #: *relative* ordering matters — probes measure the truth — so a
@@ -147,7 +144,7 @@ def predict_candidate(
     Memory time comes from the perfmodel calibration: each loop's
     useful bytes divided by the peak bandwidth scaled by that
     architecture class's efficiency for the loop's kernel class
-    (``mem_eff_scalar`` / ``mem_eff_vec`` / ``mem_eff_auto`` — the
+    (``mem_eff_scalar`` / ``mem_eff_vec`` — the
     tables fitted against the paper, or refitted from measured
     profiles by :func:`repro.perfmodel.fit_calibration_from_profile`).
     Each loop is priced as a two-term roofline,
@@ -170,9 +167,7 @@ def predict_candidate(
     eff_table = {
         "scalar": calibration.mem_eff_scalar,
         "vec": calibration.mem_eff_vec,
-        "auto": calibration.mem_eff_auto,
     }[style]
-    mem_style = style
     # Native keeps the vectorized efficiency table but sheds the
     # per-loop Python dispatch (one cffi entry per chain).
     over_style = "native" if candidate.backend == "native" else style
@@ -197,7 +192,7 @@ def predict_candidate(
             # Cross-loop tile locality pays off on multi-loop chains,
             # costs schedule overhead on short ones.
             mem *= 0.9 if nloops >= 3 else 1.05
-        if candidate.layout == "soa" and mem_style != "scalar":
+        if candidate.layout == "soa" and style != "scalar":
             mem *= 0.98 if info.get("kind") == "direct" else 1.0
         comp = float(info.get("flops", 0.0)) / (peak_gflops * 1e9)
         t += max(mem, comp) + float(info.get("n", 0)) * per_elem

@@ -12,10 +12,13 @@ run under on this machine?":
    caller's probe callable (a short real run of the workload);
 4. **persist** — store the measured winner for every later process.
 
-Tuning never changes numerics: every candidate is one of the repo's
-bitwise-equivalent execution configurations, so the choice only moves
-time, never results.  ``REPRO_TUNE_DISABLE=1`` short-circuits the whole
-pipeline to a fixed default.
+Layout, chaining and tiling never change bits on a given backend, but
+the backend choice can: ``vectorized`` applies indirect increments in
+colour order, so on airfoil and Volna its results may differ from
+``native``'s (and the sequential interpreter's) at rounding level.
+Aero's results are bitwise identical on every backend.
+``REPRO_TUNE_DISABLE=1`` short-circuits the whole pipeline to a fixed
+default.
 """
 
 from __future__ import annotations

@@ -271,22 +271,20 @@ class TestPerfmodelLink:
                   "bytes": 5e9}]
         cands = [
             TuneCandidate("vectorized", "aos", True, None),
-            TuneCandidate("autovec", "aos", True, None),
+            TuneCandidate("sequential", "aos", True, None),
         ]
         vec_wins = ArchCalibration(
-            mem_eff_scalar={"gather": 0.4},
+            mem_eff_scalar={"gather": 0.05},
             mem_eff_vec={"gather": 0.9},
-            mem_eff_auto={"gather": 0.05},
         )
-        auto_wins = ArchCalibration(
-            mem_eff_scalar={"gather": 0.4},
+        scalar_wins = ArchCalibration(
+            mem_eff_scalar={"gather": 0.9},
             mem_eff_vec={"gather": 0.05},
-            mem_eff_auto={"gather": 0.9},
         )
         assert rank_candidates(infos, cands, vec_wins)[0].backend == \
             "vectorized"
-        assert rank_candidates(infos, cands, auto_wins)[0].backend == \
-            "autovec"
+        assert rank_candidates(infos, cands, scalar_wins)[0].backend == \
+            "sequential"
 
     def test_fit_calibration_from_measured_profile(self):
         base = CALIBRATION["cpu"]

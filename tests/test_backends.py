@@ -92,7 +92,7 @@ class TestIndirectIncEquivalence:
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("vec", [1, 2, 4, 8, 16])
-    def test_vector_width_invariance(self, vec):
+    def test_vec_chunk_invariance(self, vec):
         ref = run_indirect("sequential", "two_level", {})
         nodes, edges, e2n, w, x = ring_problem()
         acc = Dat(nodes, 3, name="acc")
@@ -351,21 +351,6 @@ class TestScalarFallbacks:
 
 
 class TestValidationAndErrors:
-    def test_autovec_rejects_two_level_indirect(self):
-        nodes, edges, e2n, w, x = ring_problem()
-        acc = Dat(nodes, 3)
-        rt = runtime_for("autovec", "two_level", {})
-        with pytest.raises(ValueError, match="full_permute or block_permute"):
-            par_loop(
-                saxpy_inc, edges,
-                arg_dat(w, IDX_ID, None, READ),
-                arg_dat(x, 0, e2n, READ),
-                arg_dat(x, 1, e2n, READ),
-                arg_dat(acc, 0, e2n, INC),
-                arg_dat(acc, 1, e2n, INC),
-                runtime=rt,
-            )
-
     def test_direct_arg_wrong_set(self):
         s1, s2 = Set(4, "a"), Set(4, "b")
         d = Dat(s2, 1)
@@ -440,7 +425,7 @@ def test_property_random_loops_equivalent(n_nodes, n_elems, block_size, seed):
         ("vectorized", "two_level"),
         ("vectorized", "full_permute"),
         ("simt", "two_level"),
-        ("autovec", "block_permute"),
+        ("vectorized", "block_permute"),
     ]:
         np.testing.assert_allclose(
             run(bk, scheme), ref, rtol=1e-10, atol=1e-10

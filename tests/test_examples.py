@@ -44,7 +44,6 @@ class TestExamplesSmoke:
     @pytest.mark.parametrize("name", [
         "performance_study.py",
         "tsunami_volna.py",
-        "vector_registers.py",
     ])
     def test_other_examples_importable(self, name):
         """Compile-and-import check without executing __main__ bodies."""

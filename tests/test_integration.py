@@ -21,7 +21,7 @@ from repro.core.access import IDX_ID
 
 class TestEmptyAndTinySets:
     @pytest.mark.parametrize(
-        "backend", ["sequential", "openmp", "vectorized", "simt", "autovec"]
+        "backend", ["sequential", "openmp", "vectorized", "simt"]
     )
     def test_empty_set_loop(self, backend):
         s = Set(0, "empty")
@@ -35,8 +35,7 @@ class TestEmptyAndTinySets:
         def noop_vec(x):
             x[:, 0] = 1.0
 
-        scheme = "full_permute" if backend == "autovec" else "two_level"
-        rt = Runtime(backend=backend, scheme=scheme)
+        rt = Runtime(backend=backend)
         par_loop(noop, s, arg_dat(d, IDX_ID, None, WRITE), runtime=rt)
         assert d.data.size == 0
 

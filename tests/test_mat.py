@@ -208,7 +208,6 @@ class TestDirectIncBatchedPath:
         ("vectorized", "two_level", {}),
         ("vectorized", "full_permute", {}),
         ("simt", "two_level", {"device": "phi"}),
-        ("autovec", "full_permute", {}),
     ])
     def test_direct_inc_with_racing_arg(self, backend, scheme, options):
         """A loop with an indirect INC (racing -> colored non-contiguous

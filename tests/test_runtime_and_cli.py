@@ -173,28 +173,3 @@ class TestKernelAPI:
                 x[0] -= 1.0
 
         assert not opaque.has_vector_form
-
-
-class TestTimingReport:
-    def test_report_lists_all_kernels(self):
-        from repro.apps.airfoil import AirfoilSim
-        from repro.mesh import make_airfoil_mesh
-
-        rt = Runtime("vectorized", block_size=64)
-        sim = AirfoilSim(make_airfoil_mesh(10, 5), runtime=rt)
-        sim.run(2)
-        report = rt.timing_report()
-        for name in ("save_soln", "adt_calc", "res_calc", "bres_calc",
-                     "update"):
-            assert name in report
-        assert "total" in report
-        assert "Melem/s" in report
-        # Shares sum to ~100%.
-        shares = [float(tok.rstrip("%"))
-                  for tok in report.split() if tok.endswith("%")]
-        assert abs(sum(shares) - 100.0) < 1.0
-
-    def test_report_empty_runtime(self):
-        rt = Runtime("sequential")
-        report = rt.timing_report()
-        assert "total" in report
