@@ -21,6 +21,8 @@ BACKEND_MATRIX = [
     ("vectorized", "block_permute", {}),
     ("simt", "two_level", {"device": "cpu"}),
     ("simt", "two_level", {"device": "phi"}),
+    ("vectorized", "full_permute", {"vec": 8}),
+    ("vectorized", "block_permute", {"vec": 8}),
     ("native", "two_level", {}),
 ]
 

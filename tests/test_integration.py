@@ -21,7 +21,8 @@ from repro.core.access import IDX_ID
 
 class TestEmptyAndTinySets:
     @pytest.mark.parametrize(
-        "backend", ["sequential", "openmp", "vectorized", "simt"]
+        "backend",
+        ["sequential", "codegen", "openmp", "vectorized", "simt", "native"],
     )
     def test_empty_set_loop(self, backend):
         s = Set(0, "empty")

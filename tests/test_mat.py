@@ -208,6 +208,8 @@ class TestDirectIncBatchedPath:
         ("vectorized", "two_level", {}),
         ("vectorized", "full_permute", {}),
         ("simt", "two_level", {"device": "phi"}),
+        ("vectorized", "full_permute", {"vec": 8}),
+        ("vectorized", "block_permute", {"vec": 8}),
     ])
     def test_direct_inc_with_racing_arg(self, backend, scheme, options):
         """A loop with an indirect INC (racing -> colored non-contiguous

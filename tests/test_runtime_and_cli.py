@@ -173,3 +173,29 @@ class TestKernelAPI:
                 x[0] -= 1.0
 
         assert not opaque.has_vector_form
+
+
+class TestKernelStats:
+    """``stats()["kernels"]`` is the per-kernel accounting surface (OP2's
+    ``op_timing_output``): calls, seconds and elements per kernel."""
+
+    def test_stats_list_all_kernels(self):
+        from repro.apps.airfoil import AirfoilSim
+        from repro.mesh import make_airfoil_mesh
+
+        rt = Runtime("vectorized", block_size=64)
+        mesh = make_airfoil_mesh(10, 5)
+        AirfoilSim(mesh, runtime=rt).run(2)
+        kernels = rt.stats()["kernels"]
+        # One save_soln per step, then two inner iterations of the rest.
+        expected = {"save_soln": (2, mesh.cells), "adt_calc": (4, mesh.cells),
+                    "res_calc": (4, mesh.edges), "bres_calc": (4, mesh.bedges),
+                    "update": (4, mesh.cells)}
+        assert set(kernels) == set(expected)
+        for name, (calls, set_) in expected.items():
+            assert kernels[name].calls == calls, name
+            assert kernels[name].elements == calls * set_.size, name
+            assert kernels[name].elapsed > 0.0, name
+
+    def test_stats_empty_runtime(self):
+        assert Runtime("sequential").stats()["kernels"] == {}

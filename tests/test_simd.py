@@ -57,6 +57,37 @@ class TestIntrinsics:
         assert vsqrt(4.0) == 2.0
         assert vmin(1.0, 2.0) == 1.0
 
+    @pytest.mark.parametrize("fn, ref, operands", [
+        (vsqrt, np.sqrt, ([0.25, 2.0, 9.0],)),
+        (vabs, np.abs, ([-1.5, 0.0, 3.0],)),
+        (vrecip, lambda x: 1.0 / x, ([-4.0, 0.5, 3.0],)),
+        (vmin, np.minimum, ([1.0, -2.0, 3.0], [0.5, 4.0, 3.0])),
+        (vmax, np.maximum, ([1.0, -2.0, 3.0], [0.5, 4.0, 3.0])),
+        (vfma, lambda a, b, c: a * b + c,
+         ([1.0, -2.0, 3.0], [0.5, 4.0, 3.0], [0.1, 0.2, -9.0])),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_scalar_lanes_match_array(self, fn, ref, operands):
+        # The same kernel body serves both forms: each lane's scalar
+        # result is the array result's element, bit for bit.
+        arrays = [np.array(o) for o in operands]
+        batched = fn(*arrays)
+        np.testing.assert_array_equal(batched, ref(*arrays))
+        for lane in range(batched.size):
+            assert fn(*(float(a[lane]) for a in arrays)) == batched[lane]
+
+    @pytest.mark.parametrize("name", [
+        "select", "vabs", "vfma", "vmax", "vmin", "vrecip", "vsqrt",
+    ])
+    def test_kernelc_matches_them_by_identity(self, name):
+        # kernelc's front-end and C emitter recognise an intrinsic by the
+        # function object, so the package export must be that object.
+        from repro.kernelc.ir import INTRINSIC_FUNCTIONS
+        from repro.simd import intrinsics
+
+        fn = getattr(simd, name)
+        assert fn is getattr(intrinsics, name)
+        assert fn in INTRINSIC_FUNCTIONS
+
 
 def _cpuinfo_isa():
     """Reference answer for :func:`host_isa` from ``/proc/cpuinfo``'s
