@@ -29,9 +29,9 @@ def main() -> None:
     mesh = make_airfoil_mesh(ni, nj)
     print(f"mesh: {mesh.summary()}")
 
-    # --- convergence run under the auto-tuned runtime ----------------
-    # backend="auto" probes the candidate configurations once, persists
-    # the winner in ~/.cache/repro_tune, and replays it on later runs.
+    # --- convergence run under the "auto" runtime --------------------
+    # backend="auto" is a fixed rule: the native backend (its vectorized
+    # tier when no C compiler builds) on SoA storage, chained steps.
     sim = AirfoilSim(mesh, runtime=Runtime("auto", block_size=256))
     print(f"\nfree stream: q_inf = {sim.constants.qinf().round(4)}")
     print(f"{'iter':>6s} {'RMS residual':>14s}")

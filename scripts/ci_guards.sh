@@ -88,15 +88,15 @@ no_host_reads_in_cg_trip() {
 }
 
 no_backend_literals_in_examples() {
-  # The examples showcase the auto-tuning runtime: construct
-  # Runtime("auto") and let the tuner negotiate.  A hard-coded
-  # backend name reappearing in an example defeats the system the
-  # examples exist to demonstrate (benchmark sweeps that iterate
-  # over backend *variables* are fine and do not match).
+  # The examples run on Runtime("auto"), the runtime's stated rule
+  # (native, else its vectorized tier; SoA; chained).  A hard-coded
+  # backend name in an example would show a configuration the rule
+  # does not pick (benchmark sweeps that iterate over backend
+  # *variables* are fine and do not match).
   bad=$(grep -rnE 'Runtime\(\s*"(sequential|codegen|openmp|vectorized|simt|autovec|native)"|backend\s*=\s*"(sequential|codegen|openmp|vectorized|simt|autovec|native)"' examples/ || true)
   if [ -n "$bad" ]; then
     echo "Examples must use Runtime(\"auto\") instead of a"
-    echo "hand-picked backend literal (repro/tune negotiates it):"
+    echo "hand-picked backend literal (Runtime(\"auto\") is the rule):"
     echo "$bad"
     exit 1
   fi

@@ -41,8 +41,8 @@ density, so one Picard step becomes::
 single unbroken chain.  The coefficient kernel folds element
 contributions in ``Mat.assemble``'s canonical order, which keeps phi
 and rho bitwise identical to the assembled oracle; ``operator="auto"``
-(the default) keeps the assembled path unless ``Runtime("auto")``'s
-tuner measures matfree faster.
+(the default) runs matfree on a float64 sim under ``Runtime("auto")``
+and the assembled path on every explicit backend.
 """
 
 from __future__ import annotations
@@ -110,11 +110,9 @@ class AeroSim:
     constants:
         Flow configuration (Mach, angle of attack, gamma).
     chained:
-        ``True`` traces the assembly phase and each CG iteration as
-        deferred loop chains; ``False`` dispatches every ``par_loop``
-        eagerly.  Bitwise identical either way.  ``None`` (default)
-        behaves like ``True`` but also lets ``Runtime("auto")``'s tuner
-        pick the mode.
+        ``True`` (default) traces the assembly phase and each CG
+        iteration as deferred loop chains; ``False`` dispatches every
+        ``par_loop`` eagerly.  Bitwise identical either way.
     tiling:
         Sparse-tiling request forwarded to ``runtime.chain(tiling=...)``
         (requires ``chained=True``); bitwise identical too.
@@ -125,8 +123,8 @@ class AeroSim:
         and folds the CSR matrix every Picard step (the bitwise
         oracle), ``"matfree"`` re-derives the operator action on the
         fly (bitwise identical phi/rho, ``Mat.assemble`` never called),
-        ``"auto"`` (default) behaves like assembled but lets
-        ``Runtime("auto")``'s tuner measure and pick.  The matfree
+        ``"auto"`` (default) is matfree on a float64 sim under
+        ``Runtime("auto")`` and assembled otherwise.  The matfree
         path requires ``float64`` (its quadrature tables replicate the
         float64 assembly arithmetic).
     """
@@ -137,7 +135,7 @@ class AeroSim:
         dtype=np.float64,
         runtime: Optional[Runtime] = None,
         constants: AeroConstants = DEFAULT_CONSTANTS,
-        chained: Optional[bool] = None,
+        chained: bool = True,
         tiling=None,
         cg_tol: float = 1e-10,
         cg_maxiter: int = 200,
@@ -156,11 +154,7 @@ class AeroSim:
         self.dtype = np.dtype(dtype)
         self.runtime = runtime
         self.constants = constants
-        #: Whether the caller chose the dispatch mode (a tuning pin);
-        #: ``None`` defaults to chained, and under ``Runtime("auto")``
-        #: leaves the mode to the tuner.
-        self.chained_explicit = chained is not None
-        self.chained = True if chained is None else bool(chained)
+        self.chained = bool(chained)
         if tiling is not None and not self.chained:
             raise ValueError(
                 "tiling requires chained=True (sparse tiling lowers a "
@@ -174,7 +168,7 @@ class AeroSim:
                 f"operator must be one of {OPERATOR_MODES}, "
                 f"got {operator!r}"
             )
-        #: Whether the matfree axis is available to the tuner: the
+        #: Whether the matfree realization is available: the
         #: quadrature tables replicate float64 assembly arithmetic.
         self.operator_axis = np.dtype(dtype) == np.float64
         if operator == "matfree" and not self.operator_axis:
@@ -183,30 +177,23 @@ class AeroSim:
                 "quadrature tables replicate the float64 assembly "
                 "arithmetic bit for bit)"
             )
-        #: Whether the caller chose the operator (a tuning pin).
-        self.operator_explicit = operator != "auto"
-        #: The realization steps execute with; "auto" resolves to
-        #: assembled unless the tuner installs matfree.
-        self.operator_mode = operator if operator != "auto" \
-            else "assembled"
+        if operator == "auto":
+            operator = ("matfree" if self.operator_axis
+                        and self._runtime().auto else "assembled")
+        #: The realization steps execute with.
+        self.operator_mode = operator
         self.kernels: Dict[str, object] = make_kernels(constants)
         self.state = self._init_state()
         #: Padded-row SpMV operator over the assembled matrix (built
         #: once — the sparsity is pure connectivity).
         self.operator = MatOperator(self.state.mat)
         self.kernels["spmv"] = self.operator.kernel
-        #: Matrix-free twin over the same sparsity — always built (the
-        #: tuning signature must not fork on the operator mode), only
-        #: executed when the mode says so.
-        self.matfree = self._make_matfree()
+        #: Matrix-free twin over the same sparsity (matfree mode only).
+        self.matfree = (self._make_matfree()
+                        if self.operator_mode == "matfree" else None)
         self.cg_results: List[CGResult] = []
         self.delta_history: List[float] = []
         self.iterations_run = 0
-        rt = self._runtime()
-        if getattr(rt, "autotune_requested", False):
-            from ...tune import autotune_sim
-
-            autotune_sim(self, runtime=rt)
 
     def _runtime(self) -> Runtime:
         from ...core.runtime import default_runtime
@@ -263,19 +250,6 @@ class AeroSim:
             state.mat = Mat(c2n, c2n, dtype=self.dtype, name="K")
         return state
 
-    def _realloc_state(self) -> None:
-        """Reallocate the state under the runtime's (new) layout.
-
-        Called by the auto-tuner after a layout switch; rebuilds the
-        SpMV operator over the fresh matrix staging and invalidates the
-        memoized loop signatures.
-        """
-        self.state = self._init_state()
-        self.operator = MatOperator(self.state.mat)
-        self.kernels["spmv"] = self.operator.kernel
-        self.matfree = self._make_matfree()
-        self._loop_args_cache = None
-
     # ------------------------------------------------------------------
     def _loop_args(self) -> Dict[str, tuple]:
         """The aero parallel-loop signatures (set, args...), memoized."""
@@ -310,26 +284,13 @@ class AeroSim:
                 arg_dat(s.p_bc, IDX_ID, None, READ),
                 arg_dat(s.p_phi, IDX_ID, None, RW),
             ),
-            # Matrix-free twins — always present (even in assembled
-            # mode) so the tuning signature is one per workload,
-            # independent of the operator axis.
-            "mf_coeffs": self.matfree.coeffs_args(),
-            "mf_kg": self.matfree.apply_args(s.p_lift, s.p_kg, raw=True),
         }
+        if self.matfree is not None:
+            self._loop_args_cache.update(
+                mf_coeffs=self.matfree.coeffs_args(),
+                mf_kg=self.matfree.apply_args(s.p_lift, s.p_kg, raw=True),
+            )
         return self._loop_args_cache
-
-    def _loop_operator_tags(self) -> Dict[str, str]:
-        """Which loops belong to which operator realization.
-
-        Loops absent from the map are shared by both modes; the tuner's
-        candidate model uses the tags to price an operator candidate
-        over only the loops it would actually run.
-        """
-        return {
-            "res_calc": "assembled",
-            "mf_coeffs": "matfree",
-            "mf_kg": "matfree",
-        }
 
     def _run_loop(self, name: str) -> None:
         set_, *args = self._loop_args()[name]

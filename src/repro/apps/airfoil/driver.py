@@ -75,11 +75,8 @@ class AirfoilSim:
     constants:
         Flow constants (Mach, angle of attack, CFL, dissipation).
     chained:
-        ``True`` traces each time step as a deferred loop chain;
-        ``False`` dispatches every ``par_loop`` eagerly.  The default
-        (``None``) means chained — except under an auto-tuning runtime
-        (``Runtime("auto")``), where leaving it unset lets the tuner
-        negotiate the mode; passing an explicit value pins it.
+        ``True`` (default) traces each time step as a deferred loop
+        chain; ``False`` dispatches every ``par_loop`` eagerly.
     tiling:
         Sparse-tiling request forwarded to ``runtime.chain(tiling=...)``
         (``None`` = fused loop-major execution, ``"auto"`` or a seed
@@ -93,7 +90,7 @@ class AirfoilSim:
         dtype=np.float64,
         runtime: Optional[Runtime] = None,
         constants: AirfoilConstants = DEFAULT_CONSTANTS,
-        chained: Optional[bool] = None,
+        chained: bool = True,
         tiling=None,
     ) -> None:
         #: The run happens on a locality-friendly *internal* numbering
@@ -108,9 +105,7 @@ class AirfoilSim:
         self.dtype = np.dtype(dtype)
         self.runtime = runtime
         self.constants = constants
-        #: Whether the caller chose the dispatch mode (a tuning pin).
-        self.chained_explicit = chained is not None
-        self.chained = True if chained is None else bool(chained)
+        self.chained = bool(chained)
         if tiling is not None and not self.chained:
             raise ValueError(
                 "tiling requires chained=True (sparse tiling lowers a "
@@ -121,11 +116,6 @@ class AirfoilSim:
         self.state = self._init_state()
         self.rms_history: List[float] = []
         self.iterations_run = 0
-        rt = self._runtime()
-        if getattr(rt, "autotune_requested", False):
-            from ...tune import autotune_sim
-
-            autotune_sim(self, runtime=rt)
 
     def _runtime(self) -> Runtime:
         from ...core.runtime import default_runtime
@@ -141,16 +131,6 @@ class AirfoilSim:
         # layout is a Runtime knob rather than per-Dat boilerplate.
         with dat_layout(getattr(self.runtime, "layout", None)):
             return self._make_state(m, q0)
-
-    def _realloc_state(self) -> None:
-        """Reallocate the state under the runtime's (new) layout.
-
-        Used by the auto-tuner before any step has run — the state is
-        re-derived from the mesh and constants, and the memoized loop
-        args are dropped so they rebind to the fresh Dats.
-        """
-        self.state = self._init_state()
-        self._loop_args_cache = None
 
     def _make_state(self, m, q0) -> AirfoilState:
         return AirfoilState(

@@ -123,7 +123,7 @@ class VolnaSim:
         scenario: CoastalScenario = DEFAULT_SCENARIO,
         gravity: float = GRAVITY,
         cfl: float = CFL,
-        chained: Optional[bool] = None,
+        chained: bool = True,
         tiling=None,
     ) -> None:
         #: The run happens on a locality-friendly *internal* numbering
@@ -143,11 +143,7 @@ class VolnaSim:
         self.dtype = np.dtype(dtype)
         self.runtime = runtime
         self.scenario = scenario
-        #: Whether the caller chose the dispatch mode (a tuning pin);
-        #: ``None`` defaults to chained, and under ``Runtime("auto")``
-        #: leaves the mode to the tuner.
-        self.chained_explicit = chained is not None
-        self.chained = True if chained is None else bool(chained)
+        self.chained = bool(chained)
         if tiling is not None and not self.chained:
             raise ValueError(
                 "tiling requires chained=True (sparse tiling lowers a "
@@ -160,11 +156,6 @@ class VolnaSim:
         self.time = 0.0
         self.steps_run = 0
         self.dt_history: List[float] = []
-        rt = self._runtime()
-        if getattr(rt, "autotune_requested", False):
-            from ...tune import autotune_sim
-
-            autotune_sim(self, runtime=rt)
 
     def _runtime(self) -> Runtime:
         from ...core.runtime import default_runtime
@@ -195,15 +186,6 @@ class VolnaSim:
             dt=Global(1, 0.0, self.dtype, name="dt"),
             dt_used=Global(1, 0.0, self.dtype, name="dt_used"),
         )
-
-    def _realloc_state(self) -> None:
-        """Reallocate the state under the runtime's (new) layout.
-
-        Called by the auto-tuner after a layout switch; also invalidates
-        the memoized loop signatures (they reference the old Dats).
-        """
-        self.state = self._init_state()
-        self._loop_args_cache = None
 
     # ------------------------------------------------------------------
     def _loop_args(self, q_in: Dat) -> Dict[str, tuple]:

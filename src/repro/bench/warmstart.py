@@ -38,7 +38,7 @@ from typing import Dict, List
 CHECKED_KINDS = ("plan", "chain", "tiled", "kernelc")
 
 #: All persistent kinds dumped for the CI artifact.
-PERSISTED_KINDS = ("plan", "chain", "tiled", "kernelc", "native", "tune")
+PERSISTED_KINDS = ("plan", "chain", "tiled", "kernelc", "native")
 
 
 # ----------------------------------------------------------------------

@@ -131,15 +131,18 @@ class Runtime:
     plan_cache_entries / loop_cache_entries / chain_cache_entries:
         LRU bounds for the three cache levels (``None`` = unbounded).
 
-    ``backend="auto"`` requests the auto-tuning runtime
-    (:mod:`repro.tune`): execution starts on the vectorized default,
-    and the first app driver constructed over this runtime negotiates
-    ``(backend, layout, tile size, chained-vs-eager)`` — replaying a
-    persisted decision when the tuning DB has one for this machine and
-    workload, probing otherwise.  Explicit knobs (``layout=...``, a
-    driver's ``chained=``/``tiling=``) are pins the tuner never
-    overrides, and results stay bitwise identical to sequential eager
-    whatever configuration wins.
+    ``backend="auto"`` is a fixed rule, applied here and never
+    revisited: the ``native`` backend (which runs its vectorized tier
+    when no C compiler builds) on the SoA layout unless ``layout=`` is
+    passed.  The app drivers run chained and untiled by default, and
+    aero's ``operator="auto"`` resolves to ``matfree`` on float64 under
+    this runtime only.  Nothing is probed or persisted.  Alternating
+    A/B runs of the ``bench_e2e`` workloads on the native backend back
+    the rule: SoA wins 17/20 pairs on ``airfoil_large`` (42.5 vs
+    48.0 ms) and 19/20 on ``volna_scrambled`` (19.1 vs 22.3 ms), ties
+    on ``airfoil_fallback``'s mesh (4.4 ms) and loses ``aero_solve``
+    (99.3 vs 93.5 ms) by less than the quartile spread; matfree beats
+    the assembled aero operator 10/10.
     """
 
     def __init__(
@@ -153,23 +156,18 @@ class Runtime:
         loop_cache_entries: Optional[int] = DEFAULT_LOOP_CACHE_ENTRIES,
         chain_cache_entries: Optional[int] = DEFAULT_CHAIN_CACHE_ENTRIES,
     ) -> None:
-        #: True when constructed as ``Runtime("auto")``: app drivers
-        #: will call :meth:`autotune` before their first step.
-        self.autotune_requested = backend == "auto"
-        if self.autotune_requested:
-            backend = "vectorized"  # placeholder until a decision lands
+        #: True when constructed as ``Runtime("auto")`` (the rule above).
+        self.auto = backend == "auto"
+        if self.auto:
+            backend = "native"
+            layout = layout or "soa"
         self.backend = (
             backend if isinstance(backend, Backend) else make_backend(backend)
         )
         self.block_size = int(block_size)
         self.scheme = scheme
         self.coloring_method = coloring_method
-        #: Whether the caller pinned the layout explicitly (the tuner
-        #: treats an explicit layout as non-negotiable).
-        self.layout_explicit = layout is not None
         self.layout = _check_layout(layout) if layout is not None else None
-        #: The tuner's decision applied to this runtime, if any.
-        self.tuned_decision = None
         #: Always-on per-loop/per-chain instrumentation
         #: (``stats()["profile"]``); registration happens on loop-cache
         #: misses and chain flushes, so steady state pays nothing new.
@@ -211,8 +209,8 @@ class Runtime:
             return plan
         self.loop_cache_misses += 1
         # First sight of a loop shape: record its transfer profile (kind
-        # + bytes-per-element estimate) for stats()["profile"] and the
-        # tuner's model seeding.  Once per call site, never per step.
+        # + bytes-per-element estimate) for stats()["profile"].  Once
+        # per call site, never per step.
         self.profile.register_loop(kernel, set_, args)
         plan = self.plans.get(
             set_, args, self.block_size, self.scheme, self.coloring_method
@@ -359,7 +357,7 @@ class Runtime:
         self.chain_cache_evictions = 0
 
     def stats(self) -> Dict[str, object]:
-        """All runtime counters: the seven cache kinds, backend
+        """All runtime counters: the six cache kinds, backend
         per-kernel timings, and the loop/chain profile.
 
         Every cache kind reports the canonical ``hits`` / ``misses`` /
@@ -368,8 +366,8 @@ class Runtime:
         its historical ``compiles``/``disk_hits``/``mem_hits`` keys as
         deprecated aliases) — the observability surface for
         long-running processes (are my caches sized right? is steady
-        state hitting?).  The six persistent kinds (plan, chain, tiled,
-        kernelc, native, tune) additionally carry a ``store`` sub-dict
+        state hitting?).  The five persistent kinds (plan, chain, tiled,
+        kernelc, native) additionally carry a ``store`` sub-dict
         with the uniform disk-layer counters of :mod:`repro.store`
         (``disk_hits`` / ``disk_misses`` / ``writes`` / ``corrupt`` /
         ``evictions`` / ``builds`` + ``disk_entries``) — the loop cache
@@ -377,13 +375,11 @@ class Runtime:
         warm-start CI job asserts over these: a second process running
         an identical workload must show ``disk_hits > 0`` and
         ``builds == 0`` per kind.  ``profile`` joins the per-loop
-        transfer estimates with the backend's measured timings;
-        ``tune_cache`` covers the persistent tuning DB.
+        transfer estimates with the backend's measured timings.
         """
         from .. import store as artifact_store
         from ..kernelc import cache_stats
         from ..kernelc.native import native_cache_stats, native_thread_stats
-        from ..tune.store import tune_cache_stats
 
         def with_store(d: Dict[str, object], kind: str) -> Dict[str, object]:
             d = dict(d)
@@ -448,9 +444,6 @@ class Runtime:
             # Owner-computes threads of the native chains: team size,
             # per-chain/per-loop verdicts, owner facet build time.
             "native": self._native_thread_stats(native_thread_stats()),
-            # Persistent tuning DB (repro.tune.store): cross-process,
-            # keyed by (machine, chain signature).
-            "tune_cache": with_store(tune_cache_stats(), "tune"),
             "kernels": dict(self.backend.stats),
             "profile": self.profile.snapshot(self.backend.stats),
         }
@@ -498,43 +491,6 @@ class Runtime:
         if layout is not None:
             self.layout = _check_layout(layout)
         return self
-
-    # ------------------------------------------------------------------
-    # Auto-tuning (see repro/tune).
-    # ------------------------------------------------------------------
-    def apply_decision(self, decision) -> "Runtime":
-        """Install a :class:`~repro.tune.TuneDecision` on this runtime.
-
-        Backend and layout are runtime-wide; the chained/tiling half of
-        a decision lives on the sims (``repro.tune.apps`` applies it).
-        """
-        self.configure(backend=decision.backend, layout=decision.layout)
-        self.tuned_decision = decision
-        return self
-
-    def autotune(self, sim=None, *, signature=None, probe=None,
-                 candidates=None, pins=None, store=None):
-        """Negotiate this runtime's configuration (see :mod:`repro.tune`).
-
-        ``runtime.autotune(sim)`` tunes for an app driver's workload —
-        the same path ``backend="auto"`` triggers implicitly.  The
-        keyword form negotiates a raw ``(signature, probe)`` pair for
-        custom workloads; either way the winning decision is applied to
-        this runtime and returned.
-        """
-        from ..tune import Tuner, autotune_sim
-
-        if sim is not None:
-            return autotune_sim(sim, runtime=self)
-        if signature is None:
-            raise ValueError("autotune() needs a sim or a signature")
-        tuner = Tuner(store=store) if store is not None else Tuner()
-        decision = tuner.negotiate(
-            signature, probe=probe, candidates=candidates, pins=pins,
-            loop_infos=self.profile.loop_infos(),
-        )
-        self.apply_decision(decision)
-        return decision
 
     def reset_stats(self) -> None:
         self.backend.reset_stats()

@@ -8,8 +8,7 @@ axis: walk a kernel's IR once, count the floating-point operators in
 its expressions, multiply loop bodies by their constant trip counts,
 and report flops *per iteration-set element*.  The estimate feeds
 ``Runtime.stats()["profile"]`` (``est_flops`` / ``est_gflops`` /
-``bound``) and the tuner's candidate ranking
-(:func:`repro.tune.model.predict_candidate`'s compute roofline term).
+``bound``).
 
 Address arithmetic inside subscripts (``rho[C * k + c]``) is *not*
 counted — it prices to gather/scatter traffic, not arithmetic — and a

@@ -7,11 +7,7 @@ scheduling terms, calibrated against the paper's own per-kernel
 breakdowns.  See DESIGN.md section 3 for the substitution rationale.
 """
 
-from .calibration import (
-    CALIBRATION,
-    ArchCalibration,
-    fit_calibration_from_profile,
-)
+from .calibration import CALIBRATION, ArchCalibration
 from .config import (
     ALL_CONFIGS,
     AUTOVEC_OPENMP,
@@ -69,7 +65,6 @@ __all__ = [
     "airfoil_workload",
     "analyze_loop",
     "classify_loop",
-    "fit_calibration_from_profile",
     "indirect_inc_values",
     "predict_app",
     "predict_kernel",

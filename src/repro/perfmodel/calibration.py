@@ -21,8 +21,8 @@ paper's qualitative findings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, field
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -146,58 +146,3 @@ CALIBRATION: Dict[str, ArchCalibration] = {
                     "block_permute": 0.62},
     ),
 }
-
-
-def fit_calibration_from_profile(
-    profile: Dict,
-    peak_gbs: Optional[float] = None,
-    base: str = "cpu",
-) -> ArchCalibration:
-    """Calibration fitted from *measured* per-loop profiles.
-
-    The tables above are fitted against the paper's 2013 hardware; this
-    closes the loop against the machine actually running: ``profile``
-    is a ``Runtime.stats()["profile"]`` snapshot (``repro/tune``),
-    whose per-loop entries carry measured seconds and estimated useful
-    bytes per kernel class.  Achieved useful bandwidth per class,
-    divided by the machine's streaming peak, replaces the synthetic
-    ``mem_eff_vec`` fractions; the scalar fractions are rescaled by the
-    same per-class ratio so the class structure (direct > gather >
-    scatter) survives the refit.
-
-    ``peak_gbs`` defaults to back-solving the peak from the best
-    observed class under the base table's efficiency for it (no STREAM
-    run required).  Classes the profile never exercised keep the base
-    table's fractions; an empty profile returns the base calibration
-    unchanged.
-    """
-    base_cal = CALIBRATION[base]
-    sums: Dict[str, list] = {}
-    for info in (profile.get("loops") or {}).values():
-        kind = info.get("kind")
-        secs = float(info.get("seconds") or 0.0)
-        bts = float(info.get("est_bytes") or 0.0)
-        if kind in ("direct", "gather", "scatter") and secs > 0 and bts > 0:
-            acc = sums.setdefault(kind, [0.0, 0.0])
-            acc[0] += bts
-            acc[1] += secs
-    achieved = {k: (b / s) / 1e9 for k, (b, s) in sums.items()}
-    if not achieved:
-        return base_cal
-    if peak_gbs is None:
-        peak_gbs = max(
-            gbs / base_cal.mem_eff_vec.get(kind, 0.5)
-            for kind, gbs in achieved.items()
-        )
-    mem_eff_vec = dict(base_cal.mem_eff_vec)
-    mem_eff_scalar = dict(base_cal.mem_eff_scalar)
-    for kind, gbs in achieved.items():
-        eff = min(0.99, max(0.01, gbs / peak_gbs))
-        scale = eff / max(base_cal.mem_eff_vec.get(kind, eff), 1e-6)
-        mem_eff_vec[kind] = eff
-        mem_eff_scalar[kind] = min(
-            0.99, max(0.01, base_cal.mem_eff_scalar.get(kind, eff) * scale)
-        )
-    return replace(
-        base_cal, mem_eff_scalar=mem_eff_scalar, mem_eff_vec=mem_eff_vec
-    )

@@ -298,8 +298,8 @@ class MatFreeOperator:
         self.kernel = self.kernels["apply"]
 
     # ------------------------------------------------------------------
-    # Loop-signature tables (what the driver registers and the tuner
-    # profiles — mirrors AeroSim._loop_args entries).
+    # Loop-signature tables (the AeroSim._loop_args entries of the
+    # matrix-free system build).
     # ------------------------------------------------------------------
     def coeffs_args(self) -> tuple:
         return (

@@ -1,8 +1,8 @@
 """The unified persistent artifact store (``$REPRO_CACHE_DIR``).
 
-Seven cache kinds, one disk layer: execution plans, compiled loop
-chains, tiled schedules, generated vector-kernel sources, native
-``.so`` binaries and the auto-tuner's decisions all persist through
+Five persistent cache kinds, one disk layer: execution plans, compiled
+loop chains, tiled schedules, generated vector-kernel sources and
+native ``.so`` binaries all persist through
 :class:`~repro.store.base.ArtifactStore` — content-addressed keys
 (:mod:`repro.store.keys`), versioned pickled documents, atomic
 ``os.replace`` publishes, corrupt/stale entries counted-and-unlinked

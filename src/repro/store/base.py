@@ -15,7 +15,7 @@ Two storage flavours share that machinery:
 
 * **document stores** (:class:`ArtifactStore`) hold one pickled,
   schema-versioned document per key — plans, chain programs, tiled
-  schedules, generated kernel sources, tuning decisions;
+  schedules, generated kernel sources;
 * **raw files** (:meth:`ArtifactStore.publish_file` /
   :meth:`ArtifactStore.raw_path`) hold artifacts that must remain plain
   files on disk — the native compile cache's ``.so``/``.c`` pairs, which
@@ -50,7 +50,6 @@ SCHEMA_VERSIONS: Dict[str, int] = {
     "tiled": 2,
     "kernelc": 1,
     "native": 1,
-    "tune": 1,
 }
 
 #: Default per-kind mtime-LRU bound (entries, not bytes: artifacts are

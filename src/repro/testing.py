@@ -50,8 +50,8 @@ def runtime_for(name: str, scheme: str, options: dict, block_size: int = 64,
     from repro.core import Runtime, make_backend
 
     if name == "auto":
-        # The auto-tuning sentinel is resolved by Runtime itself (there
-        # is no "auto" Backend class to construct).
+        # Runtime resolves the "auto" rule itself (native + SoA unless
+        # a layout is passed); there is no "auto" Backend class.
         return Runtime(
             backend="auto", block_size=block_size, scheme=scheme,
             layout=layout,

@@ -1,11 +1,9 @@
-"""CLI for the auto-tuning runtime.
+"""CLI for the runtime profile.
 
 Usage::
 
     python -m repro.tune report            # profile one app run, print it
     python -m repro.tune report --app volna --steps 5 --out profile.json
-    python -m repro.tune db                # inspect the tuning DB
-    python -m repro.tune db --clear        # drop this machine's decisions
 """
 
 from __future__ import annotations
@@ -39,15 +37,11 @@ def _build_sim(app: str, backend: str):
 def cmd_report(args) -> int:
     sim, rt = _build_sim(args.app, args.backend)
     sim.run(args.steps)
-    stats = rt.stats()
     report = {
         "app": args.app,
         "backend": args.backend,
         "steps": args.steps,
-        "decision": (rt.tuned_decision.to_dict()
-                     if rt.tuned_decision is not None else None),
-        "profile": stats["profile"],
-        "tune_cache": stats["tune_cache"],
+        "profile": rt.stats()["profile"],
     }
     text = json.dumps(report, indent=2, default=str)
     if args.out:
@@ -59,31 +53,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_db(args) -> int:
-    from .store import TuneStore, tune_cache_dir
-
-    store = TuneStore()
-    if args.clear:
-        n = len(store.entries())
-        store.clear()
-        print(f"cleared {n} entries under {store.dir}")
-        return 0
-    print(f"tuning DB: {tune_cache_dir()} (fingerprint {store.fingerprint})")
-    entries = store.entries()
-    if not entries:
-        print("  (empty)")
-        return 0
-    for key in entries:
-        doc = store.load(key)
-        print(f"  {key}: {json.dumps(doc, default=str)}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.tune",
-        description="Auto-tuning runtime: profile reports and the "
-                    "persistent tuning DB.",
+        description="Runtime profile reports.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
     rep = sub.add_parser("report", help="run one app and dump its "
@@ -94,13 +67,8 @@ def main(argv=None) -> int:
                      help='runtime backend (default "auto")')
     rep.add_argument("--steps", type=int, default=3)
     rep.add_argument("--out", default=None, help="write JSON here")
-    db = sub.add_parser("db", help="inspect or clear the tuning DB")
-    db.add_argument("--clear", action="store_true",
-                    help="drop this machine's persisted decisions")
     args = parser.parse_args(argv)
-    if args.cmd == "report":
-        return cmd_report(args)
-    return cmd_db(args)
+    return cmd_report(args)
 
 
 if __name__ == "__main__":

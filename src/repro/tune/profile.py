@@ -1,7 +1,7 @@
 """Always-on lightweight instrumentation: per-loop and per-chain profiles.
 
 The backends already time every executed loop (``Backend.stats``); this
-module adds what the tuner and the calibration fit need on top:
+module adds what a per-loop roofline reading needs on top:
 
 * a **transfer profile** per loop shape — kernel class (direct / gather
   / scatter, :func:`repro.perfmodel.classify_loop`) and estimated useful
@@ -10,7 +10,7 @@ module adds what the tuner and the calibration fit need on top:
   plan metadata the runtime resolves anyway;
 * a **compute profile** per loop — flops per element counted from the
   kernel's parsed IR (:func:`repro.kernelc.estimate_flops`), the axis
-  that lets the tuner tell a compute-bound loop (matrix-free quadrature
+  that tells a compute-bound loop (matrix-free quadrature
   re-evaluation) from a bandwidth-bound one (SpMV) when bytes alone
   cannot;
 * a **locality profile** per loop — ``gather_span``, the largest
@@ -34,6 +34,12 @@ report``).
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
+
+#: The roofline ridge point of the ``bound`` classification (flops per
+#: useful byte): a loop above it is compute-bound, below it
+#: bandwidth-bound.  50 GFLOP/s over 25 GB/s, a generic DDR node; only
+#: which side of the line a loop falls on is reported.
+MACHINE_BALANCE_FLOPS_PER_BYTE = 2.0
 
 
 class RuntimeProfile:
@@ -142,30 +148,17 @@ class RuntimeProfile:
         entry["tiled"] = bool(tiled)
 
     # ------------------------------------------------------------------
-    def loop_infos(self) -> list:
-        """Per-loop records in the shape the candidate model consumes."""
-        return [
-            {"name": name, "n": info["n"], "kind": info["kind"],
-             "bytes": float(info["bytes_per_element"]) * int(info["n"]),
-             "flops": float(info.get("flops_per_element", 0.0))
-             * int(info["n"])}
-            for name, info in self.loops.items()
-        ]
-
     def snapshot(self, backend_stats: Optional[Dict] = None) -> Dict:
         """The ``Runtime.stats()["profile"]`` payload.
 
         Joins the static per-loop estimates with the backend's measured
         ``LoopStats`` (calls / seconds / elements); ``est_gbs`` is the
-        achieved useful bandwidth under the infinite-cache convention —
-        the number the calibration fit consumes.  ``est_flops`` /
-        ``est_gflops`` are the IR-derived compute totals, and ``bound``
-        classifies the loop as ``"compute"`` or ``"bandwidth"`` by its
-        arithmetic intensity against the model's machine balance
-        (:data:`repro.tune.model.MACHINE_BALANCE_FLOPS_PER_BYTE`).
+        achieved useful bandwidth under the infinite-cache convention.
+        ``est_flops`` / ``est_gflops`` are the IR-derived compute totals,
+        and ``bound`` classifies the loop as ``"compute"`` or
+        ``"bandwidth"`` by its arithmetic intensity against
+        :data:`MACHINE_BALANCE_FLOPS_PER_BYTE`.
         """
-        from .model import MACHINE_BALANCE_FLOPS_PER_BYTE
-
         loops: Dict[str, Dict[str, object]] = {}
         for name, info in self.loops.items():
             fpe = float(info.get("flops_per_element", 0.0))

@@ -1,20 +1,8 @@
-"""Stable identities for tuning decisions.
+"""Stable identity of the machine an artifact was built on.
 
-A persisted decision must outlive the process that probed for it, so the
-store keys on three coordinates that together determine what the probe
-actually measured:
-
-* the **machine fingerprint** — CPU architecture, core count and the
-  numerics stack (a decision probed on one machine class must not be
-  replayed on another);
-* the **chain/loop signature** — a content hash of the traced loop
-  structure (kernel names, access modes, arities, slot indices), which
-  is what determines gather/scatter behaviour and fusibility;
-* the **mesh-size bucket** — a log2 bucket of the iteration-set sizes,
-  folded into the signature: the best configuration for a cache-resident
-  toy mesh and a paper-scale mesh legitimately differ, but two meshes in
-  the same power-of-two band share a decision (so test suites full of
-  slightly different tiny meshes do not probe per mesh).
+Persisted artifacts that depend on the host (the native compile cache's
+``.so`` files) must not be replayed on another machine class, so their
+keys carry this fingerprint.
 """
 
 from __future__ import annotations
@@ -23,13 +11,12 @@ import hashlib
 import os
 import platform
 import sys
-from typing import Iterable, Sequence, Tuple
 
 
 def machine_fingerprint() -> str:
     """Short stable id of (hardware class, numerics stack).
 
-    Deliberately coarse: same-generation CI runners share decisions,
+    Deliberately coarse: same-generation CI runners share artifacts,
     while an arm64 laptop and an x86 server do not.
     """
     import numpy as np
@@ -42,57 +29,3 @@ def machine_fingerprint() -> str:
         sys.version_info[:2],
     ))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def mesh_bucket(n: int) -> int:
-    """log2 size bucket: meshes within a factor of two share decisions."""
-    return max(0, int(n).bit_length())
-
-
-def _arg_sig(arg) -> Tuple:
-    """Structural identity of one loop argument.
-
-    Robust by construction — an argument kind this module has never
-    seen (e.g. a future Mat flavour) degrades to a coarse tag rather
-    than raising: tuning identity may get coarser, execution never
-    breaks.
-    """
-    try:
-        access = arg.access.name
-        if arg.is_global:
-            return ("gbl", access, int(arg.dat.dim))
-        if arg.is_direct:
-            return ("dir", access, int(arg.dat.dim))
-        return (
-            "ind", access, int(arg.dat.dim), int(arg.map.arity),
-            int(arg.index),
-        )
-    except Exception:
-        return ("other", getattr(getattr(arg, "access", None), "name", "?"))
-
-
-def loop_entry(name: str, set_, args: Sequence) -> Tuple:
-    """Hashable identity of one traced loop for the chain signature."""
-    return (
-        str(name),
-        mesh_bucket(getattr(set_, "size", 0)),
-        tuple(_arg_sig(a) for a in args),
-    )
-
-
-def chain_signature(
-    loops: Iterable[Tuple[str, object, Sequence]],
-    extra: Tuple = (),
-) -> str:
-    """Content hash of a traced loop sequence (+ app-level ``extra``).
-
-    ``loops`` yields ``(kernel name, iteration set, args)`` triples in
-    program order; ``extra`` carries identity the loop structure cannot
-    see (app name, dtype).  Mesh sizes enter through the per-loop log2
-    bucket, so the same app on same-band meshes maps to one decision.
-    """
-    payload = repr((
-        tuple(loop_entry(name, set_, args) for name, set_, args in loops),
-        tuple(extra),
-    ))
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]

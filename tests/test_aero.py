@@ -25,7 +25,7 @@ CG_KW = dict(cg_tol=1e-10, cg_maxiter=200)
 
 def run_aero(backend="sequential", scheme="two_level", options=None,
              layout=None, chained=False, tiling=None, picard=PICARD,
-             constants=None):
+             constants=None, operator="auto"):
     from repro.testing import runtime_for
 
     rt = runtime_for(backend, scheme, options or {}, layout=layout)
@@ -33,7 +33,8 @@ def run_aero(backend="sequential", scheme="two_level", options=None,
     if constants is not None:
         kwargs["constants"] = constants
     sim = AeroSim(make_airfoil_mesh(*MESH_DIMS), runtime=rt,
-                  chained=chained, tiling=tiling, **kwargs)
+                  chained=chained, tiling=tiling, operator=operator,
+                  **kwargs)
     result = sim.solve(picard=picard)
     return sim, result
 
@@ -85,10 +86,13 @@ class TestReproducibilityMatrix:
     def test_bitwise_identical(self, backend, scheme, options, layout,
                                mode, reference):
         ref_phi, ref_csr, ref_rho, _ = reference
+        # The CSR exists on the assembled path only ("auto" rows would
+        # resolve to matfree under Runtime("auto")).
         sim, result = run_aero(
             backend, scheme, options, layout=layout,
             chained=(mode != "eager"),
             tiling="auto" if mode == "tiled" else None,
+            operator="assembled",
         )
         assert result.converged
         np.testing.assert_array_equal(sim.state.mat.data, ref_csr)

@@ -1,51 +1,34 @@
-"""``backend="auto"``: numerics, pins, and the perfmodel link.
+"""``Runtime("auto")``: a fixed rule, applied when the runtime is built.
 
-Three contracts pinned here:
+The rule is native backend (its vectorized tier when no C compiler
+builds), SoA storage unless ``layout=`` is passed, and the drivers'
+defaults (chained, untiled).  Aero's ``operator="auto"`` resolves to
+matfree on float64 under this runtime only.  Pinned here:
 
-* tuning never changes numerics — every app under ``Runtime("auto")``
-  is bitwise identical to sequential eager execution, whatever the
-  tuner picked and whichever layout it landed on;
-* explicitly passed knobs are pins, not suggestions — the tuner only
-  negotiates the remaining axes;
-* the runtime actually *consumes* perfmodel predictions: candidate
-  ranking is seeded by the calibrated efficiency tables (the
-  previously display-only ``repro.perfmodel`` numbers gate which
-  configurations get probed), and the calibration can be refitted from
-  measured profiles.
+* the rule itself, and that explicit knobs survive it;
+* it never changes numerics — ``Runtime("auto")`` is bitwise identical
+  to ``Runtime("native")`` with the same layout and dispatch mode, and
+  to sequential eager execution where native runs compiled C;
+* nothing is probed or persisted for it.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from repro import store
 from repro.apps.aero import AeroSim
 from repro.apps.airfoil import AirfoilSim
 from repro.apps.volna import VolnaSim
+from repro.backends.native import NativeBackend
 from repro.core import Runtime, make_backend
+from repro.kernelc import compiler_available
 from repro.mesh import make_airfoil_mesh, make_tri_mesh
-from repro.perfmodel import (
-    CALIBRATION,
-    ArchCalibration,
-    fit_calibration_from_profile,
-)
-from repro.tune import (
-    Pins,
-    TuneCandidate,
-    TuneDecision,
-    default_candidates,
-    predict_candidate,
-    rank_candidates,
-    reset_tune_cache,
-    tune_cache_stats,
-)
+from repro.testing import runtime_for
+from repro.tune.__main__ import main as tune_main
 
-
-@pytest.fixture(autouse=True)
-def isolated_tune_cache(tmp_path, monkeypatch):
-    """Every test negotiates against its own empty artifact store, so
-    its own empty on-disk tuning DB."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-    monkeypatch.delenv("REPRO_TUNE_DISABLE", raising=False)
-    reset_tune_cache()
+APPS = ["airfoil", "volna", "aero"]
 
 
 def _airfoil(runtime, **kw):
@@ -61,265 +44,165 @@ def _aero(runtime, **kw):
     return AeroSim(make_airfoil_mesh(16, 8), runtime=runtime, **kw)
 
 
+MAKE = {"airfoil": _airfoil, "volna": _volna, "aero": _aero}
+#: Time steps per app (aero steps are whole Picard iterations).
+STEPS = {"airfoil": 3, "volna": 3, "aero": 2}
+
+
+def _state(sim):
+    """The caller-numbered state and scalar history of one sim."""
+    if isinstance(sim, AeroSim):
+        return [sim.phi, sim.rho], sim.delta_history
+    if isinstance(sim, VolnaSim):
+        return [sim.q], sim.dt_history
+    return [sim.q], sim.rms_history
+
+
+def _assert_same(a, b):
+    arrays_a, hist_a = _state(a)
+    arrays_b, hist_b = _state(b)
+    for x, y in zip(arrays_a, arrays_b):
+        assert np.array_equal(x, y)
+    assert hist_a == hist_b
+
+
+def _state_layout(sim):
+    return sim.state.p_x.layout if hasattr(sim.state, "p_x") \
+        else sim.state.q.layout
+
+
 class TestAutoNeverChangesNumerics:
-    """Acceptance: auto is bitwise identical to sequential eager."""
+    """``"auto"`` is bitwise ``"native"`` on the same layout and
+    dispatch mode, and bitwise sequential eager wherever native runs
+    compiled C (aero everywhere: its folds are canonical on every
+    backend, and its matfree ``phi`` equals the assembled one)."""
+
+    @pytest.mark.parametrize("chained", [True, False],
+                             ids=["chained", "eager"])
+    @pytest.mark.parametrize("layout", ["aos", "soa"])
+    @pytest.mark.parametrize("app", APPS)
+    def test_auto_equals_native(self, app, layout, chained):
+        make, steps = MAKE[app], STEPS[app]
+        auto = make(Runtime("auto", layout=layout), chained=chained)
+        auto.run(steps)
+        # On aero the explicit native runtime runs the assembled
+        # oracle while auto runs matfree.
+        native = make(Runtime("native", layout=layout), chained=chained)
+        native.run(steps)
+        _assert_same(auto, native)
 
     @pytest.mark.parametrize("layout", ["aos", "soa"])
-    def test_airfoil(self, layout):
-        auto = _airfoil(Runtime("auto", layout=layout))
-        auto.run(3)
-        ref = _airfoil(Runtime(make_backend("sequential")), chained=False)
-        ref.run(3)
-        assert np.array_equal(auto.q, ref.q)
-        assert auto.rms_history == ref.rms_history
+    @pytest.mark.parametrize("app", APPS)
+    def test_auto_equals_sequential_eager(self, app, layout):
+        if app != "aero" and not compiler_available():
+            pytest.skip("the vectorized tier reorders indirect increments")
+        make, steps = MAKE[app], STEPS[app]
+        auto = make(Runtime("auto", layout=layout))
+        auto.run(steps)
+        ref = make(Runtime(make_backend("sequential")), chained=False)
+        ref.run(steps)
+        _assert_same(auto, ref)
 
-    @pytest.mark.parametrize("layout", ["aos", "soa"])
-    def test_volna(self, layout):
-        auto = _volna(Runtime("auto", layout=layout))
-        auto.run(3)
-        ref = _volna(Runtime(make_backend("sequential")), chained=False)
-        ref.run(3)
-        assert np.array_equal(auto.q, ref.q)
-        assert auto.dt_history == ref.dt_history
 
-    @pytest.mark.parametrize("layout", ["aos", "soa"])
-    def test_aero(self, layout):
-        auto = _aero(Runtime("auto", layout=layout))
-        auto.run(2)
-        ref = _aero(Runtime(make_backend("sequential")), chained=False)
-        ref.run(2)
-        assert np.array_equal(auto.phi, ref.phi)
-        rt = auto._runtime()
-        if rt.tuned_decision.operator == "matfree":
-            # Matfree never stages or assembles — the solution is the
-            # contract, the CSR values intentionally stay untouched.
-            assert auto.state.mat.assemble_calls == 0
-        else:
-            assert np.array_equal(auto.state.mat.data,
-                                  ref.state.mat.data)
-
-    def test_unpinned_layout_is_negotiable(self):
-        # No layout passed: the tuner owns the axis, and whatever it
-        # picks the state actually carries it (realloc happened).
+class TestTheRule:
+    @pytest.mark.parametrize("app", APPS)
+    def test_auto_is_native_soa_chained_untiled(self, app, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         rt = Runtime("auto")
-        sim = _airfoil(rt)
-        assert sim.state.p_q.layout == rt.tuned_decision.layout
+        assert isinstance(rt.backend, NativeBackend)
+        assert rt.layout == "soa"
+        backend = rt.backend
+        sim = MAKE[app](rt)
+        assert sim.chained is True
+        assert sim.tiling is None
+        assert _state_layout(sim) == "soa"
+        sim.run(1)
+        # Nothing is re-applied: a second sim keeps the runtime's
+        # backend (and its native program cache).
+        MAKE[app](rt).run(1)
+        assert rt.backend is backend
+        assert rt.stats()["profile"]["chains"]
+        # Nothing is persisted for the rule.
+        assert not (tmp_path / "tune").exists()
+        assert "tune" not in store.SCHEMA_VERSIONS
+        assert "tune_cache" not in rt.stats()
 
+    @pytest.mark.parametrize("app", APPS)
+    def test_explicit_layout_is_kept(self, app):
+        rt = Runtime("auto", layout="aos")
+        assert rt.layout == "aos"
+        assert isinstance(rt.backend, NativeBackend)
+        assert _state_layout(MAKE[app](rt)) == "aos"
 
-class TestPinsAndReuse:
-    def test_explicit_knobs_are_pins(self):
-        rt = Runtime("auto", layout="soa")
-        sim = _airfoil(rt, chained=False)
-        d = rt.tuned_decision
-        assert d.layout == "soa"
-        assert d.chained is False
+    @pytest.mark.parametrize("app", APPS)
+    def test_explicit_eager_is_kept(self, app):
+        rt = Runtime("auto")
+        sim = MAKE[app](rt, chained=False)
         assert sim.chained is False
-        assert sim.state.p_q.layout == "soa"
+        sim.run(1)
+        assert rt.stats()["profile"]["chains"] == {}
 
-    def test_disable_env_short_circuits(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TUNE_DISABLE", "1")
-        rt = Runtime("auto")
-        _airfoil(rt)
-        assert rt.tuned_decision.source == "disabled"
-        stats = tune_cache_stats()
-        assert stats["probes"] == 0
-        assert stats["writes"] == 0
-        assert not (tmp_path / "store" / "tune").exists()  # no disk traffic
+    @pytest.mark.parametrize("app", APPS)
+    def test_steps_without_a_compiler(self, app, monkeypatch):
+        # No toolchain: native runs its vectorized tier, which is
+        # bitwise the vectorized backend on the same layout.
+        monkeypatch.setenv("REPRO_NATIVE_DISABLE_CC", "1")
+        auto = MAKE[app](Runtime("auto"))
+        auto.run(2)
+        vec = MAKE[app](Runtime("vectorized", layout="soa"),
+                        **({"operator": "matfree"} if app == "aero"
+                           else {}))
+        vec.run(2)
+        for x in _state(auto)[0]:
+            assert np.all(np.isfinite(x))
+        _assert_same(auto, vec)
 
-    def test_second_runtime_replays_from_db_without_probes(self):
-        rt1 = Runtime("auto")
-        _airfoil(rt1)
-        probes_after_first = tune_cache_stats()["probes"]
-        assert rt1.tuned_decision.source == "probe"
-        rt2 = Runtime("auto")
-        _airfoil(rt2)
-        assert rt2.tuned_decision.source == "db"
-        assert tune_cache_stats()["probes"] == probes_after_first
-        assert rt2.tuned_decision.backend == rt1.tuned_decision.backend
+    def test_runtime_options_pass_through(self):
+        rt = Runtime("auto", block_size=32, scheme="full_permute")
+        assert isinstance(rt.backend, NativeBackend)
+        assert (rt.block_size, rt.scheme) == (32, "full_permute")
+        assert rt.auto and not Runtime("native").auto
 
-    def test_second_sim_on_a_tuned_runtime_reuses_the_decision(self):
-        rt = Runtime("auto")
-        _airfoil(rt)
-        probes = tune_cache_stats()["probes"]
-        hits = tune_cache_stats()["hits"]
-        _airfoil(rt)  # same runtime: no negotiation at all
-        assert tune_cache_stats()["probes"] == probes
-        assert tune_cache_stats()["hits"] == hits
+    def test_backend_matrix_auto_rows(self):
+        # REPRO_BACKEND=auto rows build the rule, keeping their layout.
+        for layout, expect in ((None, "soa"), ("aos", "aos")):
+            rt = runtime_for("auto", "two_level", {}, layout=layout)
+            assert isinstance(rt.backend, NativeBackend)
+            assert rt.layout == expect
 
 
-class TestOperatorAxis:
-    """Apps with interchangeable operator realizations expose them as a
-    tuning axis; apps without one are untouched."""
+class TestAeroOperator:
+    def test_float64_resolves_to_matfree(self):
+        sim = _aero(Runtime("auto"))
+        assert sim.operator_mode == "matfree"
+        sim.run(2)
+        assert sim.state.mat.assemble_calls == 0
 
-    def test_default_candidates_cross_the_operator_axis(self):
-        base = default_candidates()
-        crossed = default_candidates(operators=("assembled", "matfree"))
-        assert len(crossed) == 2 * len(base)
-        assert {c.operator for c in crossed} == {"assembled", "matfree"}
-        assert all(c.operator is None for c in base)
+    def test_float32_resolves_to_assembled(self):
+        sim = _aero(Runtime("auto"), dtype=np.float32)
+        assert sim.operator_mode == "assembled"
+        assert sim.matfree is None
+        sim.run(1)
+        assert sim.state.mat.assemble_calls == 1
 
-    def test_pinned_operator_collapses_the_axis(self):
-        pins = Pins(operator="matfree")
-        cands = default_candidates(pins,
-                                   operators=("assembled", "matfree"))
-        assert cands
-        assert all(c.operator == "matfree" for c in cands)
-
-    def test_decision_roundtrips_operator(self):
-        d = TuneDecision("native", "soa", True, None,
-                         operator="matfree")
-        d2 = TuneDecision.from_dict(d.to_dict())
-        assert d2.operator == "matfree"
-        assert d2.candidate().operator == "matfree"
-        # Decisions persisted before the axis existed load as None.
-        old = TuneDecision.from_dict(
-            {"backend": "vectorized", "layout": "aos", "chained": True,
-             "tiling": None})
-        assert old.operator is None
-
-    def test_predict_filters_loops_by_operator(self):
-        infos = [
-            {"name": "shared", "n": 1000, "kind": "direct",
-             "bytes": 1e8, "operator": None},
-            {"name": "asm_only", "n": 1000, "kind": "scatter",
-             "bytes": 5e9, "operator": "assembled"},
-            {"name": "mf_only", "n": 1000, "kind": "gather",
-             "bytes": 1e8, "operator": "matfree"},
-        ]
-        asm = predict_candidate(
-            TuneCandidate("vectorized", "aos", True, None,
-                          operator="assembled"), infos)
-        mf = predict_candidate(
-            TuneCandidate("vectorized", "aos", True, None,
-                          operator="matfree"), infos)
-        # The assembled candidate pays for the 5 GB scatter loop the
-        # matfree candidate never executes.
-        assert asm > mf
-
-    def test_flops_bound_loops_price_compute_time(self):
-        cand = TuneCandidate("vectorized", "aos", True, None)
-        cheap = predict_candidate(
-            cand, [{"name": "l", "n": 1000, "kind": "direct",
-                    "bytes": 1e6, "flops": 0.0}])
-        hot = predict_candidate(
-            cand, [{"name": "l", "n": 1000, "kind": "direct",
-                    "bytes": 1e6, "flops": 1e12}])
-        assert hot > cheap
-
-    def test_aero_auto_negotiates_the_operator(self):
-        rt = Runtime("auto")
-        sim = _aero(rt)
-        d = rt.tuned_decision
-        assert d.operator in ("assembled", "matfree")
-        assert sim.operator_mode == d.operator
-
-    def test_explicit_operator_is_a_pin(self):
-        rt = Runtime("auto")
-        sim = _aero(rt, operator="assembled")
-        assert rt.tuned_decision.operator == "assembled"
+    def test_explicit_operator_is_kept(self):
+        sim = _aero(Runtime("auto"), operator="assembled")
         assert sim.operator_mode == "assembled"
         sim.run(1)
         assert sim.state.mat.assemble_calls == 1
 
-    def test_matfree_pin_runs_without_assembly(self):
-        rt = Runtime("auto")
-        sim = _aero(rt, operator="matfree")
-        assert rt.tuned_decision.operator == "matfree"
-        sim.run(2)
-        assert sim.state.mat.assemble_calls == 0
-        ref = _aero(Runtime(make_backend("sequential")), chained=False)
-        ref.run(2)
-        assert np.array_equal(sim.phi, ref.phi)
 
-    def test_apps_without_the_axis_stay_unannotated(self):
-        rt = Runtime("auto")
-        _airfoil(rt)
-        assert rt.tuned_decision.operator is None
+class TestProfileReport:
+    def test_report_dumps_the_profile_only(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert tune_main(["report", "--app", "airfoil", "--steps", "1",
+                          "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert set(report) == {"app", "backend", "steps", "profile"}
+        assert report["backend"] == "auto"
+        assert report["profile"]["loops"]
 
-
-class TestPerfmodelLink:
-    """Satellite: the dead perfmodel link, closed and pinned."""
-
-    def test_runtime_consumes_perfmodel_predictions(self, monkeypatch):
-        """The tuner's candidate ranking runs over the sim's profiled
-        loop classes — the perfmodel tables gate real decisions."""
-        import repro.tune.tuner as tuner_mod
-
-        calls = []
-        real = tuner_mod.rank_candidates
-
-        def spy(loop_infos, candidates, calibration=None):
-            calls.append(list(loop_infos))
-            return real(loop_infos, candidates, calibration)
-
-        monkeypatch.setattr(tuner_mod, "rank_candidates", spy)
-        rt = Runtime("auto")
-        _airfoil(rt)
-        assert calls, "negotiation never ranked candidates"
-        infos = calls[0]
-        assert infos, "ranking ran without profiled loop infos"
-        kinds = {i["kind"] for i in infos}
-        # Airfoil has direct kernels and the indirect-INC res/bres
-        # loops; the ranking saw the real class structure.
-        assert "scatter" in kinds
-        assert all(i["bytes"] > 0 for i in infos)
-
-    def test_calibration_changes_flip_the_ranking(self):
-        """Same loops, same candidates — swapping the calibrated
-        efficiency tables reorders the probe queue."""
-        infos = [{"name": "g", "n": 50_000, "kind": "gather",
-                  "bytes": 5e9}]
-        cands = [
-            TuneCandidate("vectorized", "aos", True, None),
-            TuneCandidate("sequential", "aos", True, None),
-        ]
-        vec_wins = ArchCalibration(
-            mem_eff_scalar={"gather": 0.05},
-            mem_eff_vec={"gather": 0.9},
-        )
-        scalar_wins = ArchCalibration(
-            mem_eff_scalar={"gather": 0.9},
-            mem_eff_vec={"gather": 0.05},
-        )
-        assert rank_candidates(infos, cands, vec_wins)[0].backend == \
-            "vectorized"
-        assert rank_candidates(infos, cands, scalar_wins)[0].backend == \
-            "sequential"
-
-    def test_fit_calibration_from_measured_profile(self):
-        base = CALIBRATION["cpu"]
-        profile = {"loops": {
-            # 20 GB/s achieved on direct traffic, 1 GB/s on scatter.
-            "fast": {"kind": "direct", "seconds": 1.0, "est_bytes": 20e9},
-            "slow": {"kind": "scatter", "seconds": 1.0, "est_bytes": 1e9},
-        }}
-        cal = fit_calibration_from_profile(profile)
-        # The best class back-solves the peak under its base fraction,
-        # so its fitted efficiency reproduces the base table's...
-        assert cal.mem_eff_vec["direct"] == pytest.approx(
-            base.mem_eff_vec["direct"])
-        # ...while the 20x-slower scatter class drops well below it.
-        assert cal.mem_eff_vec["scatter"] < base.mem_eff_vec["scatter"]
-        assert cal.mem_eff_vec["scatter"] == pytest.approx(
-            base.mem_eff_vec["direct"] / 20, rel=1e-6)
-        # Unexercised classes keep the paper-fitted fractions; the
-        # class ordering the model relies on survives the refit.
-        assert cal.mem_eff_vec["gather"] == base.mem_eff_vec["gather"]
-        assert cal.mem_eff_scalar["scatter"] < base.mem_eff_scalar["scatter"]
-        # Explicit peak: fractions follow achieved / peak directly.
-        cal40 = fit_calibration_from_profile(profile, peak_gbs=40.0)
-        assert cal40.mem_eff_vec["direct"] == pytest.approx(0.5)
-        # Empty profiles change nothing.
-        assert fit_calibration_from_profile({"loops": {}}) is base
-
-    def test_profile_snapshot_feeds_the_fit(self):
-        """End to end: a real run's profile refits the calibration."""
-        rt = Runtime(make_backend("vectorized"))
-        sim = _airfoil(rt)
-        sim.run(2)
-        profile = rt.stats()["profile"]
-        assert profile["loops"]
-        cal = fit_calibration_from_profile(profile)
-        assert isinstance(cal, ArchCalibration)
-        for kind, eff in cal.mem_eff_vec.items():
-            assert 0.0 < eff < 1.0, kind
+    def test_db_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            tune_main(["db"])

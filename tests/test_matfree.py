@@ -201,11 +201,13 @@ class TestKnobAndGuards:
                     runtime=Runtime("sequential"))
 
     def test_auto_defaults_to_assembled(self):
+        # On an explicit backend "auto" is the assembled oracle; only
+        # Runtime("auto") resolves it to matfree.
         sim = AeroSim(make_airfoil_mesh(8, 4),
                       runtime=Runtime("sequential"))
         assert sim.operator_mode == "assembled"
-        assert not sim.operator_explicit
-        assert sim.operator_axis  # float64 exposes the tuner axis
+        assert sim.matfree is None
+        assert sim.operator_axis  # float64 could run matfree
 
     def test_matfree_requires_float64(self):
         with pytest.raises(ValueError, match="float64"):

@@ -1,7 +1,7 @@
 """Runtime.stats() cache counters under eviction pressure.
 
-The runtime exposes seven cache kinds (loop -> plan -> chain [fused and
-tiled entries] -> kernelc -> native -> tune); long-running processes
+The runtime exposes six cache kinds (loop -> plan -> chain [fused and
+tiled entries] -> kernelc -> native); long-running processes
 rely on the LRU bounds actually holding and on the hit/miss/eviction
 counters telling the truth.  These tests squeeze each cache below its
 working set and pin both; the native compile cache (process-global,
@@ -205,7 +205,7 @@ class TestStatsSurface:
     STORE = {"disk_hits", "disk_misses", "writes", "corrupt", "evictions",
              "builds", "disk_entries", "max_entries"}
 
-    def test_all_seven_cache_kinds_reported(self):
+    def test_all_six_cache_kinds_reported(self):
         rt = Runtime("vectorized", chain_cache_entries=4)
         s1 = Set(8, "surf")
         a, b = Dat(s1, 1, 1.0), Dat(s1, 1)
@@ -215,14 +215,13 @@ class TestStatsSurface:
                      arg_dat(b, IDX_ID, None, WRITE), runtime=rt)
         stats = rt.stats()
         for kind in ("loop_cache", "plan_cache", "chain_cache",
-                     "tiled_cache", "kernelc_cache", "native_cache",
-                     "tune_cache"):
+                     "tiled_cache", "kernelc_cache", "native_cache"):
             assert self.CANONICAL <= set(stats[kind]), kind
-        # The six persistent kinds all report the uniform disk-layer
+        # The five persistent kinds all report the uniform disk-layer
         # counters of repro.store; the loop cache (call-site identity,
         # unpersistable) is the only kind without one.
         for kind in ("plan_cache", "chain_cache", "tiled_cache",
-                     "kernelc_cache", "native_cache", "tune_cache"):
+                     "kernelc_cache", "native_cache"):
             assert set(stats[kind]["store"]) == self.STORE, kind
         assert "store" not in stats["loop_cache"]
         # The native compile cache keeps its historical sha-keyed
@@ -231,10 +230,7 @@ class TestStatsSurface:
             "compiles", "disk_hits", "mem_hits", "failures", "fallbacks",
             "store",
         }
-        # The tuning DB adds its probe bookkeeping to the schema.
-        assert set(stats["tune_cache"]) == self.CANONICAL | {
-            "writes", "corrupt", "probes", "probe_fallbacks", "store",
-        }
+        assert "tune_cache" not in stats
         # The tiled lowering is a chain-cache entry kind: its key
         # includes the tiling request, so fused and tiled coexist.
         assert stats["chain_cache"]["entries"] >= 1
