@@ -10,11 +10,11 @@ parallelization strategies:
 ``openmp``                scalar execution ordered by the two-level coloring
                           plan — OP2's non-vectorized OpenMP backend
 ``vectorized``            explicit SIMD: gather → batched vector kernel →
-                          serialized/colored scatter, with scalar pre/post
-                          sweeps (Fig 3b); under a ``full_permute`` /
-                          ``block_permute`` plan it is the compiler
-                          auto-vectorization analogue (Section 6.5):
-                          whole-color batches, free scatters
+                          serialized/colored scatter over cache-sized
+                          strips of each color phase (Fig 3b); under a
+                          ``full_permute`` / ``block_permute`` plan it is
+                          the compiler auto-vectorization analogue
+                          (Section 6.5): free scatters
 ``simt``                  OpenCL/CUDA analogue: work-groups = plan blocks in
                           lockstep, block-level colored increments (Fig 3a)
 ========================  =====================================================
@@ -144,8 +144,7 @@ class Backend:
         ``"ascending"`` (plain ``0..n`` sweeps), ``"phases"`` (the
         plan's color-phase order) or ``None`` when this backend's
         execution is not sliceable bitwise-safely (batch-boundary-
-        sensitive machinery like SIMT per-block gathers or finite
-        vector widths with scalar remainder sweeps).  The base class
+        sensitive machinery like SIMT per-block gathers).  The base class
         answers ``None``: correctness first — an unknown backend falls
         back to the fused program.
         """

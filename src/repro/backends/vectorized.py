@@ -1,39 +1,38 @@
 """Explicit-SIMD backend — the paper's vector-intrinsics code path (Fig 3b).
 
-Execution follows the generated intrinsics code exactly:
+Every conflict-free colour phase of a loop's plan
+(:meth:`~repro.core.plan.Plan.phases`) runs as consecutive *strips* of
+at most ``vec`` lanes (:meth:`~repro.core.plan.Phase.strips`), in
+ascending order.  Each strip follows the generated intrinsics code:
 
-1. elements are processed in chunks of the vector width ``vec`` (4/8/16
-   lanes depending on ISA and precision);
-2. indirection indices are loaded, indirect reads *gathered* into packed
-   per-lane arrays and direct reads loaded contiguously (aligned loads);
-3. the kernel's **vector form** runs once per chunk over all lanes;
-4. indirect increments are *scattered serially* — lane by lane in index
+1. indirection indices are loaded (cached per strip and (map, slot)),
+   indirect reads *gathered* into packed per-lane arrays and direct
+   reads passed as contiguous views;
+2. the kernel's **vector form** runs once over all the strip's lanes;
+3. indirect increments are *scattered serially* — lane by lane in index
    order, one 1-D ``np.add.at`` per component
    (:meth:`~repro.core.dat.Dat.scatter_add`) — the paper's sequential
-   scatter out of the vector register that beat masked scatters;
-5. a scalar *post-sweep* handles the remainder elements that do not fill
-   a whole vector (the paper generates scalar pre/main/post loops because
-   iteration ranges are rarely divisible by the vector length).
+   scatter out of the vector register that beat masked scatters.
 
-Under the ``full_permute``/``block_permute`` schemes, lanes within a chunk
-are guaranteed independent, so the scatter needs no serialization — this
-is the configuration measured in Fig 8a.
+Under the ``full_permute``/``block_permute`` schemes the lanes of a
+phase are independent, so the scatter needs no serialization — the
+configuration measured in Fig 8a.
 
-The whole-color mega-batch fast path
-------------------------------------
-Chunked execution is faithful to the hardware but pays Python-interpreter
-overhead per chunk — the exact cost the paper's generated code avoids by
-compiling.  When ``vec=None`` (unbounded lanes) the backend instead asks
-the plan for its :meth:`~repro.core.plan.Plan.phases`: each conflict-free
-color becomes **one** fused gather → vector-kernel → scatter over the
-entire color's element array, with the gather/scatter index arrays cached
-on the plan so repeated invocations (time steps) rebuild nothing.  A
-chained replay (:class:`_PhaseExec`) also packs every single-slot operand
-and increment into column-major lanes — component ``k`` of all lanes one
-contiguous row, the paper's AoS -> SoA packing.  Batch
-results are bitwise identical to chunked execution — phases preserve the
-chunked element order, serialized INC scatters apply lanes in that same
-order, and free scatters touch each target exactly once either way.
+Why strips: the generated kernel allocates one temporary per operation
+over every lane it is handed.  Over a whole colour phase (~40k lanes of
+``res_calc`` on an 80k-cell airfoil) each temporary has left L2 before
+the next operation reads it; a strip keeps the kernel's working set in
+cache.  Strips change no value: they ascend within a phase, so every
+target receives its increments in the whole phase's order, and Global
+reductions fold per-lane partials left to right across strip
+boundaries (:func:`~repro.backends.base.fold_lanes`).
+
+A chained replay (:class:`_PhaseExec`) prebinds every strip's
+operations once, shares one set of strip-sized scratch buffers across
+a loop's strips, and packs every single-slot operand and increment into
+column-major lanes — component ``k`` of all lanes one contiguous row,
+the paper's AoS -> SoA packing.  Its results are bitwise those of the
+eager strips.
 """
 
 from __future__ import annotations
@@ -57,6 +56,29 @@ from .base import (
     scatter_batch,
     serialized_inc_group_key,
 )
+
+#: Default lanes per strip (``vec``).  Chosen by a width sweep on the
+#: 80k-cell airfoil (float64) and on Volna (float32); see CHANGES.md.
+STRIP_WIDTH = 8192
+
+
+def _batch_kernel(kernel, args, plan):
+    """The vector form a loop runs its strips with, or ``None`` when it
+    takes the scalar sweep.
+
+    ``None`` when the kernel has no vector form (the paper's
+    non-vectorizable case), or when it races through anything but
+    increments under ``two_level`` — indirect WRITE/RW lanes may
+    collide inside a phase under the original ordering, and only
+    commutative increments serialize safely (OP2 likewise restricts
+    vectorization to INC-style races).
+    """
+    vfn = kernel.vector_for(args)
+    if plan.is_direct or plan.scheme != "two_level" or not any(
+        arg.races and arg.access is not Access.INC for arg in args
+    ):
+        return vfn
+    return None
 
 
 def _lane_buffer(n: int, dat) -> np.ndarray:
@@ -86,8 +108,20 @@ def _gather_lanes(dat, idx: np.ndarray) -> np.ndarray:
     return lanes
 
 
+def _merged_inc_groups(args) -> dict:
+    """Arg position -> its merge group (positions, ascending), for every
+    serialized single-slot INC argument that shares its Dat with another
+    (:func:`~repro.backends.base.serialized_inc_group_key`)."""
+    groups = {}
+    for i, arg in enumerate(args):
+        key = serialized_inc_group_key(arg)
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    return {i: g for g in groups.values() if len(g) > 1 for i in g}
+
+
 class _PhaseExec:
-    """One loop's *prepared* execution of one conflict-free phase.
+    """One loop's *prepared* execution of one strip.
 
     Mirrors :func:`~repro.backends.base.gather_batch` /
     :func:`~repro.backends.base.scatter_batch` operation-for-operation,
@@ -96,14 +130,14 @@ class _PhaseExec:
     * direct contiguous arguments are prebound zero-copy views (no
       per-run work at all);
     * READ globals are prebound to their (stable) value arrays;
-    * gather-index arrays come from the phase's per-(map, slot) cache,
+    * gather-index arrays come from the strip's per-(map, slot) cache,
       bound once;
-    * increment accumulators and global-reduction partials are
-      preallocated and refilled in place each run instead of
-      reallocated; a merged INC group (several single-slot INC
-      arguments on one Dat) shares one interleaved accumulator whose
-      slot views the kernel writes, so no per-run interleave copy is
-      made.
+    * increment accumulators and global-reduction partials are views of
+      ``scratch`` — one buffer per argument position at ``cap`` lanes,
+      shared by all the loop's strips and refilled in place each run; a
+      merged INC group (several single-slot INC arguments on one Dat)
+      shares one interleaved accumulator whose slot views the kernel
+      writes, so no per-run interleave copy is made.
 
     Single-slot gathered operands and increment accumulators are
     column-major lane arrays (:func:`_gather_lanes` /
@@ -119,103 +153,96 @@ class _PhaseExec:
     __slots__ = ("kernel_vec", "proto", "fills", "gathers", "writebacks",
                  "folds")
 
-    def __init__(self, bl, phase) -> None:
+    def __init__(self, bl, phase, scratch: dict, cap: int) -> None:
         args = bl.args
         elems = phase.elems
         nl = elems.size
-        serialize = phase.serialize
         # Generated (or explicitly attached) batched form for this
         # loop's argument shapes, from the kernelc compile cache.
-        self.kernel_vec = bl.kernel.vector_for(bl.args)
-        self.proto = []       # per-arg prebound array, or None (gathered)
+        self.kernel_vec = bl.kernel.vector_for(args)
+        self.proto = [None] * len(args)  # prebound array; None: gathered
         self.gathers = []     # (pos, dat, index array, as lanes?)
         # (dat, index array, pos, accumulator, serialize): a prebound
         # accumulator is scatter_add-ed, None scatters arrays[pos].
         self.writebacks = []
-        self.folds = []       # (reduction slot, pos, access mode)
-        fills = {}            # pos -> (buffer, fill value)
-        merge = {}            # dat uid -> writeback indices to merge
+        self.folds = []       # (pos, access mode)
+        self.fills = []       # (buffer, fill value)
+
+        def strip_buffer(pos, make, rows=1):
+            """The first ``nl * rows`` lane rows of position ``pos``'s
+            scratch, made once as ``make(cap * rows)``."""
+            buf = scratch.get(pos)
+            if buf is None:
+                buf = scratch[pos] = make(cap * rows)
+            return buf[:nl * rows]
+
+        merged = _merged_inc_groups(args) if phase.serialize else {}
         for i, arg in enumerate(args):
             dat = arg.dat
             if arg.is_global:
                 if arg.access.is_reduction:
-                    acc = np.zeros((nl, dat.dim), dtype=dat.dtype)
+                    acc = strip_buffer(
+                        i, lambda m: np.zeros((m, dat.dim), dtype=dat.dtype)
+                    )
                     fill = (
                         0 if arg.access is Access.INC
                         else dat.identity_for(arg.access)
                     )
-                    self.proto.append(acc)
-                    fills[i] = (acc, fill)
-                    self.folds.append((i, i, arg.access))
+                    self.proto[i] = acc
+                    self.fills.append((acc, fill))
+                    self.folds.append((i, arg.access))
                 else:
-                    self.proto.append(dat.data)  # stable value array
+                    self.proto[i] = dat.data  # stable value array
                 continue
             if arg.is_direct and phase.contiguous:
                 lo = int(elems[0])
                 # Zero-copy in-place view, exactly what gather_batch
                 # passes; writes land directly, no writeback.
-                self.proto.append(dat._data[lo:lo + nl])
+                self.proto[i] = dat._data[lo:lo + nl]
                 continue
             idx = elems if arg.is_direct else phase.index_for(arg)
             if arg.access is not Access.INC:
-                self.proto.append(None)
                 self.gathers.append((i, dat, idx, not arg.is_vector))
                 if arg.access.writes:
                     self.writebacks.append((dat, idx, i, None, None))
             elif arg.is_vector:
-                # Vector-INC lanes flatten (chunk, arity) targets; one
+                # Vector-INC lanes flatten (strip, arity) targets; one
                 # element's own slots may coincide, so always serialize
                 # (same rule as scatter_batch).
-                buf = np.zeros((nl, arg.map.arity, dat.dim), dtype=dat.dtype)
-                self.proto.append(buf)
-                fills[i] = (buf, 0)
+                buf = strip_buffer(i, lambda m: np.zeros(
+                    (m, arg.map.arity, dat.dim), dtype=dat.dtype
+                ))
+                self.proto[i] = buf
+                self.fills.append((buf, 0))
                 self.writebacks.append(
                     (dat, idx.reshape(-1), i, buf.reshape(-1, dat.dim), True)
                 )
+            elif i in merged:
+                # Same merge rule and interleave as scatter_batch:
+                # res_calc's two p_res slots apply per element, the
+                # scalar kernel body's order, in one joint scatter at
+                # the first member's writeback position.
+                group = merged[i]
+                if i != group[0]:
+                    continue
+                joint = strip_buffer(
+                    i, lambda m: _lane_buffer(m, dat), rows=len(group)
+                )
+                for m, slot in zip(group, inc_group_slots(joint, len(group))):
+                    self.proto[m] = slot
+                self.fills.append((joint, 0))
+                gidx = interleave_inc_group(
+                    [phase.index_for(args[m]) for m in group]
+                )
+                self.writebacks.append((dat, gidx, None, joint, True))
             else:
                 # Zeroed accumulator + delta scatter_add.  For a
                 # non-contiguous direct INC (Mat staging) this mirrors
                 # gather_batch: a gathered copy would double-count.
-                buf = _lane_buffer(nl, dat)
-                self.proto.append(buf)
-                fills[i] = (buf, 0)
-                if serialize and serialized_inc_group_key(arg) is not None:
-                    merge.setdefault(dat._uid, []).append(
-                        len(self.writebacks)
-                    )
-                self.writebacks.append((dat, idx, i, buf, serialize))
-        for members in merge.values():
-            if len(members) > 1:
-                self._merge_serialized_incs(members, fills)
-        self.writebacks = [wb for wb in self.writebacks if wb is not None]
-        self.fills = list(fills.values())
-
-    def _merge_serialized_incs(self, members, fills) -> None:
-        """Fuse one Dat's serialized single-slot INC writebacks into one
-        element-major joint application.
-
-        Same merge rule and interleave as the eager
-        :func:`~repro.backends.base.scatter_batch`
-        (:func:`~repro.backends.base.serialized_inc_group_key` /
-        :func:`~repro.backends.base.inc_group_slots`): several INC
-        arguments targeting one Dat (res_calc's two ``p_res`` slots)
-        interleave per element — the scalar kernel body's order — so
-        the operation sequence depends only on the element sequence and
-        sub-phase slicing (sparse tiling) cannot perturb it.  The
-        arguments' accumulators become slot views of one joint buffer,
-        applied in the first member's writeback position.
-        """
-        group = [self.writebacks[m] for m in members]
-        dat, idx = group[0][0], group[0][1]
-        joint = _lane_buffer(idx.size * len(group), dat)
-        gidx = interleave_inc_group([wb[1] for wb in group])
-        for wb, slot in zip(group, inc_group_slots(joint, len(group))):
-            self.proto[wb[2]] = slot
-            del fills[wb[2]]
-        fills[group[0][2]] = (joint, 0)
-        self.writebacks[members[0]] = (dat, gidx, None, joint, True)
-        for m in members[1:]:
-            self.writebacks[m] = None
+                buf = strip_buffer(i, lambda m: _lane_buffer(m, dat))
+                self.proto[i] = buf
+                self.fills.append((buf, 0))
+                self.writebacks.append((dat, idx, i, buf, phase.serialize))
 
     def run(self, reductions) -> None:
         arrays = self.proto.copy()
@@ -229,89 +256,62 @@ class _PhaseExec:
                 dat.scatter(idx, arrays[pos])
             else:
                 dat.scatter_add(idx, acc, serialize=ser)
-        for slot, pos, mode in self.folds:
-            fold_lanes(mode, reductions[slot], arrays[pos])
+        for pos, mode in self.folds:
+            fold_lanes(mode, reductions[pos], arrays[pos])
+
+
+def _prepare_strips(bl, strips) -> list:
+    """Loop ``bl``'s prepared execution of each of ``strips``, all
+    sharing one set of scratch buffers sized to the largest strip."""
+    cap = max((s.elems.size for s in strips), default=0)
+    scratch = {}
+    return [_PhaseExec(bl, s, scratch, cap) for s in strips]
 
 
 class VectorizedBackend(Backend):
-    """SIMD-intrinsics analogue with a configurable vector width.
+    """SIMD-intrinsics analogue over cache-sized strips.
 
     Parameters
     ----------
     vec:
-        Lanes per chunk.  ``None`` (the default) executes each
-        conflict-free color as one fused call using the plan's cached
-        gather indices — the fastest NumPy realization; a concrete width
-        (4, 8, 16) models the hardware register faithfully, chunk by
-        chunk, including the scalar remainder sweep.
+        Lanes per strip, ``W``: every colour phase runs as consecutive
+        strips of at most ``vec`` lanes (default :data:`STRIP_WIDTH`).
+        Any width gives the same bits; it only sets how much of a
+        phase one gather → kernel → scatter round holds in cache.
     """
 
     name = "vectorized"
 
-    def __init__(self, vec: int | None = None) -> None:
+    def __init__(self, vec: int = STRIP_WIDTH) -> None:
         super().__init__()
-        if vec is not None and vec < 1:
+        if vec < 1:
             raise ValueError(f"vector width must be >= 1, got {vec}")
         self.vec = vec
 
     # ------------------------------------------------------------------
     def _run(self, kernel, set_, args, plan, n, reductions) -> None:
-        vfn = kernel.vector_for(args)
+        vfn = _batch_kernel(kernel, args, plan)
         if vfn is None:
-            # No vector form derivable: the intrinsics backend degenerates
-            # to the scalar sweep (the paper's non-vectorizable case).
             for e in range(n):
                 run_scalar_element(kernel.scalar, args, e, reductions)
             return
+        self._run_phases(vfn, args, plan, n, reductions)
 
-        if plan.is_direct:
-            if self.vec is None:
-                self._run_phases(kernel, vfn, args, plan, n, reductions)
-            else:
-                self._run_range(
-                    kernel, vfn, args, np.arange(n), reductions,
-                    serialize=False,
-                )
-            return
+    def _run_phases(self, vfn, args, plan, n, reductions) -> None:
+        """One gather/compute/scatter per strip of each colour phase.
 
-        scheme = plan.scheme
-        if scheme == "two_level" and any(
-            arg.races and arg.access is not Access.INC for arg in args
-        ):
-            # Indirect WRITE/RW lanes may collide inside a chunk under the
-            # original ordering; only commutative increments can be
-            # serialized safely, so everything else takes the scalar path
-            # (OP2 likewise restricts vectorization to INC-style races).
-            for e in range(n):
-                run_scalar_element(kernel.scalar, args, e, reductions)
-            return
-        if self.vec is None:
-            self._run_phases(kernel, vfn, args, plan, n, reductions)
-        elif scheme == "two_level":
-            self._run_two_level(kernel, vfn, args, plan, reductions)
-        elif scheme == "full_permute":
-            self._run_full_permute(kernel, vfn, args, plan, reductions)
-        elif scheme == "block_permute":
-            self._run_block_permute(kernel, vfn, args, plan, reductions)
-        else:  # pragma: no cover - schemes validated at plan build
-            raise ValueError(f"Unknown plan scheme {scheme!r}")
-
-    # ------------------------------------------------------------------
-    # Whole-color mega-batch path.
-    # ------------------------------------------------------------------
-    def _run_phases(self, kernel, vfn, args, plan, n, reductions) -> None:
-        """One fused gather/compute/scatter per conflict-free color.
-
-        ``plan.phases`` memoizes both the phase element arrays and (via
-        each phase's index cache) the per-(map, slot) gather indices, so
-        this path's steady state is exactly one NumPy gather per argument
-        per color and zero index reconstruction.
+        ``plan.phases`` memoizes the phase element arrays,
+        :meth:`~repro.core.plan.Phase.strips` the strips and (via each
+        strip's index cache) the per-(map, slot) gather indices, so the
+        steady state is one NumPy gather per argument per strip and
+        zero index reconstruction.
         """
         for phase in plan.phases(n):
-            batch = gather_batch(args, phase.elems, phase=phase)
-            vfn(*batch.arrays)
-            scatter_batch(args, batch, reductions,
-                          serialize_inc=phase.serialize)
+            for strip in phase.strips(self.vec):
+                batch = gather_batch(args, strip.elems, phase=strip)
+                vfn(*batch.arrays)
+                scatter_batch(args, batch, reductions,
+                              serialize_inc=strip.serialize)
 
     # ------------------------------------------------------------------
     # Chained execution: precompiled fused fast path (see core/chain.py).
@@ -321,7 +321,7 @@ class VectorizedBackend(Backend):
         (under ``repeat``: once per trip, ``Backend.run_chain``).
 
         On first sight of a :class:`~repro.core.chain.CompiledChain`
-        this backend *prepares* it: every batchable loop's per-phase
+        this backend *prepares* it: every batchable loop's per-strip
         gather → vector-kernel → scatter sequence is resolved into
         prebound operations (:class:`_PhaseExec`) — argument
         classification, contiguous direct views, gather-index arrays,
@@ -330,15 +330,15 @@ class VectorizedBackend(Backend):
         per-argument Python dispatch the eager path repeats every time
         step.
 
-        Fused (multi-loop) groups run *phase-interleaved*: one pass
-        over the shared plan's conflict-free phases, executing every
-        loop per phase, sharing the phase's memoized gather-index
-        arrays.  Chain legality
-        (:func:`repro.core.chain.pair_fusable`) guarantees the
-        interleaving — and the buffer reuse — is bitwise identical to
-        eager loop-at-a-time execution.  Groups the fast path cannot
-        take (scalar-only kernels, chunked mode, WRITE/RW races under
-        ``two_level``) fall back to the eager :meth:`execute` per loop.
+        Fused (multi-loop) groups run *strip-interleaved*: one pass
+        over the shared plan's strips, executing every loop per strip,
+        sharing the strip's memoized gather-index arrays.  Chain
+        legality (:func:`repro.core.chain.pair_fusable`) admits only
+        elementwise (direct-direct) dependencies between them, so the
+        interleaving is bitwise identical to eager loop-at-a-time
+        execution.  Groups the fast path cannot take (scalar-only
+        kernels, WRITE/RW races under ``two_level``) fall back to the
+        eager :meth:`execute` per loop.
         """
         if repeat is not None:
             return Backend.run_chain(self, compiled, repeat)
@@ -350,25 +350,12 @@ class VectorizedBackend(Backend):
             run_group()
 
     def _group_batchable(self, group) -> bool:
-        """Whether every loop of a group can take the phase fast path."""
-        if self.vec is not None:
-            return False
-        plan = group.plan
-        for bl in group.loops:
-            if is_scalar_loop(bl.args):  # Backend.execute's scalar path
-                return False
-            if bl.kernel.vector_for(bl.args) is None:
-                return False
-            if (
-                not plan.is_direct
-                and plan.scheme == "two_level"
-                and any(
-                    arg.races and arg.access is not Access.INC
-                    for arg in bl.args
-                )
-            ):
-                return False
-        return True
+        """Whether every loop of a group can take the strip fast path."""
+        return all(
+            not is_scalar_loop(bl.args)  # Backend.execute's scalar path
+            and _batch_kernel(bl.kernel, bl.args, group.plan) is not None
+            for bl in group.loops
+        )
 
     def _prepare_group(self, group):
         """Compile one group into a zero-re-analysis replay closure."""
@@ -384,20 +371,21 @@ class VectorizedBackend(Backend):
 
         loops = group.loops
         n = loops[0].n
-        phases = group.plan.phases(n)
-        # phase_execs[k][p]: loop k's prepared execution of phase p.
-        phase_execs = [
-            [_PhaseExec(bl, phase) for phase in phases] for bl in loops
+        strips = [
+            strip for phase in group.plan.phases(n)
+            for strip in phase.strips(self.vec)
         ]
+        # execs[k][s]: loop k's prepared execution of strip s.
+        execs = [_prepare_strips(bl, strips) for bl in loops]
         stats = self.stats
 
         def run_group() -> None:
             reductions = [_init_reductions(bl.args) for bl in loops]
             elapsed = [0.0] * len(loops)
-            for p in range(len(phases)):
+            for s in range(len(strips)):
                 for k in range(len(loops)):
                     t0 = time.perf_counter()
-                    phase_execs[k][p].run(reductions[k])
+                    execs[k][s].run(reductions[k])
                     elapsed[k] += time.perf_counter() - t0
             for k, bl in enumerate(loops):
                 _fold_reductions(bl.args, reductions[k])
@@ -416,19 +404,20 @@ class VectorizedBackend(Backend):
 
         The analogue of :meth:`run_chain`'s prepared replay, transposed
         tile-major: on first sight every segment is compiled into, per
-        tile, the list of :class:`_PhaseExec` programs for each loop's
-        sub-phases (:meth:`repro.core.plan.Plan.phase_slices`) — direct
-        contiguous slices stay zero-copy views, gather indices are
-        cached per sub-phase, increment buffers preallocated.  Replay
-        then walks tiles in ascending order running only the numpy
-        calls; each loop's sub-phases concatenate to its eager phase
-        sequence, so results are bitwise identical to eager execution
-        while consecutive loops reuse the tile's cache-resident data.
+        tile, the list of :class:`_PhaseExec` programs for the strips
+        of each loop's sub-phases
+        (:meth:`repro.core.plan.Plan.phase_slices`) — direct contiguous
+        slices stay zero-copy views, gather indices are cached per
+        strip, increment buffers preallocated.  Replay then walks tiles
+        in ascending order running only the numpy calls; each loop's
+        sub-phases concatenate to its eager phase sequence, so results
+        are bitwise identical to eager execution while consecutive
+        loops reuse the tile's cache-resident data.
 
         Falls back to the fused :meth:`run_chain` program whenever any
-        sliced loop cannot take the batched fast path (chunked mode,
-        scalar-only kernels, WRITE/RW races under ``two_level``) —
-        correctness is never traded for tiling.
+        sliced loop cannot take the batched fast path (scalar-only
+        kernels, WRITE/RW races under ``two_level``) — correctness is
+        never traded for tiling.
         """
         if repeat is not None:
             return Backend.run_tiled(self, compiled, repeat)
@@ -444,24 +433,12 @@ class VectorizedBackend(Backend):
 
     def _tiled_batchable(self, compiled) -> bool:
         """Whether every sliced loop can take the batched fast path."""
-        if self.vec is not None:
-            return False
         for part in compiled.tiled.parts:
             if isinstance(part, BarrierLoop):  # barrier loops run eagerly
                 continue
             for k in part.loop_indices:
                 bl = compiled.loops[k]
-                if bl.kernel.vector_for(bl.args) is None:
-                    return False
-                plan = bl.plan
-                if (
-                    not plan.is_direct
-                    and plan.scheme == "two_level"
-                    and any(
-                        arg.races and arg.access is not Access.INC
-                        for arg in bl.args
-                    )
-                ):
+                if _batch_kernel(bl.kernel, bl.args, bl.plan) is None:
                     return False
         return True
 
@@ -480,18 +457,20 @@ class VectorizedBackend(Backend):
                 continue
 
             seg_loops = [loops[k] for k in part.loop_indices]
-            # tiles[t]: [(loop position, prepared sub-phase exec), ...]
-            tiles = []
-            for t in range(part.n_tiles):
-                execs = []
-                for j, bl in enumerate(seg_loops):
-                    cuts = part.slices[j].cuts
-                    lo, hi = int(cuts[t]), int(cuts[t + 1])
-                    if lo == hi:
-                        continue
-                    for sub in bl.plan.phase_slices(bl.n, 0, lo, hi):
-                        execs.append((j, _PhaseExec(bl, sub)))
-                tiles.append(execs)
+            # tiles[t]: [(loop position, prepared strip exec), ...]
+            tiles = [[] for _ in range(part.n_tiles)]
+            for j, bl in enumerate(seg_loops):
+                cuts = part.slices[j].cuts
+                owned = [
+                    (t, strip) for t in range(part.n_tiles)
+                    for sub in bl.plan.phase_slices(
+                        bl.n, 0, int(cuts[t]), int(cuts[t + 1])
+                    )
+                    for strip in sub.strips(self.vec)
+                ]
+                execs = _prepare_strips(bl, [strip for _, strip in owned])
+                for (t, _), pe in zip(owned, execs):
+                    tiles[t].append((j, pe))
             stats = self.stats
 
             def run_segment(seg_loops=seg_loops, tiles=tiles) -> None:
@@ -510,72 +489,3 @@ class VectorizedBackend(Backend):
 
             program.append(run_segment)
         return program
-
-    # ------------------------------------------------------------------
-    # Chunked (hardware-faithful) path.
-    # ------------------------------------------------------------------
-    def _chunks(self, elems: np.ndarray):
-        """Split an element list into vector-width chunks plus remainder."""
-        if elems.size <= self.vec:
-            if elems.size:
-                yield elems, False
-            return
-        main = (elems.size // self.vec) * self.vec
-        for lo in range(0, main, self.vec):
-            yield elems[lo : lo + self.vec], False
-        if main < elems.size:
-            # Remainder: the scalar post-sweep of the generated code.
-            yield elems[main:], True
-
-    def _run_range(
-        self,
-        kernel,
-        vfn,
-        args,
-        elems: np.ndarray,
-        reductions,
-        serialize: bool,
-    ) -> None:
-        for chunk, is_remainder in self._chunks(elems):
-            if is_remainder:
-                for e in chunk:
-                    run_scalar_element(kernel.scalar, args, int(e), reductions)
-                continue
-            batch = gather_batch(args, chunk)
-            vfn(*batch.arrays)
-            scatter_batch(args, batch, reductions, serialize_inc=serialize)
-
-    # ------------------------------------------------------------------
-    def _run_two_level(self, kernel, vfn, args, plan, reductions) -> None:
-        # Pure-SIMD over the original ordering: within a chunk, lanes may
-        # share an indirect target, so increments scatter serialized.
-        layout = plan.layout
-        for color_blocks in plan.blocks_by_color:
-            for b in color_blocks:
-                lo, hi = layout.block_range(int(b))
-                if lo >= hi:
-                    continue
-                self._run_range(
-                    kernel, vfn, args, np.arange(lo, hi), reductions,
-                    serialize=True,
-                )
-
-    def _run_full_permute(self, kernel, vfn, args, plan, reductions) -> None:
-        perm = plan.permutation
-        for c in range(perm.ncolors):
-            elems = perm.color_slice(c)
-            if elems.size:
-                self._run_range(kernel, vfn, args, elems, reductions,
-                                serialize=False)
-
-    def _run_block_permute(self, kernel, vfn, args, plan, reductions) -> None:
-        bp = plan.block_permutation
-        for color_blocks in plan.blocks_by_color:
-            for b in color_blocks:
-                for c in range(bp.block_ncolors(int(b))):
-                    elems = bp.block_color_slice(int(b), c)
-                    if elems.size:
-                        self._run_range(
-                            kernel, vfn, args, elems, reductions,
-                            serialize=False,
-                        )

@@ -97,7 +97,8 @@ class Phase:
     shares the plan — and every subsequent time step — reuses them.
     """
 
-    __slots__ = ("elems", "serialize", "contiguous", "_indices", "_counters")
+    __slots__ = ("elems", "serialize", "contiguous", "_indices", "_counters",
+                 "_strips")
 
     def __init__(
         self,
@@ -112,6 +113,7 @@ class Phase:
         #: direct arguments pass zero-copy views instead of gathers.
         self.contiguous = is_contiguous_range(elems)
         self._indices: Dict[Tuple[int, int], np.ndarray] = {}
+        self._strips: Dict[int, List["Phase"]] = {}
 
     def index_for(self, arg: Arg) -> np.ndarray:
         """Cached gather/scatter indices for one indirect argument.
@@ -139,19 +141,34 @@ class Phase:
         return idx
 
     def slice(self, lo: int, hi: int) -> "Phase":
-        """A sub-phase over ``elems[lo:hi]`` (the tiled executor's unit).
+        """A sub-phase over ``elems[lo:hi]`` — the unit of the vectorized
+        executor's strips (:meth:`strips`) and of sparse tiles.
 
         The slice preserves the parent's element order and ``serialize``
         flag, so executing a phase as a sequence of its slices performs
         the exact same operations in the exact same order — the bitwise
-        foundation of sparse tiling (``repro/tiling``).  Shares the
-        parent's gather-stats counters; index arrays are cached on the
-        sub-phase itself (sub-phases are long-lived, held by prepared
-        tile programs).
+        foundation of strips and of sparse tiling (``repro/tiling``).
+        Shares the parent's gather-stats counters; index arrays are
+        cached on the sub-phase itself (sub-phases are long-lived, held
+        by strip lists and prepared tile programs).
         """
         return Phase(
             self.elems[lo:hi], self.serialize, counters=self._counters
         )
+
+    def strips(self, width: int) -> List["Phase"]:
+        """This phase as consecutive :meth:`slice` s of at most ``width``
+        elements, ascending — ``[self]`` when it fits in one.  Memoized
+        per width, so the strips' gather indices are built once."""
+        strips = self._strips.get(width)
+        if strips is None:
+            n = self.elems.size
+            strips = [self] if n <= width else [
+                self.slice(lo, min(lo + width, n))
+                for lo in range(0, n, width)
+            ]
+            self._strips[width] = strips
+        return strips
 
 
 @dataclass
@@ -390,8 +407,9 @@ class Plan:
             One phase per *block color*: same-colored blocks never share
             an indirect target, so their concatenated element ranges run
             together; within the phase elements of one block may collide,
-            hence ``serialize=True``.  Element order matches the chunked
-            execution exactly, so INC results are bitwise identical.
+            hence ``serialize=True``: increments apply in element
+            order, so INC results do not depend on how the phase is
+            cut into strips or tiles.
         ``full_permute``
             One phase per global element color (``serialize=False``).
         ``block_permute``

@@ -91,7 +91,8 @@ def make_backend(name: str, **options) -> Backend:
 
     Names: ``sequential``, ``openmp``, ``vectorized``, ``simt``,
     ``codegen``, ``native``.  Options are forwarded
-    (``vec=`` for vectorized, ``device=`` for simt).
+    (``vec=`` — lanes per strip — for vectorized, ``device=`` for
+    simt).
     """
     from ..backends.native import NativeBackend
 

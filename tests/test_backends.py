@@ -93,7 +93,7 @@ class TestIndirectIncEquivalence:
 
     @pytest.mark.parametrize("vec", [1, 2, 4, 8, 16])
     def test_vec_chunk_invariance(self, vec):
-        ref = run_indirect("sequential", "two_level", {})
+        ref = run_indirect("vectorized", "two_level", {})
         nodes, edges, e2n, w, x = ring_problem()
         acc = Dat(nodes, 3, name="acc")
         rt = Runtime(make_backend("vectorized", vec=vec), block_size=8)
@@ -106,7 +106,8 @@ class TestIndirectIncEquivalence:
             arg_dat(acc, 1, e2n, INC),
             runtime=rt,
         )
-        np.testing.assert_allclose(acc.data, ref, rtol=1e-12, atol=1e-12)
+        # Strips of any width are bitwise the default width's.
+        assert np.array_equal(acc.data, ref)
 
 
 @kernel("direct_update", flops=3)

@@ -131,8 +131,10 @@ class TestChainEagerEquivalence:
         assert np.array_equal(eager.state.rhs.data, chained.state.rhs.data)
         assert eager.dt_history == chained.dt_history
 
-    def test_chunked_vectorized_falls_back_identically(self):
-        """vec=8 (chunked mode) cannot batch; replay must still match."""
+    def test_narrow_strips_take_the_prepared_replay(self):
+        """vec=8 cuts every phase into strips of 8 lanes; the chain still
+        runs as the prepared strip program (no eager fallback) and
+        matches eager bitwise."""
         from repro.apps.airfoil import AirfoilSim
         from repro.mesh import make_airfoil_mesh
         from repro.core import make_backend
@@ -142,14 +144,16 @@ class TestChainEagerEquivalence:
             runtime=Runtime(make_backend("vectorized", vec=8), block_size=32),
             chained=False,
         )
-        chained = AirfoilSim(
-            make_airfoil_mesh(10, 5),
-            runtime=Runtime(make_backend("vectorized", vec=8), block_size=32),
-            chained=True,
-        )
+        rt = Runtime(make_backend("vectorized", vec=8), block_size=32)
+        chained = AirfoilSim(make_airfoil_mesh(10, 5), runtime=rt,
+                             chained=True)
         eager.run(2)
         chained.run(2)
         assert np.array_equal(eager.state.p_q.data, chained.state.p_q.data)
+        compiled = next(iter(rt._chains.values()))
+        program = compiled.exec_cache[rt.backend]
+        assert [fn.__name__ for fn in program] == \
+            ["run_group"] * len(compiled.groups)
 
 
 # ----------------------------------------------------------------------

@@ -463,8 +463,8 @@ class TestBackendIntegration:
 
     @pytest.mark.parametrize("vec", [1, 2, 4, 8])
     def test_register_width_blocks(self, vec):
-        # Finite widths (the register-width ablation) run generated
-        # kernels on (vec, dim) blocks with a scalar remainder sweep.
+        # Any strip width runs the generated kernel on (<= vec, dim)
+        # blocks and matches the scalar sweep bitwise.
         nodes, edges, e2n, w = _ring()
         acc = Dat(nodes, 2, name="acc")
         par_loop(

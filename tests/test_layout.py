@@ -5,9 +5,9 @@ Three properties pin the new execution engine down:
 1. **Layout transparency** — every backend produces results identical to
    the sequential/AoS reference under both ``aos`` and ``soa`` storage
    (the logical ``Dat.data`` view hides the physical order).
-2. **Whole-color batching equivalence** — the mega-batch fast path is
-   bitwise identical to chunked execution (phases preserve chunked
-   element order; see core/plan.py).
+2. **Strip-width equivalence** — a color phase run as one strip is
+   bitwise identical to the default strips (strips ascend within a
+   phase; see core/plan.py ``Phase.strips``).
 3. **Cache coherence** — warm plan/loop/gather-index caches return
    exactly what cold planning computes.
 """
@@ -233,20 +233,19 @@ class TestLayoutEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Whole-color batching vs chunked execution.
+# Whole-color batching vs strips.
 # ----------------------------------------------------------------------
 class TestWholeColorBatching:
     @pytest.mark.parametrize(
         "scheme", ["two_level", "full_permute", "block_permute"]
     )
-    def test_bitwise_identical_to_chunked(self, scheme):
-        batched = run_ring("vectorized", scheme, {}, "aos")
-        # One chunk wider than the ring: the chunked path with no
-        # remainder sweep.
-        chunked = run_ring("vectorized", scheme, {"vec": 1 << 30}, "aos")
-        # Phases preserve the chunked element order, so the fast path is
-        # not merely close — it is bitwise identical.
-        np.testing.assert_array_equal(batched, chunked)
+    def test_bitwise_identical_to_strips(self, scheme):
+        strips = run_ring("vectorized", scheme, {"vec": 5}, "aos")
+        # One strip wider than the ring: every phase in one batch.
+        whole = run_ring("vectorized", scheme, {"vec": 1 << 30}, "aos")
+        # Strips ascend within a phase, so they are not merely close to
+        # the whole-phase batch — they are bitwise identical.
+        np.testing.assert_array_equal(strips, whole)
 
     def test_phase_index_cache_reused_across_steps(self):
         rt = Runtime("vectorized", block_size=64)

@@ -1,6 +1,7 @@
 """The vectorized backend's prepared chained replay (``_PhaseExec``).
 
-A warm chained run replays each loop phase as prebound NumPy calls:
+A warm chained run replays each strip of a loop phase as prebound NumPy
+calls:
 ``np.take`` gathers packed into column-major lanes, the generated
 kernel on ``.T`` lane views, increments written straight into
 (interleaved) accumulators and a per-component ordered scatter.  None
@@ -37,9 +38,11 @@ from repro.core import (
     arg_gbl,
     arg_mat,
     kernel,
+    make_backend,
     par_loop,
 )
 from repro.core.access import Access
+from repro.core.plan import SCHEMES
 from repro.mesh import make_airfoil_mesh, make_tri_mesh
 from repro.testing import LAYOUT_MATRIX
 
@@ -84,8 +87,8 @@ def _spy_noncontiguous_direct_inc(monkeypatch):
     seen = []
     init = vectorized._PhaseExec.__init__
 
-    def spy(self, bl, phase):
-        init(self, bl, phase)
+    def spy(self, bl, phase, *scratch):
+        init(self, bl, phase, *scratch)
         if not phase.contiguous and any(
             a.is_direct and not a.is_global and a.access is Access.INC
             for a in bl.args
@@ -215,3 +218,68 @@ class TestHotPath:
         monkeypatch.undo()
         assert np.array_equal(eager.state.p_q.data, chained.state.p_q.data)
         assert eager.rms_history == chained.rms_history
+
+
+# ----------------------------------------------------------------------
+# Strip boundaries: the width moves no bit.
+# ----------------------------------------------------------------------
+def _strip_airfoil(scheme, chained, **options):
+    from repro.apps.airfoil import AirfoilSim
+
+    rt = Runtime(make_backend("vectorized", **options), scheme=scheme,
+                 block_size=32)
+    return AirfoilSim(make_airfoil_mesh(16, 8), runtime=rt, chained=chained)
+
+
+class TestStripBoundaries:
+    """Every phase runs as ascending strips of ``vec`` lanes.  Airfoil's
+    ``update`` folds the Global INC ``rms`` across strip boundaries and
+    ``res_calc``'s two ``p_res`` slots scatter as one merged serialized
+    INC group (under ``two_level``); both must equal the default width's
+    run bitwise at any width, eager and chained."""
+
+    WIDE = 1 << 20  # wider than any phase: one strip per phase
+
+    @pytest.mark.parametrize("chained", [False, True],
+                             ids=["eager", "chained"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("width", [1, 7, 8, WIDE])
+    def test_width_is_bitwise_invisible(self, width, scheme, chained):
+        ref = _strip_airfoil(scheme, chained)
+        got = _strip_airfoil(scheme, chained, vec=width)
+        ref.run(STEPS)
+        got.run(STEPS)
+        assert np.array_equal(ref.state.p_q.data, got.state.p_q.data)
+        assert np.array_equal(ref.state.p_res.data, got.state.p_res.data)
+        assert ref.rms_history == got.rms_history
+
+        # res_calc (edges) and update (cells) straddle strip boundaries.
+        plans = got.runtime.plans._plans.values()
+        for set_ in (got.mesh.edges, got.mesh.cells):
+            widest = max(ph.elems.size for plan in plans if plan.set is set_
+                         for ph in plan.phases(set_.size))
+            assert (widest > width) == (width != self.WIDE)
+
+    def test_kernel_stats_count_each_element_once(self):
+        """One chained step records one call per loop execution and each
+        element once, however many strips a phase is cut into."""
+        stats = {}
+        for width in (7, self.WIDE):
+            sim = _strip_airfoil("two_level", True, vec=width)
+            sim.step()
+            sim.runtime.backend.reset_stats()
+            sim.step()
+            stats[width] = {
+                name: (ls.calls, ls.elements)
+                for name, ls in sim.runtime.stats()["kernels"].items()
+            }
+        assert stats[7] == stats[self.WIDE]
+        m = sim.mesh
+        # (calls per step, set) — save_soln once, the rest per RK stage.
+        loops = {"save_soln": (1, m.cells), "adt_calc": (2, m.cells),
+                 "res_calc": (2, m.edges), "bres_calc": (2, m.bedges),
+                 "update": (2, m.cells)}
+        assert stats[7] == {
+            name: (calls, calls * set_.size)
+            for name, (calls, set_) in loops.items()
+        }

@@ -177,8 +177,10 @@ class TestTiledEagerEquivalence:
         tiled.run(2)
         assert np.array_equal(eager.state.p_q.data, tiled.state.p_q.data)
 
-    def test_chunked_vectorized_falls_back_identically(self):
-        """vec=8 (chunked mode) cannot slice; tiled must still match."""
+    def test_narrow_strips_take_the_prepared_tiled_replay(self):
+        """vec=8 cuts every tile's sub-phases into strips of 8 lanes; the
+        chain still runs as the prepared per-tile strip program (not the
+        fused fallback) and matches eager bitwise."""
         from repro.apps.airfoil import AirfoilSim
         from repro.core import make_backend
         from repro.mesh import make_airfoil_mesh
@@ -188,14 +190,15 @@ class TestTiledEagerEquivalence:
             runtime=Runtime(make_backend("vectorized", vec=8), block_size=32),
             chained=False,
         )
-        tiled = AirfoilSim(
-            make_airfoil_mesh(10, 5),
-            runtime=Runtime(make_backend("vectorized", vec=8), block_size=32),
-            chained=True, tiling=40,
-        )
+        rt = Runtime(make_backend("vectorized", vec=8), block_size=32)
+        tiled = AirfoilSim(make_airfoil_mesh(10, 5), runtime=rt,
+                           chained=True, tiling=40)
         eager.run(2)
         tiled.run(2)
         assert np.array_equal(eager.state.p_q.data, tiled.state.p_q.data)
+        compiled = next(iter(rt._chains.values()))
+        assert (rt.backend, "tiled") in compiled.exec_cache
+        assert rt.backend not in compiled.exec_cache  # no fused fallback
 
     def test_tiled_matches_fused_chained(self):
         from repro.apps.airfoil import AirfoilSim
