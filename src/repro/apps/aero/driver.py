@@ -182,7 +182,7 @@ class AeroSim:
                         and self._runtime().auto else "assembled")
         #: The realization steps execute with.
         self.operator_mode = operator
-        self.kernels: Dict[str, object] = make_kernels(constants)
+        self.kernels: Dict[str, object] = dict(make_kernels(constants))
         self.state = self._init_state()
         #: Padded-row SpMV operator over the assembled matrix (built
         #: once — the sparsity is pure connectivity).
@@ -204,18 +204,17 @@ class AeroSim:
         """Build the matrix-free twin of the assembled operator.
 
         Static per-element quadrature tables come from the float64 mesh
-        coordinates (matching ``res_calc``'s arithmetic exactly); the
-        operator re-reads ``p_rho`` on every coefficient refresh, so
-        Picard updates flow through with no rebuild.
+        coordinates (matching ``res_calc``'s arithmetic exactly), once
+        per internal mesh; the operator re-reads ``p_rho`` on every
+        coefficient refresh, so Picard updates flow through with no
+        rebuild.
         """
         m, s = self.mesh, self.state
-        xs = np.asarray(m.coords, dtype=np.float64)[
-            m.map("cell2node").values
-        ]
+        quad = m.derived("aero_quadrature", lambda: element_quadrature_tables(
+            np.asarray(m.coords, dtype=np.float64)[m.map("cell2node").values]
+        ))
         with dat_layout(getattr(self.runtime, "layout", None)):
-            op = MatFreeOperator(
-                s.mat, element_quadrature_tables(xs), s.p_rho, s.p_bc,
-            )
+            op = MatFreeOperator(s.mat, quad, s.p_rho, s.p_bc)
         self.kernels["mf_coeffs"] = op.kernels["coeffs"]
         self.kernels["mf_kg"] = op.kernels["apply"]
         return op

@@ -21,6 +21,8 @@ derivatives at the four 2x2 Gauss points (weights 1), ``_DXI_C`` /
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
 from ...core.kernel import Kernel, KernelInfo
@@ -94,12 +96,26 @@ def element_quadrature_tables(xs):
     return quad, geom
 
 
+#: Kernel sets per flow configuration (:func:`make_kernels`).
+_KERNELS: Dict[AeroConstants, Dict[str, Kernel]] = {}
+
+
 def make_kernels(const: AeroConstants = DEFAULT_CONSTANTS) -> dict:
-    """Build the aero kernel set for one flow configuration.
+    """The aero kernel set for one flow configuration.
 
     Returns a name -> :class:`~repro.core.kernel.Kernel` dict with keys
-    ``rho_calc``, ``res_calc``, ``rhs_calc``, ``apply_bc``.
+    ``rho_calc``, ``res_calc``, ``rhs_calc``, ``apply_bc``; the same
+    objects for equal constants (treat the dict as read-only), so a
+    fresh sim's loops key on kernels whose source digest and parsed IR
+    the caches already hold.
     """
+    kernels = _KERNELS.get(const)
+    if kernels is None:
+        kernels = _KERNELS[const] = _build_kernels(const)
+    return kernels
+
+
+def _build_kernels(const: AeroConstants) -> Dict[str, Kernel]:
     gm1 = const.gm1
     minf2 = const.mach * const.mach
     rho_min = const.rho_min

@@ -18,8 +18,14 @@ a large chain runs on all cores by owner-computes, which keeps that
 order per target (``kernelc/native.py``: ``LoopVerdict``); eager
 dispatch stays on one thread.  A tiled request (``tiling=``) runs the
 chain untiled (:meth:`NativeBackend.run_tiled`).  ``thread_verdicts``
-says how each chain program runs its loops
-(``Runtime.stats()["native"]``).
+says how each chain program runs its loops, and whether it was built
+or reused (``Runtime.stats()["native"]``).
+
+Programs are kept by chain *shape* (:meth:`NativeBackend._shape_key`),
+not by the compiled chain: a program binds the live arrays of the
+loops it is handed on every call, so a fresh sim whose chains have the
+shape of an earlier sim's runs that sim's programs — no emission, no
+hashing, no library load.
 
 Fallback policy (two tiers)
 ---------------------------
@@ -38,6 +44,7 @@ Fallback policy (two tiers)
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 
 from ..kernelc.native import (
     NativeUnsupported,
@@ -45,13 +52,19 @@ from ..kernelc.native import (
     build_eager_program,
     compiler_available,
     count_native_fallback,
+    count_program_hit,
 )
 from ..core.chain import RepeatResult
+from ..store import map_key
 from .base import Backend, LoopStats, replay_trips, run_scalar_element
 from .vectorized import VectorizedBackend
 
 #: exec_cache marker for "this chain is not nativizable" (don't retry).
 _UNSUPPORTED = None
+
+#: LRU bound of a backend's program cache (the runtime's chain-cache
+#: default: a program is worth keeping as long as a chain of its shape).
+PROGRAM_CACHE_ENTRIES = 64
 
 
 class NativeBackend(VectorizedBackend):
@@ -61,12 +74,72 @@ class NativeBackend(VectorizedBackend):
 
     def __init__(self) -> None:
         super().__init__()
-        #: Eager single-loop programs, keyed by kernel + argument shape
-        #: signature (value ``None`` marks a known-unsupported kernel).
-        self._eager_programs = {}
-        #: How each chain program built so far runs its loops, keyed by
-        #: the chain's kernel names: ``[(kernel, elements, verdict)]``.
+        #: Compiled programs, eager and chained, by :meth:`_shape_key`
+        #: (value ``None``: a shape the emitter cannot lower).  A program
+        #: holds its library and slot recipe but no loop's arrays — the
+        #: live ones are bound at call time — so a fresh sim whose loops
+        #: have the shape of an earlier one's reuses its program without
+        #: emitting, hashing or loading anything.
+        self._programs = OrderedDict()
+        #: How each chain program runs its loops, keyed by the chain's
+        #: kernel names: ``[(kernel, elements, verdict, lanes)]``, plus
+        #: whether the last chain of that name ``built`` or ``reused``
+        #: its program.
         self.thread_verdicts = {}
+
+    def _program(self, key, build):
+        """The cached program of shape ``key``, else ``build()``'s (or
+        ``None`` when it raises :class:`NativeUnsupported`); returns
+        ``(program, reused)``."""
+        if key in self._programs:
+            self._programs.move_to_end(key)
+            return self._programs[key], True
+        try:
+            program = build()
+        except NativeUnsupported:
+            program = _UNSUPPORTED
+            count_native_fallback()
+        self._programs[key] = program
+        while len(self._programs) > PROGRAM_CACHE_ENTRIES:
+            self._programs.popitem(last=False)
+        return program, False
+
+    @staticmethod
+    def _shape_key(loops, repeat=None):
+        """Everything the TU of ``loops`` (``(kernel, args, n)``
+        triples) depends on, minus array identity:
+        per loop the kernel (its identity: closure constants are baked
+        into the source) and extent, per argument its access, layout,
+        dim, storage shape, dtype and map arity — plus the slot-dedupe
+        *pattern*, because the pointer table tells aliased arguments
+        apart by slot, and each map's content digest (a threaded TU's
+        owner facets are a function of it).  A repeat adds the slots of
+        its flag and record."""
+        slots = {}
+
+        def slot(array):
+            return slots.setdefault(id(array), len(slots))
+
+        parts = []
+        for kernel, args, n in loops:
+            parts.append((kernel._uid, int(n)))
+            for arg in args:
+                if arg.is_global:
+                    parts.append((
+                        "g", arg.access.name, arg.dat.dim,
+                        arg.dat._data.dtype, slot(arg.dat._data),
+                    ))
+                    continue
+                dat, map_ = arg.dat, arg.map
+                parts.append((
+                    "d", arg.access.name, int(arg.index), dat.layout, dat.dim,
+                    dat._storage.shape, dat.dtype, slot(dat._storage),
+                    None if map_ is None else (
+                        map_.arity, slot(map_.values), map_key(map_)),
+                ))
+        if repeat is not None:
+            parts.append((slot(repeat.until._data), slot(repeat.record._data)))
+        return tuple(parts)
 
     # ------------------------------------------------------------------
     # Eager dispatch
@@ -75,15 +148,10 @@ class NativeBackend(VectorizedBackend):
         if not compiler_available():
             super()._run(kernel, set_, args, plan, n, reductions)
             return
-        key = self._eager_key(kernel, args, n)
-        program = self._eager_programs.get(key, _UNSUPPORTED)
-        if key not in self._eager_programs:
-            try:
-                program = build_eager_program(kernel, args, n)
-            except NativeUnsupported:
-                program = _UNSUPPORTED
-                count_native_fallback()
-            self._eager_programs[key] = program
+        key = ("eager", self._shape_key([(kernel, args, n)]))
+        program, _ = self._program(
+            key, lambda: build_eager_program(kernel, args, n)
+        )
         if program is not None:
             program.run_eager(args, reductions)
             return
@@ -93,54 +161,34 @@ class NativeBackend(VectorizedBackend):
         for e in range(n):
             run_scalar_element(scalar, args, e, reductions)
 
-    @staticmethod
-    def _eager_key(kernel, args, n):
-        """Everything the emitted source depends on, minus array
-        identity — plus the slot-dedupe *pattern*, because the compiled
-        pointer table tells aliased arguments apart by slot."""
-        slots = {}
-
-        def slot(array):
-            return slots.setdefault(id(array), len(slots))
-
-        parts = [kernel._uid, int(n)]
-        for arg in args:
-            if arg.is_global:
-                parts.append(
-                    ("g", arg.access.name, arg.dat.dim, slot(arg.dat._data))
-                )
-                continue
-            dat = arg.dat
-            parts.append((
-                "d", arg.access.name, int(arg.index), dat.layout, dat.dim,
-                dat._storage.shape, str(dat.dtype), slot(dat._storage),
-                None if arg.map is None
-                else (arg.map.arity, slot(arg.map.values)),
-            ))
-        return tuple(parts)
-
     # ------------------------------------------------------------------
     # Chained dispatch
     # ------------------------------------------------------------------
     def _chain_program(self, compiled, repeat=None):
         """The chain's compiled program; with ``repeat`` the one whose
         TU also carries that back edge (a separate program: every chain
-        flushed without a repeat keeps its TU byte for byte)."""
+        flushed without a repeat keeps its TU byte for byte).  Looked up
+        on the compiled chain first, then by shape in the backend's
+        program cache; built only when neither has it."""
         cache_key = (self, "native") if repeat is None else (
             self, "native", repeat.until._uid, repeat.record._uid)
         if cache_key in compiled.exec_cache:
             return compiled.exec_cache[cache_key]
-        try:
-            program = build_chain_program(
-                compiled.loops, name=f"chain:{len(compiled.loops)}loops",
-                repeat=repeat,
+        loops = compiled.loops
+        program, reused = self._program(
+            ("chain", self._shape_key(
+                [(bl.kernel, bl.args, bl.n) for bl in loops], repeat)),
+            lambda: build_chain_program(
+                loops, name=f"chain:{len(loops)}loops", repeat=repeat,
+            ),
+        )
+        if program is not _UNSUPPORTED:
+            if reused:
+                count_program_hit()
+            label = " > ".join(bl.kernel.name for bl in loops)
+            self.thread_verdicts[label] = (
+                program.verdicts, "reused" if reused else "built"
             )
-        except NativeUnsupported:
-            program = _UNSUPPORTED
-            count_native_fallback()
-        else:
-            label = " > ".join(bl.kernel.name for bl in compiled.loops)
-            self.thread_verdicts[label] = program.verdicts
         compiled.exec_cache[cache_key] = program
         return program
 
@@ -181,10 +229,10 @@ class NativeBackend(VectorizedBackend):
                 arg.dat._sync()
         t0 = time.perf_counter()
         if repeat is None:
-            program.run_fused()
+            program.run_fused(compiled.loops)
             self._record_split(compiled.loops, time.perf_counter() - t0)
             return None
-        recorded = program.run_fused(repeat=repeat)
+        recorded = program.run_fused(compiled.loops, repeat=repeat)
         self._record_split(
             compiled.loops, time.perf_counter() - t0, calls=len(recorded)
         )

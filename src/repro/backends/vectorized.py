@@ -92,20 +92,35 @@ def _lane_buffer(n: int, dat) -> np.ndarray:
     return np.zeros((dat.dim, n), dtype=dat.dtype).T
 
 
-def _gather_lanes(dat, idx: np.ndarray) -> np.ndarray:
-    """:meth:`~repro.core.dat.Dat.gather` of a 1-D ``idx`` into a
-    column-major ``(n, dim)`` array (see :func:`_lane_buffer`).
+def _prebound_gather(dat, idx: np.ndarray, lanes: bool, flat) -> tuple:
+    """One gather of a prepared strip, into strip scratch.
 
-    An SoA gather already is one; an AoS gather of whole rows is
-    transposed into lanes, the paper's AoS -> SoA packing.  The values
-    are the gather's, only their memory order differs.
+    Returns ``(axis, out, copy, view)``: the gather is
+    ``np.take(storage, idx, axis, out=out)`` (then, when ``copy`` is
+    set, a copy of ``out``'s transpose into it), and ``view`` is what
+    the kernel is handed — a column-major ``(n, dim)`` lane array for a
+    single-slot ``idx`` (``lanes``, see :func:`_lane_buffer`), or
+    :meth:`~repro.core.dat.Dat.gather`'s ``(n, arity, dim)`` for a 2-D
+    one.  ``flat(key, per_lane)`` is ``n * per_lane`` contiguous
+    elements of the program's gather pool (:func:`_pooled`).  The
+    values are the gather's; only where they live differs.
     """
-    rows = dat.gather(idx)
-    if rows.flags.f_contiguous:
-        return rows
-    lanes = np.empty((dat.dim, idx.size), dtype=rows.dtype).T
-    lanes[...] = rows
-    return lanes
+    n, dim = idx.shape[0], dat.dim
+    per_lane = idx.size // max(1, n) * dim
+    if dat.layout == "soa":
+        out = flat("gather", per_lane).reshape(dim, *idx.shape)
+        return 1, out, None, out.T if lanes else np.moveaxis(out, 0, -1)
+    if not lanes:
+        out = flat("gather", per_lane).reshape(*idx.shape, dim)
+        return 0, out, None, out
+    if dim == 1:  # one column is column-major already
+        out = flat("gather", 1).reshape(n, 1)
+        return 0, out, None, out
+    # AoS rows through a staging buffer (one per dtype and dim, shared
+    # by the program's gathers), transposed into the lanes.
+    rows = flat(("rows", dat.dtype.str, dim), dim).reshape(n, dim)
+    copy = flat("gather", dim).reshape(dim, n)
+    return 0, rows, copy, copy.T
 
 
 def _merged_inc_groups(args) -> dict:
@@ -131,7 +146,8 @@ class _PhaseExec:
       per-run work at all);
     * READ globals are prebound to their (stable) value arrays;
     * gather-index arrays come from the strip's per-(map, slot) cache,
-      bound once;
+      bound once, and every gather lands in ``scratch`` too
+      (:func:`_prebound_gather`) — a strip allocates nothing;
     * increment accumulators and global-reduction partials are views of
       ``scratch`` — one buffer per argument position at ``cap`` lanes,
       shared by all the loop's strips and refilled in place each run; a
@@ -140,7 +156,7 @@ class _PhaseExec:
       writes, so no per-run interleave copy is made.
 
     Single-slot gathered operands and increment accumulators are
-    column-major lane arrays (:func:`_gather_lanes` /
+    column-major lane arrays (:func:`_prebound_gather` /
     :func:`_lane_buffer`): the paper's AoS -> SoA packing, so the
     generated kernel reads and writes each component of all lanes at
     unit stride.  Memory order changes no value, and a
@@ -153,7 +169,8 @@ class _PhaseExec:
     __slots__ = ("kernel_vec", "proto", "fills", "gathers", "writebacks",
                  "folds")
 
-    def __init__(self, bl, phase, scratch: dict, cap: int) -> None:
+    def __init__(self, bl, phase, scratch: dict, cap: int,
+                 pool: dict) -> None:
         args = bl.args
         elems = phase.elems
         nl = elems.size
@@ -161,7 +178,8 @@ class _PhaseExec:
         # loop's argument shapes, from the kernelc compile cache.
         self.kernel_vec = bl.kernel.vector_for(args)
         self.proto = [None] * len(args)  # prebound array; None: gathered
-        self.gathers = []     # (pos, dat, index array, as lanes?)
+        # (pos, dat, index array, *_prebound_gather's operation)
+        self.gathers = []
         # (dat, index array, pos, accumulator, serialize): a prebound
         # accumulator is scatter_add-ed, None scatters arrays[pos].
         self.writebacks = []
@@ -202,7 +220,15 @@ class _PhaseExec:
                 continue
             idx = elems if arg.is_direct else phase.index_for(arg)
             if arg.access is not Access.INC:
-                self.gathers.append((i, dat, idx, not arg.is_vector))
+                def flat(key, per_lane, g=len(self.gathers), dtype=dat.dtype):
+                    if key == "gather":  # the loop's g-th gather
+                        key = (key, g)
+                    return _pooled(pool, key, cap * per_lane,
+                                   dtype)[:nl * per_lane]
+
+                self.gathers.append((i, dat, idx, *_prebound_gather(
+                    dat, idx, not arg.is_vector, flat
+                )))
                 if arg.access.writes:
                     self.writebacks.append((dat, idx, i, None, None))
             elif arg.is_vector:
@@ -248,8 +274,14 @@ class _PhaseExec:
         arrays = self.proto.copy()
         for buf, fill in self.fills:
             buf[...] = fill
-        for pos, dat, idx, lanes in self.gathers:
-            arrays[pos] = _gather_lanes(dat, idx) if lanes else dat.gather(idx)
+        for pos, dat, idx, axis, out, copy, view in self.gathers:
+            dat._sync()
+            # Indices come from range-checked Maps and plan element
+            # arrays; "clip" spares take() a buffered copy of ``out``.
+            np.take(dat._storage, idx, axis=axis, out=out, mode="clip")
+            if copy is not None:
+                copy[...] = out.T
+            arrays[pos] = view
         self.kernel_vec(*arrays)
         for dat, idx, pos, acc, ser in self.writebacks:
             if acc is None:
@@ -260,12 +292,24 @@ class _PhaseExec:
             fold_lanes(mode, reductions[pos], arrays[pos])
 
 
-def _prepare_strips(bl, strips) -> list:
+def _pooled(pool: dict, key, size: int, dtype) -> np.ndarray:
+    """``size`` elements of the program-wide gather buffer ``key``
+    (grown when a loop needs more).  A strip's gathers are spent by the
+    time its run returns, so every loop of a program can share them."""
+    key = (key, np.dtype(dtype).str)
+    buf = pool.get(key)
+    if buf is None or buf.size < size:
+        buf = pool[key] = np.empty(size, dtype=dtype)
+    return buf[:size]
+
+
+def _prepare_strips(bl, strips, pool: dict) -> list:
     """Loop ``bl``'s prepared execution of each of ``strips``, all
-    sharing one set of scratch buffers sized to the largest strip."""
+    sharing one set of scratch buffers sized to the largest strip, and
+    gathering into the program's ``pool`` (:func:`_pooled`)."""
     cap = max((s.elems.size for s in strips), default=0)
     scratch = {}
-    return [_PhaseExec(bl, s, scratch, cap) for s in strips]
+    return [_PhaseExec(bl, s, scratch, cap, pool) for s in strips]
 
 
 class VectorizedBackend(Backend):
@@ -344,7 +388,8 @@ class VectorizedBackend(Backend):
             return Backend.run_chain(self, compiled, repeat)
         program = compiled.exec_cache.get(self)
         if program is None:
-            program = [self._prepare_group(g) for g in compiled.groups]
+            pool = {}
+            program = [self._prepare_group(g, pool) for g in compiled.groups]
             compiled.exec_cache[self] = program
         for run_group in program:
             run_group()
@@ -357,8 +402,9 @@ class VectorizedBackend(Backend):
             for bl in group.loops
         )
 
-    def _prepare_group(self, group):
-        """Compile one group into a zero-re-analysis replay closure."""
+    def _prepare_group(self, group, pool: dict):
+        """Compile one group into a zero-re-analysis replay closure
+        (gathering into the program's ``pool``)."""
         if not self._group_batchable(group):
             # Conservative fallback: eager execution per loop (which
             # itself falls back to scalar sweeps etc. exactly as an
@@ -376,7 +422,7 @@ class VectorizedBackend(Backend):
             for strip in phase.strips(self.vec)
         ]
         # execs[k][s]: loop k's prepared execution of strip s.
-        execs = [_prepare_strips(bl, strips) for bl in loops]
+        execs = [_prepare_strips(bl, strips, pool) for bl in loops]
         stats = self.stats
 
         def run_group() -> None:
@@ -446,6 +492,7 @@ class VectorizedBackend(Backend):
         """Compile the tiled schedule into zero-re-analysis closures."""
         loops = compiled.loops
         program = []
+        pool = {}
         for part in compiled.tiled.parts:
             if isinstance(part, BarrierLoop):
                 bl = loops[part.loop_index]
@@ -468,7 +515,9 @@ class VectorizedBackend(Backend):
                     )
                     for strip in sub.strips(self.vec)
                 ]
-                execs = _prepare_strips(bl, [strip for _, strip in owned])
+                execs = _prepare_strips(
+                    bl, [strip for _, strip in owned], pool
+                )
                 for (t, _), pe in zip(owned, execs):
                     tiles[t].append((j, pe))
             stats = self.stats

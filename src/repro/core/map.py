@@ -59,6 +59,10 @@ class Map:
         self.name = name if name is not None else f"map_{next(_map_counter)}"
         self._uid = next(_map_counter)
         self._gather_span: Optional[float] = None
+        #: Structure derived from this map (and a partner map) alone,
+        #: by key — a Mat sparsity (:func:`repro.core.mat.sparsity`).
+        #: Lives as long as the map.
+        self._derived: dict = {}
 
         values = np.asarray(values)
         expected = from_set.size * arity

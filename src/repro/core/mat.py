@@ -7,7 +7,8 @@ functions) that scatters into a global sparse operator addressed through
 a **pair of maps** — rows through ``rmap``, columns through ``cmap``.  A
 :class:`Mat` is that operator: declared over the ``(rmap, cmap)`` pair,
 its CSR sparsity derived from the mesh connectivity the first time it is
-needed, and accepted by :func:`~repro.core.loop.par_loop` as an ``INC``
+needed (once per map pair: every Mat over the pair shares one
+:class:`Sparsity`), and accepted by :func:`~repro.core.loop.par_loop` as an ``INC``
 argument (built with :func:`arg_mat`) alongside ``Dat``/``Global``.
 
 Two-phase deterministic assembly
@@ -121,18 +122,11 @@ class Mat:
             dtype=dtype,
             name=f"{self.name}_elem",
         )
-        # CSR sparsity + canonical-reduction machinery, derived from the
-        # map pair on first use ("plan time": connectivity only, no data).
-        self._indptr: Optional[np.ndarray] = None
-        self._indices: Optional[np.ndarray] = None
-        self._nnz = 0
-        self._fold_table: Optional[np.ndarray] = None
-        self._fold_width = 0
-        self._n_staged = 0
-        self._slot_rows: Optional[np.ndarray] = None
-        self._nnz_set: Optional[Set] = None
+        # CSR sparsity + canonical-reduction machinery: a function of
+        # the map pair alone, shared with every Mat over it (``Sparsity``)
+        # and looked up on first use ("plan time": connectivity only).
+        self._sparsity: Optional[Sparsity] = None
         self._values: Optional[Dat] = None
-        self._solver_view: Optional[Tuple[Map, Map]] = None
         self._dirichlet_cache: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
@@ -161,82 +155,33 @@ class Mat:
         return (self.rmap.arity, self.cmap.arity)
 
     # ------------------------------------------------------------------
-    # Sparsity construction (lazy, connectivity-only).
+    # Sparsity (lazy, connectivity-only, shared per map pair).
     # ------------------------------------------------------------------
-    def _ensure_sparsity(self) -> None:
-        if self._indptr is not None:
-            return
-        a1, a2 = self.rmap.arity, self.cmap.arity
-        # COO triplets in staging order: entry (e, i, j) lives at staged
-        # column a2 * i + j of element e.
-        rows = np.repeat(self.rmap.values, a2, axis=1).reshape(-1)
-        cols = np.tile(self.cmap.values, (1, a1)).reshape(-1)
-        keys = rows.astype(np.int64) * self.ncols + cols
-        # ``np.unique`` sorts keys => (row, col) lexicographic = CSR
-        # order; ``inverse`` is each staged entry's CSR slot.
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        self._nnz = int(uniq.size)
-        self._indices = (uniq % self.ncols).astype(np.int64)
-        uniq_rows = (uniq // self.ncols).astype(np.int64)
-        counts = np.bincount(uniq_rows, minlength=self.nrows)
-        self._indptr = np.concatenate(
-            ([0], np.cumsum(counts))
-        ).astype(np.int64)
-        # Canonical reduction order: CSR slot major, staging (= element)
-        # order minor — the stable sort pins the element-minor tiebreak,
-        # so the fold order never depends on how the loop executed.  The
-        # order is materialized as a fixed-width per-slot contribution
-        # table (row = CSR slot, columns = staged-entry indices in fold
-        # order, padded with the synthetic zero contribution
-        # ``n_staged``): assemble() sums its columns left to right, and
-        # the matrix-free action kernels replicate exactly that fold.
-        n_staged = inverse.size
-        order = np.argsort(inverse, kind="stable")
-        slot_counts = np.bincount(inverse, minlength=self._nnz)
-        starts = np.concatenate(
-            ([0], np.cumsum(slot_counts)[:-1])
-        ).astype(np.int64)
-        width = int(slot_counts.max(initial=1))
-        self._n_staged = int(n_staged)
-        self._fold_width = max(width, 1)
-        table = np.full(
-            (self._nnz + 1, self._fold_width), n_staged, dtype=np.int64
-        )
-        slot_ids = np.repeat(
-            np.arange(self._nnz, dtype=np.int64), slot_counts
-        )
-        pos = np.arange(n_staged, dtype=np.int64) - starts[slot_ids]
-        table[slot_ids, pos] = order
-        self._fold_table = table
-        # Row index of every CSR slot (shared by set_dirichlet, the
-        # solver view and the host-side conveniences).
-        self._slot_rows = np.repeat(
-            np.arange(self.nrows, dtype=np.int64), counts
-        )
-        # Values live in a Dat over the nonzero set so SpMV can read
-        # them through maps like any other par_loop operand; one extra
-        # trailing slot stays 0.0 forever — the padding target of the
-        # fixed-arity solver view.
-        self._nnz_set = Set(self._nnz + 1, f"{self.name}_nnz")
-        self._values = Dat(
-            self._nnz_set, 1, dtype=self.staging.dtype,
-            name=f"{self.name}_csr",
-        )
+    def _ensure_sparsity(self) -> "Sparsity":
+        sp = self._sparsity
+        if sp is None:
+            sp = self._sparsity = sparsity(self.rmap, self.cmap, self.name)
+            # Values live in a Dat over the nonzero set so SpMV can read
+            # them through maps like any other par_loop operand; one
+            # extra trailing slot stays 0.0 forever — the padding target
+            # of the fixed-arity solver view.
+            self._values = Dat(
+                sp.nnz_set, 1, dtype=self.staging.dtype,
+                name=f"{self.name}_csr",
+            )
+        return sp
 
     @property
     def indptr(self) -> np.ndarray:
-        self._ensure_sparsity()
-        return self._indptr
+        return self._ensure_sparsity().indptr
 
     @property
     def indices(self) -> np.ndarray:
-        self._ensure_sparsity()
-        return self._indices
+        return self._ensure_sparsity().indices
 
     @property
     def nnz(self) -> int:
-        self._ensure_sparsity()
-        return self._nnz
+        return self._ensure_sparsity().nnz
 
     @property
     def fold_table(self) -> np.ndarray:
@@ -249,20 +194,17 @@ class Mat:
         :meth:`assemble` sums the columns left to right from ``0.0``,
         which is the exact fold the matrix-free kernels replicate.
         """
-        self._ensure_sparsity()
-        return self._fold_table
+        return self._ensure_sparsity().fold_table
 
     @property
     def fold_width(self) -> int:
         """Maximum contributions per CSR slot (fold-table width)."""
-        self._ensure_sparsity()
-        return self._fold_width
+        return self._ensure_sparsity().fold_width
 
     @property
     def n_staged(self) -> int:
         """Staged contribution count (= elements × local entries)."""
-        self._ensure_sparsity()
-        return self._n_staged
+        return self._ensure_sparsity().n_staged
 
     @property
     def values(self) -> Dat:
@@ -302,17 +244,17 @@ class Mat:
         layout, chaining and tiling, and reproduced bit for bit by the
         matrix-free coefficient kernels.
         """
-        self._ensure_sparsity()
+        sp = self._ensure_sparsity()
         staged = self.staging.data
-        flat = np.ascontiguousarray(staged).reshape(-1)[: self._n_staged]
+        flat = np.ascontiguousarray(staged).reshape(-1)[: sp.n_staged]
         padded = np.concatenate(
             [flat, np.zeros(1, dtype=flat.dtype)]
         )
-        acc = np.zeros(self._nnz, dtype=flat.dtype)
-        table = self._fold_table
-        for c in range(self._fold_width):
-            acc += padded[table[: self._nnz, c]]
-        self._values.data[: self._nnz, 0] = acc
+        acc = np.zeros(sp.nnz, dtype=flat.dtype)
+        table = sp.fold_table
+        for c in range(sp.fold_width):
+            acc += padded[table[: sp.nnz, c]]
+        self._values.data[: sp.nnz, 0] = acc
         self.assembled = True
         self.assemble_calls += 1
         return self
@@ -331,7 +273,7 @@ class Mat:
         the same boundary mask every step pay two fancy-indexed stores
         and nothing else (no per-step index allocation).
         """
-        self._ensure_sparsity()
+        sp = self._ensure_sparsity()
         mask = np.asarray(row_mask, dtype=bool)
         if mask.shape != (self.nrows,):
             raise ValueError(
@@ -339,15 +281,15 @@ class Mat:
             )
         cached = self._dirichlet_cache
         if cached is None or not np.array_equal(cached[0], mask):
-            rows = self._slot_rows
-            drop = mask[rows] | mask[self._indices]
-            diag_slots = (rows == self._indices) & mask[rows]
+            rows = sp.slot_rows
+            drop = mask[rows] | mask[sp.indices]
+            diag_slots = (rows == sp.indices) & mask[rows]
             cached = (mask.copy(), drop, diag_slots)
             self._dirichlet_cache = cached
         _, drop, diag_slots = cached
         vals = self._values.data
-        vals[: self._nnz, 0][drop] = 0.0
-        vals[: self._nnz, 0][diag_slots] = diag
+        vals[: sp.nnz, 0][drop] = 0.0
+        vals[: sp.nnz, 0][diag_slots] = diag
 
     # ------------------------------------------------------------------
     # Fixed-arity (padded ELL) row view for the par_loop SpMV.
@@ -355,8 +297,7 @@ class Mat:
     @property
     def max_row_nnz(self) -> int:
         """Maximum row degree — the solver view's padded arity."""
-        self._ensure_sparsity()
-        return int(np.diff(self._indptr).max(initial=0))
+        return self._ensure_sparsity().max_row_nnz
 
     def solver_view(self) -> Tuple[Map, Map]:
         """``(row_slots, row_cols)`` — the padded fixed-arity row view.
@@ -365,33 +306,16 @@ class Mat:
         (padded with the always-zero slot ``nnz``); ``row_cols`` maps to
         the matching column elements (padded with the row itself — the
         gathered x value is multiplied by the zero pad slot, so the pad
-        column never contributes).  Built once and cached; the maps are
-        connectivity, so re-assembly and Dirichlet edits reuse them.
+        column never contributes).  Built once per map pair; the maps
+        are connectivity, so re-assembly, Dirichlet edits and every
+        other Mat over the pair reuse them.
         """
-        if self._solver_view is not None:
-            return self._solver_view
-        self._ensure_sparsity()
         if self.row_set is not self.col_set:
             raise ValueError(
                 "solver_view requires a square operator "
                 "(row and column sets must be the same Set)"
             )
-        width = self.max_row_nnz
-        slots = np.full((self.nrows, width), self._nnz, dtype=np.int64)
-        cols = np.tile(
-            np.arange(self.nrows, dtype=np.int64)[:, None], (1, width)
-        )
-        rows = self._slot_rows
-        position = np.arange(self._nnz, dtype=np.int64) - self._indptr[rows]
-        slots[rows, position] = np.arange(self._nnz, dtype=np.int64)
-        cols[rows, position] = self._indices
-        self._solver_view = (
-            Map(self.row_set, self._nnz_set, width, slots,
-                f"{self.name}_row_slots"),
-            Map(self.row_set, self.col_set, width, cols,
-                f"{self.name}_row_cols"),
-        )
-        return self._solver_view
+        return self._ensure_sparsity().solver_view()
 
     # ------------------------------------------------------------------
     # Host-side conveniences (tests, RHS construction, diagnostics).
@@ -405,18 +329,19 @@ class Mat:
             )
         vals = self.data
         y = np.zeros(self.nrows, dtype=self.dtype)
-        np.add.at(y, self._slot_rows, vals * x[self._indices])
+        sp = self._sparsity
+        np.add.at(y, sp.slot_rows, vals * x[sp.indices])
         return y
 
     def todense(self) -> np.ndarray:
         """Dense ``(nrows, ncols)`` copy (small meshes / tests only)."""
-        self._ensure_sparsity()
+        sp = self._ensure_sparsity()
         dense = np.zeros((self.nrows, self.ncols), dtype=self.dtype)
-        dense[self._slot_rows, self._indices] = self.data
+        dense[sp.slot_rows, sp.indices] = self.data
         return dense
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        shape = f"{self.nrows}x{self.ncols}" if self._indptr is not None \
+        shape = f"{self.nrows}x{self.ncols}" if self._sparsity is not None \
             else f"{self.row_set.size}x{self.col_set.size} (sparsity pending)"
         return (
             f"Mat({self.name!r}, {shape}, local={self.local_shape}, "
@@ -428,6 +353,94 @@ class Mat:
 
     def __eq__(self, other: object) -> bool:
         return self is other
+
+
+class Sparsity:
+    """The CSR sparsity of one ``(rmap, cmap)`` pair and what derives
+    from the pair alone: the canonical fold table, the nonzero set and,
+    on first use, the solver view.  Built once per pair by
+    :func:`sparsity` and shared by every :class:`Mat` over it (each
+    keeps its own staging and values), so a fresh Mat on a known mesh
+    builds nothing.  ``derived`` holds further structure of the pair
+    (the matrix-free operator's contribution maps)."""
+
+    def __init__(self, rmap: Map, cmap: Map, name: str) -> None:
+        a1, a2 = rmap.arity, cmap.arity
+        nrows, ncols = rmap.to_set.size, cmap.to_set.size
+        # COO triplets in staging order: entry (e, i, j) lives at staged
+        # column a2 * i + j of element e.
+        rows = np.repeat(rmap.values, a2, axis=1).reshape(-1)
+        cols = np.tile(cmap.values, (1, a1)).reshape(-1)
+        keys = rows.astype(np.int64) * ncols + cols
+        # ``np.unique`` sorts keys => (row, col) lexicographic = CSR
+        # order; ``inverse`` is each staged entry's CSR slot.
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        self.nnz = nnz = int(uniq.size)
+        self.indices = (uniq % ncols).astype(np.int64)
+        uniq_rows = (uniq // ncols).astype(np.int64)
+        counts = np.bincount(uniq_rows, minlength=nrows)
+        self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        # Canonical reduction order: CSR slot major, staging (= element)
+        # order minor — the stable sort pins the element-minor tiebreak,
+        # so the fold order never depends on how the loop executed.  The
+        # order is materialized as a fixed-width per-slot contribution
+        # table (row = CSR slot, columns = staged-entry indices in fold
+        # order, padded with the synthetic zero contribution
+        # ``n_staged``): assemble() sums its columns left to right, and
+        # the matrix-free action kernels replicate exactly that fold.
+        n_staged = inverse.size
+        order = np.argsort(inverse, kind="stable")
+        slot_counts = np.bincount(inverse, minlength=nnz)
+        starts = np.concatenate(
+            ([0], np.cumsum(slot_counts)[:-1])
+        ).astype(np.int64)
+        self.n_staged = int(n_staged)
+        self.fold_width = max(int(slot_counts.max(initial=1)), 1)
+        table = np.full((nnz + 1, self.fold_width), n_staged, dtype=np.int64)
+        slot_ids = np.repeat(np.arange(nnz, dtype=np.int64), slot_counts)
+        pos = np.arange(n_staged, dtype=np.int64) - starts[slot_ids]
+        table[slot_ids, pos] = order
+        self.fold_table = table
+        # Row index of every CSR slot (shared by set_dirichlet, the
+        # solver view and the host-side conveniences).
+        self.slot_rows = np.repeat(np.arange(nrows, dtype=np.int64), counts)
+        self.max_row_nnz = int(counts.max(initial=0))
+        self.row_set = rmap.to_set
+        self.nnz_set = Set(nnz + 1, f"{name}_nnz")
+        self.name = name
+        self._solver_view: Optional[Tuple[Map, Map]] = None
+        self.derived: dict = {}
+
+    def solver_view(self) -> Tuple[Map, Map]:
+        """:meth:`Mat.solver_view` of every Mat over the pair."""
+        if self._solver_view is not None:
+            return self._solver_view
+        nrows, width, nnz = self.row_set.size, self.max_row_nnz, self.nnz
+        slots = np.full((nrows, width), nnz, dtype=np.int64)
+        cols = np.tile(np.arange(nrows, dtype=np.int64)[:, None], (1, width))
+        rows = self.slot_rows
+        position = np.arange(nnz, dtype=np.int64) - self.indptr[rows]
+        slots[rows, position] = np.arange(nnz, dtype=np.int64)
+        cols[rows, position] = self.indices
+        self._solver_view = (
+            Map(self.row_set, self.nnz_set, width, slots,
+                f"{self.name}_row_slots"),
+            Map(self.row_set, self.row_set, width, cols,
+                f"{self.name}_row_cols"),
+        )
+        return self._solver_view
+
+
+def sparsity(rmap: Map, cmap: Map, name: str) -> Sparsity:
+    """The :class:`Sparsity` of ``(rmap, cmap)``, built on first request
+    and kept on ``rmap`` (so it lives as long as the maps do).  The
+    shared nonzero set and solver-view maps are named after the first
+    Mat over the pair (``name``)."""
+    key = ("sparsity", cmap._uid)
+    sp = rmap._derived.get(key)
+    if sp is None:
+        sp = rmap._derived[key] = Sparsity(rmap, cmap, name)
+    return sp
 
 
 def arg_mat(mat: Mat, access: Access = Access.INC) -> Arg:

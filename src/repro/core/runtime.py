@@ -389,10 +389,13 @@ class Runtime:
 
         native = dict(native_cache_stats())
         # Normalized aliases over the historical counter names: a disk
-        # or memory hit is a hit; a compile (cold fill) or failed
-        # compile is a miss; sha-keyed content addressing never evicts
-        # in memory (the disk layer's mtime-LRU reports via "store").
-        native["hits"] = native["mem_hits"] + native["disk_hits"]
+        # or memory hit is a hit, and so is a chain served by a program
+        # of its shape (``program_hits``: nothing emitted or loaded); a
+        # compile (cold fill) or failed compile is a miss; sha-keyed
+        # content addressing never evicts in memory (the disk layer's
+        # mtime-LRU reports via "store").
+        native["hits"] = (native["mem_hits"] + native["disk_hits"]
+                          + native["program_hits"])
         native["misses"] = native["compiles"] + native["failures"]
         native["evictions"] = 0
         native["max_entries"] = None
@@ -454,9 +457,10 @@ class Runtime:
         native["owner_facets"] = len(facets)
         native["owner_facet_ms"] = sum(f.build_ms for f in facets)
         native["chains"] = {
-            label: [{"kernel": k, "elements": n, "verdict": v, "lanes": lanes}
+            label: [{"kernel": k, "elements": n, "verdict": v, "lanes": lanes,
+                     "program": program}
                     for k, n, v, lanes in verdicts]
-            for label, verdicts in getattr(
+            for label, (verdicts, program) in getattr(
                 self.backend, "thread_verdicts", {}).items()
         }
         return native

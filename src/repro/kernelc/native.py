@@ -52,7 +52,9 @@ objects live in memory per process and on disk under
 :func:`native_cache_dir` keyed by that hash and the compile flags, so
 warm processes skip the compiler entirely.  This is the sixth cache
 kind surfaced by :meth:`repro.core.runtime.Runtime.stats`:
-loop → plan → chain → tiled → kernelc → native.
+loop → plan → chain → tiled → kernelc → native.  Above it, the native
+backend keeps built programs by chain shape, so a chain of a known
+shape emits and loads nothing (``program_hits``).
 
 Anything outside the translatable subset raises
 :class:`NativeUnsupported`; the native backend then falls back (see
@@ -306,6 +308,17 @@ OWNER_CHUNKS = 16
 #: costs compile time instead (the AVX-512 build of a lowered TU takes
 #: ~2x as long), which a small loop does not earn back.
 THREAD_MIN_ELEMENTS = 32768
+#: A loop lowered one element at a time (``scalar`` lanes) unrolls the
+#: gather and the writeback of a vector argument of at most this many
+#: values (arity x dim) into one named row index and one copy per value,
+#: which gcc keeps in registers; a larger one stays a ``for`` loop over
+#: a stack array.  Measured on ``aero_solve`` (gcc 12, 2 vCPU): at 16
+#: the CG matvec's 9-row gather unrolls and the native calls of a unit
+#: take ~15 % less time than with no unrolling (8 leaves it a loop);
+#: unrolling every argument also unrolls ``matfree_coeffs``' 36-row
+#: gathers for no further gain, its TU 584 -> 998 lines and ~0.3 ->
+#: 0.7 s of ``cc`` (CHANGES.md has the sweep).
+UNROLL_MAX_VALUES = 16
 #: Owner ranges re-running more than this share of a loop's elements
 #: (a non-local numbering) leave the loop serial.
 OWNER_MAX_DUP = 1.25
@@ -1367,7 +1380,8 @@ class _LoopEmitter:
                     f"m{spec.map_slot}[e * {spec.arity} + {spec.map_index}];"
                 )
         # Vector-argument gathers (copies, exactly like scalar_views);
-        # unrolled across lanes, so each slot is a scalar of the lane.
+        # unrolled across lanes, so each slot is a scalar of the lane,
+        # and in a scalar loop up to UNROLL_MAX_VALUES values.
         for k, spec in enumerate(self.specs):
             if spec.kind != "vector":
                 continue
@@ -1376,7 +1390,7 @@ class _LoopEmitter:
                 body.append(f"{ind}{self.ft} v{k}[{size}] = {{0.0{self.sfx}}};")
                 continue
             body.append(f"{ind}{self.ft} v{k}[{size}];")
-            if lanes != "scalar":
+            if lanes != "scalar" or size <= UNROLL_MAX_VALUES:
                 for l in range(spec.arity):
                     body.append(f"{ind}const i64 kc_r{k}_{l} = "
                                 f"m{spec.map_slot}[e * {spec.arity} + {l}];")
@@ -1419,6 +1433,9 @@ class _LoopEmitter:
                             for i in range(spec.arity * spec.dim))
                 continue
             op = "+=" if spec.access is Access.INC else "="
+            if spec.arity * spec.dim <= UNROLL_MAX_VALUES:
+                body.extend(self._unrolled_writeback(k, op, ind))
+                continue
             body.append(f"{ind}for (int l = 0; l < {spec.arity}; ++l) {{")
             body.append(
                 f"{ind}    const i64 r = m{spec.map_slot}"
@@ -1483,6 +1500,28 @@ class _LoopEmitter:
         if self._columns:
             out.extend(self._emit_column_fold())
         out.append("")
+        return out
+
+    def _unrolled_writeback(self, k: int, op: str, ind: str) -> List[str]:
+        """Vector argument ``k``'s writeback, one row at a time: the
+        gather's named row indices (an ``INC`` has no gather and names
+        its own), each row's stores under its owner guard."""
+        spec = self.specs[k]
+        out: List[str] = []
+        for l in range(spec.arity):
+            row = f"kc_r{k}_{l}"
+            if spec.access is Access.INC:
+                out.append(f"{ind}const i64 {row} = "
+                           f"m{spec.map_slot}[e * {spec.arity} + {l}];")
+            stores = [f"{self._addr(spec, row, c)} {op} "
+                      f"v{k}[{l * spec.dim + c}];" for c in range(spec.dim)]
+            owned = self._owned(k, row)
+            if owned:
+                out.append(f"{ind}if ({owned}) {{")
+                out.extend(f"{ind}    {st}" for st in stores)
+                out.append(f"{ind}}}")
+            else:
+                out.extend(f"{ind}{st}" for st in stores)
         return out
 
     def _packet_loop(self, body: List[str]) -> List[str]:
@@ -1944,6 +1983,7 @@ _stats = {
     "mem_hits": 0,
     "failures": 0,
     "fallbacks": 0,
+    "program_hits": 0,
 }
 _mem_libs: Dict[str, tuple] = {}
 _cc_probe: Dict[tuple, Optional[str]] = {}
@@ -1981,6 +2021,12 @@ def _count_build(counter: str, reason: str) -> None:
 def count_native_fallback() -> None:
     """Record one chain/loop that fell back off the native path."""
     _stats["fallbacks"] += 1
+
+
+def count_program_hit() -> None:
+    """Record one chain served by a program built for an earlier chain
+    of its shape: nothing emitted, hashed or loaded."""
+    _stats["program_hits"] += 1
 
 
 def reset_native_cache() -> None:
@@ -2242,12 +2288,16 @@ def _compile_and_load(ffi, cc: str, source: str, flags: Sequence[str],
 # Executable chain programs
 # ----------------------------------------------------------------------
 class NativeChainProgram:
-    """A compiled chain plus its pointer-table binding.
+    """A compiled chain plus its pointer-table recipe.
 
     The shared object is pure code — all runtime state arrives through
-    the ``void **`` table, refreshed from the live arrays before every
-    run, so one cached ``.so`` serves any process (and any number of
-    identically-shaped chains via :meth:`rebind`).
+    the ``void **`` table, which every call fills from the live arrays
+    of the loops it is handed (:meth:`run_fused`, :meth:`run_eager`):
+    slot by slot, from the recipe's ``(loop, argument, kind)``.  So one
+    cached ``.so`` serves any process, and one program any number of
+    chains of its shape; a built program keeps no loop's arrays
+    (``loops`` is empty, or for an eager program names only the
+    kernel and the extent).
     """
 
     def __init__(self, source: str, loops: Sequence,
@@ -2298,8 +2348,8 @@ class NativeChainProgram:
             return arg.map.values
         return arg.dat._data  # gbl
 
-    def _refresh(self, loops=None, overrides: Optional[Dict[int, np.ndarray]] = None) -> None:
-        loops = self.loops if loops is None else loops
+    def _refresh(self, loops,
+                 overrides: Optional[Dict[int, np.ndarray]] = None) -> None:
         for slot in range(len(self.recipe)):
             arr = self._recipe_array(slot, loops)
             if overrides and slot in overrides:
@@ -2307,10 +2357,11 @@ class NativeChainProgram:
             self._ptab[slot] = self.ffi.cast("void *", arr.ctypes.data)
 
     # -- replay entry points -------------------------------------------
-    def run_fused(self, repeat=None):
-        """The whole chain in one call; with ``repeat`` the whole
-        *repeat* (a TU built with it): returns the record per trip."""
-        self._refresh()
+    def run_fused(self, loops, repeat=None):
+        """The whole chain over ``loops`` (bound loops of this program's
+        shape) in one call; with ``repeat`` the whole *repeat* (a TU
+        built with it): returns the record per trip."""
+        self._refresh(loops)
         if repeat is None:
             self.lib.kc_run_fused(self._ptab)
             hist = None
@@ -2359,8 +2410,9 @@ class _EagerLoop:
 def build_chain_program(loops: Sequence, name: str = "chain",
                         repeat=None, threads: bool = True
                         ) -> NativeChainProgram:
-    """Emit + compile + bind one chain (``repeat``: with its back
-    edge; ``threads``: see :func:`emit_chain_source`).  Raises
+    """Emit + compile one chain (``repeat``: with its back edge;
+    ``threads``: see :func:`emit_chain_source`) into a program that
+    runs any chain of the same shape.  Raises
     :class:`NativeUnsupported` on untranslatable kernels or compile
     failure."""
     plan = _plan_chain(loops, threads)
@@ -2369,17 +2421,19 @@ def build_chain_program(loops: Sequence, name: str = "chain",
     ptab, emitters, _ = plan
     verdicts = [(em.bl.kernel.name, em.bl.n, str(em.verdict), str(em.lanes))
                 for em in emitters]
-    return NativeChainProgram(source, loops, ptab.recipe, ptab.buffers,
-                              verdicts)
+    program = NativeChainProgram(source, loops, ptab.recipe, ptab.buffers,
+                                 verdicts)
+    program.loops = ()
+    return program
 
 
 def build_eager_program(kernel, args, n: int) -> NativeChainProgram:
     """A one-loop program for eager ``par_loop`` dispatch.
 
     :meth:`~NativeChainProgram.run_eager` binds the caller's arguments
-    on every call, so once bound the program keeps only its slot recipe
-    and ``n`` — not the first call's Dats, which the backend's program
-    cache would otherwise keep alive."""
+    on every call, so the program keeps only its slot recipe and ``n``
+    — not the first call's Dats, which the backend's program cache
+    would otherwise keep alive."""
     bl = _EagerLoop(kernel, tuple(args), int(n))
     program = build_chain_program([bl], name=f"eager:{kernel.name}",
                                   threads=False)

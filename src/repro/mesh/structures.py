@@ -10,7 +10,7 @@ Dats on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -48,6 +48,10 @@ class UnstructuredMesh:
     _localization: object = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Memo of :meth:`derived`.
+    _derived: Dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def map(self, name: str) -> Map:
@@ -56,6 +60,15 @@ class UnstructuredMesh:
                 f"Mesh has no map {name!r}; available: {sorted(self.maps)}"
             )
         return self.maps[name]
+
+    def derived(self, key: str, build: Callable[[], object]) -> object:
+        """``build()``, computed once per mesh object and ``key``: set-up
+        that is a function of the mesh alone (an app's quadrature
+        tables), shared by every sim on it and kept as long as the mesh
+        (meshes are treated as immutable once built)."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def summary(self) -> Dict[str, int]:
         return {

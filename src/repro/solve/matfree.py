@@ -212,7 +212,7 @@ class MatFreeOperator:
         bc: Dat,
         diag: float = 1.0,
     ) -> None:
-        mat._ensure_sparsity()
+        sp = mat._ensure_sparsity()
         self.mat = mat
         self.set = mat.row_set
         self.rho = rho
@@ -220,10 +220,8 @@ class MatFreeOperator:
         self.row_slots, self.row_cols = mat.solver_view()
         self.width = W = self.row_slots.arity
         a1, a2 = mat.local_shape
-        nrows = mat.nrows
         n_elem = mat.elem_set.size
         n_staged = mat.n_staged
-        nnz = mat.nnz
         maxc = mat.fold_width
         if maxc > MAX_FOLD_CONTRIBUTIONS:
             raise ValueError(
@@ -233,21 +231,12 @@ class MatFreeOperator:
                 f"contribution); this sparsity has {maxc}"
             )
         self.maxc = C = maxc
-        # Per-row contribution tables gathered straight from the Mat's
-        # canonical fold table (row = CSR slot, padded with the
-        # synthetic zero contribution n_staged) — identical order by
-        # construction.
-        contribs = mat.fold_table[self.row_slots.values]  # (nrows, W, C)
-        elems = np.where(contribs == n_staged, 0, contribs // (a1 * a2))
-        contrib_set = Set(n_staged + 1, f"{mat.name}_mf_contrib")
-        self.row2contrib = Map(
-            self.set, contrib_set, W * C, contribs.reshape(nrows, W * C),
-            f"{mat.name}_mf_row2contrib",
-        )
-        self.row2elem = Map(
-            self.set, mat.elem_set, W * C, elems.reshape(nrows, W * C),
-            f"{mat.name}_mf_row2elem",
-        )
+        # The contribution maps and the Dirichlet diagonal selector are
+        # connectivity: built once per map pair, with its sparsity.
+        key = ("matfree", float(diag))
+        if key not in sp.derived:
+            sp.derived[key] = _connectivity(mat, float(diag))
+        contrib_set, self.row2contrib, self.row2elem, dsel = sp.derived[key]
         # Static factor Dats: per-contribution gradient products (dim G,
         # zero padding row => padded terms contribute an exact 0.0) and
         # per-element |det J| at each Gauss point.
@@ -263,27 +252,20 @@ class MatFreeOperator:
             )
         self.ngauss = G
         dtype = mat.dtype
-        qflat = quad.transpose(0, 2, 1).reshape(n_staged, G)
+        # Contribution-major, plus the zero padding row: kept with the
+        # sparsity for the tables it was made from (one set at a time —
+        # a sim's tables are a function of its mesh).
+        cached = sp.derived.get("matfree_quad")
+        if cached is None or cached[0] is not quad:
+            qflat = quad.transpose(0, 2, 1).reshape(n_staged, G)
+            cached = sp.derived["matfree_quad"] = (
+                quad, np.concatenate([qflat, np.zeros((1, G))]),
+            )
         self.quad = Dat(
-            contrib_set, G,
-            np.concatenate([qflat, np.zeros((1, G))]), dtype,
-            name=f"{mat.name}_mf_quad",
+            contrib_set, G, cached[1], dtype, name=f"{mat.name}_mf_quad",
         )
         self.geom = Dat(
             mat.elem_set, G, geom, dtype, name=f"{mat.name}_mf_geom",
-        )
-        # Dirichlet diagonal selector: `diag` at the row's diagonal slot
-        # position, 0.0 elsewhere (pad slots carry the nnz sentinel, so
-        # a padded position can never select).
-        degrees = np.diff(mat.indptr)
-        rows_of_slot = np.repeat(
-            np.arange(nrows, dtype=np.int64), degrees
-        )
-        diag_mask = rows_of_slot == mat.indices
-        diag_slot = np.full(nrows, nnz, dtype=np.int64)
-        diag_slot[rows_of_slot[diag_mask]] = np.flatnonzero(diag_mask)
-        dsel = np.where(
-            self.row_slots.values == diag_slot[:, None], float(diag), 0.0
         )
         self.dsel = Dat(self.set, W, dsel, dtype, name=f"{mat.name}_mf_dsel")
         #: Refreshed per-row action coefficients: the raw operator and
@@ -369,3 +351,37 @@ class MatFreeOperator:
         """
         set_, *args = self.action_args(x, y)
         par_loop(self.kernels["action"], set_, *args, runtime=runtime)
+
+
+def _connectivity(mat: Mat, diag: float):
+    """``(contrib_set, row2contrib, row2elem, dsel)`` of a matrix-free
+    operator over ``mat``'s sparsity: a function of the map pair (and
+    ``diag``) alone."""
+    row_slots, _ = mat.solver_view()
+    nrows, W = mat.nrows, row_slots.arity
+    a1, a2 = mat.local_shape
+    n_staged, nnz, C = mat.n_staged, mat.nnz, mat.fold_width
+    # Per-row contribution tables gathered straight from the Mat's
+    # canonical fold table (row = CSR slot, padded with the synthetic
+    # zero contribution n_staged) — identical order by construction.
+    contribs = mat.fold_table[row_slots.values]  # (nrows, W, C)
+    elems = np.where(contribs == n_staged, 0, contribs // (a1 * a2))
+    contrib_set = Set(n_staged + 1, f"{mat.name}_mf_contrib")
+    row2contrib = Map(
+        mat.row_set, contrib_set, W * C, contribs.reshape(nrows, W * C),
+        f"{mat.name}_mf_row2contrib",
+    )
+    row2elem = Map(
+        mat.row_set, mat.elem_set, W * C, elems.reshape(nrows, W * C),
+        f"{mat.name}_mf_row2elem",
+    )
+    # Dirichlet diagonal selector: `diag` at the row's diagonal slot
+    # position, 0.0 elsewhere (pad slots carry the nnz sentinel, so a
+    # padded position can never select).
+    degrees = np.diff(mat.indptr)
+    rows_of_slot = np.repeat(np.arange(nrows, dtype=np.int64), degrees)
+    diag_mask = rows_of_slot == mat.indices
+    diag_slot = np.full(nrows, nnz, dtype=np.int64)
+    diag_slot[rows_of_slot[diag_mask]] = np.flatnonzero(diag_mask)
+    dsel = np.where(row_slots.values == diag_slot[:, None], diag, 0.0)
+    return contrib_set, row2contrib, row2elem, dsel

@@ -19,6 +19,7 @@ receives its updates in the sequential order, so native stays bitwise
   source scalar, counted, with the same bits.
 """
 
+import functools
 import json
 import os
 import shutil
@@ -304,6 +305,158 @@ class TestPacketEdgesBitwise:
                 got = _edge_case("native", n, targets, layout, chained, True)
                 for r, g in zip(ref, got):
                     assert _same_bits(r, g), (layout, chained)
+
+
+# ----------------------------------------------------------------------
+# Scalar loops: vector gathers and writebacks unrolled up to a bound
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _unroll_kernels(arity, dim):
+    """Kernels over a vector argument of ``arity`` rows of ``dim``: a
+    READ gather, an RW round trip and an INC (the writeback without a
+    gather), plus an INC beside a branch-guarded indirect store (lanes
+    stay scalar in a threaded owner loop)."""
+    from repro.core import Kernel
+
+    def gather(x, w, y):
+        acc = 0.0
+        for k in range(arity):
+            for c in range(dim):
+                acc += x[k][c] * w[0]
+        y[0] = acc
+
+    def round_trip(w, v):
+        for k in range(arity):
+            for c in range(dim):
+                v[k][c] = v[k][c] * 0.5 + w[0]
+
+    def increment(w, v):
+        for k in range(arity):
+            for c in range(dim):
+                v[k][c] += w[0] * (k + 1.0)
+
+    def guarded(w, s, v):
+        if w[0] > 0.0:
+            s[0] += w[0]
+        for k in range(arity):
+            for c in range(dim):
+                v[k][c] += w[0] - c
+
+    tag = f"{arity}x{dim}"
+    return {f.__name__: Kernel(f"ln_u{f.__name__}_{tag}", f)
+            for f in (gather, round_trip, increment, guarded)}
+
+
+def _unroll_setup(targets, dim, layout="aos", owner=False):
+    """Dats over ``targets`` (``(n, arity)``) and ``build(rt)``, which
+    records the unroll kernels' loops on ``rt``."""
+    n, arity = targets.shape
+    k = _unroll_kernels(arity, dim)
+    rng = np.random.default_rng(n * arity + dim)
+    edges, cells = Set(n, "edges"), Set(int(targets.max()) + 1, "cells")
+    e2c = Map(edges, cells, arity, targets, name="e2c")
+
+    def dat(set_, d, values, name):
+        return Dat(set_, d, values, name=name, layout=layout)
+
+    x = dat(cells, dim, rng.standard_normal((cells.size, dim)), "x")
+    v = dat(cells, dim, rng.standard_normal((cells.size, dim)), "v")
+    sc = dat(cells, 1, np.zeros((cells.size, 1)), "s")
+    w = dat(edges, 1, rng.standard_normal((n, 1)), "w")
+    y = dat(edges, 1, np.zeros((n, 1)), "y")
+
+    def build(rt):
+        if owner:
+            par_loop(k["guarded"], edges, arg_dat(w, IDX_ID, None, READ),
+                     arg_dat(sc, 0, e2c, INC), arg_dat(v, IDX_ALL, e2c, INC),
+                     runtime=rt)
+            return
+        par_loop(k["gather"], edges, arg_dat(x, IDX_ALL, e2c, READ),
+                 arg_dat(w, IDX_ID, None, READ),
+                 arg_dat(y, IDX_ID, None, WRITE), runtime=rt)
+        par_loop(k["round_trip"], edges, arg_dat(w, IDX_ID, None, READ),
+                 arg_dat(v, IDX_ALL, e2c, RW), runtime=rt)
+        par_loop(k["increment"], edges, arg_dat(w, IDX_ID, None, READ),
+                 arg_dat(x, IDX_ALL, e2c, INC), runtime=rt)
+
+    return (x, v, sc, y), build
+
+
+def _unroll_run(backend, targets, dim, layout="aos", chained=False,
+                owner=False):
+    """The Dats' values after one run of the unroll loops."""
+    dats, build = _unroll_setup(targets, dim, layout, owner)
+    rt = Runtime(backend)
+    if chained:
+        with rt.chain():
+            build(rt)
+    else:
+        build(rt)
+    return [d.data.copy() for d in dats]
+
+
+def _unroll_maps(n, arity):
+    rng = np.random.default_rng(n + arity)
+    hub = rng.integers(0, 5, (n, arity))
+    hub[:, 0] = 0
+    return {
+        "random": rng.integers(0, max(2, n // 3), (n, arity)),
+        "hub": hub,
+        "repeated": np.repeat(rng.integers(0, 6, (n, 1)), arity, axis=1),
+    }
+
+
+#: (arity, dim) just below, at and just above the unroll bound.
+_AROUND_BOUND = [(5, 3), (8, 2), (17, 1)]
+
+
+@needs_cc
+class TestScalarGatherUnroll:
+    @pytest.mark.parametrize("arity,dim", _AROUND_BOUND)
+    def test_unrolled_up_to_the_bound(self, arity, dim, monkeypatch):
+        monkeypatch.setattr(native, "THREAD_MIN_ELEMENTS", 1 << 20)
+        _, build = _unroll_setup(_unroll_maps(40, arity)["random"], dim)
+        lanes, source = _lanes(build)
+        assert set(lanes.values()) == {"scalar: 40 elements < 1048576"}
+        unrolled = arity * dim <= native.UNROLL_MAX_VALUES == 16
+        assert ("for (int l = 0;" in source) == (not unrolled)
+        assert (f"const i64 kc_r0_{arity - 1} = " in source) == unrolled
+
+    @pytest.mark.parametrize("arity,dim", _AROUND_BOUND)
+    @pytest.mark.parametrize("shape", ["random", "hub", "repeated"])
+    def test_against_the_interpreter(self, arity, dim, shape, monkeypatch):
+        monkeypatch.setattr(native, "THREAD_MIN_ELEMENTS", 1 << 20)
+        targets = _unroll_maps(40, arity)[shape]
+        ref = _unroll_run("sequential", targets, dim)
+        for layout in ("aos", "soa"):
+            for chained in (False, True):
+                got = _unroll_run("native", targets, dim, layout, chained)
+                for r, g in zip(ref, got):
+                    assert _same_bits(r, g), (layout, chained)
+
+    @pytest.mark.parametrize("arity,dim", _AROUND_BOUND)
+    def test_owner_guarded_writeback(self, arity, dim):
+        """Threaded, an owner loop kept scalar guards each unrolled
+        row's stores, and keeps the bits."""
+        n = 2048  # local enough for owner chunks at every arity
+        targets = np.arange(n)[:, None] + np.arange(arity)[None, :]
+        _, build = _unroll_setup(targets, dim, owner=True)
+        rt = Runtime("sequential")
+        with rt.chain():
+            build(rt)
+        (compiled,) = rt._chains.values()
+        _, (em,), _ = native._plan_chain(compiled.loops, True)
+        assert em.verdict.kind == "owner"
+        assert str(em.lanes) == "scalar: store through a map under a branch"
+        guard = "if (kc_r2_0 >= kc_lo0 && kc_r2_0 < kc_hi0) {"
+        assert (guard in emit_chain_source(compiled.loops)) == (
+            arity * dim <= native.UNROLL_MAX_VALUES)
+        ref = _unroll_run("sequential", targets, dim, owner=True)
+        for layout in ("aos", "soa"):
+            got = _unroll_run("native", targets, dim, layout, chained=True,
+                              owner=True)
+            for r, g in zip(ref, got):
+                assert _same_bits(r, g), layout
 
 
 @needs_cc

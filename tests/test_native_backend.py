@@ -266,7 +266,7 @@ class TestEagerProgramsHoldNoDats:
         rt = Runtime("native")
         sim = APPS["airfoil"](rt, chained=False)
         sim.run(1)
-        assert rt.backend._eager_programs
+        assert rt.backend._programs
         dead = weakref.ref(sim.state.p_q)
         del sim
         gc.collect()
@@ -277,6 +277,125 @@ class TestEagerProgramsHoldNoDats:
                        chained=False)
         for (a,), (b,) in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def _aero_run(rt, mesh, chained=True):
+    """A fresh matrix-free AeroSim on ``mesh``, two Picard steps:
+    ``(sim, phi, rho, CG histories)``."""
+    sim = AeroSim(mesh, runtime=rt, chained=chained, operator="matfree",
+                  cg_tol=1e-9)
+    res = sim.solve(picard=2)
+    return sim, sim.phi.copy(), sim.rho.copy(), \
+        [c.history for c in res.cg_results]
+
+
+def _same_run(a, b):
+    return (np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+            and a[3] == b[3])
+
+
+class _Spies:
+    """Counts of the set-up a fresh sim should not redo."""
+
+    def __init__(self, monkeypatch):
+        from repro.apps.aero import driver
+        from repro.core import mat
+        from repro.kernelc import cache, native
+        from repro.store import keys
+
+        self.calls = {}
+
+        def spy(owner, name, label=None, when=lambda *a: True):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                if when(*args):
+                    key = label or name
+                    self.calls[key] = self.calls.get(key, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(native, "emit_chain_source", "emit")
+        spy(native, "load_native_library", "load")
+        spy(cache, "parse_kernel", "parse")
+        spy(keys.inspect, "getsource")
+        spy(keys, "digest", "map hash", when=lambda *a: a[0] == "map")
+        spy(mat.Sparsity, "__init__", "sparsity")
+        spy(mat.Sparsity, "solver_view", "solver view",
+            when=lambda sp: sp._solver_view is None)
+        spy(driver, "element_quadrature_tables", "quadrature")
+
+
+@needs_cc
+class TestFreshSimReuse:
+    """A fresh sim on a warm runtime rebuilds nothing its mesh already
+    determines, and shares nothing with a sim on another mesh."""
+
+    def test_second_aero_sim_builds_nothing(self, monkeypatch):
+        from repro.kernelc import native_cache_stats
+
+        mesh = make_airfoil_mesh(16, 8)
+        rt = Runtime("native")
+        first = _aero_run(rt, mesh)
+        spies = _Spies(monkeypatch)
+        before = native_cache_stats()
+        second = _aero_run(rt, mesh)
+        after = native_cache_stats()
+        assert spies.calls == {}
+        for counter in ("compiles", "disk_hits", "mem_hits", "failures"):
+            assert after[counter] == before[counter], counter
+        assert after["program_hits"] > before["program_hits"]
+        chains = rt.stats()["native"]["chains"]
+        assert chains and all(loop["program"] == "reused"
+                              for loops in chains.values() for loop in loops)
+        assert first[0].state.mat._sparsity is second[0].state.mat._sparsity
+        assert first[0].matfree.row2elem is second[0].matfree.row2elem
+        # The same bits as the first sim and as the interpreter.
+        assert _same_run(first, second)
+        assert _same_run(
+            first, _aero_run(Runtime("sequential"), mesh, chained=False)
+        )
+
+    def test_other_meshes_and_apps_get_their_own_programs(self):
+        from repro.kernelc import native_cache_stats
+
+        def loads():  # programs built: each loads a library
+            s = native_cache_stats()
+            return s["compiles"] + s["disk_hits"] + s["mem_hits"]
+
+        rt = Runtime("native")
+        _aero_run(rt, make_airfoil_mesh(16, 8))
+        for dims, builds in (((18, 8), True), ((16, 8), False)):
+            mesh = make_airfoil_mesh(*dims)
+            before = loads()
+            got = _aero_run(rt, mesh)
+            assert (loads() > before) == builds, dims
+            assert _same_run(
+                got, _aero_run(Runtime("sequential"), mesh, chained=False)
+            )
+        before = loads()
+        got = _states("airfoil", rt, chained=True)
+        assert loads() > before
+        want = _states("airfoil", Runtime("sequential"), chained=False)
+        assert all(np.array_equal(a, b) for (a,), (b,) in zip(got, want))
+
+    def test_structural_caches_pin_no_sim_dat(self):
+        mesh = make_airfoil_mesh(16, 8)
+        rt = Runtime("native")
+        sim = _aero_run(rt, mesh)[0]
+        dead = [weakref.ref(d) for d in (
+            sim.state.p_phi, sim.state.p_rho, sim.state.mat.values,
+            sim.matfree.coeffs_bc, sim.matfree.quad, sim.matfree.geom,
+        )]
+        del sim
+        gc.collect()
+        assert all(ref() is None for ref in dead)
+        # What stays is the mesh's and the runtime's: a fresh sim still
+        # reuses it.
+        again = _aero_run(rt, mesh)
+        assert rt.stats()["native_cache"]["program_hits"] > 0
+        assert again[0].state.mat._sparsity is not None
 
 
 @needs_cc

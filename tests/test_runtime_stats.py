@@ -228,7 +228,7 @@ class TestStatsSurface:
         # counters next to the normalized aliases.
         assert set(stats["native_cache"]) == self.CANONICAL | {
             "compiles", "disk_hits", "mem_hits", "failures", "fallbacks",
-            "store",
+            "program_hits", "store",
         }
         assert "tune_cache" not in stats
         # The tiled lowering is a chain-cache entry kind: its key
@@ -340,7 +340,8 @@ class TestNativeCacheCounters:
         s = rt.stats()["native_cache"]
         store = s.pop("store")
         assert s == {"compiles": 0, "disk_hits": 0, "mem_hits": 0,
-                     "failures": 0, "fallbacks": 0, "entries": 0,
+                     "failures": 0, "fallbacks": 0, "program_hits": 0,
+                     "entries": 0,
                      "hits": 0, "misses": 0, "evictions": 0,
                      "max_entries": None}
         # The disk layer stayed silent too (reset_native_cache zeroed
