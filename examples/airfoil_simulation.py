@@ -61,7 +61,6 @@ def main() -> None:
     timings = {}
     for label, backend in [
         ("scalar (sequential)", "sequential"),
-        ("SIMT (OpenCL analogue)", "simt"),
         ("vectorized (intrinsics analogue)", "vectorized"),
     ]:
         s = AirfoilSim(mesh, runtime=Runtime(backend, block_size=256))

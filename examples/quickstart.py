@@ -123,7 +123,6 @@ if __name__ == "__main__":
     for backend, scheme in [
         ("vectorized", "two_level"),
         ("vectorized", "full_permute"),
-        ("simt", "two_level"),
         ("vectorized", "block_permute"),
     ]:
         eager = run_eager(backend, scheme)

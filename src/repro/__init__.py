@@ -2,10 +2,9 @@
 Many-core Architectures" (Reguly, László, Mudalige, Giles).
 
 An OP2-like domain-specific library for unstructured-mesh computations
-with scalar, explicitly-vectorized (SIMD), SIMT (OpenCL/CUDA-analogue) and
-native-C execution backends, three applications (the Airfoil CFD
-benchmark, the Volna shallow-water tsunami solver and an aero FEM
-solve), and a calibrated
+with scalar, explicitly-vectorized (SIMD) and native-C execution
+backends, three applications (the Airfoil CFD benchmark, the Volna
+shallow-water tsunami solver and an aero FEM solve), and a calibrated
 performance model regenerating every table and figure of the paper's
 evaluation.
 

@@ -6,17 +6,13 @@ paper's parallelization strategies.
 
 from .base import Backend, LoopStats, gather_batch, scatter_batch
 from .native import NativeBackend
-from .openmp import OpenMPBackend
 from .sequential import SequentialBackend
-from .simt import SIMTBackend
 from .vectorized import VectorizedBackend
 
 __all__ = [
     "Backend",
     "LoopStats",
     "NativeBackend",
-    "OpenMPBackend",
-    "SIMTBackend",
     "SequentialBackend",
     "VectorizedBackend",
     "gather_batch",

@@ -7,21 +7,22 @@ parallelization strategies:
 ========================  =====================================================
 ``sequential``            scalar element-at-a-time loop — the generated pure
                           MPI stub of Fig 2b (one single-threaded process)
-``openmp``                scalar execution ordered by the two-level coloring
-                          plan — OP2's non-vectorized OpenMP backend
 ``vectorized``            explicit SIMD: gather → batched vector kernel →
                           serialized/colored scatter over cache-sized
                           strips of each color phase (Fig 3b); under a
                           ``full_permute`` / ``block_permute`` plan it is
                           the compiler auto-vectorization analogue
                           (Section 6.5): free scatters
-``simt``                  OpenCL/CUDA analogue: work-groups = plan blocks in
-                          lockstep, block-level colored increments (Fig 3a)
+``native``                one compiled C program per loop chain
+                          (:mod:`repro.backends.native`): owner-computes
+                          threads and SIMD lanes in ascending order
 ========================  =====================================================
 
-All backends must produce results identical (to floating-point reordering
-tolerance) to ``sequential`` — the central correctness property of the
-test suite, swept across both data layouts.
+Results fall in two classes against ``sequential``, swept across both
+data layouts by the test suite: ``native`` (with a C compiler) is
+bitwise equal to it, and ``vectorized`` runs each loop in colour-phase
+order, so indirect increments reach a target in a different order and
+results differ at rounding level.
 
 The gather/scatter contract
 ---------------------------
@@ -143,8 +144,7 @@ class Backend:
 
         ``"ascending"`` (plain ``0..n`` sweeps), ``"phases"`` (the
         plan's color-phase order) or ``None`` when this backend's
-        execution is not sliceable bitwise-safely (batch-boundary-
-        sensitive machinery like SIMT per-block gathers).  The base class
+        execution is not sliceable bitwise-safely.  The base class
         answers ``None``: correctness first — an unknown backend falls
         back to the fused program.
         """

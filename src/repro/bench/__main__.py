@@ -20,23 +20,19 @@ from .tables import ALL_TABLES
 
 
 def dump_kernel(name: str) -> int:
-    """Print the kernelc-generated sources for one application kernel.
+    """Print the kernelc-generated vector kernel for one application kernel.
 
     Shapes are harvested from a real traced time step (a tiny sim run
     with a chained sequential runtime), so the dump shows exactly what
-    the backends compile: the specialized scalar loop stub and the
-    batched vector kernel for that loop's argument signature.
+    the vectorized backend compiles: the batched vector kernel for that
+    loop's argument signature.
     """
     import numpy as np
 
     from ..apps.airfoil import AirfoilSim
     from ..apps.volna import VolnaSim
     from ..core import Runtime
-    from ..kernelc import (
-        generate_loop_source,
-        supports,
-        vector_source_for,
-    )
+    from ..kernelc import UnvectorizableKernel, vector_source_for
     from ..mesh import make_airfoil_mesh, make_tri_mesh
 
     from ..apps.aero import AeroSim
@@ -61,17 +57,8 @@ def dump_kernel(name: str) -> int:
               f"{', '.join(sorted(loops))}")
         return 1
     kernel, args = loops[name]
-    print(f"# ---- {name}: specialized scalar stub "
-          f"(repro.kernelc.scalar) ----")
-    if supports(args):
-        print(generate_loop_source(kernel.name, args))
-    else:
-        print("# shape outside the stub subset "
-              "(generic interpreter fallback)\n")
     print(f"# ---- {name}: generated vector kernel "
           f"(repro.kernelc.vector) ----")
-    from ..kernelc import UnvectorizableKernel
-
     try:
         print(vector_source_for(kernel, args))
     except UnvectorizableKernel as exc:
@@ -90,7 +77,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--dump-kernel", metavar="NAME", default=None,
-        help="print the kernelc-generated scalar stub and vector kernel "
+        help="print the kernelc-generated vector kernel "
              "for one application kernel (e.g. res_calc, compute_flux)",
     )
     parser.add_argument("--outdir", default=None, help="output directory")

@@ -39,8 +39,6 @@ from .chain import (
     fusion_groups,
     pair_fusable,
 )
-from ..backends.codegen import CodegenBackend
-from ..kernelc.scalar import compile_loop, generate_loop_source
 from .dat import (
     LAYOUTS,
     Dat,
@@ -84,16 +82,13 @@ __all__ = [
     "Runtime",
     "Set",
     "WRITE",
-    "CodegenBackend",
     "arg_dat",
     "arg_gbl",
     "arg_mat",
     "build_plan",
     "chain",
     "compile_chain",
-    "compile_loop",
     "fusion_groups",
-    "generate_loop_source",
     "pair_fusable",
     "dat_layout",
     "default_runtime",

@@ -70,11 +70,12 @@ class Kernel:
     info:
         Arithmetic metadata for the performance model.
     vectorizable_simt:
-        Whether the SIMT (OpenCL-analogue) compiler would vectorize this
-        kernel.  The paper's Table VI shows the Intel OpenCL compiler
-        vectorizing a *different* subset of kernels on CPU vs Phi; this
-        flag carries the CPU answer, the Phi compiler vectorizes anything
-        with a vector form.
+        Whether the paper's OpenCL compiler vectorizes this kernel on
+        the CPU.  Table VI shows the Intel OpenCL compiler vectorizing a
+        *different* subset of kernels on CPU vs Phi; this flag carries
+        the CPU answer (the Phi compiler vectorizes any kernel with a
+        vector form).  Only the performance model reads it
+        (:mod:`repro.perfmodel.workloads`).
     """
 
     def __init__(

@@ -189,14 +189,6 @@ class Coloring:
     permutation: Optional[Permutation] = None
     block_permutation: Optional[BlockPermutation] = None
     stats: Dict[str, float] = field(default_factory=dict)
-    #: Block ids grouped by colour (derived, never persisted).
-    blocks_by_color: List[np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.blocks_by_color = [
-            np.nonzero(self.block_colors == c)[0].astype(np.int64)
-            for c in range(max(self.n_block_colors, 0))
-        ]
 
 
 @dataclass(frozen=True)
@@ -292,9 +284,6 @@ class Plan:
     block_colors / n_block_colors:
         First-level coloring: same-colored blocks never share an indirect
         write target and may run concurrently.
-    blocks_by_color:
-        Block ids grouped by color (execution order of the OpenMP/SIMT
-        backends).
     elem_colors / block_ncolors:
         Second-level coloring used by the ``two_level`` scheme to
         serialize indirect increments within a block.
@@ -358,7 +347,6 @@ class Plan:
 
     block_colors = _colour_facet("block_colors")
     n_block_colors = _colour_facet("n_block_colors")
-    blocks_by_color = _colour_facet("blocks_by_color")
     elem_colors = _colour_facet("elem_colors")
     block_ncolors = _colour_facet("block_ncolors")
     permutation = _colour_facet("permutation")
@@ -488,6 +476,12 @@ class Plan:
                 out.append(ph.slice(s - p_lo, e - p_lo))
         return out
 
+    def _colour_blocks(self) -> List[np.ndarray]:
+        """Block ids of each block colour, ascending within a colour."""
+        block_colors = self.block_colors
+        return [np.nonzero(block_colors == c)[0]
+                for c in range(self.n_block_colors)]
+
     def _build_phases(self, n: int, start: int) -> List["Phase"]:
         stats = self.gather_stats
         if self.is_direct:
@@ -496,7 +490,7 @@ class Plan:
 
         phases: List[Phase] = []
         if self.scheme == "two_level":
-            for color_blocks in self.blocks_by_color:
+            for color_blocks in self._colour_blocks():
                 ranges = []
                 for b in color_blocks:
                     lo, hi = self.layout.block_range(int(b))
@@ -516,7 +510,7 @@ class Plan:
                     phases.append(Phase(elems, serialize=False, counters=stats))
         elif self.scheme == "block_permute":
             bp = self.block_permutation
-            for color_blocks in self.blocks_by_color:
+            for color_blocks in self._colour_blocks():
                 max_c = max(
                     (bp.block_ncolors(int(b)) for b in color_blocks), default=0
                 )

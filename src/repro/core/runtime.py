@@ -6,28 +6,35 @@ backend chosen at build/run time; here the same separation is a runtime
 case (serial experimentation) zero-ceremony, while benchmarks construct
 isolated runtimes per configuration.
 
-Four cache levels keep steady-state execution cheap:
+Six cache kinds keep steady-state execution cheap, each reported by
+:meth:`Runtime.stats` under the same ``hits`` / ``misses`` /
+``evictions`` / ``entries`` / ``max_entries`` keys:
 
-1. the structural :class:`~repro.core.plan.PlanCache` (coloring reused by
-   every loop with the same racing access structure),
-2. a **loop cache** keyed by ``(kernel, set, args signature)`` — the
-   exact call site — that skips even the signature normalization and
+1. ``plan_cache``: the structural :class:`~repro.core.plan.PlanCache`
+   (coloring reused by every loop with the same racing access
+   structure);
+2. ``loop_cache``: keyed by ``(kernel, set, args signature)`` — the
+   exact call site — it skips even the signature normalization and
    returns the memoized plan directly.  Because plans memoize their
    whole-color phases and gather index arrays
    (:meth:`~repro.core.plan.Plan.phases`), a cache hit here means a
-   repeated invocation rebuilds *no* index arrays at all; and
-3. a **chain cache** keyed by the structural signature of a whole
+   repeated invocation rebuilds *no* index arrays at all;
+3. ``chain_cache``: keyed by the structural signature of a whole
    recorded loop sequence (:mod:`repro.core.chain`): a steady-state
    time step traced with ``with runtime.chain():`` replays a
-   pre-analyzed, pre-fused schedule with zero re-analysis; and
-4. the **kernel-compilation cache** (:mod:`repro.kernelc`): generated
-   batched kernels memoized per (kernel, argument shape), so each
-   kernel's vector form is derived from its scalar source exactly once
-   per shape for the whole process.
+   pre-analyzed, pre-fused schedule with zero re-analysis;
+4. ``tiled_cache``: sparse-tiled schedules, which live on the compiled
+   chains that own them, so only their disk layer counts;
+5. ``kernelc_cache`` (:mod:`repro.kernelc`): generated batched kernels
+   memoized per (kernel, argument shape), so each kernel's vector form
+   is derived from its scalar source exactly once per shape for the
+   whole process; and
+6. ``native_cache`` (:mod:`repro.kernelc.native`): compiled C programs,
+   in memory by content hash and chain shape.
 
-All of them are LRU-bounded (configurable ``*_entries`` knobs) so
-long-running processes cannot grow them without bound;
-:meth:`Runtime.stats` exposes the hit/miss/eviction counters.
+The plan, loop, chain and kernelc caches are LRU-bounded (configurable
+``*_entries`` knobs) so long-running processes cannot grow them without
+bound; all but the loop cache also persist through :mod:`repro.store`.
 """
 
 from __future__ import annotations
@@ -37,10 +44,7 @@ from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Set as SetOf, Tuple
 
 from ..backends.base import Backend
-from ..backends.codegen import CodegenBackend
-from ..backends.openmp import OpenMPBackend
 from ..backends.sequential import SequentialBackend
-from ..backends.simt import SIMTBackend
 from ..backends.vectorized import VectorizedBackend
 from .access import Arg
 from .chain import CompiledChain, LoopChain, LoopSpec, compile_chain
@@ -86,28 +90,28 @@ def loop_signature(kernel: Kernel, set_: Set, args: Sequence[Arg]) -> Tuple:
     )
 
 
-def make_backend(name: str, **options) -> Backend:
-    """Instantiate a backend by registry name.
+#: The backend registry names :func:`make_backend` accepts
+#: (:class:`Runtime` also takes the ``"auto"`` rule).
+BACKENDS = ("sequential", "vectorized", "native")
 
-    Names: ``sequential``, ``openmp``, ``vectorized``, ``simt``,
-    ``codegen``, ``native``.  Options are forwarded
-    (``vec=`` — lanes per strip — for vectorized, ``device=`` for
-    simt).
+
+def make_backend(name: str, **options) -> Backend:
+    """Instantiate a backend by registry name (one of :data:`BACKENDS`).
+
+    Options are forwarded (``vec=`` — lanes per strip — for
+    vectorized).
     """
+    if name not in BACKENDS:
+        raise KeyError(
+            f"Unknown backend {name!r}; available: {list(BACKENDS)}"
+        )
     from ..backends.native import NativeBackend
 
     registry = {
         "sequential": SequentialBackend,
-        "openmp": OpenMPBackend,
         "vectorized": VectorizedBackend,
-        "simt": SIMTBackend,
-        "codegen": CodegenBackend,
         "native": NativeBackend,
     }
-    if name not in registry:
-        raise KeyError(
-            f"Unknown backend {name!r}; available: {sorted(registry)}"
-        )
     return registry[name](**options)
 
 
@@ -346,7 +350,9 @@ class Runtime:
         return compiled
 
     def clear_caches(self) -> None:
-        """Drop all cache levels (cold-start; used by the cache ablation)."""
+        """Drop this runtime's plan, loop and chain caches and their
+        counters (a cold start for this runtime; the process-wide
+        kernelc and native caches are untouched)."""
         self.plans.clear()
         self._loop_plans.clear()
         self.loop_cache_hits = 0

@@ -1,4 +1,4 @@
-"""kernelc — the kernel-compilation subsystem (IR + three emitters).
+"""kernelc — the kernel-compilation subsystem (IR + two emitters).
 
 The paper's central mechanism is a code generator that turns one
 high-level kernel into specialized scalar *and* vectorized
@@ -9,10 +9,6 @@ SIMD kernels).  This package is that generator:
     :func:`parse_kernel` reads a scalar Python kernel with :mod:`ast`
     and lowers it into a small validated IR (straight-line statements,
     per-argument loads/stores, branches, bounded ``range`` loops).
-``scalar``
-    The specialized per-shape *loop stub* emitter, covering direct,
-    indirect, vector — including vector INC — and global-reduction
-    arguments.
 ``vector``
     The batched-kernel emitter: one NumPy function over ``(lanes, dim)``
     gathered blocks per argument-shape signature, branches lowered to
@@ -58,7 +54,6 @@ from .native import (
     reset_native_cache,
     source_key,
 )
-from .scalar import compile_loop, generate_loop_source, loop_shape_key, supports
 from .vector import VectorEmitter, compile_vector, emit_vector_source
 
 __all__ = [
@@ -74,22 +69,18 @@ __all__ = [
     "build_eager_program",
     "cache_stats",
     "clear_cache",
-    "compile_loop",
     "compile_vector",
     "compiler_available",
     "emit_chain_source",
     "emit_vector_source",
     "estimate_flops",
-    "generate_loop_source",
     "kernel_ir",
-    "loop_shape_key",
     "native_cache_dir",
     "native_cache_stats",
     "param_shapes",
     "parse_kernel",
     "reset_native_cache",
     "source_key",
-    "supports",
     "vector_kernel_for",
     "vector_source_for",
     "vectorizable",

@@ -1,9 +1,8 @@
 """Native chain compilation: one C translation unit per loop chain.
 
-The third kernelc emitter.  :mod:`repro.kernelc.scalar` specializes the
-dispatch loop, :mod:`repro.kernelc.vector` derives batched NumPy
-kernels; this module lowers a whole *traced loop chain* — every
-:class:`~repro.core.chain.BoundLoop` of a
+The second kernelc emitter.  :mod:`repro.kernelc.vector` derives
+batched NumPy kernels; this module lowers a whole *traced loop
+chain* — every :class:`~repro.core.chain.BoundLoop` of a
 :class:`~repro.core.chain.CompiledChain` — into a single C translation
 unit: per-element gathers, the scalar kernel body, and the scatters
 fused into one native loop per chain member, with AoS/SoA index

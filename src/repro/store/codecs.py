@@ -57,8 +57,7 @@ def encode_plan(plan: Plan) -> dict:
 
     Reads the plan's colour facets — materialising them if nothing has
     yet — so only call this on a plan that was coloured anyway.
-    ``blocks_by_color`` is derived from ``block_colors`` on decode, and
-    the phase/order/gather caches rebuild lazily — they are cheap
+    The phase/order/gather caches rebuild lazily — they are cheap
     relative to the graph coloring this skips.
     """
     coloring = plan.coloring()

@@ -11,31 +11,44 @@ from __future__ import annotations
 
 import os
 
-#: (backend name, scheme, options) matrix every equivalence test sweeps.
+#: (backend name, scheme, options) matrix every equivalence test sweeps:
+#: each ``vectorized`` scheme at the default strip width (one strip per
+#: small phase), at ``vec=8`` (many full strips) and, for the two
+#: permute schemes, at ``vec=3`` (a ragged last strip in every phase);
+#: ``auto`` is the ``Runtime("auto")`` rule.
 BACKEND_MATRIX = [
     ("sequential", "two_level", {}),
-    ("codegen", "two_level", {}),
-    ("openmp", "two_level", {}),
     ("vectorized", "two_level", {}),
     ("vectorized", "full_permute", {}),
     ("vectorized", "block_permute", {}),
-    ("simt", "two_level", {"device": "cpu"}),
-    ("simt", "two_level", {"device": "phi"}),
     ("vectorized", "full_permute", {"vec": 8}),
     ("vectorized", "block_permute", {"vec": 8}),
     ("native", "two_level", {}),
+    ("vectorized", "two_level", {"vec": 8}),
+    ("vectorized", "full_permute", {"vec": 3}),
+    ("vectorized", "block_permute", {"vec": 3}),
+    ("auto", "two_level", {}),
 ]
 
 
 def _apply_backend_override(matrix):
     """``REPRO_BACKEND=<name>`` restricts the matrix to one backend (the
-    CI native/fallback jobs force ``native``).  Unknown names get a
-    single default-scheme row so the sweep still exercises them."""
+    CI native/fallback jobs force ``native``); ``auto`` is one row of
+    the ``Runtime("auto")`` rule.  Any other name raises here, at
+    import, rather than inside every test that builds a runtime."""
     forced = os.environ.get("REPRO_BACKEND")
     if not forced:
         return matrix
-    subset = [row for row in matrix if row[0] == forced]
-    return subset or [(forced, "two_level", {})]
+    if forced == "auto":
+        return [("auto", "two_level", {})]
+    from repro.core.runtime import BACKENDS
+
+    if forced not in BACKENDS:
+        raise ValueError(
+            f"REPRO_BACKEND={forced!r} is not a backend; use one of "
+            f"{[*BACKENDS, 'auto']}"
+        )
+    return [row for row in matrix if row[0] == forced]
 
 
 BACKEND_MATRIX = _apply_backend_override(BACKEND_MATRIX)

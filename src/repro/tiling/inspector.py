@@ -295,7 +295,7 @@ def build_tiled_schedule(
     (:class:`repro.core.chain.BoundLoop`); ``tile_size`` the seed tile
     size in iterations of each segment's first loop; ``profile`` which
     eager element order to slice against (``"phases"`` for the batched
-    and plan-ordered backends, ``"ascending"`` for the scalar ones).
+    backends, ``"ascending"`` for the scalar one).
     """
     if profile not in PROFILES:
         raise ValueError(

@@ -100,7 +100,7 @@ class TiledSchedule:
     tile_size: int
     #: Which eager element order the cuts were computed against:
     #: ``"phases"`` (plan color-phase order — the batched backends) or
-    #: ``"ascending"`` (plain element order — the scalar backends).
+    #: ``"ascending"`` (plain element order — the scalar backend).
     profile: str
 
     # ------------------------------------------------------------------

@@ -35,12 +35,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-#: The roofline ridge point of the ``bound`` classification (flops per
-#: useful byte): a loop above it is compute-bound, below it
-#: bandwidth-bound.  50 GFLOP/s over 25 GB/s, a generic DDR node; only
-#: which side of the line a loop falls on is reported.
-MACHINE_BALANCE_FLOPS_PER_BYTE = 2.0
-
 
 class RuntimeProfile:
     """Per-runtime accumulator for loop/chain instrumentation."""
@@ -154,10 +148,7 @@ class RuntimeProfile:
         Joins the static per-loop estimates with the backend's measured
         ``LoopStats`` (calls / seconds / elements); ``est_gbs`` is the
         achieved useful bandwidth under the infinite-cache convention.
-        ``est_flops`` / ``est_gflops`` are the IR-derived compute totals,
-        and ``bound`` classifies the loop as ``"compute"`` or
-        ``"bandwidth"`` by its arithmetic intensity against
-        :data:`MACHINE_BALANCE_FLOPS_PER_BYTE`.
+        ``est_flops`` / ``est_gflops`` are the IR-derived compute totals.
         """
         loops: Dict[str, Dict[str, object]] = {}
         for name, info in self.loops.items():
@@ -168,11 +159,6 @@ class RuntimeProfile:
                 "bytes_per_element": bpe,
                 "flops_per_element": fpe,
                 "gather_span": float(info.get("gather_span", 0.0)),
-                "bound": (
-                    "compute"
-                    if fpe > bpe * MACHINE_BALANCE_FLOPS_PER_BYTE
-                    else "bandwidth"
-                ),
                 "calls": 0,
                 "seconds": 0.0,
                 "elements": 0,

@@ -1,8 +1,12 @@
-"""Backend equivalence: every backend must reproduce the sequential result.
+"""Backend equivalence against the sequential result.
 
 This is the library's central correctness property (paper Section 3: the
 abstraction assumes element order does not change results beyond FP
-reordering).  We sweep the full backend x scheme matrix on a mix of loop
+reordering).  Results fall in two classes: ``native`` runs elements in
+ascending order and is bitwise equal to ``sequential``; ``vectorized``
+runs colour phases, so indirect increments reach a target in another
+order and results differ at rounding level.  The tolerances below cover
+both.  We sweep the full backend x scheme matrix on a mix of loop
 shapes: direct, indirect-read, indirect-INC, vector arguments, global
 reductions, and kernels without vector forms.
 """
@@ -308,16 +312,12 @@ def no_vector_form(x, y):
 
 
 class TestScalarFallbacks:
-    @pytest.mark.parametrize(
-        "backend,options",
-        [("vectorized", {}), ("simt", {"device": "cpu"}),
-         ("simt", {"device": "phi"})],
-    )
-    def test_kernel_without_vector_form(self, backend, options):
+    @pytest.mark.parametrize("backend,scheme,options", BACKEND_MATRIX)
+    def test_kernel_without_vector_form(self, backend, scheme, options):
         s = Set(17, "s")
         x = Dat(s, 1, np.arange(17.0), name="x")
         y = Dat(s, 1, name="y")
-        rt = runtime_for(backend, "two_level", options, 4)
+        rt = runtime_for(backend, scheme, options, 4)
         par_loop(
             no_vector_form, s,
             arg_dat(x, IDX_ID, None, READ),
@@ -325,30 +325,6 @@ class TestScalarFallbacks:
             runtime=rt,
         )
         np.testing.assert_allclose(y.data[:, 0], np.arange(17.0) * 2)
-
-    def test_simt_cpu_refuses_unflagged_kernel(self):
-        # vectorizable_simt=False must take the scalar work-item path on
-        # CPU but the vector path on Phi; results identical either way.
-        @kernel("refused", vectorizable_simt=False)
-        def refused(x, y):
-            y[0] = x[0] + 1.0
-
-        @refused.vectorized
-        def refused_vec(x, y):
-            y[:, 0] = x[:, 0] + 1.0
-
-        for device in ("cpu", "phi"):
-            s = Set(9, "s")
-            x = Dat(s, 1, np.arange(9.0), name="x")
-            y = Dat(s, 1, name="y")
-            rt = runtime_for("simt", "two_level", {"device": device}, 4)
-            par_loop(
-                refused, s,
-                arg_dat(x, IDX_ID, None, READ),
-                arg_dat(y, IDX_ID, None, WRITE),
-                runtime=rt,
-            )
-            np.testing.assert_allclose(y.data[:, 0], np.arange(9.0) + 1)
 
 
 class TestValidationAndErrors:
@@ -425,7 +401,6 @@ def test_property_random_loops_equivalent(n_nodes, n_elems, block_size, seed):
     for bk, scheme in [
         ("vectorized", "two_level"),
         ("vectorized", "full_permute"),
-        ("simt", "two_level"),
         ("vectorized", "block_permute"),
     ]:
         np.testing.assert_allclose(

@@ -119,7 +119,6 @@ class TestDumpKernel:
     def test_dump_known_kernel(self, name, capsys):
         assert bench_main(["--dump-kernel", name]) == 0
         out = capsys.readouterr().out
-        assert f"# ---- {name}: specialized scalar stub" in out
         assert f"# ---- {name}: generated vector kernel" in out
 
     def test_unknown_kernel_rejected(self, capsys):

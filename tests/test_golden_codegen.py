@@ -1,8 +1,8 @@
 """Golden-source snapshots for both kernelc emitters.
 
-Every generated artifact — the specialized scalar loop stubs and the
-batched vector kernels for the Airfoil and Volna loop shapes — is
-snapshotted as text under ``tests/golden/`` and diffed in CI, so any
+Every generated artifact — the batched vector kernels for the app loop
+shapes and the native C translation unit of every traced app chain —
+is snapshotted as text under ``tests/golden/`` and diffed in CI, so any
 codegen change shows up as a reviewable source diff rather than as an
 opaque behavioural shift.
 
@@ -14,12 +14,9 @@ Regenerate intentionally changed snapshots with::
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.core import INC, MIN, READ, RW, WRITE, Dat, Global, Map, Set
-from repro.core.access import IDX_ALL, IDX_ID, arg_dat, arg_gbl
-from repro.kernelc import emit_vector_source, generate_loop_source, kernel_ir
+from repro.kernelc import emit_vector_source, kernel_ir
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -135,61 +132,6 @@ class TestVectorGolden:
             kernel_ir(kernels[name]), self.MATFREE_SHAPES[name]
         )
         _assert_golden(f"vec_matfree_{name}_w9c4.py.txt", source)
-
-
-# ----------------------------------------------------------------------
-# Scalar stub snapshots: the Fig 2b argument forms.
-# ----------------------------------------------------------------------
-class TestStubGolden:
-    @pytest.fixture
-    def problem(self):
-        nodes = Set(8, "nodes")
-        edges = Set(10, "edges")
-        conn = np.zeros((10, 2), dtype=np.int64)
-        m = Map(edges, nodes, 2, conn, "m")
-        w = Dat(edges, 1, name="w")
-        x = Dat(nodes, 2, name="x")
-        return nodes, edges, m, w, x
-
-    def test_indirect_inc_stub(self, problem):
-        nodes, edges, m, w, x = problem
-        acc = Dat(nodes, 4, name="acc")
-        args = [
-            arg_dat(w, IDX_ID, None, READ),
-            arg_dat(x, 0, m, READ),
-            arg_dat(x, 1, m, READ),
-            arg_dat(acc, 0, m, INC),
-            arg_dat(acc, 1, m, INC),
-        ]
-        _assert_golden(
-            "stub_indirect_inc.py.txt", generate_loop_source("res_calc", args)
-        )
-
-    def test_vector_inc_stub(self, problem):
-        nodes, edges, m, w, x = problem
-        acc = Dat(nodes, 2, name="acc")
-        args = [
-            arg_dat(w, IDX_ID, None, READ),
-            arg_dat(acc, IDX_ALL, m, INC),
-        ]
-        _assert_golden(
-            "stub_vector_inc.py.txt", generate_loop_source("scatter_all", args)
-        )
-
-    def test_vector_read_and_reduction_stub(self, problem):
-        nodes, edges, m, w, x = problem
-        g = Global(1, name="dt")
-        out = Dat(edges, 4, name="out")
-        args = [
-            arg_dat(x, IDX_ALL, m, READ),
-            arg_dat(out, IDX_ID, None, WRITE),
-            arg_dat(out, IDX_ID, None, RW),
-            arg_gbl(g, MIN),
-        ]
-        _assert_golden(
-            "stub_vector_read_reduction.py.txt",
-            generate_loop_source("numerical_flux", args),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -17,14 +17,12 @@ from repro.core import (
     par_loop,
 )
 from repro.core.access import IDX_ID
+from repro.testing import BACKEND_MATRIX, runtime_for
 
 
 class TestEmptyAndTinySets:
-    @pytest.mark.parametrize(
-        "backend",
-        ["sequential", "codegen", "openmp", "vectorized", "simt", "native"],
-    )
-    def test_empty_set_loop(self, backend):
+    @pytest.mark.parametrize("backend,scheme,options", BACKEND_MATRIX)
+    def test_empty_set_loop(self, backend, scheme, options):
         s = Set(0, "empty")
         d = Dat(s, 2)
 
@@ -36,14 +34,12 @@ class TestEmptyAndTinySets:
         def noop_vec(x):
             x[:, 0] = 1.0
 
-        rt = Runtime(backend=backend)
+        rt = runtime_for(backend, scheme, options)
         par_loop(noop, s, arg_dat(d, IDX_ID, None, WRITE), runtime=rt)
         assert d.data.size == 0
 
-    @pytest.mark.parametrize(
-        "backend", ["sequential", "vectorized", "simt"]
-    )
-    def test_single_element_set(self, backend):
+    @pytest.mark.parametrize("backend,scheme,options", BACKEND_MATRIX)
+    def test_single_element_set(self, backend, scheme, options):
         s = Set(1, "one")
         t = Set(1, "t")
         m = Map(s, t, 1, np.array([0]), "m")
@@ -58,7 +54,7 @@ class TestEmptyAndTinySets:
         def one_vec(ww, out):
             out[:, 0] += ww[:, 0]
 
-        rt = Runtime(backend=backend, block_size=16)
+        rt = runtime_for(backend, scheme, options, 16)
         par_loop(one, s, arg_dat(w, IDX_ID, None, READ),
                  arg_dat(d, 0, m, INC), runtime=rt)
         assert d.data[0, 0] == 3.0
@@ -129,7 +125,7 @@ class TestLongRunConsistency:
 
         mesh = make_airfoil_mesh(12, 6)
         a = AirfoilSim(mesh, runtime=Runtime("vectorized", block_size=64))
-        b = AirfoilSim(mesh, runtime=Runtime("simt", block_size=64))
+        b = AirfoilSim(mesh, runtime=Runtime("sequential", block_size=64))
         a.run(15)
         b.run(15)
         np.testing.assert_allclose(a.q, b.q, rtol=1e-8, atol=1e-10)
@@ -142,7 +138,7 @@ class TestLongRunConsistency:
         a = VolnaSim(mesh, dtype=np.float64,
                      runtime=Runtime("vectorized", block_size=64))
         b = VolnaSim(mesh, dtype=np.float64,
-                     runtime=Runtime("openmp", block_size=64))
+                     runtime=Runtime("sequential", block_size=64))
         a.run(10)
         b.run(10)
         np.testing.assert_allclose(a.q, b.q, rtol=1e-8, atol=1e-10)

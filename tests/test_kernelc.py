@@ -459,7 +459,6 @@ class TestBackendIntegration:
 
         ref = run("sequential")
         np.testing.assert_array_equal(run("vectorized"), ref)
-        np.testing.assert_array_equal(run("simt", device="phi"), ref)
 
     @pytest.mark.parametrize("vec", [1, 2, 4, 8])
     def test_register_width_blocks(self, vec):

@@ -1,9 +1,8 @@
 """Differential fuzzing of the kernelc emitters (hypothesis).
 
-Three compiled legs must reproduce the scalar interpreter bitwise on
+Two compiled legs must reproduce the scalar interpreter bitwise on
 randomized inputs:
 
-* the generated **scalar stub** (codegen backend),
 * the generated **vector kernel** (vectorized backend), and
 * the **native C** chain program (native backend, cffi).
 
@@ -37,12 +36,11 @@ from repro.core.access import IDX_ALL, IDX_ID
 from repro.testing import runtime_for
 
 #: The differential legs.  ``sequential`` is the oracle; the other
-#: three are the generated executables under test.  (This list is
+#: two are the generated executables under test.  (This list is
 #: intentionally NOT Backend-matrix driven: the property needs all
 #: legs present even when REPRO_BACKEND pins the equivalence sweeps.)
 LEGS = [
     ("sequential", "two_level", {}),
-    ("codegen", "two_level", {}),
     ("vectorized", "two_level", {}),
     ("native", "two_level", {}),
 ]

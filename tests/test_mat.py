@@ -207,7 +207,6 @@ class TestDirectIncBatchedPath:
     @pytest.mark.parametrize("backend,scheme,options", [
         ("vectorized", "two_level", {}),
         ("vectorized", "full_permute", {}),
-        ("simt", "two_level", {"device": "phi"}),
         ("vectorized", "full_permute", {"vec": 8}),
         ("vectorized", "block_permute", {"vec": 8}),
     ])

@@ -71,9 +71,9 @@ class TestBuildPlan:
     def test_block_colors_disjoint_targets(self):
         elems, args, m = grid_loop()
         plan = build_plan(elems, args, block_size=8)
-        for blocks in plan.blocks_by_color:
+        for c in range(plan.n_block_colors):
             seen = set()
-            for b in blocks:
+            for b in np.flatnonzero(plan.block_colors == c):
                 lo, hi = plan.layout.block_range(int(b))
                 tgts = set(m.values[lo:hi].reshape(-1).tolist())
                 assert not (seen & tgts)

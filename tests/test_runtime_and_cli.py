@@ -1,5 +1,10 @@
 """Tests for runtime configuration, the default runtime, and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,8 +28,8 @@ class TestRuntimeConfig:
     def test_backend_by_name_or_instance(self):
         rt = Runtime(backend="sequential")
         assert rt.backend.name == "sequential"
-        rt2 = Runtime(backend=make_backend("simt", device="phi"))
-        assert rt2.backend.device == "phi"
+        rt2 = Runtime(backend=make_backend("vectorized", vec=8))
+        assert rt2.backend.vec == 8
 
     def test_configure_updates_in_place(self):
         rt = Runtime(backend="sequential", block_size=64)
@@ -79,8 +84,31 @@ class TestRuntimeConfig:
     def test_invalid_backend_options(self):
         with pytest.raises(ValueError):
             make_backend("vectorized", vec=0)
-        with pytest.raises(ValueError):
-            make_backend("simt", device="tpu")
+
+    def test_registry_names(self):
+        from repro.core.runtime import BACKENDS
+
+        assert BACKENDS == ("sequential", "vectorized", "native")
+        for name in BACKENDS:
+            assert make_backend(name).name == name
+        with pytest.raises(KeyError, match="available"):
+            make_backend("simt")
+
+    def test_unknown_repro_backend_rejected_at_import(self):
+        """A stale ``REPRO_BACKEND`` fails once, at import of the test
+        helpers, naming the registry — not inside every test."""
+        env = dict(os.environ, REPRO_BACKEND="simt",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                  / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro.testing"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("ValueError: REPRO_BACKEND='simt'")
+        for name in ("sequential", "vectorized", "native", "auto"):
+            assert f"'{name}'" in last
 
 
 class TestBenchCLI:
