@@ -93,7 +93,7 @@ no_backend_literals_in_examples() {
   # backend name in an example would show a configuration the rule
   # does not pick (benchmark sweeps that iterate over backend
   # *variables* are fine and do not match).
-  bad=$(grep -rnE 'Runtime\(\s*"(sequential|codegen|openmp|vectorized|simt|autovec|native)"|backend\s*=\s*"(sequential|codegen|openmp|vectorized|simt|autovec|native)"' examples/ || true)
+  bad=$(grep -rnE 'Runtime\(\s*"(sequential|vectorized|native)"|backend\s*=\s*"(sequential|vectorized|native)"' examples/ || true)
   if [ -n "$bad" ]; then
     echo "Examples must use Runtime(\"auto\") instead of a"
     echo "hand-picked backend literal (Runtime(\"auto\") is the rule):"

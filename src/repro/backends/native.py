@@ -21,11 +21,13 @@ chain untiled (:meth:`NativeBackend.run_tiled`).  ``thread_verdicts``
 says how each chain program runs its loops, and whether it was built
 or reused (``Runtime.stats()["native"]``).
 
-Programs are kept by chain *shape* (:meth:`NativeBackend._shape_key`),
-not by the compiled chain: a program binds the live arrays of the
-loops it is handed on every call, so a fresh sim whose chains have the
-shape of an earlier sim's runs that sim's programs — no emission, no
-hashing, no library load.
+A program binds the live arrays of the loops it is handed on every
+call.  It is kept on the compiled chain, whose cache entry is itself a
+function of the trace's shape, so a fresh sim's flush finds its
+program there without a lookup of its own; a chain new to the runtime
+looks it up by shape (:meth:`NativeBackend._shape_key`) in the
+backend's program cache — no emission, no hashing, no library load
+when an earlier chain had that shape.
 
 Fallback policy (two tiers)
 ---------------------------
@@ -61,9 +63,10 @@ from .vectorized import VectorizedBackend
 
 #: exec_cache marker for "this chain is not nativizable" (don't retry).
 _UNSUPPORTED = None
+_MISSING = object()
 
 #: LRU bound of a backend's program cache (the runtime's chain-cache
-#: default: a program is worth keeping as long as a chain of its shape).
+#: bound: a program is worth keeping as long as a chain of its shape).
 PROGRAM_CACHE_ENTRIES = 64
 
 
@@ -167,21 +170,27 @@ class NativeBackend(VectorizedBackend):
     def _chain_program(self, compiled, repeat=None):
         """The chain's compiled program; with ``repeat`` the one whose
         TU also carries that back edge (a separate program: every chain
-        flushed without a repeat keeps its TU byte for byte).  Looked up
+        flushed without a repeat keeps its TU byte for byte, and the
+        flag's and record's slots in the trace select it).  Looked up
         on the compiled chain first, then by shape in the backend's
         program cache; built only when neither has it."""
         cache_key = (self, "native") if repeat is None else (
-            self, "native", repeat.until._uid, repeat.record._uid)
-        if cache_key in compiled.exec_cache:
-            return compiled.exec_cache[cache_key]
+            self, "native", compiled.dats.index(repeat.until),
+            compiled.dats.index(repeat.record))
         loops = compiled.loops
-        program, reused = self._program(
-            ("chain", self._shape_key(
-                [(bl.kernel, bl.args, bl.n) for bl in loops], repeat)),
-            lambda: build_chain_program(
-                loops, name=f"chain:{len(loops)}loops", repeat=repeat,
-            ),
-        )
+        program = compiled.exec_cache.get(cache_key, _MISSING)
+        reused = True
+        if program is _MISSING:
+            program, reused = self._program(
+                ("chain", self._shape_key(
+                    [(bl.kernel, bl.args, bl.n) for bl in loops], repeat)),
+                lambda: build_chain_program(
+                    loops, name=f"chain:{len(loops)}loops", repeat=repeat,
+                ),
+            )
+            compiled.exec_cache[cache_key] = program
+        elif not compiled.rebound:
+            return program
         if program is not _UNSUPPORTED:
             if reused:
                 count_program_hit()
@@ -189,7 +198,6 @@ class NativeBackend(VectorizedBackend):
             self.thread_verdicts[label] = (
                 program.verdicts, "reused" if reused else "built"
             )
-        compiled.exec_cache[cache_key] = program
         return program
 
     def _record_split(self, loops, dt: float, calls: int = 1) -> None:

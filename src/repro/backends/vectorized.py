@@ -31,8 +31,9 @@ A chained replay (:class:`_PhaseExec`) prebinds every strip's
 operations once, shares one set of strip-sized scratch buffers across
 a loop's strips, and packs every single-slot operand and increment into
 column-major lanes — component ``k`` of all lanes one contiguous row,
-the paper's AoS -> SoA packing.  Its results are bitwise those of the
-eager strips.
+the paper's AoS -> SoA packing.  It takes its Dats from the loops of
+each flush, so it serves every chain of its shape.  Its results are
+bitwise those of the eager strips.
 """
 
 from __future__ import annotations
@@ -140,11 +141,14 @@ class _PhaseExec:
 
     Mirrors :func:`~repro.backends.base.gather_batch` /
     :func:`~repro.backends.base.scatter_batch` operation-for-operation,
-    but with every per-argument decision resolved at preparation time:
+    but with every per-argument decision resolved at preparation time.
+    It holds no Dat or Global: :meth:`run` takes them from the
+    arguments it is handed, so one prepared program serves every trace
+    of its chain's shape.
 
-    * direct contiguous arguments are prebound zero-copy views (no
-      per-run work at all);
-    * READ globals are prebound to their (stable) value arrays;
+    * direct contiguous arguments are zero-copy views, one slice per
+      run;
+    * READ globals are their value arrays;
     * gather-index arrays come from the strip's per-(map, slot) cache,
       bound once, and every gather lands in ``scratch`` too
       (:func:`_prebound_gather`) — a strip allocates nothing;
@@ -166,8 +170,8 @@ class _PhaseExec:
     identical while the per-argument Python dispatch is shed.
     """
 
-    __slots__ = ("kernel_vec", "proto", "fills", "gathers", "writebacks",
-                 "folds")
+    __slots__ = ("kernel_vec", "proto", "views", "fills", "gathers",
+                 "writebacks", "folds")
 
     def __init__(self, bl, phase, scratch: dict, cap: int,
                  pool: dict) -> None:
@@ -177,11 +181,13 @@ class _PhaseExec:
         # Generated (or explicitly attached) batched form for this
         # loop's argument shapes, from the kernelc compile cache.
         self.kernel_vec = bl.kernel.vector_for(args)
-        self.proto = [None] * len(args)  # prebound array; None: gathered
-        # (pos, dat, index array, *_prebound_gather's operation)
+        self.proto = [None] * len(args)  # prebound buffer, or None
+        self.views = []       # (pos, slice of the argument's values)
+        # (pos, index array, *_prebound_gather's operation)
         self.gathers = []
-        # (dat, index array, pos, accumulator, serialize): a prebound
-        # accumulator is scatter_add-ed, None scatters arrays[pos].
+        # (pos, index array, accumulator, serialize) into argument pos's
+        # Dat: an accumulator is scatter_add-ed, None scatters
+        # arrays[pos].
         self.writebacks = []
         self.folds = []       # (pos, access mode)
         self.fills = []       # (buffer, fill value)
@@ -210,13 +216,13 @@ class _PhaseExec:
                     self.fills.append((acc, fill))
                     self.folds.append((i, arg.access))
                 else:
-                    self.proto[i] = dat.data  # stable value array
+                    self.views.append((i, slice(None)))
                 continue
             if arg.is_direct and phase.contiguous:
                 lo = int(elems[0])
                 # Zero-copy in-place view, exactly what gather_batch
                 # passes; writes land directly, no writeback.
-                self.proto[i] = dat._data[lo:lo + nl]
+                self.views.append((i, slice(lo, lo + nl)))
                 continue
             idx = elems if arg.is_direct else phase.index_for(arg)
             if arg.access is not Access.INC:
@@ -226,11 +232,11 @@ class _PhaseExec:
                     return _pooled(pool, key, cap * per_lane,
                                    dtype)[:nl * per_lane]
 
-                self.gathers.append((i, dat, idx, *_prebound_gather(
+                self.gathers.append((i, idx, *_prebound_gather(
                     dat, idx, not arg.is_vector, flat
                 )))
                 if arg.access.writes:
-                    self.writebacks.append((dat, idx, i, None, None))
+                    self.writebacks.append((i, idx, None, None))
             elif arg.is_vector:
                 # Vector-INC lanes flatten (strip, arity) targets; one
                 # element's own slots may coincide, so always serialize
@@ -241,7 +247,7 @@ class _PhaseExec:
                 self.proto[i] = buf
                 self.fills.append((buf, 0))
                 self.writebacks.append(
-                    (dat, idx.reshape(-1), i, buf.reshape(-1, dat.dim), True)
+                    (i, idx.reshape(-1), buf.reshape(-1, dat.dim), True)
                 )
             elif i in merged:
                 # Same merge rule and interleave as scatter_batch:
@@ -260,7 +266,7 @@ class _PhaseExec:
                 gidx = interleave_inc_group(
                     [phase.index_for(args[m]) for m in group]
                 )
-                self.writebacks.append((dat, gidx, None, joint, True))
+                self.writebacks.append((i, gidx, joint, True))
             else:
                 # Zeroed accumulator + delta scatter_add.  For a
                 # non-contiguous direct INC (Mat staging) this mirrors
@@ -268,13 +274,17 @@ class _PhaseExec:
                 buf = strip_buffer(i, lambda m: _lane_buffer(m, dat))
                 self.proto[i] = buf
                 self.fills.append((buf, 0))
-                self.writebacks.append((dat, idx, i, buf, phase.serialize))
+                self.writebacks.append((i, idx, buf, phase.serialize))
 
-    def run(self, reductions) -> None:
+    def run(self, args, reductions) -> None:
+        """One strip over ``args`` (a loop of this program's shape)."""
         arrays = self.proto.copy()
+        for pos, part in self.views:
+            arrays[pos] = args[pos].dat._data[part]
         for buf, fill in self.fills:
             buf[...] = fill
-        for pos, dat, idx, axis, out, copy, view in self.gathers:
+        for pos, idx, axis, out, copy, view in self.gathers:
+            dat = args[pos].dat
             dat._sync()
             # Indices come from range-checked Maps and plan element
             # arrays; "clip" spares take() a buffered copy of ``out``.
@@ -283,11 +293,11 @@ class _PhaseExec:
                 copy[...] = out.T
             arrays[pos] = view
         self.kernel_vec(*arrays)
-        for dat, idx, pos, acc, ser in self.writebacks:
+        for pos, idx, acc, ser in self.writebacks:
             if acc is None:
-                dat.scatter(idx, arrays[pos])
+                args[pos].dat.scatter(idx, arrays[pos])
             else:
-                dat.scatter_add(idx, acc, serialize=ser)
+                args[pos].dat.scatter_add(idx, acc, serialize=ser)
         for pos, mode in self.folds:
             fold_lanes(mode, reductions[pos], arrays[pos])
 
@@ -368,8 +378,9 @@ class VectorizedBackend(Backend):
         this backend *prepares* it: every batchable loop's per-strip
         gather → vector-kernel → scatter sequence is resolved into
         prebound operations (:class:`_PhaseExec`) — argument
-        classification, contiguous direct views, gather-index arrays,
-        increment/reduction buffers all bound once.  Steady-state
+        classification, contiguous direct ranges, gather-index arrays,
+        increment/reduction buffers all bound once; the Dats come from
+        ``compiled``'s loops at every call.  Steady-state
         replay then runs only the numpy calls themselves, none of the
         per-argument Python dispatch the eager path repeats every time
         step.
@@ -391,8 +402,8 @@ class VectorizedBackend(Backend):
             pool = {}
             program = [self._prepare_group(g, pool) for g in compiled.groups]
             compiled.exec_cache[self] = program
-        for run_group in program:
-            run_group()
+        for run_group, group in zip(program, compiled.groups):
+            run_group(group.loops)
 
     def _group_batchable(self, group) -> bool:
         """Whether every loop of a group can take the strip fast path."""
@@ -404,34 +415,35 @@ class VectorizedBackend(Backend):
 
     def _prepare_group(self, group, pool: dict):
         """Compile one group into a zero-re-analysis replay closure
-        (gathering into the program's ``pool``)."""
+        (gathering into the program's ``pool``), run with the group's
+        loops of each flush."""
         if not self._group_batchable(group):
             # Conservative fallback: eager execution per loop (which
             # itself falls back to scalar sweeps etc. exactly as an
             # un-chained par_loop would).
-            def run_eager() -> None:
-                for bl in group.loops:
+            def run_eager(loops) -> None:
+                for bl in loops:
                     self.execute(bl.kernel, bl.set, bl.args, bl.plan)
 
             return run_eager
 
-        loops = group.loops
-        n = loops[0].n
+        n = group.loops[0].n
         strips = [
             strip for phase in group.plan.phases(n)
             for strip in phase.strips(self.vec)
         ]
         # execs[k][s]: loop k's prepared execution of strip s.
-        execs = [_prepare_strips(bl, strips, pool) for bl in loops]
+        execs = [_prepare_strips(bl, strips, pool) for bl in group.loops]
         stats = self.stats
 
-        def run_group() -> None:
-            reductions = [_init_reductions(bl.args) for bl in loops]
+        def run_group(loops) -> None:
+            args = [bl.args for bl in loops]
+            reductions = [_init_reductions(a) for a in args]
             elapsed = [0.0] * len(loops)
             for s in range(len(strips)):
                 for k in range(len(loops)):
                     t0 = time.perf_counter()
-                    execs[k][s].run(reductions[k])
+                    execs[k][s].run(args[k], reductions[k])
                     elapsed[k] += time.perf_counter() - t0
             for k, bl in enumerate(loops):
                 _fold_reductions(bl.args, reductions[k])
@@ -475,7 +487,7 @@ class VectorizedBackend(Backend):
             program = self._prepare_tiled(compiled)
             compiled.exec_cache[(self, "tiled")] = program
         for run_part in program:
-            run_part()
+            run_part(compiled.loops)
 
     def _tiled_batchable(self, compiled) -> bool:
         """Whether every sliced loop can take the batched fast path."""
@@ -489,15 +501,15 @@ class VectorizedBackend(Backend):
         return True
 
     def _prepare_tiled(self, compiled):
-        """Compile the tiled schedule into zero-re-analysis closures."""
+        """Compile the tiled schedule into zero-re-analysis closures,
+        each run with the chain's loops of each flush."""
         loops = compiled.loops
         program = []
         pool = {}
         for part in compiled.tiled.parts:
             if isinstance(part, BarrierLoop):
-                bl = loops[part.loop_index]
-
-                def run_barrier(bl=bl) -> None:
+                def run_barrier(loops, k=part.loop_index) -> None:
+                    bl = loops[k]
                     self.execute(bl.kernel, bl.set, bl.args, bl.plan)
 
                 program.append(run_barrier)
@@ -522,13 +534,15 @@ class VectorizedBackend(Backend):
                     tiles[t].append((j, pe))
             stats = self.stats
 
-            def run_segment(seg_loops=seg_loops, tiles=tiles) -> None:
+            def run_segment(loops, indices=part.loop_indices,
+                            tiles=tiles) -> None:
+                seg_loops = [loops[k] for k in indices]
                 reductions = [_init_reductions(bl.args) for bl in seg_loops]
                 elapsed = [0.0] * len(seg_loops)
                 for execs in tiles:
                     for j, pe in execs:
                         t0 = time.perf_counter()
-                        pe.run(reductions[j])
+                        pe.run(seg_loops[j].args, reductions[j])
                         elapsed[j] += time.perf_counter() - t0
                 for j, bl in enumerate(seg_loops):
                     _fold_reductions(bl.args, reductions[j])

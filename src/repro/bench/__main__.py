@@ -38,20 +38,25 @@ def dump_kernel(name: str) -> int:
     from ..apps.aero import AeroSim
 
     loops = {}
+
+    class Recording(Runtime):
+        """Keeps the first traced ``(kernel, args)`` of every kernel."""
+
+        def compiled_chain_for(self, specs, tiling=None):
+            for spec in specs:
+                loops.setdefault(spec.kernel.name, (spec.kernel, spec.args))
+            return super().compiled_chain_for(specs, tiling)
+
     for build in (
         lambda: AirfoilSim(make_airfoil_mesh(6, 3),
-                           runtime=Runtime("sequential"), chained=True),
+                           runtime=Recording("sequential"), chained=True),
         lambda: VolnaSim(make_tri_mesh(4, 3, 100_000.0, 75_000.0),
                          dtype=np.float64,
-                         runtime=Runtime("sequential"), chained=True),
+                         runtime=Recording("sequential"), chained=True),
         lambda: AeroSim(make_airfoil_mesh(8, 4),
-                        runtime=Runtime("sequential"), chained=True),
+                        runtime=Recording("sequential"), chained=True),
     ):
-        sim = build()
-        sim.step()
-        for compiled in sim.runtime._chains.values():
-            for bl in compiled.loops:
-                loops.setdefault(bl.kernel.name, (bl.kernel, bl.args))
+        build().step()
     if name not in loops:
         print(f"unknown kernel {name!r}; traced kernels: "
               f"{', '.join(sorted(loops))}")

@@ -19,9 +19,13 @@ through the runtime's two cache levels, fusion of adjacent compatible
 loops (:func:`fusion_groups`) — and the compiled schedule is handed to
 the backend's
 :meth:`~repro.backends.base.Backend.run_chain` entry point.  Compiled
-chains are memoized on the runtime by structural signature (the *third*
-cache level, above the loop cache), so a steady-state time step replays
-a pre-analyzed, pre-fused schedule with zero re-analysis.
+chains are memoized on the runtime by the trace's *shape*
+(:func:`chain_signature`: kernels, sets and maps by identity, Dats and
+Globals by first-occurrence ordinal and description — the *third*
+cache level, above the loop cache) and bound to the live arguments at
+each flush (:class:`BoundChain`), so a steady-state time step — or a
+fresh sim with the same mesh — replays a pre-analyzed, pre-fused
+schedule with zero re-analysis, and no cached chain keeps a Dat alive.
 
 Flush points
 ------------
@@ -95,6 +99,7 @@ the full backend × layout matrix.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -108,11 +113,6 @@ from .plan import Plan
 from .set import Set
 
 
-def _token(arg: Arg) -> Tuple[str, int]:
-    """Identity of the data object an argument touches."""
-    return ("g" if arg.is_global else "d", arg.dat._uid)
-
-
 @dataclass(frozen=True)
 class LoopSpec:
     """One recorded (deferred) ``par_loop`` invocation."""
@@ -122,28 +122,40 @@ class LoopSpec:
     args: Tuple[Arg, ...]
     plan: Optional[Plan] = None
 
-    def key(self) -> Tuple:
-        """Hashable structural identity (kernel, set, args).
 
-        Dats and Globals enter by uid, so a steady-state time step that
-        re-records the same loops produces the same key — the chain
-        cache's hit condition — while the key itself keeps no Dat
-        alive (the runtime drops an entry when a Dat it was keyed on is
-        collected).  Scratch Dats allocated per step change the key and
-        correctly force a re-compile.
-        """
-        return (
-            self.kernel,
-            self.set,
-            tuple(
-                (arg.dat._uid, arg.map, arg.index, arg.access)
-                for arg in self.args
-            ),
-            # Plans hold numpy arrays (no value hash); identity is the
-            # right notion anyway — a pre-built override plan is reused
-            # by object.
-            id(self.plan) if self.plan is not None else None,
-        )
+def chain_signature(specs: Sequence[LoopSpec], tiling=None) -> Tuple:
+    """A trace's structural key, and its Dats and Globals in order.
+
+    Per loop the key holds the kernel, the set, the plan override and,
+    per argument, its map, slot and access by identity; the Dat or
+    Global enters by *ordinal* (first occurrence in the trace), and the
+    key ends with each ordinal's description — dim and dtype, plus
+    layout and home set for a Dat.  Two traces with one key differ only
+    in which objects carry the data, so everything compiled from the
+    key (fusion partition, plans, schedules, prepared programs) serves
+    both; the second value, ``dats``, is what a run binds.  The walk
+    hashes nothing: the store's content key is derived from this one
+    (:func:`repro.store.chain_key`).
+    """
+    slots: Dict[int, int] = {}
+    dats: List = []
+    loops = []
+    for spec in specs:
+        tokens = [spec.kernel, spec.set, spec.plan]
+        for arg in spec.args:
+            dat = arg.dat
+            slot = slots.get(id(dat))
+            if slot is None:
+                slot = slots[id(dat)] = len(dats)
+                dats.append(dat)
+            tokens.append((slot, arg.map, arg.index, arg.access))
+        loops.append(tuple(tokens))
+    described = tuple(
+        (d.dim, d.dtype) if isinstance(d, Global)
+        else (d.dim, d.dtype, d.layout, d.set)
+        for d in dats
+    )
+    return (tiling, tuple(loops), described), dats
 
 
 @dataclass(frozen=True)
@@ -205,11 +217,11 @@ def pair_fusable(a: LoopSpec, b: LoopSpec) -> bool:
     Implements legality rules 3 and 4 of the module docstring (set /
     range / plan compatibility are the group's responsibility).
     """
-    touched: Dict[Tuple[str, int], List[Arg]] = {}
+    touched: Dict[object, List[Arg]] = {}
     for arg in a.args:
-        touched.setdefault(_token(arg), []).append(arg)
+        touched.setdefault(arg.dat, []).append(arg)
     for arg in b.args:
-        for other in touched.get(_token(arg), ()):
+        for other in touched.get(arg.dat, ()):
             if not (arg.access.writes or other.access.writes):
                 continue  # concurrent reads never conflict
             if arg.is_global:
@@ -298,51 +310,100 @@ class FusedGroup:
         return len(self.loops) > 1
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class CompiledChain:
-    """A pre-analyzed schedule for one trace signature.
+    """A pre-analyzed schedule for one trace *shape*
+    (:func:`chain_signature`) — the chain cache's entry.
 
-    Carries one or two lowerings of the same trace:
+    It holds no Dat or Global: the fusion ``partition`` (consecutive
+    loop-index runs), the resolved ``plans`` and, built on first use,
+    the tiled schedules and the backends' prepared programs — all
+    functions of the key.  :meth:`bind` puts it over one trace's live
+    arguments (:class:`BoundChain`), which is what backends run.
 
-    * the **fused program** (``groups``) — loop-major execution with
-      adjacent compatible loops phase-interleaved; always present;
-    * for a chain traced with ``tiling=``, a **tiled schedule** — the
-      sparse-tiling inspector's tile-major decomposition
-      (:mod:`repro.tiling`), built by :meth:`tiled_for` the first time a
-      backend's :meth:`~repro.backends.base.Backend.run_tiled` asks for
-      it.  A backend that does not tile (native) never asks, and one
-      that cannot slice bitwise-safely falls back to the fused program.
+    For a chain traced with ``tiling=`` a **tiled schedule** — the
+    sparse-tiling inspector's tile-major decomposition
+    (:mod:`repro.tiling`) — is built by :meth:`BoundChain.tiled_for`
+    the first time a backend's
+    :meth:`~repro.backends.base.Backend.run_tiled` asks for it.  A
+    backend that does not tile (native) never asks, and one that cannot
+    slice bitwise-safely falls back to the fused program.
     """
 
-    groups: Tuple[FusedGroup, ...]
+    partition: Tuple[Tuple[int, ...], ...]
+    plans: Tuple[Plan, ...]
     #: The ``tiling=`` request this chain was compiled under
     #: (``None`` | ``"auto"`` | int) — part of the cache key.
     tiling: object = None
     #: Resolved seed tile size (0 when untiled).
     tile_size: int = 0
     #: Persistent-store key of this chain (:func:`repro.store.chain_key`),
-    #: or ``None`` for unkeyable traces (explicit plan overrides).  Set
-    #: by the runtime; tiled schedules use it to consult the tiled
-    #: store before running the inspector.
-    store_key: Optional[str] = field(default=None, compare=False, repr=False)
+    #: or ``None`` for unkeyable traces (explicit plan overrides); tiled
+    #: schedules use it to consult the tiled store before running the
+    #: inspector.
+    store_key: Optional[str] = field(default=None, repr=False)
     #: Per-backend prepared executor programs (populated lazily by
     #: backends that specialize replay, e.g. the vectorized backend's
-    #: prebound gather/kernel/scatter closures).  Keyed by backend
-    #: instance; invalidated with the chain cache itself.
-    exec_cache: Dict = field(default_factory=dict, compare=False, repr=False)
+    #: per-strip gather/kernel/scatter operations).  A program takes
+    #: its Dats from the bound chain it is run with, never from the one
+    #: it was prepared from.
+    exec_cache: Dict = field(default_factory=dict, repr=False)
     #: Tiled schedules built so far, by element-order profile.
-    _tiled_profiles: Dict = field(
-        default_factory=dict, compare=False, repr=False
+    tiled_profiles: Dict = field(default_factory=dict, repr=False)
+    #: Live :class:`BoundChain` views, weakly, by their Dats' uids: a
+    #: flush over the same objects gets the same view back while
+    #: someone holds it.
+    views: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, repr=False
     )
+    #: The uids the last flush bound.
+    last_bound: Tuple[int, ...] = field(default=(), repr=False)
 
     @property
     def n_loops(self) -> int:
-        return sum(len(g.loops) for g in self.groups)
+        return len(self.plans)
 
-    @property
-    def loops(self) -> Tuple[BoundLoop, ...]:
-        """The flat plan-resolved loop list, recorded order."""
-        return tuple(bl for g in self.groups for bl in g.loops)
+    def bind(self, specs: Sequence[LoopSpec], dats: List) -> "BoundChain":
+        """This chain over ``specs``' live arguments (a trace of its
+        key; ``dats`` is the trace's :func:`chain_signature` list)."""
+        uids = tuple([d._uid for d in dats])
+        view = self.views.get(uids)
+        if view is None:
+            view = self.views[uids] = BoundChain(self, specs, dats)
+        view.rebound = self.last_bound != uids and bool(self.last_bound)
+        self.last_bound = uids
+        return view
+
+
+class BoundChain:
+    """A :class:`CompiledChain` bound to one trace's arguments.
+
+    ``groups`` and ``loops`` carry the live Dats and Globals; the rest
+    reads through to the shared ``chain``.  Built per flush unless an
+    earlier view over the same objects is still held, so a cached
+    chain keeps no caller's data alive.  ``rebound`` says whether this
+    flush binds other objects than the chain's previous flush did (a
+    fresh sim's, say): programs prepared for them now serve these.
+    """
+
+    def __init__(self, chain: CompiledChain, specs: Sequence[LoopSpec],
+                 dats: List) -> None:
+        self.chain = chain
+        self.dats = dats
+        self.rebound = False
+        plans = chain.plans
+        bound = [
+            BoundLoop(kernel=spec.kernel, set=spec.set, args=spec.args,
+                      plan=plan)
+            for spec, plan in zip(specs, plans)
+        ]
+        self.groups = tuple(
+            FusedGroup(loops=tuple(bound[i] for i in run), plan=plans[run[0]])
+            for run in chain.partition
+        )
+        self.loops = tuple(bound)
+        self.tiling = chain.tiling
+        self.exec_cache = chain.exec_cache
 
     @property
     def tiled(self):
@@ -355,25 +416,27 @@ class CompiledChain:
     def tiled_built(self) -> bool:
         """Whether any tiled schedule of this chain has been built —
         i.e. a backend ran it tiled (or tried to)."""
-        return bool(self._tiled_profiles)
+        return bool(self.chain.tiled_profiles)
 
     def tiled_for(self, profile: str):
         """The tiled schedule sliced against one eager element order.
 
         Built the first time it is asked for, through the tiled store
-        (:func:`load_or_build_tiled`), and memoized per profile — the
-        cuts differ per order because bitwise identity requires slicing
-        each backend's *own* eager sequence contiguously.  ``None`` when
-        the chain was not compiled with tiling.
+        (:func:`load_or_build_tiled`), and memoized per profile on the
+        chain — the cuts differ per order because bitwise identity
+        requires slicing each backend's *own* eager sequence
+        contiguously.  ``None`` when the chain was not compiled with
+        tiling.
         """
-        if self.tiling is None:
+        chain = self.chain
+        if chain.tiling is None:
             return None
-        sched = self._tiled_profiles.get(profile)
+        sched = chain.tiled_profiles.get(profile)
         if sched is None:
             sched = load_or_build_tiled(
-                self.store_key, self.loops, self.tile_size, profile
+                chain.store_key, self.loops, chain.tile_size, profile
             )
-            self._tiled_profiles[profile] = sched
+            chain.tiled_profiles[profile] = sched
         return sched
 
 
@@ -406,42 +469,21 @@ def load_or_build_tiled(store_key, loops, tile_size: int, profile: str):
     return sched
 
 
-def bind_args(specs: Sequence[LoopSpec]) -> List[Tuple[Arg, ...]]:
-    """The compiled form's arguments: each spec's accesses, over
-    *aliases* of the traced Dats and Globals (:meth:`Dat._alias`, one
-    per object).  A compiled chain therefore owns the storage it
-    replays over without owning the caller's handles — so a cached
-    chain cannot keep them alive, and their collection is the signal
-    that the entry is dead (``Runtime.compiled_chain_for``)."""
-    aliases: Dict[int, object] = {}
-
-    def alias(obj):
-        twin = aliases.get(obj._uid)
-        if twin is None:
-            twin = aliases[obj._uid] = obj._alias()
-        return twin
-
-    return [
-        tuple(Arg(alias(a.dat), a.index, a.map, a.access) for a in spec.args)
-        for spec in specs
-    ]
-
-
 def compile_chain(
     specs: Sequence[LoopSpec], runtime, tiling=None, store_key=None
 ) -> CompiledChain:
     """Validate, resolve plans, fuse — and resolve the tiling request.
 
-    Validation happens here — once per distinct trace signature —
-    rather than per recorded call: a malformed loop raises at the first
-    flush of the trace containing it, and a memoized replay (which by
-    construction re-records a previously validated sequence) pays no
+    Validation happens here — once per distinct trace shape — rather
+    than per recorded call: a malformed loop raises at the first flush
+    of the trace containing it, and a memoized replay (which by
+    construction re-records a trace of a validated shape) pays no
     validation at all.
 
     With ``tiling`` (``"auto"`` or a seed tile size) the result records
     the request and its seed tile size; the
     :class:`~repro.tiling.schedule.TiledSchedule` itself is built by
-    :meth:`CompiledChain.tiled_for` when a backend first runs the chain
+    :meth:`BoundChain.tiled_for` when a backend first runs the chain
     tiled.  The runtime's chain cache keys on the tiling request, so
     tiled and untiled compilations of the same trace coexist.
     """
@@ -449,37 +491,23 @@ def compile_chain(
 
     for spec in specs:
         validate_loop(spec.kernel, spec.set, spec.args)
-    plans = [
+    plans = tuple(
         spec.plan
         if spec.plan is not None
         else runtime.plan_for(spec.kernel, spec.set, spec.args)
         for spec in specs
-    ]
-    args = bind_args(specs)
-    bound = [
-        BoundLoop(kernel=spec.kernel, set=spec.set, args=args[i],
-                  plan=plans[i])
-        for i, spec in enumerate(specs)
-    ]
-    groups = [
-        FusedGroup(
-            loops=tuple(bound[i] for i in idx_group),
-            plan=plans[idx_group[0]],
-        )
-        for idx_group in fusion_groups(specs, plans)
-    ]
-
+    )
     tile_size = 0
     if tiling is not None:
         from ..tiling import auto_tile_size, check_tiling
 
         tiling = check_tiling(tiling)
         tile_size = (
-            auto_tile_size(bound) if tiling == "auto" else int(tiling)
+            auto_tile_size(specs) if tiling == "auto" else int(tiling)
         )
-
     return CompiledChain(
-        groups=tuple(groups),
+        partition=tuple(tuple(g) for g in fusion_groups(specs, plans)),
+        plans=plans,
         tiling=tiling,
         tile_size=tile_size,
         store_key=store_key,

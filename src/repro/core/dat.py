@@ -194,21 +194,6 @@ class Dat:
         if barrier is not None:
             barrier.flush()
 
-    def _alias(self) -> "Dat":
-        """A second handle on this Dat: same state, different object.
-
-        The two share one ``__dict__`` — storage, uid, barrier slot —
-        so they behave as one Dat (and compare equal); only their
-        lifetimes differ.  A compiled chain binds aliases, which lets
-        the runtime's chain cache keep a Dat's *memory* alive exactly
-        as long as the entry, and drop the entry the moment the
-        caller's own handle is collected
-        (``Runtime.compiled_chain_for``).
-        """
-        twin = object.__new__(Dat)
-        twin.__dict__ = self.__dict__
-        return twin
-
     @property
     def data(self) -> np.ndarray:
         """Logical ``(extent, dim)`` array, writable, aliasing the storage.
@@ -341,10 +326,3 @@ class Dat:
             f"Dat({self.name!r}, set={self.set.name}, dim={self.dim}, "
             f"dtype={self.dtype}, layout={self.layout})"
         )
-
-    def __hash__(self) -> int:
-        return hash(("Dat", self._uid))
-
-    def __eq__(self, other: object) -> bool:
-        # By uid, not identity: a Dat equals its aliases.
-        return isinstance(other, Dat) and other._uid == self._uid

@@ -52,12 +52,6 @@ class Global:
         if barrier is not None:
             barrier.flush()
 
-    def _alias(self) -> "Global":
-        """A second handle sharing this Global's state (``Dat._alias``)."""
-        twin = object.__new__(Global)
-        twin.__dict__ = self.__dict__
-        return twin
-
     @property
     def data(self) -> np.ndarray:
         """The ``(dim,)`` value array.
@@ -117,12 +111,6 @@ class Global:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Global({self.name!r}, dim={self.dim}, value={self.data!r})"
-
-    def __hash__(self) -> int:
-        return hash(("Global", self._uid))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Global) and other._uid == self._uid
 
 
 def _type_max(dtype: np.dtype):

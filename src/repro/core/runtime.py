@@ -19,10 +19,13 @@ Six cache kinds keep steady-state execution cheap, each reported by
    whole-color phases and gather index arrays
    (:meth:`~repro.core.plan.Plan.phases`), a cache hit here means a
    repeated invocation rebuilds *no* index arrays at all;
-3. ``chain_cache``: keyed by the structural signature of a whole
-   recorded loop sequence (:mod:`repro.core.chain`): a steady-state
-   time step traced with ``with runtime.chain():`` replays a
-   pre-analyzed, pre-fused schedule with zero re-analysis;
+3. ``chain_cache``: keyed by the shape of a whole recorded loop
+   sequence (:func:`~repro.core.chain.chain_signature`), its entries
+   hold no Dat or Global and are bound to the live arguments at each
+   flush: a steady-state time step traced with ``with
+   runtime.chain():`` — or the same step of a fresh sim over the same
+   mesh — replays a pre-analyzed, pre-fused schedule with zero
+   re-analysis;
 4. ``tiled_cache``: sparse-tiled schedules, which live on the compiled
    chains that own them, so only their disk layer counts;
 5. ``kernelc_cache`` (:mod:`repro.kernelc`): generated batched kernels
@@ -32,37 +35,39 @@ Six cache kinds keep steady-state execution cheap, each reported by
 6. ``native_cache`` (:mod:`repro.kernelc.native`): compiled C programs,
    in memory by content hash and chain shape.
 
-The plan, loop, chain and kernelc caches are LRU-bounded (configurable
-``*_entries`` knobs) so long-running processes cannot grow them without
-bound; all but the loop cache also persist through :mod:`repro.store`.
+The plan, loop, chain and kernelc caches are LRU-bounded (the
+``*_CACHE_ENTRIES`` module constants) so long-running processes cannot
+grow them without bound; all but the loop cache also persist through
+:mod:`repro.store`.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Set as SetOf, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..backends.base import Backend
 from ..backends.sequential import SequentialBackend
 from ..backends.vectorized import VectorizedBackend
 from .access import Arg
-from .chain import CompiledChain, LoopChain, LoopSpec, compile_chain
+from .chain import (
+    BoundChain,
+    CompiledChain,
+    LoopChain,
+    LoopSpec,
+    chain_signature,
+    compile_chain,
+)
 from .dat import _check_layout
 from .kernel import Kernel
-from .plan import (
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_PLAN_CACHE_ENTRIES,
-    Plan,
-    PlanCache,
-)
+from .plan import DEFAULT_BLOCK_SIZE, DEFAULT_PLAN_CACHE_ENTRIES, Plan, PlanCache
 from .set import Set
 
-#: Default LRU bound for the call-site loop cache.
-DEFAULT_LOOP_CACHE_ENTRIES = 1024
-
-#: Default LRU bound for the compiled-chain cache.
-DEFAULT_CHAIN_CACHE_ENTRIES = 64
+#: LRU bounds of the plan, call-site loop and compiled-chain caches
+#: (``None`` = unbounded), read when a :class:`Runtime` is built.
+PLAN_CACHE_ENTRIES = DEFAULT_PLAN_CACHE_ENTRIES
+LOOP_CACHE_ENTRIES = 1024
+CHAIN_CACHE_ENTRIES = 64
 
 
 def loop_signature(kernel: Kernel, set_: Set, args: Sequence[Arg]) -> Tuple:
@@ -133,8 +138,9 @@ class Runtime:
         Default :class:`~repro.core.dat.Dat` storage layout (``"aos"`` or
         ``"soa"``) the application drivers apply when allocating state;
         ``None`` leaves the process default untouched.
-    plan_cache_entries / loop_cache_entries / chain_cache_entries:
-        LRU bounds for the three cache levels (``None`` = unbounded).
+
+    The three cache levels are bounded by :data:`PLAN_CACHE_ENTRIES`,
+    :data:`LOOP_CACHE_ENTRIES` and :data:`CHAIN_CACHE_ENTRIES`.
 
     ``backend="auto"`` is a fixed rule, applied here and never
     revisited: the ``native`` backend (which runs its vectorized tier
@@ -157,9 +163,6 @@ class Runtime:
         scheme: str = "two_level",
         coloring_method: str = "auto",
         layout: Optional[str] = None,
-        plan_cache_entries: Optional[int] = DEFAULT_PLAN_CACHE_ENTRIES,
-        loop_cache_entries: Optional[int] = DEFAULT_LOOP_CACHE_ENTRIES,
-        chain_cache_entries: Optional[int] = DEFAULT_CHAIN_CACHE_ENTRIES,
     ) -> None:
         #: True when constructed as ``Runtime("auto")`` (the rule above).
         self.auto = backend == "auto"
@@ -179,17 +182,14 @@ class Runtime:
         from ..tune.profile import RuntimeProfile
 
         self.profile = RuntimeProfile()
-        self.plans = PlanCache(max_entries=plan_cache_entries)
-        self.loop_cache_entries = loop_cache_entries
-        self.chain_cache_entries = chain_cache_entries
+        self.plans = PlanCache(max_entries=PLAN_CACHE_ENTRIES)
+        self.loop_cache_entries = LOOP_CACHE_ENTRIES
+        self.chain_cache_entries = CHAIN_CACHE_ENTRIES
         self._loop_plans: OrderedDict[Tuple, Plan] = OrderedDict()
         self.loop_cache_hits = 0
         self.loop_cache_misses = 0
         self.loop_cache_evictions = 0
         self._chains: OrderedDict[Tuple, CompiledChain] = OrderedDict()
-        #: uid of every Dat/Global some cached chain was keyed on ->
-        #: the keys of those chains (:meth:`_watch_chain`).
-        self._chain_keys_of: Dict[int, SetOf[Tuple]] = {}
         self.chain_cache_hits = 0
         self.chain_cache_misses = 0
         self.chain_cache_evictions = 0
@@ -253,74 +253,47 @@ class Runtime:
 
     def compiled_chain_for(
         self, specs: Sequence[LoopSpec], tiling=None
-    ) -> CompiledChain:
-        """Compiled schedule for a trace, through the chain cache.
+    ) -> BoundChain:
+        """Compiled schedule for a trace, through the chain cache, bound
+        to the trace's live arguments.
 
-        The cache key is the tiling request plus the tuple of per-loop
-        structural signatures (kernel, set, per-arg dat/map/slot/access
-        identities), so a steady-state time step that re-records the
-        same loop sequence replays its memoized schedule — no fusion,
-        tiling inspection or plan lookup at all — while tiled and
-        untiled compilations of the same trace
-        coexist as distinct cache entry kinds.
+        The cache key is the trace's shape
+        (:func:`~repro.core.chain.chain_signature`: the tiling request,
+        kernels, sets and maps by identity, Dats and Globals by
+        first-occurrence ordinal, dim, dtype, layout and home set), so a
+        steady-state time step that re-records the same loop sequence —
+        or a fresh sim over the same mesh — replays its memoized
+        schedule with no fusion, tiling inspection, plan lookup or store
+        access at all, while tiled and untiled compilations of the same
+        trace coexist as distinct entries.  An entry holds no Dat, so
+        the LRU bound is all that limits the cache.
         """
-        key = (tiling, tuple(spec.key() for spec in specs))
+        key, dats = chain_signature(specs, tiling)
         compiled = self._chains.get(key)
         if compiled is not None:
             self.chain_cache_hits += 1
             self._chains.move_to_end(key)
-            return compiled
-        self.chain_cache_misses += 1
-        compiled = self._load_or_compile_chain(specs, tiling)
-        self._chains[key] = compiled
-        self._watch_chain(key, specs)
-        if self.chain_cache_entries is not None:
-            while len(self._chains) > self.chain_cache_entries:
-                self._drop_chain(next(iter(self._chains)))
-                self.chain_cache_evictions += 1
-        return compiled
-
-    def _watch_chain(self, key: Tuple, specs: Sequence[LoopSpec]) -> None:
-        """Tie a chain-cache entry to the life of what it was keyed on.
-
-        A key names its Dats and Globals by uid and the compiled chain
-        binds aliases of them (:func:`repro.core.chain.bind_args`), so
-        the cache keeps their memory but not the caller's handles
-        alive.  Once any of those handles is collected the key can
-        never be recorded again: one finalizer per watched object drops
-        every entry keyed on it — a runtime shared by many short-lived
-        sims holds the chains of the live ones only.
-        """
-        for obj in {arg.dat for spec in specs for arg in spec.args}:
-            keys = self._chain_keys_of.get(obj._uid)
-            if keys is None:
-                keys = self._chain_keys_of[obj._uid] = set()
-                weakref.finalize(
-                    obj, _drop_chains_of, weakref.ref(self), obj._uid
-                ).atexit = False
-            keys.add(key)
-
-    def _drop_chain(self, key: Tuple) -> None:
-        compiled = self._chains.pop(key, None)
-        if compiled is not None:
-            for uid in {a.dat._uid for bl in compiled.loops for a in bl.args}:
-                self._chain_keys_of.get(uid, set()).discard(key)
-
-    def _clear_chains(self) -> None:
-        self._chains.clear()
-        for keys in self._chain_keys_of.values():
-            keys.clear()
+        else:
+            self.chain_cache_misses += 1
+            compiled = self._load_or_compile_chain(specs, tiling, key)
+            self._chains[key] = compiled
+            if self.chain_cache_entries is not None:
+                while len(self._chains) > self.chain_cache_entries:
+                    self._chains.popitem(last=False)
+                    self.chain_cache_evictions += 1
+        return compiled.bind(specs, dats)
 
     def _load_or_compile_chain(
-        self, specs: Sequence[LoopSpec], tiling
+        self, specs: Sequence[LoopSpec], tiling, key: Tuple
     ) -> CompiledChain:
         """Memory-miss path: persistent chain store, then compilation.
 
-        A warm process decodes the persisted fusion decisions and
-        rebinds them over the live trace (plans resolve through
-        :meth:`plan_for`, whose structural cache has its own disk
-        layer) — zero validation or fusion; a tiled schedule comes from
-        the tiled store when a backend first asks for it.  Decode
+        The store key is digested from the in-memory one
+        (:func:`repro.store.chain_key`), once per entry.  A warm process
+        decodes the persisted fusion partition and resolves the plans
+        through :meth:`plan_for` (whose structural cache has its own
+        disk layer) — zero validation or fusion; a tiled schedule comes
+        from the tiled store when a backend first asks for it.  Decode
         failures count as corrupt and fall back to a full compile;
         traces with explicit plan overrides are unkeyable
         (``chain_key`` returns ``None``) and always compile.
@@ -328,7 +301,7 @@ class Runtime:
         from .. import store
 
         skey = store.chain_key(
-            specs, tiling, self.block_size, self.scheme, self.coloring_method
+            key, self.block_size, self.scheme, self.coloring_method
         )
         cstore = store.store_for("chain")
         payload = cstore.get(skey)
@@ -337,12 +310,12 @@ class Runtime:
                 plans = [
                     self.plan_for(s.kernel, s.set, s.args) for s in specs
                 ]
-                compiled = store.decode_chain(payload, specs, plans)
+                compiled = store.decode_chain(payload, plans)
             except store.DECODE_ERRORS:
                 store.bump("chain", "corrupt")
                 store.unlink_quiet(cstore.path_for(skey))
             else:
-                object.__setattr__(compiled, "store_key", skey)
+                compiled.store_key = skey
                 return compiled
         store.count_build("chain")
         compiled = compile_chain(specs, self, tiling=tiling, store_key=skey)
@@ -358,7 +331,7 @@ class Runtime:
         self.loop_cache_hits = 0
         self.loop_cache_misses = 0
         self.loop_cache_evictions = 0
-        self._clear_chains()
+        self._chains.clear()
         self.chain_cache_hits = 0
         self.chain_cache_misses = 0
         self.chain_cache_evictions = 0
@@ -488,32 +461,23 @@ class Runtime:
         if block_size is not None and block_size != self.block_size:
             self.block_size = int(block_size)
             self._loop_plans.clear()
-            self._clear_chains()
+            self._chains.clear()
         if scheme is not None:
             if scheme != self.scheme:
                 self._loop_plans.clear()
-                self._clear_chains()
+                self._chains.clear()
             self.scheme = scheme
         if coloring_method is not None:
             self.coloring_method = coloring_method
             self.plans.clear()
             self._loop_plans.clear()
-            self._clear_chains()
+            self._chains.clear()
         if layout is not None:
             self.layout = _check_layout(layout)
         return self
 
     def reset_stats(self) -> None:
         self.backend.reset_stats()
-
-
-def _drop_chains_of(runtime_ref, uid: int) -> None:
-    """Finalizer of a watched Dat/Global (``Runtime._watch_chain``)."""
-    runtime = runtime_ref()
-    if runtime is not None:
-        for key in list(runtime._chain_keys_of.get(uid, ())):
-            runtime._drop_chain(key)
-        runtime._chain_keys_of.pop(uid, None)
 
 
 #: Default module-level runtime used when par_loop is called without one.

@@ -421,7 +421,7 @@ class _Builder:
         if root in self.params:
             self.param_writes.add(root)
 
-    def _mark_alias(self, name: str, value: ast.expr) -> None:
+    def _mark_alias_root(self, name: str, value: ast.expr) -> None:
         cur = value
         while isinstance(cur, ast.Subscript):
             cur = cur.value
@@ -483,7 +483,7 @@ class _Builder:
             if target.id in self.params:
                 raise _refuse(stmt, "rebinding a kernel parameter")
             self.local_names.add(target.id)
-            self._mark_alias(target.id, stmt.value)
+            self._mark_alias_root(target.id, stmt.value)
             return SAssign([target], stmt.value)
         if isinstance(target, ast.Tuple):
             if not all(isinstance(t, ast.Name) for t in target.elts):
@@ -499,7 +499,7 @@ class _Builder:
                     raise _refuse(stmt, "rebinding a kernel parameter")
                 self.local_names.add(t.id)
                 if v is not None:
-                    self._mark_alias(t.id, v)
+                    self._mark_alias_root(t.id, v)
                 else:
                     self.alias_root.pop(t.id, None)
             return SAssign([target], stmt.value)

@@ -1295,6 +1295,9 @@ class _LoopEmitter:
                     walk(st.body)
                     walk(st.orelse)
         walk(self.ir.body)
+        # Recursive closures hold their own cells: clear them, so the
+        # emitter and the loops it read die by reference counting.
+        del scan_assign, walk
         return names
 
     # -- whole-loop emission ---------------------------------------------

@@ -118,12 +118,12 @@ class _Workspace(NamedTuple):
     flag: Global     # 0 running, 1 converged, 2 p.Ap <= 0
 
 
-#: Memoized per-(set, dtype, layout) solver scratch.  The runtime's
-#: chain cache keys on *Dat identity*, so allocating fresh scratch per
-#: ``cg()`` call would force every solve to re-trace and re-compile its
-#: chains — the same reason the kernels are singletons.  Bounded LRU;
-#: cg() is not reentrant over the same (set, dtype, layout), which
-#: nothing in this single-threaded library does.
+#: Memoized per-(set, dtype, layout) solver scratch: consecutive solves
+#: allocate nothing and flush their chains over the same Dats, so each
+#: chain's bound view (``Runtime.compiled_chain_for``) is rebound only
+#: when ``b`` or ``x`` change.  Bounded LRU; cg() is not reentrant over
+#: the same (set, dtype, layout), which nothing in this single-threaded
+#: library does.
 _WORKSPACES: "OrderedDict[tuple, _Workspace]" = OrderedDict()
 _MAX_WORKSPACES = 8
 

@@ -193,60 +193,44 @@ def decode_tiled(payload: dict) -> TiledSchedule:
 # Compiled chain
 # ----------------------------------------------------------------------
 def encode_chain(compiled) -> dict:
-    """Persist a compiled chain's *decisions*, not its bound objects.
+    """Persist a compiled chain's *decisions*.
 
     The expensive outputs of :func:`repro.core.chain.compile_chain` are
     the validation pass, the fusion partition and the resolved tile
-    size; the bound loops themselves are rebuilt
-    from the live trace on decode (plans come from the plan store).
-    Tiled schedules, one per element-order profile, are persisted
-    separately under the ``tiled`` kind when a backend builds them.
+    size; plans come from the plan store.  Tiled schedules, one per
+    element-order profile, are persisted separately under the ``tiled``
+    kind when a backend builds them.
     """
-    offsets = []
-    pos = 0
-    for g in compiled.groups:
-        offsets.append(list(range(pos, pos + len(g.loops))))
-        pos += len(g.loops)
     return {
-        "groups": offsets,
+        "groups": [list(run) for run in compiled.partition],
         "tiling": compiled.tiling,
         "tile_size": int(compiled.tile_size),
         "n_loops": compiled.n_loops,
     }
 
 
-def decode_chain(payload: dict, specs, plans):
-    """Rebuild a compiled chain over live ``specs`` and resolved ``plans``.
+def decode_chain(payload: dict, plans):
+    """Rebuild a compiled chain's partition over resolved ``plans``.
 
     Skips validation and fusion — the persisted decisions are functions
-    of the structural trace the key guarantees identical.  A tiled
-    schedule is built (or loaded from the tiled store) only when a
-    backend first asks for it (:meth:`CompiledChain.tiled_for`).
+    of the structural trace the key guarantees identical.  The chain
+    holds no Dat: the runtime binds the live trace at each flush, and a
+    tiled schedule is built (or loaded from the tiled store) only when
+    a backend first asks for it (:meth:`BoundChain.tiled_for`).
     """
-    from ..core.chain import BoundLoop, CompiledChain, FusedGroup, bind_args
+    from ..core.chain import CompiledChain
 
-    if int(payload["n_loops"]) != len(specs):
+    if int(payload["n_loops"]) != len(plans):
         raise ValueError("chain document does not match the live trace")
-    args = bind_args(specs)
-    bound = [
-        BoundLoop(
-            kernel=spec.kernel, set=spec.set, args=args[i], plan=plans[i],
-        )
-        for i, spec in enumerate(specs)
-    ]
-    groups = []
-    seen: List[int] = []
-    for idx_group in payload["groups"]:
-        idx_group = [int(i) for i in idx_group]
-        seen += idx_group
-        groups.append(FusedGroup(
-            loops=tuple(bound[i] for i in idx_group),
-            plan=plans[idx_group[0]],
-        ))
-    if seen != list(range(len(specs))):
+    partition = tuple(
+        tuple(int(i) for i in run) for run in payload["groups"]
+    )
+    if [i for run in partition for i in run] != list(range(len(plans))) \
+            or not all(partition):
         raise ValueError("chain fusion groups do not partition the trace")
     return CompiledChain(
-        groups=tuple(groups),
+        partition=partition,
+        plans=tuple(plans),
         tiling=payload["tiling"],
         tile_size=int(payload["tile_size"]),
     )

@@ -112,67 +112,55 @@ def plan_key(
 
 
 def chain_key(
-    specs: Sequence,
-    tiling,
+    signature: Tuple,
     block_size: int,
     scheme: str,
     coloring_method: str,
 ) -> Optional[str]:
     """Key of one compiled loop chain, or ``None`` when unkeyable.
 
-    Tokens cover, per recorded loop: the kernel (name, plus source
-    digest when retrievable — decode rebinds the *live* kernel, so the
-    name alone is already sound), the iteration set, every argument's
-    kind/dim/dtype/layout/access/slot, map connectivity — and the
-    aliasing pattern via first-occurrence ordinals, which is what fusion
-    legality is a function of.  Runtime knobs that flow into plan resolution
-    (block size, scheme, coloring method) and the tiling request
-    complete the key.
+    Digested from the in-memory chain-cache key
+    (:func:`repro.core.chain.chain_signature`), whose objects become
+    content tokens: each kernel its name plus source digest when
+    retrievable (decode rebinds the *live* kernel, so the name alone is
+    already sound), each set and map a first-occurrence ordinal — the
+    identity relations ``validate_loop`` checks, so a key hit replays a
+    trace whose structure already validated, which is what lets decode
+    skip validation — plus the set's extent and the map's connectivity
+    digest.  Dats and Globals already enter by ordinal (the aliasing
+    pattern fusion legality is a function of) with dim, dtype, layout
+    and home set.  Runtime knobs that flow into plan resolution (block
+    size, scheme, coloring method) and the tiling request complete the
+    key.
 
-    A spec carrying an explicit plan override is unkeyable: the
-    override's content is not derivable from the trace.
+    A trace with an explicit plan override is unkeyable: the override's
+    content is not derivable from the trace.
     """
-    ordinals: Dict[Tuple[str, int], int] = {}
+    tiling, loops, described = signature
+    ordinals: Dict[int, int] = {}
 
-    def ordinal(kind: str, uid: int) -> int:
-        return ordinals.setdefault((kind, uid), len(ordinals))
+    def ordinal(obj) -> int:
+        return ordinals.setdefault(id(obj), len(ordinals))
 
     tokens: list = ["chain", int(block_size), scheme, coloring_method,
                     "tiling", tiling]
-    for spec in specs:
-        if spec.plan is not None:
+    for kernel, set_, plan, *args in loops:
+        if plan is not None:
             return None
-        tokens += [
-            "loop", spec.kernel.name, kernel_key(spec.kernel),
-            ordinal("s", spec.set._uid), set_token(spec.set),
-        ]
-        for arg in spec.args:
-            if arg.is_global:
-                tokens += [
-                    "g", ordinal("g", arg.dat._uid), int(arg.dat.dim),
-                    str(arg.dat.dtype), arg.access.name,
-                ]
-            else:
-                # The dat's home-set ordinal (and the map's endpoint
-                # ordinals below) tie the identity relations
-                # ``validate_loop`` checks into the key: a key hit
-                # therefore replays a trace whose structure already
-                # validated, which is what lets decode skip validation.
-                tokens += [
-                    "d", ordinal("d", arg.dat._uid),
-                    ordinal("s", arg.dat.set._uid), int(arg.dat.dim),
-                    str(arg.dat.dtype), arg.dat.layout, arg.access.name,
-                    int(arg.index),
-                ]
-                if arg.map is not None:
-                    tokens += [
-                        ordinal("m", arg.map._uid),
-                        ordinal("s", arg.map.from_set._uid),
-                        ordinal("s", arg.map.to_set._uid),
-                        map_key(arg.map),
-                    ]
-                else:
-                    tokens.append("direct")
+        tokens += ["loop", kernel.name, kernel_key(kernel), ordinal(set_),
+                   set_token(set_)]
+        for slot, map_, index, access in args:
+            tokens += ["a", slot, int(index), access.name]
+            if map_ is not None:
+                tokens += [ordinal(map_), ordinal(map_.from_set),
+                           ordinal(map_.to_set), map_key(map_)]
+    for desc in described:
+        if len(desc) == 2:  # a Global
+            tokens += ["g", int(desc[0]), str(desc[1])]
+        else:
+            dim, dtype, layout, home = desc
+            tokens += ["d", int(dim), str(dtype), layout, ordinal(home),
+                       set_token(home)]
     return digest(*tokens)
 
 

@@ -11,23 +11,33 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
+def _row(name: str, scheme: str, **options):
+    """One matrix row, with an id derived from its contents
+    (``vectorized-full_permute-vec3``) rather than its position, so
+    adding or deleting a row renames no other row's tests."""
+    label = "-".join([name, scheme, *(f"{k}{v}" for k, v in options.items())])
+    return pytest.param(name, scheme, options, id=label)
+
+
 #: (backend name, scheme, options) matrix every equivalence test sweeps:
 #: each ``vectorized`` scheme at the default strip width (one strip per
 #: small phase), at ``vec=8`` (many full strips) and, for the two
 #: permute schemes, at ``vec=3`` (a ragged last strip in every phase);
 #: ``auto`` is the ``Runtime("auto")`` rule.
 BACKEND_MATRIX = [
-    ("sequential", "two_level", {}),
-    ("vectorized", "two_level", {}),
-    ("vectorized", "full_permute", {}),
-    ("vectorized", "block_permute", {}),
-    ("vectorized", "full_permute", {"vec": 8}),
-    ("vectorized", "block_permute", {"vec": 8}),
-    ("native", "two_level", {}),
-    ("vectorized", "two_level", {"vec": 8}),
-    ("vectorized", "full_permute", {"vec": 3}),
-    ("vectorized", "block_permute", {"vec": 3}),
-    ("auto", "two_level", {}),
+    _row("sequential", "two_level"),
+    _row("vectorized", "two_level"),
+    _row("vectorized", "full_permute"),
+    _row("vectorized", "block_permute"),
+    _row("vectorized", "full_permute", vec=8),
+    _row("vectorized", "block_permute", vec=8),
+    _row("native", "two_level"),
+    _row("vectorized", "two_level", vec=8),
+    _row("vectorized", "full_permute", vec=3),
+    _row("vectorized", "block_permute", vec=3),
+    _row("auto", "two_level"),
 ]
 
 
@@ -40,7 +50,7 @@ def _apply_backend_override(matrix):
     if not forced:
         return matrix
     if forced == "auto":
-        return [("auto", "two_level", {})]
+        return [_row("auto", "two_level")]
     from repro.core.runtime import BACKENDS
 
     if forced not in BACKENDS:
@@ -48,7 +58,7 @@ def _apply_backend_override(matrix):
             f"REPRO_BACKEND={forced!r} is not a backend; use one of "
             f"{[*BACKENDS, 'auto']}"
         )
-    return [row for row in matrix if row[0] == forced]
+    return [row for row in matrix if row.values[0] == forced]
 
 
 BACKEND_MATRIX = _apply_backend_override(BACKEND_MATRIX)
@@ -75,3 +85,22 @@ def runtime_for(name: str, scheme: str, options: dict, block_size: int = 64,
         scheme=scheme,
         layout=layout,
     )
+
+
+def spy_chains(runtime) -> list:
+    """The bound chains ``runtime``'s flushes run from now on, each
+    once, least recently flushed first (the chain cache's order).
+
+    Flushes over the same live arguments get one view back while it is
+    held (``Runtime.compiled_chain_for``), and this list holds them.
+    """
+    seen = []
+    lookup = runtime.compiled_chain_for
+
+    def recorded(specs, tiling=None):
+        compiled = lookup(specs, tiling)
+        seen[:] = [c for c in seen if c is not compiled] + [compiled]
+        return compiled
+
+    runtime.compiled_chain_for = recorded
+    return seen

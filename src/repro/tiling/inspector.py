@@ -124,7 +124,7 @@ def auto_tile_size(loops: Sequence) -> int:
     total_bytes = sum(
         d._data.shape[0] * d.dim * d.dtype.itemsize for d in seen.values()
     )
-    seed_n = max(loops[0].n, 1)
+    seed_n = max(loops[0].set.size, 1)
     per_elem = max(total_bytes / seed_n, 1.0)
     return max(256, int(AUTO_TILE_BYTES / per_elem))
 

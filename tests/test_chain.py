@@ -37,7 +37,10 @@ from repro.core import (
     pair_fusable,
     par_loop,
 )
-from repro.testing import BACKEND_MATRIX, LAYOUT_MATRIX, runtime_for
+from repro.core import runtime as runtime_module
+from repro.testing import (
+    BACKEND_MATRIX, LAYOUT_MATRIX, runtime_for, spy_chains,
+)
 
 
 # ----------------------------------------------------------------------
@@ -145,12 +148,13 @@ class TestChainEagerEquivalence:
             chained=False,
         )
         rt = Runtime(make_backend("vectorized", vec=8), block_size=32)
+        chains = spy_chains(rt)
         chained = AirfoilSim(make_airfoil_mesh(10, 5), runtime=rt,
                              chained=True)
         eager.run(2)
         chained.run(2)
         assert np.array_equal(eager.state.p_q.data, chained.state.p_q.data)
-        compiled = next(iter(rt._chains.values()))
+        compiled = chains[0]
         program = compiled.exec_cache[rt.backend]
         assert [fn.__name__ for fn in program] == \
             ["run_group"] * len(compiled.groups)
@@ -470,6 +474,7 @@ class TestFusionLegality:
 
     def test_groups_split_on_set_change_and_illegal_pairs(self):
         rt = Runtime("vectorized", block_size=16)
+        chains = spy_chains(rt)
         with rt.chain() as ch:
             par_loop(chain_scale, self.edges,
                      arg_dat(self.w, IDX_ID, None, READ),
@@ -478,7 +483,7 @@ class TestFusionLegality:
                      arg_dat(self.s, IDX_ID, None, READ),
                      arg_dat(self.r, 0, self.e2n, INC),
                      arg_dat(self.r, 1, self.e2n, INC), runtime=rt)
-        compiled = next(iter(rt._chains.values()))
+        compiled = chains[0]
         # scale (direct plan) and spmv (colored plan) cannot share a
         # plan: two singleton groups.
         assert [len(g.loops) for g in compiled.groups] == [1, 1]
@@ -488,9 +493,10 @@ class TestFusionLegality:
         from repro.mesh import make_airfoil_mesh
 
         rt = Runtime("vectorized", block_size=32)
+        chains = spy_chains(rt)
         sim = AirfoilSim(make_airfoil_mesh(10, 5), runtime=rt, chained=True)
         sim.step()
-        compiled = next(iter(rt._chains.values()))
+        compiled = chains[0]
         names = [
             [bl.kernel.name for bl in g.loops] for g in compiled.groups
         ]
@@ -884,8 +890,9 @@ class TestCaches:
         cache.get(s0, ())
         assert cache.hits == hits + 1
 
-    def test_loop_cache_lru_bound(self):
-        rt = Runtime("vectorized", block_size=16, loop_cache_entries=2)
+    def test_loop_cache_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "LOOP_CACHE_ENTRIES", 2)
+        rt = Runtime("vectorized", block_size=16)
         sets = [Set(8, f"u{i}") for i in range(4)]
         dats = [Dat(s, 1, name=f"d{i}") for i, s in enumerate(sets)]
         for s, d in zip(sets, dats):
@@ -896,12 +903,13 @@ class TestCaches:
         assert st["entries"] == 2
         assert st["evictions"] == 2
 
-    def test_chain_cache_lru_bound(self):
+    def test_chain_cache_lru_bound(self, monkeypatch):
         nodes, edges, e2n, w, s, r = ring_problem()
-        rt = Runtime("vectorized", block_size=16, chain_cache_entries=1)
+        monkeypatch.setattr(runtime_module, "CHAIN_CACHE_ENTRIES", 1)
+        rt = Runtime("vectorized", block_size=16)
         out1 = Dat(edges, 1, name="out1")
-        out2 = Dat(edges, 1, name="out2")
-        for out in (out1, out2):  # two distinct trace signatures
+        out2 = Dat(edges, 1, name="out2", layout="soa")
+        for out in (out1, out2):  # two distinct trace shapes
             with rt.chain():
                 par_loop(chain_scale, edges,
                          arg_dat(w, IDX_ID, None, READ),

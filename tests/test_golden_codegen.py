@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.kernelc import emit_vector_source, kernel_ir
+from repro.testing import spy_chains
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -153,6 +154,7 @@ class TestNativeGolden:
         from repro.mesh import make_airfoil_mesh, make_tri_mesh
 
         rt = Runtime("sequential")
+        chains = spy_chains(rt)
         if app == "airfoil":
             from repro.apps.airfoil import AirfoilSim
 
@@ -173,7 +175,7 @@ class TestNativeGolden:
             sim = AeroSim(make_airfoil_mesh(10, 5), runtime=rt,
                           chained=True, operator="matfree")
         sim.run(1)
-        return list(rt._chains.values())
+        return list(chains)
 
     @staticmethod
     def _repeat_of(compiled):
@@ -220,10 +222,11 @@ class TestNativeGolden:
         from repro.mesh import make_airfoil_mesh
 
         rt = Runtime("vectorized")
+        chains = spy_chains(rt)
         sim = AirfoilSim(make_airfoil_mesh(260, 130), runtime=rt,
                          chained=True)
         sim.run(1)
-        (compiled,) = rt._chains.values()
+        (compiled,) = chains
         assert compiled.loops[0].n >= THREAD_MIN_ELEMENTS
         source = emit_chain_source(compiled.loops, name="airfoil_threaded")
         assert "#pragma omp parallel" in source

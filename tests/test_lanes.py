@@ -49,6 +49,7 @@ from repro.core.access import IDX_ALL, IDX_ID
 from repro.kernelc import compiler_available, emit_chain_source
 from repro.kernelc import native
 from repro.kernelc.native import PACKET
+from repro.testing import spy_chains
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -125,9 +126,10 @@ def _lanes(build, threads=False):
     """``{kernel: lane verdict}`` of the chain ``build(rt)`` records, and
     its TU."""
     rt = Runtime("sequential")
+    chains = spy_chains(rt)
     with rt.chain():
         build(rt)
-    (compiled,) = rt._chains.values()
+    (compiled,) = chains
     _, emitters, _ = native._plan_chain(compiled.loops, threads)
     source = emit_chain_source(compiled.loops, threads=threads)
     return {em.bl.kernel.name: str(em.lanes) for em in emitters}, source
@@ -442,9 +444,10 @@ class TestScalarGatherUnroll:
         targets = np.arange(n)[:, None] + np.arange(arity)[None, :]
         _, build = _unroll_setup(targets, dim, owner=True)
         rt = Runtime("sequential")
+        chains = spy_chains(rt)
         with rt.chain():
             build(rt)
-        (compiled,) = rt._chains.values()
+        (compiled,) = chains
         _, (em,), _ = native._plan_chain(compiled.loops, True)
         assert em.verdict.kind == "owner"
         assert str(em.lanes) == "scalar: store through a map under a branch"

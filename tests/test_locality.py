@@ -423,12 +423,14 @@ class TestLazyColouring:
         assert direct.is_direct and direct.n_block_colors == 1
         assert rt.plans.colourings_materialized == 1
 
-    def test_uncoloured_plan_pins_no_dat(self):
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_uncoloured_plan_pins_no_dat(self, chained):
         # A plan a backend never colours keeps its colorer for good;
-        # it must hold the racing maps only, not the first loop's Dats.
+        # it must hold the racing maps only, not the first loop's Dats
+        # (and a chain-cache entry holds none either).
         rt = Runtime("sequential", block_size=32)
         sim = AirfoilSim(make_airfoil_mesh(14, 7), runtime=rt,
-                         chained=False)  # (a chain cache keys on Dats)
+                         chained=chained)
         sim.step()
         assert any(not p.is_direct and not p.colored
                    for p in rt.plans._plans.values())

@@ -42,6 +42,7 @@ from repro.core import (
 from repro.core.access import IDX_ID
 from repro.kernelc import compiler_available, reset_native_cache
 from repro.mesh import make_airfoil_mesh, make_tri_mesh
+from repro.testing import spy_chains
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -252,9 +253,10 @@ class TestTiledRequestsRunUntiled:
     def test_vectorized_still_tiles(self):
         """The lazy schedule is built when a tiling backend asks."""
         rt = Runtime("vectorized")
+        chains = spy_chains(rt)
         sim = APPS["airfoil"](rt, chained=True, tiling="auto")
         sim.step()
-        (compiled,) = rt._chains.values()
+        (compiled,) = chains
         assert compiled.tiled_built
         profile = rt.stats()["profile"]
         assert all(c["tiled"] for c in profile["chains"].values())
@@ -404,9 +406,10 @@ class TestChainPlannedOnce:
         from repro.kernelc import native
 
         rt = Runtime("vectorized")
+        chains = spy_chains(rt)
         sim = APPS["airfoil"](rt, chained=True)
         sim.step()
-        (compiled,) = rt._chains.values()
+        (compiled,) = chains
         loops = compiled.loops
         calls = []
         classify = native._LoopEmitter.classify

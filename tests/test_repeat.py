@@ -12,6 +12,7 @@ backend matrix x {eager, chained, tiled} x {compiler, no compiler}.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from repro.core import dat as dat_module
 from repro.core.access import IDX_ALL, IDX_ID
 from repro.core.chain import Repeat
 from repro.solve import MatOperator, cg
-from repro.testing import BACKEND_MATRIX, runtime_for
+from repro.testing import BACKEND_MATRIX, runtime_for, spy_chains
 
 MODES = ["eager", "chained", "tiled"]
 
@@ -328,9 +329,9 @@ class TestSolverEdges:
         assert tight.iterations > loose.iterations
         assert tight.history[: len(loose.history)] == loose.history
         if compiler_available():
-            # Fresh b/x Dats re-key the chains, but their shape is the
-            # same: both (start-up and trip) run the programs built for
-            # the first solve — nothing emitted, compiled or loaded.
+            # Fresh b/x Dats rebind the cached chains, whose shape is
+            # the same: both (start-up and trip) run the programs built
+            # for the first solve — nothing emitted, compiled or loaded.
             after = native_cache_stats()
             assert after["compiles"] == before["compiles"]
             assert after["disk_hits"] == before["disk_hits"]
@@ -645,6 +646,7 @@ class TestValidation:
         from repro.tiling.inspector import barrier_reason
 
         prob, rt = Decay(16, 0.5), Runtime("vectorized")
+        chains = spy_chains(rt)
         with rt.chain(tiling=4) as ch:
             prob.trip(rt, ["damp", "mix"])
             # two scalar loops over one set back to back: still apart
@@ -652,7 +654,7 @@ class TestValidation:
                      arg_gbl(prob.resid, WRITE), arg_gbl(prob.flag, WRITE),
                      runtime=rt)
         assert ch.flushes == 1
-        (compiled,) = rt._chains.values()
+        (compiled,) = chains
         names = [[bl.kernel.name for bl in g.loops] for g in compiled.groups]
         assert names == [["rp_damp", "rp_mix", "rp_norm"], ["rp_step"],
                          ["rp_stop_now"]]
@@ -743,66 +745,49 @@ class TestCountedReasons:
 
 
 # ----------------------------------------------------------------------
-# The chain cache holds the chains of live Dats only
+# The chain cache holds one entry per chain shape and no sim's Dats
 # ----------------------------------------------------------------------
 class TestChainCacheLifetime:
     @pytest.mark.parametrize("backend", ["vectorized", "native"])
-    def test_fifty_fresh_sims_leave_the_live_ones_chains(self, backend):
+    def test_fifty_fresh_sims_share_one_set_of_chains(self, backend):
         from repro.apps.aero import AeroSim
         from repro.mesh import make_airfoil_mesh
 
         mesh = make_airfoil_mesh(10, 5)
         rt = Runtime(backend)
+
+        def fresh_sim(picard=2):
+            sim = AeroSim(mesh, runtime=rt, operator="matfree",
+                          chained=True)
+            sim.solve(picard=picard)
+            return sim
+
+        def counts():
+            st = rt.stats()["chain_cache"]
+            return st["entries"], st["misses"], st["store"]["disk_hits"]
+
         was_enabled = gc.isenabled()
         gc.disable()  # reference counts alone must free a dead sim
         try:
-            per_sim = None
-            for _ in range(50):
-                sim = AeroSim(mesh, runtime=rt, operator="matfree",
-                              chained=True)
-                sim.solve(picard=2)
-                entries = rt.stats()["chain_cache"]["entries"]
-                per_sim = per_sim or entries
-                assert entries == per_sim <= 3  # build, start-up, trip
-            keep = sim
-            other = AeroSim(mesh, runtime=rt, operator="matfree",
-                            chained=True)
-            other.solve(picard=1)
-            assert rt.stats()["chain_cache"]["entries"] == 2 * per_sim
+            sim = fresh_sim()
+            first = counts()
+            assert first[0] <= 3  # build, start-up, trip
+            for _ in range(49):
+                dead = weakref.ref(sim.state.p_phi)
+                del sim
+                assert dead() is None
+                sim = fresh_sim()
+                assert counts() == first
+            other = fresh_sim(picard=1)
+            assert counts() == first
+            dead = [weakref.ref(s.state.p_phi) for s in (sim, other)]
             del other
-            assert rt.stats()["chain_cache"]["entries"] == per_sim
-            del sim, keep
-            assert rt.stats()["chain_cache"]["entries"] == 0
-            assert all(not keys for keys in rt._chain_keys_of.values())
+            assert dead[1]() is None
+            assert counts() == first
+            del sim
+            assert dead[0]() is None
+            assert counts() == first
         finally:
             if was_enabled:
                 gc.enable()
         assert rt.stats()["chain_cache"]["evictions"] == 0
-
-    def test_retained_chain_keeps_its_storage(self):
-        """Whoever holds a compiled chain can still run it after the
-        caller's Dats are gone: it owns aliases of them."""
-        prob, rt = Decay(8, 0.5), Runtime("sequential")
-        with rt.chain():
-            prob.trip(rt, ["damp"])
-        (compiled,) = rt._chains.values()
-        u = compiled.loops[0].args[2].dat
-        assert u == prob.u and u is not prob.u
-        expect = prob.u.data.copy()
-        del prob
-        assert len(rt._chains) == 0
-        np.testing.assert_array_equal(u.data, expect)
-        rt.backend.run_chain(compiled)
-
-    def test_lru_eviction_unwatches(self):
-        rt = Runtime("sequential", chain_cache_entries=2)
-        prob = Decay(4, 0.5)
-        for ops in (["damp"], ["mix"], ["smooth"]):
-            with rt.chain():
-                prob.trip(rt, ops)
-        stats = rt.stats()["chain_cache"]
-        assert (stats["entries"], stats["evictions"]) == (2, 1)
-        watched = set().union(*rt._chain_keys_of.values())
-        assert watched == set(rt._chains)
-        rt.clear_caches()
-        assert not set().union(*rt._chain_keys_of.values())

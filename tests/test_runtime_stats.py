@@ -13,6 +13,7 @@ TestStatsSurface.
 
 import numpy as np
 
+from repro.core import runtime as runtime_module
 from repro.core import (
     INC,
     READ,
@@ -55,8 +56,9 @@ def indirect_loop(rt, m, elems, nodes, slot=0):
 
 
 class TestLoopCacheEviction:
-    def test_bound_held_and_counted(self):
-        rt = Runtime("sequential", loop_cache_entries=3)
+    def test_bound_held_and_counted(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "LOOP_CACHE_ENTRIES", 3)
+        rt = Runtime("sequential")
         meshes = [ring(tag=str(i)) for i in range(5)]
         for nodes, elems, m in meshes:
             indirect_loop(rt, m, elems, nodes)
@@ -76,8 +78,9 @@ class TestLoopCacheEviction:
         assert s["hits"] == 1
         assert s["entries"] <= 3
 
-    def test_lru_order_protects_recent(self):
-        rt = Runtime("sequential", loop_cache_entries=2)
+    def test_lru_order_protects_recent(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "LOOP_CACHE_ENTRIES", 2)
+        rt = Runtime("sequential")
         (n1, e1, m1), (n2, e2, m2), (n3, e3, m3) = [
             ring(tag=f"lru{i}") for i in range(3)
         ]
@@ -91,9 +94,10 @@ class TestLoopCacheEviction:
 
 
 class TestPlanCacheEviction:
-    def test_bound_held_and_rebuilt_on_return(self):
-        rt = Runtime("sequential", plan_cache_entries=2,
-                     loop_cache_entries=None)
+    def test_bound_held_and_rebuilt_on_return(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "PLAN_CACHE_ENTRIES", 2)
+        monkeypatch.setattr(runtime_module, "LOOP_CACHE_ENTRIES", None)
+        rt = Runtime("sequential")
         meshes = [ring(tag=f"p{i}") for i in range(4)]
         for nodes, elems, m in meshes:
             indirect_loop(rt, m, elems, nodes)
@@ -116,8 +120,9 @@ class TestChainCacheEviction:
                      arg_dat(a, IDX_ID, None, READ),
                      arg_dat(b, IDX_ID, None, WRITE), runtime=rt)
 
-    def test_fused_and_tiled_are_distinct_entries(self):
-        rt = Runtime("vectorized", chain_cache_entries=4)
+    def test_fused_and_tiled_are_distinct_entries(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "CHAIN_CACHE_ENTRIES", 4)
+        rt = Runtime("vectorized")
         s1 = Set(16, "c1")
         dats = (Dat(s1, 1, 1.0), Dat(s1, 1))
         self._trace(rt, dats)
@@ -130,8 +135,9 @@ class TestChainCacheEviction:
         st = rt.stats()["chain_cache"]
         assert st["hits"] == 2
 
-    def test_bound_held_under_distinct_traces(self):
-        rt = Runtime("vectorized", chain_cache_entries=2)
+    def test_bound_held_under_distinct_traces(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "CHAIN_CACHE_ENTRIES", 2)
+        rt = Runtime("vectorized")
         sets = [Set(8, f"cc{i}") for i in range(4)]
         all_dats = [(Dat(s, 1, 1.0), Dat(s, 1)) for s in sets]
         for dats in all_dats:
@@ -144,8 +150,9 @@ class TestChainCacheEviction:
         self._trace(rt, all_dats[0])
         assert rt.stats()["chain_cache"]["misses"] == 5
 
-    def test_tiled_entries_respect_the_same_bound(self):
-        rt = Runtime("vectorized", chain_cache_entries=2)
+    def test_tiled_entries_respect_the_same_bound(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "CHAIN_CACHE_ENTRIES", 2)
+        rt = Runtime("vectorized")
         s1 = Set(32, "ct")
         dats = (Dat(s1, 1, 1.0), Dat(s1, 1))
         for tiling in (None, 8, 16):
@@ -206,7 +213,7 @@ class TestStatsSurface:
              "builds", "disk_entries", "max_entries"}
 
     def test_all_six_cache_kinds_reported(self):
-        rt = Runtime("vectorized", chain_cache_entries=4)
+        rt = Runtime("vectorized")
         s1 = Set(8, "surf")
         a, b = Dat(s1, 1, 1.0), Dat(s1, 1)
         with rt.chain(tiling=4):
@@ -288,7 +295,7 @@ class TestNativeCacheCounters:
     """The 6th cache kind: chain-level native compilation counters."""
 
     def _chained_step(self, tag):
-        rt = Runtime("native", chain_cache_entries=4)
+        rt = Runtime("native")
         s1 = Set(16, f"nat{tag}")
         a, b = Dat(s1, 1, 1.0, name="na"), Dat(s1, 1, name="nb")
         with rt.chain():

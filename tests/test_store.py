@@ -163,7 +163,7 @@ class TestTiledCodec:
     def test_roundtrip(self, n, tile_size, profile):
         rt = Runtime("vectorized", block_size=16)
         specs = trace_specs(f"tc{n}{tile_size}{profile}", n)
-        compiled = compile_chain(specs, rt, tiling=tile_size)
+        compiled = rt.compiled_chain_for(specs, tiling=tile_size)
         sched = compiled.tiled_for(profile)
         doc = pickle.loads(pickle.dumps(store.encode_tiled(sched)))
         back = store.decode_tiled(doc)
@@ -199,13 +199,10 @@ class TestChainCodec:
         compiled = compile_chain(specs, rt)
         doc = pickle.loads(pickle.dumps(store.encode_chain(compiled)))
         plans = [rt.plan_for(s.kernel, s.set, s.args) for s in specs]
-        back = store.decode_chain(doc, specs, plans)
+        back = store.decode_chain(doc, plans)
         assert back.n_loops == compiled.n_loops
-        assert len(back.groups) == len(compiled.groups)
-        for g, h in zip(back.groups, compiled.groups):
-            assert [bl.kernel for bl in g.loops] == \
-                [bl.kernel for bl in h.loops]
-            assert g.plan is h.plan
+        assert back.partition == compiled.partition
+        assert all(p is q for p, q in zip(back.plans, compiled.plans))
         assert back.tiling == compiled.tiling
         assert back.tile_size == compiled.tile_size
 
@@ -214,7 +211,7 @@ class TestChainCodec:
         specs = trace_specs("ccbad", 8)
         doc = store.encode_chain(compile_chain(specs, rt))
         with pytest.raises(ValueError, match="does not match"):
-            store.decode_chain(doc, specs[:1], [None])
+            store.decode_chain(doc, [None])
 
     def test_rejects_nonpartition_groups(self):
         rt = Runtime("vectorized", block_size=16)
@@ -223,7 +220,7 @@ class TestChainCodec:
         doc["groups"] = [[0], [0]]
         plans = [rt.plan_for(s.kernel, s.set, s.args) for s in specs]
         with pytest.raises(ValueError, match="partition"):
-            store.decode_chain(doc, specs, plans)
+            store.decode_chain(doc, plans)
 
 
 #: Well-formed pickles with the wrong content: what a hand edit or a
@@ -257,13 +254,13 @@ class TestMalformedPayloads:
         mutate(doc)
         plans = [rt.plan_for(s.kernel, s.set, s.args) for s in specs]
         with pytest.raises(store.DECODE_ERRORS):
-            store.decode_chain(doc, specs, plans)
+            store.decode_chain(doc, plans)
 
     @pytest.mark.parametrize("mutate", _TILED_MUTATIONS.values(),
                              ids=list(_TILED_MUTATIONS))
     def test_tiled(self, mutate):
         rt = Runtime("vectorized", block_size=16)
-        compiled = compile_chain(trace_specs("malt", 16), rt, tiling=4)
+        compiled = rt.compiled_chain_for(trace_specs("malt", 16), tiling=4)
         doc = store.encode_tiled(compiled.tiled_for("phases"))
         mutate(doc)
         with pytest.raises(store.DECODE_ERRORS):

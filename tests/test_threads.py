@@ -50,6 +50,7 @@ from repro.core.access import IDX_ALL, IDX_ID
 from repro.core.plan import owner_ranges
 from repro.kernelc import compiler_available, emit_chain_source
 from repro.kernelc import native
+from repro.testing import spy_chains
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -256,9 +257,10 @@ def _verdicts(monkeypatch, build, threshold=16):
     ``build(rt)`` records."""
     monkeypatch.setattr(native, "THREAD_MIN_ELEMENTS", threshold)
     rt = Runtime("sequential")
+    chains = spy_chains(rt)
     with rt.chain():
         build(rt)
-    (compiled,) = rt._chains.values()
+    (compiled,) = chains
     source = emit_chain_source(compiled.loops)
     out = {}
     for line in source.splitlines():

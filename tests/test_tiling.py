@@ -33,7 +33,9 @@ from repro.core import (
     par_loop,
 )
 from repro.coloring import is_valid_tile_coloring
-from repro.testing import BACKEND_MATRIX, LAYOUT_MATRIX, runtime_for
+from repro.testing import (
+    BACKEND_MATRIX, LAYOUT_MATRIX, runtime_for, spy_chains,
+)
 from repro.tiling import (
     TiledSegment,
     auto_tile_size,
@@ -94,6 +96,7 @@ def ring_chain_schedule(rt, tiling, n=60):
     """Record the scale → spmv → norm ring chain tiled; return
     (runtime, compiled chain, dats)."""
     nodes, edges, e2n, w, s, r, out = ring_problem(n)
+    chains = spy_chains(rt)
     with rt.chain(tiling=tiling):
         par_loop(tile_scale, edges,
                  arg_dat(w, IDX_ID, None, READ),
@@ -105,7 +108,7 @@ def ring_chain_schedule(rt, tiling, n=60):
         par_loop(tile_norm, nodes,
                  arg_dat(r, IDX_ID, None, READ),
                  arg_dat(out, IDX_ID, None, WRITE), runtime=rt)
-    compiled = next(iter(rt._chains.values()))
+    compiled = chains[0]
     return compiled, (w, s, r, out)
 
 
@@ -191,12 +194,13 @@ class TestTiledEagerEquivalence:
             chained=False,
         )
         rt = Runtime(make_backend("vectorized", vec=8), block_size=32)
+        chains = spy_chains(rt)
         tiled = AirfoilSim(make_airfoil_mesh(10, 5), runtime=rt,
                            chained=True, tiling=40)
         eager.run(2)
         tiled.run(2)
         assert np.array_equal(eager.state.p_q.data, tiled.state.p_q.data)
-        compiled = next(iter(rt._chains.values()))
+        compiled = chains[0]
         assert (rt.backend, "tiled") in compiled.exec_cache
         assert rt.backend not in compiled.exec_cache  # no fused fallback
 
@@ -237,10 +241,11 @@ class TestInspector:
         from repro.mesh import make_airfoil_mesh
 
         rt = Runtime("vectorized", block_size=32)
+        chains = spy_chains(rt)
         sim = AirfoilSim(make_airfoil_mesh(12, 6), runtime=rt,
                          chained=True, tiling=48)
         sim.step()
-        compiled = next(iter(rt._chains.values()))
+        compiled = chains[0]
         sched = compiled.tiled
         kinds = [
             "seg" if isinstance(p, TiledSegment) else p.reason
@@ -351,11 +356,12 @@ class TestInspector:
     def test_singleton_segment_becomes_barrier(self):
         nodes, edges, e2n, w, s, r, out = ring_problem()
         rt = Runtime("vectorized", block_size=16)
+        chains = spy_chains(rt)
         with rt.chain(tiling=16):
             par_loop(tile_scale, edges,
                      arg_dat(w, IDX_ID, None, READ),
                      arg_dat(s, IDX_ID, None, WRITE), runtime=rt)
-        compiled = next(iter(rt._chains.values()))
+        compiled = chains[0]
         assert [p.reason for p in compiled.tiled.parts] == [
             "singleton-segment"
         ]
@@ -395,6 +401,7 @@ class TestInspectorProperties:
         r = Dat(nodes, 1, name="pr")
         out = Dat(nodes, 1, name="pout")
         rt = Runtime("vectorized", block_size=16)
+        chains = spy_chains(rt)
         with rt.chain(tiling=tile_size):
             par_loop(tile_scale, edges,
                      arg_dat(w, IDX_ID, None, READ),
@@ -406,7 +413,7 @@ class TestInspectorProperties:
             par_loop(tile_norm, nodes,
                      arg_dat(r, IDX_ID, None, READ),
                      arg_dat(out, IDX_ID, None, WRITE), runtime=rt)
-        compiled = next(iter(rt._chains.values()))
+        compiled = chains[0]
         sched = compiled.tiled
         for seg in sched.segments:
             for j, k in enumerate(seg.loop_indices):
@@ -484,10 +491,11 @@ class TestTiledCachesAndExecutors:
         from repro.mesh import make_airfoil_mesh
 
         rt = Runtime("vectorized", block_size=32)
+        chains = spy_chains(rt)
         sim = AirfoilSim(make_airfoil_mesh(10, 5), runtime=rt,
                          chained=True, tiling=48)
         sim.run(3)
-        compiled = next(iter(rt._chains.values()))
+        compiled = chains[0]
         keys = [k for k in compiled.exec_cache if isinstance(k, tuple)]
         assert keys, "tiled replay program was not cached"
 
@@ -496,10 +504,11 @@ class TestTiledCachesAndExecutors:
         from repro.mesh import make_airfoil_mesh
 
         rt = Runtime("sequential", block_size=32)
+        chains = spy_chains(rt)
         sim = AirfoilSim(make_airfoil_mesh(10, 5), runtime=rt,
                          chained=True, tiling=48)
         sim.step()
-        compiled = next(iter(rt._chains.values()))
+        compiled = chains[0]
         sched = compiled.tiled_for("ascending")
         assert sched is not None and sched.profile == "ascending"
         for seg in sched.segments:
@@ -510,12 +519,13 @@ class TestTiledCachesAndExecutors:
 
     def test_untiled_chain_has_no_schedule(self):
         rt = Runtime("vectorized", block_size=16)
+        chains = spy_chains(rt)
         nodes, edges, e2n, w, s, r, out = ring_problem()
         with rt.chain():
             par_loop(tile_scale, edges,
                      arg_dat(w, IDX_ID, None, READ),
                      arg_dat(s, IDX_ID, None, WRITE), runtime=rt)
-        compiled = next(iter(rt._chains.values()))
+        compiled = chains[0]
         assert compiled.tiled is None
         assert compiled.tiled_for("phases") is None
 
