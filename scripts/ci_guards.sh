@@ -120,8 +120,30 @@ no_adhoc_persistence() {
   fi
 }
 
+one_strip_executor() {
+  # The vectorized backend has one gather -> kernel -> scatter
+  # implementation: backends/base.py's StripProgram, which eager,
+  # chained and tiled dispatch (and gather_batch / scatter_batch)
+  # all run.  An np.take( / .scatter( / .scatter_add( call anywhere
+  # else under backends/ is a second copy that can drift out of
+  # bitwise step with it: prepare a StripProgram instead.
+  bad=$(awk '
+    FNR == 1 { inside = 0 }
+    FILENAME ~ /\/base\.py$/ && /^class StripProgram[(:]/ { inside = 1; next }
+    inside && /^[^ \t]/ { inside = 0 }
+    !inside && /np\.take\(|\.scatter(_add)?\(/ { print FILENAME ":" FNR ": " $0 }
+  ' src/repro/backends/*.py | grep -vE '``|#' || true)
+  if [ -n "$bad" ]; then
+    echo "Gathers and scatters under backends/ belong in StripProgram"
+    echo "(backends/base.py):"
+    echo "$bad"
+    exit 1
+  fi
+}
+
 GUARDS="no_vec_kernels_under_apps no_csr_in_aero no_assembly_in_matfree
-no_host_reads_in_cg_trip no_backend_literals_in_examples no_adhoc_persistence"
+no_host_reads_in_cg_trip no_backend_literals_in_examples no_adhoc_persistence
+one_strip_executor"
 
 status=0
 for guard in ${@:-$GUARDS}; do

@@ -24,36 +24,38 @@ bitwise equal to it, and ``vectorized`` runs each loop in colour-phase
 order, so indirect increments reach a target in a different order and
 results differ at rounding level.
 
-The gather/scatter contract
----------------------------
-:func:`gather_batch` packs one chunk/phase of elements into batched
-arrays: indirect reads become mapped gathers (fresh copies), direct
-reads contiguous views, indirect INC arguments zeroed accumulators.
-:func:`scatter_batch` writes results back under the
-serialize-vs-colored rule: INC with ``serialize_inc=True`` applies lanes
-in element order (one 1-D ``np.add.at`` per component — correct when
-lanes collide, the two_level case); ``serialize_inc=False`` is the
-permute schemes' free fused scatter, valid only for conflict-free
-targets; WRITE/RW scatters always require distinct targets.  All of it
-routes through the layout-aware :class:`~repro.core.dat.Dat`
-primitives, so AoS and SoA Dats take the same code path
-(``docs/architecture.md`` sections 2 and 4).  The prepared replay
-(``backends/vectorized.py: _PhaseExec``) adds column-major lane arrays
-on top of the same primitives.
+The strip executor
+------------------
+The vectorized backend runs each colour phase of a loop as strips, and
+each strip as one :class:`StripProgram`: the paper's gather -> vector
+kernel -> serialized scatter sequence (Fig 3b) with every per-argument
+decision (zero-copy view, gather, zeroed accumulator, merged INC group,
+reduction partial) made once, when the program is prepared.  Eager,
+chained and tiled dispatch all run these programs, so they agree
+bitwise by construction; :func:`gather_batch` / :func:`scatter_batch`
+run one program's two halves around a caller's kernel call.  Indirect
+increments apply element-major, lane by lane in index order, whenever
+lanes may collide (the two_level case); the permute schemes' free
+fused scatter is valid only for conflict-free targets; WRITE/RW
+scatters always require distinct targets.  Gathers are one
+``np.take`` along the physical storage's element axis and scatters go
+through the layout-aware :class:`~repro.core.dat.Dat` primitives, so
+AoS and SoA Dats take the same code path (``docs/architecture.md``
+sections 2 and 4).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..core.access import Access, Arg, is_scalar_loop
 from ..core.chain import RepeatResult
 from ..core.kernel import Kernel
-from ..core.plan import Plan, is_contiguous_range
+from ..core.plan import Phase, Plan
 from ..core.set import Set
 from ..tiling.schedule import BarrierLoop
 
@@ -234,58 +236,6 @@ def replay_trips(run_trip, repeat, fallback: str) -> RepeatResult:
 
 
 # ----------------------------------------------------------------------
-# The element-major serialized-increment merge rule.
-# ----------------------------------------------------------------------
-def serialized_inc_group_key(arg: Arg) -> Optional[int]:
-    """Grouping key for the element-major joint INC application.
-
-    THE single definition of which arguments merge: single-slot
-    *indirect* INC arguments, grouped per target Dat, and only under a
-    serialized scatter.  Both the eager :func:`scatter_batch` and the
-    prepared-replay :class:`~repro.backends.vectorized._PhaseExec` must
-    use this rule — the sparse-tiling bitwise-identity guarantee rests
-    on the two paths performing operation-for-operation identical
-    scatters.  Returns the Dat uid, or ``None`` when the argument never
-    participates.
-    """
-    if arg.access is Access.INC and arg.is_indirect and not arg.is_vector:
-        return arg.dat._uid
-    return None
-
-
-def inc_group_slots(joint: np.ndarray, n_parts: int) -> list:
-    """Per-argument slot views of a merge group's interleaved array.
-
-    THE single definition of the interleave: row ``e * n_parts + g`` of
-    ``joint`` belongs to element ``e`` of the group's ``g``-th argument
-    — ``e0.arg_a, e0.arg_b, e1.arg_a, ...``, the order the scalar
-    kernel body applies the increments.  :func:`interleave_inc_group`
-    fills these views; the prepared-replay ``_PhaseExec`` hands them to
-    the kernel as its increment buffers, so the kernel writes its lanes
-    straight into scatter order and the two paths can never disagree
-    on operation order.
-    """
-    return [joint[g::n_parts] for g in range(n_parts)]
-
-
-def interleave_inc_group(parts) -> np.ndarray:
-    """Interleave a merge group's per-argument arrays element-major.
-
-    ``parts`` holds one array per grouped argument — either ``(n,)``
-    index arrays or ``(n, dim)`` value arrays — and the result is the
-    ``(n * len(parts), ...)`` array whose :func:`inc_group_slots` views
-    are ``parts``.
-    """
-    first = parts[0]
-    joint = np.empty(
-        (first.shape[0] * len(parts),) + first.shape[1:], dtype=first.dtype
-    )
-    for slot, part in zip(inc_group_slots(joint, len(parts)), parts):
-        slot[...] = part
-    return joint
-
-
-# ----------------------------------------------------------------------
 # Global-reduction scaffolding shared by every backend.
 # ----------------------------------------------------------------------
 def _init_reductions(args: Sequence[Arg]) -> Dict[int, np.ndarray]:
@@ -308,11 +258,11 @@ def fold_lanes(access: Access, acc: np.ndarray, partial: np.ndarray) -> None:
 
     INC folds strictly left to right *continuing from* ``acc`` —
     ``((acc + p0) + p1) + ...`` — so the sum is a function of the
-    element sequence alone, not of where batch, phase-slice or tile
+    element sequence alone, not of where strip, phase-slice or tile
     boundaries fall (the element-major invariant of
-    :func:`scatter_batch`, extended to Globals), and over an ascending
-    phase it is the very sum the sequential interpreter forms whenever
-    the kernel increments each component once per element.
+    :class:`StripProgram`'s scatters, extended to Globals), and over an
+    ascending phase it is the very sum the sequential interpreter forms
+    whenever the kernel increments each component once per element.
     """
     if access is Access.INC:
         if partial.shape[0]:
@@ -382,181 +332,296 @@ def run_scalar_element(
 
 
 # ----------------------------------------------------------------------
-# Batched gather / scatter used by vectorized-style backends.
+# The strip executor: gather -> vector kernel -> scatter of one strip.
 # ----------------------------------------------------------------------
+def _lane_buffer(n: int, dat) -> np.ndarray:
+    """A zeroed ``(n, dim)`` lane array for ``dat``, stored column-major.
+
+    Component ``k`` of all ``n`` lanes is one contiguous row — the SoA
+    vector register the paper packs indirect AoS data into — so the
+    generated kernel's whole-lane column operations (``q[:, k]``) run
+    at unit stride whatever the Dat's layout.
+    """
+    return np.zeros((dat.dim, n), dtype=dat.dtype).T
+
+
+def _prebound_gather(dat, idx: np.ndarray, lanes: bool, flat) -> tuple:
+    """One gather of a prepared strip, into strip scratch.
+
+    Returns ``(axis, out, copy, view)``: the gather is
+    ``np.take(storage, idx, axis, out=out)`` (then, when ``copy`` is
+    set, a copy of ``out``'s transpose into it), and ``view`` is what
+    the kernel is handed — a column-major ``(n, dim)`` lane array for a
+    single-slot ``idx`` (``lanes``, see :func:`_lane_buffer`), or the
+    ``(n, arity, dim)`` rows of a 2-D one.  ``flat(key, per_lane)`` is
+    ``n * per_lane`` contiguous elements of the program's gather pool
+    (:func:`_pooled`).  The values are those of the row fancy-index
+    ``dat.data[idx]``; only where they live differs.
+    """
+    n, dim = idx.shape[0], dat.dim
+    per_lane = idx.size // max(1, n) * dim
+    if dat.layout == "soa":
+        out = flat("gather", per_lane).reshape(dim, *idx.shape)
+        return 1, out, None, out.T if lanes else np.moveaxis(out, 0, -1)
+    if not lanes:
+        out = flat("gather", per_lane).reshape(*idx.shape, dim)
+        return 0, out, None, out
+    if dim == 1:  # one column is column-major already
+        out = flat("gather", 1).reshape(n, 1)
+        return 0, out, None, out
+    # AoS rows through a staging buffer (one per dtype and dim, shared
+    # by the program's gathers), transposed into the lanes.
+    rows = flat(("rows", dat.dtype.str, dim), dim).reshape(n, dim)
+    copy = flat("gather", dim).reshape(dim, n)
+    return 0, rows, copy, copy.T
+
+
+def _merged_inc_groups(args) -> dict:
+    """Arg position -> its merge group (positions, ascending): single-slot
+    *indirect* INC arguments grouped per target Dat, for every group of
+    more than one."""
+    groups = {}
+    for i, arg in enumerate(args):
+        if arg.access is Access.INC and arg.is_indirect and not arg.is_vector:
+            groups.setdefault(arg.dat._uid, []).append(i)
+    return {i: g for g in groups.values() if len(g) > 1 for i in g}
+
+
+def _pooled(pool: dict, key, size: int, dtype) -> np.ndarray:
+    """``size`` elements of the program-wide gather buffer ``key``
+    (grown when a loop needs more).  A strip's gathers are spent by the
+    time its run returns, so every loop of a program can share them."""
+    key = (key, np.dtype(dtype).str)
+    buf = pool.get(key)
+    if buf is None or buf.size < size:
+        buf = pool[key] = np.empty(size, dtype=dtype)
+    return buf[:size]
+
+
+class StripProgram:
+    """One loop's prepared gather → vector kernel → scatter over one
+    strip (a :class:`~repro.core.plan.Phase`): the vectorized backend's
+    only implementation of the paper's Fig 3b sequence, run by its
+    eager, chained and tiled dispatch alike.
+
+    Every per-argument decision is made once, at preparation:
+
+    * direct arguments over a contiguous strip are zero-copy views, one
+      slice per run, and READ globals their value arrays — writes land
+      in place;
+    * every other non-increment argument (indirect, or direct over a
+      non-contiguous strip) is gathered — indices from the strip's
+      per-(map, slot) cache, values into pooled scratch
+      (:func:`_prebound_gather`) — and scattered back when the access
+      writes (lane targets are distinct: colouring for indirect
+      arguments, a bijection for direct ones);
+    * increments start as zeroed accumulators and are ``scatter_add``-ed
+      — a non-contiguous direct INC (matrix staging) too, since a
+      gathered copy would count the old value twice.  Under a
+      serialized strip they apply lane by lane in index order, the
+      paper's sequential scatter; otherwise (permute schemes) as one
+      fused add over distinct targets.  Vector (``IDX_ALL``) increments
+      flatten ``(strip, arity)`` targets and always serialize: one
+      element's own slots may coincide;
+    * under a serialized strip, single-slot indirect INC arguments on
+      one Dat (``res_calc``'s two ``p_res`` slots) merge: they share one
+      accumulator interleaved element-major — row ``e * G + g`` is
+      element ``e`` of the group's ``g``-th argument, the order the
+      scalar kernel body applies them — whose slot views the kernel
+      writes, scattered once at the first member's position;
+    * global reductions get per-lane partials, folded left to right
+      (:func:`fold_lanes`).
+
+    So every order-sensitive operation is a function of the loop's
+    element sequence alone, whatever the strip or tile boundaries.
+    Accumulators and partials are views of ``scratch`` — one buffer per
+    argument position at ``cap`` lanes, shared by all the loop's strips
+    and refilled in place each run — and single-slot gathers and
+    accumulators are column-major lane arrays (:func:`_lane_buffer`):
+    the paper's AoS -> SoA packing, so the generated kernel touches each
+    component of all lanes at unit stride.  Memory order changes no
+    value.  A program holds no Dat or Global: each run takes them from
+    the arguments it is handed, so one program serves every trace of
+    its shape.  :func:`gather_batch` / :func:`scatter_batch` run its two
+    halves around a caller's kernel call.
+    """
+
+    __slots__ = ("kernel_vec", "serialize", "proto", "views", "fills",
+                 "gathers", "writebacks", "folds")
+
+    def __init__(self, kernel_vec, args, phase, scratch: dict, cap: int,
+                 pool: dict) -> None:
+        elems = phase.elems
+        nl = elems.size
+        self.kernel_vec = kernel_vec
+        self.serialize = phase.serialize
+        self.proto = [None] * len(args)  # prebound buffer, or None
+        self.views = []       # (pos, slice of the values, or None: all)
+        # (pos, index array, *_prebound_gather's operation)
+        self.gathers = []
+        # (pos, index array, accumulator, serialize) into argument pos's
+        # Dat: an accumulator is scatter_add-ed, None scatters
+        # arrays[pos].
+        self.writebacks = []
+        self.folds = []       # (pos, access mode)
+        self.fills = []       # (buffer, fill value)
+
+        def strip_buffer(pos, make, rows=1):
+            """The first ``nl * rows`` lane rows of position ``pos``'s
+            scratch, made once as ``make(cap * rows)``."""
+            buf = scratch.get(pos)
+            if buf is None:
+                buf = scratch[pos] = make(cap * rows)
+            return buf[:nl * rows]
+
+        merged = _merged_inc_groups(args) if phase.serialize else {}
+        for i, arg in enumerate(args):
+            dat = arg.dat
+            if arg.is_global:
+                if arg.access.is_reduction:
+                    acc = strip_buffer(
+                        i, lambda m: np.zeros((m, dat.dim), dtype=dat.dtype)
+                    )
+                    fill = (
+                        0 if arg.access is Access.INC
+                        else dat.identity_for(arg.access)
+                    )
+                    self.proto[i] = acc
+                    self.fills.append((acc, fill))
+                    self.folds.append((i, arg.access))
+                else:
+                    self.views.append((i, None))
+                continue
+            if arg.is_direct and phase.contiguous:
+                lo = int(elems[0])
+                self.views.append((i, slice(lo, lo + nl)))
+                continue
+            idx = elems if arg.is_direct else phase.index_for(arg)
+            if arg.access is not Access.INC:
+                def flat(key, per_lane, g=len(self.gathers), dtype=dat.dtype):
+                    if key == "gather":  # the loop's g-th gather
+                        key = (key, g)
+                    return _pooled(pool, key, cap * per_lane,
+                                   dtype)[:nl * per_lane]
+
+                self.gathers.append((i, idx, *_prebound_gather(
+                    dat, idx, not arg.is_vector, flat
+                )))
+                if arg.access.writes:
+                    self.writebacks.append((i, idx, None, None))
+            elif arg.is_vector:
+                buf = strip_buffer(i, lambda m: np.zeros(
+                    (m, arg.map.arity, dat.dim), dtype=dat.dtype
+                ))
+                self.proto[i] = buf
+                self.fills.append((buf, 0))
+                self.writebacks.append(
+                    (i, idx.reshape(-1), buf.reshape(-1, dat.dim), True)
+                )
+            elif i in merged:
+                group = merged[i]
+                if i != group[0]:
+                    continue
+                n_parts = len(group)
+                joint = strip_buffer(
+                    i, lambda m: _lane_buffer(m, dat), rows=n_parts
+                )
+                joint_idx = np.empty(nl * n_parts, dtype=np.intp)
+                for g, m in enumerate(group):
+                    self.proto[m] = joint[g::n_parts]
+                    joint_idx[g::n_parts] = phase.index_for(args[m])
+                self.fills.append((joint, 0))
+                self.writebacks.append((i, joint_idx, joint, True))
+            else:
+                buf = strip_buffer(i, lambda m: _lane_buffer(m, dat))
+                self.proto[i] = buf
+                self.fills.append((buf, 0))
+                self.writebacks.append((i, idx, buf, phase.serialize))
+
+    def gather(self, args) -> list:
+        """The kernel's arguments for one run over ``args`` (a loop of
+        this program's shape): views bound, accumulators refilled,
+        operands gathered."""
+        arrays = self.proto.copy()
+        for pos, part in self.views:
+            data = args[pos].dat._data
+            arrays[pos] = data if part is None else data[part]
+        for buf, fill in self.fills:
+            buf[...] = fill
+        for pos, idx, axis, out, copy, view in self.gathers:
+            dat = args[pos].dat
+            dat._sync()
+            # Indices come from range-checked Maps and plan element
+            # arrays; "clip" spares take() a buffered copy of ``out``.
+            np.take(dat._storage, idx, axis=axis, out=out, mode="clip")
+            if copy is not None:
+                copy[...] = out.T
+            arrays[pos] = view
+        return arrays
+
+    def write_back(self, args, arrays, reductions) -> None:
+        """Write the kernel's results back and fold reduction partials
+        into ``reductions`` (arg position -> loop accumulator)."""
+        for pos, idx, acc, ser in self.writebacks:
+            if acc is None:
+                args[pos].dat.scatter(idx, arrays[pos])
+            else:
+                args[pos].dat.scatter_add(idx, acc, serialize=ser)
+        for pos, mode in self.folds:
+            fold_lanes(mode, reductions[pos], arrays[pos])
+
+    def run(self, args, reductions) -> None:
+        """One strip over ``args``: gather, vector kernel, scatter."""
+        arrays = self.gather(args)
+        self.kernel_vec(*arrays)
+        self.write_back(args, arrays, reductions)
+
+
+def prepare_strips(kernel_vec, args, strips, pool: dict) -> list:
+    """A loop's :class:`StripProgram` for each of ``strips``, all
+    sharing one set of scratch buffers sized to the largest strip, and
+    gathering into ``pool`` (:func:`_pooled`)."""
+    cap = max((s.elems.size for s in strips), default=0)
+    scratch = {}
+    return [StripProgram(kernel_vec, args, s, scratch, cap, pool)
+            for s in strips]
+
+
 @dataclass
 class BatchArgs:
-    """Materialized batched arguments for one chunk of elements."""
+    """One strip's kernel arguments and the program that scatters them."""
 
-    arrays: List[np.ndarray] = field(default_factory=list)
-    #: (arg position, gathered index array) pairs that must scatter back.
-    writebacks: List[tuple] = field(default_factory=list)
-    #: (arg position,) of vector reduction accumulators, shape (chunk, dim).
-    reduction_slots: List[int] = field(default_factory=list)
+    arrays: list
+    program: StripProgram
 
 
-def gather_batch(
-    args: Sequence[Arg],
-    elems: np.ndarray,
-    phase=None,
-) -> BatchArgs:
-    """Gather a chunk of elements into batched ``(chunk, ...)`` arrays.
+def gather_batch(args: Sequence[Arg], elems: np.ndarray,
+                 phase=None) -> BatchArgs:
+    """Prepare one strip over ``elems`` and run its gathers: the first
+    half of :meth:`StripProgram.run`, for a caller that runs the kernel
+    on ``batch.arrays`` itself and then calls :func:`scatter_batch`.
 
-    This is the Python analogue of the paper's explicit packing into
-    vector registers (Fig 3b): indirect reads become mapped gathers,
-    direct reads become contiguous loads (views when the chunk is a
-    slice-like contiguous range), and indirect increments start as zeroed
-    accumulators that the caller scatters afterwards.
-
-    Gathers go through :meth:`~repro.core.dat.Dat.gather` (one
-    ``np.take`` along the physical storage's element axis), so the same
-    code serves AoS and SoA Dats.  When ``phase`` (a
-    :class:`~repro.core.plan.Phase` covering exactly ``elems``) is given,
-    indirection index arrays come from the phase's per-(map, slot) cache
-    instead of being fancy-indexed out of the maps anew — the whole-color
-    fast path's steady-state invariant is that *no* index array is
-    rebuilt after the first time step.
+    ``phase`` (a :class:`~repro.core.plan.Phase` covering exactly
+    ``elems``) supplies cached gather indices and the scatter rule;
+    without one, ``elems`` is a serialized strip.
     """
-    batch = BatchArgs()
-    nl = elems.size
-    contiguous = (
-        phase.contiguous if phase is not None else is_contiguous_range(elems)
-    )
-    for i, arg in enumerate(args):
-        if arg.is_global:
-            if arg.access.is_reduction:
-                acc = np.zeros((nl, arg.dat.dim), dtype=arg.dat.dtype)
-                if arg.access is Access.MIN:
-                    acc[...] = arg.dat.identity_for(arg.access)
-                elif arg.access is Access.MAX:
-                    acc[...] = arg.dat.identity_for(arg.access)
-                batch.arrays.append(acc)
-                batch.reduction_slots.append(i)
-            else:
-                batch.arrays.append(arg.dat.data)
-            continue
-
-        if arg.is_direct:
-            if contiguous:
-                view = arg.dat.data[elems[0] : elems[0] + nl]
-            elif arg.access is Access.INC:
-                # Non-contiguous direct INC: a gathered *copy* would be
-                # double-counted by the scatter_add writeback (old + old
-                # + delta), so hand the kernel a zeroed accumulator and
-                # scatter only the delta — the same contract indirect
-                # INC arguments get.  Matrix staging (core/mat.py) is
-                # the canonical direct-INC client of this path.
-                view = np.zeros((nl, arg.dat.dim), dtype=arg.dat.dtype)
-                batch.writebacks.append((i, elems))
-                batch.arrays.append(view)
-                continue
-            else:
-                view = arg.dat.data[elems]
-            if arg.access.writes and not contiguous:
-                batch.writebacks.append((i, elems))
-            batch.arrays.append(view)
-            continue
-
-        # Indirect argument: mapped gather (indices cached on the phase
-        # when one is supplied).
-        if phase is not None:
-            idx = phase.index_for(arg)
-        elif arg.is_vector:
-            idx = arg.map.values[elems].astype(np.intp)  # (chunk, arity)
-        else:
-            idx = arg.map.values[elems, arg.index].astype(np.intp)  # (chunk,)
-        if arg.access is Access.INC:
-            shape = (
-                (nl, arg.map.arity, arg.dat.dim) if arg.is_vector else (nl, arg.dat.dim)
-            )
-            local = np.zeros(shape, dtype=arg.dat.dtype)
-            batch.arrays.append(local)
-            batch.writebacks.append((i, idx))
-        else:
-            local = arg.dat.gather(idx)
-            batch.arrays.append(local)
-            if arg.access.writes:
-                batch.writebacks.append((i, idx))
-    return batch
+    if phase is None:
+        phase = Phase(elems, serialize=True)
+    for arg in args:
+        arg.dat._sync()
+    program = StripProgram(None, args, phase, {}, phase.elems.size, {})
+    return BatchArgs(program.gather(args), program)
 
 
-def scatter_batch(
-    args: Sequence[Arg],
-    batch: BatchArgs,
-    reductions: Dict[int, np.ndarray],
-    serialize_inc: bool = True,
-    elems: Optional[np.ndarray] = None,
-) -> None:
-    """Scatter batched results back to their Dats and fold reductions.
-
-    ``serialize_inc=True`` applies lanes in index order (one 1-D
-    ``np.add.at`` per component, :meth:`~repro.core.dat.Dat.scatter_add`)
-    — the colored/serialized increment of the paper, correct even when
-    lanes share a target.
-    ``serialize_inc=False`` models the permute schemes' free scatter
-    (one fused ``+=``), valid only when all lane targets are unique.
-    Scatters route through :meth:`~repro.core.dat.Dat.scatter` /
-    :meth:`~repro.core.dat.Dat.scatter_add` so both layouts write their
-    physical storage along the contiguous axis.
-
-    The element-major invariant
-    ---------------------------
-    Serialized increments are applied **element-major**: when several
-    single-slot INC arguments target the same Dat (Airfoil's
-    ``res_calc`` incrementing ``p_res`` through both edge slots), their
-    lanes are interleaved per element — ``e0.arg_a, e0.arg_b, e1.arg_a,
-    ...`` (:func:`interleave_inc_group`) — in one joint serialized
-    ``scatter_add``, exactly the order the scalar
-    kernel body applies them.  (Vector INC arguments already flatten
-    element-major on their own.)  This makes the order of every
-    order-sensitive floating-point operation a pure function of the
-    *element sequence*, independent of batch boundaries — the property
-    that lets the sparse-tiling executor (:mod:`repro.tiling`) re-slice
-    a loop's element sequence into tiles with bitwise-identical
-    results.
-    """
-    joint: Dict[int, list] = {}
-    if serialize_inc:
-        for i, idx in batch.writebacks:
-            key = serialized_inc_group_key(args[i])
-            if key is not None:
-                joint.setdefault(key, []).append((i, idx))
-        joint = {k: v for k, v in joint.items() if len(v) > 1}
-    applied = set()
-    for i, idx in batch.writebacks:
-        arg = args[i]
-        local = batch.arrays[i]
-        if arg.access is Access.INC:
-            if arg.is_vector:
-                # Vector args flatten (chunk, arity) targets; one element's
-                # own slots may coincide on degenerate meshes, so always
-                # accumulate serially for them.
-                arg.dat.scatter_add(
-                    idx.reshape(-1), local.reshape(-1, arg.dat.dim),
-                    serialize=True,
-                )
-                continue
-            group = (
-                joint.get(serialized_inc_group_key(arg))
-                if serialize_inc else None
-            )
-            if group is not None:
-                if i in applied:
-                    continue
-                # Joint element-major application (see docstring).
-                gidx = interleave_inc_group([g[1] for g in group])
-                gloc = interleave_inc_group(
-                    [batch.arrays[g[0]] for g in group]
-                )
-                arg.dat.scatter_add(gidx, gloc, serialize=True)
-                applied.update(g[0] for g in group)
-            else:
-                arg.dat.scatter_add(idx, local, serialize=serialize_inc)
-        else:
-            # WRITE / RW scatter: lane targets must be distinct (guaranteed
-            # by coloring for indirect args; direct non-contiguous gathers
-            # are bijective by construction).
-            arg.dat.scatter(idx, local)
-
-    for i in batch.reduction_slots:
-        fold_lanes(args[i].access, reductions[i], batch.arrays[i])
+def scatter_batch(args: Sequence[Arg], batch: BatchArgs,
+                  reductions: Dict[int, np.ndarray],
+                  serialize_inc: bool = True) -> None:
+    """The second half of :func:`gather_batch`'s strip: its writebacks,
+    scatters and reduction folds.  ``serialize_inc`` must be the
+    strip's own rule (``Phase.serialize``)."""
+    if serialize_inc != batch.program.serialize:
+        raise ValueError(
+            f"serialize_inc={serialize_inc} disagrees with the strip "
+            f"prepared by gather_batch (serialize={batch.program.serialize})"
+        )
+    batch.program.write_back(args, batch.arrays, reductions)

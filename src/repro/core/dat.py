@@ -20,15 +20,14 @@ methods" studies the same trade-off):
 The layout is **transparent**: :attr:`Dat.data` always presents the
 logical ``(extent, dim)`` shape (for SoA it is a transposed view of the
 storage, aliasing the same memory), so kernels, backends and tests are
-layout-agnostic.  Performance-sensitive code uses :meth:`Dat.gather` /
-:meth:`Dat.scatter` / :meth:`Dat.scatter_add`, which index the physical
-storage along its contiguous axis.
+layout-agnostic.  Performance-sensitive code gathers with one
+``np.take`` along the physical storage's element axis — whole rows for
+AoS, one row per component for SoA (``backends/base.py:
+StripProgram``) — and writes back through :meth:`Dat.scatter` /
+:meth:`Dat.scatter_add`, which index the storage the same way.
 
-The gather/scatter contract
----------------------------
-``gather(idx)`` returns a fresh ``idx.shape + (dim,)`` array of the rows
-named by ``idx`` (never a view): one ``np.take`` along the storage's
-element axis — whole rows for AoS, one row per component for SoA.
+The scatter contract
+--------------------
 ``scatter(idx, values)`` writes rows back and requires **unique**
 targets in ``idx`` — it is the free scatter of the permute schemes.
 ``scatter_add(idx, values, serialize=True)`` accumulates; with
@@ -229,27 +228,8 @@ class Dat:
         return self.set.size * self.dim * self.itemsize
 
     # ------------------------------------------------------------------
-    # Layout-aware gather/scatter primitives (used by batched backends).
+    # Layout-aware scatter primitives (used by the vectorized backend).
     # ------------------------------------------------------------------
-    def gather(self, idx: np.ndarray) -> np.ndarray:
-        """Gather rows ``idx`` into a fresh ``idx.shape + (dim,)`` array.
-
-        ``idx`` may be 1-D (single-slot indirection) or 2-D (vector
-        ``IDX_ALL`` arguments: ``(chunk, arity)``).  Indexes the physical
-        storage along its contiguous axis: an AoS gather copies whole
-        rows, an SoA gather streams one component row per ``k < dim`` —
-        the access pattern the paper's packing code and GPU transposition
-        respectively optimize for.  Both are one ``np.take``, which
-        copies exactly what the row fancy-index ``data[idx]`` would,
-        without the general indexing machinery.
-        """
-        self._sync()
-        if self.layout == "soa":
-            # (dim, *idx.shape) -> (*idx.shape, dim); .T would *reverse*
-            # the axes and silently swap chunk/arity for 2-D indices.
-            return np.moveaxis(np.take(self._storage, idx, axis=1), 0, -1)
-        return np.take(self._storage, idx, axis=0)
-
     def scatter(self, idx: np.ndarray, values: np.ndarray) -> None:
         """Write rows back (WRITE/RW scatter).
 

@@ -116,12 +116,6 @@ class Map:
             f"arity={self.arity})"
         )
 
-    def __hash__(self) -> int:
-        return hash(("Map", self._uid))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
 
 def gather_span(values: np.ndarray) -> float:
     """Mean distance, in target rows, between consecutive rows' lowest

@@ -348,12 +348,6 @@ class Mat:
             f"dtype={self.dtype})"
         )
 
-    def __hash__(self) -> int:
-        return hash(("Mat", self._uid))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
 
 class Sparsity:
     """The CSR sparsity of one ``(rmap, cmap)`` pair and what derives

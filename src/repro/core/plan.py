@@ -74,19 +74,6 @@ DEFAULT_BLOCK_SIZE = 256
 SCHEMES = ("two_level", "full_permute", "block_permute")
 
 
-def is_contiguous_range(elems: np.ndarray) -> bool:
-    """True when ``elems`` is a non-empty ascending unit-stride range.
-
-    Shared by phase construction and the batched gather so both agree on
-    when a direct argument may pass a zero-copy contiguous view.
-    """
-    return bool(
-        elems.size
-        and elems[0] + elems.size - 1 == elems[-1]
-        and np.all(np.diff(elems) == 1)
-    )
-
-
 class Phase:
     """One conflict-free batch of a plan's iteration range.
 
@@ -111,7 +98,11 @@ class Phase:
         self._counters = counters if counters is not None else {}
         #: True when ``elems`` is an ascending unit-stride range, letting
         #: direct arguments pass zero-copy views instead of gathers.
-        self.contiguous = is_contiguous_range(elems)
+        self.contiguous = bool(
+            elems.size
+            and elems[0] + elems.size - 1 == elems[-1]
+            and np.all(np.diff(elems) == 1)
+        )
         self._indices: Dict[Tuple[int, int], np.ndarray] = {}
         self._strips: Dict[int, List["Phase"]] = {}
 

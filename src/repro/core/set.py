@@ -38,9 +38,3 @@ class Set:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Set({self.name!r}, size={self.size})"
-
-    def __hash__(self) -> int:
-        return hash(("Set", self._uid))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other

@@ -16,7 +16,7 @@ reassociation" guarantee.  Two ingredients make that possible:
 
 1. **Element-major operation order.**  The backends apply every
    order-sensitive scatter element-major (see
-   ``backends/base.py: scatter_batch``), so the sequence of
+   ``backends/base.py: StripProgram``), so the sequence of
    floating-point operations a loop performs is a pure function of the
    sequence of elements it executes.
 

@@ -45,7 +45,10 @@ class TestGatherBatch:
         # Mutating the batch array must hit the Dat directly (view).
         batch.arrays[0][0, 0] = 99.0
         assert d.data[1, 0] == 99.0
-        assert not batch.writebacks  # views need no writeback
+        # Views need no writeback: the scatter leaves the Dat as it is.
+        expected = np.array(d.data)
+        scatter_batch([arg_dat(d, IDX_ID, None, RW)], batch, {})
+        np.testing.assert_array_equal(d.data, expected)
 
     def test_direct_noncontiguous_copies_with_writeback(self, problem):
         nodes, elems, m = problem
@@ -61,18 +64,26 @@ class TestGatherBatch:
     def test_indirect_inc_starts_zeroed(self, problem):
         nodes, elems, m = problem
         d = Dat(nodes, 2, np.ones((6, 2)))
-        batch = gather_batch([arg_dat(d, 0, m, INC)], np.arange(4))
+        arg = arg_dat(d, 0, m, INC)
+        batch = gather_batch([arg], np.arange(4))
         assert (batch.arrays[0] == 0).all()
-        assert len(batch.writebacks) == 1
+        # The scatter adds the increments, and only them, through slot 0.
+        batch.arrays[0][...] = 1.0
+        scatter_batch([arg], batch, {})
+        np.testing.assert_array_equal(d.data[:, 0], [3, 1, 2, 1, 2, 1])
 
     def test_indirect_read_gathers_values(self, problem):
         nodes, elems, m = problem
         d = Dat(nodes, 1, np.arange(6.0))
-        batch = gather_batch([arg_dat(d, 1, m, READ)], np.arange(4))
+        arg = arg_dat(d, 1, m, READ)
+        batch = gather_batch([arg], np.arange(4))
         np.testing.assert_array_equal(
             batch.arrays[0].ravel(), [1, 3, 5, 5]
         )
-        assert not batch.writebacks
+        # A read is a copy the scatter never writes back.
+        batch.arrays[0][...] = -1.0
+        scatter_batch([arg], batch, {})
+        np.testing.assert_array_equal(d.data.ravel(), np.arange(6.0))
 
     def test_vector_arg_shapes(self, problem):
         nodes, elems, m = problem
@@ -93,7 +104,11 @@ class TestGatherBatch:
         batch = gather_batch([arg_gbl(gmin, MIN)], np.arange(3))
         assert batch.arrays[0].shape == (3, 1)
         assert (batch.arrays[0] == np.finfo(np.float64).max).all()
-        assert batch.reduction_slots == [0]
+        # The scatter folds the lane partials into the loop accumulator.
+        batch.arrays[0][:, 0] = [3.0, -2.0, 5.0]
+        reductions = {0: gmin.identity_for(MIN)}
+        scatter_batch([arg_gbl(gmin, MIN)], batch, reductions)
+        assert reductions[0][0] == -2.0
 
 
 class TestScatterBatch:
@@ -119,6 +134,13 @@ class TestScatterBatch:
         scatter_batch(args, batch, reductions)
         assert reductions[0][0] == 6.0
         assert reductions[1][0] == 5.0
+
+    def test_scatter_rule_must_match_the_strip(self, problem):
+        nodes, elems, m = problem
+        arg = arg_dat(Dat(nodes, 1), 0, m, INC)
+        batch = gather_batch([arg], np.arange(4))  # a serialized strip
+        with pytest.raises(ValueError, match="serialize_inc"):
+            scatter_batch([arg], batch, {}, serialize_inc=False)
 
 
 class TestRunScalarElement:

@@ -1,13 +1,16 @@
-"""Property tests for the two batched ``Dat`` primitives.
+"""Property tests for the vectorized backend's batched gather and
+serialized increment.
 
-``Dat.gather`` and ``Dat.scatter_add(serialize=True)`` carry every
-batched gather and serialized increment of the vectorized backend (the
-paper's packing into vector registers and its sequential scatter out of
-them).  Both are pinned here against the plainest possible oracle:
+The strip executor's gather (``backends/base.py: StripProgram``, reached
+through ``gather_batch``) and ``Dat.scatter_add(serialize=True)`` carry
+every batched gather and serialized increment of the vectorized backend
+(the paper's packing into vector registers and its sequential scatter
+out of them).  Both are pinned here against the plainest possible
+oracle:
 
-* ``gather`` == the row fancy-index ``storage[idx]`` (AoS) /
+* the gather == the row fancy-index ``storage[idx]`` (AoS) /
   ``moveaxis(storage[:, idx], 0, -1)`` (SoA), in shape, dtype and bits,
-  and always a fresh array;
+  and never a view of the storage;
 * ``scatter_add(serialize=True)`` == a pure-Python loop applying one
   lane at a time, component by component, in index order — bitwise,
   over repeated targets, hubs, back-to-back repeats and IEEE special
@@ -22,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Dat, Set
+from repro.backends.base import gather_batch
+from repro.core import IDX_ALL, READ, Dat, Map, Set, arg_dat
 
 SETTINGS = dict(
     max_examples=120, deadline=None,
@@ -94,6 +98,17 @@ def indices(draw, extent: int, max_lanes: int = 24):
     return np.array(flat, dtype=dtype).reshape(shape)
 
 
+def _gathered(d: Dat, idx: np.ndarray) -> np.ndarray:
+    """The strip executor's gather of rows ``idx`` of ``d``: a 1-D
+    ``idx`` through a single-slot READ argument, a 2-D ``(chunk,
+    arity)`` one through a vector (``IDX_ALL``) READ argument."""
+    n = idx.shape[0]
+    vector = idx.ndim == 2
+    m = Map(Set(n, "lanes"), d.set, idx.shape[1] if vector else 1, idx)
+    arg = arg_dat(d, IDX_ALL if vector else 0, m, READ)
+    return gather_batch([arg], np.arange(n)).arrays[0]
+
+
 @st.composite
 def scatter_cases(draw):
     layout, dtype, dim = draw(LAYOUTS), draw(DTYPES), draw(DIMS)
@@ -133,7 +148,7 @@ class TestGather:
             expected = np.moveaxis(storage[:, idx], 0, -1)
         else:
             expected = storage[idx]
-        got = d.gather(idx)
+        got = _gathered(d, idx)
         assert got.shape == idx.shape + (dim,)
         assert _same_bits(got, expected)
         assert _same_bits(got, init[idx])
@@ -142,8 +157,8 @@ class TestGather:
     @pytest.mark.parametrize("layout", ["aos", "soa"])
     def test_empty_index_keeps_trailing_shape(self, layout):
         d = Dat(Set(5, "s"), 3, np.arange(15.0), layout=layout)
-        assert d.gather(np.array([], dtype=np.intp)).shape == (0, 3)
-        assert d.gather(np.zeros((0, 2), dtype=np.int32)).shape == (0, 2, 3)
+        assert _gathered(d, np.array([], dtype=np.intp)).shape == (0, 3)
+        assert _gathered(d, np.zeros((0, 2), dtype=np.int32)).shape == (0, 2, 3)
 
 
 class TestScatterAddSerialized:

@@ -573,7 +573,7 @@ class TestBackendIntegration:
         np.testing.assert_array_equal(y.data[:, 0], np.arange(5.0))
 
     def test_chained_execution_uses_generated(self):
-        # The chain/_PhaseExec replay path resolves vector forms through
+        # The chained StripProgram replay resolves vector forms through
         # the same per-shape cache; results match eager bitwise.
         from repro.apps.airfoil import AirfoilSim
         from repro.mesh import make_airfoil_mesh

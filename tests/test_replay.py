@@ -1,12 +1,12 @@
-"""The vectorized backend's prepared chained replay (``_PhaseExec``).
+"""The vectorized backend's strip executor (``StripProgram``).
 
-A warm chained run replays each strip of a loop phase as prebound NumPy
-calls:
-``np.take`` gathers packed into column-major lanes, the generated
-kernel on ``.T`` lane views, increments written straight into
-(interleaved) accumulators and a per-component ordered scatter.  None
-of that may move a bit: on ``Runtime("vectorized")`` the replay must
-equal eager execution exactly, for the app twins under both layouts
+Every strip of a loop phase runs as prebound NumPy calls: ``np.take``
+gathers packed into column-major lanes, the generated kernel on ``.T``
+lane views, increments written straight into (interleaved)
+accumulators and a per-component ordered scatter.  Eager dispatch
+prepares these programs at each call; a chained replay prepares them
+once per chain shape and keeps them.  On ``Runtime("vectorized")`` the
+two must agree bitwise, for the app twins under both layouts
 (here: float32 Volna; the rest sit in the backend-matrix sweeps of
 ``test_chain.py`` / ``test_aero.py`` / ``test_matfree.py``) and for the
 argument kinds the apps do not all exercise — vector (``IDX_ALL``)
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.backends.vectorized as vectorized
+from repro.backends import base
 from repro.core import (
     IDX_ALL,
     IDX_ID,
@@ -82,25 +82,26 @@ class TestAppTwins:
 
 
 def _spy_noncontiguous_direct_inc(monkeypatch):
-    """Record every replay phase that carries a direct INC argument over
-    a non-contiguous phase (returns the list it appends to)."""
+    """Record the arguments of every strip program prepared with a
+    direct INC argument over a non-contiguous strip (returns the list it
+    appends to)."""
     seen = []
-    init = vectorized._PhaseExec.__init__
+    init = base.StripProgram.__init__
 
-    def spy(self, bl, phase, *scratch):
-        init(self, bl, phase, *scratch)
+    def spy(self, kernel_vec, args, phase, *scratch):
+        init(self, kernel_vec, args, phase, *scratch)
         if not phase.contiguous and any(
             a.is_direct and not a.is_global and a.access is Access.INC
-            for a in bl.args
+            for a in args
         ):
-            seen.append(bl.kernel.name)
+            seen.append(args)
 
-    monkeypatch.setattr(vectorized._PhaseExec, "__init__", spy)
+    monkeypatch.setattr(base.StripProgram, "__init__", spy)
     return seen
 
 
 # ----------------------------------------------------------------------
-# Every argument kind of _PhaseExec in one chain.
+# Every argument kind of StripProgram in one chain.
 # ----------------------------------------------------------------------
 @kernel("rp_vec_inc")
 def rp_vec_inc(x, v):
@@ -199,7 +200,13 @@ class TestArgumentKinds:
         assert np.array_equal(eager["g"].value, chained["g"].value)
         assert np.array_equal(eager["mat"].assemble().data,
                               chained["mat"].assemble().data)
-        assert staged == ["rp_mat"] * len(staged) and staged
+        # Both dispatches built rp_mat's non-contiguous matrix staging
+        # through the one executor, and nothing else has a direct INC.
+        staging = {id(m["mat"].staging): m for m in (eager, chained)}
+        owners = [staging.get(id(args[-1].dat)) for args in staged]
+        assert None not in owners
+        assert any(o is eager for o in owners)
+        assert any(o is chained for o in owners)
 
 
 class TestHotPath:
