@@ -9,7 +9,7 @@ parallelization strategies:
                           MPI stub of Fig 2b (one single-threaded process)
 ``vectorized``            explicit SIMD: gather → batched vector kernel →
                           serialized/colored scatter over cache-sized
-                          strips of each color phase (Fig 3b); under a
+                          strips of each phase (Fig 3b); under a
                           ``full_permute`` / ``block_permute`` plan it is
                           the compiler auto-vectorization analogue
                           (Section 6.5): free scatters
@@ -19,14 +19,16 @@ parallelization strategies:
 ========================  =====================================================
 
 Results fall in two classes against ``sequential``, swept across both
-data layouts by the test suite: ``native`` (with a C compiler) is
-bitwise equal to it, and ``vectorized`` runs each loop in colour-phase
-order, so indirect increments reach a target in a different order and
-results differ at rounding level.
+data layouts by the test suite: under ``two_level`` ``native`` and
+``vectorized`` are bitwise equal to it (both apply every indirect
+increment in element order); only the ``full_permute`` /
+``block_permute`` schemes run colour phases, so indirect increments
+reach a target in a different order and results differ at rounding
+level.
 
 The strip executor
 ------------------
-The vectorized backend runs each colour phase of a loop as strips, and
+The vectorized backend runs each phase of a loop as strips, and
 each strip as one :class:`StripProgram`: the paper's gather -> vector
 kernel -> serialized scatter sequence (Fig 3b) with every per-argument
 decision (zero-copy view, gather, zeroed accumulator, merged INC group,

@@ -1,9 +1,9 @@
 """Explicit-SIMD backend — the paper's vector-intrinsics code path (Fig 3b).
 
-Every conflict-free colour phase of a loop's plan
-(:meth:`~repro.core.plan.Plan.phases`) runs as consecutive *strips* of
-at most ``vec`` lanes (:meth:`~repro.core.plan.Phase.strips`), in
-ascending order.  Each strip follows the generated intrinsics code:
+Every phase of a loop's plan (:meth:`~repro.core.plan.Plan.phases`)
+runs as consecutive *strips* of at most ``vec`` lanes
+(:meth:`~repro.core.plan.Phase.strips`), in ascending order.  Each
+strip follows the generated intrinsics code:
 
 1. indirection indices are loaded (cached per strip and (map, slot)),
    indirect reads *gathered* into packed per-lane arrays and direct
@@ -14,13 +14,21 @@ ascending order.  Each strip follows the generated intrinsics code:
    (:meth:`~repro.core.dat.Dat.scatter_add`) — the paper's sequential
    scatter out of the vector register that beat masked scatters.
 
-Under the ``full_permute``/``block_permute`` schemes the lanes of a
-phase are independent, so the scatter needs no serialization — the
-configuration measured in Fig 8a.
+Under ``two_level`` a racing loop is one ascending phase.  The paper
+colours blocks for OpenMP threads and elements for SIMD lanes; this
+backend runs on one thread and its scatter is already serial in
+element order, so colours would buy it no safety.  Without them every
+target receives its increments in ``sequential``'s order — results
+are bitwise equal to the interpreter's — no colouring is built at
+set-up, and every strip is a contiguous range whose direct arguments
+are zero-copy views.  Under the ``full_permute``/``block_permute``
+schemes the lanes of a colour phase are independent, so the scatter
+needs no serialization — the configuration measured in Fig 8a — and
+results differ from the interpreter's at rounding level.
 
 Why strips: the generated kernel allocates one temporary per operation
-over every lane it is handed.  Over a whole colour phase (~40k lanes of
-``res_calc`` on an 80k-cell airfoil) each temporary has left L2 before
+over every lane it is handed.  Over a whole phase (~40k lanes of one
+``res_calc`` colour on an 80k-cell airfoil) each temporary has left L2 before
 the next operation reads it; a strip keeps the kernel's working set in
 cache.  Strips change no value: they ascend within a phase, so every
 target receives its increments in the whole phase's order, and Global
@@ -80,7 +88,7 @@ class VectorizedBackend(Backend):
     Parameters
     ----------
     vec:
-        Lanes per strip, ``W``: every colour phase runs as consecutive
+        Lanes per strip, ``W``: every phase runs as consecutive
         strips of at most ``vec`` lanes (default :data:`STRIP_WIDTH`).
         Any width gives the same bits; it only sets how much of a
         phase one gather → kernel → scatter round holds in cache.
@@ -97,7 +105,7 @@ class VectorizedBackend(Backend):
     # ------------------------------------------------------------------
     def _run(self, kernel, set_, args, plan, n, reductions) -> None:
         """One prepared :class:`~repro.backends.base.StripProgram` per
-        strip of each colour phase, run in ascending order.  The phases,
+        strip of each phase, run in ascending order.  The phases,
         their strips and the strips' gather indices are memoized on the
         plan, so preparing costs only the per-argument decisions."""
         vfn = _batch_kernel(kernel, args, plan)

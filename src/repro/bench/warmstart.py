@@ -49,12 +49,13 @@ def run_workload(apps: List[str], steps: int = 2) -> Dict:
 
     ``aero`` runs Picard steps (assembly + CG) on the vectorized
     backend, chained + tiled — exercising the chain, tiled and kernelc
-    stores.  ``airfoil`` replays its chain on the vectorized backend,
-    whose coloured ``res_calc`` scatter is what exercises the plan
-    store, and — when a C compiler is available — on the native
-    backend, exercising the native ``.so`` store (and no colouring:
-    native executes ascending).  The store under ``$REPRO_CACHE_DIR``
-    decides whether this process is cold or warm.
+    stores.  ``airfoil`` replays its chain on the vectorized backend
+    under ``two_level`` (one ascending phase per loop, no colouring)
+    and under ``block_permute``, whose coloured ``res_calc`` is what
+    exercises the plan store, and — when a C compiler is available —
+    on the native backend, exercising the native ``.so`` store (and no
+    colouring: native executes ascending).  The store under
+    ``$REPRO_CACHE_DIR`` decides whether this process is cold or warm.
     """
     from .. import store
     from ..apps.aero import AeroSim
@@ -74,11 +75,14 @@ def run_workload(apps: List[str], steps: int = 2) -> Dict:
                       runtime=Runtime("vectorized"), chained=True,
                       tiling="auto", cg_tol=1e-8, cg_maxiter=100))
     if "airfoil" in apps:
-        backends = (["vectorized", "native"] if compiler_available()
-                    else ["vectorized"])
-        for backend in backends:
+        runtimes = [("vectorized", "two_level"),
+                    ("vectorized", "block_permute")]
+        if compiler_available():
+            runtimes.append(("native", "two_level"))
+        for backend, scheme in runtimes:
             drive(AirfoilSim(make_airfoil_mesh(24, 12),
-                             runtime=Runtime(backend), chained=True))
+                             runtime=Runtime(backend, scheme=scheme),
+                             chained=True))
     wall = time.perf_counter() - t0
     return {
         "apps": list(apps),

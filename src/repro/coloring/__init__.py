@@ -17,7 +17,6 @@ from .permute import (
     BlockPermutation,
     Permutation,
     block_permute,
-    element_colors_by_block,
     full_permute,
 )
 from .tiles import color_tiles, is_valid_tile_coloring, pack_tile_targets
@@ -31,7 +30,6 @@ __all__ = [
     "color_elements",
     "color_tiles",
     "conflict_targets",
-    "element_colors_by_block",
     "full_permute",
     "greedy_color",
     "is_valid_block_coloring",

@@ -18,7 +18,7 @@ plus color offsets describing the independent groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -115,28 +115,3 @@ def block_permute(
         np.cumsum(counts, out=off[1:])
         color_offsets.append(off + lo)
     return BlockPermutation(layout, order, color_offsets)
-
-
-def element_colors_by_block(
-    layout: BlockLayout,
-    targets: Optional[np.ndarray],
-    extent: int = 0,
-    method: str = "auto",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Second-level (within-block) element colors for two-level plans.
-
-    Returns the per-element color array and per-block color counts; used
-    by the original OP2 scheme where increments are applied color-by-color
-    inside a block (paper Fig 3a's ``colors[n]`` array).
-    """
-    n = layout.n_elements
-    colors = np.zeros(n, dtype=np.int32)
-    ncolors = np.ones(layout.nblocks, dtype=np.int32)
-    if targets is None:
-        return colors, ncolors
-    for b in range(layout.nblocks):
-        lo, hi = layout.block_range(b)
-        c, nc = color_elements(targets[lo:hi], hi - lo, extent, method=method)
-        colors[lo:hi] = c
-        ncolors[b] = nc
-    return colors, ncolors

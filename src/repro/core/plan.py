@@ -2,20 +2,19 @@
 
 A :class:`Plan` captures everything a backend needs to execute a parallel
 loop free of data races: the mini-partition (block) layout, the block
-coloring (first level), the within-block element coloring (second level),
-and — for the alternative schemes of Section 4 — the full-permute or
-block-permute orderings.  Plans are expensive (graph coloring over the
-whole mesh) and depend only on the loop's *access structure*, not on the
-data values, so they are cached and reused across time steps exactly as
-OP2 does; the plan-cache ablation bench quantifies the saving.
+coloring, and — for the alternative schemes of Section 4 — the
+full-permute or block-permute orderings.  Colourings are expensive
+(graph coloring over the whole mesh) and depend only on the loop's
+*access structure*, not on the data values, so they are cached and
+reused across time steps exactly as OP2 does.
 
 Batched schedules and the gather-index cache
 --------------------------------------------
 On top of the raw coloring, a plan can serve :meth:`Plan.phases`: the
-loop's iteration range regrouped into **conflict-free color phases**,
-each a single flat element array that a batched backend executes in one
-fused gather → vector-kernel → scatter call (the whole-color fast path
-of :class:`~repro.backends.vectorized.VectorizedBackend`).  Each
+loop's iteration range regrouped into **phases**, each a single flat
+element array that a batched backend executes strip by strip
+(gather → vector kernel → scatter, the
+:class:`~repro.backends.vectorized.VectorizedBackend`).  Each
 :class:`Phase` memoizes the per-``(map, slot)`` gather/scatter index
 arrays on first use — ``map.values[elems]`` fancy-indexing is pure
 overhead to repeat every time step, since neither the plan nor the maps
@@ -31,13 +30,16 @@ share an indirect target and INC scatters must apply lanes in element
 order (one 1-D ``np.add.at`` per component, ``Dat.scatter_add`` —
 correct and deterministic, but serial per element).  ``False`` means
 the coloring guarantees all lane targets are distinct and the scatter
-can be one fused array operation.  Under
-``two_level`` only whole *block colors* are race-free across blocks —
-elements inside a block may still collide, so phases serialize; under
-``full_permute``/``block_permute`` every phase is a same-color group and
-scatters free.  Backends must never use a free scatter on a
-``serialize=True`` phase for INC arguments; WRITE/RW races are excluded
-from batching altogether (the planner cannot order them safely).
+can be one fused array operation.  Under ``two_level`` a racing loop is
+one ascending phase with ``serialize=True``: the batched executor runs
+on one thread, so the paper's block and element colours (which keep
+OpenMP threads and SIMD lanes apart) buy it no safety, and applying
+every increment in element order makes its results bitwise equal to
+``sequential``.  Under ``full_permute``/``block_permute`` every phase is
+a same-color group and scatters free.  Backends must never use a free
+scatter on a ``serialize=True`` phase for INC arguments; WRITE/RW races
+are excluded from batching altogether (the planner cannot order them
+safely).
 
 ``docs/architecture.md`` (sections 3–4) covers the plan/schedule design
 and its cache levels end to end.
@@ -59,7 +61,6 @@ from ..coloring import (
     block_permute,
     color_blocks,
     conflict_targets,
-    element_colors_by_block,
     full_permute,
     make_blocks,
     racing_slots,
@@ -167,16 +168,14 @@ class Coloring:
     """The expensive half of a plan: colours and colour-sorted orders.
 
     Everything here is the output of a graph colouring over the whole
-    iteration set — what the plan store persists, and what a backend
-    that executes in plain ascending order (sequential, native) never
-    reads.  :class:`Plan` materialises one on first access to any of
+    iteration set — what the plan store persists, and what no backend
+    reads under ``two_level``, where every loop runs in plain ascending
+    order.  :class:`Plan` materialises one on first access to any of
     its colour facets.
     """
 
     block_colors: np.ndarray
     n_block_colors: int
-    elem_colors: Optional[np.ndarray] = None
-    block_ncolors: Optional[np.ndarray] = None
     permutation: Optional[Permutation] = None
     block_permutation: Optional[BlockPermutation] = None
     stats: Dict[str, float] = field(default_factory=dict)
@@ -273,21 +272,20 @@ class Plan:
     builds and persists):
 
     block_colors / n_block_colors:
-        First-level coloring: same-colored blocks never share an indirect
-        write target and may run concurrently.
-    elem_colors / block_ncolors:
-        Second-level coloring used by the ``two_level`` scheme to
-        serialize indirect increments within a block.
+        Block coloring: same-colored blocks never share an indirect
+        write target (``block_permute`` groups its phases by it).
     permutation:
         Global color-sorted order (``full_permute`` scheme only).
     block_permutation:
         Per-block color-sorted order (``block_permute`` scheme only).
 
     ``phases()`` and everything derived from it (``execution_order``,
-    ``phase_slices``) read the colour facets of an indirect plan; a
-    direct plan's single contiguous phase needs none.  So a backend that
-    never asks — native and sequential execute ``[start, n)`` ascending
-    — builds, persists and decodes no colouring at all.
+    ``phase_slices``) read the colour facets of a permute-scheme plan
+    only: a direct plan and a ``two_level`` plan are one ascending
+    phase.  So under ``two_level`` no backend — native, sequential or
+    vectorized — builds, persists or decodes a colouring.  The paper's
+    second-level element colours have no executor here;
+    ``elem_colors`` / ``block_ncolors`` answer ``None``.
 
     The **owner facet** :meth:`owner_ranges` is lazy too, and cheaper
     (~20 ms a map on a million elements, so it is never persisted): the
@@ -313,7 +311,7 @@ class Plan:
         self.is_direct = is_direct
         self._coloring = coloring
         self._colorer = colorer
-        #: Memoized whole-color phase lists, keyed by ``(n, start)``.
+        #: Memoized phase lists, keyed by ``(n, start)``.
         self._phase_cache: Dict[Tuple[int, int], List[Phase]] = {}
         #: Memoized canonical element orders / phase offsets.
         self._order_cache: Dict[Tuple, np.ndarray] = {}
@@ -338,11 +336,10 @@ class Plan:
 
     block_colors = _colour_facet("block_colors")
     n_block_colors = _colour_facet("n_block_colors")
-    elem_colors = _colour_facet("elem_colors")
-    block_ncolors = _colour_facet("block_ncolors")
+    elem_colors = None
+    block_ncolors = None
     permutation = _colour_facet("permutation")
     block_permutation = _colour_facet("block_permutation")
-    build_stats = _colour_facet("stats")
 
     def owner_ranges(self, k: int, n: Optional[int] = None,
                      start: int = 0) -> OwnerRanges:
@@ -366,16 +363,11 @@ class Plan:
     def nblocks(self) -> int:
         return self.layout.nblocks
 
-    def max_elem_colors(self) -> int:
-        if self.elem_colors is None:
-            return 1
-        return int(self.block_ncolors.max(initial=1))
-
     # ------------------------------------------------------------------
     # Whole-color batched schedule (the mega-batch fast path).
     # ------------------------------------------------------------------
     def phases(self, n: int, start: int = 0) -> List["Phase"]:
-        """Conflict-free color phases covering ``[start, n)``.
+        """The phases covering ``[start, n)``.
 
         Phase construction per scheme (see the module docstring for the
         scatter rule each phase's ``serialize`` flag encodes):
@@ -383,12 +375,10 @@ class Plan:
         ``direct``
             One contiguous phase — the loop has no races at all.
         ``two_level``
-            One phase per *block color*: same-colored blocks never share
-            an indirect target, so their concatenated element ranges run
-            together; within the phase elements of one block may collide,
-            hence ``serialize=True``: increments apply in element
-            order, so INC results do not depend on how the phase is
-            cut into strips or tiles.
+            One ascending phase with ``serialize=True``: increments
+            apply in element order, exactly as ``sequential`` applies
+            them, so INC results do not depend on how the phase is cut
+            into strips or tiles.  No colouring is read.
         ``full_permute``
             One phase per global element color (``serialize=False``).
         ``block_permute``
@@ -426,10 +416,10 @@ class Plan:
 
     def execution_order(self, n: int, start: int = 0) -> np.ndarray:
         """The canonical element execution order over ``[start, n)``:
-        the concatenation of the plan's color phases.  This is the order
-        the whole-color batched backends (and the plan-ordered scalar
-        backends) perform their per-element operations in; the sparse-
-        tiling inspector slices against it."""
+        the concatenation of the plan's phases (``[start, n)`` itself
+        under ``two_level``).  This is the order the batched backend
+        performs its per-element operations in; the sparse-tiling
+        inspector slices against it."""
         key = ("order", int(n), int(start))
         cached = self._order_cache.get(key)
         if cached is None:
@@ -467,33 +457,17 @@ class Plan:
                 out.append(ph.slice(s - p_lo, e - p_lo))
         return out
 
-    def _colour_blocks(self) -> List[np.ndarray]:
-        """Block ids of each block colour, ascending within a colour."""
-        block_colors = self.block_colors
-        return [np.nonzero(block_colors == c)[0]
-                for c in range(self.n_block_colors)]
-
     def _build_phases(self, n: int, start: int) -> List["Phase"]:
         stats = self.gather_stats
-        if self.is_direct:
+        if self.is_direct or self.scheme == "two_level":
             elems = np.arange(start, n, dtype=np.int64)
-            return [Phase(elems, serialize=False, counters=stats)] if elems.size else []
+            if not elems.size:
+                return []
+            return [Phase(elems, serialize=not self.is_direct,
+                          counters=stats)]
 
         phases: List[Phase] = []
-        if self.scheme == "two_level":
-            for color_blocks in self._colour_blocks():
-                ranges = []
-                for b in color_blocks:
-                    lo, hi = self.layout.block_range(int(b))
-                    lo, hi = max(lo, start), min(hi, n)
-                    if lo < hi:
-                        ranges.append(np.arange(lo, hi, dtype=np.int64))
-                if ranges:
-                    phases.append(
-                        Phase(np.concatenate(ranges), serialize=True,
-                              counters=stats)
-                    )
-        elif self.scheme == "full_permute":
+        if self.scheme == "full_permute":
             for c in range(self.permutation.ncolors):
                 elems = self.permutation.color_slice(c)
                 elems = elems[(elems >= start) & (elems < n)]
@@ -501,7 +475,9 @@ class Plan:
                     phases.append(Phase(elems, serialize=False, counters=stats))
         elif self.scheme == "block_permute":
             bp = self.block_permutation
-            for color_blocks in self._colour_blocks():
+            block_colors = self.block_colors
+            for colour in range(self.n_block_colors):
+                color_blocks = np.nonzero(block_colors == colour)[0]
                 max_c = max(
                     (bp.block_ncolors(int(b)) for b in color_blocks), default=0
                 )
@@ -563,12 +539,10 @@ def build_coloring(
     n = layout.n_elements
     targets, extent = conflict_targets(args, n)
     if targets is None:
-        # Direct loops need no second level / permutation under any scheme.
+        # Direct loops need no permutation under any scheme.
         return Coloring(
             block_colors=np.zeros(layout.nblocks, dtype=np.int32),
             n_block_colors=1 if layout.nblocks else 0,
-            elem_colors=np.zeros(n, dtype=np.int32),
-            block_ncolors=np.ones(layout.nblocks, dtype=np.int32),
             stats={"n_block_colors": float(1 if layout.nblocks else 0)},
         )
 
@@ -579,14 +553,7 @@ def build_coloring(
         stats={"n_block_colors": float(n_block_colors)},
     )
     stats = coloring.stats
-    if scheme == "two_level":
-        coloring.elem_colors, coloring.block_ncolors = element_colors_by_block(
-            layout, targets, extent, method=coloring_method
-        )
-        stats["max_elem_colors"] = float(
-            coloring.block_ncolors.max(initial=1)
-        )
-    elif scheme == "full_permute":
+    if scheme == "full_permute":
         coloring.permutation = full_permute(
             targets, n, extent, method=coloring_method
         )

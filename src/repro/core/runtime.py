@@ -11,12 +11,12 @@ Six cache kinds keep steady-state execution cheap, each reported by
 ``evictions`` / ``entries`` / ``max_entries`` keys:
 
 1. ``plan_cache``: the structural :class:`~repro.core.plan.PlanCache`
-   (coloring reused by every loop with the same racing access
-   structure);
+   (phases and any coloring reused by every loop with the same
+   racing access structure);
 2. ``loop_cache``: keyed by ``(kernel, set, args signature)`` — the
    exact call site — it skips even the signature normalization and
    returns the memoized plan directly.  Because plans memoize their
-   whole-color phases and gather index arrays
+   phases and gather index arrays
    (:meth:`~repro.core.plan.Plan.phases`), a cache hit here means a
    repeated invocation rebuilds *no* index arrays at all;
 3. ``chain_cache``: keyed by the shape of a whole recorded loop

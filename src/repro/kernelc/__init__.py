@@ -33,9 +33,9 @@ from .cache import (
     DEFAULT_KERNELC_CACHE_ENTRIES,
     GLOBAL_CACHE,
     KernelCompileCache,
-    batched_flags,
     cache_stats,
     clear_cache,
+    compute_dtype,
     kernel_ir,
     param_shapes,
     vector_kernel_for,
@@ -64,13 +64,13 @@ __all__ = [
     "NativeUnsupported",
     "UnvectorizableKernel",
     "VectorEmitter",
-    "batched_flags",
     "build_chain_program",
     "build_eager_program",
     "cache_stats",
     "clear_cache",
     "compile_vector",
     "compiler_available",
+    "compute_dtype",
     "emit_chain_source",
     "emit_vector_source",
     "estimate_flops",

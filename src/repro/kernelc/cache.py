@@ -7,9 +7,10 @@ first execution and is memoized per ``(kernel, argument-shape)`` pair:
 * the **IR parse** is cached on the :class:`~repro.core.kernel.Kernel`
   object itself (one parse per kernel, shared by every shape), and
 * the **compiled vector callable** is cached here, keyed by the kernel's
-  uid plus the tuple of per-argument lane flags (READ globals are
-  broadcast constants and stay scalar-shaped; every other argument gains
-  the ``lanes`` axis) — the only shape property the emitter depends on.
+  uid, the tuple of per-argument lane flags (READ globals are broadcast
+  constants and stay scalar-shaped; every other argument gains the
+  ``lanes`` axis) and the loop's compute dtype — all the emitter
+  depends on.
 
 Unvectorizable kernels cache a negative entry, so the scalar fallback
 decision is also O(1) after first sight.  Counters (hits / misses /
@@ -22,6 +23,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.access import IDX_ALL, Access, Arg
 from ..core.glob import Global
 from .ir import KernelIR, UnvectorizableKernel, parse_kernel
@@ -29,18 +32,6 @@ from .vector import compile_vector, compile_vector_source, emit_vector_source
 
 #: Default LRU bound for compiled vector kernels.
 DEFAULT_KERNELC_CACHE_ENTRIES = 512
-
-
-def batched_flags(args: Sequence[Arg]) -> Tuple[bool, ...]:
-    """Which parameters carry a leading ``lanes`` axis for this loop.
-
-    READ globals are the only scalar-shaped parameters (broadcast
-    constants); reduction globals become per-lane partial accumulators
-    and every Dat argument is gathered into a lane-major block.
-    """
-    return tuple(
-        not (arg.is_global and arg.access is Access.READ) for arg in args
-    )
 
 
 def param_shapes(args: Sequence[Arg]) -> Tuple[Tuple[bool, Optional[int]], ...]:
@@ -68,6 +59,18 @@ def param_shapes(args: Sequence[Arg]) -> Tuple[Tuple[bool, Optional[int]], ...]:
         else:
             shapes.append((True, int(dat.dim)))
     return tuple(shapes)
+
+
+def compute_dtype(args: Sequence[Arg]) -> str:
+    """The loop's floating compute dtype: its floating arguments'
+    promoted dtype (``float64`` when it has none), the type the vector
+    emitter casts lane-free select operands to."""
+    ft = None
+    for arg in args:
+        dt = arg.dat.dtype
+        if dt.kind == "f":
+            ft = dt if ft is None else np.promote_types(ft, dt)
+    return "float64" if ft is None else ft.name
 
 
 def kernel_ir(kernel) -> KernelIR:
@@ -113,13 +116,13 @@ class KernelCompileCache:
 
     def vector_for(self, kernel, args: Sequence[Arg]):
         """Compiled batched kernel for this shape, or None (scalar only)."""
-        key = (kernel._uid, param_shapes(args))
+        key = (kernel._uid, param_shapes(args), compute_dtype(args))
         if key in self._entries:
             self.hits += 1
             self._entries.move_to_end(key)
             return self._entries[key]
         self.misses += 1
-        fn = self._load_or_compile(kernel, param_shapes(args))
+        fn = self._load_or_compile(kernel, *key[1:])
         self._entries[key] = fn
         if self.max_entries is not None:
             while len(self._entries) > self.max_entries:
@@ -127,18 +130,18 @@ class KernelCompileCache:
                 self.evictions += 1
         return fn
 
-    def _load_or_compile(self, kernel, shapes):
+    def _load_or_compile(self, kernel, shapes, dtype):
         """Memory-miss path: persistent kernelc store, then the emitter.
 
         The store holds generated source text per (scalar source digest,
-        shape signature) — a warm process compiles the persisted text
-        without re-running the emitter; ``source=None`` documents replay
+        shape signature, compute dtype) — a warm process compiles the
+        persisted text without re-running the emitter; ``source=None`` documents replay
         the unvectorizable (scalar-fallback) decision.  Kernels without
         retrievable source skip the store entirely.
         """
         from .. import store
 
-        skey = store.kernelc_key(kernel, shapes)
+        skey = store.kernelc_key(kernel, shapes, dtype)
         kstore = store.store_for("kernelc")
         payload = kstore.get(skey)
         if payload is not None:
@@ -153,7 +156,7 @@ class KernelCompileCache:
                 store.unlink_quiet(kstore.path_for(skey))
         store.count_build("kernelc")
         try:
-            fn = compile_vector(kernel_ir(kernel), shapes)
+            fn = compile_vector(kernel_ir(kernel), shapes, dtype)
         except UnvectorizableKernel:
             self.failures += 1
             kstore.put(skey, store.encode_kernelc(None))
@@ -163,7 +166,8 @@ class KernelCompileCache:
 
     def vector_source_for(self, kernel, args: Sequence[Arg]) -> str:
         """Generated source text (for --dump-kernel and golden tests)."""
-        return emit_vector_source(kernel_ir(kernel), param_shapes(args))
+        return emit_vector_source(kernel_ir(kernel), param_shapes(args),
+                                  compute_dtype(args))
 
     def stats(self) -> Dict[str, object]:
         return {

@@ -18,6 +18,10 @@ Lowering rules
   :func:`~repro.simd.vmax` intrinsics; conditional expressions become
   :func:`~repro.simd.select` — the generated code speaks the same
   branchless vocabulary the hand-written kernels did.
+* A lane-free select operand (a literal, a constant local) is cast to
+  the loop's compute dtype, as the native emitter types literals: the
+  scalar kernel keeps it a weak Python scalar, but ``np.where`` would
+  make it a float64 lane array that rounds float32 arithmetic in float64.
 * Branches are lowered to mask arithmetic: each ``if`` computes a lane
   mask, branch-local assignments get fresh names that are
   ``select``-merged at the join, and stores inside a branch become
@@ -137,10 +141,12 @@ class VectorEmitter:
     batched flag, or a ``(batched, fuse_dim)`` pair where ``fuse_dim``
     is the trailing-axis extent a dim-loop may be fused over (the Dat's
     ``dim`` for plain data arguments, ``None`` for vector arguments and
-    READ globals).
+    READ globals).  ``dtype`` is the loop's floating compute dtype
+    (:func:`~repro.kernelc.cache.compute_dtype`), the type lane-free
+    select operands are cast to.
     """
 
-    def __init__(self, ir: KernelIR, shapes) -> None:
+    def __init__(self, ir: KernelIR, shapes, dtype: str = "float64") -> None:
         shapes = _normalize_shapes(shapes)
         if len(shapes) != len(ir.params):
             raise UnvectorizableKernel(
@@ -148,6 +154,7 @@ class VectorEmitter:
                 f"the loop supplies {len(shapes)} arguments"
             )
         self.ir = ir
+        self.dtype = np.dtype(dtype).name
         #: Original names currently known to carry the lane axis:
         #: parameters, view aliases (``x1 = x[k]``), and any local
         #: computed from lane-carrying operands.  Deliberately
@@ -175,6 +182,18 @@ class VectorEmitter:
 
     def _emit(self, text: str) -> None:
         self.lines.append(_INDENT * self.depth + text)
+
+    def _typed(self, operand: ast.expr, batched: bool) -> ast.expr:
+        """A select operand: lane arrays as they are, lane-free values
+        cast to the compute dtype (see the module docstring)."""
+        if batched:
+            return operand
+        cast = ast.Attribute(value=_name("_kc_np"), attr=self.dtype,
+                             ctx=ast.Load())
+        return ast.Call(func=cast, args=[operand], keywords=[])
+
+    def _typed_name(self, ident: str, batched: bool) -> str:
+        return _unparse(self._typed(_name(ident), batched))
 
     # -- expression rewriting -----------------------------------------
     def _rx(self, node: ast.expr, env: Dict[str, str]) -> Tuple[ast.expr, bool]:
@@ -216,7 +235,9 @@ class VectorEmitter:
             test, tb = self._rx(node.test, env)
             body, bb = self._rx(node.body, env)
             orelse, ob = self._rx(node.orelse, env)
-            return _call("_kc_select", [test, body, orelse]), tb or bb or ob
+            return _call("_kc_select", [
+                test, self._typed(body, bb), self._typed(orelse, ob),
+            ]), tb or bb or ob
         if isinstance(node, ast.Tuple):
             pairs = [self._rx(e, env) for e in node.elts]
             return (
@@ -495,6 +516,7 @@ class VectorEmitter:
         batched_t = self.batched
         self.batched = set(pre_batched)
         self.emit_block(s.orelse, env_f, m_false)
+        batched_f = set(self.batched)
         self.batched |= batched_t
         # Join: merge branch-local rebinds back into the parent scope.
         assigned: List[str] = []
@@ -508,26 +530,25 @@ class VectorEmitter:
             v_f = env_f.get(name)
             in_t = v_t != pre
             in_f = v_f != pre
-            if in_t and in_f:
-                if pre is None:
-                    expr = (
-                        f"_kc_select({tname}, {v_t}, {v_f})"
-                    )
-                else:
+            if pre is None and not (in_t and in_f):
+                # Bound in one branch only, and not before: no join.
+                env[name] = v_t if in_t else v_f
+                continue
+            v_t = self._typed_name(v_t, name in batched_t)
+            v_f = self._typed_name(v_f, name in batched_f)
+            if pre is None:
+                expr = f"_kc_select({tname}, {v_t}, {v_f})"
+            else:
+                pre = self._typed_name(pre, name in pre_batched)
+                if in_t and in_f:
                     expr = (
                         f"_kc_select({m_true}, {v_t}, "
                         f"_kc_select({m_false}, {v_f}, {pre}))"
                     )
-            elif in_t:
-                if pre is None:
-                    env[name] = v_t
-                    continue
-                expr = f"_kc_select({m_true}, {v_t}, {pre})"
-            else:
-                if pre is None:
-                    env[name] = v_f
-                    continue
-                expr = f"_kc_select({m_false}, {v_f}, {pre})"
+                elif in_t:
+                    expr = f"_kc_select({m_true}, {v_t}, {pre})"
+                else:
+                    expr = f"_kc_select({m_false}, {v_f}, {pre})"
             joined = self._fresh(name)
             self._emit(f"{joined} = {expr}")
             env[name] = joined
@@ -553,18 +574,19 @@ def _store_ctx(node: ast.expr) -> ast.expr:
     return dup
 
 
-def emit_vector_source(ir: KernelIR, shapes) -> str:
+def emit_vector_source(ir: KernelIR, shapes, dtype: str = "float64") -> str:
     """Generated source of the batched kernel for one shape signature.
 
     ``shapes`` is one entry per parameter: a plain batched flag or a
-    ``(batched, fuse_dim)`` pair (see :class:`VectorEmitter`).
+    ``(batched, fuse_dim)`` pair; ``dtype`` is the loop's compute dtype
+    (see :class:`VectorEmitter`).
     """
-    return VectorEmitter(ir, shapes).emit()
+    return VectorEmitter(ir, shapes, dtype).emit()
 
 
-def compile_vector(ir: KernelIR, shapes):
+def compile_vector(ir: KernelIR, shapes, dtype: str = "float64"):
     """Emit and compile the batched kernel, returning the callable."""
-    return compile_vector_source(ir, emit_vector_source(ir, shapes))
+    return compile_vector_source(ir, emit_vector_source(ir, shapes, dtype))
 
 
 def compile_vector_source(ir: KernelIR, source: str):

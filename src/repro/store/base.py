@@ -42,13 +42,17 @@ from typing import Dict, List, Optional
 #: whenever its document layout (or the semantics of the code that
 #: consumes it) changes: old entries are then treated as stale —
 #: tolerated, counted as ``corrupt``, unlinked and rebuilt — instead of
-#: being misread.  plan/chain/tiled are at 2: version-1 documents were
-#: written over 8-byte map tables (``core.map.MAP_DTYPE`` is 4-byte).
+#: being misread.  chain is at 2: version-1 documents were written over
+#: 8-byte map tables (``core.map.MAP_DTYPE`` is 4-byte).  plan and
+#: tiled are at 3: ``two_level`` plans lost their element colours and
+#: became one ascending phase, which changed the plan document and the
+#: execution order tiled schedules slice.  kernelc is at 2: the vector
+#: emitter types select operands with the loop's compute dtype.
 SCHEMA_VERSIONS: Dict[str, int] = {
-    "plan": 2,
+    "plan": 3,
     "chain": 2,
-    "tiled": 2,
-    "kernelc": 1,
+    "tiled": 3,
+    "kernelc": 2,
     "native": 1,
 }
 

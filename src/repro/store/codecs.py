@@ -71,8 +71,6 @@ def encode_plan(plan: Plan) -> dict:
         ),
         "block_colors": coloring.block_colors,
         "n_block_colors": int(coloring.n_block_colors),
-        "elem_colors": coloring.elem_colors,
-        "block_ncolors": coloring.block_ncolors,
         "permutation": (
             None
             if coloring.permutation is None
@@ -116,14 +114,6 @@ def decode_plan(payload: dict, set_) -> Plan:
     coloring = Coloring(
         block_colors=_arr(payload["block_colors"]),
         n_block_colors=int(payload["n_block_colors"]),
-        elem_colors=(
-            None if payload["elem_colors"] is None
-            else _arr(payload["elem_colors"])
-        ),
-        block_ncolors=(
-            None if payload["block_ncolors"] is None
-            else _arr(payload["block_ncolors"])
-        ),
         permutation=permutation,
         block_permutation=block_permutation,
         stats=dict(payload["build_stats"]),

@@ -169,11 +169,12 @@ def tiled_key(chain_store_key: str, tile_size: int, profile: str) -> str:
     return digest("tiled", chain_store_key, int(tile_size), profile)
 
 
-def kernelc_key(kernel, shapes) -> Optional[str]:
+def kernelc_key(kernel, shapes, dtype: str = "float64") -> Optional[str]:
     """Key of one generated vector kernel source, or ``None``.
 
     The generated source is a pure function of (scalar source, argument
-    shape signature); kernels without retrievable source skip the store.
+    shape signature, compute dtype); kernels without retrievable source
+    skip the store.
     """
     kkey = kernel_key(kernel)
     if kkey is None:
@@ -184,7 +185,7 @@ def kernelc_key(kernel, shapes) -> Optional[str]:
             norm.append((bool(s[0]), None if s[1] is None else int(s[1])))
         else:
             norm.append((bool(s), None))
-    return digest("kernelc", kkey, norm)
+    return digest("kernelc", kkey, norm, str(dtype))
 
 
 __all__ = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 def _row(name: str, scheme: str, **options):
@@ -85,6 +86,18 @@ def runtime_for(name: str, scheme: str, options: dict, block_size: int = 64,
         scheme=scheme,
         layout=layout,
     )
+
+
+def assert_matches_sequential(got, ref, scheme: str, **tolerance) -> None:
+    """The numerical contract against the sequential interpreter's
+    ``ref``: under ``two_level`` every backend (``vectorized`` at any
+    ``vec``, ``native`` with or without a compiler, ``auto``) equals it
+    bitwise; the permute schemes reorder indirect increments and agree
+    to ``tolerance`` (``np.testing.assert_allclose`` keywords)."""
+    if scheme == "two_level":
+        np.testing.assert_array_equal(got, ref)
+    else:
+        np.testing.assert_allclose(got, ref, **tolerance)
 
 
 def spy_chains(runtime) -> list:

@@ -99,7 +99,7 @@ class TiledSchedule:
     parts: Tuple[SchedulePart, ...]
     tile_size: int
     #: Which eager element order the cuts were computed against:
-    #: ``"phases"`` (plan color-phase order — the batched backends) or
+    #: ``"phases"`` (plan phase order — the batched backends) or
     #: ``"ascending"`` (plain element order — the scalar backend).
     profile: str
 

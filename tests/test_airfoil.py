@@ -12,7 +12,9 @@ from repro.apps.airfoil import (
 from repro.core import Runtime, make_backend
 from repro.mesh import make_airfoil_mesh
 
-from repro.testing import BACKEND_MATRIX, runtime_for
+from repro.testing import (
+    BACKEND_MATRIX, LAYOUT_MATRIX, assert_matches_sequential, runtime_for,
+)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,35 @@ class TestAgainstReference:
         ref = reference_sweep(mesh, sim.q.copy())
         sim.step()
         np.testing.assert_allclose(sim.q, ref["q"], rtol=1e-12, atol=1e-14)
+
+
+class TestReproducibilityMatrix:
+    """Three steps on every matrix row, layout and execution mode
+    against the sequential interpreter's eager run: bitwise under
+    ``two_level`` (``vectorized`` at the default strip width and at
+    ``vec=8``), rounding level under the permute schemes."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, mesh):
+        sim = AirfoilSim(mesh, runtime=Runtime("sequential"), chained=False)
+        sim.run(3)
+        return sim.q.copy(), list(sim.rms_history)
+
+    @pytest.mark.parametrize("backend,scheme,options", BACKEND_MATRIX)
+    @pytest.mark.parametrize("layout", LAYOUT_MATRIX)
+    @pytest.mark.parametrize("mode", ["eager", "chained", "tiled"])
+    def test_matches_sequential(self, mesh, reference, backend, scheme,
+                                options, layout, mode):
+        ref_q, ref_rms = reference
+        sim = AirfoilSim(mesh, runtime=runtime_for(backend, scheme, options,
+                                                   layout=layout),
+                         chained=mode != "eager",
+                         tiling="auto" if mode == "tiled" else None)
+        sim.run(3)
+        assert_matches_sequential(sim.q, ref_q, scheme, rtol=1e-10,
+                                  atol=1e-12)
+        assert_matches_sequential(sim.rms_history, ref_rms, scheme,
+                                  rtol=1e-10)
 
 
 class TestPhysics:

@@ -2,11 +2,12 @@
 
 This is the library's central correctness property (paper Section 3: the
 abstraction assumes element order does not change results beyond FP
-reordering).  Results fall in two classes: ``native`` runs elements in
-ascending order and is bitwise equal to ``sequential``; ``vectorized``
-runs colour phases, so indirect increments reach a target in another
-order and results differ at rounding level.  The tolerances below cover
-both.  We sweep the full backend x scheme matrix on a mix of loop
+reordering).  Results fall in two classes: under ``two_level`` every
+backend applies indirect increments in element order and is bitwise
+equal to ``sequential``; the ``full_permute`` / ``block_permute``
+schemes run colour phases, so increments reach a target in another
+order and results differ at rounding level
+(``repro.testing.assert_matches_sequential``).  We sweep the full backend x scheme matrix on a mix of loop
 shapes: direct, indirect-read, indirect-INC, vector arguments, global
 reductions, and kernels without vector forms.
 """
@@ -36,7 +37,9 @@ from repro.core import (
 )
 from repro.core.access import IDX_ALL, IDX_ID
 
-from repro.testing import BACKEND_MATRIX, runtime_for
+from repro.testing import (
+    BACKEND_MATRIX, assert_matches_sequential, runtime_for,
+)
 
 
 def ring_problem(n=37, dtype=np.float64, seed=0):
@@ -87,13 +90,13 @@ class TestIndirectIncEquivalence:
     def test_matches_sequential(self, backend, scheme, options):
         ref = run_indirect("sequential", "two_level", {})
         got = run_indirect(backend, scheme, options)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        assert_matches_sequential(got, ref, scheme, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("block_size", [1, 3, 8, 64, 1000])
     def test_block_size_invariance(self, block_size):
         ref = run_indirect("sequential", "two_level", {})
         got = run_indirect("vectorized", "two_level", {}, block_size)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("vec", [1, 2, 4, 8, 16])
     def test_vec_chunk_invariance(self, vec):
@@ -146,7 +149,7 @@ class TestDirectEquivalence:
 
         ref = run(runtime_for("sequential", "two_level", {}))
         got = run(runtime_for(backend, scheme, options, block_size=7))
-        np.testing.assert_allclose(got, ref, rtol=1e-14)
+        assert_matches_sequential(got, ref, scheme, rtol=1e-14)
 
 
 @kernel("rw_zero", flops=2)
@@ -179,8 +182,8 @@ class TestDirectRW:
 
         ref_r, ref_o = run(runtime_for("sequential", "two_level", {}))
         got_r, got_o = run(runtime_for(backend, scheme, options, 5))
-        np.testing.assert_allclose(got_r, ref_r)
-        np.testing.assert_allclose(got_o, ref_o)
+        assert_matches_sequential(got_r, ref_r, scheme)
+        assert_matches_sequential(got_o, ref_o, scheme)
 
 
 @kernel("reduce_all", flops=4)
@@ -266,7 +269,7 @@ class TestVectorArguments:
 
         ref = run(runtime_for("sequential", "two_level", {}))
         got = run(runtime_for(backend, scheme, options, 4))
-        np.testing.assert_allclose(got, ref, rtol=1e-14)
+        assert_matches_sequential(got, ref, scheme, rtol=1e-14)
 
 
 @kernel("scatter_all", flops=1)
@@ -303,7 +306,7 @@ class TestVectorIncArguments:
 
         ref = run(runtime_for("sequential", "two_level", {}))
         got = run(runtime_for(backend, scheme, options, 4))
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        assert_matches_sequential(got, ref, scheme, rtol=1e-12, atol=1e-12)
 
 
 @kernel("no_vector_form")
@@ -403,8 +406,8 @@ def test_property_random_loops_equivalent(n_nodes, n_elems, block_size, seed):
         ("vectorized", "full_permute"),
         ("vectorized", "block_permute"),
     ]:
-        np.testing.assert_allclose(
-            run(bk, scheme), ref, rtol=1e-10, atol=1e-10
+        assert_matches_sequential(
+            run(bk, scheme), ref, scheme, rtol=1e-10, atol=1e-10
         )
 
 

@@ -6,8 +6,8 @@ maps by identity, Dats and Globals by first-occurrence ordinal plus
 dim, dtype, layout and home set.  Two traces that differ in any of
 those must get distinct entries; two that differ only in which Dats
 carry the data must share one, and every run must match the
-interpreter (native bitwise, vectorized at rounding level) and touch
-only its own Dats.  Swept over the backend matrix.
+interpreter (bitwise under ``two_level``, at rounding level under the
+permute schemes) and touch only its own Dats.  Swept over the backend matrix.
 """
 
 import numpy as np
@@ -30,7 +30,9 @@ from repro.core import (
 )
 from repro.core.access import IDX_ID
 from repro.core.chain import Repeat
-from repro.testing import BACKEND_MATRIX, runtime_for
+from repro.testing import (
+    BACKEND_MATRIX, assert_matches_sequential, runtime_for,
+)
 
 N = 24
 
@@ -93,14 +95,11 @@ def interpreted(mesh, dats, **kw):
     return dats[2].data.copy()
 
 
-def assert_contract(backend, got, want):
-    """Native and sequential equal the interpreter bitwise; the
-    vectorized schemes agree with it at rounding level."""
-    if backend == "vectorized":
-        eps = np.finfo(got.dtype).eps
-        np.testing.assert_allclose(got, want, rtol=8 * eps, atol=0)
-    else:
-        np.testing.assert_array_equal(got, want)
+def assert_contract(scheme, got, want):
+    """Every backend equals the interpreter bitwise under ``two_level``;
+    the permute schemes agree with it at rounding level."""
+    eps = np.finfo(got.dtype).eps
+    assert_matches_sequential(got, want, scheme, rtol=8 * eps, atol=0)
 
 
 def chain_cache(rt):
@@ -133,7 +132,7 @@ class TestStructuralKey:
                 dats = fresh_dats(mesh, **make)
                 got = chained(rt, mesh, dats,
                               spmv_reads=dats[0] if reads_w else None)
-                assert_contract(backend, got, want)
+                assert_contract(scheme, got, want)
             assert chain_cache(rt) == (k, k)
 
     def test_a_dat_on_another_set_is_not_served(self, backend, scheme,
@@ -156,7 +155,7 @@ class TestStructuralKey:
             # Twice over the same Dats: the second run accumulates onto
             # the first's r.
             for _ in range(2):
-                assert_contract(backend, chained(rt, mesh, dats),
+                assert_contract(scheme, chained(rt, mesh, dats),
                                 interpreted(mesh, ref))
         assert chain_cache(rt) == (1, 1)
         assert rt.stats()["chain_cache"]["hits"] == 5

@@ -10,7 +10,6 @@ from repro.coloring import (
     color_blocks,
     color_elements,
     conflict_targets,
-    element_colors_by_block,
     full_permute,
     greedy_color,
     is_valid_block_coloring,
@@ -214,17 +213,6 @@ class TestPermutations:
                     tg = set(targets[e].tolist())
                     assert not (seen & tg)
                     seen |= tg
-
-    def test_element_colors_by_block(self):
-        _, args = ring_args(20)
-        targets, extent = conflict_targets(args, 20)
-        layout = make_blocks(20, 5)
-        colors, ncolors = element_colors_by_block(layout, targets, extent)
-        assert colors.shape == (20,)
-        for b in range(layout.nblocks):
-            lo, hi = layout.block_range(b)
-            assert colors[lo:hi].max() + 1 <= ncolors[b]
-            assert is_valid_coloring(colors[lo:hi], targets[lo:hi])
 
 
 # ----------------------------------------------------------------------

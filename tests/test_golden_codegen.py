@@ -82,10 +82,12 @@ class TestVectorGolden:
 
     @pytest.mark.parametrize("name", sorted(VOLNA_SHAPES))
     def test_volna(self, name):
+        """At Volna's own compute dtype: float32 lane-free select
+        operands (``space_disc``'s wall weight)."""
         from repro.apps.volna.kernels import make_kernels
 
         source = emit_vector_source(
-            kernel_ir(make_kernels()[name]), VOLNA_SHAPES[name]
+            kernel_ir(make_kernels()[name]), VOLNA_SHAPES[name], "float32"
         )
         _assert_golden(f"vec_volna_{name}.py.txt", source)
 

@@ -49,20 +49,22 @@ RNG = np.random.default_rng(1234)
 LANES = 48
 
 
-def _batch(shape, lo=0.5, hi=2.0):
-    return RNG.uniform(lo, hi, (LANES,) + shape)
+def _batch(shape, lo=0.5, hi=2.0, dtype=np.float64):
+    return RNG.uniform(lo, hi, (LANES,) + shape).astype(dtype)
 
 
-def _generated(k, shapes):
-    return compile_vector(kernel_ir(k), shapes)
+def _generated(k, shapes, dtype="float64"):
+    return compile_vector(kernel_ir(k), shapes, dtype)
 
 
 def _assert_matches_scalar(k, shapes, arrays):
-    """Generated batched run == per-lane scalar run, bitwise."""
+    """Generated batched run == per-lane scalar run, bitwise, at the
+    arrays' own floating dtype (the loop's compute dtype)."""
     batched = [s[0] if isinstance(s, tuple) else s for s in shapes]
     a_vec = [np.copy(a) for a in arrays]
     a_scal = [np.copy(a) for a in arrays]
-    _generated(k, shapes)(*a_vec)
+    dtype = np.result_type(*(a for a in arrays if a.dtype.kind == "f"))
+    _generated(k, shapes, dtype.name)(*a_vec)
     for e in range(LANES):
         views = [a[e] if b else a for a, b in zip(a_scal, batched)]
         k.scalar(*views)
@@ -383,44 +385,68 @@ class TestAppKernelsBitwise:
         )
 
     def test_volna_kernels(self):
+        """At Volna's own dtype, float32: ``space_disc``'s literal wall
+        weight must stay float32 across lanes as it does per element."""
         from repro.apps.volna.kernels import make_kernels
 
+        f32 = np.float32
         ks = make_kernels()
-        geom = _batch((4,))
-        geom[:, 3] = RNG.integers(0, 2, LANES).astype(float)
-        q0 = _batch((4,))
+        geom = _batch((4,), dtype=f32)
+        geom[:, 3] = RNG.integers(0, 2, LANES).astype(f32)
+        q0 = _batch((4,), dtype=f32)
         q0[: LANES // 4, 0] = 0.0  # dry states exercise the guards
-        q1 = _batch((4,))
+        q1 = _batch((4,), dtype=f32)
+
+        def zeros(dim):
+            return np.zeros((LANES, dim), dtype=f32)
+
         _assert_matches_scalar(
             ks["compute_flux"], [(True, 4)] * 3 + [(True, 4), (True, 2)],
-            [geom, q0, q1, np.zeros((LANES, 4)), np.zeros((LANES, 2))],
+            [geom, q0, q1, zeros(4), zeros(2)],
         )
         _assert_matches_scalar(
             ks["numerical_flux"],
             [(True, 1), (True, None), (True, 4), (True, 1)],
-            [_batch((1,)), _batch((3, 2)), _batch((4,)),
-             np.full((LANES, 1), 1e9)],
+            [_batch((1,), dtype=f32), _batch((3, 2), dtype=f32),
+             _batch((4,), dtype=f32), np.full((LANES, 1), 1e9, dtype=f32)],
         )
         _assert_matches_scalar(
             ks["space_disc"],
             [(True, 4), (True, 4), (True, 4), (True, 4), (True, 1),
              (True, 1), (True, 4), (True, 4)],
-            [_batch((4,)), geom, q0, q1, _batch((1,)), _batch((1,)),
-             np.zeros((LANES, 4)), np.zeros((LANES, 4))],
+            [_batch((4,), dtype=f32), geom, q0, q1, _batch((1,), dtype=f32),
+             _batch((1,), dtype=f32), zeros(4), zeros(4)],
         )
-        dt = np.array([0.01])
+        dt = np.array([0.01], dtype=f32)
         _assert_matches_scalar(
             ks["RK_1"], [(True, 4)] * 4 + [(False, None)],
-            [q0, _batch((4,)), np.zeros((LANES, 4)),
-             np.zeros((LANES, 4)), dt],
+            [q0, _batch((4,), dtype=f32), zeros(4), zeros(4), dt],
         )
         _assert_matches_scalar(
             ks["RK_2"], [(True, 4)] * 4 + [(False, None)],
-            [q0, q1, _batch((4,)), np.zeros((LANES, 4)), dt],
+            [q0, q1, _batch((4,), dtype=f32), zeros(4), dt],
         )
         _assert_matches_scalar(
             ks["sim_1"], [(True, 4), (True, 4)],
-            [q0, np.zeros((LANES, 4))],
+            [q0, zeros(4)],
+        )
+
+    def test_literal_select_keeps_compute_dtype(self):
+        """A select of two literals is typed with the loop's compute
+        dtype: the float32 product after it rounds per element."""
+        @kernel("kc_lit_select")
+        def kc_lit_select(a, b, out):
+            w = 0.0 if a[0] > 1.0 else 1.0
+            out[0] += w * a[1] / b[0] * a[0]
+
+        f32 = np.float32
+        shapes = [(True, 2), (True, 1), (True, 1)]
+        src = emit_vector_source(kernel_ir(kc_lit_select), shapes, "float32")
+        assert "_kc_np.float32(0.0), _kc_np.float32(1.0)" in src
+        _assert_matches_scalar(
+            kc_lit_select, shapes,
+            [_batch((2,), dtype=f32), _batch((1,), lo=0.1, hi=3.0, dtype=f32),
+             np.zeros((LANES, 1), dtype=f32)],
         )
 
 

@@ -9,8 +9,9 @@ randomized inputs:
 The kernels below deliberately mix the constructs the emitters lower —
 polynomial arithmetic, math intrinsics, integer powers, comparisons,
 branches, indirect gathers/INC scatters and global reductions — and
-hypothesis drives the data: mesh sizes, layouts, RNG seeds and spliced
-special values (signed zero, tiny magnitudes, exact integers).  Any
+hypothesis drives the data: mesh sizes, layouts, RNG seeds, the float
+dtype (float64, and float32 as Volna runs) and spliced special values
+(signed zero, tiny magnitudes, exact integers).  Any
 emitter that rounds differently, reassociates, or mis-handles an edge
 value shows up as a one-ULP diff here long before it corrupts an app.
 """
@@ -49,6 +50,7 @@ CASES = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
     "n": st.integers(1, 48),
     "layout": st.sampled_from(["aos", "soa"]),
+    "dtype": st.sampled_from([np.float64, np.float32]),
     "special": st.sampled_from(
         [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-8, 7.25]
     ),
@@ -79,6 +81,14 @@ def fz_branch(x, y):
     y[1] = (x[1] > x[0]) * (x[0] + x[1])
 
 
+@kernel("fz_select")
+def fz_select(x, y):
+    w = 0.0 if x[0] > 0.0 else 1.0
+    y[0] = w * x[1] / (np.abs(x[0]) + 1.0) * x[1]
+    k = 2 if x[1] > x[0] else -1
+    y[1] = k * x[0] - w
+
+
 @kernel("fz_flux")
 def fz_flux(w, a, b, out0, out1, lo):
     d0 = a[0] - b[0]
@@ -107,8 +117,9 @@ def _direct_problem(case):
 def _run_direct(kern, backend, scheme, options, case):
     rt = runtime_for(backend, scheme, options, layout=case["layout"])
     elems = Set(case["n"], "elems")
-    x = Dat(elems, 2, _direct_problem(case).copy(), name="x")
-    y = Dat(elems, 2, np.zeros((case["n"], 2)), name="y")
+    dtype = case["dtype"]
+    x = Dat(elems, 2, _direct_problem(case), dtype, name="x")
+    y = Dat(elems, 2, np.zeros((case["n"], 2)), dtype, name="y")
     par_loop(kern, elems,
              arg_dat(x, IDX_ID, None, READ),
              arg_dat(y, IDX_ID, None, INC),
@@ -131,10 +142,11 @@ def _ring(case):
 def _run_flux(backend, scheme, options, case):
     nodes, edges, e2n, wd, xd = _ring(case)
     rt = runtime_for(backend, scheme, options, layout=case["layout"])
-    w = Dat(edges, 1, wd.copy(), name="w")
-    x = Dat(nodes, 2, xd.copy(), name="x")
-    acc = Dat(nodes, 2, np.zeros_like(xd), name="acc")
-    lo = Global(1, value=np.array([np.finfo(np.float64).max]), name="lo")
+    dtype = case["dtype"]
+    w = Dat(edges, 1, wd, dtype, name="w")
+    x = Dat(nodes, 2, xd, dtype, name="x")
+    acc = Dat(nodes, 2, np.zeros_like(xd), dtype, name="acc")
+    lo = Global(1, value=np.finfo(dtype).max, dtype=dtype, name="lo")
     par_loop(fz_flux, edges,
              arg_dat(w, IDX_ID, None, READ),
              arg_dat(x, 0, e2n, READ),
@@ -149,9 +161,10 @@ def _run_flux(backend, scheme, options, case):
 def _run_gather_all(backend, scheme, options, case):
     nodes, edges, e2n, wd, xd = _ring(case)
     rt = runtime_for(backend, scheme, options, layout=case["layout"])
-    w = Dat(edges, 1, wd.copy(), name="w")
-    x = Dat(nodes, 2, xd.copy(), name="x")
-    out = Dat(edges, 2, np.zeros((case["n"], 2)), name="out")
+    dtype = case["dtype"]
+    w = Dat(edges, 1, wd, dtype, name="w")
+    x = Dat(nodes, 2, xd, dtype, name="x")
+    out = Dat(edges, 2, np.zeros((case["n"], 2)), dtype, name="out")
     par_loop(fz_gather_all, edges,
              arg_dat(w, IDX_ID, None, READ),
              arg_dat(x, IDX_ALL, e2n, READ),
@@ -189,7 +202,8 @@ def test_direct_poly_bitwise(case):
 # Regression pin: an input where array ``x ** 2`` (np.square fast path)
 # rounds one ulp away from scalar pow() — the emitters must take the
 # scalar path (see kernelc/vector.py:_lane_pow, native.py:_pow).
-@example(case={"seed": 6801, "n": 11, "layout": "aos", "special": 0.0})
+@example(case={"seed": 6801, "n": 11, "layout": "aos",
+               "dtype": np.float64, "special": 0.0})
 def test_direct_math_bitwise(case):
     _assert_legs_bitwise(
         lambda *a: _run_direct(fz_math, *a), case, "fz_math")
@@ -200,6 +214,17 @@ def test_direct_math_bitwise(case):
 def test_direct_branch_bitwise(case):
     _assert_legs_bitwise(
         lambda *a: _run_direct(fz_branch, *a), case, "fz_branch")
+
+
+@settings(**FUZZ_SETTINGS)
+@given(case=CASES)
+# Regression pin: lane-free select operands take the loop's compute
+# dtype (kernelc/vector.py), or float32 lanes round in float64.
+@example(case={"seed": 3, "n": 48, "layout": "soa",
+               "dtype": np.float32, "special": -2.0})
+def test_direct_select_bitwise(case):
+    _assert_legs_bitwise(
+        lambda *a: _run_direct(fz_select, *a), case, "fz_select")
 
 
 @settings(**FUZZ_SETTINGS)

@@ -31,7 +31,9 @@ from repro.core import (
     set_default_layout,
 )
 from repro.core.access import IDX_ID
-from repro.testing import BACKEND_MATRIX, LAYOUT_MATRIX, runtime_for
+from repro.testing import (
+    BACKEND_MATRIX, LAYOUT_MATRIX, assert_matches_sequential, runtime_for,
+)
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +210,7 @@ class TestLayoutEquivalence:
     def test_matches_sequential_aos(self, backend, scheme, options, layout):
         ref = run_ring("sequential", "two_level", {}, "aos")
         got = run_ring(backend, scheme, options, layout)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        assert_matches_sequential(got, ref, scheme, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("layout", LAYOUT_MATRIX)
     def test_airfoil_step_layout_equivalence(self, layout):
@@ -226,9 +228,8 @@ class TestLayoutEquivalence:
         )
         sim.run(2)
         assert sim.state.p_q.layout == layout
-        np.testing.assert_allclose(
-            sim.state.p_q.data, ref_sim.state.p_q.data, rtol=1e-10, atol=1e-12
-        )
+        np.testing.assert_array_equal(sim.state.p_q.data,
+                                      ref_sim.state.p_q.data)
 
 
 # ----------------------------------------------------------------------

@@ -377,16 +377,14 @@ class TestLazyColouring:
         """An empty artifact store: cold builds must be builds."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
 
-    def _airfoil(self, backend):
-        rt = Runtime(backend, block_size=32)
+    def _airfoil(self, backend, scheme="two_level"):
+        rt = Runtime(backend, block_size=32, scheme=scheme)
         sim = AirfoilSim(make_airfoil_mesh(14, 7), runtime=rt)
         store.reset_store_stats()
         sim.run(2)
         return rt, rt.stats()["plan_cache"]
 
-    @needs_cc
-    def test_native_materialises_no_colouring(self):
-        rt, plan_cache = self._airfoil("native")
+    def _assert_uncoloured(self, rt, plan_cache):
         assert plan_cache["misses"] > 0  # plans were resolved ...
         assert plan_cache["colourings_materialized"] == 0  # ... not coloured
         assert not any(p.colored for p in rt.plans._plans.values()
@@ -394,8 +392,17 @@ class TestLazyColouring:
         for counter in ("writes", "builds", "disk_hits", "disk_misses"):
             assert plan_cache["store"][counter] == 0, counter
 
-    def test_vectorized_materialises_and_persists(self):
-        rt, plan_cache = self._airfoil("vectorized")
+    @needs_cc
+    def test_native_materialises_no_colouring(self):
+        self._assert_uncoloured(*self._airfoil("native"))
+
+    def test_vectorized_two_level_materialises_no_colouring(self):
+        """One thread scatters in element order: ``two_level`` runs
+        every racing loop as one ascending phase, uncoloured."""
+        self._assert_uncoloured(*self._airfoil("vectorized"))
+
+    def test_block_permute_materialises_and_persists(self):
+        rt, plan_cache = self._airfoil("vectorized", "block_permute")
         indirect = [p for p in rt.plans._plans.values() if not p.is_direct]
         assert indirect and all(p.colored for p in indirect)
         assert plan_cache["colourings_materialized"] == len(indirect)
@@ -403,7 +410,7 @@ class TestLazyColouring:
         assert plan_cache["store"]["builds"] == len(indirect)
 
     def test_facets_materialise_on_first_access_only(self):
-        rt = Runtime("vectorized", block_size=32)
+        rt = Runtime("vectorized", block_size=32, scheme="block_permute")
         sim = AirfoilSim(make_airfoil_mesh(14, 7), runtime=rt)
         set_, *args = sim._loop_args()["res_calc"]
         plan = rt.plan_for(sim.kernels["res_calc"], set_, args)
@@ -414,14 +421,21 @@ class TestLazyColouring:
         # ... any colour facet (the names bench_e2e reads) colours once.
         assert plan.n_block_colors >= 1
         assert plan.colored and rt.plans.colourings_materialized == 1
-        assert plan.block_ncolors is not None
-        assert len(plan.phases(set_.size)) == plan.n_block_colors
+        assert plan.block_permutation is not None
+        assert len(plan.phases(set_.size)) >= plan.n_block_colors
         assert rt.plans.colourings_materialized == 1
         # Direct plans colour trivially, without the store or the count.
         d_set, *d_args = sim._loop_args()["save_soln"]
         direct = rt.plan_for(sim.kernels["save_soln"], d_set, d_args)
         assert direct.is_direct and direct.n_block_colors == 1
         assert rt.plans.colourings_materialized == 1
+        # A two_level plan's phases read no colour facet at all.
+        two_level = Runtime("vectorized", block_size=32).plan_for(
+            sim.kernels["res_calc"], set_, args)
+        assert len(two_level.phases(set_.size)) == 1
+        assert not two_level.colored
+        assert two_level.elem_colors is None
+        assert two_level.block_ncolors is None
 
     @pytest.mark.parametrize("chained", [False, True])
     def test_uncoloured_plan_pins_no_dat(self, chained):
@@ -461,7 +475,7 @@ from repro.mesh import make_airfoil_mesh
 from repro.mesh.renumber import scramble
 
 mesh = scramble(scramble(make_airfoil_mesh(14, 7), "cells", 1), "edges", 2)
-rt = Runtime(sys.argv[1], block_size=32)
+rt = Runtime(sys.argv[1], block_size=32, scheme=sys.argv[2])
 sim = AirfoilSim(mesh, runtime=rt)
 sim.run(2)
 print(json.dumps({
@@ -473,9 +487,13 @@ print(json.dumps({
 """
 
 
-@pytest.mark.parametrize("backend", [
-    pytest.param("native", marks=needs_cc), "vectorized"])
-def test_warm_process_builds_nothing(tmp_path, backend):
+@pytest.mark.parametrize("backend, scheme", [
+    pytest.param("native", "two_level", marks=needs_cc, id="native"),
+    # block_permute: the scheme whose colouring the plan store keeps.
+    pytest.param("vectorized", "block_permute", id="vectorized"),
+    pytest.param("vectorized", "two_level", id="vectorized-two_level"),
+])
+def test_warm_process_builds_nothing(tmp_path, backend, scheme):
     script = tmp_path / "warm_locality.py"
     script.write_text(WARM_SCRIPT)
     env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "store"),
@@ -483,7 +501,7 @@ def test_warm_process_builds_nothing(tmp_path, backend):
 
     def run():
         out = subprocess.run(
-            [sys.executable, str(script), backend],
+            [sys.executable, str(script), backend, scheme],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert out.returncode == 0, out.stderr[-2000:]
@@ -496,7 +514,7 @@ def test_warm_process_builds_nothing(tmp_path, backend):
     for kind, s in warm["stats"].items():
         assert s["builds"] == 0, kind
     plan = cold["stats"]["plan"]
-    if backend == "native":
+    if scheme == "two_level":
         assert cold["colourings"] == warm["colourings"] == 0
         assert plan["writes"] == plan["disk_entries"] == 0
         assert warm["stats"]["plan"]["disk_hits"] == 0

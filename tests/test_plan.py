@@ -42,7 +42,7 @@ class TestBuildPlan:
         plan = build_plan(s, [arg_dat(d, -1, None, READ)], block_size=4)
         assert plan.is_direct
         assert plan.n_block_colors == 1
-        assert plan.max_elem_colors() == 1
+        assert plan.block_ncolors is None
 
     def test_indirect_read_is_direct_plan(self):
         elems, args, m = grid_loop()
@@ -58,7 +58,7 @@ class TestBuildPlan:
         plan = build_plan(elems, args, block_size=8, scheme=scheme)
         assert not plan.is_direct
         if scheme == "two_level":
-            assert plan.elem_colors is not None
+            assert plan.elem_colors is None
             assert plan.permutation is None
         elif scheme == "full_permute":
             assert plan.permutation is not None
@@ -67,6 +67,21 @@ class TestBuildPlan:
             )
         else:
             assert plan.block_permutation is not None
+
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_two_level_racing_plan_is_one_ascending_phase(self, start):
+        """The batched executor runs one thread, so a racing
+        ``two_level`` loop is one ascending phase that scatters in
+        element order, and nothing is coloured for it."""
+        elems, args, _ = grid_loop()
+        plan = PlanCache().get(elems, args, block_size=8)
+        (phase,) = plan.phases(elems.size, start)
+        assert phase.serialize and phase.contiguous
+        np.testing.assert_array_equal(
+            phase.elems, np.arange(start, elems.size))
+        np.testing.assert_array_equal(
+            plan.execution_order(elems.size, start), phase.elems)
+        assert not plan.colored
 
     def test_block_colors_disjoint_targets(self):
         elems, args, m = grid_loop()

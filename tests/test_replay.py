@@ -81,20 +81,15 @@ class TestAppTwins:
         assert eager.dt_history == chained.dt_history
 
 
-def _spy_noncontiguous_direct_inc(monkeypatch):
-    """Record the arguments of every strip program prepared with a
-    direct INC argument over a non-contiguous strip (returns the list it
-    appends to)."""
+def _spy_strips(monkeypatch):
+    """Record ``(args, strip)`` of every strip program prepared
+    (returns the list it appends to)."""
     seen = []
     init = base.StripProgram.__init__
 
     def spy(self, kernel_vec, args, phase, *scratch):
         init(self, kernel_vec, args, phase, *scratch)
-        if not phase.contiguous and any(
-            a.is_direct and not a.is_global and a.access is Access.INC
-            for a in args
-        ):
-            seen.append(args)
+        seen.append((args, phase))
 
     monkeypatch.setattr(base.StripProgram, "__init__", spy)
     return seen
@@ -167,8 +162,9 @@ def _loops(m, rt):
     e2c = m["e2c"]
     par_loop(rp_vec_inc, m["edges"], arg_dat(m["x"], IDX_ID, None, READ),
              arg_dat(m["v"], IDX_ALL, e2c, INC), runtime=rt)
-    # Matrix staging is a direct INC; the indirect INC next to it makes
-    # the plan colour, so its phases are non-contiguous.
+    # Matrix staging is a direct INC; under a permute scheme the
+    # indirect INC next to it makes the plan colour, so its phases are
+    # non-contiguous.
     par_loop(rp_mat, m["edges"], arg_dat(m["x"], IDX_ID, None, READ),
              arg_dat(m["d"], 1, e2c, INC), arg_mat(m["mat"], INC),
              runtime=rt)
@@ -187,7 +183,7 @@ class TestArgumentKinds:
     @pytest.mark.parametrize("scheme", ["two_level", "full_permute"])
     @pytest.mark.parametrize("layout", LAYOUT_MATRIX)
     def test_chained_equals_eager(self, layout, scheme, monkeypatch):
-        staged = _spy_noncontiguous_direct_inc(monkeypatch)
+        prepared = _spy_strips(monkeypatch)
         eager, chained = _strip(5, layout), _strip(5, layout)
         rt_e = Runtime("vectorized", scheme=scheme, block_size=16)
         rt_c = Runtime("vectorized", scheme=scheme, block_size=16)
@@ -200,8 +196,19 @@ class TestArgumentKinds:
         assert np.array_equal(eager["g"].value, chained["g"].value)
         assert np.array_equal(eager["mat"].assemble().data,
                               chained["mat"].assemble().data)
+        if scheme == "two_level":
+            # One ascending phase: every strip is a contiguous range, so
+            # direct arguments are zero-copy views.
+            assert prepared and all(ph.contiguous for _, ph in prepared)
+            return
         # Both dispatches built rp_mat's non-contiguous matrix staging
         # through the one executor, and nothing else has a direct INC.
+        staged = [
+            args for args, ph in prepared
+            if not ph.contiguous and any(
+                a.is_direct and not a.is_global and a.access is Access.INC
+                for a in args)
+        ]
         staging = {id(m["mat"].staging): m for m in (eager, chained)}
         owners = [staging.get(id(args[-1].dat)) for args in staged]
         assert None not in owners

@@ -440,7 +440,9 @@ nodes = Set(n, "nodes")
 edges = Set(n, "edges")
 conn = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
 e2n = Map(edges, nodes, 2, conn, "e2n")
-rt = Runtime("vectorized", block_size=16)
+# block_permute: a two_level plan is one ascending phase, uncoloured,
+# so only a permute scheme gives the plan store something to keep.
+rt = Runtime("vectorized", block_size=16, scheme="block_permute")
 w = Dat(edges, 1, 1.0, name="w")
 s = Dat(edges, 1, name="s")
 r = Dat(nodes, 1, name="r")
