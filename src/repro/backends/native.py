@@ -57,7 +57,6 @@ from ..kernelc.native import (
     count_program_hit,
 )
 from ..core.chain import RepeatResult
-from ..store import map_key
 from .base import Backend, LoopStats, replay_trips, run_scalar_element
 from .vectorized import VectorizedBackend
 
@@ -80,9 +79,9 @@ class NativeBackend(VectorizedBackend):
         #: Compiled programs, eager and chained, by :meth:`_shape_key`
         #: (value ``None``: a shape the emitter cannot lower).  A program
         #: holds its library and slot recipe but no loop's arrays — the
-        #: live ones are bound at call time — so a fresh sim whose loops
-        #: have the shape of an earlier one's reuses its program without
-        #: emitting, hashing or loading anything.
+        #: live ones are bound at call time — so a fresh sim over the
+        #: same mesh reuses its program without emitting or loading
+        #: anything.
         self._programs = OrderedDict()
         #: How each chain program runs its loops, keyed by the chain's
         #: kernel names: ``[(kernel, elements, verdict, lanes)]``, plus
@@ -115,9 +114,10 @@ class NativeBackend(VectorizedBackend):
         into the source) and extent, per argument its access, layout,
         dim, storage shape, dtype and map arity — plus the slot-dedupe
         *pattern*, because the pointer table tells aliased arguments
-        apart by slot, and each map's content digest (a threaded TU's
-        owner facets are a function of it).  A repeat adds the slots of
-        its flag and record."""
+        apart by slot, and each map by identity (a threaded TU's owner
+        facets are a function of its connectivity, and identity keys it
+        without reading a byte of it).  A repeat adds the slots of its
+        flag and record."""
         slots = {}
 
         def slot(array):
@@ -138,7 +138,7 @@ class NativeBackend(VectorizedBackend):
                     "d", arg.access.name, int(arg.index), dat.layout, dat.dim,
                     dat._storage.shape, dat.dtype, slot(dat._storage),
                     None if map_ is None else (
-                        map_.arity, slot(map_.values), map_key(map_)),
+                        map_.arity, slot(map_.values), map_._uid),
                 ))
         if repeat is not None:
             parts.append((slot(repeat.until._data), slot(repeat.record._data)))

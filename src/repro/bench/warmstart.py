@@ -1,20 +1,20 @@
 """Cross-process warm-start tooling: the artifact store's CI gate.
 
 The persistent store (:mod:`repro.store`) promises that a second
-process running the same workload replays everything from disk — zero
-plan construction, zero tiling inspection, zero kernel emission, zero
-native compiles.  This module makes that promise executable:
+process running the same workload colours nothing and compiles nothing:
+the permute schemes' colourings and the native ``.so`` binaries replay
+from disk.  This module makes that promise executable:
 
 ``python -m repro.bench.warmstart run --out stats.json``
-    runs the aero + airfoil quick workloads in *this* process (one
-    process = one cold-or-warm measurement; the store under
-    ``$REPRO_CACHE_DIR`` decides which) and dumps the per-kind store
-    counters plus the wall time;
+    runs the airfoil quick workload in *this* process (one process =
+    one cold-or-warm measurement; the store under ``$REPRO_CACHE_DIR``
+    decides which) and dumps the per-kind store counters plus the wall
+    time;
 
 ``python -m repro.bench.warmstart check cold.json warm.json``
     enforces the warm-start acceptance on two such dumps: the warm
-    process must show ``disk_hits > 0`` and ``builds == 0`` for plan /
-    chain / tiled / kernelc, and ``compiles == 0`` for native;
+    process must show ``disk_hits > 0`` and ``builds == 0`` for the
+    plan kind, and ``compiles == 0`` for native;
 
 ``python -m repro.bench.warmstart corrupt --fraction 0.3 --seed 7``
     garbles a deterministic random subset of the store's files, for the
@@ -35,57 +35,45 @@ from typing import Dict, List
 
 #: Kinds the warm acceptance pins: a replaying process must hit disk
 #: and construct nothing for each of these.
-CHECKED_KINDS = ("plan", "chain", "tiled", "kernelc")
+CHECKED_KINDS = ("plan",)
 
 #: All persistent kinds dumped for the CI artifact.
-PERSISTED_KINDS = ("plan", "chain", "tiled", "kernelc", "native")
+PERSISTED_KINDS = ("plan", "native")
 
 
 # ----------------------------------------------------------------------
 # run
 # ----------------------------------------------------------------------
-def run_workload(apps: List[str], steps: int = 2) -> Dict:
+def run_workload(steps: int = 2) -> Dict:
     """One cold-or-warm measurement in the current process.
 
-    ``aero`` runs Picard steps (assembly + CG) on the vectorized
-    backend, chained + tiled — exercising the chain, tiled and kernelc
-    stores.  ``airfoil`` replays its chain on the vectorized backend
-    under ``two_level`` (one ascending phase per loop, no colouring)
-    and under ``block_permute``, whose coloured ``res_calc`` is what
+    Airfoil replays its chain on the vectorized backend under
+    ``two_level`` (one ascending phase per loop, no colouring) and
+    under ``block_permute``, whose coloured ``res_calc`` is what
     exercises the plan store, and — when a C compiler is available —
     on the native backend, exercising the native ``.so`` store (and no
     colouring: native executes ascending).  The store under
     ``$REPRO_CACHE_DIR`` decides whether this process is cold or warm.
     """
     from .. import store
-    from ..apps.aero import AeroSim
     from ..apps.airfoil import AirfoilSim
     from ..core import Runtime
     from ..kernelc import compiler_available, native_cache_stats
     from ..mesh import make_airfoil_mesh
 
-    def drive(sim) -> None:
+    t0 = time.perf_counter()
+    runtimes = [("vectorized", "two_level"),
+                ("vectorized", "block_permute")]
+    if compiler_available():
+        runtimes.append(("native", "two_level"))
+    for backend, scheme in runtimes:
+        sim = AirfoilSim(make_airfoil_mesh(24, 12),
+                         runtime=Runtime(backend, scheme=scheme),
+                         chained=True)
         sim.step()
         sim.run(steps)
-
-    t0 = time.perf_counter()
-    if "aero" in apps:
-        # One step = one Picard iteration (assembly + CG solve).
-        drive(AeroSim(make_airfoil_mesh(24, 12),
-                      runtime=Runtime("vectorized"), chained=True,
-                      tiling="auto", cg_tol=1e-8, cg_maxiter=100))
-    if "airfoil" in apps:
-        runtimes = [("vectorized", "two_level"),
-                    ("vectorized", "block_permute")]
-        if compiler_available():
-            runtimes.append(("native", "two_level"))
-        for backend, scheme in runtimes:
-            drive(AirfoilSim(make_airfoil_mesh(24, 12),
-                             runtime=Runtime(backend, scheme=scheme),
-                             chained=True))
     wall = time.perf_counter() - t0
     return {
-        "apps": list(apps),
         "steps": steps,
         "workload_s": wall,
         "cache_dir": os.environ.get("REPRO_CACHE_DIR", ""),
@@ -172,7 +160,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_run = sub.add_parser("run", help="run the workload, dump counters")
-    p_run.add_argument("--apps", default="aero,airfoil")
     p_run.add_argument("--steps", type=int, default=2)
     p_run.add_argument("--out", default=None, metavar="FILE")
 
@@ -189,9 +176,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.cmd == "run":
-        dump = run_workload(
-            [a for a in args.apps.split(",") if a], steps=args.steps
-        )
+        dump = run_workload(steps=args.steps)
         text = json.dumps(dump, indent=2, default=str)
         if args.out:
             Path(args.out).write_text(text)

@@ -35,6 +35,11 @@ class Access(enum.Enum):
     MIN = "min"
     MAX = "max"
 
+    #: Members are singletons, so identity hashing is exact — and it is
+    #: C-level, where Enum's own ``__hash__`` is a Python call per
+    #: lookup (every argument of a chain-cache key hashes one).
+    __hash__ = object.__hash__
+
     @property
     def writes(self) -> bool:
         """True if this access may modify the underlying data."""

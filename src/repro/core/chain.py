@@ -134,8 +134,7 @@ def chain_signature(specs: Sequence[LoopSpec], tiling=None) -> Tuple:
     in which objects carry the data, so everything compiled from the
     key (fusion partition, plans, schedules, prepared programs) serves
     both; the second value, ``dats``, is what a run binds.  The walk
-    hashes nothing: the store's content key is derived from this one
-    (:func:`repro.store.chain_key`).
+    hashes nothing.
     """
     slots: Dict[int, int] = {}
     dats: List = []
@@ -337,11 +336,6 @@ class CompiledChain:
     tiling: object = None
     #: Resolved seed tile size (0 when untiled).
     tile_size: int = 0
-    #: Persistent-store key of this chain (:func:`repro.store.chain_key`),
-    #: or ``None`` for unkeyable traces (explicit plan overrides); tiled
-    #: schedules use it to consult the tiled store before running the
-    #: inspector.
-    store_key: Optional[str] = field(default=None, repr=False)
     #: Per-backend prepared executor programs (populated lazily by
     #: backends that specialize replay, e.g. the vectorized backend's
     #: per-strip gather/kernel/scatter operations).  A program takes
@@ -421,56 +415,28 @@ class BoundChain:
     def tiled_for(self, profile: str):
         """The tiled schedule sliced against one eager element order.
 
-        Built the first time it is asked for, through the tiled store
-        (:func:`load_or_build_tiled`), and memoized per profile on the
-        chain — the cuts differ per order because bitwise identity
-        requires slicing each backend's *own* eager sequence
-        contiguously.  ``None`` when the chain was not compiled with
-        tiling.
+        Built the first time it is asked for, by the sparse-tiling
+        inspector, and memoized per profile on the chain — the cuts
+        differ per order because bitwise identity requires slicing each
+        backend's *own* eager sequence contiguously.  ``None`` when the
+        chain was not compiled with tiling.
         """
+        from ..tiling import inspector
+
         chain = self.chain
         if chain.tiling is None:
             return None
         sched = chain.tiled_profiles.get(profile)
         if sched is None:
-            sched = load_or_build_tiled(
-                chain.store_key, self.loops, chain.tile_size, profile
+            sched = inspector.build_tiled_schedule(
+                self.loops, chain.tile_size, profile=profile
             )
             chain.tiled_profiles[profile] = sched
         return sched
 
 
-def load_or_build_tiled(store_key, loops, tile_size: int, profile: str):
-    """One tiled schedule, through the persistent ``tiled`` store.
-
-    A warm process replays the inspector's slicing decisions from disk
-    — zero tiling inspection; a cold (or unkeyable: ``store_key=None``)
-    one runs the inspector, counts the build, and persists the result.
-    """
-    from .. import store
-    from ..tiling import build_tiled_schedule
-
-    tstore = store.store_for("tiled")
-    tkey = (
-        store.tiled_key(store_key, tile_size, profile)
-        if store_key is not None
-        else None
-    )
-    payload = tstore.get(tkey)
-    if payload is not None:
-        try:
-            return store.decode_tiled(payload)
-        except store.DECODE_ERRORS:
-            store.bump("tiled", "corrupt")
-            store.unlink_quiet(tstore.path_for(tkey))
-    store.count_build("tiled")
-    sched = build_tiled_schedule(loops, tile_size, profile=profile)
-    tstore.put(tkey, store.encode_tiled(sched))
-    return sched
-
-
 def compile_chain(
-    specs: Sequence[LoopSpec], runtime, tiling=None, store_key=None
+    specs: Sequence[LoopSpec], runtime, tiling=None
 ) -> CompiledChain:
     """Validate, resolve plans, fuse — and resolve the tiling request.
 
@@ -510,7 +476,6 @@ def compile_chain(
         plans=plans,
         tiling=tiling,
         tile_size=tile_size,
-        store_key=store_key,
     )
 
 

@@ -700,7 +700,7 @@ class PlanCache:
             if is_direct:
                 return build_coloring(layout, (), scheme, coloring_method)
             return _load_or_build_coloring(
-                set_, racing, block_size, scheme, coloring_method
+                set_, layout, racing, block_size, scheme, coloring_method
             )
 
         return Plan(set_, scheme, layout, is_direct, colorer=colorer,
@@ -718,15 +718,16 @@ class PlanCache:
 
 def _load_or_build_coloring(
     set_: Set,
+    layout: BlockLayout,
     args: Sequence[Arg],
     block_size: int,
     scheme: str,
     coloring_method: str,
 ) -> Coloring:
-    """Disk layer below a colouring miss: decode a persisted plan, or
-    build (the expensive graph coloring) and persist it.  Any failure
-    to decode counts as corrupt and falls back to a build — a broken
-    store never surfaces to the execution path."""
+    """Disk layer below a colouring miss: decode a persisted colouring
+    onto ``layout``, or build one (the expensive graph coloring) and
+    persist it.  A malformed document counts as corrupt and falls back
+    to a build — a broken store never surfaces to the execution path."""
     from .. import store
 
     skey = store.plan_key(set_, args, block_size, scheme, coloring_method)
@@ -734,13 +735,15 @@ def _load_or_build_coloring(
     payload = pstore.get(skey)
     if payload is not None:
         try:
-            return store.decode_plan(payload, set_).coloring()
-        except Exception:
+            return store.decode_plan(payload, layout)
+        except store.DECODE_ERRORS:
             store.bump("plan", "corrupt")
             store.unlink_quiet(pstore.path_for(skey))
     store.count_build("plan")
     # Through ``build_plan``, not ``build_coloring``: it is the one
     # builder external tracers hook (bench_e2e times it as plan.build).
-    plan = build_plan(set_, args, block_size, scheme, coloring_method)
-    pstore.put(skey, store.encode_plan(plan))
-    return plan.coloring()
+    coloring = build_plan(
+        set_, args, block_size, scheme, coloring_method
+    ).coloring()
+    pstore.put(skey, store.encode_plan(coloring))
+    return coloring

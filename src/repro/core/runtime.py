@@ -6,7 +6,7 @@ backend chosen at build/run time; here the same separation is a runtime
 case (serial experimentation) zero-ceremony, while benchmarks construct
 isolated runtimes per configuration.
 
-Six cache kinds keep steady-state execution cheap, each reported by
+Five cache kinds keep steady-state execution cheap, each reported by
 :meth:`Runtime.stats` under the same ``hits`` / ``misses`` /
 ``evictions`` / ``entries`` / ``max_entries`` keys:
 
@@ -24,21 +24,20 @@ Six cache kinds keep steady-state execution cheap, each reported by
    hold no Dat or Global and are bound to the live arguments at each
    flush: a steady-state time step traced with ``with
    runtime.chain():`` — or the same step of a fresh sim over the same
-   mesh — replays a pre-analyzed, pre-fused schedule with zero
-   re-analysis;
-4. ``tiled_cache``: sparse-tiled schedules, which live on the compiled
-   chains that own them, so only their disk layer counts;
-5. ``kernelc_cache`` (:mod:`repro.kernelc`): generated batched kernels
+   mesh — replays a pre-analyzed, pre-fused schedule (and any tiled
+   schedule built for it) with zero re-analysis;
+4. ``kernelc_cache`` (:mod:`repro.kernelc`): generated batched kernels
    memoized per (kernel, argument shape), so each kernel's vector form
    is derived from its scalar source exactly once per shape for the
    whole process; and
-6. ``native_cache`` (:mod:`repro.kernelc.native`): compiled C programs,
+5. ``native_cache`` (:mod:`repro.kernelc.native`): compiled C programs,
    in memory by content hash and chain shape.
 
 The plan, loop, chain and kernelc caches are LRU-bounded (the
 ``*_CACHE_ENTRIES`` module constants) so long-running processes cannot
-grow them without bound; all but the loop cache also persist through
-:mod:`repro.store`.
+grow them without bound.  Only the plan cache's colourings and the
+native libraries also persist, through :mod:`repro.store`: everything
+else is cheaper to rebuild in a new process than to load.
 """
 
 from __future__ import annotations
@@ -275,52 +274,13 @@ class Runtime:
             self._chains.move_to_end(key)
         else:
             self.chain_cache_misses += 1
-            compiled = self._load_or_compile_chain(specs, tiling, key)
+            compiled = compile_chain(specs, self, tiling=tiling)
             self._chains[key] = compiled
             if self.chain_cache_entries is not None:
                 while len(self._chains) > self.chain_cache_entries:
                     self._chains.popitem(last=False)
                     self.chain_cache_evictions += 1
         return compiled.bind(specs, dats)
-
-    def _load_or_compile_chain(
-        self, specs: Sequence[LoopSpec], tiling, key: Tuple
-    ) -> CompiledChain:
-        """Memory-miss path: persistent chain store, then compilation.
-
-        The store key is digested from the in-memory one
-        (:func:`repro.store.chain_key`), once per entry.  A warm process
-        decodes the persisted fusion partition and resolves the plans
-        through :meth:`plan_for` (whose structural cache has its own
-        disk layer) — zero validation or fusion; a tiled schedule comes
-        from the tiled store when a backend first asks for it.  Decode
-        failures count as corrupt and fall back to a full compile;
-        traces with explicit plan overrides are unkeyable
-        (``chain_key`` returns ``None``) and always compile.
-        """
-        from .. import store
-
-        skey = store.chain_key(
-            key, self.block_size, self.scheme, self.coloring_method
-        )
-        cstore = store.store_for("chain")
-        payload = cstore.get(skey)
-        if payload is not None:
-            try:
-                plans = [
-                    self.plan_for(s.kernel, s.set, s.args) for s in specs
-                ]
-                compiled = store.decode_chain(payload, plans)
-            except store.DECODE_ERRORS:
-                store.bump("chain", "corrupt")
-                store.unlink_quiet(cstore.path_for(skey))
-            else:
-                compiled.store_key = skey
-                return compiled
-        store.count_build("chain")
-        compiled = compile_chain(specs, self, tiling=tiling, store_key=skey)
-        cstore.put(skey, store.encode_chain(compiled))
-        return compiled
 
     def clear_caches(self) -> None:
         """Drop this runtime's plan, loop and chain caches and their
@@ -337,7 +297,7 @@ class Runtime:
         self.chain_cache_evictions = 0
 
     def stats(self) -> Dict[str, object]:
-        """All runtime counters: the six cache kinds, backend
+        """All runtime counters: the five cache kinds, backend
         per-kernel timings, and the loop/chain profile.
 
         Every cache kind reports the canonical ``hits`` / ``misses`` /
@@ -346,16 +306,15 @@ class Runtime:
         its historical ``compiles``/``disk_hits``/``mem_hits`` keys as
         deprecated aliases) — the observability surface for
         long-running processes (are my caches sized right? is steady
-        state hitting?).  The five persistent kinds (plan, chain, tiled,
-        kernelc, native) additionally carry a ``store`` sub-dict
-        with the uniform disk-layer counters of :mod:`repro.store`
-        (``disk_hits`` / ``disk_misses`` / ``writes`` / ``corrupt`` /
-        ``evictions`` / ``builds`` + ``disk_entries``) — the loop cache
-        has none because call-site identity cannot persist.  The
-        warm-start CI job asserts over these: a second process running
-        an identical workload must show ``disk_hits > 0`` and
-        ``builds == 0`` per kind.  ``profile`` joins the per-loop
-        transfer estimates with the backend's measured timings.
+        state hitting?).  The two persistent kinds (plan, native)
+        additionally carry a ``store`` sub-dict with the uniform
+        disk-layer counters of :mod:`repro.store` (``disk_hits`` /
+        ``disk_misses`` / ``writes`` / ``corrupt`` / ``evictions`` /
+        ``builds`` + ``disk_entries``).  The warm-start CI job asserts
+        over these: a second process running an identical workload must
+        show ``disk_hits > 0`` and ``builds == 0`` for the plan kind and
+        no native compile.  ``profile`` joins the per-loop transfer
+        estimates with the backend's measured timings.
         """
         from .. import store as artifact_store
         from ..kernelc import cache_stats
@@ -379,11 +338,6 @@ class Runtime:
         native["evictions"] = 0
         native["max_entries"] = None
 
-        # Tiled schedules have no in-memory LRU of their own (they live
-        # on the compiled chains that own them), so the canonical keys
-        # mirror the disk layer.
-        tiled_store = artifact_store.store_stats("tiled")
-
         return {
             "loop_cache": {
                 "hits": self.loop_cache_hits,
@@ -403,24 +357,16 @@ class Runtime:
                 "colourings_materialized":
                     self.plans.colourings_materialized,
             }, "plan"),
-            "chain_cache": with_store({
+            "chain_cache": {
                 "hits": self.chain_cache_hits,
                 "misses": self.chain_cache_misses,
                 "evictions": self.chain_cache_evictions,
                 "entries": len(self._chains),
                 "max_entries": self.chain_cache_entries,
-            }, "chain"),
-            "tiled_cache": {
-                "hits": tiled_store["disk_hits"],
-                "misses": tiled_store["disk_misses"],
-                "evictions": tiled_store["evictions"],
-                "entries": tiled_store["disk_entries"],
-                "max_entries": tiled_store["max_entries"],
-                "store": tiled_store,
             },
             # Kernel-compilation cache (repro.kernelc): process-wide,
             # since generated kernels depend only on (kernel, shape).
-            "kernelc_cache": with_store(cache_stats(), "kernelc"),
+            "kernelc_cache": cache_stats(),
             # Native chain-compilation cache (repro.kernelc.native):
             # process-wide in memory, content-hash keyed on disk.
             "native_cache": with_store(native, "native"),

@@ -28,7 +28,7 @@ import numpy as np
 from ..core.access import IDX_ALL, Access, Arg
 from ..core.glob import Global
 from .ir import KernelIR, UnvectorizableKernel, parse_kernel
-from .vector import compile_vector, compile_vector_source, emit_vector_source
+from .vector import compile_vector, emit_vector_source
 
 #: Default LRU bound for compiled vector kernels.
 DEFAULT_KERNELC_CACHE_ENTRIES = 512
@@ -122,46 +122,16 @@ class KernelCompileCache:
             self._entries.move_to_end(key)
             return self._entries[key]
         self.misses += 1
-        fn = self._load_or_compile(kernel, *key[1:])
+        try:
+            fn = compile_vector(kernel_ir(kernel), *key[1:])
+        except UnvectorizableKernel:
+            self.failures += 1
+            fn = None
         self._entries[key] = fn
         if self.max_entries is not None:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        return fn
-
-    def _load_or_compile(self, kernel, shapes, dtype):
-        """Memory-miss path: persistent kernelc store, then the emitter.
-
-        The store holds generated source text per (scalar source digest,
-        shape signature, compute dtype) — a warm process compiles the
-        persisted text without re-running the emitter; ``source=None`` documents replay
-        the unvectorizable (scalar-fallback) decision.  Kernels without
-        retrievable source skip the store entirely.
-        """
-        from .. import store
-
-        skey = store.kernelc_key(kernel, shapes, dtype)
-        kstore = store.store_for("kernelc")
-        payload = kstore.get(skey)
-        if payload is not None:
-            try:
-                source = store.decode_kernelc(payload)
-                if source is None:
-                    self.failures += 1
-                    return None
-                return compile_vector_source(kernel_ir(kernel), source)
-            except Exception:
-                store.bump("kernelc", "corrupt")
-                store.unlink_quiet(kstore.path_for(skey))
-        store.count_build("kernelc")
-        try:
-            fn = compile_vector(kernel_ir(kernel), shapes, dtype)
-        except UnvectorizableKernel:
-            self.failures += 1
-            kstore.put(skey, store.encode_kernelc(None))
-            return None
-        kstore.put(skey, store.encode_kernelc(fn.__source__))
         return fn
 
     def vector_source_for(self, kernel, args: Sequence[Arg]) -> str:

@@ -585,20 +585,14 @@ def emit_vector_source(ir: KernelIR, shapes, dtype: str = "float64") -> str:
 
 
 def compile_vector(ir: KernelIR, shapes, dtype: str = "float64"):
-    """Emit and compile the batched kernel, returning the callable."""
-    return compile_vector_source(ir, emit_vector_source(ir, shapes, dtype))
+    """Emit and compile the batched kernel, returning the callable.
 
-
-def compile_vector_source(ir: KernelIR, source: str):
-    """Compile already-emitted batched-kernel source to a callable.
-
-    Split from :func:`compile_vector` so the persistent kernelc store
-    can replay a generated source without re-running the emitter.  The
-    function executes against the scalar kernel's own namespace
+    The function executes against the scalar kernel's own namespace
     (globals + closure constants) plus the reserved ``_kc_*`` lowering
     helpers, so free names (flow constants, ``np``, ``select``, helper
     functions) resolve exactly as they did in the scalar source.
     """
+    source = emit_vector_source(ir, shapes, dtype)
     namespace = dict(ir.namespace)
     namespace.update(_RESERVED)
     code = compile(source, f"<kernelc vector {ir.name}>", "exec")

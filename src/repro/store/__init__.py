@@ -1,20 +1,19 @@
-"""The unified persistent artifact store (``$REPRO_CACHE_DIR``).
+"""The persistent artifact store (``$REPRO_CACHE_DIR``).
 
-Five persistent cache kinds, one disk layer: execution plans, compiled
-loop chains, tiled schedules, generated vector-kernel sources and
-native ``.so`` binaries all persist through
+Two persistent kinds, one disk layer: the permute schemes' colourings
+(``plan``) and native ``.so`` binaries (``native``) persist through
 :class:`~repro.store.base.ArtifactStore` — content-addressed keys
 (:mod:`repro.store.keys`), versioned pickled documents, atomic
 ``os.replace`` publishes, corrupt/stale entries counted-and-unlinked
 (never raised), mtime-LRU bounded per kind.  A second process running
-an identical workload replays everything warm: zero plan construction,
-zero tiling inspection, zero kernel emission, zero native compiles —
-the cross-process extension of the paper's "inspect once, execute many
-times" amortization argument, and the substrate the ROADMAP's
-session-server item builds on.
+an identical workload colours nothing and compiles nothing — the
+cross-process extension of the paper's "inspect once, execute many
+times" amortization argument.  Everything cheaper to rebuild than to
+load (fusion decisions, tiled schedules, generated vector kernels) is
+rebuilt in each process and kept only in memory.
 
-See ``docs/architecture.md`` § "The cache hierarchy" for the full
-lookup order of every kind, and the README knob table for
+See ``docs/architecture.md`` § "The cache hierarchy" for the lookup
+order of every cache, and the README knob table for
 ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_MAX_ENTRIES`` /
 ``REPRO_STORE_DISABLE``.
 """
@@ -37,27 +36,8 @@ from .base import (
     store_stats,
     unlink_quiet,
 )
-from .codecs import (
-    DECODE_ERRORS,
-    decode_chain,
-    decode_kernelc,
-    decode_plan,
-    decode_tiled,
-    encode_chain,
-    encode_kernelc,
-    encode_plan,
-    encode_tiled,
-)
-from .keys import (
-    chain_key,
-    digest,
-    kernel_key,
-    kernelc_key,
-    map_key,
-    plan_key,
-    set_token,
-    tiled_key,
-)
+from .codecs import DECODE_ERRORS, decode_plan, encode_plan
+from .keys import digest, map_key, plan_key, set_token
 
 __all__ = [
     "ArtifactStore", "COUNTER_NAMES", "DEFAULT_MAX_ENTRIES",
@@ -65,9 +45,6 @@ __all__ = [
     "count_build", "counters", "lru_sweep", "max_entries_for",
     "reset_store_stats", "store_disabled", "store_for", "store_stats",
     "unlink_quiet",
-    "DECODE_ERRORS", "decode_chain", "decode_kernelc", "decode_plan",
-    "decode_tiled",
-    "encode_chain", "encode_kernelc", "encode_plan", "encode_tiled",
-    "chain_key", "digest", "kernel_key", "kernelc_key", "map_key",
-    "plan_key", "set_token", "tiled_key",
+    "DECODE_ERRORS", "decode_plan", "encode_plan",
+    "digest", "map_key", "plan_key", "set_token",
 ]

@@ -1,4 +1,4 @@
-"""The unified persistent artifact store — disk layer under every cache.
+"""The persistent artifact store — the disk layer under the caches.
 
 One module owns every on-disk caching concern the runtime has: where
 artifacts live (``$REPRO_CACHE_DIR``, default ``~/.cache/repro_artifacts``,
@@ -13,12 +13,12 @@ scan every time).
 
 Two storage flavours share that machinery:
 
-* **document stores** (:class:`ArtifactStore`) hold one pickled,
-  schema-versioned document per key — plans, chain programs, tiled
-  schedules, generated kernel sources;
+* **documents** (:meth:`ArtifactStore.get` / :meth:`ArtifactStore.put`)
+  hold one pickled, schema-versioned document per key — the ``plan``
+  kind's colourings;
 * **raw files** (:meth:`ArtifactStore.publish_file` /
   :meth:`ArtifactStore.raw_path`) hold artifacts that must remain plain
-  files on disk — the native compile cache's ``.so``/``.c`` pairs, which
+  files on disk — the ``native`` kind's ``.so``/``.c`` pairs, which
   ``dlopen`` needs as real paths.
 
 Every kind reports the same counter schema through
@@ -42,17 +42,10 @@ from typing import Dict, List, Optional
 #: whenever its document layout (or the semantics of the code that
 #: consumes it) changes: old entries are then treated as stale —
 #: tolerated, counted as ``corrupt``, unlinked and rebuilt — instead of
-#: being misread.  chain is at 2: version-1 documents were written over
-#: 8-byte map tables (``core.map.MAP_DTYPE`` is 4-byte).  plan and
-#: tiled are at 3: ``two_level`` plans lost their element colours and
-#: became one ascending phase, which changed the plan document and the
-#: execution order tiled schedules slice.  kernelc is at 2: the vector
-#: emitter types select operands with the loop's compute dtype.
+#: being misread.  plan is at 4: its document became the bare colouring
+#: (the layout is recomputed on load).
 SCHEMA_VERSIONS: Dict[str, int] = {
-    "plan": 3,
-    "chain": 2,
-    "tiled": 3,
-    "kernelc": 2,
+    "plan": 4,
     "native": 1,
 }
 
@@ -94,7 +87,7 @@ def store_disabled(kind: str) -> bool:
     """Whether persistence is off for ``kind``.
 
     ``REPRO_STORE_DISABLE=1`` (or ``all``) disables every kind;
-    a comma-separated list (``REPRO_STORE_DISABLE=plan,tiled``)
+    a comma-separated list (``REPRO_STORE_DISABLE=plan,native``)
     disables only the named kinds.  Disabled kinds compute everything
     in-process exactly as before the store existed — no disk traffic.
     """
@@ -121,9 +114,9 @@ def bump(kind: str, name: str, n: int = 1) -> None:
 
 def count_build(kind: str) -> None:
     """Record one expensive construction actually performed (a plan
-    built, a chain compiled, a tiling inspection run, a kernel source
-    emitted).  The warm-start acceptance pins these at zero for a
-    second process replaying an identical workload."""
+    coloured, a native library compiled).  The warm-start acceptance
+    pins these at zero for a second process replaying an identical
+    workload."""
     bump(kind, "builds")
 
 
@@ -277,14 +270,12 @@ class ArtifactStore:
             pass
 
     # -- documents -----------------------------------------------------
-    def get(self, key: Optional[str]) -> Optional[dict]:
+    def get(self, key: str) -> Optional[dict]:
         """The stored payload for ``key``, or ``None``.
 
-        A hit refreshes the file's mtime (LRU order).  ``None`` keys
-        (unkeyable artifacts — e.g. a kernel whose source the inspector
-        cannot retrieve) short-circuit without touching the counters.
+        A hit refreshes the file's mtime (LRU order).
         """
-        if key is None or not self.enabled():
+        if not self.enabled():
             return None
         path = self.path_for(key)
         try:
@@ -322,9 +313,9 @@ class ArtifactStore:
             pass
         return doc["payload"]
 
-    def put(self, key: Optional[str], payload: dict) -> bool:
+    def put(self, key: str, payload: dict) -> bool:
         """Atomically persist one document and amortize the LRU sweep."""
-        if key is None or not self.enabled():
+        if not self.enabled():
             return False
         doc = {
             "schema": self.schema,

@@ -162,6 +162,23 @@ class TestAccess:
         assert RW.reads and RW.writes and not RW.is_reduction
         assert INC.is_reduction and MIN.is_reduction and MAX.is_reduction
 
+    def test_identity_hash(self):
+        # Members are singletons, so they hash by identity (C-level; a
+        # chain-cache key hashes one per argument) and still agree with
+        # equality, by-value lookup and a pickle round trip.
+        import pickle
+
+        from repro.core.access import Access
+
+        assert Access.__hash__ is object.__hash__
+        modes = [READ, WRITE, RW, INC, MIN, MAX]
+        table = {m: m.value for m in modes}
+        assert len(table) == len(set(map(hash, modes))) == 6
+        for m in modes:
+            assert Access(m.value) is m
+            assert pickle.loads(pickle.dumps(m)) is m
+            assert table[Access(m.value)] == m.value
+
 
 class TestArg:
     def setup_method(self):

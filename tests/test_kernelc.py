@@ -574,6 +574,33 @@ class TestBackendIntegration:
         assert stats["misses"] >= 1
         assert stats["hits"] >= 2  # recompiled nothing after first sight
 
+    def test_runtimes_share_the_process_cache_not_the_disk(
+            self, tmp_path, monkeypatch):
+        # Emitting is cheaper than loading a stored source: a second
+        # Runtime reuses the process-wide entry, and nothing is written
+        # to the artifact store.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        clear_cache()
+
+        @kernel("kc_shared")
+        def kc_shared(x, y):
+            y[0] = 3.0 * x[0]
+
+        s = Set(9, "s")
+        x = Dat(s, 1, np.arange(9.0), name="x")
+        y = Dat(s, 1, name="y")
+        for rt in (Runtime("vectorized"), Runtime("vectorized")):
+            par_loop(
+                kc_shared, s,
+                arg_dat(x, IDX_ID, None, READ),
+                arg_dat(y, IDX_ID, None, WRITE),
+                runtime=rt,
+            )
+        stats = rt.stats()["kernelc_cache"]
+        assert stats["misses"] == 1 and stats["hits"] >= 1
+        assert not (tmp_path / "store").exists()
+        np.testing.assert_array_equal(y.data[:, 0], 3.0 * np.arange(9.0))
+
     def test_negative_cache_for_unvectorizable(self):
         clear_cache()
 

@@ -510,7 +510,10 @@ def test_warm_process_builds_nothing(tmp_path, backend, scheme):
     cold, warm = run(), run()
     assert {"cells", "edges"} <= set(cold["renumbered"])
     assert warm["rms"] == cold["rms"]
-    assert sum(s["builds"] for s in cold["stats"].values()) > 0
+    # Only colourings and native libraries persist, so a vectorized
+    # two_level run builds nothing the store keeps.
+    persists = (backend, scheme) != ("vectorized", "two_level")
+    assert (sum(s["builds"] for s in cold["stats"].values()) > 0) == persists
     for kind, s in warm["stats"].items():
         assert s["builds"] == 0, kind
     plan = cold["stats"]["plan"]

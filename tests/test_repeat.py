@@ -764,7 +764,7 @@ class TestChainCacheLifetime:
 
         def counts():
             st = rt.stats()["chain_cache"]
-            return st["entries"], st["misses"], st["store"]["disk_hits"]
+            return st["entries"], st["misses"]
 
         was_enabled = gc.isenabled()
         gc.disable()  # reference counts alone must free a dead sim

@@ -200,7 +200,7 @@ class TestKernelcCacheEviction:
         stats = rt.stats()
         assert set(stats["kernelc_cache"]) == {
             "hits", "misses", "failures", "evictions", "entries",
-            "max_entries", "store",
+            "max_entries",
         }
 
 
@@ -212,7 +212,7 @@ class TestStatsSurface:
     STORE = {"disk_hits", "disk_misses", "writes", "corrupt", "evictions",
              "builds", "disk_entries", "max_entries"}
 
-    def test_all_six_cache_kinds_reported(self):
+    def test_all_five_cache_kinds_reported(self):
         rt = Runtime("vectorized")
         s1 = Set(8, "surf")
         a, b = Dat(s1, 1, 1.0), Dat(s1, 1)
@@ -222,15 +222,15 @@ class TestStatsSurface:
                      arg_dat(b, IDX_ID, None, WRITE), runtime=rt)
         stats = rt.stats()
         for kind in ("loop_cache", "plan_cache", "chain_cache",
-                     "tiled_cache", "kernelc_cache", "native_cache"):
-            assert self.CANONICAL <= set(stats[kind]), kind
-        # The five persistent kinds all report the uniform disk-layer
-        # counters of repro.store; the loop cache (call-site identity,
-        # unpersistable) is the only kind without one.
-        for kind in ("plan_cache", "chain_cache", "tiled_cache",
                      "kernelc_cache", "native_cache"):
+            assert self.CANONICAL <= set(stats[kind]), kind
+        # The two persistent kinds report the uniform disk-layer
+        # counters of repro.store; the in-memory kinds have none.
+        for kind in ("plan_cache", "native_cache"):
             assert set(stats[kind]["store"]) == self.STORE, kind
-        assert "store" not in stats["loop_cache"]
+        for kind in ("loop_cache", "chain_cache", "kernelc_cache"):
+            assert "store" not in stats[kind], kind
+        assert "tiled_cache" not in stats
         # The native compile cache keeps its historical sha-keyed
         # counters next to the normalized aliases.
         assert set(stats["native_cache"]) == self.CANONICAL | {

@@ -1,18 +1,18 @@
-"""The unified persistent artifact store (repro.store).
+"""The persistent artifact store (repro.store).
 
 Four layers of assurance:
 
-1. **codec round-trips** (hypothesis): plans, tiled schedules and chain
-   programs survive encode → pickle → decode bit-for-bit, over
-   randomized meshes, block sizes and tilings;
+1. **codec round-trips** (hypothesis): a plan's colouring survives
+   encode → pickle → decode bit-for-bit, over randomized meshes, block
+   sizes and schemes, and a malformed document raises only
+   :data:`repro.store.DECODE_ERRORS`;
 2. **store discipline**: schema-version bumps invalidate (counted, not
    raised), corrupt and truncated files degrade to recomputation,
    per-kind disable keeps the disk untouched;
 3. **concurrency**: many processes hammering one key leave exactly one
    valid document (atomic ``os.replace`` publish);
 4. **cross-process warm start**: a second process replaying an
-   identical workload performs zero plan construction, zero tiling
-   inspection, zero kernel emission (``builds == 0`` per kind) — the
+   identical workload colours nothing (``builds == 0``) — the
    acceptance the CI warm-start job enforces on the real apps.
 """
 
@@ -32,7 +32,6 @@ from repro import store
 from repro.core import (
     INC,
     READ,
-    RW,
     WRITE,
     Dat,
     Map,
@@ -43,19 +42,14 @@ from repro.core import (
     par_loop,
 )
 from repro.core.access import IDX_ID
-from repro.core.chain import LoopSpec, compile_chain
-from repro.core.plan import build_plan
+from repro.core.plan import Plan, build_plan
+from repro.testing import BACKEND_MATRIX, runtime_for
 
 SETTINGS = dict(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-@kernel("store_scale")
-def store_scale(x, y):
-    y[0] = 2.0 * x[0]
 
 
 @kernel("store_gather")
@@ -80,30 +74,23 @@ def fresh_store(tmp_path, monkeypatch):
     store.reset_store_stats()
 
 
-def trace_specs(rng_seed, n):
-    """A two-loop direct+indirect trace over a fresh ring mesh."""
-    nodes, edges, e2n = ring(n, tag=f"t{rng_seed}")
-    w = Dat(edges, 1, 1.0, name="w")
-    s = Dat(edges, 1, name="s")
-    r = Dat(nodes, 1, name="r")
-    return [
-        LoopSpec(
-            kernel=store_scale, set=edges,
-            args=(arg_dat(w, IDX_ID, None, READ),
-                  arg_dat(s, IDX_ID, None, WRITE)),
-        ),
-        LoopSpec(
-            kernel=store_gather, set=edges,
-            args=(arg_dat(s, IDX_ID, None, READ),
-                  arg_dat(r, 0, e2n, INC),
-                  arg_dat(r, 1, e2n, INC)),
-        ),
-    ]
-
-
 # ----------------------------------------------------------------------
 # Codec round-trips
 # ----------------------------------------------------------------------
+def _roundtrip(plan):
+    """``plan`` rebuilt from its pickled plan document."""
+    doc = pickle.loads(pickle.dumps(store.encode_plan(plan.coloring())))
+    return Plan(plan.set, plan.scheme, plan.layout, plan.is_direct,
+                coloring=store.decode_plan(doc, plan.layout))
+
+
+def _ring_args(n, tag):
+    nodes, edges, e2n = ring(n, tag=tag)
+    w = Dat(edges, 1, 1.0)
+    r = Dat(nodes, 1)
+    return edges, (arg_dat(w, IDX_ID, None, READ), arg_dat(r, 0, e2n, INC))
+
+
 class TestPlanCodec:
     @settings(**SETTINGS)
     @given(
@@ -112,22 +99,13 @@ class TestPlanCodec:
         scheme=st.sampled_from(["two_level", "full_permute", "block_permute"]),
     )
     def test_roundtrip_indirect(self, n, block_size, scheme):
-        nodes, edges, e2n = ring(n, tag=f"pc{n}{scheme}")
-        w = Dat(edges, 1, 1.0)
-        r = Dat(nodes, 1)
-        args = (arg_dat(w, IDX_ID, None, READ), arg_dat(r, 0, e2n, INC))
+        edges, args = _ring_args(n, f"pc{n}{scheme}")
         plan = build_plan(edges, args, block_size, scheme, "auto")
-        doc = pickle.loads(pickle.dumps(store.encode_plan(plan)))
-        back = store.decode_plan(doc, edges)
-        assert back.scheme == plan.scheme
-        assert back.is_direct == plan.is_direct
+        back = _roundtrip(plan)
         assert back.n_block_colors == plan.n_block_colors
         np.testing.assert_array_equal(back.block_colors, plan.block_colors)
-        np.testing.assert_array_equal(
-            back.layout.offsets, plan.layout.offsets
-        )
-        # The block-colour grouping survives: the decoded plan walks
-        # the same phases in the same element order.
+        # The colour grouping survives: the decoded plan walks the same
+        # phases in the same element order.
         for a, b in zip(back.phases(edges.size), plan.phases(edges.size),
                         strict=True):
             np.testing.assert_array_equal(a.elems, b.elems)
@@ -148,155 +126,129 @@ class TestPlanCodec:
         args = (arg_dat(w, IDX_ID, None, READ),
                 arg_dat(s, IDX_ID, None, WRITE))
         plan = build_plan(edges, args, 8, "two_level", "auto")
-        back = store.decode_plan(store.encode_plan(plan), edges)
+        back = _roundtrip(plan)
         assert back.is_direct
         assert back.n_block_colors == plan.n_block_colors
 
 
-class TestTiledCodec:
-    @settings(**SETTINGS)
-    @given(
-        n=st.integers(min_value=4, max_value=48),
-        tile_size=st.sampled_from([4, 8, 32]),
-        profile=st.sampled_from(["phases", "ascending"]),
-    )
-    def test_roundtrip(self, n, tile_size, profile):
-        rt = Runtime("vectorized", block_size=16)
-        specs = trace_specs(f"tc{n}{tile_size}{profile}", n)
-        compiled = rt.compiled_chain_for(specs, tiling=tile_size)
-        sched = compiled.tiled_for(profile)
-        doc = pickle.loads(pickle.dumps(store.encode_tiled(sched)))
-        back = store.decode_tiled(doc)
-        assert back.tile_size == sched.tile_size
-        assert back.profile == sched.profile
-        assert len(back.parts) == len(sched.parts)
-        for p, q in zip(back.parts, sched.parts):
-            assert type(p) is type(q)
-            if hasattr(q, "loop_indices"):
-                assert p.loop_indices == q.loop_indices
-                assert p.n_tiles == q.n_tiles
-                np.testing.assert_array_equal(p.tile_colors, q.tile_colors)
-                for ps, qs in zip(p.slices, q.slices):
-                    np.testing.assert_array_equal(ps.order, qs.order)
-                    np.testing.assert_array_equal(ps.cuts, qs.cuts)
-            else:
-                assert p.loop_index == q.loop_index
-
-    def test_rejects_unknown_part_kind(self):
-        with pytest.raises(ValueError, match="unknown schedule part"):
-            store.decode_tiled(
-                {"parts": [{"kind": "nonsense"}], "tile_size": 4,
-                 "profile": "phases"}
-            )
-
-
-class TestChainCodec:
-    @settings(**SETTINGS)
-    @given(n=st.integers(min_value=4, max_value=48))
-    def test_roundtrip(self, n):
-        rt = Runtime("vectorized", block_size=16)
-        specs = trace_specs(f"cc{n}", n)
-        compiled = compile_chain(specs, rt)
-        doc = pickle.loads(pickle.dumps(store.encode_chain(compiled)))
-        plans = [rt.plan_for(s.kernel, s.set, s.args) for s in specs]
-        back = store.decode_chain(doc, plans)
-        assert back.n_loops == compiled.n_loops
-        assert back.partition == compiled.partition
-        assert all(p is q for p, q in zip(back.plans, compiled.plans))
-        assert back.tiling == compiled.tiling
-        assert back.tile_size == compiled.tile_size
-
-    def test_rejects_wrong_trace_length(self):
-        rt = Runtime("vectorized", block_size=16)
-        specs = trace_specs("ccbad", 8)
-        doc = store.encode_chain(compile_chain(specs, rt))
-        with pytest.raises(ValueError, match="does not match"):
-            store.decode_chain(doc, [None])
-
-    def test_rejects_nonpartition_groups(self):
-        rt = Runtime("vectorized", block_size=16)
-        specs = trace_specs("ccpart", 8)
-        doc = store.encode_chain(compile_chain(specs, rt))
-        doc["groups"] = [[0], [0]]
-        plans = [rt.plan_for(s.kernel, s.set, s.args) for s in specs]
-        with pytest.raises(ValueError, match="partition"):
-            store.decode_chain(doc, plans)
-
-
 #: Well-formed pickles with the wrong content: what a hand edit or a
 #: writer from another version leaves behind.
-_CHAIN_MUTATIONS = {
-    "missing field": lambda d: d.pop("tile_size"),
-    "no groups": lambda d: d.update(groups=[]),
-    "group not a list": lambda d: d.update(groups=[None, None]),
-    "bad count": lambda d: d.update(n_loops="two"),
-    "groups not a list": lambda d: d.update(groups=3),
+_PLAN_MUTATIONS = {
+    "missing field": lambda d: d.pop("n_block_colors"),
+    "colours not an array": lambda d: d.update(block_colors=[0, 1]),
+    "colours of another layout": lambda d: d.update(
+        block_colors=np.zeros(1, dtype=np.int32)),
+    "bad count": lambda d: d.update(n_block_colors="two"),
+    "permutation not a pair": lambda d: d.update(block_permutation=3),
+    "offsets not arrays": lambda d: d.update(
+        block_permutation=(d["block_permutation"][0], [1, 2])),
+    "stats not a mapping": lambda d: d.update(build_stats=4),
 }
-_TILED_MUTATIONS = {
-    "missing field": lambda d: d.pop("tile_size"),
-    "part not a dict": lambda d: d.update(parts=[3]),
-    "unknown part": lambda d: d.update(parts=[{"kind": "nonsense"}]),
-    "slices not pairs": lambda d: d["parts"][0].update(slices=[1]),
-}
+
+
+def _gather_on(rt, edges, e2n, nodes):
+    """One ``store_gather`` par_loop on ``rt``; the result array."""
+    w = Dat(edges, 1, 1.0, name="w")
+    r = Dat(nodes, 1, name="r")
+    par_loop(store_gather, edges, arg_dat(w, IDX_ID, None, READ),
+             arg_dat(r, 0, e2n, INC), arg_dat(r, 1, e2n, INC), runtime=rt)
+    return r.data.copy()
 
 
 class TestMalformedPayloads:
-    """Decoders raise only :data:`store.DECODE_ERRORS` on a malformed
-    payload — the types the chain/tiled load path counts as corrupt and
-    rebuilds from; anything else is a bug and propagates."""
+    """The plan decoder raises only :data:`store.DECODE_ERRORS` on a
+    malformed payload — the types the plan load path counts as corrupt
+    and rebuilds from; anything else is a bug and propagates."""
 
-    @pytest.mark.parametrize("mutate", _CHAIN_MUTATIONS.values(),
-                             ids=list(_CHAIN_MUTATIONS))
-    def test_chain(self, mutate):
-        rt = Runtime("vectorized", block_size=16)
-        specs = trace_specs("mal", 8)
-        doc = store.encode_chain(compile_chain(specs, rt))
-        mutate(doc)
-        plans = [rt.plan_for(s.kernel, s.set, s.args) for s in specs]
-        with pytest.raises(store.DECODE_ERRORS):
-            store.decode_chain(doc, plans)
-
-    @pytest.mark.parametrize("mutate", _TILED_MUTATIONS.values(),
-                             ids=list(_TILED_MUTATIONS))
-    def test_tiled(self, mutate):
-        rt = Runtime("vectorized", block_size=16)
-        compiled = rt.compiled_chain_for(trace_specs("malt", 16), tiling=4)
-        doc = store.encode_tiled(compiled.tiled_for("phases"))
+    @pytest.mark.parametrize("mutate", _PLAN_MUTATIONS.values(),
+                             ids=list(_PLAN_MUTATIONS))
+    def test_plan(self, mutate):
+        edges, args = _ring_args(40, "malp")
+        plan = build_plan(edges, args, 8, "block_permute", "auto")
+        doc = store.encode_plan(plan.coloring())
         mutate(doc)
         with pytest.raises(store.DECODE_ERRORS):
-            store.decode_tiled(doc)
+            store.decode_plan(doc, plan.layout)
 
-    def test_runtime_counts_and_rebuilds(self, fresh_store):
-        def run():
-            rt = Runtime("sequential")
-            nodes, edges, e2n = ring(12, tag="malrt")
-            w = Dat(edges, 1, 1.0, name="w")
-            r = Dat(nodes, 1, name="r")
-            with rt.chain():
-                par_loop(store_gather, edges,
-                         arg_dat(w, IDX_ID, None, READ),
-                         arg_dat(r, 0, e2n, INC), arg_dat(r, 1, e2n, INC),
-                         runtime=rt)
-            return r.data.copy()
+    def test_unexpected_decode_error_propagates(self, fresh_store,
+                                                monkeypatch):
+        # Only DECODE_ERRORS mean a corrupt entry; any other exception
+        # from the decoder is a bug and must not be swallowed.
+        nodes, edges, e2n = ring(40, tag="malbug")
+        _gather_on(Runtime("vectorized", block_size=8,
+                           scheme="block_permute"), edges, e2n, nodes)
+        store.reset_store_stats()
 
-        ref = run()
-        cstore = store.store_for("chain")
-        (path,) = cstore.directory().glob("*.pkl")
+        def broken(doc, layout):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(store, "decode_plan", broken)
+        fresh = Runtime("vectorized", block_size=8, scheme="block_permute")
+        with pytest.raises(RuntimeError, match="decoder bug"):
+            _gather_on(fresh, edges, e2n, nodes)
+        assert store.counters("plan")["corrupt"] == 0
+        assert len(list(store.store_for("plan").directory().glob("*.pkl"))) \
+            == 1
+
+    def test_runtime_counts_unlinks_and_rebuilds(self, fresh_store):
+        nodes, edges, e2n = ring(40, tag="malrt")
+        rt = Runtime("vectorized", block_size=8, scheme="block_permute")
+        ref = _gather_on(rt, edges, e2n, nodes)
+        (plan,) = [p for p in rt.plans._plans.values() if not p.is_direct]
+        pstore = store.store_for("plan")
+        (path,) = pstore.directory().glob("*.pkl")
         key = path.stem
-        doc = cstore.get(key)
-        doc["groups"] = []
-        assert cstore.put(key, doc)
-        assert np.array_equal(run(), ref)
-        assert store.counters("chain")["corrupt"] == 1
+        doc = pstore.get(key)
+        doc["block_colors"] = doc["block_colors"][:1]
+        assert pstore.put(key, doc)
+        store.reset_store_stats()
+
+        fresh = Runtime("vectorized", block_size=8, scheme="block_permute")
+        got = _gather_on(fresh, edges, e2n, nodes)
+        counters = store.counters("plan")
+        assert counters["corrupt"] == 1 and counters["builds"] == 1
+        # Unlinked, then the rebuilt colouring written back in its place.
+        assert counters["writes"] == 1
+        assert len(pstore.get(key)["block_colors"]) == plan.layout.nblocks
+        (rebuilt,) = [p for p in fresh.plans._plans.values()
+                      if not p.is_direct]
+        for a, b in zip(rebuilt.phases(edges.size),
+                        plan.phases(edges.size), strict=True):
+            assert a.elems.tobytes() == b.elems.tobytes()
+        assert got.tobytes() == ref.tobytes()
 
 
-class TestKernelcCodec:
-    def test_roundtrip_source_and_negative(self):
-        assert store.decode_kernelc(store.encode_kernelc("def f(): pass")) \
-            == "def f(): pass"
-        assert store.decode_kernelc(store.encode_kernelc(None)) is None
-        with pytest.raises(TypeError):
-            store.decode_kernelc({"source": 42})
+#: The matrix rows that run uncoloured: nothing of theirs is persisted
+#: but native libraries, so nothing may read a map's connectivity.
+_TWO_LEVEL_ROWS = [row for row in BACKEND_MATRIX if row.values[1] == "two_level"]
+
+
+@pytest.mark.parametrize("name, scheme, options", _TWO_LEVEL_ROWS)
+def test_two_level_setup_hashes_no_connectivity(name, scheme, options,
+                                                monkeypatch):
+    """A ``two_level`` set-up — eager and chained — never content-hashes
+    a map: only a permute scheme's colouring is keyed by connectivity."""
+    from repro.apps.airfoil import AirfoilSim
+    from repro.mesh import make_airfoil_mesh
+    from repro.store import keys
+
+    calls = []
+    real = keys.map_key
+
+    def spy(m):
+        calls.append(m.name)
+        return real(m)
+
+    monkeypatch.setattr(keys, "map_key", spy)
+    monkeypatch.setattr(store, "map_key", spy)
+    mesh = make_airfoil_mesh(24, 12)
+    for chained in (True, False):
+        sim = AirfoilSim(mesh, runtime=runtime_for(name, scheme, options),
+                         chained=chained)
+        sim.run(2)
+    assert calls == []
+    maps = list(sim.mesh.maps.values())
+    assert maps and not any(hasattr(m, "_struct_key") for m in maps)
 
 
 # ----------------------------------------------------------------------
@@ -312,13 +264,30 @@ class TestStoreDiscipline:
         c = store.counters("plan")
         assert c["writes"] == 1 and c["disk_hits"] == 1
 
-    def test_none_key_short_circuits(self, fresh_store):
-        s = store.store_for("kernelc")
-        assert s.get(None) is None
-        assert not s.put(None, {"x": 1})
-        assert store.counters("kernelc") == {
-            n: 0 for n in store.COUNTER_NAMES
-        }
+    def test_kinds_are_plan_and_native(self):
+        # The only artifacts whose load beats their rebuild: a permute
+        # scheme's colouring and a compiled native library.
+        assert set(store.SCHEMA_VERSIONS) == {"plan", "native"}
+
+    def test_chained_tiled_run_persists_only_plans(self, fresh_store):
+        # Chain programs, tiled schedules and vector kernel sources are
+        # rebuilt per process: a chained, tiled, vectorized run writes
+        # the colourings and nothing else.
+        nodes, edges, e2n = ring(40, tag="onlyplans")
+        rt = Runtime("vectorized", block_size=8, scheme="block_permute")
+        w = Dat(edges, 1, 1.0, name="w")
+        r = Dat(nodes, 1, name="r")
+        with rt.chain(tiling=8):
+            for _ in range(2):
+                par_loop(store_gather, edges,
+                         arg_dat(w, IDX_ID, None, READ),
+                         arg_dat(r, 0, e2n, INC), arg_dat(r, 1, e2n, INC),
+                         runtime=rt)
+        np.testing.assert_array_equal(r.data[:, 0], np.full(40, 4.0))
+        (compiled,) = rt._chains.values()
+        assert compiled.tiled_profiles  # the chain did run tiled
+        assert sorted(p.name for p in fresh_store.iterdir()) == ["plan"]
+        assert store.counters("plan")["writes"] >= 1
 
     def test_schema_bump_invalidates(self, fresh_store, monkeypatch):
         s = store.store_for("plan")
@@ -331,42 +300,41 @@ class TestStoreDiscipline:
         assert fresh.entry_count() == 0
 
     def test_corrupt_and_truncated_tolerated(self, fresh_store):
-        s = store.store_for("tiled")
+        s = store.store_for("plan")
         s.put("b" * 64, {"x": 1})
         path = s.path_for("b" * 64)
         path.write_bytes(b"\x80\x04 garbage not a pickle")
         assert s.get("b" * 64) is None
-        assert store.counters("tiled")["corrupt"] == 1
+        assert store.counters("plan")["corrupt"] == 1
         s.put("c" * 64, {"y": 2})
         s.path_for("c" * 64).write_bytes(
             s.path_for("c" * 64).read_bytes()[:10]
         )
         assert s.get("c" * 64) is None
-        assert store.counters("tiled")["corrupt"] == 2
+        assert store.counters("plan")["corrupt"] == 2
 
     def test_wrong_kind_or_key_rejected(self, fresh_store):
         a = store.store_for("plan")
-        b = store.store_for("chain")
+        b = store.store_for("native")
         a.put("d" * 64, {"x": 1})
         b.directory().mkdir(parents=True, exist_ok=True)
         os.replace(a.path_for("d" * 64), b.path_for("d" * 64))
         assert b.get("d" * 64) is None  # kind mismatch
-        assert store.counters("chain")["corrupt"] == 1
+        assert store.counters("native")["corrupt"] == 1
         a.put("e" * 64, {"x": 1})
         os.replace(a.path_for("e" * 64), a.path_for("f" * 64))
         assert a.get("f" * 64) is None  # key mismatch
         assert store.counters("plan")["corrupt"] == 1
 
     def test_per_kind_disable(self, fresh_store, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_DISABLE", "plan,tiled")
+        monkeypatch.setenv("REPRO_STORE_DISABLE", "plan")
         assert store.store_disabled("plan")
-        assert store.store_disabled("tiled")
-        assert not store.store_disabled("chain")
+        assert not store.store_disabled("native")
         s = store.store_for("plan")
         assert not s.put("g" * 64, {"x": 1})
         assert s.entry_count() == 0
         monkeypatch.setenv("REPRO_STORE_DISABLE", "1")
-        assert store.store_disabled("chain")
+        assert store.store_disabled("native")
 
     def test_lru_eviction_bounds_entries(self, fresh_store, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "8")
@@ -380,7 +348,7 @@ class TestStoreDiscipline:
         assert s.get(f"{39:064d}") == {"i": 39}
 
     def test_atomic_write_leaves_no_partials(self, fresh_store):
-        s = store.store_for("chain")
+        s = store.store_for("plan")
         for i in range(5):
             s.put(f"{i:064d}", {"i": i})
         leftovers = [
@@ -457,8 +425,7 @@ for step in range(3):
                  arg_dat(r, 1, e2n, INC), runtime=rt)
 print(json.dumps({
     "result": float(r.data.sum()),
-    "stats": {k: store.store_stats(k)
-              for k in ("plan", "chain", "tiled", "kernelc")},
+    "stats": {"plan": store.store_stats("plan")},
 }))
 """
 
@@ -468,9 +435,9 @@ class TestWarmStart:
         env = dict(os.environ, REPRO_CACHE_DIR=str(cache_dir),
                    PYTHONPATH=str(Path(__file__).resolve().parent.parent
                                   / "src"))
-        # The script must live in a real file: kernelc keys hash
-        # ``inspect.getsource`` of the kernel, which ``python -c``
-        # code cannot provide (those kernels degrade to unkeyed).
+        # The script must live in a real file: the vector emitter parses
+        # each kernel's ``inspect.getsource``, which ``python -c`` code
+        # cannot provide (those kernels would run scalar).
         script = Path(cache_dir).parent / "warm_script.py"
         script.write_text(WARM_SCRIPT)
         out = subprocess.run(
@@ -485,11 +452,11 @@ class TestWarmStart:
         cold = self._run(cache)
         warm = self._run(cache)
         assert warm["result"] == cold["result"]
-        for kind in ("plan", "chain", "tiled", "kernelc"):
-            assert cold["stats"][kind]["builds"] > 0, kind
-            assert warm["stats"][kind]["builds"] == 0, kind
-            assert warm["stats"][kind]["disk_hits"] > 0, kind
-            assert warm["stats"][kind]["writes"] == 0, kind
+        c, w = cold["stats"]["plan"], warm["stats"]["plan"]
+        assert c["builds"] > 0
+        assert w["builds"] == 0
+        assert w["disk_hits"] == c["builds"]
+        assert w["writes"] == 0
 
     def test_corrupted_store_degrades_to_rebuild(self, tmp_path):
         cache = tmp_path / "shared"
@@ -499,10 +466,6 @@ class TestWarmStart:
             p.write_bytes(b"not a pickle at all")
         warm = self._run(cache)
         assert warm["result"] == cold["result"]
-        total_corrupt = sum(
-            warm["stats"][k]["corrupt"]
-            for k in ("plan", "chain", "tiled", "kernelc")
-        )
-        assert total_corrupt > 0
-        for kind in ("plan", "chain", "tiled", "kernelc"):
-            assert warm["stats"][kind]["builds"] > 0, kind
+        plan = warm["stats"]["plan"]
+        assert plan["corrupt"] == plan["builds"] == \
+            cold["stats"]["plan"]["builds"]

@@ -38,15 +38,15 @@ class TestCheckWarm:
 
     def test_warm_no_disk_hits(self):
         cold, warm = _pair()
-        warm["stats"]["chain"]["disk_hits"] = 0
+        warm["stats"]["plan"]["disk_hits"] = 0
         (msg,) = check_warm(cold, warm)
-        assert msg.startswith("chain:") and "disk_hits == 0" in msg
+        assert msg.startswith("plan:") and "disk_hits == 0" in msg
 
     def test_warm_still_builds(self):
         cold, warm = _pair()
-        warm["stats"]["tiled"]["builds"] = 1
+        warm["stats"]["plan"]["builds"] = 1
         (msg,) = check_warm(cold, warm)
-        assert msg.startswith("tiled:") and "builds == 0" in msg
+        assert msg.startswith("plan:") and "builds == 0" in msg
 
     def test_warm_native_compiles(self):
         cold, warm = _pair()
@@ -61,16 +61,16 @@ class TestCheckWarm:
         paths = [str(tmp_path / "cold.json"), str(tmp_path / "warm.json")]
         assert main(["check", *paths]) == 0
         assert "warm-start acceptance OK" in capsys.readouterr().out
-        warm["stats"]["kernelc"]["builds"] = 2
+        warm["stats"]["plan"]["builds"] = 2
         (tmp_path / "warm.json").write_text(json.dumps(warm))
         assert main(["check", *paths]) == 1
-        assert "FAIL: kernelc:" in capsys.readouterr().err
+        assert "FAIL: plan:" in capsys.readouterr().err
 
 
 def _tree(base):
     """A small store tree under ``base/store`` and a sibling file."""
     root = base / "store"
-    for kind in ("plan", "chain", "native"):
+    for kind in ("plan", "native", "other"):
         (root / kind).mkdir(parents=True)
         for i in range(4):
             (root / kind / f"{i:02d}.pkl").write_bytes(
