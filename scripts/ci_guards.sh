@@ -141,9 +141,27 @@ one_strip_executor() {
   fi
 }
 
+one_op_table() {
+  # What a kernel's calls, literals and ** mean is decided once, in
+  # kernelc/lower.py's op table, which the C and NumPy printers (and
+  # the flop prices) consume.  Naming np.minimum / np.maximum /
+  # np.sqrt or a repro.simd intrinsic anywhere else under kernelc/ is
+  # a printer deciding for itself again: add the op to the table.
+  # (Doc mentions, comments and the C preamble's comments are fine.)
+  bad=$(grep -rnE 'np\.(minimum|maximum|sqrt)\b|_intrinsics\.' \
+        src/repro/kernelc/ --include='*.py' \
+        | grep -v '^src/repro/kernelc/lower\.py:' \
+        | grep -vE '``|#|/\*' || true)
+  if [ -n "$bad" ]; then
+    echo "Kernel operations are looked up in kernelc/lower.py's op table:"
+    echo "$bad"
+    exit 1
+  fi
+}
+
 GUARDS="no_vec_kernels_under_apps no_csr_in_aero no_assembly_in_matfree
 no_host_reads_in_cg_trip no_backend_literals_in_examples no_adhoc_persistence
-one_strip_executor"
+one_strip_executor one_op_table"
 
 status=0
 for guard in ${@:-$GUARDS}; do

@@ -48,13 +48,15 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 
+from ..kernelc.build import (
+    compiler_available,
+    count_native_fallback,
+    count_program_hit,
+)
 from ..kernelc.native import (
     NativeUnsupported,
     build_chain_program,
     build_eager_program,
-    compiler_available,
-    count_native_fallback,
-    count_program_hit,
 )
 from ..core.chain import RepeatResult
 from .base import Backend, LoopStats, replay_trips, run_scalar_element

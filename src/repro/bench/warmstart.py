@@ -127,17 +127,25 @@ def check_warm(cold: Dict, warm: Dict) -> List[str]:
 def corrupt_store(root: Path, fraction: float, seed: int) -> List[str]:
     """Garble a deterministic random subset of the store's files.
 
-    Half the victims are truncated mid-document, half overwritten with
-    non-pickle garbage — both shapes the store must count (``corrupt``)
-    and survive.  Returns the relative paths touched.
+    ``fraction`` of the files, and at least one of each kind (top-level
+    directory) present, so every kind's recovery runs whatever the
+    kinds' file counts.  Half the victims are truncated mid-document,
+    half overwritten with non-pickle garbage — both shapes the store
+    must count (``corrupt``) and survive.  Returns the relative paths
+    touched.
     """
     files = sorted(
         p for p in root.rglob("*")
         if p.is_file() and not p.name.startswith(".")
     )
     rng = random.Random(seed)
+    kinds: Dict[str, List[Path]] = {}
+    for p in files:
+        kinds.setdefault(p.relative_to(root).parts[0], []).append(p)
+    victims = [rng.choice(group) for _, group in sorted(kinds.items())]
     n = max(1, int(len(files) * fraction)) if files else 0
-    victims = rng.sample(files, n)
+    rest = [p for p in files if p not in victims]
+    victims += rng.sample(rest, max(0, n - len(victims)))
     touched = []
     for i, path in enumerate(victims):
         if i % 2 == 0:

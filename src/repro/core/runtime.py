@@ -6,9 +6,10 @@ backend chosen at build/run time; here the same separation is a runtime
 case (serial experimentation) zero-ceremony, while benchmarks construct
 isolated runtimes per configuration.
 
-Five cache kinds keep steady-state execution cheap, each reported by
-:meth:`Runtime.stats` under the same ``hits`` / ``misses`` /
-``evictions`` / ``entries`` / ``max_entries`` keys:
+Five cache kinds keep steady-state execution cheap (two of them, plan
+and native, also persist in the two-kind :mod:`repro.store`), each
+reported by :meth:`Runtime.stats` under the same ``hits`` / ``misses``
+/ ``evictions`` / ``entries`` / ``max_entries`` keys:
 
 1. ``plan_cache``: the structural :class:`~repro.core.plan.PlanCache`
    (phases and any coloring reused by every loop with the same
@@ -30,7 +31,7 @@ Five cache kinds keep steady-state execution cheap, each reported by
    memoized per (kernel, argument shape), so each kernel's vector form
    is derived from its scalar source exactly once per shape for the
    whole process; and
-5. ``native_cache`` (:mod:`repro.kernelc.native`): compiled C programs,
+5. ``native_cache`` (:mod:`repro.kernelc.build`): compiled C programs,
    in memory by content hash and chain shape.
 
 The plan, loop, chain and kernelc caches are LRU-bounded (the
@@ -297,8 +298,9 @@ class Runtime:
         self.chain_cache_evictions = 0
 
     def stats(self) -> Dict[str, object]:
-        """All runtime counters: the five cache kinds, backend
-        per-kernel timings, and the loop/chain profile.
+        """All runtime counters: the five cache kinds (numbered in the
+        module docstring), backend per-kernel timings, and the
+        loop/chain profile.
 
         Every cache kind reports the canonical ``hits`` / ``misses`` /
         ``evictions`` / ``entries`` / ``max_entries`` schema
@@ -318,7 +320,7 @@ class Runtime:
         """
         from .. import store as artifact_store
         from ..kernelc import cache_stats
-        from ..kernelc.native import native_cache_stats, native_thread_stats
+        from ..kernelc.build import native_cache_stats, native_thread_stats
 
         def with_store(d: Dict[str, object], kind: str) -> Dict[str, object]:
             d = dict(d)
@@ -367,7 +369,7 @@ class Runtime:
             # Kernel-compilation cache (repro.kernelc): process-wide,
             # since generated kernels depend only on (kernel, shape).
             "kernelc_cache": cache_stats(),
-            # Native chain-compilation cache (repro.kernelc.native):
+            # Native chain-compilation cache (repro.kernelc.build):
             # process-wide in memory, content-hash keyed on disk.
             "native_cache": with_store(native, "native"),
             # Owner-computes threads of the native chains: team size,

@@ -1,4 +1,4 @@
-"""kernelc — the kernel-compilation subsystem (IR + two emitters).
+"""kernelc — the kernel-compilation subsystem (IR, one lowering, two printers).
 
 The paper's central mechanism is a code generator that turns one
 high-level kernel into specialized scalar *and* vectorized
@@ -9,18 +9,22 @@ SIMD kernels).  This package is that generator:
     :func:`parse_kernel` reads a scalar Python kernel with :mod:`ast`
     and lowers it into a small validated IR (straight-line statements,
     per-argument loads/stores, branches, bounded ``range`` loops).
+``lower``
+    What each operation of the IR means — the op table (scalar
+    semantics, C spelling, NumPy lane form, flop price), literal typing
+    against the loop's compute dtype, compile-time folding, helpers.
 ``vector``
-    The batched-kernel emitter: one NumPy function over ``(lanes, dim)``
+    The NumPy printer: one batched function over ``(lanes, dim)``
     gathered blocks per argument-shape signature, branches lowered to
     ``select`` masks, results bitwise identical to the scalar form.
-``native``
-    The chain-level C emitter: a whole traced loop chain (or one eager
-    loop) lowered to a single C translation unit, compiled with the
-    system compiler and replayed through cffi — bitwise identical to
-    sequential eager execution, with a sha256-keyed on-disk ``.so``
-    cache (the runtime's sixth cache kind).
+``native`` and ``build``
+    The C printer: a whole traced loop chain (or one eager loop) as a
+    single C translation unit, bitwise identical to sequential eager
+    execution; ``build`` compiles it with the system compiler, caches
+    the ``.so`` by sha256 (the runtime's fifth cache kind) and loads it
+    through cffi.
 ``cache``
-    The per-shape compile cache (the runtime's fifth cache kind,
+    The per-shape vector compile cache (the runtime's fourth cache kind,
     surfaced in :meth:`Runtime.stats`).
 
 Applications write **only scalar kernels**; every batched backend
@@ -43,16 +47,18 @@ from .cache import (
     vectorizable,
 )
 from .ir import KernelIR, UnvectorizableKernel, parse_kernel
-from .native import (
-    NativeUnsupported,
-    build_chain_program,
-    build_eager_program,
+from .build import (
     compiler_available,
-    emit_chain_source,
     native_cache_dir,
     native_cache_stats,
     reset_native_cache,
     source_key,
+)
+from .native import (
+    NativeUnsupported,
+    build_chain_program,
+    build_eager_program,
+    emit_chain_source,
 )
 from .vector import VectorEmitter, compile_vector, emit_vector_source
 

@@ -1,4 +1,4 @@
-"""Per-shape kernel compile cache — the fourth cache kind of the runtime.
+"""Per-shape kernel compile cache — the runtime's fourth cache kind.
 
 The paper's build flow generates each kernel's vectorized incarnation
 once and reuses it for the whole run; here compilation happens lazily at

@@ -10,9 +10,9 @@ IR —
 * straight-line statements (assignments, augmented assignments),
 * per-argument loads and stores (recorded in ``param_reads`` /
   ``param_writes``),
-* scalar arithmetic expressions over a whitelisted vocabulary
-  (operators, comparisons, ``np.*`` functions, the :mod:`repro.simd`
-  intrinsics, branchless helper functions),
+* scalar arithmetic expressions over the vocabulary of
+  :mod:`repro.kernelc.lower` (operators, comparisons, ``np.*``
+  functions, the :mod:`repro.simd` intrinsics, branchless helpers),
 * structured branches (``if``/``elif``/``else``, conditional
   expressions), and
 * bounded ``for _ in range(k)`` loops over an argument's ``dim``.
@@ -38,36 +38,25 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..simd import intrinsics as _intrinsics
-
-#: The branchless SIMD vocabulary (repro.simd) — recognized by identity.
-INTRINSIC_FUNCTIONS = frozenset(
-    {
-        _intrinsics.select,
-        _intrinsics.vmin,
-        _intrinsics.vmax,
-        _intrinsics.vabs,
-        _intrinsics.vsqrt,
-        _intrinsics.vfma,
-        _intrinsics.vrecip,
-    }
+from .lower import (
+    AUGOPS,
+    BINOPS,
+    UnvectorizableKernel,
+    callee,
+    const_int,
+    function_namespace,
+    helper,
+    is_docstring,
+    op_for,
+    plain_params,
+    target_names,
 )
 
-#: Builtins with a direct batched equivalent (rewritten by the emitter).
-SAFE_BUILTINS = frozenset({"abs", "min", "max"})
-
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.Mod,
-           ast.FloorDiv)
 _UNARYOPS = (ast.USub, ast.UAdd)
-_AUGOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
 #: Recursion bound for branchless-helper validation (_hll_flux calling
 #: _velocities calling ... must bottom out).
 _HELPER_DEPTH_LIMIT = 4
-
-
-class UnvectorizableKernel(Exception):
-    """The scalar kernel falls outside the IR's vectorizable subset."""
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +99,22 @@ class SIf:
     orelse: List[object]
 
 
+def stmt_nodes(st):
+    """Every AST node of one IR statement, nested statements included."""
+    if isinstance(st, SAssign):
+        roots = [*st.targets, st.value]
+    elif isinstance(st, SAug):
+        roots = [st.target, st.value]
+    elif isinstance(st, SIf):
+        roots = [st.test]
+    else:
+        roots = []
+    for root in roots:
+        yield from ast.walk(root)
+    for inner in [*getattr(st, "body", ()), *getattr(st, "orelse", ())]:
+        yield from stmt_nodes(inner)
+
+
 @dataclass
 class KernelIR:
     """A parsed kernel: parameters, statements, and load/store summary."""
@@ -124,31 +129,13 @@ class KernelIR:
     source: str
     param_reads: Set[str] = field(default_factory=set)
     param_writes: Set[str] = field(default_factory=set)
+    #: Every name bound in the kernel: parameters, locals, loop variables.
+    local_names: Set[str] = field(default_factory=set)
 
 
 # ----------------------------------------------------------------------
-# Namespace assembly and helper-function validation.
+# Helper-function validation.
 # ----------------------------------------------------------------------
-def function_namespace(fn) -> Dict[str, object]:
-    """Globals plus closure cells — how the kernel's names resolve."""
-    ns = dict(getattr(fn, "__globals__", {}))
-    freevars = getattr(fn.__code__, "co_freevars", ())
-    closure = getattr(fn, "__closure__", None) or ()
-    for name, cell in zip(freevars, closure):
-        try:
-            ns[name] = cell.cell_contents
-        except ValueError:  # pragma: no cover - empty cell
-            pass
-    return ns
-
-
-def _is_numpy_callable(obj) -> bool:
-    if isinstance(obj, np.ufunc):
-        return True
-    module = getattr(obj, "__module__", None) or ""
-    return callable(obj) and module.split(".")[0] == "numpy"
-
-
 def is_lane_safe_helper(fn, _depth: int = 0) -> bool:
     """Can ``fn`` be called unchanged on batched ``(lanes,)`` operands?
 
@@ -175,43 +162,18 @@ def is_lane_safe_helper(fn, _depth: int = 0) -> bool:
 
 
 def _check_helper(fn, depth: int) -> bool:
-    if depth >= _HELPER_DEPTH_LIMIT or not inspect.isfunction(fn):
+    h = helper(fn)
+    if h is None or depth >= _HELPER_DEPTH_LIMIT:
         return False
+    local = set(h.params)
     try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
-    except (OSError, TypeError, SyntaxError):
+        for st in h.body:
+            _check_expr(st.value, h.ns, local, set(), depth + 1)
+            local.update(target_names(st.targets[0]))
+        for value in h.returns:
+            _check_expr(value, h.ns, local, set(), depth + 1)
+    except UnvectorizableKernel:
         return False
-    if not (tree.body and isinstance(tree.body[0], ast.FunctionDef)):
-        return False
-    fd = tree.body[0]
-    ns = function_namespace(fn)
-    local = {a.arg for a in fd.args.args}
-    for stmt in fd.body:
-        if _is_docstring(stmt):
-            continue
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            names = (
-                [target] if isinstance(target, ast.Name)
-                else list(target.elts) if isinstance(target, ast.Tuple)
-                else None
-            )
-            if names is None or not all(
-                isinstance(t, ast.Name) for t in names
-            ):
-                return False
-            try:
-                _check_expr(stmt.value, ns, local, set(), depth + 1)
-            except UnvectorizableKernel:
-                return False
-            local.update(t.id for t in names)
-        elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            try:
-                _check_expr(stmt.value, ns, local, set(), depth + 1)
-            except UnvectorizableKernel:
-                return False
-        else:
-            return False
     return True
 
 
@@ -231,35 +193,6 @@ def _check_expr(node, ns, local_names, loop_vars, depth=0) -> None:
         return
     if isinstance(node, ast.Name):
         return
-    if isinstance(node, ast.BinOp):
-        if not isinstance(node.op, _BINOPS):
-            raise _refuse(node, "unsupported binary operator")
-        _check_expr(node.left, ns, local_names, loop_vars, depth)
-        _check_expr(node.right, ns, local_names, loop_vars, depth)
-        return
-    if isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, _UNARYOPS):
-            raise _refuse(node, "unsupported unary operator")
-        _check_expr(node.operand, ns, local_names, loop_vars, depth)
-        return
-    if isinstance(node, ast.Compare):
-        if len(node.ops) != 1:
-            raise _refuse(node, "chained comparisons are lane-ambiguous")
-        _check_expr(node.left, ns, local_names, loop_vars, depth)
-        _check_expr(node.comparators[0], ns, local_names, loop_vars, depth)
-        return
-    if isinstance(node, ast.BoolOp):
-        raise _refuse(
-            node, "and/or have no lane-wise meaning; use select()"
-        )
-    if isinstance(node, ast.IfExp):
-        for child in (node.test, node.body, node.orelse):
-            _check_expr(child, ns, local_names, loop_vars, depth)
-        return
-    if isinstance(node, ast.Tuple):
-        for elt in node.elts:
-            _check_expr(elt, ns, local_names, loop_vars, depth)
-        return
     if isinstance(node, ast.Subscript):
         _check_expr(node.value, ns, local_names, loop_vars, depth)
         _check_index(node.slice, ns, local_names, loop_vars)
@@ -267,20 +200,26 @@ def _check_expr(node, ns, local_names, loop_vars, depth=0) -> None:
     if isinstance(node, ast.Call):
         _check_call(node, ns, local_names, loop_vars, depth)
         return
-    raise _refuse(node, "unsupported expression")
+    if isinstance(node, ast.BinOp) and type(node.op) not in BINOPS:
+        raise _refuse(node, "unsupported binary operator")
+    if isinstance(node, ast.UnaryOp) and not isinstance(node.op, _UNARYOPS):
+        raise _refuse(node, "unsupported unary operator")
+    if isinstance(node, ast.Compare) and len(node.ops) != 1:
+        raise _refuse(node, "chained comparisons are lane-ambiguous")
+    if isinstance(node, ast.BoolOp):
+        raise _refuse(
+            node, "and/or have no lane-wise meaning; use select()"
+        )
+    if not isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Compare, ast.IfExp,
+                             ast.Tuple)):
+        raise _refuse(node, "unsupported expression")
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.expr):
+            _check_expr(child, ns, local_names, loop_vars, depth)
 
 
 def _check_index(node, ns, local_names, loop_vars) -> None:
     """Subscript indices must be lane-invariant (constants / loop vars)."""
-    if isinstance(node, ast.Tuple):
-        for elt in node.elts:
-            _check_index(elt, ns, local_names, loop_vars)
-        return
-    if isinstance(node, ast.Slice):
-        for part in (node.lower, node.upper, node.step):
-            if part is not None:
-                _check_index(part, ns, local_names, loop_vars)
-        return
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, int):
             raise _refuse(node, "non-integer subscript")
@@ -296,95 +235,39 @@ def _check_index(node, ns, local_names, loop_vars) -> None:
             "subscript index must be a constant or range() loop variable "
             "(lane-dependent indexing cannot be vectorized)",
         )
-    if isinstance(node, (ast.BinOp, ast.UnaryOp)):
-        children = (
-            (node.left, node.right) if isinstance(node, ast.BinOp)
-            else (node.operand,)
-        )
-        if isinstance(node, ast.BinOp) and not isinstance(node.op, _BINOPS):
-            raise _refuse(node, "unsupported operator in subscript")
-        for child in children:
+    if isinstance(node, ast.BinOp) and type(node.op) not in BINOPS:
+        raise _refuse(node, "unsupported operator in subscript")
+    if not isinstance(node, (ast.Tuple, ast.Slice, ast.BinOp, ast.UnaryOp)):
+        raise _refuse(node, "unsupported subscript index")
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.expr):
             _check_index(child, ns, local_names, loop_vars)
-        return
-    raise _refuse(node, "unsupported subscript index")
 
 
 def _check_call(node: ast.Call, ns, local_names, loop_vars, depth) -> None:
     if node.keywords:
         raise _refuse(node, "keyword arguments in kernel calls")
     func = node.func
-    if isinstance(func, ast.Name):
-        name = func.id
-        if name in local_names:
-            raise _refuse(node, "call through a local variable")
-        if name in SAFE_BUILTINS and name not in ns:
-            if name in ("min", "max") and len(node.args) != 2:
-                raise _refuse(node, f"{name}() must take exactly 2 operands")
-            if name == "abs" and len(node.args) != 1:
-                raise _refuse(node, "abs() must take exactly 1 operand")
-        else:
-            resolved = ns.get(name)
-            if resolved is None:
-                raise _refuse(node, "unresolvable function")
-            if resolved in INTRINSIC_FUNCTIONS:
-                pass
-            elif _is_numpy_callable(resolved):
-                pass
-            elif is_lane_safe_helper(resolved, depth):
-                pass
-            else:
-                raise _refuse(
-                    node,
-                    "call target is neither a numpy function, a "
-                    "repro.simd intrinsic, nor a branchless helper",
-                )
-    elif isinstance(func, ast.Attribute):
-        resolved = _resolve_attribute(func, ns)
-        if resolved is None or not _is_numpy_callable(resolved):
-            raise _refuse(node, "only numpy attribute calls are supported")
-    else:
-        raise _refuse(node, "unsupported call form")
+    if isinstance(func, ast.Name) and func.id in local_names:
+        raise _refuse(node, "call through a local variable")
+    fn = callee(func, ns)
+    op = op_for(fn)
+    if op is not None:
+        if op.arity is not None and len(node.args) != op.arity:
+            raise _refuse(node, f"{op.name}() takes {op.arity} operands")
+    elif not is_lane_safe_helper(fn, depth):
+        raise _refuse(
+            node,
+            "call target is neither a numpy function, a "
+            "repro.simd intrinsic, nor a branchless helper",
+        )
     for arg in node.args:
         _check_expr(arg, ns, local_names, loop_vars, depth)
-
-
-def _resolve_attribute(node: ast.Attribute, ns):
-    parts = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    obj = ns.get(cur.id)
-    for attr in reversed(parts):
-        if obj is None:
-            return None
-        obj = getattr(obj, attr, None)
-    return obj
 
 
 # ----------------------------------------------------------------------
 # Statement building.
 # ----------------------------------------------------------------------
-def _is_docstring(stmt) -> bool:
-    return (
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Constant)
-        and isinstance(stmt.value.value, str)
-    )
-
-
-def _const_int(node, ns) -> Optional[int]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return node.value
-    if isinstance(node, ast.Name):
-        resolved = ns.get(node.id)
-        if isinstance(resolved, (int, np.integer)):
-            return int(resolved)
-    return None
-
-
 class _Builder:
     """Lowers a FunctionDef body into IR statements, validating as it goes."""
 
@@ -444,7 +327,7 @@ class _Builder:
         return out
 
     def build_stmt(self, stmt):
-        if _is_docstring(stmt) or isinstance(stmt, ast.Pass):
+        if is_docstring(stmt) or isinstance(stmt, ast.Pass):
             return None
         if isinstance(stmt, ast.Assign):
             return self._build_assign(stmt)
@@ -510,7 +393,7 @@ class _Builder:
         raise _refuse(stmt, "unsupported assignment target")
 
     def _build_aug(self, stmt: ast.AugAssign):
-        if not isinstance(stmt.op, _AUGOPS):
+        if type(stmt.op) not in AUGOPS:
             raise _refuse(stmt, "unsupported augmented assignment operator")
         self._check(stmt.value)
         self._note_reads(stmt.value)
@@ -549,7 +432,7 @@ class _Builder:
             and 1 <= len(it.args) <= 3
         ):
             raise _refuse(stmt, "only range() loops with constant bounds")
-        bounds = [_const_int(a, self.ns) for a in it.args]
+        bounds = [const_int(a, self.ns.get) for a in it.args]
         if any(b is None for b in bounds):
             raise _refuse(
                 stmt, "range() bounds must be integer constants (a dim)"
@@ -597,18 +480,11 @@ def parse_kernel(fn) -> KernelIR:
     if not (tree.body and isinstance(tree.body[0], ast.FunctionDef)):
         raise UnvectorizableKernel("kernel source is not a function")
     fd = tree.body[0]
-    args = fd.args
-    if (
-        args.vararg
-        or args.kwarg
-        or args.kwonlyargs
-        or args.defaults
-        or args.kw_defaults
-    ):
+    params = plain_params(fd.args)
+    if params is None:
         raise UnvectorizableKernel(
             "kernels must take plain positional parameters"
         )
-    params = tuple(a.arg for a in args.posonlyargs + args.args)
     ns = function_namespace(fn)
     builder = _Builder(params, ns)
     body = builder.build_block(fd.body)
@@ -620,4 +496,5 @@ def parse_kernel(fn) -> KernelIR:
         source=source,
         param_reads=builder.param_reads,
         param_writes=builder.param_writes,
+        local_names=builder.local_names,
     )

@@ -15,13 +15,11 @@ position- and process-independent and can be cached on disk.
 Determinism rationale
 ---------------------
 The emitted C replays the *sequential* backend operation for
-operation: elements execute in ascending order, every floating-point
-expression maps to the exact machine operation NumPy's scalar path
-performs (``+ - * /`` are IEEE double ops, ``np.sqrt`` is the
-correctly-rounded ``sqrt``, ``np.minimum``/``np.maximum`` keep NumPy's
-NaN/ordering rule, ``**`` is libm ``pow`` — numpy's scalar pow), and
-the TU is compiled with ``-ffp-contract=off -fno-fast-math`` so the
-compiler can neither fuse multiply-adds nor reassociate.  Native
+operation: elements execute in ascending order, every operation is
+spelled in C as :mod:`repro.kernelc.lower`'s op table says — the exact
+machine operation NumPy's scalar path performs — and the TU is compiled
+with ``-ffp-contract=off -fno-fast-math`` (:mod:`repro.kernelc.build`)
+so the compiler can neither fuse multiply-adds nor reassociate.  Native
 results are therefore *bitwise identical* to sequential eager
 execution — the acceptance bar the differential fuzz suite
 (``tests/test_kernelc_fuzz.py``) locks down.
@@ -44,16 +42,10 @@ order.  Each lane performs its element's scalar IEEE operations and
 every target still receives its updates in the sequential order, so
 the lowering keeps the bits (``tests/test_lanes.py``).
 
-Cache hierarchy
----------------
-Source text is content-hashed (:func:`source_key`); compiled shared
-objects live in memory per process and on disk under
-:func:`native_cache_dir` keyed by that hash and the compile flags, so
-warm processes skip the compiler entirely.  This is the sixth cache
-kind surfaced by :meth:`repro.core.runtime.Runtime.stats`:
-loop → plan → chain → tiled → kernelc → native.  Above it, the native
-backend keeps built programs by chain shape, so a chain of a known
-shape emits and loads nothing (``program_hits``).
+:mod:`repro.kernelc.build` compiles a TU and caches the library (the
+runtime's fifth cache kind); above it, the native backend keeps built
+programs by chain shape, so a chain of a known shape emits and loads
+nothing (``program_hits``).
 
 Anything outside the translatable subset raises
 :class:`NativeUnsupported`; the native backend then falls back (see
@@ -63,17 +55,8 @@ Anything outside the translatable subset raises
 from __future__ import annotations
 
 import ast
-import builtins
-import hashlib
-import inspect
-import os
 import re
-import shutil
-import subprocess
-import tempfile
-import textwrap
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,26 +64,15 @@ import numpy as np
 from ..core.access import Access
 from ..core.map import MAP_DTYPE
 from ..core.plan import OwnerRanges, owner_ranges
-from ..simd import intrinsics as _intrinsics
-from ..simd import host_isa, isa_flags
+from . import lower
+from .build import is_threaded, load_native_library, note_threads
 from .cache import kernel_ir
-from .ir import (
-    SAssign,
-    SAug,
-    SFor,
-    SIf,
-    UnvectorizableKernel,
-    function_namespace,
-    is_lane_safe_helper,
-)
-
-
-class NativeUnsupported(Exception):
-    """Kernel or chain outside the native emitter's C-translatable subset."""
+from .ir import SAssign, SAug, SFor, SIf, is_lane_safe_helper, stmt_nodes
+from .lower import NativeUnsupported, UnvectorizableKernel
 
 
 # ----------------------------------------------------------------------
-# C type / literal mapping
+# C types and identifiers
 # ----------------------------------------------------------------------
 _CTYPES = {
     np.dtype(np.float64): "double",
@@ -118,37 +90,6 @@ _C_KEYWORDS = frozenset(
 _EMITTER_NAMES = frozenset({"e", "l", "r", "lo", "hi", "P", "NAN", "INFINITY"})
 _GENERATED_RE = re.compile(r"^(?:[dmgv]\d+|i\d+|kc_\w+|h\d+_\w*)$")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-def _c_double(v) -> str:
-    """An exact C literal for a Python/NumPy float (hex when needed)."""
-    f = float(v)
-    if f != f:
-        return "NAN"
-    if f == float("inf"):
-        return "INFINITY"
-    if f == float("-inf"):
-        return "(-INFINITY)"
-    if f == int(f) and abs(f) < 1e16:
-        return repr(f)  # "3.0" — exact and readable
-    return float.hex(f)  # C99 hex float literal, exact round-trip
-
-
-def _c_float(v) -> str:
-    """An exact ``float`` C literal: the value NumPy's weak-scalar
-    promotion would use when this constant meets a float32 operand.
-    The ``f`` suffix is load-bearing — without it the literal is a
-    ``double`` and would silently promote the whole expression."""
-    f = float(np.float32(v))
-    if f != f:
-        return "NAN"
-    if f == float("inf"):
-        return "INFINITY"
-    if f == float("-inf"):
-        return "(-INFINITY)"
-    if f == int(f) and abs(f) < 1e7:
-        return repr(f) + "f"
-    return float.hex(f) + "f"
 
 
 def _cident(name: str, taken: set) -> str:
@@ -291,6 +232,22 @@ class _Scope:
     loops: Dict[str, int] = field(default_factory=dict)
     params: Dict[str, int] = field(default_factory=dict)
 
+    def constant(self, name: str):
+        """What ``name`` denotes at compile time: an unrolled loop
+        variable's value, else its namespace object; ``None`` for a
+        local, an alias or a parameter."""
+        if name in self.loops:
+            return self.loops[name]
+        if name in self.rename or name in self.aliases or name in self.params:
+            return None
+        return self.ns.get(name)
+
+
+def _alias(r: tuple) -> tuple:
+    """A scope alias for a partial subscript :meth:`_LoopEmitter.
+    _resolve_access` resolved: a parameter row, or a closure array."""
+    return ("arg", r[1], r[2]) if r[0] == "alias" else ("ns", r[1])
+
 
 # ----------------------------------------------------------------------
 # Owner-computes threading
@@ -321,11 +278,6 @@ UNROLL_MAX_VALUES = 16
 #: Owner ranges re-running more than this share of a loop's elements
 #: (a non-local numbering) leave the loop serial.
 OWNER_MAX_DUP = 1.25
-
-_RED_CALLS = frozenset(
-    {np.minimum, np.maximum, builtins.min, builtins.max,
-     _intrinsics.vmin, _intrinsics.vmax}
-)
 
 
 @dataclass(frozen=True)
@@ -390,22 +342,6 @@ class _Unpacketable(Exception):
     """A store the ordered scatter cannot defer (raised while emitting)."""
 
 
-def _stmt_nodes(st):
-    """Every AST node of one IR statement, nested statements included."""
-    if isinstance(st, SAssign):
-        roots = [*st.targets, st.value]
-    elif isinstance(st, SAug):
-        roots = [st.target, st.value]
-    elif isinstance(st, SIf):
-        roots = [st.test]
-    else:
-        roots = []
-    for root in roots:
-        yield from ast.walk(root)
-    for inner in [*getattr(st, "body", ()), *getattr(st, "orelse", ())]:
-        yield from _stmt_nodes(inner)
-
-
 # ----------------------------------------------------------------------
 # Per-loop emitter
 # ----------------------------------------------------------------------
@@ -457,7 +393,9 @@ class _LoopEmitter:
                 f"kernel {bl.kernel.name}: mixed float32/float64 arguments"
             )
         self.ft = ftypes.pop() if ftypes else "double"
-        self.sfx = "f" if self.ft == "float" else ""
+        self.lit = lower.Literals("float32" if self.ft == "float"
+                                  else "float64")
+        self.sfx = self.lit.sfx
 
     # -- threading classification ----------------------------------------
     def classify(self, ptab: _PointerTable) -> None:
@@ -487,10 +425,7 @@ class _LoopEmitter:
             columns = self._reduction_columns()
             if columns is None:
                 return serial("reduction not once per element")
-        mapped = [s for s in specs if s.kind in ("indirect", "vector")]
-        ind_w = {s.slot for s in mapped if s.access.writes}
-        dir_w = {s.slot for s in specs if s.kind == "direct"
-                 and s.access.writes}
+        mapped, ind_w, dir_w = self._writes()
         if not ind_w:
             if any(s.slot in dir_w for s in mapped):
                 return serial("reads a Dat it writes, through a map")
@@ -512,6 +447,14 @@ class _LoopEmitter:
                     self._extents.append(extent)
                 self._guard_of[k] = self._extents.index(extent)
         return LoopVerdict("owner", facet=facet)
+
+    def _writes(self):
+        """The mapped arguments, and the slots written through a map
+        and directly."""
+        mapped = [s for s in self.specs if s.kind in ("indirect", "vector")]
+        return (mapped, {s.slot for s in mapped if s.access.writes},
+                {s.slot for s in self.specs
+                 if s.kind == "direct" and s.access.writes})
 
     def _reads_scattered(self, ind_w: set) -> bool:
         """Does the body read a Dat it writes through a map (other than
@@ -548,14 +491,11 @@ class _LoopEmitter:
             return scalar(f"{self.bl.n} elements < {THREAD_MIN_ELEMENTS}")
         if self.red_args and not self._columns:
             return scalar("reduction across elements")
-        mapped = [s for s in specs if s.kind in ("indirect", "vector")]
+        mapped, ind_w, dir_w = self._writes()
         if not mapped:
             # A stream of rows: bound by memory traffic, and a third of
             # a lowered airfoil step's build time when vectorized.
             return scalar("no gather")
-        ind_w = {s.slot for s in mapped if s.access.writes}
-        dir_w = {s.slot for s in specs if s.kind == "direct"
-                 and s.access.writes}
         if any(s.slot in dir_w for s in mapped):
             return scalar("reads a Dat it writes, through a map")
         if not ind_w:
@@ -595,11 +535,8 @@ class _LoopEmitter:
         def component(node) -> Optional[Tuple[int, int]]:
             if isinstance(node, ast.Subscript) and isinstance(
                     node.value, ast.Name) and node.value.id in params:
-                try:
-                    return params[node.value.id], self._const_int(
-                        node.slice, scope)
-                except NativeUnsupported:
-                    return None
+                comp = lower.const_int(node.slice, scope.constant)
+                return None if comp is None else (params[node.value.id], comp)
             return None
 
         found: Dict[int, Tuple[int, int, ast.expr]] = {}
@@ -613,7 +550,8 @@ class _LoopEmitter:
             elif isinstance(st, SAssign) and len(st.targets) == 1 \
                     and isinstance(st.value, ast.Call) \
                     and len(st.value.args) == 2 and not st.value.keywords \
-                    and self._callee(st.value.func, scope) in _RED_CALLS:
+                    and lower.op_for(lower.callee(st.value.func, scope.ns)) \
+                    in (lower.FMIN, lower.FMAX, lower.MIN, lower.MAX):
                 target = component(st.targets[0])
                 a, b = st.value.args
                 if target is not None and (component(a), component(b)) in (
@@ -626,7 +564,7 @@ class _LoopEmitter:
                 found[id(st)] = match
                 expected += refs
         uses = sum(
-            1 for st in self.ir.body for node in _stmt_nodes(st)
+            1 for st in self.ir.body for node in stmt_nodes(st)
             if isinstance(node, ast.Name) and node.id in params
         )
         return found if uses == expected else None
@@ -645,29 +583,7 @@ class _LoopEmitter:
         idx = "e" if dim == 1 else f"e * {dim} + {comp}"
         return f"kc_col{self.col_slots[argpos]}[{idx}]"
 
-    def _lit(self, v) -> str:
-        return _c_float(v) if self.ft == "float" else _c_double(v)
-
-    def _lit_np(self, v) -> str:
-        """Literal for a NumPy-sourced constant.  A float64 *NumPy*
-        scalar is strong under NEP 50 — meeting one would promote a
-        float32 kernel to double mid-expression, which the uniform-type
-        C body can't mirror."""
-        if self.ft == "float" and isinstance(v, np.floating) \
-                and v.dtype == np.float64:
-            raise NativeUnsupported(
-                "float64 numpy constant inside a float32 kernel"
-            )
-        return self._lit(v)
-
     # -- small helpers --------------------------------------------------
-    def _buf(self, spec: _ArgSpec) -> str:
-        if spec.kind == "gred":
-            return self._red(spec)
-        if spec.kind in ("gread", "gwrite"):
-            return f"g{spec.slot}"
-        return f"d{spec.slot}"
-
     def _red(self, spec: _ArgSpec) -> str:
         return f"kc_red{self.j}_{spec.slot}"
 
@@ -680,39 +596,6 @@ class _LoopEmitter:
         else:
             idx = f"{row} * {spec.dim} + {comp}"
         return f"d{spec.slot}[{idx}]"
-
-    # -- constant-index evaluation --------------------------------------
-    def _const_int(self, node, scope: _Scope) -> int:
-        if isinstance(node, ast.Constant) and isinstance(node.value, int) \
-                and not isinstance(node.value, bool):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id in scope.loops:
-                return scope.loops[node.id]
-            v = scope.ns.get(node.id)
-            if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-                return int(v)
-            raise NativeUnsupported(f"non-constant index name {node.id!r}")
-        if isinstance(node, ast.BinOp):
-            lv = self._const_int(node.left, scope)
-            rv = self._const_int(node.right, scope)
-            if isinstance(node.op, ast.Add):
-                return lv + rv
-            if isinstance(node.op, ast.Sub):
-                return lv - rv
-            if isinstance(node.op, ast.Mult):
-                return lv * rv
-            if isinstance(node.op, ast.Mod):
-                return lv % rv
-            if isinstance(node.op, ast.FloorDiv):
-                return lv // rv
-            raise NativeUnsupported("unsupported index arithmetic")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return -self._const_int(node.operand, scope)
-        raise NativeUnsupported(
-            f"index expression {ast.dump(node)[:60]} is not compile-time "
-            f"constant"
-        )
 
     # -- subscript resolution -------------------------------------------
     def _resolve_access(self, node, scope: _Scope):
@@ -733,7 +616,10 @@ class _LoopEmitter:
         if not isinstance(base, ast.Name):
             raise NativeUnsupported("subscript of a non-name expression")
         name = base.id
-        idxs = [self._const_int(i, scope) for i in idx_nodes]
+        idxs = [lower.const_int(i, scope.constant) for i in idx_nodes]
+        if None in idxs:
+            raise NativeUnsupported(
+                f"{ast.unparse(node)!r}: index not compile-time constant")
 
         pre: Tuple[int, ...] = ()
         if name in scope.aliases:
@@ -801,58 +687,44 @@ class _LoopEmitter:
     # -- expressions ----------------------------------------------------
     def _cx(self, node, scope: _Scope) -> str:
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool):
-                return "1.0" if node.value else "0.0"
-            if isinstance(node.value, (int, float)):
-                return self._lit(node.value)
+            if isinstance(node.value, (bool, int, float)):
+                return self.lit.c(node.value)
             raise NativeUnsupported(f"constant {node.value!r}")
         if isinstance(node, ast.Name):
             name = node.id
-            if name in scope.loops:
-                return self._lit(scope.loops[name])
-            if name in scope.aliases:
-                raise NativeUnsupported(
-                    f"array value {name!r} used in scalar position"
-                )
-            if name in scope.rename:
+            if name in scope.rename and name not in scope.loops \
+                    and name not in scope.aliases:
                 return scope.rename[name]
-            if name in scope.params:
-                raise NativeUnsupported(
-                    f"whole parameter {name!r} used as a value"
-                )
-            v = scope.ns.get(name)
+            v = scope.constant(name)  # None: an array, or unresolvable
             if isinstance(v, (bool, int, float, np.floating, np.integer)):
-                return self._lit_np(v)
-            raise NativeUnsupported(f"unresolvable name {name!r}")
+                return self.lit.c(v)
+            raise NativeUnsupported(f"name {name!r} has no scalar value")
         if isinstance(node, ast.Subscript):
             r = self._resolve_access(node, scope)
             if r[0] == "lval":
                 self._value_reads.add(r[1])
                 return self._lvalue(r[1], r[2], r[3])
             if r[0] == "elem":
-                return self._lit_np(r[1])
+                return self.lit.c(r[1])
             raise NativeUnsupported("array-valued subscript in scalar position")
         if isinstance(node, ast.BinOp):
-            folded = self._try_const(node, scope)
+            folded = lower.fold(node, scope.constant)
             if folded is not None:
-                return self._lit(folded)
+                return self.lit.c(folded)
             if isinstance(node.op, ast.Pow):
                 return self._pow(node.left, node.right, scope)
-            op = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*",
-                  ast.Div: "/"}.get(type(node.op))
-            if op is None:
-                raise NativeUnsupported(
-                    f"operator {type(node.op).__name__} in value position"
-                )
-            return f"({self._cx(node.left, scope)} {op} " \
-                   f"{self._cx(node.right, scope)})"
+            op = lower.BINOPS[type(node.op)]
+            if op.c is None:
+                raise NativeUnsupported(f"operator {op.name} in value position")
+            return op.c.format(self._cx(node.left, scope),
+                               self._cx(node.right, scope))
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
                 return f"(-{self._cx(node.operand, scope)})"
             return self._cx(node.operand, scope)
         if isinstance(node, ast.Compare):
             return (f"({self._cond(node, scope)} ? "
-                    f"{self._lit(1.0)} : {self._lit(0.0)})")
+                    f"{self.lit.c(1.0)} : {self.lit.c(0.0)})")
         if isinstance(node, ast.IfExp):
             return (
                 f"({self._cond(node.test, scope)} ? "
@@ -865,55 +737,9 @@ class _LoopEmitter:
             f"expression {type(node).__name__} has no native lowering"
         )
 
-    def _try_const(self, node, scope: _Scope):
-        """Evaluate a pure-Python constant subtree the way the scalar
-        kernel itself would — in Python (double) arithmetic — so that
-        e.g. ``0.5 * g`` folds to one literal *before* it is narrowed
-        to the loop's float type, exactly matching NumPy's weak-scalar
-        promotion.  Returns ``None`` when any leaf is runtime data or a
-        (strong) NumPy scalar."""
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)) and \
-                    not isinstance(node.value, bool):
-                return node.value
-            return None
-        if isinstance(node, ast.Name):
-            if node.id in scope.loops:
-                return scope.loops[node.id]
-            if node.id in scope.rename or node.id in scope.aliases \
-                    or node.id in scope.params:
-                return None
-            v = scope.ns.get(node.id)
-            if type(v) in (int, float):
-                return v
-            return None
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            v = self._try_const(node.operand, scope)
-            return None if v is None else -v
-        if isinstance(node, ast.BinOp):
-            lv = self._try_const(node.left, scope)
-            rv = self._try_const(node.right, scope)
-            if lv is None or rv is None:
-                return None
-            try:
-                if isinstance(node.op, ast.Add):
-                    return lv + rv
-                if isinstance(node.op, ast.Sub):
-                    return lv - rv
-                if isinstance(node.op, ast.Mult):
-                    return lv * rv
-                if isinstance(node.op, ast.Div):
-                    return lv / rv
-                if isinstance(node.op, ast.Pow):
-                    return lv ** rv
-            except (ZeroDivisionError, OverflowError):
-                return None
-        return None
-
     def _cond(self, node, scope: _Scope) -> str:
         if isinstance(node, ast.Compare):
-            cop = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
-                   ast.Eq: "==", ast.NotEq: "!="}.get(type(node.ops[0]))
+            cop = lower.CMPOPS.get(type(node.ops[0]))
             if cop is None or len(node.ops) != 1:
                 raise NativeUnsupported("unsupported comparison")
             return (
@@ -924,120 +750,50 @@ class _LoopEmitter:
 
     def _pow(self, base, expo, scope: _Scope) -> str:
         b = self._cx(base, scope)
-        v: Optional[float] = None
-        if isinstance(expo, ast.Constant) and isinstance(
-                expo.value, (int, float)) and not isinstance(expo.value, bool):
-            v = float(expo.value)
-        elif isinstance(expo, ast.Name):
-            nv = scope.ns.get(expo.id)
-            if isinstance(nv, (int, float, np.floating, np.integer)):
-                v = float(nv)
-        elif isinstance(expo, ast.UnaryOp) and isinstance(expo.op, ast.USub) \
-                and isinstance(expo.operand, ast.Constant):
-            v = -float(expo.operand.value)
-        # numpy *scalar* ``**`` (the interpreter oracle) is plain libm
-        # pow()/powf() — unlike array ``**``, whose small-exponent fast
-        # paths (np.square, sqrt, reciprocal) round differently by one
-        # ulp on some inputs.  Only the exponents where pow() is exact
-        # by IEEE (x**0 == 1, x**1 == x) may fold.
-        if v is not None:
-            if v == 0.0:
-                return self._lit(1.0)
-            if v == 1.0:
-                return b
-            return f"pow{self.sfx}({b}, {self._lit(v)})"
-        return f"kc_pow{self.sfx}({b}, {self._cx(expo, scope)})"
-
-    def _callee(self, func, scope: _Scope):
-        if isinstance(func, ast.Name):
-            if func.id in scope.ns:
-                return scope.ns[func.id]
-            return getattr(builtins, func.id, None)
-        if isinstance(func, ast.Attribute):
-            base = self._callee(func.value, scope)
-            if base is None:
-                return None
-            return getattr(base, func.attr, None)
-        return None
+        op, e = lower.pow_op(expo, scope.constant)
+        if op is None:
+            return self.lit.c(1.0) if e == 0.0 else b
+        e = self._cx(expo, scope) if e is None else self.lit.c(e)
+        return op.c.format(b, e, f=self.sfx)
 
     def _call(self, node: ast.Call, scope: _Scope) -> str:
-        fn = self._callee(node.func, scope)
-        if fn is None or node.keywords:
-            raise NativeUnsupported("unresolvable or keyword call")
-        a = [self._cx(arg, scope) for arg in node.args[1:]]
-
-        def arg0() -> str:
-            return self._cx(node.args[0], scope)
-
-        if fn in (np.sqrt, _intrinsics.vsqrt):
-            return f"sqrt{self.sfx}({arg0()})"
-        if fn in (np.abs, np.absolute, builtins.abs, _intrinsics.vabs):
-            return f"fabs{self.sfx}({arg0()})"
-        if fn in (np.minimum, _intrinsics.vmin):
-            return f"kc_fmin{self.sfx}({arg0()}, {a[0]})"
-        if fn in (np.maximum, _intrinsics.vmax):
-            return f"kc_fmax{self.sfx}({arg0()}, {a[0]})"
-        if fn is builtins.min and len(node.args) == 2:
-            return f"kc_pymin{self.sfx}({arg0()}, {a[0]})"
-        if fn is builtins.max and len(node.args) == 2:
-            return f"kc_pymax{self.sfx}({arg0()}, {a[0]})"
-        if fn is _intrinsics.select:
-            return (
-                f"({self._cond(node.args[0], scope)} ? {a[0]} : {a[1]})"
-            )
-        if fn is _intrinsics.vfma:
-            return f"(({arg0()} * {a[0]}) + {a[1]})"
-        if fn is _intrinsics.vrecip:
-            return f"({self._lit(1.0)} / {arg0()})"
-        raise NativeUnsupported(
-            f"call to {getattr(fn, '__name__', fn)!r} in expression position"
-        )
+        op = lower.op_for(lower.callee(node.func, scope.ns))
+        if op is None or op.c is None or node.keywords or (
+                op.arity is not None and len(node.args) != op.arity):
+            raise NativeUnsupported(
+                f"call {ast.unparse(node.func)!r} has no C lowering")
+        args = [self._cond(a, scope) if op.test and i == 0
+                else self._cx(a, scope) for i, a in enumerate(node.args)]
+        return op.c.format(*args, f=self.sfx, one=self.lit.c(1.0))
 
     # -- helper inlining ------------------------------------------------
-    def _inline_helper(self, call: ast.Call, targets: List[str],
-                       scope: _Scope, out: List[str], ind: str) -> None:
-        fn = self._callee(call.func, scope)
-        n = self._hc
+    def _helper(self, node, scope: _Scope) -> Optional[lower.Helper]:
+        """The lane-safe helper a statement-level call invokes, if any."""
+        if not isinstance(node, ast.Call):
+            return None
+        fn = lower.callee(node.func, scope.ns)
+        h = lower.helper(fn) if lower.op_for(fn) is None else None
+        return h if h is not None and is_lane_safe_helper(fn) else None
+
+    def _inline_helper(self, h: lower.Helper, call: ast.Call,
+                       targets: List[str], scope: _Scope, out: List[str],
+                       ind: str) -> None:
+        pf = f"h{self._hc}_"
         self._hc += 1
-        pf = f"h{n}_"
-        tree = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
-        params = [p.arg for p in tree.args.args]
-        if len(params) != len(call.args):
+        if len(h.params) != len(call.args) or len(h.returns) != len(targets):
             raise NativeUnsupported(
-                f"helper {fn.__name__}: argument count mismatch"
-            )
-        hscope = _Scope(ns=function_namespace(fn))
-        out.append(f"{ind}/* inlined {fn.__name__}() */")
-        for p, anode in zip(params, call.args):
+                f"helper {h.name}: {len(call.args)} arguments / "
+                f"{len(targets)} targets do not match its signature")
+        hscope = _Scope(ns=h.ns)
+        out.append(f"{ind}/* inlined {h.name}() */")
+        for p, anode in zip(h.params, call.args):
             cn = pf + p
             out.append(f"{ind}const {self.ft} {cn} = {self._cx(anode, scope)};")
             hscope.rename[p] = cn
-        rets: Optional[List[ast.expr]] = None
-        for st in tree.body:
-            if isinstance(st, ast.Expr) and isinstance(st.value, ast.Constant):
-                continue  # docstring
-            if isinstance(st, ast.Return):
-                if st.value is None:
-                    raise NativeUnsupported(
-                        f"helper {fn.__name__}: bare return"
-                    )
-                rets = (list(st.value.elts)
-                        if isinstance(st.value, ast.Tuple) else [st.value])
-                break
-            if not isinstance(st, ast.Assign):
-                raise NativeUnsupported(
-                    f"helper {fn.__name__}: non-assign statement"
-                )
-            self._helper_assign(st, pf, hscope, scope, out, ind)
-        if rets is None:
-            raise NativeUnsupported(f"helper {fn.__name__}: missing return")
-        if len(rets) != len(targets):
-            raise NativeUnsupported(
-                f"helper {fn.__name__}: returns {len(rets)} values into "
-                f"{len(targets)} targets"
-            )
+        for st in h.body:
+            self._helper_assign(st, pf, hscope, out, ind)
         tmps = []
-        for i, rv in enumerate(rets):
+        for i, rv in enumerate(h.returns):
             tn = f"{pf}r{i}"
             out.append(f"{ind}const {self.ft} {tn} = {self._cx(rv, hscope)};")
             tmps.append(tn)
@@ -1046,14 +802,8 @@ class _LoopEmitter:
                        else f"{ind}{self._store(tgt, scope, '=', tn)}")
 
     def _helper_assign(self, st: ast.Assign, pf: str, hscope: _Scope,
-                       kscope: _Scope, out: List[str], ind: str) -> None:
-        tgt = st.targets[0]
-        if len(st.targets) != 1:
-            raise NativeUnsupported("helper: chained assignment")
-        names = ([t.id for t in tgt.elts] if isinstance(tgt, ast.Tuple)
-                 else [tgt.id] if isinstance(tgt, ast.Name) else None)
-        if names is None:
-            raise NativeUnsupported("helper: non-name assignment target")
+                       out: List[str], ind: str) -> None:
+        names = lower.target_names(st.targets[0])
 
         def bind(name: str) -> str:
             if name in hscope.rename:
@@ -1063,12 +813,12 @@ class _LoopEmitter:
             out.append(f"{ind}{self.ft} {cn};")
             return cn
 
-        if isinstance(st.value, ast.Call) and self._is_helper_in(
-                st.value, hscope):
-            self._inline_helper(st.value, [bind(n) for n in names],
+        inner = self._helper(st.value, hscope)
+        if inner is not None:
+            self._inline_helper(inner, st.value, [bind(n) for n in names],
                                 hscope, out, ind)
             return
-        if isinstance(tgt, ast.Tuple):
+        if isinstance(st.targets[0], ast.Tuple):
             if not isinstance(st.value, ast.Tuple) or \
                     len(st.value.elts) != len(names):
                 raise NativeUnsupported("helper: unsupported tuple assign")
@@ -1082,14 +832,6 @@ class _LoopEmitter:
                 out.append(f"{ind}{bind(name)} = {tn};")
             return
         out.append(f"{ind}{bind(names[0])} = {self._cx(st.value, hscope)};")
-
-    def _is_helper_in(self, node, scope: _Scope) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        fn = self._callee(node.func, scope)
-        if fn is None or fn in INTRINSICS_AND_MATH or not inspect.isfunction(fn):
-            return False
-        return is_lane_safe_helper(fn)
 
     # -- statements -----------------------------------------------------
     def _target_code(self, tgt, scope: _Scope) -> str:
@@ -1135,8 +877,7 @@ class _LoopEmitter:
         if isinstance(st, SAssign):
             self._assign(st, scope, out, ind)
         elif isinstance(st, SAug):
-            op = {ast.Add: "+=", ast.Sub: "-=", ast.Mult: "*=",
-                  ast.Div: "/="}.get(type(st.op))
+            op = lower.AUGOPS.get(type(st.op))
             if op is None:
                 raise NativeUnsupported("unsupported augmented assignment")
             rhs = self._cx(st.value, scope)
@@ -1177,33 +918,23 @@ class _LoopEmitter:
 
     def _assign(self, st: SAssign, scope: _Scope, out: List[str],
                 ind: str) -> None:
-        if len(st.targets) != 1:
-            tn = f"t{self._tc}"
-            self._tc += 1
-            out.append(f"{ind}const {self.ft} {tn} = {self._cx(st.value, scope)};")
-            for tgt in st.targets:
-                out.append(f"{ind}{self._store(tgt, scope, '=', tn)}")
-            return
-        tgt = st.targets[0]
+        (tgt,) = st.targets
         # Array aliasing: ``x1 = x[k]`` binds a row, emits nothing.
         if isinstance(tgt, ast.Name) and isinstance(st.value, ast.Subscript):
             r = self._resolve_access(st.value, scope)
-            if r[0] == "alias":
-                scope.aliases[tgt.id] = ("arg", r[1], r[2])
-                return
-            if r[0] == "nsarr":
-                scope.aliases[tgt.id] = ("ns", r[1])
+            if r[0] in ("alias", "nsarr"):
+                scope.aliases[tgt.id] = _alias(r)
                 return
         # Helper call: inline at statement level.
-        if isinstance(st.value, ast.Call) and self._is_helper_in(
-                st.value, scope):
+        h = self._helper(st.value, scope)
+        if h is not None:
             # Locals resolve now (binding order); stores at the end.
             targets = [
                 t if isinstance(t, ast.Subscript)
                 else self._target_code(t, scope)
                 for t in (tgt.elts if isinstance(tgt, ast.Tuple) else [tgt])
             ]
-            self._inline_helper(st.value, targets, scope, out, ind)
+            self._inline_helper(h, st.value, targets, scope, out, ind)
             return
         if isinstance(tgt, ast.Tuple):
             if not isinstance(st.value, ast.Tuple) or \
@@ -1225,10 +956,7 @@ class _LoopEmitter:
                 if kind == "alias":
                     if not isinstance(t, ast.Name):
                         raise NativeUnsupported("array alias into subscript")
-                    if val[0] == "alias":
-                        scope.aliases[t.id] = ("arg", val[1], val[2])
-                    else:
-                        scope.aliases[t.id] = ("ns", val[1])
+                    scope.aliases[t.id] = _alias(val)
                 else:
                     out.append(f"{ind}{self._store(t, scope, '=', val)}")
             return
@@ -1470,7 +1198,7 @@ class _LoopEmitter:
                 red = self._red(spec)
                 acc = self.bl.args[argpos].access
                 maxlit = "FLT_MAX" if self.ft == "float" else "DBL_MAX"
-                ident = {"INC": self._lit(0.0), "MIN": maxlit,
+                ident = {"INC": self.lit.c(0.0), "MIN": maxlit,
                          "MAX": f"(-{maxlit})"}[acc.name]
                 fmin, fmax = f"kc_fmin{self.sfx}", f"kc_fmax{self.sfx}"
                 comb = {
@@ -1659,16 +1387,6 @@ class _LoopEmitter:
             f"        kc_loop{j}_fold(P);",
             "    }",
         ]
-
-
-#: Call targets that are *not* inlinable helpers (resolved specially).
-INTRINSICS_AND_MATH = frozenset(
-    {np.sqrt, np.abs, np.absolute, np.minimum, np.maximum,
-     builtins.abs, builtins.min, builtins.max,
-     _intrinsics.select, _intrinsics.vmin, _intrinsics.vmax,
-     _intrinsics.vabs, _intrinsics.vsqrt, _intrinsics.vfma,
-     _intrinsics.vrecip}
-)
 
 
 _PREAMBLE = """\
@@ -1935,357 +1653,6 @@ def _emit_repeat(repeat, ptab: _PointerTable, threaded: bool) -> List[str]:
     ]
 
 
-def source_key(source: str) -> str:
-    """Content hash of an emitted TU — the native cache key.  Everything
-    behavior-affecting (kernel bodies, strides, layouts, extents, loop
-    ranges, constants) is baked into the source text, so equal keys mean
-    interchangeable shared objects."""
-    return hashlib.sha256(source.encode()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Compilation + two-level (memory / disk) cache
-# ----------------------------------------------------------------------
-_CDEF = """
-void kc_loop_run(long long j, void **P, long long lo, long long hi);
-void kc_loop_init(long long j);
-void kc_loop_partial(long long j, void **P);
-void kc_run_fused(void **P);
-long long kc_run_repeat(void **P, long long max_trips, void *hist);
-int kc_threads(void);
-"""
-
-#: cc flags: IEEE-strict (no contraction, no reassociation) — the
-#: determinism contract depends on these.
-#: ``-fno-builtin-pow``: GCC otherwise expands ``pow(x, 2.0)`` into
-#: ``x * x`` at compile time, which rounds one ulp away from libm pow —
-#: the numpy-scalar semantics the oracle interpreter exhibits.
-CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off",
-          "-fno-builtin-pow", "-fno-builtin-powf"]
-#: Added for a TU with a loop lowered across elements:
-#: ``-fopenmp-simd`` honours ``omp simd`` (and no other OpenMP);
-#: ``-fno-math-errno`` lets ``sqrt`` be one instruction instead of a
-#: call that may set ``errno``, so it can vectorize; 256-bit vectors,
-#: no straight-line SLP and no vectorized epilogue cut the AVX-512
-#: build's extra time from ~0.25 to ~0.08 s on airfoil_large's TU, and
-#: keep scrambled Volna's gain.  None changes a result.  Plus the
-#: host's vector ISA (:func:`repro.simd.isa_flags`).  A compiler that
-#: rejects them builds the same source without, scalar, counted under
-#: ``scalar_builds``.
-LANE_FLAGS = ["-fopenmp-simd", "-fno-math-errno", "-mprefer-vector-width=256",
-              "-fno-tree-slp-vectorize", "--param", "vect-epilogues-nomask=0"]
-#: Added for a threaded TU.  A compiler that rejects it builds the same
-#: source without (pragmas ignored: one thread, the same bits), and the
-#: build is counted under ``serial_builds``.
-OPENMP_FLAGS = ["-fopenmp"]
-
-_stats = {
-    "compiles": 0,
-    "disk_hits": 0,
-    "mem_hits": 0,
-    "failures": 0,
-    "fallbacks": 0,
-    "program_hits": 0,
-}
-_mem_libs: Dict[str, tuple] = {}
-_cc_probe: Dict[tuple, Optional[str]] = {}
-#: ``(compiler, flag group)`` pairs seen rejected in this process.
-_rejected: set = set()
-#: Team size last observed by a threaded call; threaded TUs built
-#: without OpenMP, and TUs built without the lane flags, by reason.
-_threads: Dict[str, object] = {"threads": None, "serial_builds": {},
-                               "scalar_builds": {}}
-
-
-def native_cache_stats() -> Dict[str, int]:
-    """Counters for the native compile cache (6th runtime cache kind)."""
-    out = dict(_stats)
-    out["entries"] = len(_mem_libs)
-    return out
-
-
-def native_thread_stats() -> Dict[str, object]:
-    """``threads``: the OpenMP team size a threaded chain last ran with
-    (``None`` before any did); ``serial_builds``: threaded TUs compiled
-    without OpenMP, by reason; ``scalar_builds``: TUs compiled without
-    the lane flags, by reason; ``isa``: the vector ISA TUs target."""
-    return {"threads": _threads["threads"],
-            "serial_builds": dict(_threads["serial_builds"]),
-            "scalar_builds": dict(_threads["scalar_builds"]),
-            "isa": host_isa()}
-
-
-def _count_build(counter: str, reason: str) -> None:
-    builds = _threads[counter]
-    builds[reason] = builds.get(reason, 0) + 1
-
-
-def count_native_fallback() -> None:
-    """Record one chain/loop that fell back off the native path."""
-    _stats["fallbacks"] += 1
-
-
-def count_program_hit() -> None:
-    """Record one chain served by a program built for an earlier chain
-    of its shape: nothing emitted, hashed or loaded."""
-    _stats["program_hits"] += 1
-
-
-def reset_native_cache() -> None:
-    """Drop in-memory compiled libraries and zero the counters (tests).
-    The on-disk cache is left alone — remove ``native_cache_dir()`` to
-    clear it."""
-    from .. import store
-
-    _mem_libs.clear()
-    _cc_probe.clear()
-    _rejected.clear()
-    for k in _stats:
-        _stats[k] = 0
-    _threads["threads"] = None
-    _threads["serial_builds"] = {}
-    _threads["scalar_builds"] = {}
-    c = store.counters("native")
-    for k in c:
-        c[k] = 0
-
-
-def native_cache_dir() -> Path:
-    """Directory holding compiled ``.so``/``.c`` pairs.
-
-    Binaries live in the unified artifact store
-    (``$REPRO_CACHE_DIR/native/``) under a machine-fingerprint
-    subdirectory — compiled code is not portable across machines the
-    way pickled plan documents are.
-    """
-    from .. import store
-    from ..tune.signature import machine_fingerprint
-
-    return store.cache_root() / "native" / machine_fingerprint()
-
-
-def library_key(source: str, flags: Optional[Sequence[str]] = None) -> str:
-    """Disk key of one compiled TU: source content **plus the flags it
-    is compiled with** (default :data:`CFLAGS`).
-
-    Unlike :func:`source_key` (the pure source digest, the in-memory
-    key), the disk key folds in the compile flags: they are
-    behavior-affecting (``-fno-builtin-pow`` changes rounding, a
-    threaded TU built without ``-fopenmp`` runs on one thread), so a
-    flags change must invalidate every cached binary.
-    """
-    flags = CFLAGS if flags is None else flags
-    return hashlib.sha256(
-        "\x1f".join([source, *flags]).encode()
-    ).hexdigest()
-
-
-def _is_threaded(source: str) -> bool:
-    return "#pragma omp parallel" in source
-
-
-def _flag_groups(source: str) -> List[Tuple[str, List[str], str, str]]:
-    """The optional flag groups of a TU: ``(name, flags, counter,
-    reason)`` — the lane flags for a TU with a lowered loop, and
-    :data:`OPENMP_FLAGS` for a threaded one.  Without either the same
-    source builds and gives the same bits."""
-    groups = []
-    if "#pragma omp simd" in source:
-        lanes = LANE_FLAGS + isa_flags()
-        groups.append(("lanes", lanes, "scalar_builds",
-                       "no " + " ".join(lanes)))
-    if _is_threaded(source):
-        groups.append(("openmp", OPENMP_FLAGS, "serial_builds",
-                       "no -fopenmp"))
-    return groups
-
-
-def _compile_flags(source: str, cc: Optional[str]) -> List[str]:
-    """The flags a TU is built with: :data:`CFLAGS` plus each optional
-    group ``cc`` is not known to reject (a dropped one is counted)."""
-    flags = list(CFLAGS)
-    for name, group, counter, reason in _flag_groups(source):
-        if (cc, name) in _rejected:
-            _count_build(counter, reason)
-        else:
-            flags += group
-    return flags
-
-
-def _note_rejected(source: str, cc: str) -> bool:
-    """After a failed build: probe ``cc`` with each optional group not
-    yet known rejected, by building an empty shared object with it.
-    True when one is newly found rejected (a retry without it may
-    succeed); False means the source itself does not compile."""
-    found = False
-    for name, group, _, _ in _flag_groups(source):
-        if (cc, name) in _rejected:
-            continue
-        with tempfile.TemporaryDirectory() as tmp:
-            proc = subprocess.run(
-                [cc, *CFLAGS, *group, "-x", "c", "-", "-o",
-                 os.path.join(tmp, "probe.so")],
-                input="int kc_probe;\n", capture_output=True, text=True,
-            )
-        if proc.returncode != 0:
-            _rejected.add((cc, name))
-            found = True
-    return found
-
-
-def _so_checksum_ok(so_path: Path) -> bool:
-    """True when the ``.sum`` sidecar matches the binary's content."""
-    try:
-        data = so_path.read_bytes()
-        expected = so_path.with_suffix(".sum").read_bytes()
-        return hashlib.sha256(data).hexdigest().encode() == expected.strip()
-    except OSError:
-        return False
-
-
-def _find_cc() -> Optional[str]:
-    key = (os.environ.get("CC"), os.environ.get("PATH"))
-    if key in _cc_probe:
-        return _cc_probe[key]
-    cc = os.environ.get("CC")
-    if cc and shutil.which(cc):
-        _cc_probe[key] = shutil.which(cc)
-        return _cc_probe[key]
-    for cand in ("cc", "gcc", "clang"):
-        found = shutil.which(cand)
-        if found:
-            _cc_probe[key] = found
-            return found
-    _cc_probe[key] = None
-    return None
-
-
-def compiler_available() -> bool:
-    """Can this process compile and load native chains?
-
-    ``REPRO_NATIVE_DISABLE_CC=1`` forces False (the CI fallback job);
-    otherwise require both a C compiler on PATH and cffi.
-    """
-    if os.environ.get("REPRO_NATIVE_DISABLE_CC"):
-        return False
-    try:
-        import cffi  # noqa: F401
-    except ImportError:  # pragma: no cover - cffi is baked into the image
-        return False
-    return _find_cc() is not None
-
-
-def load_native_library(source: str):
-    """Compile (or fetch from cache) one TU; returns ``(ffi, lib, key)``."""
-    from .. import store
-
-    sha = source_key(source)
-    cached = _mem_libs.get(sha)
-    if cached is not None:
-        _stats["mem_hits"] += 1
-        return cached + (sha,)
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
-    disk_ok = not store.store_disabled("native")
-    cache_dir = native_cache_dir()
-    cc = _find_cc()
-    flags = _compile_flags(source, cc)
-    lib = _disk_load(ffi, cache_dir / f"{library_key(source, flags)}.so",
-                     disk_ok)
-    if lib is None:
-        if cc is None:
-            raise NativeUnsupported("no C compiler on PATH")
-        lib, err = _compile_and_load(ffi, cc, source, flags, cache_dir,
-                                     disk_ok)
-        if lib is None and _note_rejected(source, cc):
-            # The compiler rejects an optional flag group: the same
-            # source without it (serially, or scalar).
-            flags = _compile_flags(source, cc)
-            lib = _disk_load(
-                ffi, cache_dir / f"{library_key(source, flags)}.so", disk_ok
-            )
-            if lib is None:
-                lib, err = _compile_and_load(ffi, cc, source, flags,
-                                             cache_dir, disk_ok)
-        if lib is None:
-            _stats["failures"] += 1
-            raise NativeUnsupported(err)
-    _mem_libs[sha] = (ffi, lib)
-    return ffi, lib, sha
-
-
-def _disk_load(ffi, so_path: Path, disk_ok: bool):
-    """The cached binary at ``so_path``, or ``None`` (a miss, or a
-    corrupt artifact, which is removed)."""
-    from .. import store
-
-    if not disk_ok:
-        return None
-    if not so_path.exists():
-        store.bump("native", "disk_misses")
-        return None
-    # Verify the checksum sidecar before dlopen: a truncated .so can map
-    # cleanly and then SIGBUS at call time, so dlopen's own error path
-    # cannot be the integrity check.
-    if _so_checksum_ok(so_path):
-        try:
-            lib = ffi.dlopen(str(so_path))
-        except OSError:  # stale/foreign artifact: recompile
-            pass
-        else:
-            _stats["disk_hits"] += 1
-            store.bump("native", "disk_hits")
-            return lib
-    store.bump("native", "corrupt")
-    store.unlink_quiet(so_path)
-    store.unlink_quiet(so_path.with_suffix(".sum"))
-    return None
-
-
-def _compile_and_load(ffi, cc: str, source: str, flags: Sequence[str],
-                      cache_dir: Path, disk_ok: bool):
-    """Compile ``source`` with ``flags`` and load it: ``(lib, None)``,
-    or ``(None, error)`` when the compiler fails."""
-    from .. import store
-
-    lkey = library_key(source, flags)
-    so_path = cache_dir / f"{lkey}.so"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    if disk_ok:
-        # The .c rides along for debugging; the .so is the artifact.
-        store.atomic_write_bytes(cache_dir / f"{lkey}.c", source.encode())
-    fd, tmp_so = tempfile.mkstemp(
-        suffix=".part", prefix=f".{lkey[:12]}-", dir=str(cache_dir)
-    )
-    os.close(fd)
-    try:
-        proc = subprocess.run(
-            [cc, *flags, "-x", "c", "-", "-o", tmp_so, "-lm"],
-            input=source, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            return None, f"cc failed ({proc.returncode}): {proc.stderr[-800:]}"
-        _stats["compiles"] += 1
-        store.count_build("native")
-        if not disk_ok:
-            # Persistence disabled: load the private temp binary and
-            # unlink it (the dlopen mapping keeps it alive).
-            return ffi.dlopen(tmp_so), None
-        digest = hashlib.sha256(Path(tmp_so).read_bytes()).hexdigest()
-        os.replace(tmp_so, so_path)
-        store.atomic_write_bytes(so_path.with_suffix(".sum"), digest.encode())
-        store.bump("native", "writes")
-        store.lru_sweep(
-            cache_dir, store.max_entries_for("native"), "native", ["*.so"],
-        )
-        return ffi.dlopen(str(so_path)), None
-    finally:
-        if os.path.exists(tmp_so):
-            os.unlink(tmp_so)
-
-
 # ----------------------------------------------------------------------
 # Executable chain programs
 # ----------------------------------------------------------------------
@@ -2302,17 +1669,19 @@ class NativeChainProgram:
     kernel and the extent).
     """
 
-    def __init__(self, source: str, loops: Sequence,
-                 recipe: List[Tuple[int, int, str]],
+    def __init__(self, source: str, recipe: List[Tuple[int, int, str]],
                  buffers: Optional[Dict[int, object]] = None,
-                 verdicts: Sequence[Tuple[str, int, str, str]] = ()) -> None:
+                 verdicts: Sequence[Tuple[str, int, str, str]] = (),
+                 red_args: Sequence[List[Tuple[int, int]]] = ()) -> None:
         self.source = source
-        self.loops = tuple(loops)
+        self.loops: tuple = ()
         self.recipe = list(recipe)
+        #: ``(argpos, slot)`` of each loop's reduction Globals.
+        self.red_args = list(red_args)
         #: ``(kernel, elements, thread verdict, lane verdict)`` per loop
         #: (:class:`LoopVerdict`, :class:`LaneVerdict`).
         self.verdicts = list(verdicts)
-        self.threaded = _is_threaded(source)
+        self.threaded = is_threaded(source)
         #: Slots of buffers the program owns: owner ranges, and the
         #: reduction columns, allocated here.
         self._buffers = {
@@ -2321,22 +1690,6 @@ class NativeChainProgram:
         }
         self.ffi, self.lib, self.key = load_native_library(source)
         self._ptab = self.ffi.new("void *[]", max(1, len(recipe)))
-        #: (argpos, slot) reduction pairs per loop.
-        self.red_args = []
-        for j, bl in enumerate(self.loops):
-            reds = []
-            for i, arg in enumerate(bl.args):
-                if arg.is_global and arg.access.is_reduction:
-                    reds.append((i, self._slot_of(arg.dat._data)))
-            self.red_args.append(reds)
-
-    def _slot_of(self, array) -> int:
-        # Recompute the first-encounter slot assignment (matches the
-        # emitter's _PointerTable exactly).
-        for slot in range(len(self.recipe)):
-            if self._recipe_array(slot, self.loops) is array:
-                return slot
-        raise NativeUnsupported("reduction buffer missing from pointer table")
 
     def _recipe_array(self, slot: int, loops) -> np.ndarray:
         buffer = self._buffers.get(slot)
@@ -2375,7 +1728,7 @@ class NativeChainProgram:
             )
             hist = hist[:trips].copy()
         if self.threaded:
-            _threads["threads"] = int(self.lib.kc_threads())
+            note_threads(int(self.lib.kc_threads()))
         return hist
 
     def run_loop(self, j: int, lo: int, hi: int) -> None:
@@ -2423,10 +1776,8 @@ def build_chain_program(loops: Sequence, name: str = "chain",
     ptab, emitters, _ = plan
     verdicts = [(em.bl.kernel.name, em.bl.n, str(em.verdict), str(em.lanes))
                 for em in emitters]
-    program = NativeChainProgram(source, loops, ptab.recipe, ptab.buffers,
-                                 verdicts)
-    program.loops = ()
-    return program
+    return NativeChainProgram(source, ptab.recipe, ptab.buffers, verdicts,
+                              [em.red_args for em in emitters])
 
 
 def build_eager_program(kernel, args, n: int) -> NativeChainProgram:

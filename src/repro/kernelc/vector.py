@@ -14,14 +14,16 @@ Lowering rules
 --------------
 * Subscripts of batched arrays gain a leading full slice:
   ``q[0] -> q[:, 0]``, ``x[k][1] -> x[:, k][:, 1]``.
-* ``min``/``max`` builtins become the :func:`repro.simd.vmin` /
-  :func:`~repro.simd.vmax` intrinsics; conditional expressions become
-  :func:`~repro.simd.select` — the generated code speaks the same
-  branchless vocabulary the hand-written kernels did.
-* A lane-free select operand (a literal, a constant local) is cast to
-  the loop's compute dtype, as the native emitter types literals: the
-  scalar kernel keeps it a weak Python scalar, but ``np.where`` would
-  make it a float64 lane array that rounds float32 arithmetic in float64.
+* A call or operator over lane arrays becomes the lane form of its op
+  in :mod:`repro.kernelc.lower`'s table — the call as written
+  (``np.sqrt``, ``select``, helpers made only of such ops), or a
+  reserved ``_kc_<op>`` (builtin ``min``/``max`` with Python's tie and
+  NaN rule, ``**`` as C ``pow()``); an op without one at the loop's
+  compute dtype raises :class:`UnvectorizableKernel`.  A call over lane-free operands stays
+  the interpreter's own scalar call.  Conditional expressions become
+  ``_kc_select`` masks.
+* A lane-free select or ``min``/``max`` operand is cast to the compute
+  dtype (:class:`~repro.kernelc.lower.Literals`).
 * Branches are lowered to mask arithmetic: each ``if`` computes a lane
   mask, branch-local assignments get fresh names that are
   ``select``-merged at the join, and stores inside a branch become
@@ -53,8 +55,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..simd import intrinsics as _intrinsics
-from .ir import SAssign, SAug, SFor, SIf, KernelIR, UnvectorizableKernel
+from .ir import SAssign, SAug, SFor, SIf, KernelIR
+from .lower import (
+    AS_WRITTEN, BINOPS, LANE_FORMS, Literals, UnvectorizableKernel, callee,
+    helper, op_for, runs_as_written,
+)
+
 
 def _lane_select(mask, if_true, if_false):
     """Lane-wise select whose mask broadcasts over trailing axes.
@@ -72,32 +78,9 @@ def _lane_select(mask, if_true, if_false):
     return np.where(m, if_true, if_false)
 
 
-def _lane_pow(base, exp):
-    """Lane-wise power matching numpy *scalar* ``**`` bitwise.
-
-    The scalar interpreter (the bitwise oracle) evaluates ``a ** b`` on
-    ``np.float64`` scalars, which is plain C ``pow()``.  Array ``**``
-    instead fast-paths small exponents (``np.square``, ``sqrt``,
-    reciprocal), which rounds differently by one ulp on some inputs.
-    ``np.float_power`` takes the ``pow()`` path elementwise, so it is
-    the faithful vectorization for float64 operands; other dtypes keep
-    plain ``**`` (float32 has no pow-path vector primitive, and integer
-    ``**`` must stay integer).
-    """
-    if np.result_type(base, exp) == np.float64:
-        return np.float_power(base, exp)
-    return base ** exp
-
-
 #: Reserved names the generated source resolves against (injected into
 #: the exec namespace; user code never sees them).
-_RESERVED = {
-    "_kc_np": np,
-    "_kc_select": _lane_select,
-    "_kc_vmin": _intrinsics.vmin,
-    "_kc_vmax": _intrinsics.vmax,
-    "_kc_pow": _lane_pow,
-}
+_RESERVED = {"_kc_np": np, "_kc_select": _lane_select, **LANE_FORMS}
 
 _INDENT = "    "
 
@@ -154,7 +137,7 @@ class VectorEmitter:
                 f"the loop supplies {len(shapes)} arguments"
             )
         self.ir = ir
-        self.dtype = np.dtype(dtype).name
+        self.lit = Literals(dtype)
         #: Original names currently known to carry the lane axis:
         #: parameters, view aliases (``x1 = x[k]``), and any local
         #: computed from lane-carrying operands.  Deliberately
@@ -186,11 +169,19 @@ class VectorEmitter:
     def _typed(self, operand: ast.expr, batched: bool) -> ast.expr:
         """A select operand: lane arrays as they are, lane-free values
         cast to the compute dtype (see the module docstring)."""
-        if batched:
-            return operand
-        cast = ast.Attribute(value=_name("_kc_np"), attr=self.dtype,
-                             ctx=ast.Load())
-        return ast.Call(func=cast, args=[operand], keywords=[])
+        return operand if batched else self.lit.cast(operand)
+
+    def _lanes(self, op, operands) -> ast.expr:
+        """``op`` over ``(node, batched)`` operands, one of them lane
+        arrays: its reserved lane form."""
+        if op.lanes is None or self.lit.dtype not in op.lane_dtypes:
+            raise UnvectorizableKernel(
+                f"{self.ir.name}: {op.name} has no bitwise NumPy lane "
+                f"form at {self.lit.dtype}"
+            )
+        return _call(f"_kc_{op.name}", [
+            self._typed(n, b) if op.typed else n for n, b in operands
+        ])
 
     def _typed_name(self, ident: str, batched: bool) -> str:
         return _unparse(self._typed(_name(ident), batched))
@@ -215,10 +206,9 @@ class VectorEmitter:
         if isinstance(node, ast.BinOp):
             left, lb = self._rx(node.left, env)
             right, rb = self._rx(node.right, env)
-            if isinstance(node.op, ast.Pow) and (lb or rb):
-                # Lane-batched ``**`` must reproduce the *scalar*
-                # interpreter's pow (C pow()), not the array fast paths.
-                return _call("_kc_pow", [left, right]), True
+            op = BINOPS[type(node.op)]
+            if (lb or rb) and op.lanes is not AS_WRITTEN:
+                return self._lanes(op, [(left, lb), (right, rb)]), True
             return ast.BinOp(left=left, op=node.op, right=right), lb or rb
         if isinstance(node, ast.UnaryOp):
             operand, ob = self._rx(node.operand, env)
@@ -247,19 +237,17 @@ class VectorEmitter:
         if isinstance(node, ast.Call):
             args = [self._rx(a, env) for a in node.args]
             flag = any(a[1] for a in args)
-            func = node.func
-            if (
-                isinstance(func, ast.Name)
-                and func.id in ("min", "max")
-                and func.id not in self.ir.namespace
-            ):
-                # Builtin min/max only — a name resolving in the kernel's
-                # namespace (e.g. ``from numpy import min``) keeps its own
-                # (already validated) semantics.
-                name = "_kc_vmin" if func.id == "min" else "_kc_vmax"
-                return _call(name, [a[0] for a in args]), flag
+            fn = callee(node.func, self.ir.namespace)
+            op = op_for(fn)
+            if flag and op is None and not runs_as_written(helper(fn)):
+                raise UnvectorizableKernel(
+                    f"{self.ir.name}: helper {fn.__name__} is not the "
+                    f"same on lane arrays"
+                )
+            if flag and op is not None and op.lanes is not AS_WRITTEN:
+                return self._lanes(op, args), True
             return (
-                ast.Call(func=copy.deepcopy(func),
+                ast.Call(func=copy.deepcopy(node.func),
                          args=[a[0] for a in args], keywords=[]),
                 flag,
             )
@@ -381,9 +369,7 @@ class VectorEmitter:
             if op is None:
                 self._emit(f"{tgt} = {_unparse(value_rx)}")
             else:
-                aug = ast.AugAssign(
-                    target=_store_ctx(new_target), op=op, value=value_rx
-                )
+                aug = ast.AugAssign(target=new_target, op=op, value=value_rx)
                 self._emit(_unparse(aug))
             return
         if op is None:
@@ -566,12 +552,6 @@ class VectorEmitter:
         self.emit_block(self.ir.body, env, None)
         body = self.lines if self.lines else [_INDENT + "pass"]
         return "\n".join([header, doc] + body) + "\n"
-
-
-def _store_ctx(node: ast.expr) -> ast.expr:
-    dup = copy.deepcopy(node)
-    dup.ctx = ast.Store()
-    return dup
 
 
 def emit_vector_source(ir: KernelIR, shapes, dtype: str = "float64") -> str:

@@ -46,6 +46,12 @@ VIOLATIONS = [
             "def run(arg, idx, vals):\n"
             "    arg.dat.scatter_add(idx, vals)\n",
     }),
+    ("one_op_table", {
+        "src/repro/kernelc/native.py":
+            "def _call(fn, a, b):\n"
+            "    if fn is np.maximum:\n"
+            "        return f'kc_fmax({a}, {b})'\n",
+    }),
 ]
 
 

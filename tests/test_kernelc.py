@@ -115,14 +115,15 @@ class TestEmitter:
             b[2] = a[0] if a[1] > 0.5 else a[2]
 
         src = emit_vector_source(kernel_ir(kc_clamp), [(True, 3), (True, 3)])
-        assert "_kc_vmax(a[:, 0], 0.0)" in src
-        assert "_kc_vmin(a[:, 0], 1.0)" in src
+        # Builtin min/max keep Python's rule; the literal takes the dtype.
+        assert "_kc_max(a[:, 0], _kc_np.float64(0.0))" in src
+        assert "_kc_min(a[:, 0], _kc_np.float64(1.0))" in src
         assert "_kc_select(a[:, 1] > 0.5, a[:, 0], a[:, 2])" in src
 
     def test_min_shadowed_by_namespace_not_rewritten(self):
         # A name spelled ``min`` that resolves in the kernel's own
         # namespace keeps its semantics; only the builtin is lowered to
-        # the vmin intrinsic.
+        # Python's min rule.
         min = np.minimum  # noqa: A001 — deliberate shadow via closure
 
         def f(a, b):
@@ -130,7 +131,7 @@ class TestEmitter:
 
         ir = parse_kernel(f)
         src = emit_vector_source(ir, [(True, 2), (True, 1)])
-        assert "_kc_vmin" not in src
+        assert "_kc_min" not in src
         assert "min(a[:, 0], a[:, 1])" in src
         a = _batch((2,))
         b = np.zeros((LANES, 1))

@@ -10,10 +10,12 @@ The kernels below deliberately mix the constructs the emitters lower —
 polynomial arithmetic, math intrinsics, integer powers, comparisons,
 branches, indirect gathers/INC scatters and global reductions — and
 hypothesis drives the data: mesh sizes, layouts, RNG seeds, the float
-dtype (float64, and float32 as Volna runs) and spliced special values
-(signed zero, tiny magnitudes, exact integers).  Any
+dtype (float64, and float32 as Volna runs) and special values spliced
+into both operand columns (signed zeros, NaN, infinities, tiny
+magnitudes, exact integers).  Results are compared as bytes, so any
 emitter that rounds differently, reassociates, or mis-handles an edge
-value shows up as a one-ULP diff here long before it corrupts an app.
+value — a NaN's sign, a zero's — shows up here long before it corrupts
+an app.
 """
 
 import numpy as np
@@ -52,7 +54,8 @@ CASES = st.fixed_dictionaries({
     "layout": st.sampled_from(["aos", "soa"]),
     "dtype": st.sampled_from([np.float64, np.float32]),
     "special": st.sampled_from(
-        [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-8, 7.25]
+        [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-8, 7.25,
+         float("nan"), float("inf"), float("-inf")]
     ),
 })
 
@@ -110,7 +113,7 @@ def fz_gather_all(w, v, out):
 def _direct_problem(case):
     rng = np.random.default_rng(case["seed"])
     xd = rng.standard_normal((case["n"], 2))
-    xd[0, 0] = case["special"]
+    xd[0, 0] = xd[-1, 1] = case["special"]
     return xd
 
 
@@ -135,7 +138,7 @@ def _ring(case):
     e2n = Map(edges, nodes, 2, conn.astype(np.int64), "e2n")
     wd = rng.standard_normal((n, 1))
     xd = rng.standard_normal((n, 2))
-    xd[0, 0] = case["special"]
+    xd[0, 0] = xd[-1, 1] = case["special"]
     return nodes, edges, e2n, wd, xd
 
 
@@ -176,17 +179,17 @@ def _run_gather_all(backend, scheme, options, case):
 def _assert_legs_bitwise(run, case, label):
     ref = None
     for backend, scheme, options in LEGS:
-        got = run(backend, scheme, options, case)
+        with np.errstate(all="ignore"):  # NaN and inf specials
+            got = run(backend, scheme, options, case)
         if not isinstance(got, tuple):
             got = (got,)
         if ref is None:
             ref = got
             continue
         for r, g in zip(ref, got):
-            assert np.array_equal(r, g), (
+            assert r.tobytes() == g.tobytes(), (
                 f"{label}: backend {backend} diverged from sequential "
-                f"(case={case}, max|diff|="
-                f"{np.max(np.abs(np.asarray(r) - np.asarray(g)))})"
+                f"(case={case}):\n{r!r}\n{g!r}"
             )
 
 

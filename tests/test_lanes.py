@@ -48,6 +48,7 @@ from repro.core import (
 from repro.core.access import IDX_ALL, IDX_ID
 from repro.kernelc import compiler_available, emit_chain_source
 from repro.kernelc import native
+from repro.kernelc import build as kc_build
 from repro.kernelc.native import PACKET
 from repro.testing import spy_chains
 
@@ -216,7 +217,7 @@ class TestVerdicts:
         lanes, source = _lanes(build)
         assert lanes == {"ln_scale": "scalar: 64 elements < 65"}
         assert "omp" not in source
-        assert [g[0] for g in native._flag_groups(source)] == []
+        assert [g[0] for g in kc_build._flag_groups(source)] == []
 
     def test_reduction_column_is_lane_safe(self):
         """Threaded, a once-per-element reduction goes to a column —
@@ -232,8 +233,8 @@ class TestVerdicts:
             threads=True)
         assert lanes == {"ln_sum": "simd"}
         assert "kc_loop0_cfold(P, 0, 64);" in source
-        assert [g[0] for g in native._flag_groups(source)] == ["lanes",
-                                                               "openmp"]
+        assert [g[0] for g in kc_build._flag_groups(source)] == [
+            "lanes", "openmp"]
 
 
 # ----------------------------------------------------------------------

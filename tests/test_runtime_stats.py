@@ -306,7 +306,7 @@ class TestNativeCacheCounters:
 
     def test_compile_then_memory_hit(self, tmp_path, monkeypatch):
         from repro.kernelc import compiler_available, reset_native_cache
-        from repro.kernelc.native import native_cache_dir
+        from repro.kernelc import native_cache_dir
         import pytest
 
         if not compiler_available():

@@ -79,14 +79,14 @@ class TestIntrinsics:
         "select", "vabs", "vfma", "vmax", "vmin", "vrecip", "vsqrt",
     ])
     def test_kernelc_matches_them_by_identity(self, name):
-        # kernelc's front-end and C emitter recognise an intrinsic by the
-        # function object, so the package export must be that object.
-        from repro.kernelc.ir import INTRINSIC_FUNCTIONS
+        # kernelc's op table keys an intrinsic by the function object,
+        # so the package export must be that object.
+        from repro.kernelc.lower import OPS
         from repro.simd import intrinsics
 
         fn = getattr(simd, name)
         assert fn is getattr(intrinsics, name)
-        assert fn in INTRINSIC_FUNCTIONS
+        assert fn in OPS
 
 
 def _cpuinfo_isa():

@@ -111,6 +111,22 @@ class TestCorruptStore:
         dot = "store/plan/.00.pkl-tmp.part"
         assert after[dot] == before[dot]
 
+    def test_every_kind_gets_a_victim(self, tmp_path):
+        """The CI store: two plan documents beside a native triple and
+        more — a fraction alone would often spare every plan."""
+        root = tmp_path / "store"
+        (root / "plan").mkdir(parents=True)
+        (root / "native" / "host").mkdir(parents=True)
+        for i in range(2):
+            (root / "plan" / f"{i:02d}.pkl").write_bytes(b"plan" * 16)
+        for i in range(12):
+            (root / "native" / "host" / f"{i:02d}.so").write_bytes(b"so" * 32)
+        for seed in range(20):
+            touched = corrupt_store(root, 0.1, seed=seed)
+            kinds = {rel.split("/")[0] for rel in touched}
+            assert kinds == {"plan", "native"}, (seed, touched)
+            assert len(touched) == 2  # max(kinds, int(14 * 0.1))
+
     def test_empty_store(self, tmp_path):
         assert corrupt_store(tmp_path, 0.3, seed=7) == []
 
