@@ -235,6 +235,39 @@ class TestNativeGolden:
         assert "/* loop 2: res_calc, owner */" in source
         _assert_golden("native_airfoil_threaded_00_save_soln.c.txt", source)
 
+    def test_threaded_volna_chains(self):
+        """Scrambled float32 Volna above ``THREAD_MIN_ELEMENTS``: a float32
+        reduction column and its ``kc_loop<J>_cfold`` (``numerical_flux``'s
+        time-step ``min``), and float32 ``packet`` loops (``space_disc``)."""
+        from repro.apps.volna import VolnaSim
+        from repro.core import Runtime
+        from repro.kernelc import emit_chain_source
+        from repro.kernelc.native import THREAD_MIN_ELEMENTS
+        from repro.mesh import make_tri_mesh
+        from repro.mesh.renumber import scramble
+
+        rt = Runtime("vectorized")
+        chains = spy_chains(rt)
+        mesh = scramble(scramble(make_tri_mesh(130, 128), "cells", 3),
+                        "edges", 4)
+        sim = VolnaSim(mesh, runtime=rt, chained=True)
+        sim.run(1)
+        assert chains
+        sources = []
+        for i, compiled in enumerate(chains):
+            assert compiled.loops[0].n >= THREAD_MIN_ELEMENTS
+            source = emit_chain_source(compiled.loops,
+                                       name=f"volna_threaded{i:02d}")
+            first = compiled.loops[0].kernel.name
+            _assert_golden(f"native_volna_threaded_{i:02d}_{first}.c.txt",
+                           source)
+            sources.append(source)
+        text = "\n".join(sources)
+        assert "#pragma omp parallel" in text
+        assert "_cfold(void **P, i64 lo, i64 hi)" in text
+        assert "float *kc_col" in text
+        assert "packet(16)" in text
+
     def test_cache_key_tracks_source(self):
         """The on-disk .so key is the source hash: same text, same key;
         any textual drift (even one literal) is a new compilation."""
