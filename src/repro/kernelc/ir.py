@@ -132,6 +132,15 @@ class KernelIR:
     #: Every name bound in the kernel: parameters, locals, loop variables.
     local_names: Set[str] = field(default_factory=set)
 
+    def names(self) -> Set[str]:
+        """Every name the kernel binds or reads: what a printer's
+        generated identifiers (:class:`~repro.kernelc.lower.Names`)
+        must not take."""
+        return self.local_names | {
+            node.id for st in self.body for node in stmt_nodes(st)
+            if isinstance(node, ast.Name)
+        }
+
 
 # ----------------------------------------------------------------------
 # Helper-function validation.

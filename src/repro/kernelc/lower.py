@@ -12,7 +12,12 @@ statement structure, and :mod:`repro.kernelc.flops` prices from it:
   :class:`UnvectorizableKernel`, the loop runs scalar) and a flop price;
 * :class:`Literals` — how a constant meets the loop's compute dtype;
 * :func:`fold`, :func:`pow_op`, :func:`const_int` — compile-time values;
-* :func:`helper` — a branchless helper function, parsed once.
+* :func:`helper` — a branchless helper function, parsed once;
+* :class:`Names` — the identifiers a printer generates, disjoint from
+  the kernel's own;
+* :func:`reduction_updates` — which statement updates each reduction
+  component, how: the native column fold and the vectorized lane fold
+  replay it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ import ast
 import builtins
 import inspect
 import operator
+import re
 import textwrap
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Collection, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -143,6 +149,16 @@ _INDEX_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Mod, ast.FloorDiv)
 
 #: Reserved names of the lane forms in generated NumPy source.
 LANE_FORMS = {f"_kc_{op.name}": op.lanes for op in (MIN, MAX, POW)}
+#: The functions the C spellings call, float twins included (``sqrt``,
+#: ``sqrtf``, ...): a C local of one of these names would shadow it.
+C_CALLS = frozenset(
+    name + sfx
+    for op in (*OPS.values(), *BINOPS.values(), POW_CONST) if op.c
+    for name, f in re.findall(r"([A-Za-z_]\w*)(\{f\})?\(", op.c)
+    for sfx in (("", "f") if f else ("",))
+)
+#: The reductions :func:`reduction_updates` recognises as calls.
+MIN_MAX = (FMIN, FMAX, MIN, MAX)
 
 
 def callee(func: ast.expr, ns: Dict[str, object]):
@@ -393,3 +409,133 @@ def runs_as_written(h: Helper) -> bool:
             if op is not None and op.lanes is not AS_WRITTEN:
                 return False
     return True
+
+
+# ----------------------------------------------------------------------
+# Generated identifiers.
+# ----------------------------------------------------------------------
+class Names:
+    """The identifiers a printer gives out for one kernel: disjoint from
+    every name the kernel binds or reads (``kernel``), from ``reserved``
+    (what the printer spells itself) and from each other.
+
+    :meth:`fresh` numbers a family of names ``fmt.format(n)`` from
+    ``start``, skipping taken ones, so a kernel with no clash gets the
+    same names as a plain counter would give; :meth:`local` names a
+    kernel local in the target language."""
+
+    def __init__(self, kernel: Iterable[str], reserved=frozenset(),
+                 start: int = 0, generated=None) -> None:
+        self.kernel = frozenset(kernel)
+        self.reserved = reserved
+        #: A pattern of names the printer spells from slot numbers
+        #: (``d3``, ``kc_lo0``): a local of that shape is renamed.
+        self.generated = generated
+        self.given: set = set()
+        self._start = start
+        self._next: Dict[str, int] = {}
+
+    def _free(self, name: str) -> bool:
+        return not (name in self.kernel or name in self.reserved
+                    or name in self.given)
+
+    def fresh(self, fmt: str, family: str = "") -> str:
+        """The next free ``fmt.format(n)`` of ``family``'s count."""
+        n = self._next.get(family, self._start)
+        while not self._free(fmt.format(n)):
+            n += 1
+        self._next[family] = n + 1
+        name = fmt.format(n)
+        self.given.add(name)
+        return name
+
+    def prefix(self, fmt: str, family: str) -> str:
+        """A fresh ``fmt.format(n)`` that no name given or bound starts
+        with, so every name under it is fresh too."""
+        n = self._next.get(family, self._start)
+        while any(name.startswith(fmt.format(n))
+                  for name in (*self.kernel, *self.given)):
+            n += 1
+        self._next[family] = n + 1
+        return fmt.format(n)
+
+    def local(self, name: str) -> str:
+        """The target-language name of kernel local ``name``: itself,
+        ``_l``-suffixed when reserved or generated-shaped, ``_``-padded
+        past names already given."""
+        base = name if re.match(r"^[A-Za-z_]\w*$", name) else "loc"
+        if base in self.reserved or (self.generated is not None
+                                     and self.generated.match(base)):
+            base += "_l"
+        while base in self.given:
+            base += "_"
+        self.given.add(base)
+        return base
+
+
+# ----------------------------------------------------------------------
+# Reduction updates.
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Update:
+    """How one top-level statement updates a reduction component:
+    ``g[comp] op= operand`` (``op`` an :data:`AUGOPS` spelling, ``+=``
+    or ``-=``), or ``g[comp] = op(g[comp], operand)`` with ``op`` one of
+    :data:`MIN_MAX` — ``op(operand, g[comp])`` when ``operand_first``."""
+
+    param: str
+    comp: int
+    op: object
+    operand: ast.expr
+    operand_first: bool = False
+
+
+def reduction_updates(body, params: Collection[str], ns: Dict[str, object]
+                      ) -> Optional[Dict[int, Update]]:
+    """``index of a top-level statement -> Update`` for the reduction
+    parameters ``params`` of a kernel ``body``, when each of their
+    components is updated by one top-level statement and they appear
+    nowhere else; ``None`` otherwise.  Only then is "one operand per
+    element, replayed in element order" the same sequence of operations
+    as the serial loop's."""
+    from .ir import SAssign, SAug, stmt_nodes
+
+    def component(node) -> Optional[Tuple[str, int]]:
+        if isinstance(node, ast.Subscript) and isinstance(
+                node.value, ast.Name) and node.value.id in params:
+            comp = const_int(node.slice, ns.get)
+            return None if comp is None else (node.value.id, comp)
+        return None
+
+    found: Dict[int, Update] = {}
+    expected = 0
+    for i, st in enumerate(body):
+        update = None
+        if isinstance(st, SAug) and isinstance(st.op, (ast.Add, ast.Sub)):
+            target = component(st.target)
+            if target is not None:
+                update = Update(*target, AUGOPS[type(st.op)], st.value)
+                refs = 1
+        elif isinstance(st, SAssign) and len(st.targets) == 1 \
+                and isinstance(st.value, ast.Call) \
+                and len(st.value.args) == 2 and not st.value.keywords:
+            op = op_for(callee(st.value.func, ns))
+            target = component(st.targets[0])
+            a, b = st.value.args
+            if op in MIN_MAX and target is not None and (
+                    component(a), component(b)) in ((target, None),
+                                                    (None, target)):
+                first = component(a) is None
+                update = Update(*target, op, a if first else b, first)
+                refs = 2
+        if update is not None:
+            if any((u.param, u.comp) == (update.param, update.comp)
+                   for u in found.values()):
+                return None
+            found[i] = update
+            expected += refs
+    uses = sum(
+        1 for st in body for node in stmt_nodes(st)
+        if isinstance(node, ast.Name) and node.id in params
+    )
+    return found if uses == expected else None

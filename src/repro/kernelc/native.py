@@ -1,6 +1,6 @@
 """Native chain compilation: one C translation unit per loop chain.
 
-The second kernelc emitter.  :mod:`repro.kernelc.vector` derives
+The second kernelc printer.  :mod:`repro.kernelc.vector` derives
 batched NumPy kernels; this module lowers a whole *traced loop
 chain* — every :class:`~repro.core.chain.BoundLoop` of a
 :class:`~repro.core.chain.CompiledChain` — into a single C translation
@@ -11,6 +11,21 @@ the source text.  The TU is compiled once with the system C compiler
 and loaded through cffi's ABI mode; runtime data arrives per run as a
 flat ``void **`` pointer table, so the shared object itself is
 position- and process-independent and can be cached on disk.
+
+Each loop goes through three steps, once each:
+
+1. **lowering** (:func:`lower_loop`): one pass over the kernel IR
+   resolves the body to C text — subscripts to argument references,
+   aliases substituted, ``for`` loops unrolled, helpers inlined,
+   literals typed (:class:`~repro.kernelc.lower.Literals`), generated
+   names kept apart from the kernel's (:class:`~repro.kernelc.lower.
+   Names`) — into a :class:`LoweredLoop`: the scalar locals, every store
+   as a :class:`Store` record, the arguments read by value and the
+   reduction updates (:func:`~repro.kernelc.lower.reduction_updates`);
+2. **verdicts** (:func:`loop_verdict`, :func:`lane_verdict`): how the
+   loop runs, read off the argument specs and the lowered loop;
+3. **printing** (:class:`_Loop`): the loop shape the verdicts chose
+   around the lowered body, each store into the sink that shape needs.
 
 Determinism rationale
 ---------------------
@@ -57,7 +72,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -67,7 +82,7 @@ from ..core.plan import OwnerRanges, owner_ranges
 from . import lower
 from .build import is_threaded, load_native_library, note_threads
 from .cache import kernel_ir
-from .ir import SAssign, SAug, SFor, SIf, is_lane_safe_helper, stmt_nodes
+from .ir import SAssign, SAug, SFor, SIf, is_lane_safe_helper
 from .lower import NativeUnsupported, UnvectorizableKernel
 
 
@@ -86,20 +101,13 @@ _C_KEYWORDS = frozenset(
     sizeof static struct switch typedef union unsigned void volatile while
     _Bool""".split()
 )
-#: Identifiers the emitter itself generates inside a loop body.
-_EMITTER_NAMES = frozenset({"e", "l", "r", "lo", "hi", "P", "NAN", "INFINITY"})
-_GENERATED_RE = re.compile(r"^(?:[dmgv]\d+|i\d+|kc_\w+|h\d+_\w*)$")
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-def _cident(name: str, taken: set) -> str:
-    base = name if _IDENT_RE.match(name) else "loc"
-    if base in _C_KEYWORDS or base in _EMITTER_NAMES or _GENERATED_RE.match(base):
-        base += "_l"
-    while base in taken:
-        base += "_"
-    taken.add(base)
-    return base
+#: Names the printer spells inside a loop body or a TU: no kernel local
+#: may take one (it is renamed ``<name>_l``), no generated name either.
+_RESERVED = _C_KEYWORDS | lower.C_CALLS | frozenset(
+    {"e", "l", "r", "lo", "hi", "P", "NAN", "INFINITY", "i64", "DBL_MAX",
+     "FLT_MAX"})
+#: Names the printer spells from slot and argument numbers.
+_GENERATED_RE = re.compile(r"^(?:[dmgv]\d+|i\d+|kc_\w+)$")
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +180,8 @@ class _ArgSpec:
     extent: int
     ctype: str
     name: str
+    #: The target set's size, for an argument through a map.
+    targets: int = 0
 
 
 def _arg_spec(arg, loop_j: int, argpos: int, ptab: _PointerTable) -> _ArgSpec:
@@ -215,14 +225,15 @@ def _arg_spec(arg, loop_j: int, argpos: int, ptab: _PointerTable) -> _ArgSpec:
     )
     if arg.is_vector:
         return _ArgSpec("vector", slot, map_slot, arg.access, dat.dim,
-                        arg.map.arity, -1, dat.layout, extent, ctype, dat.name)
+                        arg.map.arity, -1, dat.layout, extent, ctype, dat.name,
+                        arg.map.to_set.size)
     return _ArgSpec("indirect", slot, map_slot, arg.access, dat.dim,
                     arg.map.arity, int(arg.index), dat.layout, extent, ctype,
-                    dat.name)
+                    dat.name, arg.map.to_set.size)
 
 
 # ----------------------------------------------------------------------
-# Name-resolution scope for the body translator
+# Name-resolution scope for the lowering pass
 # ----------------------------------------------------------------------
 @dataclass
 class _Scope:
@@ -231,6 +242,8 @@ class _Scope:
     aliases: Dict[str, tuple] = field(default_factory=dict)
     loops: Dict[str, int] = field(default_factory=dict)
     params: Dict[str, int] = field(default_factory=dict)
+    #: Names the kernel binds: never compile-time constants.
+    bound: frozenset = frozenset()
 
     def constant(self, name: str):
         """What ``name`` denotes at compile time: an unrolled loop
@@ -238,13 +251,14 @@ class _Scope:
         local, an alias or a parameter."""
         if name in self.loops:
             return self.loops[name]
-        if name in self.rename or name in self.aliases or name in self.params:
+        if name in self.rename or name in self.aliases \
+                or name in self.params or name in self.bound:
             return None
         return self.ns.get(name)
 
 
 def _alias(r: tuple) -> tuple:
-    """A scope alias for a partial subscript :meth:`_LoopEmitter.
+    """A scope alias for a partial subscript :meth:`_Lowering.
     _resolve_access` resolved: a parameter row, or a closure array."""
     return ("arg", r[1], r[2]) if r[0] == "alias" else ("ns", r[1])
 
@@ -338,264 +352,100 @@ class LaneVerdict:
         return f"scalar: {self.reason}" if self.kind == "scalar" else self.kind
 
 
-class _Unpacketable(Exception):
-    """A store the ordered scatter cannot defer (raised while emitting)."""
-
-
 # ----------------------------------------------------------------------
-# Per-loop emitter
+# The lowered loop
 # ----------------------------------------------------------------------
-class _LoopEmitter:
-    """Translates one bound loop (kernel + concrete args) to C."""
+@dataclass
+class Store:
+    """One store of a lowered body, ``lvalue op value;``: component
+    ``comp`` of argument ``argpos``, under ``depth`` enclosing branches.
+    ``operand``: for a reduction update, the value its column holds."""
 
-    def __init__(self, j: int, bl, ptab: _PointerTable) -> None:
+    argpos: int
+    comp: int
+    lvalue: str
+    op: str
+    value: str
+    depth: int
+    operand: Optional[str] = None
+
+
+@dataclass
+class Branch:
+    """``if cond { body } else { orelse }`` (``orelse`` ``None``: the
+    kernel's ``if`` has no ``else``)."""
+
+    cond: str
+    body: list
+    orelse: Optional[list]
+
+
+@dataclass
+class LoweredLoop:
+    """One loop's kernel body resolved to C text, once: what the
+    verdicts read and the printer prints around a loop shape."""
+
+    #: C lines, :class:`Store` and :class:`Branch` records, in program
+    #: order; a line is a statement without indentation.
+    body: list
+    #: The scalar locals' C names, in declaration order.
+    locals: List[str]
+    #: Every :class:`Store` of ``body``, branches included, in order.
+    stores: List[Store]
+    #: Argument positions the body reads by value.
+    value_reads: Set[int]
+    #: ``(argpos, comp, op, operand_first)`` of each reduction update
+    #: (:class:`~repro.kernelc.lower.Update`), in statement order;
+    #: ``None`` when a reduction is not updated once per element.
+    updates: Optional[List[Tuple[int, int, object, bool]]]
+    #: The loop's C compute type.
+    ft: str
+
+
+class _Lowering:
+    """The one pass over a loop's kernel IR that builds its
+    :class:`LoweredLoop` (:func:`lower_loop`)."""
+
+    def __init__(self, j: int, ir, specs: List["_ArgSpec"],
+                 lit: lower.Literals, ft: str) -> None:
         self.j = j
-        self.bl = bl
-        self.verdict = LoopVerdict("serial", "unthreaded TU")
-        #: Threaded-TU state set by :meth:`classify`: owner-guard group
-        #: per written argument, reduction statements lowered to columns.
-        self._guard_of: Dict[int, int] = {}
-        self._extents: List[int] = []
-        self._columns: Dict[int, Tuple[int, int, ast.expr]] = {}
-        self.col_slots: Dict[int, int] = {}
-        self.own_slot: Optional[int] = None
-        self._value_reads: set = set()
-        self.lanes = LaneVerdict("scalar", "unclassified")
-        #: Packet emission: the body's stores through maps in program
-        #: order, ``(argpos, comp, op)``, and the enclosing-branch depth.
-        self._sites: List[Tuple[int, int, str]] = []
-        self._branch = 0
-        try:
-            self.ir = kernel_ir(bl.kernel)
-        except UnvectorizableKernel as exc:
-            raise NativeUnsupported(
-                f"kernel {bl.kernel.name}: {exc}"
-            ) from exc
-        if len(self.ir.params) != len(bl.args):
-            raise NativeUnsupported(
-                f"kernel {bl.kernel.name}: {len(self.ir.params)} params vs "
-                f"{len(bl.args)} loop arguments"
-            )
-        self.specs = [
-            _arg_spec(arg, j, i, ptab) for i, arg in enumerate(bl.args)
+        self.ir = ir
+        self.specs = specs
+        self.lit = lit
+        self.ft = ft
+        self.sfx = lit.sfx
+        self.names = lower.Names(ir.names(), _RESERVED,
+                                 generated=_GENERATED_RE)
+        self.locals: List[str] = []
+        self.stores: List[Store] = []
+        self.value_reads: set = set()
+        self.depth = 0
+        self.block: list = []
+
+    def run(self) -> LoweredLoop:
+        ir = self.ir
+        red = {ir.params[k]: k for k, s in enumerate(self.specs)
+               if s.kind == "gred"}
+        found = lower.reduction_updates(ir.body, red, ir.namespace) \
+            if red else {}
+        scope = _Scope(ns=ir.namespace,
+                       params={p: i for i, p in enumerate(ir.params)},
+                       bound=frozenset(ir.local_names))
+        for i, st in enumerate(ir.body):
+            update = found.get(i) if found else None
+            if update is not None:
+                self._update(st, update, scope)
+            else:
+                self._stmt(st, scope)
+        updates = None if found is None else [
+            (red[u.param], u.comp, u.op, u.operand_first)
+            for _, u in sorted(found.items())
         ]
-        #: (argpos, slot) for every reduction-global argument.
-        self.red_args = [
-            (i, s.slot) for i, s in enumerate(self.specs) if s.kind == "gred"
-        ]
-        # One uniform floating compute type per loop.  NumPy's weak
-        # scalars keep a float32 kernel in float32 end to end; a loop
-        # mixing float32 and float64 arguments would promote mid-kernel
-        # in ways C can't mirror cheaply — punt to the fallback.
-        ftypes = {s.ctype for s in self.specs if s.ctype in ("double", "float")}
-        if len(ftypes) > 1:
-            raise NativeUnsupported(
-                f"kernel {bl.kernel.name}: mixed float32/float64 arguments"
-            )
-        self.ft = ftypes.pop() if ftypes else "double"
-        self.lit = lower.Literals("float32" if self.ft == "float"
-                                  else "float64")
-        self.sfx = self.lit.sfx
+        return LoweredLoop(self.block, self.locals, self.stores,
+                           self.value_reads, updates, self.ft)
 
-    # -- threading classification ----------------------------------------
-    def classify(self, ptab: _PointerTable) -> None:
-        """Decide how a threaded TU runs this loop; an ``owner`` loop
-        takes a facet slot, a threaded reduction a column slot each."""
-        v = self.verdict = self._verdict()
-        if v.kind == "owner":
-            self.own_slot = ptab.owner(v.facet.bounds, self.j)
-        elif v.kind == "direct":
-            for i, (argpos, _) in enumerate(self.red_args):
-                self.col_slots[argpos] = ptab.column(
-                    self.ft, i, self.bl.n * self.specs[argpos].dim
-                )
-
-    def _verdict(self) -> LoopVerdict:
-        def serial(reason: str, facet=None) -> LoopVerdict:
-            return LoopVerdict("serial", reason, facet)
-
-        bl = self.bl
-        specs = self.specs
-        n = bl.n
-        if any(s.kind == "gwrite" for s in specs):
-            return serial("scalar loop")
-        if n < THREAD_MIN_ELEMENTS:
-            return serial(f"{n} elements < {THREAD_MIN_ELEMENTS}")
-        if self.red_args:
-            columns = self._reduction_columns()
-            if columns is None:
-                return serial("reduction not once per element")
-        mapped, ind_w, dir_w = self._writes()
-        if not ind_w:
-            if any(s.slot in dir_w for s in mapped):
-                return serial("reads a Dat it writes, through a map")
-            self._columns = columns if self.red_args else {}
-            return LoopVerdict("direct")
-        if dir_w:
-            return serial("direct and indirect writes")
-        if self.red_args:
-            return serial("reduction in an owner loop")
-        if self._reads_scattered(ind_w):
-            return serial("reads a Dat it writes indirectly")
-        facet = self._owner_facet()
-        if facet.dup > OWNER_MAX_DUP:
-            return serial("non-local", facet)
-        for k, s in enumerate(specs):
-            if s.kind in ("indirect", "vector") and s.access.writes:
-                extent = bl.args[k].map.to_set.size
-                if extent not in self._extents:
-                    self._extents.append(extent)
-                self._guard_of[k] = self._extents.index(extent)
-        return LoopVerdict("owner", facet=facet)
-
-    def _writes(self):
-        """The mapped arguments, and the slots written through a map
-        and directly."""
-        mapped = [s for s in self.specs if s.kind in ("indirect", "vector")]
-        return (mapped, {s.slot for s in mapped if s.access.writes},
-                {s.slot for s in self.specs
-                 if s.kind == "direct" and s.access.writes})
-
-    def _reads_scattered(self, ind_w: set) -> bool:
-        """Does the body read a Dat it writes through a map (other than
-        through a vector ``INC``'s own zeroed accumulator)?  Emits the
-        body once to see its value reads."""
-        specs = self.specs
-        if any(
-            s.slot in ind_w and (
-                s.kind == "direct"
-                or s.access in (Access.READ, Access.RW)
-                or (s.kind == "vector" and s.access is not Access.INC)
-            )
-            for s in specs
-        ):
-            return True
-        self.emit()  # records the body's value reads of its arguments
-        return any(specs[k].kind == "indirect" and specs[k].access.writes
-                   for k in self._value_reads)
-
-    # -- lowering across elements -----------------------------------------
-    def classify_lanes(self) -> None:
-        """Decide how the loop maps onto vector lanes.  Runs after the
-        thread verdict: a reduction lowered to a column is lane-safe."""
-        self.lanes = self._lane_verdict()
-
-    def _lane_verdict(self) -> LaneVerdict:
-        def scalar(reason: str) -> LaneVerdict:
-            return LaneVerdict("scalar", reason)
-
-        specs = self.specs
-        if any(s.kind == "gwrite" for s in specs):
-            return scalar("scalar loop")
-        if self.bl.n < THREAD_MIN_ELEMENTS:
-            return scalar(f"{self.bl.n} elements < {THREAD_MIN_ELEMENTS}")
-        if self.red_args and not self._columns:
-            return scalar("reduction across elements")
-        mapped, ind_w, dir_w = self._writes()
-        if not mapped:
-            # A stream of rows: bound by memory traffic, and a third of
-            # a lowered airfoil step's build time when vectorized.
-            return scalar("no gather")
-        if any(s.slot in dir_w for s in mapped):
-            return scalar("reads a Dat it writes, through a map")
-        if not ind_w:
-            return LaneVerdict("simd")
-        if any(s.ctype != self.ft for s in mapped if s.access.writes):
-            return scalar("non-floating store through a map")
-        self.lanes = LaneVerdict("packet")
-        try:
-            if self._reads_scattered(ind_w):
-                return scalar("reads a Dat it writes indirectly")
-        except _Unpacketable as exc:
-            return scalar(str(exc))
-        return self.lanes
-
-    def _owner_facet(self) -> OwnerRanges:
-        """The plan's owner facet, or one computed for this loop when
-        its plan was built for other written columns."""
-        bl = self.bl
-        racing = [(a.map, a.index) for a in bl.args if a.races]
-        plan = getattr(bl, "plan", None)
-        if plan is not None and {(m._uid, i) for m, i in plan._racing} \
-                == {(m._uid, i) for m, i in racing}:
-            return plan.owner_ranges(OWNER_CHUNKS, bl.n)
-        return owner_ranges(racing, bl.n, 0, OWNER_CHUNKS)
-
-    def _reduction_columns(self):
-        """``id(stmt) -> (argpos, comp, value)`` for the statements that
-        update the loop's reductions, when each reduction component is
-        updated by one top-level statement — ``g[c] += x`` / ``-=``, or
-        ``g[c] = f(g[c], x)`` with ``f`` a min/max — and the reduction
-        arguments appear nowhere else; ``None`` otherwise.  Only then is
-        "store ``x`` per element, fold the column in element order" the
-        same sequence of operations as the serial loop."""
-        params = {self.ir.params[a]: a for a, _ in self.red_args}
-        scope = _Scope(ns=self.ir.namespace)
-
-        def component(node) -> Optional[Tuple[int, int]]:
-            if isinstance(node, ast.Subscript) and isinstance(
-                    node.value, ast.Name) and node.value.id in params:
-                comp = lower.const_int(node.slice, scope.constant)
-                return None if comp is None else (params[node.value.id], comp)
-            return None
-
-        found: Dict[int, Tuple[int, int, ast.expr]] = {}
-        expected = 0
-        for st in self.ir.body:
-            match = None
-            if isinstance(st, SAug) and isinstance(st.op, (ast.Add, ast.Sub)):
-                target = component(st.target)
-                if target is not None:
-                    match, refs = (*target, st.value), 1
-            elif isinstance(st, SAssign) and len(st.targets) == 1 \
-                    and isinstance(st.value, ast.Call) \
-                    and len(st.value.args) == 2 and not st.value.keywords \
-                    and lower.op_for(lower.callee(st.value.func, scope.ns)) \
-                    in (lower.FMIN, lower.FMAX, lower.MIN, lower.MAX):
-                target = component(st.targets[0])
-                a, b = st.value.args
-                if target is not None and (component(a), component(b)) in (
-                        (target, None), (None, target)):
-                    match = (*target, b if component(a) else a)
-                    refs = 2
-            if match is not None:
-                if any(m[:2] == match[:2] for m in found.values()):
-                    return None
-                found[id(st)] = match
-                expected += refs
-        uses = sum(
-            1 for st in self.ir.body for node in stmt_nodes(st)
-            if isinstance(node, ast.Name) and node.id in params
-        )
-        return found if uses == expected else None
-
-    # -- owner guards and reduction columns -----------------------------
-    def _owned(self, argpos: int, row: str) -> str:
-        """C condition under which an owner chunk stores through
-        ``row`` of a written mapped argument ("" when not guarded)."""
-        g = self._guard_of.get(argpos)
-        if g is None or self.verdict.kind != "owner":
-            return ""
-        return f"{row} >= kc_lo{g} && {row} < kc_hi{g}"
-
-    def _col_ref(self, argpos: int, comp: int) -> str:
-        dim = self.specs[argpos].dim
-        idx = "e" if dim == 1 else f"e * {dim} + {comp}"
-        return f"kc_col{self.col_slots[argpos]}[{idx}]"
-
-    # -- small helpers --------------------------------------------------
-    def _red(self, spec: _ArgSpec) -> str:
-        return f"kc_red{self.j}_{spec.slot}"
-
-    def _addr(self, spec: _ArgSpec, row: str, comp: int) -> str:
-        if spec.layout == "soa":
-            off = comp * spec.extent
-            idx = f"{row} + {off}" if off else row
-        elif spec.dim == 1:
-            idx = row
-        else:
-            idx = f"{row} * {spec.dim} + {comp}"
-        return f"d{spec.slot}[{idx}]"
+    def _emit(self, item) -> None:
+        self.block.append(item)
 
     # -- subscript resolution -------------------------------------------
     def _resolve_access(self, node, scope: _Scope):
@@ -661,7 +511,8 @@ class _LoopEmitter:
             raise NativeUnsupported("component subscript out of range")
         return ("lval", argpos, None, comp)
 
-    def _ns_access(self, arr: np.ndarray, idxs: List[int]):
+    @staticmethod
+    def _ns_access(arr: np.ndarray, idxs: List[int]):
         v = arr
         try:
             for i in idxs:
@@ -675,14 +526,14 @@ class _LoopEmitter:
     def _lvalue(self, argpos: int, slot_i, comp: int) -> str:
         spec = self.specs[argpos]
         if spec.kind == "direct":
-            return self._addr(spec, "e", comp)
+            return _addr(spec, "e", comp)
         if spec.kind == "indirect":
-            return self._addr(spec, f"i{argpos}", comp)
+            return _addr(spec, f"i{argpos}", comp)
         if spec.kind == "vector":
             return f"v{argpos}[{slot_i * spec.dim + comp}]"
         if spec.kind in ("gread", "gwrite"):
             return f"g{spec.slot}[{comp}]"
-        return f"{self._red(spec)}[{comp}]"  # gred
+        return f"{_red(self.j, spec)}[{comp}]"  # gred
 
     # -- expressions ----------------------------------------------------
     def _cx(self, node, scope: _Scope) -> str:
@@ -702,7 +553,7 @@ class _LoopEmitter:
         if isinstance(node, ast.Subscript):
             r = self._resolve_access(node, scope)
             if r[0] == "lval":
-                self._value_reads.add(r[1])
+                self.value_reads.add(r[1])
                 return self._lvalue(r[1], r[2], r[3])
             if r[0] == "elem":
                 return self.lit.c(r[1])
@@ -764,10 +615,14 @@ class _LoopEmitter:
                 f"call {ast.unparse(node.func)!r} has no C lowering")
         args = [self._cond(a, scope) if op.test and i == 0
                 else self._cx(a, scope) for i, a in enumerate(node.args)]
+        return self._spell(op, args)
+
+    def _spell(self, op: lower.Op, args: Sequence[str]) -> str:
         return op.c.format(*args, f=self.sfx, one=self.lit.c(1.0))
 
     # -- helper inlining ------------------------------------------------
-    def _helper(self, node, scope: _Scope) -> Optional[lower.Helper]:
+    @staticmethod
+    def _helper(node, scope: _Scope) -> Optional[lower.Helper]:
         """The lane-safe helper a statement-level call invokes, if any."""
         if not isinstance(node, ast.Call):
             return None
@@ -776,33 +631,33 @@ class _LoopEmitter:
         return h if h is not None and is_lane_safe_helper(fn) else None
 
     def _inline_helper(self, h: lower.Helper, call: ast.Call,
-                       targets: List[str], scope: _Scope, out: List[str],
-                       ind: str) -> None:
-        pf = f"h{self._hc}_"
-        self._hc += 1
+                       targets: list, scope: _Scope) -> None:
+        pf = self.names.prefix("h{}_", "h")
         if len(h.params) != len(call.args) or len(h.returns) != len(targets):
             raise NativeUnsupported(
                 f"helper {h.name}: {len(call.args)} arguments / "
                 f"{len(targets)} targets do not match its signature")
         hscope = _Scope(ns=h.ns)
-        out.append(f"{ind}/* inlined {h.name}() */")
+        self._emit(f"/* inlined {h.name}() */")
         for p, anode in zip(h.params, call.args):
             cn = pf + p
-            out.append(f"{ind}const {self.ft} {cn} = {self._cx(anode, scope)};")
+            self._emit(f"const {self.ft} {cn} = {self._cx(anode, scope)};")
             hscope.rename[p] = cn
         for st in h.body:
-            self._helper_assign(st, pf, hscope, out, ind)
+            self._helper_assign(st, pf, hscope)
         tmps = []
         for i, rv in enumerate(h.returns):
             tn = f"{pf}r{i}"
-            out.append(f"{ind}const {self.ft} {tn} = {self._cx(rv, hscope)};")
+            self._emit(f"const {self.ft} {tn} = {self._cx(rv, hscope)};")
             tmps.append(tn)
         for tgt, tn in zip(targets, tmps):
-            out.append(f"{ind}{tgt} = {tn};" if isinstance(tgt, str)
-                       else f"{ind}{self._store(tgt, scope, '=', tn)}")
+            if isinstance(tgt, str):
+                self._emit(f"{tgt} = {tn};")
+            else:
+                self._store(tgt, scope, "=", tn)
 
-    def _helper_assign(self, st: ast.Assign, pf: str, hscope: _Scope,
-                       out: List[str], ind: str) -> None:
+    def _helper_assign(self, st: ast.Assign, pf: str,
+                       hscope: _Scope) -> None:
         names = lower.target_names(st.targets[0])
 
         def bind(name: str) -> str:
@@ -810,13 +665,13 @@ class _LoopEmitter:
                 return hscope.rename[name]
             cn = pf + name
             hscope.rename[name] = cn
-            out.append(f"{ind}{self.ft} {cn};")
+            self._emit(f"{self.ft} {cn};")
             return cn
 
         inner = self._helper(st.value, hscope)
         if inner is not None:
             self._inline_helper(inner, st.value, [bind(n) for n in names],
-                                hscope, out, ind)
+                                hscope)
             return
         if isinstance(st.targets[0], ast.Tuple):
             if not isinstance(st.value, ast.Tuple) or \
@@ -824,100 +679,106 @@ class _LoopEmitter:
                 raise NativeUnsupported("helper: unsupported tuple assign")
             tmps = []
             for i, v in enumerate(st.value.elts):
-                tn = f"{pf}t{i}_{self._tc}"
-                self._tc += 1
-                out.append(f"{ind}const {self.ft} {tn} = {self._cx(v, hscope)};")
+                tn = self.names.fresh(f"{pf}t{i}_" + "{}", "t")
+                self._emit(f"const {self.ft} {tn} = {self._cx(v, hscope)};")
                 tmps.append(tn)
             for name, tn in zip(names, tmps):
-                out.append(f"{ind}{bind(name)} = {tn};")
+                self._emit(f"{bind(name)} = {tn};")
             return
-        out.append(f"{ind}{bind(names[0])} = {self._cx(st.value, hscope)};")
+        self._emit(f"{bind(names[0])} = {self._cx(st.value, hscope)};")
 
     # -- statements -----------------------------------------------------
-    def _target_code(self, tgt, scope: _Scope) -> str:
-        if isinstance(tgt, ast.Name):
-            scope.aliases.pop(tgt.id, None)
-            cn = scope.rename.get(tgt.id)
-            if cn is None:
-                raise NativeUnsupported(f"undeclared target {tgt.id!r}")
-            return cn
-        raise NativeUnsupported(
-            f"assignment target {type(tgt).__name__} unsupported"
-        )
+    def _local(self, tgt, scope: _Scope) -> str:
+        """The C name of a scalar local a statement binds (declared at
+        the loop's top, so an assignment in a branch stays visible)."""
+        if not isinstance(tgt, ast.Name):
+            raise NativeUnsupported(
+                f"assignment target {type(tgt).__name__} unsupported"
+            )
+        scope.aliases.pop(tgt.id, None)
+        cn = scope.rename.get(tgt.id)
+        if cn is None:
+            cn = scope.rename[tgt.id] = self.names.local(tgt.id)
+            self.locals.append(cn)
+        return cn
 
-    def _store(self, tgt, scope: _Scope, op: str, rhs) -> str:
+    def _store(self, tgt, scope: _Scope, op: str, rhs) -> None:
         """One store, ``target op rhs;``.  ``rhs`` is the value's C, or
-        a callable giving it once the target has resolved.  An owner
-        loop guards a store through a map; a packet loop captures it in
-        a packet column instead, for the ordered scatter."""
+        a callable giving it once the target has resolved."""
         if not isinstance(tgt, ast.Subscript):
-            target = self._target_code(tgt, scope)
-            return f"{target} {op} {rhs() if callable(rhs) else rhs};"
+            target = self._local(tgt, scope)
+            self._emit(f"{target} {op} {rhs() if callable(rhs) else rhs};")
+            return
         r = self._resolve_access(tgt, scope)
         if r[0] != "lval":
             raise NativeUnsupported("partial-array store target")
-        k = r[1]
         value = rhs() if callable(rhs) else rhs
-        if self.lanes.kind == "packet" and self.specs[k].kind == "indirect":
-            if self._branch:
-                raise _Unpacketable("store through a map under a branch")
-            self._sites.append((k, r[3], op))
-            return f"kc_s{len(self._sites) - 1}[kc_l] = {value};"
-        owned = self._owned(k, f"i{k}")
-        guard = f"if ({owned}) " if owned else ""
-        return f"{guard}{self._lvalue(k, r[2], r[3])} {op} {value};"
+        self._record(Store(r[1], r[3], self._lvalue(*r[1:]), op, value,
+                           self.depth))
 
-    def _stmt(self, st, scope: _Scope, out: List[str], ind: str) -> None:
-        column = self._columns.get(id(st))
-        if column is not None:
-            argpos, comp, value = column
-            out.append(f"{ind}{self._col_ref(argpos, comp)} = "
-                       f"{self._cx(value, scope)};")
-            return
+    def _record(self, store: Store) -> None:
+        self.stores.append(store)
+        self._emit(store)
+
+    def _update(self, st, update: lower.Update, scope: _Scope) -> None:
+        """A reduction update (:func:`~repro.kernelc.lower.
+        reduction_updates`): a store that keeps its operand apart, for
+        a loop that stores it into a column instead."""
+        r = self._resolve_access(
+            st.target if isinstance(st, SAug) else st.targets[0], scope)
+        target = self._lvalue(*r[1:])
+        x = self._cx(update.operand, scope)
+        if isinstance(update.op, str):
+            op, value = update.op, x
+        else:
+            op = "="
+            value = self._spell(update.op, (x, target) if
+                                update.operand_first else (target, x))
+        self._record(Store(r[1], r[3], target, op, value, self.depth, x))
+
+    def _stmt(self, st, scope: _Scope) -> None:
         if isinstance(st, SAssign):
-            self._assign(st, scope, out, ind)
+            self._assign(st, scope)
         elif isinstance(st, SAug):
             op = lower.AUGOPS.get(type(st.op))
             if op is None:
                 raise NativeUnsupported("unsupported augmented assignment")
-            rhs = self._cx(st.value, scope)
-            out.append(f"{ind}{self._store(st.target, scope, op, rhs)}")
+            self._store(st.target, scope, op, self._cx(st.value, scope))
         elif isinstance(st, SFor):
             if st.var in scope.loops:
                 raise NativeUnsupported(f"loop variable {st.var!r} reused")
             span = range(st.start, st.stop, st.step)
             if len(span) > 4096:
                 raise NativeUnsupported("dim loop too large to unroll")
-            out.append(f"{ind}/* for {st.var} in "
+            self._emit(f"/* for {st.var} in "
                        f"range({st.start}, {st.stop}, {st.step}) */")
             for v in span:
                 scope.loops[st.var] = v
                 for inner in st.body:
-                    self._stmt(inner, scope, out, ind)
+                    self._stmt(inner, scope)
             scope.loops.pop(st.var, None)
         elif isinstance(st, SIf):
             before = dict(scope.aliases)
-            out.append(f"{ind}if {self._cond(st.test, scope)} {{")
-            self._branch += 1
-            for inner in st.body:
-                self._stmt(inner, scope, out, ind + "    ")
-            if scope.aliases != before:
-                raise NativeUnsupported("alias binding inside a branch")
-            if st.orelse:
-                out.append(f"{ind}}} else {{")
-                for inner in st.orelse:
-                    self._stmt(inner, scope, out, ind + "    ")
+            branch = Branch(self._cond(st.test, scope), [],
+                            [] if st.orelse else None)
+            self._emit(branch)
+            outer = self.block
+            self.depth += 1
+            for block, stmts in ((branch.body, st.body),
+                                 (branch.orelse, st.orelse)):
+                self.block = block
+                for inner in stmts:
+                    self._stmt(inner, scope)
                 if scope.aliases != before:
                     raise NativeUnsupported("alias binding inside a branch")
-            self._branch -= 1
-            out.append(f"{ind}}}")
+            self.depth -= 1
+            self.block = outer
         else:
             raise NativeUnsupported(
                 f"statement {type(st).__name__} has no native lowering"
             )
 
-    def _assign(self, st: SAssign, scope: _Scope, out: List[str],
-                ind: str) -> None:
+    def _assign(self, st: SAssign, scope: _Scope) -> None:
         (tgt,) = st.targets
         # Array aliasing: ``x1 = x[k]`` binds a row, emits nothing.
         if isinstance(tgt, ast.Name) and isinstance(st.value, ast.Subscript):
@@ -930,11 +791,10 @@ class _LoopEmitter:
         if h is not None:
             # Locals resolve now (binding order); stores at the end.
             targets = [
-                t if isinstance(t, ast.Subscript)
-                else self._target_code(t, scope)
+                t if isinstance(t, ast.Subscript) else self._local(t, scope)
                 for t in (tgt.elts if isinstance(tgt, ast.Tuple) else [tgt])
             ]
-            self._inline_helper(h, st.value, targets, scope, out, ind)
+            self._inline_helper(h, st.value, targets, scope)
             return
         if isinstance(tgt, ast.Tuple):
             if not isinstance(st.value, ast.Tuple) or \
@@ -948,9 +808,8 @@ class _LoopEmitter:
                     if r[0] in ("alias", "nsarr"):
                         tmps.append(("alias", r))
                         continue
-                tn = f"t{self._tc}"
-                self._tc += 1
-                out.append(f"{ind}const {self.ft} {tn} = {self._cx(v, scope)};")
+                tn = self.names.fresh("t{}", "t")
+                self._emit(f"const {self.ft} {tn} = {self._cx(v, scope)};")
                 tmps.append(("tmp", tn))
             for t, (kind, val) in zip(tgt.elts, tmps):
                 if kind == "alias":
@@ -958,92 +817,271 @@ class _LoopEmitter:
                         raise NativeUnsupported("array alias into subscript")
                     scope.aliases[t.id] = _alias(val)
                 else:
-                    out.append(f"{ind}{self._store(t, scope, '=', val)}")
+                    self._store(t, scope, "=", val)
             return
-        out.append(ind + self._store(
-            tgt, scope, "=", lambda: self._cx(st.value, scope)))
+        self._store(tgt, scope, "=", lambda: self._cx(st.value, scope))
 
-    # -- locals pre-pass -------------------------------------------------
-    def _collect_locals(self) -> List[str]:
-        """Ordered scalar local names (aliases and loop vars excluded)."""
-        names: List[str] = []
-        depth: Dict[str, int] = {}  # alias name -> remaining subscripts
 
-        def need(name: str) -> Optional[int]:
-            """How many subscripts until ``name`` yields a scalar."""
-            if name in depth:
-                return depth[name]
-            if name in self._kscope.params:
-                spec = self.specs[self._kscope.params[name]]
-                return 2 if spec.kind == "vector" else 1
-            v = self.ir.namespace.get(name)
-            if isinstance(v, np.ndarray):
-                return v.ndim
-            return None
+def lower_loop(j: int, ir, specs: List["_ArgSpec"], lit: lower.Literals,
+               ft: str) -> LoweredLoop:
+    """Loop ``j``'s kernel ``ir`` over its argument ``specs``, resolved
+    to C text at compute type ``ft`` in one pass."""
+    return _Lowering(j, ir, specs, lit, ft).run()
 
-        def sub_depth(node) -> Tuple[Optional[str], int]:
-            levels = 0
-            while isinstance(node, ast.Subscript):
-                levels += 1
-                node = node.value
-            if isinstance(node, ast.Name):
-                return node.id, levels
-            return None, levels
 
-        def add(name: str) -> None:
-            depth.pop(name, None)
-            if name not in names:
-                names.append(name)
+# ----------------------------------------------------------------------
+# Verdicts
+# ----------------------------------------------------------------------
+def _writes(specs):
+    """The mapped arguments, and the slots written through a map and
+    directly."""
+    mapped = [s for s in specs if s.kind in ("indirect", "vector")]
+    return (mapped, {s.slot for s in mapped if s.access.writes},
+            {s.slot for s in specs
+             if s.kind == "direct" and s.access.writes})
 
-        def scan_assign(tgt, value) -> None:
-            if isinstance(tgt, ast.Tuple):
-                elts_v = (value.elts if isinstance(value, ast.Tuple)
-                          else [None] * len(tgt.elts))
-                for t, v in zip(tgt.elts, elts_v):
-                    scan_assign(t, v)
-                return
-            if not isinstance(tgt, ast.Name):
-                return
-            if isinstance(value, ast.Subscript):
-                base, levels = sub_depth(value)
-                needed = need(base) if base else None
-                if needed is not None and levels < needed:
-                    depth[tgt.id] = needed - levels
-                    return
-            add(tgt.id)
 
-        def walk(stmts) -> None:
-            for st in stmts:
-                if isinstance(st, SAssign):
-                    for tgt in st.targets:
-                        scan_assign(tgt, st.value)
-                elif isinstance(st, SFor):
-                    walk(st.body)
-                elif isinstance(st, SIf):
-                    walk(st.body)
-                    walk(st.orelse)
-        walk(self.ir.body)
-        # Recursive closures hold their own cells: clear them, so the
-        # emitter and the loops it read die by reference counting.
-        del scan_assign, walk
-        return names
+def _rereads(specs, ind_w: set) -> bool:
+    """Does an argument read a Dat the loop writes through a map (other
+    than a vector ``INC``'s own zeroed accumulator)?"""
+    return any(
+        s.slot in ind_w and (
+            s.kind == "direct"
+            or s.access in (Access.READ, Access.RW)
+            or (s.kind == "vector" and s.access is not Access.INC)
+        )
+        for s in specs
+    )
 
-    # -- whole-loop emission ---------------------------------------------
+
+def _reads_scattered(specs, lowered: LoweredLoop) -> bool:
+    """Does the body read, by value, an argument it writes through a
+    map?"""
+    return any(specs[k].kind == "indirect" and specs[k].access.writes
+               for k in lowered.value_reads)
+
+
+def loop_verdict(specs, lowered: LoweredLoop, n: int,
+                 facet: Callable[[], OwnerRanges]) -> LoopVerdict:
+    """How a threaded TU runs a loop of ``n`` elements; ``facet`` gives
+    its owner ranges (computed only for a loop that could use them)."""
+    def serial(reason: str, facet=None) -> LoopVerdict:
+        return LoopVerdict("serial", reason, facet)
+
+    if any(s.kind == "gwrite" for s in specs):
+        return serial("scalar loop")
+    if n < THREAD_MIN_ELEMENTS:
+        return serial(f"{n} elements < {THREAD_MIN_ELEMENTS}")
+    reducing = any(s.kind == "gred" for s in specs)
+    if reducing and lowered.updates is None:
+        return serial("reduction not once per element")
+    mapped, ind_w, dir_w = _writes(specs)
+    if not ind_w:
+        if any(s.slot in dir_w for s in mapped):
+            return serial("reads a Dat it writes, through a map")
+        return LoopVerdict("direct")
+    if dir_w:
+        return serial("direct and indirect writes")
+    if reducing:
+        return serial("reduction in an owner loop")
+    if _rereads(specs, ind_w) or _reads_scattered(specs, lowered):
+        return serial("reads a Dat it writes indirectly")
+    ranges = facet()
+    if ranges.dup > OWNER_MAX_DUP:
+        return serial("non-local", ranges)
+    return LoopVerdict("owner", facet=ranges)
+
+
+def lane_verdict(specs, lowered: LoweredLoop, n: int,
+                 columns: bool) -> LaneVerdict:
+    """How a loop of ``n`` elements maps onto vector lanes; ``columns``:
+    its reductions go to per-element columns (a ``direct`` thread
+    verdict), which makes them lane-safe."""
+    def scalar(reason: str) -> LaneVerdict:
+        return LaneVerdict("scalar", reason)
+
+    if any(s.kind == "gwrite" for s in specs):
+        return scalar("scalar loop")
+    if n < THREAD_MIN_ELEMENTS:
+        return scalar(f"{n} elements < {THREAD_MIN_ELEMENTS}")
+    if any(s.kind == "gred" for s in specs) and not columns:
+        return scalar("reduction across elements")
+    mapped, ind_w, dir_w = _writes(specs)
+    if not mapped:
+        # A stream of rows: bound by memory traffic, and a third of
+        # a lowered airfoil step's build time when vectorized.
+        return scalar("no gather")
+    if any(s.slot in dir_w for s in mapped):
+        return scalar("reads a Dat it writes, through a map")
+    if not ind_w:
+        return LaneVerdict("simd")
+    if any(s.ctype != lowered.ft for s in mapped if s.access.writes):
+        return scalar("non-floating store through a map")
+    if _rereads(specs, ind_w):
+        return scalar("reads a Dat it writes indirectly")
+    if any(st.depth and specs[st.argpos].kind == "indirect"
+           for st in lowered.stores):
+        return scalar("store through a map under a branch")
+    if _reads_scattered(specs, lowered):
+        return scalar("reads a Dat it writes indirectly")
+    return LaneVerdict("packet")
+
+
+# ----------------------------------------------------------------------
+# The C printer
+# ----------------------------------------------------------------------
+def _red(j: int, spec: _ArgSpec) -> str:
+    return f"kc_red{j}_{spec.slot}"
+
+
+def _addr(spec: _ArgSpec, row: str, comp: int) -> str:
+    if spec.layout == "soa":
+        off = comp * spec.extent
+        idx = f"{row} + {off}" if off else row
+    elif spec.dim == 1:
+        idx = row
+    else:
+        idx = f"{row} * {spec.dim} + {comp}"
+    return f"d{spec.slot}[{idx}]"
+
+
+class _Loop:
+    """One bound loop of a chain: its argument specs and lowered body
+    (built once, at construction), the verdicts :func:`_plan_chain`
+    reaches and the slots they take, and its C."""
+
+    def __init__(self, j: int, bl, ptab: _PointerTable) -> None:
+        self.j = j
+        self.bl = bl
+        self.verdict = LoopVerdict("serial", "unthreaded TU")
+        self.lanes = LaneVerdict("scalar", "unclassified")
+        self.own_slot: Optional[int] = None
+        self.col_slots: Dict[int, int] = {}
+        try:
+            ir = kernel_ir(bl.kernel)
+        except UnvectorizableKernel as exc:
+            raise NativeUnsupported(
+                f"kernel {bl.kernel.name}: {exc}"
+            ) from exc
+        if len(ir.params) != len(bl.args):
+            raise NativeUnsupported(
+                f"kernel {bl.kernel.name}: {len(ir.params)} params vs "
+                f"{len(bl.args)} loop arguments"
+            )
+        self.specs = [
+            _arg_spec(arg, j, i, ptab) for i, arg in enumerate(bl.args)
+        ]
+        #: (argpos, slot) for every reduction-global argument.
+        self.red_args = [
+            (i, s.slot) for i, s in enumerate(self.specs) if s.kind == "gred"
+        ]
+        # One uniform floating compute type per loop.  NumPy's weak
+        # scalars keep a float32 kernel in float32 end to end; a loop
+        # mixing float32 and float64 arguments would promote mid-kernel
+        # in ways C can't mirror cheaply — punt to the fallback.
+        ftypes = {s.ctype for s in self.specs if s.ctype in ("double", "float")}
+        if len(ftypes) > 1:
+            raise NativeUnsupported(
+                f"kernel {bl.kernel.name}: mixed float32/float64 arguments"
+            )
+        self.ft = ftypes.pop() if ftypes else "double"
+        self.lit = lower.Literals("float32" if self.ft == "float"
+                                  else "float64")
+        self.sfx = self.lit.sfx
+        self.lowered = lower_loop(j, ir, self.specs, self.lit, self.ft)
+
+    # -- verdicts ---------------------------------------------------------
+    def classify(self, ptab: _PointerTable) -> None:
+        """Decide how a threaded TU runs this loop; an ``owner`` loop
+        takes a facet slot, a threaded reduction a column slot each."""
+        v = self.verdict = loop_verdict(self.specs, self.lowered, self.bl.n,
+                                        self._owner_facet)
+        if v.kind == "owner":
+            self.own_slot = ptab.owner(v.facet.bounds, self.j)
+        elif v.kind == "direct":
+            for i, (argpos, _) in enumerate(self.red_args):
+                self.col_slots[argpos] = ptab.column(
+                    self.ft, i, self.bl.n * self.specs[argpos].dim
+                )
+
+    @property
+    def columns(self) -> bool:
+        """Whether the reductions go to per-element columns."""
+        return bool(self.col_slots)
+
+    def _owner_facet(self) -> OwnerRanges:
+        """The plan's owner facet, or one computed for this loop when
+        its plan was built for other written columns."""
+        bl = self.bl
+        racing = [(a.map, a.index) for a in bl.args if a.races]
+        plan = getattr(bl, "plan", None)
+        if plan is not None and {(m._uid, i) for m, i in plan._racing} \
+                == {(m._uid, i) for m, i in racing}:
+            return plan.owner_ranges(OWNER_CHUNKS, bl.n)
+        return owner_ranges(racing, bl.n, 0, OWNER_CHUNKS)
+
+    # -- sinks ----------------------------------------------------------
+    def _guards(self) -> Tuple[Dict[int, int], List[int]]:
+        """An owner loop's guard group per argument written through a
+        map, and each group's target-set extent."""
+        guard_of: Dict[int, int] = {}
+        extents: List[int] = []
+        if self.verdict.kind == "owner":
+            for k, s in enumerate(self.specs):
+                if s.kind in ("indirect", "vector") and s.access.writes:
+                    if s.targets not in extents:
+                        extents.append(s.targets)
+                    guard_of[k] = extents.index(s.targets)
+        return guard_of, extents
+
+    def _owned(self, argpos: int, row: str) -> str:
+        """C condition under which an owner chunk stores through
+        ``row`` of a written mapped argument ("" when not guarded)."""
+        g = self._guard_of.get(argpos)
+        return "" if g is None else f"{row} >= kc_lo{g} && {row} < kc_hi{g}"
+
+    def _col_ref(self, argpos: int, comp: int) -> str:
+        dim = self.specs[argpos].dim
+        idx = "e" if dim == 1 else f"e * {dim} + {comp}"
+        return f"kc_col{self.col_slots[argpos]}[{idx}]"
+
+    def _sink(self, st: Store) -> str:
+        """``st`` into the sink this loop's shape needs: a reduction
+        column, a packet column (kept for the ordered scatter), a store
+        under its owner guard, or the plain store."""
+        if st.operand is not None and self.columns:
+            return f"{self._col_ref(st.argpos, st.comp)} = {st.operand};"
+        if self.specs[st.argpos].kind == "indirect":
+            if self.lanes.kind == "packet":
+                self._sites.append(st)
+                return f"kc_s{len(self._sites) - 1}[kc_l] = {st.value};"
+            owned = self._owned(st.argpos, f"i{st.argpos}")
+            if owned:
+                return f"if ({owned}) {st.lvalue} {st.op} {st.value};"
+        return f"{st.lvalue} {st.op} {st.value};"
+
+    def _print_block(self, items: list, ind: str, out: List[str]) -> None:
+        for item in items:
+            if isinstance(item, str):
+                out.append(ind + item)
+            elif isinstance(item, Store):
+                out.append(ind + self._sink(item))
+            else:
+                out.append(f"{ind}if {item.cond} {{")
+                self._print_block(item.body, ind + "    ", out)
+                if item.orelse is not None:
+                    out.append(f"{ind}}} else {{")
+                    self._print_block(item.orelse, ind + "    ", out)
+                out.append(f"{ind}}}")
+
+    # -- whole-loop printing ---------------------------------------------
     def emit(self) -> List[str]:
         bl = self.bl
         owner = self.verdict.kind == "owner"
         lanes = self.lanes.kind
-        self._taken: set = set()
-        self._hc = 0
-        self._tc = 0
-        self._value_reads = set()
-        self._sites = []
-        self._branch = 0
-        self._kscope = _Scope(
-            ns=self.ir.namespace,
-            params={p: i for i, p in enumerate(self.ir.params)},
-        )
-        scope = self._kscope
+        self._guard_of, extents = self._guards()
+        #: Packet loop: the stores through maps, in program order.
+        self._sites: List[Store] = []
         out: List[str] = []
         lowered = "" if lanes == "scalar" else f", {self.lanes}"
         out.append(
@@ -1052,7 +1090,7 @@ class _LoopEmitter:
         )
         for argpos, slot in self.red_args:
             spec = self.specs[argpos]
-            out.append(f"static {self.ft} {self._red(spec)}[{spec.dim}];")
+            out.append(f"static {self.ft} {_red(self.j, spec)}[{spec.dim}];")
         chunk = ", i64 kc_c, i64 kc_k" if owner else ""
         out.append(
             f"static void kc_loop{self.j}(void **P, i64 lo, i64 hi{chunk})"
@@ -1094,7 +1132,7 @@ class _LoopEmitter:
         if owner:
             out.append("    /* chunk kc_c of kc_k stores only into the "
                        "targets it owns */")
-        for g, extent in enumerate(self._extents if owner else ()):
+        for g, extent in enumerate(extents):
             out.append(
                 f"    const i64 kc_lo{g} = kc_c * {extent} / kc_k, "
                 f"kc_hi{g} = (kc_c + 1) * {extent} / kc_k;"
@@ -1127,7 +1165,7 @@ class _LoopEmitter:
                     for c in range(spec.dim):
                         body.append(
                             f"{ind}v{k}[{l * spec.dim + c}] = "
-                            f"{self._addr(spec, f'kc_r{k}_{l}', c)};"
+                            f"{_addr(spec, f'kc_r{k}_{l}', c)};"
                         )
                 continue
             body.append(f"{ind}for (int l = 0; l < {spec.arity}; ++l) {{")
@@ -1138,48 +1176,24 @@ class _LoopEmitter:
             for c in range(spec.dim):
                 body.append(
                     f"{ind}    v{k}[l * {spec.dim} + {c}] = "
-                    f"{self._addr(spec, 'r', c)};"
+                    f"{_addr(spec, 'r', c)};"
                 )
             body.append(f"{ind}}}")
 
         # Scalar locals (pre-declared: branch assignments stay visible).
-        for name in self._collect_locals():
-            scope.rename[name] = _cident(name, self._taken)
-        if scope.rename:
-            decls = " ".join(
-                f"{self.ft} {scope.rename[n]};" for n in scope.rename
-            )
-            body.append(f"{ind}{decls}")
+        if self.lowered.locals:
+            body.append(ind + " ".join(
+                f"{self.ft} {name};" for name in self.lowered.locals))
+        self._print_block(self.lowered.body, ind, body)
 
-        for st in self.ir.body:
-            self._stmt(st, scope, body, ind)
-
-        # Writebacks in argument order (run_scalar_element's order).
-        for k, spec in enumerate(self.specs):
-            if spec.kind != "vector" or not spec.access.writes:
-                continue
-            if lanes == "packet":  # an INC: its accumulator, to columns
-                body.extend(f"{ind}kc_v{k}[{i}][kc_l] = v{k}[{i}];"
-                            for i in range(spec.arity * spec.dim))
-                continue
-            op = "+=" if spec.access is Access.INC else "="
-            if spec.arity * spec.dim <= UNROLL_MAX_VALUES:
-                body.extend(self._unrolled_writeback(k, op, ind))
-                continue
-            body.append(f"{ind}for (int l = 0; l < {spec.arity}; ++l) {{")
-            body.append(
-                f"{ind}    const i64 r = m{spec.map_slot}"
-                f"[e * {spec.arity} + l];"
-            )
-            owned = self._owned(k, "r")
-            if owned:
-                body.append(f"{ind}    if (!({owned})) continue;")
-            for c in range(spec.dim):
-                body.append(
-                    f"{ind}    {self._addr(spec, 'r', c)} {op} "
-                    f"v{k}[l * {spec.dim} + {c}];"
-                )
-            body.append(f"{ind}}}")
+        # Writebacks in argument order (run_scalar_element's order); a
+        # packet's INC accumulators go to columns for the scatter.
+        for k in self._written_vectors():
+            if lanes == "packet":
+                body.extend(f"{ind}kc_v{k}[{i}][kc_l] = v{k}[{i}];" for i in
+                            range(self.specs[k].arity * self.specs[k].dim))
+            else:
+                body.extend(self._writeback(k, ind, packet=False))
         if lanes == "packet":
             out.extend(self._packet_loop(body))
         else:
@@ -1195,7 +1209,7 @@ class _LoopEmitter:
             init_lines, fold_lines, part_lines = [], [], []
             for argpos, slot in self.red_args:
                 spec = self.specs[argpos]
-                red = self._red(spec)
+                red = _red(self.j, spec)
                 acc = self.bl.args[argpos].access
                 maxlit = "FLT_MAX" if self.ft == "float" else "DBL_MAX"
                 ident = {"INC": self.lit.c(0.0), "MIN": maxlit,
@@ -1227,40 +1241,81 @@ class _LoopEmitter:
             out.append("{")
             out.extend(part_lines)
             out.append("}")
-        if self._columns:
-            out.extend(self._emit_column_fold())
+        if self.columns:
+            out.extend(self._column_fold())
         out.append("")
         return out
 
-    def _unrolled_writeback(self, k: int, op: str, ind: str) -> List[str]:
-        """Vector argument ``k``'s writeback, one row at a time: the
-        gather's named row indices (an ``INC`` has no gather and names
-        its own), each row's stores under its owner guard."""
+    def _written_vectors(self) -> List[int]:
+        return [k for k, s in enumerate(self.specs)
+                if s.kind == "vector" and s.access.writes]
+
+    def _writeback(self, k: int, ind: str, packet: bool) -> List[str]:
+        """Vector argument ``k``'s writeback, each row's stores under
+        its owner guard: from the lane's packet column in a packet
+        loop's scatter, else from ``v<k>``.  Up to
+        :data:`UNROLL_MAX_VALUES` values of a loop kept scalar unroll
+        into the gather's named row indices (an ``INC`` has no gather
+        and names its own); the rest is a loop over rows."""
         spec = self.specs[k]
+        op = "+=" if spec.access is Access.INC else "="
+
+        def value(i) -> str:
+            return f"kc_v{k}[{i}][kc_l]" if packet else f"v{k}[{i}]"
+
         out: List[str] = []
-        for l in range(spec.arity):
-            row = f"kc_r{k}_{l}"
-            if spec.access is Access.INC:
-                out.append(f"{ind}const i64 {row} = "
-                           f"m{spec.map_slot}[e * {spec.arity} + {l}];")
-            stores = [f"{self._addr(spec, row, c)} {op} "
-                      f"v{k}[{l * spec.dim + c}];" for c in range(spec.dim)]
-            owned = self._owned(k, row)
-            if owned:
-                out.append(f"{ind}if ({owned}) {{")
-                out.extend(f"{ind}    {st}" for st in stores)
-                out.append(f"{ind}}}")
-            else:
-                out.extend(f"{ind}{st}" for st in stores)
+        if not packet and spec.arity * spec.dim <= UNROLL_MAX_VALUES:
+            for l in range(spec.arity):
+                row = f"kc_r{k}_{l}"
+                if spec.access is Access.INC:
+                    out.append(f"{ind}const i64 {row} = "
+                               f"m{spec.map_slot}[e * {spec.arity} + {l}];")
+                stores = [f"{_addr(spec, row, c)} {op} "
+                          f"{value(l * spec.dim + c)};"
+                          for c in range(spec.dim)]
+                owned = self._owned(k, row)
+                if owned:
+                    out.append(f"{ind}if ({owned}) {{")
+                    out.extend(f"{ind}    {st}" for st in stores)
+                    out.append(f"{ind}}}")
+                else:
+                    out.extend(f"{ind}{st}" for st in stores)
+            return out
+        out.append(f"{ind}for (int l = 0; l < {spec.arity}; ++l) {{")
+        out.append(f"{ind}    const i64 r = m{spec.map_slot}"
+                   f"[e * {spec.arity} + l];")
+        owned = self._owned(k, "r")
+        if owned:
+            out.append(f"{ind}    if (!({owned})) continue;")
+        for c in range(spec.dim):
+            out.append(f"{ind}    {_addr(spec, 'r', c)} {op} "
+                       f"{value(f'l * {spec.dim} + {c}')};")
+        out.append(f"{ind}}}")
         return out
 
     def _packet_loop(self, body: List[str]) -> List[str]:
         """The element loop of a packet loop around ``body`` (the lane
-        code, whose stores through maps went to packet columns)."""
+        code, whose stores through maps went to packet columns), and
+        the ordered scatter: for each element, ascending, the body's
+        stores through maps, then the vector writebacks."""
+        ind = "            "
         cols = [f"kc_s{n}[{PACKET}]" for n in range(len(self._sites))]
-        cols += [f"kc_v{k}[{s.arity * s.dim}][{PACKET}]"
-                 for k, s in enumerate(self.specs)
-                 if s.kind == "vector" and s.access.writes]
+        cols += [f"kc_v{k}[{self.specs[k].arity * self.specs[k].dim}]"
+                 f"[{PACKET}]" for k in self._written_vectors()]
+        scatter: List[str] = []
+        rows: set = set()
+        for n, st in enumerate(self._sites):
+            k = st.argpos
+            spec = self.specs[k]
+            if k not in rows:
+                rows.add(k)
+                scatter.append(f"{ind}const i64 i{k} = m{spec.map_slot}"
+                               f"[e * {spec.arity} + {spec.map_index}];")
+            owned = self._owned(k, f"i{k}")
+            guard = f"if ({owned}) " if owned else ""
+            scatter.append(f"{ind}{guard}{st.lvalue} {st.op} kc_s{n}[kc_l];")
+        for k in self._written_vectors():
+            scatter.extend(self._writeback(k, ind, packet=True))
         return [
             f"    for (i64 kc_e = lo; kc_e < hi; kc_e += {PACKET}) {{",
             f"        const int kc_n = hi - kc_e < {PACKET} ? "
@@ -1275,44 +1330,14 @@ class _LoopEmitter:
             "         * stores in program order */",
             "        for (int kc_l = 0; kc_l < kc_n; ++kc_l) {",
             "            const i64 e = kc_e + kc_l;",
-            *self._scatter_lines("            "),
+            *scatter,
             "        }",
             "    }",
         ]
 
-    def _scatter_lines(self, ind: str) -> List[str]:
-        """The packet's stores for element ``e`` of lane ``kc_l``: the
-        body's stores through maps, then the vector writebacks."""
-        out: List[str] = []
-        rows: set = set()
-        for n, (k, comp, op) in enumerate(self._sites):
-            spec = self.specs[k]
-            if k not in rows:
-                rows.add(k)
-                out.append(f"{ind}const i64 i{k} = m{spec.map_slot}"
-                           f"[e * {spec.arity} + {spec.map_index}];")
-            owned = self._owned(k, f"i{k}")
-            guard = f"if ({owned}) " if owned else ""
-            out.append(f"{ind}{guard}{self._addr(spec, f'i{k}', comp)} "
-                       f"{op} kc_s{n}[kc_l];")
-        for k, spec in enumerate(self.specs):
-            if spec.kind != "vector" or not spec.access.writes:
-                continue
-            out.append(f"{ind}for (int l = 0; l < {spec.arity}; ++l) {{")
-            out.append(f"{ind}    const i64 r = m{spec.map_slot}"
-                       f"[e * {spec.arity} + l];")
-            owned = self._owned(k, "r")
-            if owned:
-                out.append(f"{ind}    if (!({owned})) continue;")
-            for c in range(spec.dim):
-                out.append(f"{ind}    {self._addr(spec, 'r', c)} += "
-                           f"kc_v{k}[l * {spec.dim} + {c}][kc_l];")
-            out.append(f"{ind}}}")
-        return out
-
-    def _emit_column_fold(self) -> List[str]:
-        """``kc_loopJ_cfold``: the reduction statements replayed over
-        the per-element columns in element order — the serial loop's
+    def _column_fold(self) -> List[str]:
+        """``kc_loopJ_cfold``: the reduction updates replayed over the
+        per-element columns in element order — the serial loop's
         accumulator operations, one for one."""
         out = [
             f"static void kc_loop{self.j}_cfold(void **P, i64 lo, i64 hi)",
@@ -1324,21 +1349,15 @@ class _LoopEmitter:
                 f"(const {self.ft} *)P[{slot}];"
             )
         out.append("    for (i64 e = lo; e < hi; ++e) {")
-        scope = _Scope(ns=self.ir.namespace, params=self._kscope.params)
-        column = ast.Name("kc_x", ast.Load())
-        for st in self.ir.body:
-            found = self._columns.get(id(st))
-            if found is None:
+        for argpos, comp, op, operand_first in self.lowered.updates:
+            red = f"{_red(self.j, self.specs[argpos])}[{comp}]"
+            col = self._col_ref(argpos, comp)
+            if isinstance(op, str):
+                out.append(f"        {red} {op} {col};")
                 continue
-            argpos, comp, value = found
-            scope.rename["kc_x"] = self._col_ref(argpos, comp)
-            if isinstance(st, SAug):
-                st = SAug(st.target, st.op, column)
-            else:
-                call = st.value
-                args = [column if a is value else a for a in call.args]
-                st = SAssign(st.targets, ast.Call(call.func, args, []))
-            self._stmt(st, scope, out, "        ")
+            args = (col, red) if operand_first else (red, col)
+            out.append(f"        {red} = "
+                       f"{op.c.format(*args, f=self.sfx, one=self.lit.c(1.0))};")
         out.append("    }")
         out.append("}")
         return out
@@ -1349,7 +1368,7 @@ class _LoopEmitter:
         j = self.j
         if self.verdict.kind == "owner":
             return f"    case {j}: kc_loop{j}(P, lo, hi, 0, 1); break;"
-        if self._columns:
+        if self.columns:
             return (f"    case {j}: kc_loop{j}(P, lo, hi); "
                     f"kc_loop{j}_cfold(P, lo, hi); break;")
         return f"    case {j}: kc_loop{j}(P, lo, hi); break;"
@@ -1452,21 +1471,22 @@ _TEAM_SIZE = [
 
 
 def _plan_chain(loops: Sequence, threads: bool):
-    """Pointer table and classified per-loop emitters of one chain.
+    """Pointer table and planned loops (:class:`_Loop`) of one chain.
 
-    With ``threads`` every loop is classified (:class:`LoopVerdict`);
-    the TU is threaded when any loop is not ``serial``.  Without, or
-    when no loop qualifies, no slot is added and the TU is the plain
-    serial one, byte for byte."""
+    Each loop is lowered once; with ``threads`` every loop gets a thread
+    verdict (:func:`loop_verdict`), and the TU is threaded when any is
+    not ``serial``.  Without, or when no loop qualifies, no slot is
+    added and the TU is the plain serial one, byte for byte.  Every
+    loop then gets its lane verdict (:func:`lane_verdict`)."""
     ptab = _PointerTable()
-    emitters = [_LoopEmitter(j, bl, ptab) for j, bl in enumerate(loops)]
+    planned = [_Loop(j, bl, ptab) for j, bl in enumerate(loops)]
     if threads:
-        for em in emitters:
-            em.classify(ptab)
-    for em in emitters:
-        em.classify_lanes()
-    threaded = any(em.verdict.kind != "serial" for em in emitters)
-    return ptab, emitters, threaded
+        for lp in planned:
+            lp.classify(ptab)
+    for lp in planned:
+        lp.lanes = lane_verdict(lp.specs, lp.lowered, lp.bl.n, lp.columns)
+    threaded = any(lp.verdict.kind != "serial" for lp in planned)
+    return ptab, planned, threaded
 
 
 def emit_chain_source(loops: Sequence, name: str = "chain",
@@ -1503,12 +1523,12 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
     or not, is also lowered across elements where it can be
     (:class:`LaneVerdict`); its header comment names how.
     """
-    ptab, emitters, threaded = (
+    ptab, planned, threaded = (
         _plan_chain(loops, threads) if plan is None else plan
     )
     parts: List[str] = [
         f"/* Generated by repro.kernelc.native — {name}: "
-        f"{len(emitters)} loop(s). */",
+        f"{len(planned)} loop(s). */",
         _PREAMBLE,
     ]
     if threaded:
@@ -1520,20 +1540,20 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
         parts.append(" */")
         parts.append("")
     bodies: List[str] = []
-    for em in emitters:
-        bodies.extend(em.emit())
+    for lp in planned:
+        bodies.extend(lp.emit())
     parts.extend(bodies)
 
     runs, inits, partials, fused = [], [], [], []
-    for em in emitters:
-        j = em.j
-        runs.append(em.run_case())
-        if em.red_args:
+    for lp in planned:
+        j = lp.j
+        runs.append(lp.run_case())
+        if lp.red_args:
             inits.append(f"    case {j}: kc_loop{j}_init(); break;")
             partials.append(f"    case {j}: kc_loop{j}_partial(P); break;")
             fused.append(f"    kc_loop{j}_init();")
-        fused.append(f"    kc_loop{j}(P, 0, {em.bl.n});")
-        if em.red_args:
+        fused.append(f"    kc_loop{j}(P, 0, {lp.bl.n});")
+        if lp.red_args:
             fused.append(f"    kc_loop{j}_fold(P);")
     parts.append("void kc_loop_run(i64 j, void **P, i64 lo, i64 hi)")
     parts.append("{")
@@ -1565,8 +1585,8 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
                      "element order. */")
         parts.append("static void kc_team_run(void **P)")
         parts.append("{")
-        for em in emitters:
-            parts.extend(em.team_lines())
+        for lp in planned:
+            parts.extend(lp.team_lines())
         parts.append("}")
         parts.append("void kc_run_fused(void **P)")
         parts.append("{")
@@ -1773,11 +1793,11 @@ def build_chain_program(loops: Sequence, name: str = "chain",
     plan = _plan_chain(loops, threads)
     source = emit_chain_source(loops, name=name, repeat=repeat,
                                threads=threads, plan=plan)
-    ptab, emitters, _ = plan
-    verdicts = [(em.bl.kernel.name, em.bl.n, str(em.verdict), str(em.lanes))
-                for em in emitters]
+    ptab, planned, _ = plan
+    verdicts = [(lp.bl.kernel.name, lp.bl.n, str(lp.verdict), str(lp.lanes))
+                for lp in planned]
     return NativeChainProgram(source, ptab.recipe, ptab.buffers, verdicts,
-                              [em.red_args for em in emitters])
+                              [lp.red_args for lp in planned])
 
 
 def build_eager_program(kernel, args, n: int) -> NativeChainProgram:

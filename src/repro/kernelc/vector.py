@@ -57,8 +57,8 @@ import numpy as np
 
 from .ir import SAssign, SAug, SFor, SIf, KernelIR
 from .lower import (
-    AS_WRITTEN, BINOPS, LANE_FORMS, Literals, UnvectorizableKernel, callee,
-    helper, op_for, runs_as_written,
+    AS_WRITTEN, BINOPS, LANE_FORMS, Literals, Names, UnvectorizableKernel,
+    callee, helper, op_for, runs_as_written,
 )
 
 
@@ -154,14 +154,13 @@ class VectorEmitter:
         }
         #: Loop variables currently lowered to a full slice (fused loops).
         self._fuse_vars: set = set()
-        self._counter = 0
+        self.names = Names(ir.names(), start=1)
         self.lines: List[str] = []
         self.depth = 1
 
     # -- plumbing ------------------------------------------------------
     def _fresh(self, base: str) -> str:
-        self._counter += 1
-        return f"{base}__{self._counter}"
+        return self.names.fresh(base + "__{}")
 
     def _emit(self, text: str) -> None:
         self.lines.append(_INDENT * self.depth + text)

@@ -404,7 +404,9 @@ class TestFreshSimReuse:
 
 @needs_cc
 class TestChainPlannedOnce:
-    def test_build_classifies_each_loop_once(self, monkeypatch):
+    def test_build_lowers_each_loop_once(self, monkeypatch):
+        """One lowering pass per loop per build: the verdicts and the
+        printer read its result, none of them re-prints the body."""
         from repro.kernelc import native
 
         rt = Runtime("vectorized")
@@ -414,14 +416,18 @@ class TestChainPlannedOnce:
         (compiled,) = chains
         loops = compiled.loops
         calls = []
-        classify = native._LoopEmitter.classify
+        lower_loop = native.lower_loop
 
-        def counted(self, ptab):
-            calls.append(self.j)
-            return classify(self, ptab)
+        def counted(j, *args):
+            calls.append(j)
+            return lower_loop(j, *args)
 
-        monkeypatch.setattr(native._LoopEmitter, "classify", counted)
+        monkeypatch.setattr(native, "lower_loop", counted)
+        monkeypatch.setattr(native, "THREAD_MIN_ELEMENTS", 1)
         program = native.build_chain_program(loops)
         assert calls == list(range(len(loops)))
+        assert any(v[3].startswith("packet") for v in program.verdicts)
         # The planned build emits the same bytes as a fresh emission.
+        calls.clear()
         assert program.source == native.emit_chain_source(loops)
+        assert calls == list(range(len(loops)))
