@@ -254,7 +254,8 @@ def _fold_reductions(args: Sequence[Arg], reductions: Dict[int, np.ndarray]) -> 
         args[i].dat.combine(args[i].access, partial)
 
 
-def fold_lanes(access: Access, acc: np.ndarray, partial: np.ndarray) -> None:
+def fold_lanes(access: Access, acc: np.ndarray, partial: np.ndarray,
+               updates: Optional[Sequence] = None) -> None:
     """Fold a batch's per-lane reduction partials ``(chunk, dim)`` into
     the loop accumulator ``acc``; ``partial`` is scratch afterwards.
 
@@ -265,16 +266,68 @@ def fold_lanes(access: Access, acc: np.ndarray, partial: np.ndarray) -> None:
     :class:`StripProgram`'s scatters, extended to Globals), and over an
     ascending phase it is the very sum the sequential interpreter forms
     whenever the kernel increments each component once per element.
+
+    MIN / MAX replay, per component, the kernel's own update in element
+    order from ``acc``: ``updates[c]`` is its ``(op, operand_first)``
+    (:func:`repro.kernelc.cache.lane_folds`; ``None``: builtin
+    ``min``/``max`` with the accumulator first).  Each lane's partial is
+    that update applied once to the lane start (:func:`lane_start`),
+    which leaves the element's operand, or a value the replay treats
+    alike.
     """
     if access is Access.INC:
         if partial.shape[0]:
             partial[0] += acc
             np.add.accumulate(partial, axis=0, out=partial)
             acc[...] = partial[-1]
-    elif access is Access.MIN:
-        np.minimum(acc, partial.min(axis=0), out=acc)
+        return
+    default = ("min" if access is Access.MIN else "max", False)
+    for c in range(acc.shape[0]):
+        op, first = (updates[c] if updates else None) or default
+        acc[c] = _replay(op, first, np.concatenate((acc[c:c + 1],
+                                                    partial[:, c])))
+
+
+def lane_start(access: Access, dat, updates: Optional[Sequence]):
+    """What a MIN / MAX lane partial starts from: the reduction's
+    identity, except NaN under builtin ``min(x, g)`` / ``max(x, g)``,
+    where the identity would win over an infinite operand and NaN gives
+    the operand itself."""
+    start = dat.identity_for(access)
+    for c, update in enumerate(updates or ()):
+        if update is not None and update[0] in ("min", "max") and update[1]:
+            start[c] = np.nan
+    return start
+
+
+def _replay(op: str, operand_first: bool, seq: np.ndarray):
+    """``g = op(g, x)`` (``op(x, g)`` when ``operand_first``) over
+    ``x`` in ``seq[1:]`` from ``g = seq[0]``, without a loop.  ``min`` /
+    ``max`` are Python's (the second operand only when strictly
+    better), ``fmin`` / ``fmax`` NumPy's (``kc_fmin``: the first when
+    better or NaN)."""
+    nan = np.isnan(seq)
+    if op in ("min", "max"):
+        if operand_first:
+            # x wins ties and a NaN g: start after the last NaN.
+            after = np.flatnonzero(nan)[-1] + 1 if nan.any() else 0
+            if after == seq.size:
+                return seq[-1]
+            window, last = np.arange(seq.size) >= after, True
+        else:
+            # A NaN g stays; a NaN x never wins; g wins ties.
+            if nan[0]:
+                return seq[0]
+            window, last = ~nan, False
+    elif nan.any():  # NaN sticks: the first one, or each later one
+        nans = np.flatnonzero(nan)
+        return seq[nans[-1] if operand_first else nans[0]]
     else:
-        np.maximum(acc, partial.max(axis=0), out=acc)
+        window, last = np.ones(seq.size, dtype=bool), not operand_first
+    vals = seq[window]
+    best = vals.min() if op in ("min", "fmin") else vals.max()
+    hits = np.flatnonzero(window & (seq == best))
+    return seq[hits[-1] if last else hits[0]]
 
 
 # ----------------------------------------------------------------------
@@ -452,8 +505,9 @@ class StripProgram:
                  "gathers", "writebacks", "folds")
 
     def __init__(self, kernel_vec, args, phase, scratch: dict, cap: int,
-                 pool: dict) -> None:
+                 pool: dict, folds: Optional[dict] = None) -> None:
         elems = phase.elems
+        folds = folds or {}
         nl = elems.size
         self.kernel_vec = kernel_vec
         self.serialize = phase.serialize
@@ -465,7 +519,7 @@ class StripProgram:
         # Dat: an accumulator is scatter_add-ed, None scatters
         # arrays[pos].
         self.writebacks = []
-        self.folds = []       # (pos, access mode)
+        self.folds = []       # (pos, access mode, lane_folds' updates)
         self.fills = []       # (buffer, fill value)
 
         def strip_buffer(pos, make, rows=1):
@@ -486,11 +540,11 @@ class StripProgram:
                     )
                     fill = (
                         0 if arg.access is Access.INC
-                        else dat.identity_for(arg.access)
+                        else lane_start(arg.access, dat, folds.get(i))
                     )
                     self.proto[i] = acc
                     self.fills.append((acc, fill))
-                    self.folds.append((i, arg.access))
+                    self.folds.append((i, arg.access, folds.get(i)))
                 else:
                     self.views.append((i, None))
                 continue
@@ -569,8 +623,8 @@ class StripProgram:
                 args[pos].dat.scatter(idx, arrays[pos])
             else:
                 args[pos].dat.scatter_add(idx, acc, serialize=ser)
-        for pos, mode in self.folds:
-            fold_lanes(mode, reductions[pos], arrays[pos])
+        for pos, mode, updates in self.folds:
+            fold_lanes(mode, reductions[pos], arrays[pos], updates)
 
     def run(self, args, reductions) -> None:
         """One strip over ``args``: gather, vector kernel, scatter."""
@@ -579,13 +633,15 @@ class StripProgram:
         self.write_back(args, arrays, reductions)
 
 
-def prepare_strips(kernel_vec, args, strips, pool: dict) -> list:
+def prepare_strips(kernel_vec, args, strips, pool: dict,
+                   folds: Optional[dict] = None) -> list:
     """A loop's :class:`StripProgram` for each of ``strips``, all
     sharing one set of scratch buffers sized to the largest strip, and
-    gathering into ``pool`` (:func:`_pooled`)."""
+    gathering into ``pool`` (:func:`_pooled`); ``folds``: how its MIN /
+    MAX reductions fold (:func:`fold_lanes`)."""
     cap = max((s.elems.size for s in strips), default=0)
     scratch = {}
-    return [StripProgram(kernel_vec, args, s, scratch, cap, pool)
+    return [StripProgram(kernel_vec, args, s, scratch, cap, pool, folds)
             for s in strips]
 
 

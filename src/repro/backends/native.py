@@ -100,9 +100,9 @@ class NativeBackend(VectorizedBackend):
             return self._programs[key], True
         try:
             program = build()
-        except NativeUnsupported:
+        except NativeUnsupported as exc:
             program = _UNSUPPORTED
-            count_native_fallback()
+            count_native_fallback(str(exc))
         self._programs[key] = program
         while len(self._programs) > PROGRAM_CACHE_ENTRIES:
             self._programs.popitem(last=False)

@@ -48,6 +48,7 @@ from __future__ import annotations
 import time
 
 from ..core.access import Access, is_scalar_loop
+from ..kernelc.cache import lane_folds
 from ..tiling.schedule import BarrierLoop
 from .base import (
     Backend,
@@ -61,6 +62,12 @@ from .base import (
 #: Default lanes per strip (``vec``).  Chosen by a width sweep on the
 #: 80k-cell airfoil (float64) and on Volna (float32); see CHANGES.md.
 STRIP_WIDTH = 8192
+
+
+def _folds(kernel, args) -> dict:
+    """How the loop's MIN / MAX reductions fold (``kernelc``'s lane
+    folds; an attached ``vector`` form keeps the default fold)."""
+    return {} if kernel.vector is not None else lane_folds(kernel, args)
 
 
 def _batch_kernel(kernel, args, plan):
@@ -116,7 +123,7 @@ class VectorizedBackend(Backend):
         pool = {}
         for phase in plan.phases(n):
             for program in prepare_strips(vfn, args, phase.strips(self.vec),
-                                          pool):
+                                          pool, _folds(kernel, args)):
                 program.run(args, reductions)
 
     # ------------------------------------------------------------------
@@ -185,7 +192,7 @@ class VectorizedBackend(Backend):
         # execs[k][s]: loop k's prepared execution of strip s.
         execs = [
             prepare_strips(bl.kernel.vector_for(bl.args), bl.args, strips,
-                           pool)
+                           pool, _folds(bl.kernel, bl.args))
             for bl in group.loops
         ]
         stats = self.stats
@@ -284,6 +291,7 @@ class VectorizedBackend(Backend):
                 execs = prepare_strips(
                     bl.kernel.vector_for(bl.args), bl.args,
                     [strip for _, strip in owned], pool,
+                    _folds(bl.kernel, bl.args),
                 )
                 for (t, _), pe in zip(owned, execs):
                     tiles[t].append((j, pe))

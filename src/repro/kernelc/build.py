@@ -66,6 +66,8 @@ OPENMP_FLAGS = ["-fopenmp"]
 
 _stats = dict.fromkeys(("compiles", "disk_hits", "mem_hits", "failures",
                         "fallbacks", "program_hits"), 0)
+#: Why chains fell back: a ``NativeUnsupported`` message's first line.
+_fallback_reasons: Dict[str, int] = {}
 _mem_libs: Dict[str, tuple] = {}
 _cc_probe: Dict[tuple, Optional[str]] = {}
 #: ``(compiler, flag group)`` pairs seen rejected in this process.
@@ -78,9 +80,11 @@ _threads: Dict[str, object] = {"threads": None, "serial_builds": {},
 
 def native_cache_stats() -> Dict[str, int]:
     """Counters for the native compile cache (the runtime's fifth cache
-    kind, ``Runtime.stats()["native_cache"]``)."""
+    kind, ``Runtime.stats()["native_cache"]``); ``fallback_reasons``
+    counts the ``fallbacks`` by reason."""
     out = dict(_stats)
     out["entries"] = len(_mem_libs)
+    out["fallback_reasons"] = dict(_fallback_reasons)
     return out
 
 
@@ -100,9 +104,12 @@ def _count_build(counter: str, reason: str) -> None:
     builds[reason] = builds.get(reason, 0) + 1
 
 
-def count_native_fallback() -> None:
-    """Record one chain/loop that fell back off the native path."""
+def count_native_fallback(reason: str) -> None:
+    """Record one chain/loop that fell back off the native path, and
+    why (the first line of ``reason``)."""
     _stats["fallbacks"] += 1
+    line = reason.splitlines()[0] if reason else ""
+    _fallback_reasons[line] = _fallback_reasons.get(line, 0) + 1
 
 
 def note_threads(team: int) -> None:
@@ -127,6 +134,7 @@ def reset_native_cache() -> None:
     _rejected.clear()
     for k in _stats:
         _stats[k] = 0
+    _fallback_reasons.clear()
     _threads.update(threads=None, serial_builds={}, scalar_builds={})
     c = store.counters("native")
     for k in c:

@@ -28,6 +28,7 @@ import numpy as np
 from ..core.access import IDX_ALL, Access, Arg
 from ..core.glob import Global
 from .ir import KernelIR, UnvectorizableKernel, parse_kernel
+from .lower import MIN_MAX, reduction_updates
 from .vector import compile_vector, emit_vector_source
 
 #: Default LRU bound for compiled vector kernels.
@@ -91,6 +92,49 @@ def kernel_ir(kernel) -> KernelIR:
     return cached
 
 
+def _min_max(args: Sequence[Arg]) -> Tuple[int, ...]:
+    """Positions of the loop's MIN / MAX Global reductions."""
+    return tuple(i for i, arg in enumerate(args)
+                 if arg.access in (Access.MIN, Access.MAX)
+                 and isinstance(arg.dat, Global))
+
+
+def lane_folds(kernel, args: Sequence[Arg]) -> Dict[int, tuple]:
+    """How the loop's MIN / MAX reductions fold their lane partials
+    (:func:`repro.backends.base.fold_lanes`): per argument position,
+    each component's ``(op name, operand_first)`` update (``None``: not
+    updated), from :func:`~repro.kernelc.lower.reduction_updates`;
+    cached on the kernel.  Raises :class:`UnvectorizableKernel` unless
+    each component is updated by one min/max per element."""
+    positions = _min_max(args)
+    if not positions:
+        return {}
+    cached = kernel.__dict__.setdefault("_kernelc_folds", {})
+    if positions not in cached:
+        try:
+            cached[positions] = _lane_folds(kernel_ir(kernel), args,
+                                            positions)
+        except UnvectorizableKernel as exc:
+            cached[positions] = exc
+    if isinstance(cached[positions], UnvectorizableKernel):
+        raise cached[positions]
+    return cached[positions]
+
+
+def _lane_folds(ir: KernelIR, args, positions) -> Dict[int, tuple]:
+    params = {ir.params[i]: i for i in positions}
+    updates = reduction_updates(ir.body, params, ir.namespace)
+    if updates is None or any(u.op not in MIN_MAX
+                              for u in updates.values()):
+        raise UnvectorizableKernel(
+            f"{ir.name}: a min/max reduction is not one min/max update "
+            f"per element")
+    folds = {i: [None] * args[i].dat.dim for i in positions}
+    for u in updates.values():
+        folds[params[u.param]][u.comp] = (u.op.name, u.operand_first)
+    return {i: tuple(f) for i, f in folds.items()}
+
+
 def vectorizable(kernel) -> bool:
     """Whether a vector form can be derived from the scalar source."""
     try:
@@ -115,15 +159,18 @@ class KernelCompileCache:
         return len(self._entries)
 
     def vector_for(self, kernel, args: Sequence[Arg]):
-        """Compiled batched kernel for this shape, or None (scalar only)."""
-        key = (kernel._uid, param_shapes(args), compute_dtype(args))
+        """Compiled batched kernel for this shape, or None (scalar only:
+        also when a MIN / MAX reduction has no lane fold)."""
+        key = (kernel._uid, param_shapes(args), compute_dtype(args),
+               _min_max(args))
         if key in self._entries:
             self.hits += 1
             self._entries.move_to_end(key)
             return self._entries[key]
         self.misses += 1
         try:
-            fn = compile_vector(kernel_ir(kernel), *key[1:])
+            lane_folds(kernel, args)
+            fn = compile_vector(kernel_ir(kernel), *key[1:3])
         except UnvectorizableKernel:
             self.failures += 1
             fn = None

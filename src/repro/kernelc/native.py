@@ -960,14 +960,10 @@ class _Loop:
         try:
             ir = kernel_ir(bl.kernel)
         except UnvectorizableKernel as exc:
-            raise NativeUnsupported(
-                f"kernel {bl.kernel.name}: {exc}"
-            ) from exc
+            raise NativeUnsupported(str(exc)) from exc
         if len(ir.params) != len(bl.args):
             raise NativeUnsupported(
-                f"kernel {bl.kernel.name}: {len(ir.params)} params vs "
-                f"{len(bl.args)} loop arguments"
-            )
+                f"{len(ir.params)} params vs {len(bl.args)} loop arguments")
         self.specs = [
             _arg_spec(arg, j, i, ptab) for i, arg in enumerate(bl.args)
         ]
@@ -981,9 +977,7 @@ class _Loop:
         # in ways C can't mirror cheaply — punt to the fallback.
         ftypes = {s.ctype for s in self.specs if s.ctype in ("double", "float")}
         if len(ftypes) > 1:
-            raise NativeUnsupported(
-                f"kernel {bl.kernel.name}: mixed float32/float64 arguments"
-            )
+            raise NativeUnsupported("mixed float32/float64 arguments")
         self.ft = ftypes.pop() if ftypes else "double"
         self.lit = lower.Literals("float32" if self.ft == "float"
                                   else "float64")
@@ -1479,7 +1473,13 @@ def _plan_chain(loops: Sequence, threads: bool):
     added and the TU is the plain serial one, byte for byte.  Every
     loop then gets its lane verdict (:func:`lane_verdict`)."""
     ptab = _PointerTable()
-    planned = [_Loop(j, bl, ptab) for j, bl in enumerate(loops)]
+    planned = []
+    for j, bl in enumerate(loops):
+        try:
+            planned.append(_Loop(j, bl, ptab))
+        except NativeUnsupported as exc:
+            raise NativeUnsupported(f"kernel {bl.kernel.name}: {exc}") \
+                from exc
     if threads:
         for lp in planned:
             lp.classify(ptab)

@@ -18,6 +18,8 @@ value — a NaN's sign, a zero's — shows up here long before it corrupts
 an app.
 """
 
+import linecache
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,7 @@ from repro.core import (
     par_loop,
 )
 from repro.core.access import IDX_ALL, IDX_ID
+from repro.kernelc import compiler_available, native_cache_stats
 from repro.testing import runtime_for
 
 #: The differential legs.  ``sequential`` is the oracle; the other
@@ -240,3 +243,102 @@ def test_indirect_inc_and_reduction_bitwise(case):
 @given(case=CASES)
 def test_vector_gather_bitwise(case):
     _assert_legs_bitwise(_run_gather_all, case, "fz_gather_all")
+
+
+# ----------------------------------------------------------------------
+# Kernel locals named like the printers' own identifiers
+# ----------------------------------------------------------------------
+#: Names the printers generate or spell: the C printer's tuple
+#: temporaries (``t<n>``), helper prefixes (``h<n>_``), slot names, loop
+#: names and libm calls; the NumPy printer's branch rebinds
+#: (``<name>__<n>``) and masks.  A kernel may use any of them.
+GENERATED_NAMES = [
+    "t0", "t1", "t2", "t3", "t0__3", "t1__4", "t2__5", "a__3", "h0_p",
+    "h0_r0", "h1_", "d0", "i1", "g2", "v1", "kc_lo0", "kc_s0", "e", "lo",
+    "P", "sqrt", "sqrtf", "fabs", "pow", "i64", "DBL_MAX", "FLT_MAX",
+    "NAN", "INFINITY", "_kc_t__1", "_kc_f__2",
+]
+
+_NAMES_KERNEL = """\
+def fz_names(x, y):
+    {a} = x[0] * 2.0
+    {b} = 0.5
+    if x[0] > x[1]:
+        {b}, {c} = x[1], {a}
+    else:
+        {c} = {a} - x[1]
+    p, q = _fz_pair(x[1], {a})
+    y[0] = {c} + {b} * p
+    y[1] = {a} * {b} - q
+"""
+
+
+def _fz_pair(p, q):
+    s = p * q
+    return s + p, s - q
+
+
+def _names_kernel(a, b, c):
+    """``fz_names`` with its locals named ``a``, ``b``, ``c``."""
+    source = _NAMES_KERNEL.format(a=a, b=b, c=c)
+    filename = f"<fz_names {a} {b} {c}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    ns = {"_fz_pair": _fz_pair}
+    exec(compile(source, filename, "exec"), ns)
+    return kernel(f"fz_names_{a}_{b}_{c}")(ns["fz_names"])
+
+
+def _assert_native_stayed(run, case, label):
+    """All legs bitwise, and the native leg ran native: no emitted TU
+    failed to compile, no loop fell back."""
+    before = native_cache_stats()
+    _assert_legs_bitwise(run, case, label)
+    after = native_cache_stats()
+    if compiler_available():
+        assert after["failures"] == before["failures"], label
+        assert after["fallbacks"] == before["fallbacks"], (
+            label, after["fallback_reasons"])
+
+
+NAMES = st.lists(st.sampled_from(GENERATED_NAMES), min_size=3, max_size=3,
+                 unique=True)
+
+
+@settings(**FUZZ_SETTINGS)
+@given(case=CASES, names=NAMES)
+# A kernel ``t0`` next to the C printer's tuple temporaries: the inner
+# ``const double t0`` shadowed it and ``c`` read ``x[1]``, silently;
+# with ``b`` named ``t1`` too, the TU did not compile.
+@example(case={"seed": 1, "n": 9, "layout": "aos", "dtype": np.float64,
+               "special": 1.0}, names=["t0", "u", "w"])
+@example(case={"seed": 1, "n": 9, "layout": "aos", "dtype": np.float64,
+               "special": 1.0}, names=["t0", "t1", "t2"])
+# A kernel ``t0__3`` next to the NumPy printer's rebinds of ``t0`` in
+# the branch: the rebind overwrote it.
+@example(case={"seed": 2, "n": 9, "layout": "soa", "dtype": np.float32,
+               "special": -1.0}, names=["t0__3", "t0", "t1"])
+# Locals named like a libm call, a typedef and a macro the C spells.
+@example(case={"seed": 3, "n": 9, "layout": "aos", "dtype": np.float64,
+               "special": 0.5}, names=["sqrt", "i64", "DBL_MAX"])
+def test_generated_names_never_shadow_kernel_locals(case, names):
+    kern = _names_kernel(*names)
+    _assert_native_stayed(lambda *a: _run_direct(kern, *a), case,
+                          f"fz_names{tuple(names)}")
+
+
+@kernel("fz_tuple_top")
+def fz_tuple_top(x, y):
+    t0 = x[0] * 2.0
+    a, b = x[1], t0
+    y[0] = a
+    y[1] = b
+
+
+@settings(**FUZZ_SETTINGS)
+@given(case=CASES)
+def test_tuple_temporaries_beside_a_local_t0(case):
+    """Outside a branch the C printer declared ``t0`` twice: the TU did
+    not compile and the loop fell back."""
+    _assert_native_stayed(lambda *a: _run_direct(fz_tuple_top, *a), case,
+                          "fz_tuple_top")

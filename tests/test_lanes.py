@@ -116,6 +116,12 @@ def ln_scalar(g, h):
     h[0] = g[0] + 1.0
 
 
+@kernel("ln_vinc")
+def ln_vinc(x, y):
+    y[0][0] += x[0]
+    y[1][0] += 2.0 * x[0]
+
+
 @pytest.fixture(autouse=True)
 def small_loops_lowered(monkeypatch):
     """Loops below ``THREAD_MIN_ELEMENTS`` stay scalar (and unthreaded);
@@ -235,6 +241,39 @@ class TestVerdicts:
         assert "kc_loop0_cfold(P, 0, 64);" in source
         assert [g[0] for g in kc_build._flag_groups(source)] == [
             "lanes", "openmp"]
+
+    @needs_cc
+    def test_vector_increment_in_an_owner_loop(self):
+        """An owner loop's vector ``INC`` accumulates into its lane's
+        private ``v<k>`` unguarded; only the writeback is owner-guarded
+        (guarding the accumulator named a row index the loop never
+        declares, and the TU did not compile)."""
+        n = 64
+        edges, cells = Set(n, "edges"), Set(n + 1, "cells")
+        e2c = Map(edges, cells, 2,
+                  np.stack([np.arange(n), np.arange(n) + 1], axis=1),
+                  name="e2c")
+        x = Dat(edges, 1, np.linspace(-1.0, 1.0, n)[:, None], name="x")
+
+        def build(rt):
+            y = Dat(cells, 1, np.zeros((n + 1, 1)), name="y")
+            for _ in range(2):
+                par_loop(ln_vinc, edges, arg_dat(x, IDX_ID, None, READ),
+                         arg_dat(y, IDX_ALL, e2c, INC), runtime=rt)
+            return y
+
+        def run(rt):
+            with rt.chain():
+                y = build(rt)
+            return y.data.copy()
+
+        lanes, source = _lanes(build, threads=True)
+        assert lanes == {"ln_vinc": f"packet({PACKET})"}
+        assert "/* loop 0: ln_vinc, owner */" in source
+        failures = kc_build.native_cache_stats()["failures"]
+        ref = run(Runtime("sequential"))
+        assert ref.tobytes() == run(Runtime("native")).tobytes()
+        assert kc_build.native_cache_stats()["failures"] == failures
 
 
 # ----------------------------------------------------------------------

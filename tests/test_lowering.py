@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    MAX,
     MIN,
     READ,
     WRITE,
@@ -26,11 +27,12 @@ from repro.core import (
 from repro.core.access import IDX_ID
 from repro.kernelc import (
     UnvectorizableKernel,
+    cache_stats,
     compile_vector,
     estimate_flops,
     kernel_ir,
 )
-from repro.kernelc import lower
+from repro.kernelc import lower, native
 from repro.simd import vabs, vmax, vmin, vsqrt
 from repro.testing import runtime_for
 
@@ -129,6 +131,85 @@ class TestBuiltinMinMax:
                     want = np.array([op.scalar(p, q) for p, q in zip(x, y)],
                                     dtype=dtype)
                 assert lanes.tobytes() == want.tobytes(), (op.name, dtype)
+
+
+@kernel("lw_folds")
+def lw_folds(x, lo, hi):
+    lo[0] = min(lo[0], x[0])
+    lo[1] = min(x[0], lo[1])
+    lo[2] = np.minimum(lo[2], x[0])
+    lo[3] = np.minimum(x[0], lo[3])
+    hi[0] = max(hi[0], x[0])
+    hi[1] = max(x[0], hi[1])
+    hi[2] = np.maximum(hi[2], x[0])
+    hi[3] = np.maximum(x[0], hi[3])
+
+
+@kernel("lw_min_twice")
+def lw_min_twice(x, lo):
+    lo[0] = min(lo[0], x[0])
+    lo[0] = min(lo[0], x[1])
+
+
+INF = float("inf")
+#: Element sequences where the order of a min/max fold shows: signed
+#: zeros, NaN before, between and after values, NaN then an infinity.
+SEQUENCES = [
+    [0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [1.0, NAN, -2.0, 3.0],
+    [NAN, INF, 2.0], [NAN, INF], [NAN, -INF], [3.0, NAN], [NAN],
+    [-INF, NAN, INF, -0.0, 0.0], [2.0, 2.0, NAN, NAN, -1.0, -1.0],
+]
+
+
+class TestMinMaxFolds:
+    """``vectorized`` folds MIN / MAX lane partials by replaying the
+    kernel's own update in element order (``backends.base.fold_lanes``),
+    so it equals the interpreter on NaN and signed zeros, across strip
+    boundaries too (``vec=2``)."""
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
+    @pytest.mark.parametrize("seq", SEQUENCES, ids=str)
+    def test_every_update_form(self, seq, dtype, monkeypatch):
+        """Eager and chained; ``native`` threaded too, where the
+        reductions go to columns replayed by ``kc_loop<J>_cfold``."""
+        col = np.array(seq, dtype=dtype)[:, None]
+
+        def run(rt):
+            s = Set(len(col), "s")
+            x = Dat(s, 1, col, dtype, name="x")
+            lo = Global(4, value=np.full(4, INF), dtype=dtype, name="lo")
+            hi = Global(4, value=np.full(4, -INF), dtype=dtype, name="hi")
+            args = (arg_dat(x, IDX_ID, None, READ), arg_gbl(lo, MIN),
+                    arg_gbl(hi, MAX))
+            par_loop(lw_folds, s, *args, runtime=rt)
+            with rt.chain():
+                for _ in range(2):
+                    par_loop(lw_folds, s, *args, runtime=rt)
+            return lo.data.tobytes() + hi.data.tobytes()
+
+        got = _legs(run)
+        got["vectorized, vec=2"] = run(
+            runtime_for("vectorized", "two_level", {"vec": 2}))
+        monkeypatch.setattr(native, "THREAD_MIN_ELEMENTS", 1)
+        got["native, threaded"] = run(runtime_for("native", "two_level", {}))
+        _assert_legs_equal(got)
+
+    def test_unrecognised_update_runs_scalar(self):
+        """A component updated twice has no lane fold: the loop takes
+        the scalar path, counted like any kernel without a vector form."""
+        col = np.array([[1.0, -0.0], [NAN, 0.0], [-2.0, 5.0]])
+        failures = cache_stats()["failures"]
+
+        def run(rt):
+            s = Set(len(col), "s")
+            x = Dat(s, 2, col, name="x")
+            lo = Global(1, value=INF, name="lo")
+            par_loop(lw_min_twice, s, arg_dat(x, IDX_ID, None, READ),
+                     arg_gbl(lo, MIN), runtime=rt)
+            return lo.data.tobytes()
+
+        _assert_legs_equal(_legs(run))
+        assert cache_stats()["failures"] == failures + 1
 
 
 class TestFloat32Pow:

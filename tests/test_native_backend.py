@@ -40,7 +40,9 @@ from repro.core import (
     par_loop,
 )
 from repro.core.access import IDX_ID
-from repro.kernelc import compiler_available, reset_native_cache
+from repro.kernelc import (
+    compiler_available, native_cache_stats, reset_native_cache,
+)
 from repro.mesh import make_airfoil_mesh, make_tri_mesh
 from repro.testing import spy_chains
 
@@ -56,6 +58,11 @@ def nb_scale(a, b):
 @kernel("nb_mixed")
 def nb_mixed(a32, b):
     b[0] += a32[0] + 1.0
+
+
+@kernel("nb_exp")
+def nb_exp(a, b):
+    b[0] += np.exp(a[0])
 
 
 def _run_chained(backend_name, layout=None, tiling=None):
@@ -117,6 +124,31 @@ class TestUnsupportedLoopFallback:
         s = rt.stats()["native_cache"]
         assert s["fallbacks"] >= 1
         assert s["compiles"] == 0
+        assert s["fallback_reasons"] == {
+            "kernel nb_mixed: mixed float32/float64 arguments":
+                s["fallbacks"]}
+
+    @pytest.mark.skipif(not compiler_available(),
+                        reason="no C compiler in this environment")
+    def test_fallback_names_its_kernel_and_reason(self):
+        """A call with no C spelling leaves the chain off the native
+        path; ``fallback_reasons`` says which kernel and why."""
+        reset_native_cache()
+        rt = Runtime(make_backend("native"))
+        s1 = Set(8, "expset")
+        a = Dat(s1, 1, np.linspace(0.0, 1.0, 8)[:, None], name="ea")
+        b = Dat(s1, 1, np.zeros((8, 1)), name="eb")
+        with rt.chain():
+            par_loop(nb_exp, s1, arg_dat(a, IDX_ID, None, READ),
+                     arg_dat(b, IDX_ID, None, INC), runtime=rt)
+        assert np.array_equal(b.data[:, 0], np.exp(a.data[:, 0]))
+        s = rt.stats()["native_cache"]
+        assert s["fallbacks"] >= 1  # the chain, then its eager loop
+        assert s["fallback_reasons"] == {
+            "kernel nb_exp: call 'np.exp' has no C lowering":
+                s["fallbacks"]}
+        reset_native_cache()
+        assert native_cache_stats()["fallback_reasons"] == {}
 
 
 _CACHE_SCRIPT = """
