@@ -9,8 +9,9 @@ first execution and is memoized per ``(kernel, argument-shape)`` pair:
 * the **compiled vector callable** is cached here, keyed by the kernel's
   uid, the tuple of per-argument lane flags (READ globals are broadcast
   constants and stay scalar-shaped; every other argument gains the
-  ``lanes`` axis) and the loop's compute dtype — all the emitter
-  depends on.
+  ``lanes`` axis), the loop's compute dtype — all the emitter depends
+  on — and the positions of its MIN / MAX reductions, which vectorize
+  only with a lane fold (:func:`lane_folds`).
 
 Unvectorizable kernels cache a negative entry, so the scalar fallback
 decision is also O(1) after first sight.  Counters (hits / misses /
@@ -99,40 +100,27 @@ def _min_max(args: Sequence[Arg]) -> Tuple[int, ...]:
                  and isinstance(arg.dat, Global))
 
 
-def lane_folds(kernel, args: Sequence[Arg]) -> Dict[int, tuple]:
+def lane_folds(kernel, args: Sequence[Arg]) -> Dict[int, list]:
     """How the loop's MIN / MAX reductions fold their lane partials
     (:func:`repro.backends.base.fold_lanes`): per argument position,
-    each component's ``(op name, operand_first)`` update (``None``: not
-    updated), from :func:`~repro.kernelc.lower.reduction_updates`;
-    cached on the kernel.  Raises :class:`UnvectorizableKernel` unless
-    each component is updated by one min/max per element."""
+    each component's update as ``(op name, operand_first)`` (``None``:
+    not updated), from :func:`~repro.kernelc.lower.reduction_updates`.
+    Raises :class:`UnvectorizableKernel` unless each component is
+    updated by one min/max call per element."""
     positions = _min_max(args)
     if not positions:
         return {}
-    cached = kernel.__dict__.setdefault("_kernelc_folds", {})
-    if positions not in cached:
-        try:
-            cached[positions] = _lane_folds(kernel_ir(kernel), args,
-                                            positions)
-        except UnvectorizableKernel as exc:
-            cached[positions] = exc
-    if isinstance(cached[positions], UnvectorizableKernel):
-        raise cached[positions]
-    return cached[positions]
-
-
-def _lane_folds(ir: KernelIR, args, positions) -> Dict[int, tuple]:
+    ir = kernel_ir(kernel)
     params = {ir.params[i]: i for i in positions}
     updates = reduction_updates(ir.body, params, ir.namespace)
-    if updates is None or any(u.op not in MIN_MAX
-                              for u in updates.values()):
+    if updates is None or any(u.op not in MIN_MAX for u in updates.values()):
         raise UnvectorizableKernel(
             f"{ir.name}: a min/max reduction is not one min/max update "
             f"per element")
     folds = {i: [None] * args[i].dat.dim for i in positions}
     for u in updates.values():
         folds[params[u.param]][u.comp] = (u.op.name, u.operand_first)
-    return {i: tuple(f) for i, f in folds.items()}
+    return folds
 
 
 def vectorizable(kernel) -> bool:

@@ -8,8 +8,7 @@ reads its source with :mod:`ast` and lowers it into a deliberately small
 IR —
 
 * straight-line statements (assignments, augmented assignments),
-* per-argument loads and stores (recorded in ``param_reads`` /
-  ``param_writes``),
+* per-argument loads and stores,
 * scalar arithmetic expressions over the vocabulary of
   :mod:`repro.kernelc.lower` (operators, comparisons, ``np.*``
   functions, the :mod:`repro.simd` intrinsics, branchless helpers),
@@ -34,7 +33,7 @@ import ast
 import inspect
 import textwrap
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -117,7 +116,7 @@ def stmt_nodes(st):
 
 @dataclass
 class KernelIR:
-    """A parsed kernel: parameters, statements, and load/store summary."""
+    """A parsed kernel: parameters, statements, the names it binds."""
 
     name: str
     params: Tuple[str, ...]
@@ -127,8 +126,6 @@ class KernelIR:
     namespace: Dict[str, object]
     #: Dedented source of the scalar function (for diagnostics/golden).
     source: str
-    param_reads: Set[str] = field(default_factory=set)
-    param_writes: Set[str] = field(default_factory=set)
     #: Every name bound in the kernel: parameters, locals, loop variables.
     local_names: Set[str] = field(default_factory=set)
 
@@ -289,30 +286,8 @@ class _Builder:
         self.loop_vars: Set[str] = set()
         #: local name -> root parameter it aliases (``x1 = x[k]``).
         self.alias_root: Dict[str, str] = {}
-        self.param_reads: Set[str] = set()
-        self.param_writes: Set[str] = set()
 
     # -- bookkeeping ---------------------------------------------------
-    def _note_reads(self, node: ast.expr) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                root = self.alias_root.get(sub.id, sub.id)
-                if root in self.params:
-                    self.param_reads.add(root)
-
-    def _store_root(self, target: ast.expr) -> Optional[str]:
-        cur = target
-        while isinstance(cur, ast.Subscript):
-            cur = cur.value
-        if isinstance(cur, ast.Name):
-            return self.alias_root.get(cur.id, cur.id)
-        return None
-
-    def _note_store(self, target: ast.expr) -> None:
-        root = self._store_root(target)
-        if root in self.params:
-            self.param_writes.add(root)
-
     def _mark_alias_root(self, name: str, value: ast.expr) -> None:
         cur = value
         while isinstance(cur, ast.Subscript):
@@ -370,7 +345,6 @@ class _Builder:
             raise _refuse(stmt, "chained assignment")
         target = stmt.targets[0]
         self._check(stmt.value)
-        self._note_reads(stmt.value)
         if isinstance(target, ast.Name):
             if target.id in self.params:
                 raise _refuse(stmt, "rebinding a kernel parameter")
@@ -397,7 +371,6 @@ class _Builder:
             return SAssign([target], stmt.value)
         if isinstance(target, ast.Subscript):
             self._check_store_target(target)
-            self._note_store(target)
             return SAssign([target], stmt.value)
         raise _refuse(stmt, "unsupported assignment target")
 
@@ -405,7 +378,6 @@ class _Builder:
         if type(stmt.op) not in AUGOPS:
             raise _refuse(stmt, "unsupported augmented assignment operator")
         self._check(stmt.value)
-        self._note_reads(stmt.value)
         if isinstance(stmt.target, ast.Name):
             if stmt.target.id in self.params:
                 raise _refuse(stmt, "rebinding a kernel parameter")
@@ -422,8 +394,6 @@ class _Builder:
             return SAug(stmt.target, stmt.op, stmt.value)
         if isinstance(stmt.target, ast.Subscript):
             self._check_store_target(stmt.target)
-            self._note_store(stmt.target)
-            self._note_reads(stmt.target)
             return SAug(stmt.target, stmt.op, stmt.value)
         raise _refuse(stmt, "unsupported augmented assignment target")
 
@@ -462,7 +432,6 @@ class _Builder:
 
     def _build_if(self, stmt: ast.If):
         self._check(stmt.test)
-        self._note_reads(stmt.test)
         body = self.build_block(stmt.body)
         orelse = self.build_block(stmt.orelse)
         return SIf(stmt.test, body, orelse)
@@ -503,7 +472,5 @@ def parse_kernel(fn) -> KernelIR:
         body=body,
         namespace=ns,
         source=source,
-        param_reads=builder.param_reads,
-        param_writes=builder.param_writes,
         local_names=builder.local_names,
     )

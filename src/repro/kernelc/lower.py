@@ -417,46 +417,35 @@ def runs_as_written(h: Helper) -> bool:
 class Names:
     """The identifiers a printer gives out for one kernel: disjoint from
     every name the kernel binds or reads (``kernel``), from ``reserved``
-    (what the printer spells itself) and from each other.
-
-    :meth:`fresh` numbers a family of names ``fmt.format(n)`` from
-    ``start``, skipping taken ones, so a kernel with no clash gets the
-    same names as a plain counter would give; :meth:`local` names a
-    kernel local in the target language."""
+    (what the printer spells itself) and from each other.  ``generated``:
+    a pattern of names the printer spells from slot numbers (``d3``),
+    which :meth:`local` keeps kernel locals out of."""
 
     def __init__(self, kernel: Iterable[str], reserved=frozenset(),
                  start: int = 0, generated=None) -> None:
         self.kernel = frozenset(kernel)
         self.reserved = reserved
-        #: A pattern of names the printer spells from slot numbers
-        #: (``d3``, ``kc_lo0``): a local of that shape is renamed.
         self.generated = generated
         self.given: set = set()
         self._start = start
         self._next: Dict[str, int] = {}
 
-    def _free(self, name: str) -> bool:
-        return not (name in self.kernel or name in self.reserved
-                    or name in self.given)
+    def _taken(self, name: str, prefix: bool) -> bool:
+        if prefix:
+            return any(n.startswith(name) for n in (*self.kernel, *self.given))
+        return name in self.kernel or name in self.reserved \
+            or name in self.given
 
-    def fresh(self, fmt: str, family: str = "") -> str:
-        """The next free ``fmt.format(n)`` of ``family``'s count."""
+    def fresh(self, fmt: str, family: str = "", prefix: bool = False) -> str:
+        """The next free ``fmt.format(n)`` of ``family``'s count — so a
+        kernel with no clash gets what a plain counter would give; with
+        ``prefix``, one no name starts with, so all names under it are
+        free too."""
         n = self._next.get(family, self._start)
-        while not self._free(fmt.format(n)):
+        while self._taken(fmt.format(n), prefix):
             n += 1
         self._next[family] = n + 1
-        name = fmt.format(n)
-        self.given.add(name)
-        return name
-
-    def prefix(self, fmt: str, family: str) -> str:
-        """A fresh ``fmt.format(n)`` that no name given or bound starts
-        with, so every name under it is fresh too."""
-        n = self._next.get(family, self._start)
-        while any(name.startswith(fmt.format(n))
-                  for name in (*self.kernel, *self.given)):
-            n += 1
-        self._next[family] = n + 1
+        self.given.add(fmt.format(n))
         return fmt.format(n)
 
     def local(self, name: str) -> str:

@@ -179,7 +179,6 @@ class _ArgSpec:
     layout: str
     extent: int
     ctype: str
-    name: str
     #: The target set's size, for an argument through a map.
     targets: int = 0
 
@@ -198,7 +197,7 @@ def _arg_spec(arg, loop_j: int, argpos: int, ptab: _PointerTable) -> _ArgSpec:
         kind = ("gred" if arg.access.is_reduction
                 else "gwrite" if arg.access.writes else "gread")
         return _ArgSpec(kind, slot, None, arg.access, g.dim, 0, -1,
-                        "aos", g.dim, gtype, g.name)
+                        "aos", g.dim, gtype)
     dat = arg.dat
     ctype = _CTYPES.get(dat.dtype)
     if ctype is None:
@@ -213,7 +212,7 @@ def _arg_spec(arg, loop_j: int, argpos: int, ptab: _PointerTable) -> _ArgSpec:
     )
     if arg.is_direct:
         return _ArgSpec("direct", slot, None, arg.access, dat.dim, 0, -1,
-                        dat.layout, extent, ctype, dat.name)
+                        dat.layout, extent, ctype)
     if arg.map.values.dtype != MAP_DTYPE:
         raise NativeUnsupported(
             f"map {arg.map.name}: table dtype {arg.map.values.dtype} is not "
@@ -223,13 +222,10 @@ def _arg_spec(arg, loop_j: int, argpos: int, ptab: _PointerTable) -> _ArgSpec:
         arg.map.values, loop_j, argpos, "map",
         f"map {arg.map.name}: arity {arg.map.arity}",
     )
-    if arg.is_vector:
-        return _ArgSpec("vector", slot, map_slot, arg.access, dat.dim,
-                        arg.map.arity, -1, dat.layout, extent, ctype, dat.name,
-                        arg.map.to_set.size)
-    return _ArgSpec("indirect", slot, map_slot, arg.access, dat.dim,
-                    arg.map.arity, int(arg.index), dat.layout, extent, ctype,
-                    dat.name, arg.map.to_set.size)
+    return _ArgSpec("vector" if arg.is_vector else "indirect", slot, map_slot,
+                    arg.access, dat.dim, arg.map.arity,
+                    -1 if arg.is_vector else int(arg.index), dat.layout,
+                    extent, ctype, arg.map.to_set.size)
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +240,8 @@ class _Scope:
     params: Dict[str, int] = field(default_factory=dict)
     #: Names the kernel binds: never compile-time constants.
     bound: frozenset = frozenset()
+    #: An inlined helper's prefix for its locals (declared where bound).
+    prefix: Optional[str] = None
 
     def constant(self, name: str):
         """What ``name`` denotes at compile time: an unrolled loop
@@ -432,11 +430,9 @@ class _Lowering:
                        params={p: i for i, p in enumerate(ir.params)},
                        bound=frozenset(ir.local_names))
         for i, st in enumerate(ir.body):
-            update = found.get(i) if found else None
-            if update is not None:
-                self._update(st, update, scope)
-            else:
-                self._stmt(st, scope)
+            self._stmt(st, scope)
+            if found and i in found:  # a reduction update: its operand
+                self.stores[-1].operand = self._cx(found[i].operand, scope)
         updates = None if found is None else [
             (red[u.param], u.comp, u.op, u.operand_first)
             for _, u in sorted(found.items())
@@ -632,72 +628,43 @@ class _Lowering:
 
     def _inline_helper(self, h: lower.Helper, call: ast.Call,
                        targets: list, scope: _Scope) -> None:
-        pf = self.names.prefix("h{}_", "h")
+        pf = self.names.fresh("h{}_", "h", prefix=True)
         if len(h.params) != len(call.args) or len(h.returns) != len(targets):
             raise NativeUnsupported(
                 f"helper {h.name}: {len(call.args)} arguments / "
                 f"{len(targets)} targets do not match its signature")
-        hscope = _Scope(ns=h.ns)
+        hscope = _Scope(ns=h.ns, prefix=pf)
         self._emit(f"/* inlined {h.name}() */")
         for p, anode in zip(h.params, call.args):
-            cn = pf + p
+            cn = hscope.rename[p] = pf + p
             self._emit(f"const {self.ft} {cn} = {self._cx(anode, scope)};")
-            hscope.rename[p] = cn
         for st in h.body:
-            self._helper_assign(st, pf, hscope)
+            self._assign(st, hscope)
         tmps = []
         for i, rv in enumerate(h.returns):
-            tn = f"{pf}r{i}"
-            self._emit(f"const {self.ft} {tn} = {self._cx(rv, hscope)};")
-            tmps.append(tn)
+            tmps.append(f"{pf}r{i}")
+            self._emit(f"const {self.ft} {tmps[-1]} = {self._cx(rv, hscope)};")
         for tgt, tn in zip(targets, tmps):
             if isinstance(tgt, str):
                 self._emit(f"{tgt} = {tn};")
             else:
                 self._store(tgt, scope, "=", tn)
 
-    def _helper_assign(self, st: ast.Assign, pf: str,
-                       hscope: _Scope) -> None:
-        names = lower.target_names(st.targets[0])
-
-        def bind(name: str) -> str:
-            if name in hscope.rename:
-                return hscope.rename[name]
-            cn = pf + name
-            hscope.rename[name] = cn
-            self._emit(f"{self.ft} {cn};")
-            return cn
-
-        inner = self._helper(st.value, hscope)
-        if inner is not None:
-            self._inline_helper(inner, st.value, [bind(n) for n in names],
-                                hscope)
-            return
-        if isinstance(st.targets[0], ast.Tuple):
-            if not isinstance(st.value, ast.Tuple) or \
-                    len(st.value.elts) != len(names):
-                raise NativeUnsupported("helper: unsupported tuple assign")
-            tmps = []
-            for i, v in enumerate(st.value.elts):
-                tn = self.names.fresh(f"{pf}t{i}_" + "{}", "t")
-                self._emit(f"const {self.ft} {tn} = {self._cx(v, hscope)};")
-                tmps.append(tn)
-            for name, tn in zip(names, tmps):
-                self._emit(f"{bind(name)} = {tn};")
-            return
-        self._emit(f"{bind(names[0])} = {self._cx(st.value, hscope)};")
-
     # -- statements -----------------------------------------------------
     def _local(self, tgt, scope: _Scope) -> str:
-        """The C name of a scalar local a statement binds (declared at
-        the loop's top, so an assignment in a branch stays visible)."""
+        """The C name of a scalar local a statement binds: a kernel's is
+        declared at the loop's top (an assignment in a branch stays
+        visible), a helper's where it is first bound."""
         if not isinstance(tgt, ast.Name):
             raise NativeUnsupported(
                 f"assignment target {type(tgt).__name__} unsupported"
             )
         scope.aliases.pop(tgt.id, None)
         cn = scope.rename.get(tgt.id)
-        if cn is None:
+        if cn is None and scope.prefix is not None:
+            cn = scope.rename[tgt.id] = scope.prefix + tgt.id
+            self._emit(f"{self.ft} {cn};")
+        elif cn is None:
             cn = scope.rename[tgt.id] = self.names.local(tgt.id)
             self.locals.append(cn)
         return cn
@@ -713,28 +680,9 @@ class _Lowering:
         if r[0] != "lval":
             raise NativeUnsupported("partial-array store target")
         value = rhs() if callable(rhs) else rhs
-        self._record(Store(r[1], r[3], self._lvalue(*r[1:]), op, value,
-                           self.depth))
-
-    def _record(self, store: Store) -> None:
-        self.stores.append(store)
-        self._emit(store)
-
-    def _update(self, st, update: lower.Update, scope: _Scope) -> None:
-        """A reduction update (:func:`~repro.kernelc.lower.
-        reduction_updates`): a store that keeps its operand apart, for
-        a loop that stores it into a column instead."""
-        r = self._resolve_access(
-            st.target if isinstance(st, SAug) else st.targets[0], scope)
-        target = self._lvalue(*r[1:])
-        x = self._cx(update.operand, scope)
-        if isinstance(update.op, str):
-            op, value = update.op, x
-        else:
-            op = "="
-            value = self._spell(update.op, (x, target) if
-                                update.operand_first else (target, x))
-        self._record(Store(r[1], r[3], target, op, value, self.depth, x))
+        self.stores.append(Store(r[1], r[3], self._lvalue(*r[1:]), op, value,
+                                 self.depth))
+        self._emit(self.stores[-1])
 
     def _stmt(self, st, scope: _Scope) -> None:
         if isinstance(st, SAssign):
@@ -778,7 +726,8 @@ class _Lowering:
                 f"statement {type(st).__name__} has no native lowering"
             )
 
-    def _assign(self, st: SAssign, scope: _Scope) -> None:
+    def _assign(self, st, scope: _Scope) -> None:
+        """A kernel's :class:`SAssign`, or a helper body's assignment."""
         (tgt,) = st.targets
         # Array aliasing: ``x1 = x[k]`` binds a row, emits nothing.
         if isinstance(tgt, ast.Name) and isinstance(st.value, ast.Subscript):
@@ -1091,34 +1040,22 @@ class _Loop:
         )
         out.append("{")
 
-        # One typed pointer local per distinct pointer-table slot.
-        writes: Dict[int, bool] = {}
-        slot_meta: Dict[int, Tuple[str, str, str]] = {}
-        for spec in self.specs:
-            if spec.kind in ("direct", "indirect", "vector"):
-                writes[spec.slot] = writes.get(spec.slot, False) or \
-                    spec.access.writes
-                slot_meta[spec.slot] = ("d", spec.ctype, spec.name)
-                if spec.map_slot is not None:
-                    slot_meta[spec.map_slot] = ("m", "int", spec.name)
-            elif spec.kind in ("gread", "gwrite"):
-                writes[spec.slot] = writes.get(spec.slot, False) or \
-                    spec.kind == "gwrite"
-                slot_meta[spec.slot] = ("g", spec.ctype, spec.name)
-        for slot in sorted(slot_meta):
-            pfx, ctype, name = slot_meta[slot]
-            if pfx == "m":
-                # Map tables are 4-byte (core.map.MAP_DTYPE); the row
-                # index widens to i64 where it is read.
-                out.append(
-                    f"    const int *m{slot} = (const int *)P[{slot}];"
-                )
-            else:
-                const = "" if writes.get(slot) else "const "
-                out.append(
-                    f"    {const}{ctype} *{pfx}{slot} = "
-                    f"({const}{ctype} *)P[{slot}];"
-                )
+        # One typed pointer local per distinct pointer-table slot: [type,
+        # written] of the data (``d``) and Global (``g``) slots, and the
+        # map tables (4-byte, core.map.MAP_DTYPE; a row index widens to
+        # i64 where it is read).
+        ptrs: Dict[int, list] = {}
+        for s in self.specs:
+            if s.kind != "gred":
+                p = ptrs.setdefault(s.slot, ["g" if s.kind[0] == "g" else "d",
+                                             s.ctype, False])
+                p[2] = p[2] or s.access.writes
+            if s.map_slot is not None:
+                ptrs[s.map_slot] = ["m", "int", False]
+        for slot, (pfx, ctype, written) in sorted(ptrs.items()):
+            const = "" if written else "const "
+            out.append(f"    {const}{ctype} *{pfx}{slot} = "
+                       f"({const}{ctype} *)P[{slot}];")
         for argpos, slot in self.col_slots.items():
             out.append(
                 f"    {self.ft} *kc_col{slot} = ({self.ft} *)P[{slot}];"
@@ -1152,27 +1089,11 @@ class _Loop:
                 body.append(f"{ind}{self.ft} v{k}[{size}] = {{0.0{self.sfx}}};")
                 continue
             body.append(f"{ind}{self.ft} v{k}[{size}];")
-            if lanes != "scalar" or size <= UNROLL_MAX_VALUES:
-                for l in range(spec.arity):
-                    body.append(f"{ind}const i64 kc_r{k}_{l} = "
-                                f"m{spec.map_slot}[e * {spec.arity} + {l}];")
-                    for c in range(spec.dim):
-                        body.append(
-                            f"{ind}v{k}[{l * spec.dim + c}] = "
-                            f"{_addr(spec, f'kc_r{k}_{l}', c)};"
-                        )
-                continue
-            body.append(f"{ind}for (int l = 0; l < {spec.arity}; ++l) {{")
-            body.append(
-                f"{ind}    const i64 r = m{spec.map_slot}"
-                f"[e * {spec.arity} + l];"
-            )
-            for c in range(spec.dim):
-                body.append(
-                    f"{ind}    v{k}[l * {spec.dim} + {c}] = "
-                    f"{_addr(spec, 'r', c)};"
-                )
-            body.append(f"{ind}}}")
+            body.extend(self._rows(
+                k, ind, lanes != "scalar" or size <= UNROLL_MAX_VALUES, True,
+                lambda row, i, k=k, spec=spec: [
+                    f"v{k}[{i(c)}] = {_addr(spec, row, c)};"
+                    for c in range(spec.dim)]))
 
         # Scalar locals (pre-declared: branch assignments stay visible).
         if self.lowered.locals:
@@ -1198,43 +1119,27 @@ class _Loop:
             out.append("    }")
         out.append("}")
 
-        # Reduction plumbing.
-        if self.red_args:
-            init_lines, fold_lines, part_lines = [], [], []
-            for argpos, slot in self.red_args:
-                spec = self.specs[argpos]
-                red = _red(self.j, spec)
-                acc = self.bl.args[argpos].access
-                maxlit = "FLT_MAX" if self.ft == "float" else "DBL_MAX"
-                ident = {"INC": self.lit.c(0.0), "MIN": maxlit,
-                         "MAX": f"(-{maxlit})"}[acc.name]
-                fmin, fmax = f"kc_fmin{self.sfx}", f"kc_fmax{self.sfx}"
-                comb = {
-                    "INC": "g[{c}] += {r}[{c}];",
-                    "MIN": "g[{c}] = %s(g[{c}], {r}[{c}]);" % fmin,
-                    "MAX": "g[{c}] = %s(g[{c}], {r}[{c}]);" % fmax,
-                }[acc.name]
-                for c in range(spec.dim):
-                    init_lines.append(f"    {red}[{c}] = {ident};")
-                    fold_lines.append(
-                        "    { %s *g = (%s *)P[%d]; %s }"
-                        % (self.ft, self.ft, slot, comb.format(c=c, r=red))
-                    )
-                    part_lines.append(
-                        f"    (({self.ft} *)P[{slot}])[{c}] = {red}[{c}];"
-                    )
-            out.append(f"static void kc_loop{self.j}_init(void)")
-            out.append("{")
-            out.extend(init_lines)
-            out.append("}")
-            out.append(f"static void kc_loop{self.j}_fold(void **P)")
-            out.append("{")
-            out.extend(fold_lines)
-            out.append("}")
-            out.append(f"static void kc_loop{self.j}_partial(void **P)")
-            out.append("{")
-            out.extend(part_lines)
-            out.append("}")
+        # Reduction plumbing: start, fold into the Global, hand over
+        # the raw partial (eager dispatch folds it).
+        plumbing = {"init(void)": [], "fold(void **P)": [],
+                    "partial(void **P)": []}
+        maxlit = "FLT_MAX" if self.ft == "float" else "DBL_MAX"
+        for argpos, slot in self.red_args:
+            red = _red(self.j, self.specs[argpos])
+            acc = self.bl.args[argpos].access.name
+            ident = {"INC": self.lit.c(0.0), "MIN": maxlit,
+                     "MAX": f"(-{maxlit})"}[acc]
+            for c in range(self.specs[argpos].dim):
+                comb = (f"g[{c}] += {red}[{c}];" if acc == "INC" else
+                        f"g[{c}] = kc_f{acc.lower()}{self.sfx}"
+                        f"(g[{c}], {red}[{c}]);")
+                plumbing["init(void)"].append(f"    {red}[{c}] = {ident};")
+                plumbing["fold(void **P)"].append(
+                    f"    {{ {self.ft} *g = ({self.ft} *)P[{slot}]; {comb} }}")
+                plumbing["partial(void **P)"].append(
+                    f"    (({self.ft} *)P[{slot}])[{c}] = {red}[{c}];")
+        for sig, lines in plumbing.items() if self.red_args else ():
+            out += [f"static void kc_loop{self.j}_{sig}", "{", *lines, "}"]
         if self.columns:
             out.extend(self._column_fold())
         out.append("")
@@ -1244,36 +1149,27 @@ class _Loop:
         return [k for k, s in enumerate(self.specs)
                 if s.kind == "vector" and s.access.writes]
 
-    def _writeback(self, k: int, ind: str, packet: bool) -> List[str]:
-        """Vector argument ``k``'s writeback, each row's stores under
-        its owner guard: from the lane's packet column in a packet
-        loop's scatter, else from ``v<k>``.  Up to
-        :data:`UNROLL_MAX_VALUES` values of a loop kept scalar unroll
-        into the gather's named row indices (an ``INC`` has no gather
-        and names its own); the rest is a loop over rows."""
+    def _rows(self, k: int, ind: str, named: bool, declare: bool,
+              lines: Callable) -> List[str]:
+        """Vector argument ``k`` row by row, each row's ``lines(row,
+        index)`` (``index(c)``: component ``c``'s position in ``v<k>``)
+        under its owner guard: unrolled with row ``l``'s index a
+        ``named`` ``kc_r<k>_<l>`` (declared here if ``declare``), or a
+        loop over rows ``r``."""
         spec = self.specs[k]
-        op = "+=" if spec.access is Access.INC else "="
-
-        def value(i) -> str:
-            return f"kc_v{k}[{i}][kc_l]" if packet else f"v{k}[{i}]"
-
         out: List[str] = []
-        if not packet and spec.arity * spec.dim <= UNROLL_MAX_VALUES:
+        if named:
             for l in range(spec.arity):
                 row = f"kc_r{k}_{l}"
-                if spec.access is Access.INC:
+                if declare:
                     out.append(f"{ind}const i64 {row} = "
                                f"m{spec.map_slot}[e * {spec.arity} + {l}];")
-                stores = [f"{_addr(spec, row, c)} {op} "
-                          f"{value(l * spec.dim + c)};"
-                          for c in range(spec.dim)]
+                body = lines(row, lambda c: l * spec.dim + c)
                 owned = self._owned(k, row)
                 if owned:
-                    out.append(f"{ind}if ({owned}) {{")
-                    out.extend(f"{ind}    {st}" for st in stores)
-                    out.append(f"{ind}}}")
-                else:
-                    out.extend(f"{ind}{st}" for st in stores)
+                    body = [f"if ({owned}) {{",
+                            *(f"    {x}" for x in body), "}"]
+                out.extend(ind + x for x in body)
             return out
         out.append(f"{ind}for (int l = 0; l < {spec.arity}; ++l) {{")
         out.append(f"{ind}    const i64 r = m{spec.map_slot}"
@@ -1281,11 +1177,24 @@ class _Loop:
         owned = self._owned(k, "r")
         if owned:
             out.append(f"{ind}    if (!({owned})) continue;")
-        for c in range(spec.dim):
-            out.append(f"{ind}    {_addr(spec, 'r', c)} {op} "
-                       f"{value(f'l * {spec.dim} + {c}')};")
+        out.extend(f"{ind}    {x}" for x in
+                   lines("r", lambda c: f"l * {spec.dim} + {c}"))
         out.append(f"{ind}}}")
         return out
+
+    def _writeback(self, k: int, ind: str, packet: bool) -> List[str]:
+        """Vector argument ``k``'s writeback: from the lane's packet
+        column in a packet loop's scatter, else from ``v<k>``, unrolled
+        into the gather's named rows (an ``INC`` has no gather and names
+        its own) up to :data:`UNROLL_MAX_VALUES` values."""
+        spec = self.specs[k]
+        op = "+=" if spec.access is Access.INC else "="
+        src = "kc_v{}[{}][kc_l]" if packet else "v{}[{}]"
+        return self._rows(
+            k, ind, not packet and spec.arity * spec.dim <= UNROLL_MAX_VALUES,
+            spec.access is Access.INC,
+            lambda row, i: [f"{_addr(spec, row, c)} {op} {src.format(k, i(c))};"
+                            for c in range(spec.dim)])
 
     def _packet_loop(self, body: List[str]) -> List[str]:
         """The element loop of a packet loop around ``body`` (the lane
@@ -1539,71 +1448,43 @@ def emit_chain_source(loops: Sequence, name: str = "chain",
             parts.append(f" *   P[{i}] = {comment}")
         parts.append(" */")
         parts.append("")
-    bodies: List[str] = []
     for lp in planned:
-        bodies.extend(lp.emit())
-    parts.extend(bodies)
+        parts.extend(lp.emit())
 
     runs, inits, partials, fused = [], [], [], []
     for lp in planned:
         j = lp.j
         runs.append(lp.run_case())
+        call = f"    kc_loop{j}(P, 0, {lp.bl.n});"
         if lp.red_args:
             inits.append(f"    case {j}: kc_loop{j}_init(); break;")
             partials.append(f"    case {j}: kc_loop{j}_partial(P); break;")
-            fused.append(f"    kc_loop{j}_init();")
-        fused.append(f"    kc_loop{j}(P, 0, {lp.bl.n});")
-        if lp.red_args:
-            fused.append(f"    kc_loop{j}_fold(P);")
-    parts.append("void kc_loop_run(i64 j, void **P, i64 lo, i64 hi)")
-    parts.append("{")
-    parts.append("    switch (j) {")
-    parts.extend(runs)
-    parts.append("    default: break;")
-    parts.append("    }")
-    parts.append("}")
-    for fname, cases, sig in (
-        ("kc_loop_init", inits, "i64 j"),
-        ("kc_loop_partial", partials, "i64 j, void **P"),
-    ):
-        parts.append(f"void {fname}({sig})")
-        parts.append("{")
-        if cases:
-            parts.append("    switch (j) {")
-            parts.extend(cases)
-            parts.append("    default: break;")
-            parts.append("    }")
+            fused += [f"    kc_loop{j}_init();", call, f"    kc_loop{j}_fold(P);"]
         else:
-            parts.append("    (void)j;")
-            if "P" in sig:
-                parts.append("    (void)P;")
-        parts.append("}")
+            fused.append(call)
+    for head, cases, unused in (
+            ("kc_loop_run(i64 j, void **P, i64 lo, i64 hi)", runs, ()),
+            ("kc_loop_init(i64 j)", inits, ("j",)),
+            ("kc_loop_partial(i64 j, void **P)", partials, ("j", "P"))):
+        body = (["    switch (j) {", *cases, "    default: break;", "    }"]
+                if cases else [f"    (void){v};" for v in unused])
+        parts += [f"void {head}", "{", *body, "}"]
     if threaded:
-        parts.append("/* Whole-chain replay by one team: loops in program "
-                     "order, each")
-        parts.append(" * ending in the team barrier; reductions folded in "
-                     "element order. */")
-        parts.append("static void kc_team_run(void **P)")
-        parts.append("{")
-        for lp in planned:
-            parts.extend(lp.team_lines())
-        parts.append("}")
-        parts.append("void kc_run_fused(void **P)")
-        parts.append("{")
-        parts.append("#pragma omp parallel")
-        parts.append("    {")
-        parts.extend(_TEAM_SIZE)
-        parts.append("        kc_team_run(P);")
-        parts.append("    }")
-        parts.append("}")
+        parts += [
+            "/* Whole-chain replay by one team: loops in program order, each",
+            " * ending in the team barrier; reductions folded in element "
+            "order. */",
+            "static void kc_team_run(void **P)", "{",
+            *(line for lp in planned for line in lp.team_lines()), "}",
+            "void kc_run_fused(void **P)", "{", "#pragma omp parallel",
+            "    {", *_TEAM_SIZE, "        kc_team_run(P);", "    }", "}",
+        ]
     else:
-        parts.append("/* Whole-chain replay: loops in program order, each")
-        parts.append(" * reduction folded before the next loop can read "
-                     "it. */")
-        parts.append("void kc_run_fused(void **P)")
-        parts.append("{")
-        parts.extend(fused)
-        parts.append("}")
+        parts += [
+            "/* Whole-chain replay: loops in program order, each",
+            " * reduction folded before the next loop can read it. */",
+            "void kc_run_fused(void **P)", "{", *fused, "}",
+        ]
     if repeat is not None:
         parts.extend(_emit_repeat(repeat, ptab, threaded))
     parts.append("")
