@@ -220,6 +220,10 @@ class Literals:
             return repr(f) + self.sfx  # "3.0" — exact and readable
         return float.hex(f) + self.sfx  # C99 hex float, exact round-trip
 
+    def spell(self, op: Op, *args: str) -> str:
+        """``op``'s C spelling over operands ``args`` at the dtype."""
+        return op.c.format(*args, f=self.sfx, one=self.c(1.0))
+
     def cast(self, node: ast.expr) -> ast.expr:
         """``node`` as a NumPy scalar of the compute dtype."""
         func = ast.Attribute(value=ast.Name(id="_kc_np", ctx=ast.Load()),

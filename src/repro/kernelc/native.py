@@ -72,6 +72,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -130,15 +131,11 @@ class _PointerTable:
 
     def slot(self, array: np.ndarray, loop_j: int, argpos: int, kind: str,
              comment: str) -> int:
-        key = id(array)
-        found = self._slots.get(key)
-        if found is not None:
-            return found
-        idx = len(self.recipe)
-        self._slots[key] = idx
-        self.recipe.append((loop_j, argpos, kind))
-        self.comments.append(comment)
-        return idx
+        if id(array) not in self._slots:
+            self._slots[id(array)] = len(self.recipe)
+            self.recipe.append((loop_j, argpos, kind))
+            self.comments.append(comment)
+        return self._slots[id(array)]
 
     def owner(self, bounds: np.ndarray, loop_j: int) -> int:
         """The slot of an owner facet's ``(k, 2)`` bounds (loops sharing
@@ -253,12 +250,6 @@ class _Scope:
                 or name in self.params or name in self.bound:
             return None
         return self.ns.get(name)
-
-
-def _alias(r: tuple) -> tuple:
-    """A scope alias for a partial subscript :meth:`_Lowering.
-    _resolve_access` resolved: a parameter row, or a closure array."""
-    return ("arg", r[1], r[2]) if r[0] == "alias" else ("ns", r[1])
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +402,6 @@ class _Lowering:
         self.specs = specs
         self.lit = lit
         self.ft = ft
-        self.sfx = lit.sfx
         self.names = lower.Names(ir.names(), _RESERVED,
                                  generated=_GENERATED_RE)
         self.locals: List[str] = []
@@ -440,18 +430,16 @@ class _Lowering:
         return LoweredLoop(self.block, self.locals, self.stores,
                            self.value_reads, updates, self.ft)
 
-    def _emit(self, item) -> None:
-        self.block.append(item)
-
     # -- subscript resolution -------------------------------------------
     def _resolve_access(self, node, scope: _Scope):
         """Resolve a (possibly chained) subscript.
 
         Returns one of
           ("lval", argpos, row_idx_or_None, comp)  — full param access
-          ("alias", argpos, (idx,))                — partial vector-arg row
           ("elem", python_scalar)                  — closure array element
-          ("nsarr", ndarray)                       — partial closure array
+        or a partial subscript, which a name can alias (``_Scope``):
+          ("arg", argpos, (idx,))                  — vector-arg row
+          ("ns", ndarray)                          — closure array
         """
         idx_nodes = []
         base = node
@@ -484,28 +472,18 @@ class _Lowering:
 
     def _param_access(self, argpos: int, idxs: List[int]):
         spec = self.specs[argpos]
-        needed = 2 if spec.kind == "vector" else 1
-        if len(idxs) < needed:
-            return ("alias", argpos, tuple(idxs))
-        if len(idxs) > needed:
+        shape = (spec.arity, spec.dim) if spec.kind == "vector" \
+            else (spec.dim,)
+        if len(idxs) < len(shape):
+            return ("arg", argpos, tuple(idxs))
+        if len(idxs) > len(shape):
             raise NativeUnsupported(
                 f"param {self.ir.params[argpos]}: too many subscripts"
             )
-        if spec.kind == "vector":
-            slot_i, comp = idxs
-            if slot_i < 0:
-                slot_i += spec.arity
-            if comp < 0:
-                comp += spec.dim
-            if not (0 <= slot_i < spec.arity and 0 <= comp < spec.dim):
-                raise NativeUnsupported("vector-arg subscript out of range")
-            return ("lval", argpos, slot_i, comp)
-        comp = idxs[0]
-        if comp < 0:
-            comp += spec.dim
-        if not 0 <= comp < spec.dim:
-            raise NativeUnsupported("component subscript out of range")
-        return ("lval", argpos, None, comp)
+        idxs = [i + n if i < 0 else i for i, n in zip(idxs, shape)]
+        if not all(0 <= i < n for i, n in zip(idxs, shape)):
+            raise NativeUnsupported("subscript out of range")
+        return ("lval", argpos, *([None] + idxs)[-2:])
 
     @staticmethod
     def _ns_access(arr: np.ndarray, idxs: List[int]):
@@ -515,9 +493,7 @@ class _Lowering:
                 v = v[i]
         except IndexError as exc:
             raise NativeUnsupported(f"constant-array index error: {exc}")
-        if np.ndim(v) == 0:
-            return ("elem", v)
-        return ("nsarr", v)
+        return ("elem", v) if np.ndim(v) == 0 else ("ns", v)
 
     def _lvalue(self, argpos: int, slot_i, comp: int) -> str:
         spec = self.specs[argpos]
@@ -601,7 +577,7 @@ class _Lowering:
         if op is None:
             return self.lit.c(1.0) if e == 0.0 else b
         e = self._cx(expo, scope) if e is None else self.lit.c(e)
-        return op.c.format(b, e, f=self.sfx)
+        return self.lit.spell(op, b, e)
 
     def _call(self, node: ast.Call, scope: _Scope) -> str:
         op = lower.op_for(lower.callee(node.func, scope.ns))
@@ -611,10 +587,7 @@ class _Lowering:
                 f"call {ast.unparse(node.func)!r} has no C lowering")
         args = [self._cond(a, scope) if op.test and i == 0
                 else self._cx(a, scope) for i, a in enumerate(node.args)]
-        return self._spell(op, args)
-
-    def _spell(self, op: lower.Op, args: Sequence[str]) -> str:
-        return op.c.format(*args, f=self.sfx, one=self.lit.c(1.0))
+        return self.lit.spell(op, *args)
 
     # -- helper inlining ------------------------------------------------
     @staticmethod
@@ -634,19 +607,21 @@ class _Lowering:
                 f"helper {h.name}: {len(call.args)} arguments / "
                 f"{len(targets)} targets do not match its signature")
         hscope = _Scope(ns=h.ns, prefix=pf)
-        self._emit(f"/* inlined {h.name}() */")
+        self.block.append(f"/* inlined {h.name}() */")
         for p, anode in zip(h.params, call.args):
             cn = hscope.rename[p] = pf + p
-            self._emit(f"const {self.ft} {cn} = {self._cx(anode, scope)};")
+            self.block.append(
+                f"const {self.ft} {cn} = {self._cx(anode, scope)};")
         for st in h.body:
             self._assign(st, hscope)
         tmps = []
         for i, rv in enumerate(h.returns):
             tmps.append(f"{pf}r{i}")
-            self._emit(f"const {self.ft} {tmps[-1]} = {self._cx(rv, hscope)};")
+            self.block.append(
+                f"const {self.ft} {tmps[-1]} = {self._cx(rv, hscope)};")
         for tgt, tn in zip(targets, tmps):
             if isinstance(tgt, str):
-                self._emit(f"{tgt} = {tn};")
+                self.block.append(f"{tgt} = {tn};")
             else:
                 self._store(tgt, scope, "=", tn)
 
@@ -663,7 +638,7 @@ class _Lowering:
         cn = scope.rename.get(tgt.id)
         if cn is None and scope.prefix is not None:
             cn = scope.rename[tgt.id] = scope.prefix + tgt.id
-            self._emit(f"{self.ft} {cn};")
+            self.block.append(f"{self.ft} {cn};")
         elif cn is None:
             cn = scope.rename[tgt.id] = self.names.local(tgt.id)
             self.locals.append(cn)
@@ -674,7 +649,8 @@ class _Lowering:
         a callable giving it once the target has resolved."""
         if not isinstance(tgt, ast.Subscript):
             target = self._local(tgt, scope)
-            self._emit(f"{target} {op} {rhs() if callable(rhs) else rhs};")
+            value = rhs() if callable(rhs) else rhs
+            self.block.append(f"{target} {op} {value};")
             return
         r = self._resolve_access(tgt, scope)
         if r[0] != "lval":
@@ -682,7 +658,7 @@ class _Lowering:
         value = rhs() if callable(rhs) else rhs
         self.stores.append(Store(r[1], r[3], self._lvalue(*r[1:]), op, value,
                                  self.depth))
-        self._emit(self.stores[-1])
+        self.block.append(self.stores[-1])
 
     def _stmt(self, st, scope: _Scope) -> None:
         if isinstance(st, SAssign):
@@ -698,7 +674,7 @@ class _Lowering:
             span = range(st.start, st.stop, st.step)
             if len(span) > 4096:
                 raise NativeUnsupported("dim loop too large to unroll")
-            self._emit(f"/* for {st.var} in "
+            self.block.append(f"/* for {st.var} in "
                        f"range({st.start}, {st.stop}, {st.step}) */")
             for v in span:
                 scope.loops[st.var] = v
@@ -709,7 +685,7 @@ class _Lowering:
             before = dict(scope.aliases)
             branch = Branch(self._cond(st.test, scope), [],
                             [] if st.orelse else None)
-            self._emit(branch)
+            self.block.append(branch)
             outer = self.block
             self.depth += 1
             for block, stmts in ((branch.body, st.body),
@@ -732,8 +708,8 @@ class _Lowering:
         # Array aliasing: ``x1 = x[k]`` binds a row, emits nothing.
         if isinstance(tgt, ast.Name) and isinstance(st.value, ast.Subscript):
             r = self._resolve_access(st.value, scope)
-            if r[0] in ("alias", "nsarr"):
-                scope.aliases[tgt.id] = _alias(r)
+            if r[0] in ("arg", "ns"):
+                scope.aliases[tgt.id] = r
                 return
         # Helper call: inline at statement level.
         h = self._helper(st.value, scope)
@@ -754,17 +730,18 @@ class _Lowering:
                 # RHS evaluated before any target is written (swap-safe).
                 if isinstance(v, ast.Subscript):
                     r = self._resolve_access(v, scope)
-                    if r[0] in ("alias", "nsarr"):
+                    if r[0] in ("arg", "ns"):
                         tmps.append(("alias", r))
                         continue
                 tn = self.names.fresh("t{}", "t")
-                self._emit(f"const {self.ft} {tn} = {self._cx(v, scope)};")
+                self.block.append(
+                    f"const {self.ft} {tn} = {self._cx(v, scope)};")
                 tmps.append(("tmp", tn))
             for t, (kind, val) in zip(tgt.elts, tmps):
                 if kind == "alias":
                     if not isinstance(t, ast.Name):
                         raise NativeUnsupported("array alias into subscript")
-                    scope.aliases[t.id] = _alias(val)
+                    scope.aliases[t.id] = val
                 else:
                     self._store(t, scope, "=", val)
             return
@@ -790,9 +767,10 @@ def _writes(specs):
              if s.kind == "direct" and s.access.writes})
 
 
-def _rereads(specs, ind_w: set) -> bool:
-    """Does an argument read a Dat the loop writes through a map (other
-    than a vector ``INC``'s own zeroed accumulator)?"""
+def _rereads(specs, lowered: LoweredLoop, ind_w: set) -> bool:
+    """Does the loop read a Dat it writes through a map: through an
+    argument (other than a vector ``INC``'s own zeroed accumulator), or
+    in the body, by value, through the written argument itself?"""
     return any(
         s.slot in ind_w and (
             s.kind == "direct"
@@ -800,23 +778,15 @@ def _rereads(specs, ind_w: set) -> bool:
             or (s.kind == "vector" and s.access is not Access.INC)
         )
         for s in specs
-    )
-
-
-def _reads_scattered(specs, lowered: LoweredLoop) -> bool:
-    """Does the body read, by value, an argument it writes through a
-    map?"""
-    return any(specs[k].kind == "indirect" and specs[k].access.writes
-               for k in lowered.value_reads)
+    ) or any(specs[k].kind == "indirect" and specs[k].access.writes
+             for k in lowered.value_reads)
 
 
 def loop_verdict(specs, lowered: LoweredLoop, n: int,
                  facet: Callable[[], OwnerRanges]) -> LoopVerdict:
     """How a threaded TU runs a loop of ``n`` elements; ``facet`` gives
     its owner ranges (computed only for a loop that could use them)."""
-    def serial(reason: str, facet=None) -> LoopVerdict:
-        return LoopVerdict("serial", reason, facet)
-
+    serial = partial(LoopVerdict, "serial")
     if any(s.kind == "gwrite" for s in specs):
         return serial("scalar loop")
     if n < THREAD_MIN_ELEMENTS:
@@ -833,7 +803,7 @@ def loop_verdict(specs, lowered: LoweredLoop, n: int,
         return serial("direct and indirect writes")
     if reducing:
         return serial("reduction in an owner loop")
-    if _rereads(specs, ind_w) or _reads_scattered(specs, lowered):
+    if _rereads(specs, lowered, ind_w):
         return serial("reads a Dat it writes indirectly")
     ranges = facet()
     if ranges.dup > OWNER_MAX_DUP:
@@ -846,9 +816,7 @@ def lane_verdict(specs, lowered: LoweredLoop, n: int,
     """How a loop of ``n`` elements maps onto vector lanes; ``columns``:
     its reductions go to per-element columns (a ``direct`` thread
     verdict), which makes them lane-safe."""
-    def scalar(reason: str) -> LaneVerdict:
-        return LaneVerdict("scalar", reason)
-
+    scalar = partial(LaneVerdict, "scalar")
     if any(s.kind == "gwrite" for s in specs):
         return scalar("scalar loop")
     if n < THREAD_MIN_ELEMENTS:
@@ -866,13 +834,11 @@ def lane_verdict(specs, lowered: LoweredLoop, n: int,
         return LaneVerdict("simd")
     if any(s.ctype != lowered.ft for s in mapped if s.access.writes):
         return scalar("non-floating store through a map")
-    if _rereads(specs, ind_w):
+    if _rereads(specs, lowered, ind_w):
         return scalar("reads a Dat it writes indirectly")
     if any(st.depth and specs[st.argpos].kind == "indirect"
            for st in lowered.stores):
         return scalar("store through a map under a branch")
-    if _reads_scattered(specs, lowered):
-        return scalar("reads a Dat it writes indirectly")
     return LaneVerdict("packet")
 
 
@@ -930,7 +896,6 @@ class _Loop:
         self.ft = ftypes.pop() if ftypes else "double"
         self.lit = lower.Literals("float32" if self.ft == "float"
                                   else "float64")
-        self.sfx = self.lit.sfx
         self.lowered = lower_loop(j, ir, self.specs, self.lit, self.ft)
 
     # -- verdicts ---------------------------------------------------------
@@ -946,11 +911,6 @@ class _Loop:
                 self.col_slots[argpos] = ptab.column(
                     self.ft, i, self.bl.n * self.specs[argpos].dim
                 )
-
-    @property
-    def columns(self) -> bool:
-        """Whether the reductions go to per-element columns."""
-        return bool(self.col_slots)
 
     def _owner_facet(self) -> OwnerRanges:
         """The plan's owner facet, or one computed for this loop when
@@ -992,16 +952,27 @@ class _Loop:
         """``st`` into the sink this loop's shape needs: a reduction
         column, a packet column (kept for the ordered scatter), a store
         under its owner guard, or the plain store."""
-        if st.operand is not None and self.columns:
+        if st.operand is not None and self.col_slots:
             return f"{self._col_ref(st.argpos, st.comp)} = {st.operand};"
-        if self.specs[st.argpos].kind == "indirect":
-            if self.lanes.kind == "packet":
-                self._sites.append(st)
-                return f"kc_s{len(self._sites) - 1}[kc_l] = {st.value};"
-            owned = self._owned(st.argpos, f"i{st.argpos}")
-            if owned:
-                return f"if ({owned}) {st.lvalue} {st.op} {st.value};"
-        return f"{st.lvalue} {st.op} {st.value};"
+        if self.lanes.kind == "packet" \
+                and self.specs[st.argpos].kind == "indirect":
+            self._sites.append(st)
+            return f"kc_s{len(self._sites) - 1}[kc_l] = {st.value};"
+        return self._guarded(st, st.value)
+
+    def _guarded(self, st: Store, value: str) -> str:
+        """``st`` storing ``value``, under its owner guard when through
+        a map (a vector argument's stores go to its private ``v<k>``)."""
+        owned = self.specs[st.argpos].kind == "indirect" \
+            and self._owned(st.argpos, f"i{st.argpos}")
+        guard = f"if ({owned}) " if owned else ""
+        return f"{guard}{st.lvalue} {st.op} {value};"
+
+    def _row(self, k: int, ind: str) -> str:
+        """Indirect argument ``k``'s row index ``i<k>``."""
+        spec = self.specs[k]
+        return (f"{ind}const i64 i{k} = m{spec.map_slot}"
+                f"[e * {spec.arity} + {spec.map_index}];")
 
     def _print_block(self, items: list, ind: str, out: List[str]) -> None:
         for item in items:
@@ -1071,13 +1042,8 @@ class _Loop:
         body: List[str] = []
         ind = "            " if lanes == "packet" else "        "
 
-        # Indirect row indices.
-        for k, spec in enumerate(self.specs):
-            if spec.kind == "indirect":
-                body.append(
-                    f"{ind}const i64 i{k} = "
-                    f"m{spec.map_slot}[e * {spec.arity} + {spec.map_index}];"
-                )
+        body.extend(self._row(k, ind) for k, spec in enumerate(self.specs)
+                    if spec.kind == "indirect")
         # Vector-argument gathers (copies, exactly like scalar_views);
         # unrolled across lanes, so each slot is a scalar of the lane,
         # and in a scalar loop up to UNROLL_MAX_VALUES values.
@@ -1086,7 +1052,8 @@ class _Loop:
                 continue
             size = spec.arity * spec.dim
             if spec.access is Access.INC:
-                body.append(f"{ind}{self.ft} v{k}[{size}] = {{0.0{self.sfx}}};")
+                zero = self.lit.c(0.0)
+                body.append(f"{ind}{self.ft} v{k}[{size}] = {{{zero}}};")
                 continue
             body.append(f"{ind}{self.ft} v{k}[{size}];")
             body.extend(self._rows(
@@ -1131,7 +1098,7 @@ class _Loop:
                      "MAX": f"(-{maxlit})"}[acc]
             for c in range(self.specs[argpos].dim):
                 comb = (f"g[{c}] += {red}[{c}];" if acc == "INC" else
-                        f"g[{c}] = kc_f{acc.lower()}{self.sfx}"
+                        f"g[{c}] = kc_f{acc.lower()}{self.lit.sfx}"
                         f"(g[{c}], {red}[{c}]);")
                 plumbing["init(void)"].append(f"    {red}[{c}] = {ident};")
                 plumbing["fold(void **P)"].append(
@@ -1140,7 +1107,7 @@ class _Loop:
                     f"    (({self.ft} *)P[{slot}])[{c}] = {red}[{c}];")
         for sig, lines in plumbing.items() if self.red_args else ():
             out += [f"static void kc_loop{self.j}_{sig}", "{", *lines, "}"]
-        if self.columns:
+        if self.col_slots:
             out.extend(self._column_fold())
         out.append("")
         return out
@@ -1208,15 +1175,10 @@ class _Loop:
         scatter: List[str] = []
         rows: set = set()
         for n, st in enumerate(self._sites):
-            k = st.argpos
-            spec = self.specs[k]
-            if k not in rows:
-                rows.add(k)
-                scatter.append(f"{ind}const i64 i{k} = m{spec.map_slot}"
-                               f"[e * {spec.arity} + {spec.map_index}];")
-            owned = self._owned(k, f"i{k}")
-            guard = f"if ({owned}) " if owned else ""
-            scatter.append(f"{ind}{guard}{st.lvalue} {st.op} kc_s{n}[kc_l];")
+            if st.argpos not in rows:
+                rows.add(st.argpos)
+                scatter.append(self._row(st.argpos, ind))
+            scatter.append(ind + self._guarded(st, f"kc_s{n}[kc_l]"))
         for k in self._written_vectors():
             scatter.extend(self._writeback(k, ind, packet=True))
         return [
@@ -1257,13 +1219,10 @@ class _Loop:
             col = self._col_ref(argpos, comp)
             if isinstance(op, str):
                 out.append(f"        {red} {op} {col};")
-                continue
-            args = (col, red) if operand_first else (red, col)
-            out.append(f"        {red} = "
-                       f"{op.c.format(*args, f=self.sfx, one=self.lit.c(1.0))};")
-        out.append("    }")
-        out.append("}")
-        return out
+            else:
+                args = (col, red) if operand_first else (red, col)
+                out.append(f"        {red} = {self.lit.spell(op, *args)};")
+        return out + ["    }", "}"]
 
     # -- threaded-TU driver lines ----------------------------------------
     def run_case(self) -> str:
@@ -1271,7 +1230,7 @@ class _Loop:
         j = self.j
         if self.verdict.kind == "owner":
             return f"    case {j}: kc_loop{j}(P, lo, hi, 0, 1); break;"
-        if self.columns:
+        if self.col_slots:
             return (f"    case {j}: kc_loop{j}(P, lo, hi); "
                     f"kc_loop{j}_cfold(P, lo, hi); break;")
         return f"    case {j}: kc_loop{j}(P, lo, hi); break;"
@@ -1311,41 +1270,34 @@ class _Loop:
         ]
 
 
-_PREAMBLE = """\
-#include <math.h>
-#include <float.h>
-
-typedef long long i64;
-
-/* np.minimum / np.maximum semantics (NaN-propagating, first-wins). */
-static inline double kc_fmin(double a, double b)
-{ return (a < b || isnan(a)) ? a : b; }
-static inline double kc_fmax(double a, double b)
-{ return (a > b || isnan(a)) ? a : b; }
-/* Python builtin min/max semantics (second-wins ties, NaN quirks). */
-static inline double kc_pymin(double a, double b)
-{ return (b < a) ? b : a; }
-static inline double kc_pymax(double a, double b)
-{ return (b > a) ? b : a; }
-/* numpy scalar ``**`` is plain libm pow() — no array-style fast paths. */
-static double kc_pow(double x, double y)
-{
-    return pow(x, y);
-}
-/* Single-precision twins for float32 (Volna) loops. */
-static inline float kc_fminf(float a, float b)
-{ return (a < b || isnan(a)) ? a : b; }
-static inline float kc_fmaxf(float a, float b)
-{ return (a > b || isnan(a)) ? a : b; }
-static inline float kc_pyminf(float a, float b)
-{ return (b < a) ? b : a; }
-static inline float kc_pymaxf(float a, float b)
-{ return (b > a) ? b : a; }
-static float kc_powf(float x, float y)
-{
-    return powf(x, y);
-}
+#: The ``kc_*`` semantic shims, once per compute type: ``{0}``-``{2}``
+#: are the comments the ``double`` set carries.
+_SHIMS = """\
+{0}static inline {t} kc_fmin{f}({t} a, {t} b)
+{{ return (a < b || isnan(a)) ? a : b; }}
+static inline {t} kc_fmax{f}({t} a, {t} b)
+{{ return (a > b || isnan(a)) ? a : b; }}
+{1}static inline {t} kc_pymin{f}({t} a, {t} b)
+{{ return (b < a) ? b : a; }}
+static inline {t} kc_pymax{f}({t} a, {t} b)
+{{ return (b > a) ? b : a; }}
+{2}static {t} kc_pow{f}({t} x, {t} y)
+{{
+    return pow{f}(x, y);
+}}
 """
+_PREAMBLE = (
+    "#include <math.h>\n#include <float.h>\n\ntypedef long long i64;\n\n"
+    + _SHIMS.format(
+        "/* np.minimum / np.maximum semantics (NaN-propagating, "
+        "first-wins). */\n",
+        "/* Python builtin min/max semantics (second-wins ties, NaN "
+        "quirks). */\n",
+        "/* numpy scalar ``**`` is plain libm pow() — no array-style fast "
+        "paths. */\n", t="double", f="")
+    + _SHIMS.format(
+        "/* Single-precision twins for float32 (Volna) loops. */\n", "", "",
+        t="float", f="f"))
 
 
 # ----------------------------------------------------------------------
@@ -1393,7 +1345,8 @@ def _plan_chain(loops: Sequence, threads: bool):
         for lp in planned:
             lp.classify(ptab)
     for lp in planned:
-        lp.lanes = lane_verdict(lp.specs, lp.lowered, lp.bl.n, lp.columns)
+        lp.lanes = lane_verdict(lp.specs, lp.lowered, lp.bl.n,
+                                bool(lp.col_slots))
     threaded = any(lp.verdict.kind != "serial" for lp in planned)
     return ptab, planned, threaded
 

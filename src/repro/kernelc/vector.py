@@ -159,9 +159,6 @@ class VectorEmitter:
         self.depth = 1
 
     # -- plumbing ------------------------------------------------------
-    def _fresh(self, base: str) -> str:
-        return self.names.fresh(base + "__{}")
-
     def _emit(self, text: str) -> None:
         self.lines.append(_INDENT * self.depth + text)
 
@@ -299,12 +296,8 @@ class VectorEmitter:
     def _bind_local(
         self, name: str, env: Dict[str, str], mask: Optional[str]
     ) -> str:
-        if mask is None:
-            env[name] = name
-            return name
-        fresh = self._fresh(name)
-        env[name] = fresh
-        return fresh
+        env[name] = name if mask is None else self.names.fresh(name + "__{}")
+        return env[name]
 
     def _stmt_assign(self, s: SAssign, env, mask) -> None:
         target = s.targets[0]
@@ -474,18 +467,18 @@ class VectorEmitter:
 
     def _stmt_if(self, s: SIf, env, mask) -> None:
         test, _ = self._rx(s.test, env)
-        tname = self._fresh("_kc_t")
+        tname = self.names.fresh("_kc_t__{}")
         self._emit(f"{tname} = {_unparse(test)}")
         if mask is None:
             m_true = tname
-            m_false = self._fresh("_kc_f")
+            m_false = self.names.fresh("_kc_f__{}")
             self._emit(f"{m_false} = _kc_np.logical_not({tname})")
         else:
-            m_true = self._fresh("_kc_m")
+            m_true = self.names.fresh("_kc_m__{}")
             self._emit(
                 f"{m_true} = _kc_np.logical_and({mask}, {tname})"
             )
-            m_false = self._fresh("_kc_m")
+            m_false = self.names.fresh("_kc_m__{}")
             self._emit(
                 f"{m_false} = _kc_np.logical_and"
                 f"({mask}, _kc_np.logical_not({tname}))"
@@ -534,7 +527,7 @@ class VectorEmitter:
                     expr = f"_kc_select({m_true}, {v_t}, {pre})"
                 else:
                     expr = f"_kc_select({m_false}, {v_f}, {pre})"
-            joined = self._fresh(name)
+            joined = self.names.fresh(name + "__{}")
             self._emit(f"{joined} = {expr}")
             env[name] = joined
 
