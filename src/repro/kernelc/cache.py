@@ -112,7 +112,7 @@ def lane_folds(kernel, args: Sequence[Arg]) -> Dict[int, list]:
         return {}
     ir = kernel_ir(kernel)
     params = {ir.params[i]: i for i in positions}
-    updates = reduction_updates(ir.body, params, ir.namespace)
+    updates = reduction_updates(ir, params)
     if updates is None or any(u.op not in MIN_MAX for u in updates.values()):
         raise UnvectorizableKernel(
             f"{ir.name}: a min/max reduction is not one min/max update "

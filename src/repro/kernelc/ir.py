@@ -33,6 +33,7 @@ import ast
 import inspect
 import textwrap
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -129,6 +130,7 @@ class KernelIR:
     #: Every name bound in the kernel: parameters, locals, loop variables.
     local_names: Set[str] = field(default_factory=set)
 
+    @cached_property
     def names(self) -> Set[str]:
         """Every name the kernel binds or reads: what a printer's
         generated identifiers (:class:`~repro.kernelc.lower.Names`)

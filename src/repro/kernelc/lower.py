@@ -483,14 +483,22 @@ class Update:
     operand_first: bool = False
 
 
-def reduction_updates(body, params: Collection[str], ns: Dict[str, object]
+def reduction_updates(ir, params: Collection[str]
                       ) -> Optional[Dict[int, Update]]:
     """``index of a top-level statement -> Update`` for the reduction
-    parameters ``params`` of a kernel ``body``, when each of their
+    parameters ``params`` of kernel ``ir``, when each of their
     components is updated by one top-level statement and they appear
     nowhere else; ``None`` otherwise.  Only then is "one operand per
     element, replayed in element order" the same sequence of operations
-    as the serial loop's."""
+    as the serial loop's.  Memoised on ``ir`` per parameter set."""
+    memo = ir.__dict__.setdefault("_reduction_updates", {})
+    key = frozenset(params)
+    if key not in memo:
+        memo[key] = _reduction_updates(ir.body, key, ir.namespace)
+    return memo[key]
+
+
+def _reduction_updates(body, params, ns):
     from .ir import SAssign, SAug, stmt_nodes
 
     def component(node) -> Optional[Tuple[str, int]]:

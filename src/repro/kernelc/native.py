@@ -402,7 +402,7 @@ class _Lowering:
         self.specs = specs
         self.lit = lit
         self.ft = ft
-        self.names = lower.Names(ir.names(), _RESERVED,
+        self.names = lower.Names(ir.names, _RESERVED,
                                  generated=_GENERATED_RE)
         self.locals: List[str] = []
         self.stores: List[Store] = []
@@ -414,7 +414,7 @@ class _Lowering:
         ir = self.ir
         red = {ir.params[k]: k for k, s in enumerate(self.specs)
                if s.kind == "gred"}
-        found = lower.reduction_updates(ir.body, red, ir.namespace) \
+        found = lower.reduction_updates(ir, red) \
             if red else {}
         scope = _Scope(ns=ir.namespace,
                        params={p: i for i, p in enumerate(ir.params)},
@@ -480,8 +480,8 @@ class _Lowering:
             raise NativeUnsupported(
                 f"param {self.ir.params[argpos]}: too many subscripts"
             )
-        idxs = [i + n if i < 0 else i for i, n in zip(idxs, shape)]
-        if not all(0 <= i < n for i, n in zip(idxs, shape)):
+        idxs = [i % n if -n <= i < n else None for i, n in zip(idxs, shape)]
+        if None in idxs:
             raise NativeUnsupported("subscript out of range")
         return ("lval", argpos, *([None] + idxs)[-2:])
 
@@ -879,13 +879,11 @@ class _Loop:
         if len(ir.params) != len(bl.args):
             raise NativeUnsupported(
                 f"{len(ir.params)} params vs {len(bl.args)} loop arguments")
-        self.specs = [
-            _arg_spec(arg, j, i, ptab) for i, arg in enumerate(bl.args)
-        ]
+        self.specs = [_arg_spec(arg, j, i, ptab)
+                      for i, arg in enumerate(bl.args)]
         #: (argpos, slot) for every reduction-global argument.
-        self.red_args = [
-            (i, s.slot) for i, s in enumerate(self.specs) if s.kind == "gred"
-        ]
+        self.red_args = [(i, s.slot) for i, s in enumerate(self.specs)
+                         if s.kind == "gred"]
         # One uniform floating compute type per loop.  NumPy's weak
         # scalars keep a float32 kernel in float32 end to end; a loop
         # mixing float32 and float64 arguments would promote mid-kernel

@@ -154,7 +154,7 @@ class VectorEmitter:
         }
         #: Loop variables currently lowered to a full slice (fused loops).
         self._fuse_vars: set = set()
-        self.names = Names(ir.names(), start=1)
+        self.names = Names(ir.names, start=1)
         self.lines: List[str] = []
         self.depth = 1
 
@@ -483,8 +483,7 @@ class VectorEmitter:
                 f"{m_false} = _kc_np.logical_and"
                 f"({mask}, _kc_np.logical_not({tname}))"
             )
-        env_t = dict(env)
-        env_f = dict(env)
+        env_t, env_f = dict(env), dict(env)
         # Batched classification is branch-scoped: each branch starts
         # from the pre-branch set, and the join takes the union (a
         # select() of lane-carrying values carries lanes; over-marking
@@ -504,10 +503,8 @@ class VectorEmitter:
                     assigned.append(key)
         for name in assigned:
             pre = env.get(name)
-            v_t = env_t.get(name)
-            v_f = env_f.get(name)
-            in_t = v_t != pre
-            in_f = v_f != pre
+            v_t, v_f = env_t.get(name), env_f.get(name)
+            in_t, in_f = v_t != pre, v_f != pre
             if pre is None and not (in_t and in_f):
                 # Bound in one branch only, and not before: no join.
                 env[name] = v_t if in_t else v_f
