@@ -120,10 +120,10 @@ class VectorizedBackend(Backend):
             for e in range(n):
                 run_scalar_element(kernel.scalar, args, e, reductions)
             return
-        pool = {}
+        pool, folds = {}, _folds(kernel, args)
         for phase in plan.phases(n):
             for program in prepare_strips(vfn, args, phase.strips(self.vec),
-                                          pool, _folds(kernel, args)):
+                                          pool, folds):
                 program.run(args, reductions)
 
     # ------------------------------------------------------------------
