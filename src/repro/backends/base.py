@@ -290,13 +290,16 @@ def fold_lanes(access: Access, acc: np.ndarray, partial: np.ndarray,
 
 def lane_start(access: Access, dat, updates: Optional[Sequence]):
     """What a MIN / MAX lane partial starts from: the reduction's
-    identity, except NaN under builtin ``min(x, g)`` / ``max(x, g)``,
-    where the identity would win over an infinite operand and NaN gives
-    the operand itself."""
+    identity, except NaN in a floating Global under builtin
+    ``min(x, g)`` / ``max(x, g)``, where the identity would win over an
+    infinite operand and NaN gives the operand itself (an integer
+    operand always beats or ties its identity)."""
     start = dat.identity_for(access)
-    for c, update in enumerate(updates or ()):
-        if update is not None and update[0] in ("min", "max") and update[1]:
-            start[c] = np.nan
+    if dat.dtype.kind == "f":
+        for c, update in enumerate(updates or ()):
+            if update is not None and update[0] in ("min", "max") \
+                    and update[1]:
+                start[c] = np.nan
     return start
 
 
@@ -505,9 +508,11 @@ class StripProgram:
                  "gathers", "writebacks", "folds")
 
     def __init__(self, kernel_vec, args, phase, scratch: dict, cap: int,
-                 pool: dict, folds: Optional[dict] = None) -> None:
+                 pool: dict) -> None:
         elems = phase.elems
-        folds = folds or {}
+        # How the MIN / MAX reductions fold (kernelc's lane folds; a
+        # hand-written vector form keeps the default fold).
+        folds = getattr(kernel_vec, "lane_folds", {})
         nl = elems.size
         self.kernel_vec = kernel_vec
         self.serialize = phase.serialize
@@ -633,15 +638,13 @@ class StripProgram:
         self.write_back(args, arrays, reductions)
 
 
-def prepare_strips(kernel_vec, args, strips, pool: dict,
-                   folds: Optional[dict] = None) -> list:
+def prepare_strips(kernel_vec, args, strips, pool: dict) -> list:
     """A loop's :class:`StripProgram` for each of ``strips``, all
     sharing one set of scratch buffers sized to the largest strip, and
-    gathering into ``pool`` (:func:`_pooled`); ``folds``: how its MIN /
-    MAX reductions fold (:func:`fold_lanes`)."""
+    gathering into ``pool`` (:func:`_pooled`)."""
     cap = max((s.elems.size for s in strips), default=0)
     scratch = {}
-    return [StripProgram(kernel_vec, args, s, scratch, cap, pool, folds)
+    return [StripProgram(kernel_vec, args, s, scratch, cap, pool)
             for s in strips]
 
 

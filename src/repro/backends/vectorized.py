@@ -48,7 +48,6 @@ from __future__ import annotations
 import time
 
 from ..core.access import Access, is_scalar_loop
-from ..kernelc.cache import lane_folds
 from ..tiling.schedule import BarrierLoop
 from .base import (
     Backend,
@@ -62,12 +61,6 @@ from .base import (
 #: Default lanes per strip (``vec``).  Chosen by a width sweep on the
 #: 80k-cell airfoil (float64) and on Volna (float32); see CHANGES.md.
 STRIP_WIDTH = 8192
-
-
-def _folds(kernel, args) -> dict:
-    """How the loop's MIN / MAX reductions fold (``kernelc``'s lane
-    folds; an attached ``vector`` form keeps the default fold)."""
-    return {} if kernel.vector is not None else lane_folds(kernel, args)
 
 
 def _batch_kernel(kernel, args, plan):
@@ -120,10 +113,10 @@ class VectorizedBackend(Backend):
             for e in range(n):
                 run_scalar_element(kernel.scalar, args, e, reductions)
             return
-        pool, folds = {}, _folds(kernel, args)
+        pool = {}
         for phase in plan.phases(n):
             for program in prepare_strips(vfn, args, phase.strips(self.vec),
-                                          pool, folds):
+                                          pool):
                 program.run(args, reductions)
 
     # ------------------------------------------------------------------
@@ -192,7 +185,7 @@ class VectorizedBackend(Backend):
         # execs[k][s]: loop k's prepared execution of strip s.
         execs = [
             prepare_strips(bl.kernel.vector_for(bl.args), bl.args, strips,
-                           pool, _folds(bl.kernel, bl.args))
+                           pool)
             for bl in group.loops
         ]
         stats = self.stats
@@ -291,7 +284,6 @@ class VectorizedBackend(Backend):
                 execs = prepare_strips(
                     bl.kernel.vector_for(bl.args), bl.args,
                     [strip for _, strip in owned], pool,
-                    _folds(bl.kernel, bl.args),
                 )
                 for (t, _), pe in zip(owned, execs):
                     tiles[t].append((j, pe))

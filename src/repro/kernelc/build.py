@@ -234,13 +234,20 @@ def _so_checksum_ok(so_path: Path) -> bool:
 
 
 def _find_cc() -> Optional[str]:
-    """``$CC`` when on PATH, else the first of cc, gcc, clang."""
     key = (os.environ.get("CC"), os.environ.get("PATH"))
-    if key not in _cc_probe:
-        candidates = [key[0]] if key[0] else []
-        found = map(shutil.which, candidates + ["cc", "gcc", "clang"])
-        _cc_probe[key] = next(filter(None, found), None)
-    return _cc_probe[key]
+    if key in _cc_probe:
+        return _cc_probe[key]
+    cc = os.environ.get("CC")
+    if cc and shutil.which(cc):
+        _cc_probe[key] = shutil.which(cc)
+        return _cc_probe[key]
+    for cand in ("cc", "gcc", "clang"):
+        found = shutil.which(cand)
+        if found:
+            _cc_probe[key] = found
+            return found
+    _cc_probe[key] = None
+    return None
 
 
 def compiler_available() -> bool:

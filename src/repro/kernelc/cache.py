@@ -112,7 +112,8 @@ def lane_folds(kernel, args: Sequence[Arg]) -> Dict[int, list]:
         return {}
     ir = kernel_ir(kernel)
     params = {ir.params[i]: i for i in positions}
-    updates = reduction_updates(ir, params)
+    updates = reduction_updates(
+        ir, {p: int(args[i].dat.dim) for p, i in params.items()})
     if updates is None or any(u.op not in MIN_MAX for u in updates.values()):
         raise UnvectorizableKernel(
             f"{ir.name}: a min/max reduction is not one min/max update "
@@ -148,7 +149,8 @@ class KernelCompileCache:
 
     def vector_for(self, kernel, args: Sequence[Arg]):
         """Compiled batched kernel for this shape, or None (scalar only:
-        also when a MIN / MAX reduction has no lane fold)."""
+        also when a MIN / MAX reduction has no lane fold).  The callable
+        carries its :func:`lane_folds` as ``lane_folds``."""
         key = (kernel._uid, param_shapes(args), compute_dtype(args),
                _min_max(args))
         if key in self._entries:
@@ -157,8 +159,9 @@ class KernelCompileCache:
             return self._entries[key]
         self.misses += 1
         try:
-            lane_folds(kernel, args)
+            folds = lane_folds(kernel, args)
             fn = compile_vector(kernel_ir(kernel), *key[1:3])
+            fn.lane_folds = folds  # type: ignore[attr-defined]
         except UnvectorizableKernel:
             self.failures += 1
             fn = None

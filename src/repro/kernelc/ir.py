@@ -414,18 +414,23 @@ class _Builder:
         ):
             raise _refuse(stmt, "only range() loops with constant bounds")
         bounds = [const_int(a, self.ns.get) for a in it.args]
-        if None in bounds or 0 in bounds[2:]:
+        if any(b is None for b in bounds):
             raise _refuse(
                 stmt, "range() bounds must be integer constants (a dim)"
             )
-        span = range(*bounds)
+        if len(bounds) == 1:
+            start, stop, step = 0, bounds[0], 1
+        elif len(bounds) == 2:
+            start, stop, step = bounds[0], bounds[1], 1
+        else:
+            start, stop, step = bounds
         var = stmt.target.id
         if var in self.params:
             raise _refuse(stmt, "loop variable shadows a parameter")
         self.local_names.add(var)
         self.loop_vars.add(var)
         body = self.build_block(stmt.body)
-        return SFor(var, span.start, span.stop, span.step, body)
+        return SFor(var, start, stop, step, body)
 
     def _build_if(self, stmt: ast.If):
         self._check(stmt.test)

@@ -29,7 +29,7 @@ import operator
 import re
 import textwrap
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -483,29 +483,33 @@ class Update:
     operand_first: bool = False
 
 
-def reduction_updates(ir, params: Collection[str]
+def reduction_updates(ir, params: Mapping[str, int]
                       ) -> Optional[Dict[int, Update]]:
     """``index of a top-level statement -> Update`` for the reduction
-    parameters ``params`` of kernel ``ir``, when each of their
-    components is updated by one top-level statement and they appear
-    nowhere else; ``None`` otherwise.  Only then is "one operand per
-    element, replayed in element order" the same sequence of operations
-    as the serial loop's.  Memoised on ``ir`` per parameter set."""
+    parameters of kernel ``ir`` (``params``: name -> dim), when each of
+    their components is updated by one top-level statement and they
+    appear nowhere else; ``None`` otherwise.  Only then is "one operand
+    per element, replayed in element order" the same sequence of
+    operations as the serial loop's.  A component is ``0..dim-1``
+    (``g[-1]`` is ``g[dim-1]``; an index out of range is not an update).
+    Memoised on ``ir`` per parameter set."""
     memo = ir.__dict__.setdefault("_reduction_updates", {})
-    key = frozenset(params)
+    key = frozenset(params.items())
     if key not in memo:
-        memo[key] = _reduction_updates(ir.body, key, ir.namespace)
+        memo[key] = _reduction_updates(ir.body, dict(params), ir.namespace)
     return memo[key]
 
 
-def _reduction_updates(body, params, ns):
+def _reduction_updates(body, dims, ns):
     from .ir import SAssign, SAug, stmt_nodes
 
     def component(node) -> Optional[Tuple[str, int]]:
         if isinstance(node, ast.Subscript) and isinstance(
-                node.value, ast.Name) and node.value.id in params:
+                node.value, ast.Name) and node.value.id in dims:
+            dim = dims[node.value.id]
             comp = const_int(node.slice, ns.get)
-            return None if comp is None else (node.value.id, comp)
+            if comp is not None and -dim <= comp < dim:
+                return node.value.id, comp % dim
         return None
 
     found: Dict[int, Update] = {}
@@ -537,6 +541,6 @@ def _reduction_updates(body, params, ns):
             expected += refs
     uses = sum(
         1 for st in body for node in stmt_nodes(st)
-        if isinstance(node, ast.Name) and node.id in params
+        if isinstance(node, ast.Name) and node.id in dims
     )
     return found if uses == expected else None

@@ -131,11 +131,15 @@ class _PointerTable:
 
     def slot(self, array: np.ndarray, loop_j: int, argpos: int, kind: str,
              comment: str) -> int:
-        if id(array) not in self._slots:
-            self._slots[id(array)] = len(self.recipe)
-            self.recipe.append((loop_j, argpos, kind))
-            self.comments.append(comment)
-        return self._slots[id(array)]
+        key = id(array)
+        found = self._slots.get(key)
+        if found is not None:
+            return found
+        idx = len(self.recipe)
+        self._slots[key] = idx
+        self.recipe.append((loop_j, argpos, kind))
+        self.comments.append(comment)
+        return idx
 
     def owner(self, bounds: np.ndarray, loop_j: int) -> int:
         """The slot of an owner facet's ``(k, 2)`` bounds (loops sharing
@@ -219,10 +223,13 @@ def _arg_spec(arg, loop_j: int, argpos: int, ptab: _PointerTable) -> _ArgSpec:
         arg.map.values, loop_j, argpos, "map",
         f"map {arg.map.name}: arity {arg.map.arity}",
     )
-    return _ArgSpec("vector" if arg.is_vector else "indirect", slot, map_slot,
-                    arg.access, dat.dim, arg.map.arity,
-                    -1 if arg.is_vector else int(arg.index), dat.layout,
-                    extent, ctype, arg.map.to_set.size)
+    if arg.is_vector:
+        return _ArgSpec("vector", slot, map_slot, arg.access, dat.dim,
+                        arg.map.arity, -1, dat.layout, extent, ctype,
+                        arg.map.to_set.size)
+    return _ArgSpec("indirect", slot, map_slot, arg.access, dat.dim,
+                    arg.map.arity, int(arg.index), dat.layout, extent, ctype,
+                    arg.map.to_set.size)
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +421,8 @@ class _Lowering:
         ir = self.ir
         red = {ir.params[k]: k for k, s in enumerate(self.specs)
                if s.kind == "gred"}
-        found = lower.reduction_updates(ir, red) \
+        found = lower.reduction_updates(
+            ir, {p: self.specs[k].dim for p, k in red.items()}) \
             if red else {}
         scope = _Scope(ns=ir.namespace,
                        params={p: i for i, p in enumerate(ir.params)},

@@ -296,8 +296,12 @@ class VectorEmitter:
     def _bind_local(
         self, name: str, env: Dict[str, str], mask: Optional[str]
     ) -> str:
-        env[name] = name if mask is None else self.names.fresh(name + "__{}")
-        return env[name]
+        if mask is None:
+            env[name] = name
+            return name
+        fresh = self.names.fresh(name + "__{}")
+        env[name] = fresh
+        return fresh
 
     def _stmt_assign(self, s: SAssign, env, mask) -> None:
         target = s.targets[0]
@@ -483,7 +487,8 @@ class VectorEmitter:
                 f"{m_false} = _kc_np.logical_and"
                 f"({mask}, _kc_np.logical_not({tname}))"
             )
-        env_t, env_f = dict(env), dict(env)
+        env_t = dict(env)
+        env_f = dict(env)
         # Batched classification is branch-scoped: each branch starts
         # from the pre-branch set, and the join takes the union (a
         # select() of lane-carrying values carries lanes; over-marking
@@ -503,8 +508,10 @@ class VectorEmitter:
                     assigned.append(key)
         for name in assigned:
             pre = env.get(name)
-            v_t, v_f = env_t.get(name), env_f.get(name)
-            in_t, in_f = v_t != pre, v_f != pre
+            v_t = env_t.get(name)
+            v_f = env_f.get(name)
+            in_t = v_t != pre
+            in_f = v_f != pre
             if pre is None and not (in_t and in_f):
                 # Bound in one branch only, and not before: no join.
                 env[name] = v_t if in_t else v_f

@@ -151,6 +151,25 @@ def lw_min_twice(x, lo):
     lo[0] = min(lo[0], x[1])
 
 
+@kernel("lw_int_folds")
+def lw_int_folds(x, lo, hi):
+    lo[0] = min(x[0], lo[0])
+    lo[1] = min(lo[1], x[0])
+    hi[0] = max(x[0], hi[0])
+    hi[1] = max(hi[1], x[0])
+
+
+@kernel("lw_min_last")
+def lw_min_last(x, lo):
+    lo[-1] = min(lo[-1], x[0])
+
+
+@kernel("lw_min_first_and_last")
+def lw_min_first_and_last(x, lo):
+    lo[0] = min(lo[0], x[0])
+    lo[-1] = min(lo[-1], x[1])
+
+
 INF = float("inf")
 #: Element sequences where the order of a min/max fold shows: signed
 #: zeros, NaN before, between and after values, NaN then an infinity.
@@ -193,6 +212,63 @@ class TestMinMaxFolds:
         monkeypatch.setattr(native, "THREAD_MIN_ELEMENTS", 1)
         got["native, threaded"] = run(runtime_for("native", "two_level", {}))
         _assert_legs_equal(got)
+
+    def test_integer_globals(self, monkeypatch):
+        """An int64 MIN / MAX folds from its identity: an integer lane
+        has no NaN to start from."""
+        col = np.array([[3], [-7], [5], [-7], [9]], dtype=np.int64)
+        big = np.iinfo(np.int64)
+
+        def run(rt):
+            s = Set(len(col), "s")
+            x = Dat(s, 1, col, np.int64, name="x")
+            lo = Global(2, value=np.full(2, big.max), dtype=np.int64,
+                        name="lo")
+            hi = Global(2, value=np.full(2, big.min), dtype=np.int64,
+                        name="hi")
+            args = (arg_dat(x, IDX_ID, None, READ), arg_gbl(lo, MIN),
+                    arg_gbl(hi, MAX))
+            par_loop(lw_int_folds, s, *args, runtime=rt)
+            with rt.chain():
+                par_loop(lw_int_folds, s, *args, runtime=rt)
+            return lo.data.tobytes() + hi.data.tobytes()
+
+        got = _legs(run)
+        assert got["sequential"] == np.array([-7, -7, 9, 9]).tobytes()
+        got["vectorized, vec=2"] = run(
+            runtime_for("vectorized", "two_level", {"vec": 2}))
+        monkeypatch.setattr(native, "THREAD_MIN_ELEMENTS", 1)
+        got["native, threaded"] = run(runtime_for("native", "two_level", {}))
+        _assert_legs_equal(got)
+
+    @pytest.mark.parametrize("kern", [lw_min_last, lw_min_first_and_last],
+                             ids=lambda k: k.name)
+    def test_negative_component(self, kern, monkeypatch):
+        """``lo[-1]`` of a dim-1 Global is ``lo[0]``: one update folds
+        like any other, and ``lo[0]`` next to ``lo[-1]`` is the same
+        component updated twice (no lane fold, no reduction column)."""
+        col = np.array([[1.0, -0.0], [NAN, 0.0], [-2.0, 5.0], [0.0, -3.0]])
+
+        def run(rt):
+            s = Set(len(col), "s")
+            x = Dat(s, 2, col, name="x")
+            lo = Global(1, value=INF, name="lo")
+            par_loop(kern, s, arg_dat(x, IDX_ID, None, READ),
+                     arg_gbl(lo, MIN), runtime=rt)
+            return lo.data.tobytes()
+
+        got = _legs(run)
+        got["vectorized, vec=2"] = run(
+            runtime_for("vectorized", "two_level", {"vec": 2}))
+        monkeypatch.setattr(native, "THREAD_MIN_ELEMENTS", 1)
+        got["native, threaded"] = run(runtime_for("native", "two_level", {}))
+        _assert_legs_equal(got)
+        ir = kernel_ir(kern)
+        updates = lower.reduction_updates(ir, {"lo": 1})
+        if kern is lw_min_last:
+            assert [u.comp for u in updates.values()] == [0]
+        else:
+            assert updates is None
 
     def test_unrecognised_update_runs_scalar(self):
         """A component updated twice has no lane fold: the loop takes
